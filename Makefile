@@ -72,7 +72,7 @@ bench-smoke:
 
 # The pre-commit gate: tier-1 (build + tests) plus a 1-rep smoke run of the
 # exec-strategy bench, which exercises the flat tape, the domain pool and
-# the demotion heuristic end-to-end without touching BENCH_exec.json,
+# the parallel planner end-to-end without touching BENCH_exec.json,
 # the pipeline/compile-cache smoke gate, the pool-vs-seq perf gate, the
 # autoscheduler and compile-service gates, the GPU-sim and distributed
 # backend gates, plus the 500-case differential fuzz sweep.

@@ -5,9 +5,9 @@
 
    The interesting cases are kernels whose [Parallel] loop is entered many
    times per run (inner-parallel blur, unfused nb).  The [tape_compiled]
-   column counts nests claimed by the flat tape; [pool_fallbacks] counts
-   Parallel loops demoted to sequential by the work-size heuristic
-   (threshold recorded in the JSON header).
+   column counts nests claimed by the flat tape; [plan_serialized] counts
+   Parallel subtrees the parallel planner serialized below its work
+   threshold (recorded in the JSON header).
 
    Per-strategy timings report mean, median and min over the reps: the
    median is robust to scheduler noise, the min approximates the
@@ -134,7 +134,6 @@ let stats_of (samples : float array) =
 type row = {
   r_case : case;
   r_meta : L.loop_meta;
-  r_fallback : int;   (* Parallel loops demoted under `Pool *)
   r_coalesced : int;      (* fused parallel groups emitted by the planner *)
   r_fused_levels : int;   (* original loops folded into those groups *)
   r_serialized : int;     (* Parallel subtrees the planner serialized *)
@@ -268,12 +267,12 @@ let sweep_workers ?(tape = true) ~reps case =
           (w, st))
         sweep_points)
 
-(* The tape/demotion counters are snapshotted per compile (atomic during
+(* The tape/schedule counters are snapshotted per compile (atomic during
    compilation, frozen in the compiled value): recompiling the same case
    must report identical numbers, and the sequential strategy must report
-   zero fallbacks.  Benchmarks compile each strategy separately, so
+   no pool loops.  Benchmarks compile each strategy separately, so
    accumulating or shared counters would silently corrupt the
-   [tape_compiled]/[pool_fallbacks] columns — fail fast instead. *)
+   [tape_compiled]/[static_sched] columns — fail fast instead. *)
 let assert_counters case =
   let compile strategy =
     let fn = case.c_build () in
@@ -284,10 +283,10 @@ let assert_counters case =
       ~inputs:case.c_inputs ()
   in
   let p1 = compile `Pool and p2 = compile `Pool in
-  assert (B.Exec.pool_fallbacks p1 = B.Exec.pool_fallbacks p2);
+  assert (B.Exec.static_count p1 = B.Exec.static_count p2);
   assert (B.Exec.tape_count p1 = B.Exec.tape_count p2);
   assert (B.Exec.tape_instrs p1 = B.Exec.tape_instrs p2);
-  assert (B.Exec.pool_fallbacks (compile `Seq) = 0);
+  assert (B.Exec.static_count (compile `Seq) = 0);
   (* the tape=off control must really be closure-only *)
   let fn = case.c_build () in
   case.c_sched fn;
@@ -318,7 +317,6 @@ let bench_case ~reps case =
   {
     r_case = case;
     r_meta = B.Exec.meta a.P.exec;
-    r_fallback = B.Exec.pool_fallbacks ap.P.exec;
     r_coalesced = plan.Plan.r_coalesced;
     r_fused_levels = plan.Plan.r_fused_levels;
     r_serialized = plan.Plan.r_serialized;
@@ -363,7 +361,6 @@ let json_of_row ~reps r =
   Printf.sprintf
     {|    { "kernel": "%s", "size": "%s", "reps": %d,
       "loop_meta": { "n_loops": %d, "n_parallel": %d, "n_nested_parallel": %d, "max_depth": %d, "n_specializable": %d },
-      "pool_fallbacks": %d,
       "coalesced": %d, "fused_levels": %d, "plan_serialized": %d, "static_sched": %d,
       "tape_compiled": %d, "tape_instr_count": %d, "tape_fallbacks": %d,
       "vector_claimed": %d, "lane_width": %d,
@@ -380,7 +377,7 @@ let json_of_row ~reps r =
       "speedup_tape_vs_closure_seq": %.2f,
       "speedup_vector_vs_scalar_tape": %.2f }|}
     r.r_case.c_name r.r_case.c_size reps m.L.n_loops m.L.n_parallel
-    m.L.n_nested_parallel m.L.max_depth m.L.n_specializable r.r_fallback
+    m.L.n_nested_parallel m.L.max_depth m.L.n_specializable
     r.r_coalesced r.r_fused_levels r.r_serialized r.r_static
     r.r_tape r.r_tape_instr r.r_tape_fb
     r.r_tape_vec r.r_lanes
@@ -399,7 +396,7 @@ let run ?(smoke = false) () =
   let reps = if smoke then 1 else 15 in
   let w = workers () in
   let assumed = assume_cores () in
-  let min_work = B.Pool.min_work () in
+  let min_work = Plan.min_work in
   Common.pf
     "\nExec strategies (workers=%d, assumed_cores=%d, reps=%d, \
      pool_min_work=%d%s)\n"

@@ -20,7 +20,9 @@ type kernel = {
   k_name : string;
   k_desc : string;
   build : unit -> Tiramisu_core.Ir.fn;
-  schedules : (string * (Tiramisu_core.Ir.fn -> unit)) list;
+  schedules : (string * int) list -> (string * (Tiramisu_core.Ir.fn -> unit)) list;
+      (* by the parameter values the kernel runs at: a distributed schedule
+         splits the concrete row count across its ranks *)
   params_small : (string * int) list;
   params_paper : (string * int) list;
   inputs : (string * (int array -> float)) list;
@@ -51,10 +53,14 @@ let kernels =
           let f, _, _ = Image.blur () in
           f);
       schedules =
-        [ ("none", none); ("cpu", fun f -> Schedules.cpu_blur f);
-          ("gpu", Schedules.gpu_blur);
-          ("dist", fun f -> Schedules.dist_blur f ~n:2112 ~m:3520 ~nodes:16);
-          ("pencil", pencil) ];
+        (fun params ->
+          [ ("none", none); ("cpu", fun f -> Schedules.cpu_blur f);
+            ("gpu", Schedules.gpu_blur);
+            ( "dist",
+              fun f ->
+                Schedules.dist_blur f ~n:(List.assoc "N" params)
+                  ~m:(List.assoc "M" params) ~nodes:16 );
+            ("pencil", pencil) ]);
       params_small = [ ("N", 20); ("M", 16) ];
       params_paper = [ ("N", 2112); ("M", 3520) ];
       inputs = [ ("img", img3) ];
@@ -64,8 +70,9 @@ let kernels =
       k_desc = "RGB to grayscale (§VI-B)";
       build = (fun () -> fst (Image.cvt_color ()));
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_cvt_color);
-          ("gpu", Schedules.gpu_cvt_color); ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_cvt_color);
+            ("gpu", Schedules.gpu_cvt_color); ("pencil", pencil) ]);
       params_small = [ ("N", 24); ("M", 20) ];
       params_paper = [ ("N", 2112); ("M", 3520) ];
       inputs = [ ("img", img3) ];
@@ -78,8 +85,9 @@ let kernels =
           let f, _, _ = Image.conv2d () in
           f);
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_conv2d);
-          ("gpu", Schedules.gpu_conv2d); ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_conv2d);
+            ("gpu", Schedules.gpu_conv2d); ("pencil", pencil) ]);
       params_small = [ ("N", 20); ("M", 16) ];
       params_paper = [ ("N", 2112); ("M", 3520) ];
       inputs = [ ("img", img3); ("weights", kern3) ];
@@ -89,8 +97,9 @@ let kernels =
       k_desc = "affine warp with bilinear sampling (§VI-B)";
       build = (fun () -> fst (Image.warp_affine ()));
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_warp_affine);
-          ("gpu", Schedules.gpu_warp_affine); ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_warp_affine);
+            ("gpu", Schedules.gpu_warp_affine); ("pencil", pencil) ]);
       params_small = [ ("N", 20); ("M", 16) ];
       params_paper = [ ("N", 2112); ("M", 3520) ];
       inputs = [ ("img", img2) ];
@@ -103,8 +112,9 @@ let kernels =
           let f, _, _ = Image.gaussian () in
           f);
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_gaussian);
-          ("gpu", Schedules.gpu_gaussian); ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_gaussian);
+            ("gpu", Schedules.gpu_gaussian); ("pencil", pencil) ]);
       params_small = [ ("N", 20); ("M", 16) ];
       params_paper = [ ("N", 2112); ("M", 3520) ];
       inputs = [ ("img", img3) ];
@@ -117,9 +127,10 @@ let kernels =
           let f, _, _, _, _ = Image.nb () in
           f);
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_nb ~fuse:true);
-          ("cpu-unfused", Schedules.cpu_nb ~fuse:false);
-          ("gpu", Schedules.gpu_nb ~fuse:true); ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_nb ~fuse:true);
+            ("cpu-unfused", Schedules.cpu_nb ~fuse:false);
+            ("gpu", Schedules.gpu_nb ~fuse:true); ("pencil", pencil) ]);
       params_small = [ ("N", 20); ("M", 16) ];
       params_paper = [ ("N", 2112); ("M", 3520) ];
       inputs = [ ("img", img3) ];
@@ -132,8 +143,9 @@ let kernels =
           let f, _, _ = Image.edge_detector () in
           f);
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_edge_detector);
-          ("gpu", Schedules.gpu_edge_detector); ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_edge_detector);
+            ("gpu", Schedules.gpu_edge_detector); ("pencil", pencil) ]);
       params_small = [ ("N", 20) ];
       params_paper = [ ("N", 2112) ];
       inputs = [ ("img", img2) ];
@@ -143,8 +155,9 @@ let kernels =
       k_desc = "triangular iteration space (Halide bug reproduction)";
       build = (fun () -> fst (Image.ticket2373 ()));
       schedules =
-        [ ("none", none); ("cpu", Schedules.cpu_ticket2373);
-          ("pencil", pencil) ];
+        (fun _ ->
+          [ ("none", none); ("cpu", Schedules.cpu_ticket2373);
+            ("pencil", pencil) ]);
       params_small = [ ("N", 16) ];
       params_paper = [ ("N", 2112) ];
       inputs = [ ("img", fun idx -> float_of_int (idx.(0) mod 13)) ];
@@ -157,9 +170,10 @@ let kernels =
           let f, _, _ = Linalg.sgemm () in
           f);
       schedules =
-        [ ("none", none); ("tuned", fun f -> Linalg.sgemm_tuned f);
-          ("pluto", fun f -> Linalg.sgemm_pluto f);
-          ("gpu", fun f -> Linalg.sgemm_gpu f) ];
+        (fun _ ->
+          [ ("none", none); ("tuned", fun f -> Linalg.sgemm_tuned f);
+            ("pluto", fun f -> Linalg.sgemm_pluto f);
+            ("gpu", fun f -> Linalg.sgemm_gpu f) ]);
       params_small = [ ("S", 16) ];
       params_paper = [ ("S", 1060) ];
       inputs = [ ("A", mat); ("B", mat); ("C0", mat) ];
@@ -168,7 +182,7 @@ let kernels =
       k_name = "hpcg";
       k_desc = "27-point stencil SpMV (HPCG kernel, §VI-A)";
       build = (fun () -> fst (Linalg.hpcg ()));
-      schedules = [ ("none", none); ("cpu", Linalg.hpcg_schedule) ];
+      schedules = (fun _ -> [ ("none", none); ("cpu", Linalg.hpcg_schedule) ]);
       params_small = [ ("G", 10) ];
       params_paper = [ ("G", 104) ];
       inputs = [ ("p", img3) ];
@@ -180,7 +194,7 @@ let kernels =
         (fun () ->
           let f, _, _ = Linalg.baryon () in
           f);
-      schedules = [ ("none", none); ("cpu", Linalg.baryon_schedule) ];
+      schedules = (fun _ -> [ ("none", none); ("cpu", Linalg.baryon_schedule) ]);
       params_small = [ ("T", 8); ("D", 4) ];
       params_paper = [ ("T", 64); ("D", 16) ];
       inputs = [ ("w", img3); ("P1", img2); ("P2", img2); ("P3", img2) ];
@@ -194,14 +208,16 @@ let find_kernel name =
       Printf.eprintf "unknown kernel %s; try 'tiramisuc list'\n" name;
       exit 1
 
-let scheduled k sched =
+let schedule_names k = List.map fst (k.schedules k.params_small)
+
+let scheduled k sched ~params =
   let f = k.build () in
-  (match List.assoc_opt sched k.schedules with
+  (match List.assoc_opt sched (k.schedules params) with
   | Some s -> s f
   | None ->
       Printf.eprintf "kernel %s has no schedule %s (available: %s)\n"
         k.k_name sched
-        (String.concat ", " (List.map fst k.schedules));
+        (String.concat ", " (schedule_names k));
       exit 1);
   f
 
@@ -303,7 +319,7 @@ let list_cmd =
           List.iter
             (fun k ->
               Printf.printf "%-14s %s\n  schedules: %s\n" k.k_name k.k_desc
-                (String.concat ", " (List.map fst k.schedules)))
+                (String.concat ", " (schedule_names k)))
             kernels)
       $ const ())
 
@@ -311,7 +327,9 @@ let show_cmd =
   let doc = "Print the generated pseudocode for a kernel." in
   let run name sched =
     let k = find_kernel name in
-    print_endline (Tiramisu_core.Lower.pseudocode (scheduled k sched))
+    print_endline
+      (Tiramisu_core.Lower.pseudocode
+         (scheduled k sched ~params:k.params_small))
   in
   Cmd.v (Cmd.info "show" ~doc) Term.(const run $ kernel_arg $ sched_arg)
 
@@ -319,10 +337,10 @@ let cc_cmd =
   let doc = "Emit C source for a kernel." in
   let run name sched paper target trace dump_after =
     let k = find_kernel name in
-    let f = scheduled k sched in
+    let params = if paper then k.params_paper else k.params_small in
+    let f = scheduled k sched ~params in
     let tracer = cli_tracer ~target ~trace ~dump_after ~name:k.k_name () in
     let lowered = P.lower ?tracer f in
-    let params = if paper then k.params_paper else k.params_small in
     let buffers =
       List.map
         (fun ((b : Tiramisu_core.Ir.buffer), dims) ->
@@ -344,9 +362,9 @@ let run_cmd =
   let doc = "Execute a kernel (small size) and report counters / time." in
   let run name sched native target trace dump_after =
     let k = find_kernel name in
-    let f = scheduled k sched in
-    let tracer = cli_tracer ~target ~trace ~dump_after ~name:k.k_name () in
     let params = k.params_small in
+    let f = scheduled k sched ~params in
+    let tracer = cli_tracer ~target ~trace ~dump_after ~name:k.k_name () in
     if native then begin
       let t0 = Tiramisu_backends.Clock.now_ms () in
       let art =
@@ -380,8 +398,8 @@ let model_cmd =
   let doc = "Machine-model estimate (Xeon E5-2680v3 / Tesla K40)." in
   let run name sched paper =
     let k = find_kernel name in
-    let f = scheduled k sched in
     let params = if paper then k.params_paper else k.params_small in
+    let f = scheduled k sched ~params in
     let r = Runner.model ~fn:f ~params () in
     Format.printf "%a@." B.Cost.pp_report r
   in
@@ -392,7 +410,7 @@ let legal_cmd =
   let doc = "Check the schedule against the dependence analysis." in
   let run name sched =
     let k = find_kernel name in
-    let f = scheduled k sched in
+    let f = scheduled k sched ~params:k.params_small in
     match Tiramisu_deps.Deps.check_legality f with
     | [] -> print_endline "legal: all flow dependences preserved"
     | vs ->
@@ -535,16 +553,16 @@ let kernel_request ?deadline_s ~kernel ~sched ~paper () =
   match List.find_opt (fun k -> k.k_name = kernel) kernels with
   | None -> Error (Printf.sprintf "unknown kernel %s" kernel)
   | Some k -> (
-      match List.assoc_opt sched k.schedules with
+      let params = if paper then k.params_paper else k.params_small in
+      match List.assoc_opt sched (k.schedules params) with
       | None ->
           Error
             (Printf.sprintf "kernel %s has no schedule %s (available: %s)"
                kernel sched
-               (String.concat ", " (List.map fst k.schedules)))
+               (String.concat ", " (schedule_names k)))
       | Some apply ->
           let f = k.build () in
           apply f;
-          let params = if paper then k.params_paper else k.params_small in
           Ok (k, S.request_of_fn ?deadline_s ~fn:f ~params ()))
 
 let handle_connection sv fd =

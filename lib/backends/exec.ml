@@ -13,7 +13,8 @@ module L = Loop_ir
    - Parallel loops run on the persistent domain pool ({!Pool});
      statically nested Parallel loops are compiled sequentially (the loop
      metadata of {!Loop_ir.analyze_loops} names this case) and dynamically
-     nested ones run inline on their worker.
+     nested ones run inline on their worker.  Which loops fork is decided
+     earlier, by the parallel planner ({!Parallel_plan}).
 
    - Addressing is hoisted: buffer strides are computed once at compile
      time, index expressions are classified as affine combinations of loop
@@ -25,31 +26,14 @@ module L = Loop_ir
      guarded edges of partial tiles), fall back to the per-access check. *)
 
 type par_strategy = [ `Pool | `Seq ]
-type schedule = [ `Auto | `Static | `Dynamic ]
 
-(* Typed diagnostic for the distributed executor's communication faults:
-   a synchronous receive finding no message (the in-process analogue of an
-   MPI deadlock), a payload whose size disagrees with the receive count,
-   or a send left undelivered when the program finishes.  The pipeline's
-   [guard] wraps these into [Pipeline.Error] with the rank pair and the
-   channel (buffer) named, instead of a bare exception. *)
-exception
-  Comm_error of { src : int; dst : int; channel : string; reason : string }
-
-let () =
-  Printexc.register_printer (function
-    | Comm_error { src; dst; channel; reason } ->
-        Some
-          (Printf.sprintf "Exec.Comm_error(rank %d -> rank %d on %S: %s)" src
-             dst channel reason)
-    | _ -> None)
+exception Comm_error = Interp.Comm_error
 
 type compiled = {
   body : int array -> unit;
   regs0 : int array;             (* initial register file (params bound) *)
   bufs : (string, Buffers.t) Hashtbl.t;
   cmeta : L.loop_meta;
-  c_fallback : int;              (* Parallel loops demoted by the work bound *)
   c_static : int;                (* pool loops given the static schedule *)
   c_tape : int;                  (* nests claimed by the tape backend *)
   c_tape_vec : int;              (* claimed nests bound with lane batching *)
@@ -69,19 +53,12 @@ type ctx = {
   chan_mutex : Mutex.t;
   rank_slot : int;
   par_mode : par_strategy;
-  sched : [ `Auto | `Static | `Dynamic ];
-    (* pool schedule: static per-worker ranges vs dynamic chunking *)
-  demote : bool;                     (* work-size demotion heuristic on/off *)
   (* compile-time state of the addressing-optimisation pass *)
   pending : (string, (int array -> int -> int -> bool) list ref) Hashtbl.t;
     (* per loop-var corner checks collected while compiling its body *)
   mutable loop_stack : string list;  (* enclosing loop vars, innermost first *)
   mutable par_depth : int;           (* enclosing Parallel loops *)
-  (* compile-time state of the pool heuristic *)
-  est_vars : (string, int) Hashtbl.t;
-    (* params and enclosing-loop midpoints, for static work estimates *)
-  pool_min_work : int;               (* Pool.min_work (), sampled once *)
-  n_fallback : int Atomic.t;         (* Parallel loops demoted to Seq *)
+  est_vars : (string, int) Hashtbl.t;  (* params, enclosing-loop midpoints *)
   n_static : int Atomic.t;           (* pool loops compiled static *)
   (* the flat-tape backend (see {!Tape}) *)
   tape_enabled : bool;
@@ -363,58 +340,6 @@ let offset_fn (b : Buffers.t) (fidx : (int array -> int) array) =
     Array.iteri (fun k f -> acc := !acc + (f env * strides.(k))) fidx;
     !acc
 
-(* ==================== static work estimate ==================== *)
-
-let rec est_int ctx (e : L.expr) : int =
-  match e with
-  | L.Int n -> n
-  | L.Float f -> int_of_float f
-  | L.Var v -> (
-      match Hashtbl.find_opt ctx.est_vars v with Some x -> x | None -> 0)
-  | L.Neg a -> -est_int ctx a
-  | L.Cast (_, a) -> est_int ctx a
-  | L.Load _ | L.Call _ -> 0
-  | L.Select (_, a, _) -> est_int ctx a
-  | L.Bin (op, a, b) -> (
-      let x = est_int ctx a and y = est_int ctx b in
-      match op with
-      | L.Add -> x + y
-      | L.Sub -> x - y
-      | L.Mul -> x * y
-      | L.Div -> if y = 0 then 0 else x / y
-      | L.FloorDiv -> if y = 0 then 0 else Tiramisu_support.Ints.fdiv x y
-      | L.Mod -> if y = 0 then 0 else Tiramisu_support.Ints.emod x y
-      | L.MinOp -> min x y
-      | L.MaxOp -> max x y)
-
-(* Per-entry work estimate of a statement (roughly: executed stores plus
-   loop iterations), used by the pool fallback heuristic.  Parameters are
-   bound to their concrete values at compile time; enclosing loop variables
-   are approximated by their midpoints (maintained by {!compile_stmt}). *)
-let rec est_work ctx (s : L.stmt) : int =
-  match s with
-  | L.Block l -> List.fold_left (fun acc s -> acc + est_work ctx s) 0 l
-  | L.Comment _ | L.Barrier -> 0
-  | L.Store _ -> 1
-  | L.Send _ | L.Recv _ | L.Memcpy _ -> 8
-  | L.If (_, t, e) ->
-      max (est_work ctx t)
-        (match e with Some e -> est_work ctx e | None -> 0)
-  | L.Alloc { body; _ } -> 8 + est_work ctx body
-  | L.For { var; lo; hi; body; _ } ->
-      let lo = est_int ctx lo and hi = est_int ctx hi in
-      let extent = max 0 (hi - lo + 1) in
-      if extent = 0 then 0
-      else begin
-        let saved = Hashtbl.find_opt ctx.est_vars var in
-        Hashtbl.replace ctx.est_vars var (lo + ((extent - 1) / 2));
-        let w = est_work ctx body in
-        (match saved with
-        | Some x -> Hashtbl.replace ctx.est_vars var x
-        | None -> Hashtbl.remove ctx.est_vars var);
-        extent * (1 + w)
-      end
-
 let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
   match s with
   | L.Block l ->
@@ -473,63 +398,22 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
       | None -> ());
       if Option.is_some tape_rt then ctx.in_tape <- ctx.in_tape + 1;
       (* Statically nested Parallel loops run sequentially inside their
-         chunk: the pool already owns the machine at the outer level.
-         Pool-scheduled loops additionally fall back to sequential when
-         forking cannot pay off: either the OS grants this process a single
-         CPU (a pool only time-slices then), or the loop's total static
-         work estimate divided across the effective workers is below the
-         fork/join break-even point (Pool.min_work): forking tiny loops
-         costs more in hand-off than each worker's share earns back.
-         TIRAMISU_POOL_MIN_WORK=0 disables both, and so does
-         [demote:false] — the parallel planner passes it after taking
-         these decisions itself at the plan level. *)
-      let est_at x =
-        let saved = Hashtbl.find_opt ctx.est_vars var in
-        Hashtbl.replace ctx.est_vars var x;
-        let w = est_work ctx body in
-        (match saved with
-        | Some x -> Hashtbl.replace ctx.est_vars var x
-        | None -> Hashtbl.remove ctx.est_vars var);
-        w
-      in
-      let demoted =
-        tag = L.Parallel && ctx.par_mode = `Pool && ctx.par_depth = 0
-        && ctx.demote && ctx.pool_min_work > 0
-        && (let eff = Pool.effective_parallelism () in
-            eff <= 1
-            ||
-            let est_lo = est_int ctx lo and est_hi = est_int ctx hi in
-            let extent = max 0 (est_hi - est_lo + 1) in
-            let body_est = est_at (est_lo + (max 0 (extent - 1) / 2)) in
-            extent * (1 + body_est) / eff < ctx.pool_min_work)
-      in
-      if demoted then Atomic.incr ctx.n_fallback;
+         chunk: the pool already owns the machine at the outer level.  Every
+         other pool-strategy Parallel loop forks, static or dynamic by the
+         planner's shape rule. *)
       let parallel =
         tag = L.Parallel && ctx.par_mode = `Pool && ctx.par_depth = 0
-        && not demoted
       in
-      (* Schedule selection for pool loops: when the per-entry work estimate
-         is the same at both ends of the range (rectangular domains — also
-         everything the parallel planner coalesces), a static per-worker
-         range split balances exactly and skips the per-chunk task hand-off;
-         otherwise dynamic chunking with stealing absorbs the irregularity
-         (triangular domains, guarded partial tiles). *)
       let static_sched =
-        parallel
-        &&
-        match ctx.sched with
-        | `Static -> true
-        | `Dynamic -> false
-        | `Auto ->
-            let est_lo = est_int ctx lo and est_hi = est_int ctx hi in
-            est_hi < est_lo || est_at est_lo = est_at est_hi
+        parallel && Parallel_plan.uniform ctx.est_vars ~var ~lo ~hi body
       in
       if static_sched then Atomic.incr ctx.n_static;
       if tag = L.Parallel then ctx.par_depth <- ctx.par_depth + 1;
       ctx.loop_stack <- var :: ctx.loop_stack;
-      (* midpoint binding so nested est_work calls see this loop's extent *)
+      (* midpoint binding so nested shape-rule tests see this loop's extent *)
       let saved_est = Hashtbl.find_opt ctx.est_vars var in
-      let est_lo = est_int ctx lo and est_hi = est_int ctx hi in
+      let est_lo = Parallel_plan.est_int ctx.est_vars lo
+      and est_hi = Parallel_plan.est_int ctx.est_vars hi in
       Hashtbl.replace ctx.est_vars var
         (est_lo + (max 0 (est_hi - est_lo) / 2));
       let saved_pending = Hashtbl.find_opt ctx.pending var in
@@ -682,7 +566,9 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
       let rs = ctx.rank_slot in
       let msgs = ctx.n_msgs and bytes = ctx.n_bytes in
       fun env ->
-        let payload = Array.sub bb.Buffers.data (foffs env) (fcount env) in
+        let offset = foffs env and count = fcount env in
+        Interp.check_slice bb ~src:env.(rs) ~dst:(fdst env) ~offset ~count;
+        let payload = Array.sub bb.Buffers.data offset count in
         Atomic.incr msgs;
         ignore (Atomic.fetch_and_add bytes (8 * Array.length payload));
         Mutex.lock ctx.chan_mutex;
@@ -706,13 +592,14 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
       let fcount = compile_int ctx count in
       let rs = ctx.rank_slot in
       fun env ->
-        Mutex.lock ctx.chan_mutex;
         let src = fsrc env and dst = env.(rs) in
+        let offset = foffs env and want = fcount env in
+        Interp.check_slice bb ~src ~dst ~offset ~count:want;
+        Mutex.lock ctx.chan_mutex;
         (match Hashtbl.find_opt ctx.channels (src, dst) with
         | Some q when not (Queue.is_empty q) ->
             let channel, payload = Queue.pop q in
             Mutex.unlock ctx.chan_mutex;
-            let want = fcount env in
             if Array.length payload <> want then
               raise
                 (Comm_error
@@ -722,8 +609,7 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
                          "message size mismatch: sent %d elements, recv \
                           expects %d"
                          (Array.length payload) want });
-            Array.blit payload 0 bb.Buffers.data (foffs env)
-              (Array.length payload)
+            Array.blit payload 0 bb.Buffers.data offset want
         | _ ->
             Mutex.unlock ctx.chan_mutex;
             raise
@@ -821,13 +707,12 @@ let prepare ?(narrow = true) ~params stmt =
 
 (* Closure-compile an already-prepared (narrowed/simplified) statement
    for a given execution target.  The target decides the CPU parallel
-   strategy and pool schedule (its projections) and — for [Gpu_sim] — the
+   strategy (its projection) and — for [Gpu_sim] — the
    static thread-block validation; the flat tape claims nests on every
    target. *)
-let compile_prepared ?(target = Target.default) ?(demote = true)
-    ?(tape = true) ?(lanes = 8) ~params ~buffers stmt =
+let compile_prepared ?(target = Target.default) ?(tape = true) ?(lanes = 8)
+    ~params ~buffers stmt =
   let parallel = Target.par_strategy target in
-  let sched = Target.sched target in
   (match target with
   | Target.Gpu_sim g ->
       check_gpu_grid ~max_threads:g.Target.max_threads ~params stmt
@@ -845,10 +730,6 @@ let compile_prepared ?(target = Target.default) ?(demote = true)
       loop_stack = [];
       par_depth = 0;
       est_vars = Hashtbl.create 16;
-      pool_min_work = Pool.min_work ();
-      sched;
-      demote;
-      n_fallback = Atomic.make 0;
       n_static = Atomic.make 0;
       tape_enabled = tape;
       tape_lanes = lanes;
@@ -911,7 +792,6 @@ let compile_prepared ?(target = Target.default) ?(demote = true)
      repeated compiles in one process (the fuzzer, the benchmarks) stay
      independent. *)
   { body; regs0; bufs = ctx.cbufs; cmeta = L.analyze_loops stmt;
-    c_fallback = Atomic.get ctx.n_fallback;
     c_static = Atomic.get ctx.n_static;
     c_tape = Atomic.get ctx.n_tape;
     c_tape_vec = Atomic.get ctx.n_tape_vec;
@@ -922,14 +802,14 @@ let compile_prepared ?(target = Target.default) ?(demote = true)
        Atomics instead of snapshotting them *)
     c_tape_fb = ctx.n_tape_fb; c_msgs = ctx.n_msgs; c_bytes = ctx.n_bytes }
 
-let compile ?(target = Target.default) ?(narrow = true) ?(demote = true)
-    ?(tape = true) ?(lanes = 8) ~params ~buffers stmt =
-  compile_prepared ~target ~demote ~tape ~lanes ~params ~buffers
+let compile ?(target = Target.default) ?(narrow = true) ?(tape = true)
+    ?(lanes = 8) ~params ~buffers stmt =
+  compile_prepared ~target ~tape ~lanes ~params ~buffers
     (prepare ~narrow ~params stmt)
 
 let run c = c.body (Array.copy c.regs0)
 let spec_count _ = 0
-let pool_fallbacks c = c.c_fallback
+let pool_fallbacks _ = 0
 let static_count c = c.c_static
 let tape_count c = c.c_tape
 let tape_vec_count c = c.c_tape_vec

@@ -21,41 +21,27 @@
     Rectangular nests over straight-line affine stores are claimed by the
     flat instruction tape ({!Tape}) on every target, with the closures as
     the checked fallback ({!tape_count}, {!tape_fallbacks}).  Under the
-    [`Pool] strategy, [Parallel] loops are demoted to sequential when forking cannot pay off — the process has a
-    single CPU ({!Pool.effective_parallelism} is 1), or the static per-chunk
-    work estimate is below {!Pool.min_work} ({!pool_fallbacks}).
+    [`Pool] strategy every outermost [Parallel] loop forks, static or
+    dynamic by the shape rule {!Tiramisu_codegen.Parallel_plan.uniform}
+    ({!static_count}); the parallel planner has already serialized the
+    loops not worth forking.
 
     GPU-tagged loops run as ordinary loops (a functional grid simulation);
     distributed loops run rank-by-rank with in-memory channels, exactly as
     in {!Interp}.  Which backend a compilation is for is named by a
-    {!Target.t}: the target decides the CPU parallel strategy and pool
-    schedule, the GPU simulator's thread-block ceiling, and the rank count/α–β model recorded with
-    distributed artifacts. *)
+    {!Target.t}: the target decides the CPU parallel strategy, the GPU
+    simulator's thread-block ceiling, and the rank count/α–β model recorded
+    with distributed artifacts. *)
 
 type compiled
 
 exception
   Comm_error of { src : int; dst : int; channel : string; reason : string }
-(** Typed diagnostic for distributed-executor communication faults: a
-    synchronous receive with no queued message (the in-process analogue
-    of an MPI deadlock), a payload size disagreeing with the receive
-    count, or a send left undelivered at program exit.  [channel] is the
-    buffer the message travels through; [src]/[dst] are ranks. *)
+(** {!Interp.Comm_error}, the same exception. *)
 
 type par_strategy = [ `Pool | `Seq ]
 (** How [Parallel]-tagged loops execute: on the persistent domain pool
     (default) or sequentially. *)
-
-type schedule = [ `Auto | `Static | `Dynamic ]
-(** How a pool-executed [Parallel] loop deals iterations to workers.
-    [`Static] assigns each worker one contiguous near-equal range up front
-    ({!Pool.static_for}: one hand-off per worker, persistent per-range
-    register files, no per-chunk allocation); [`Dynamic] deals ~4 chunks
-    per worker with work stealing ({!Pool.parallel_for}).  [`Auto]
-    (default) picks statically per loop: static when the per-entry work
-    estimate is the same at both ends of the range (rectangular domains,
-    including everything the parallel planner coalesces), dynamic
-    otherwise (triangular domains, guarded partial tiles). *)
 
 val prepare :
   ?narrow:bool ->
@@ -70,7 +56,6 @@ val prepare :
 
 val compile_prepared :
   ?target:Target.t ->
-  ?demote:bool ->
   ?tape:bool ->
   ?lanes:int ->
   params:(string * int) list ->
@@ -79,21 +64,17 @@ val compile_prepared :
   compiled
 (** Closure-compile a statement that already went through {!prepare} (or
     that the caller wants compiled verbatim) for [target] (default
-    {!Target.default}, the pool CPU).  The target's projections replace
-    the old [?parallel]/[?sched] knobs, and a [Gpu_sim] target statically
-    validates thread-block sizes against its [max_threads].  [lanes] (default [8])
-    is the vector lane width claimed nests are bound with — [<= 1] forces
-    the scalar tape; lane-unsafe nests stay scalar either way (see
-    {!Tape.bind}).  [compile] is [compile_prepared] after [prepare].
-    [demote] (default [true]) gates the executor's own profitability
-    demotion of pool loops — the pipeline passes [~demote:false] when the
-    parallel-planning pass has already made the serialize/keep decisions,
-    so a loop is never tested twice. *)
+    {!Target.default}, the pool CPU).  The target names the CPU parallel
+    strategy, and a [Gpu_sim] target statically validates thread-block
+    sizes against its [max_threads].  [lanes] (default [8]) is the vector
+    lane width claimed nests are bound with — [<= 1] forces the scalar
+    tape; lane-unsafe nests stay scalar either way (see {!Tape.bind}).
+    [compile] is [compile_prepared] after [prepare].  Neither runs the
+    parallel planner (the pipeline does). *)
 
 val compile :
   ?target:Target.t ->
   ?narrow:bool ->
-  ?demote:bool ->
   ?tape:bool ->
   ?lanes:int ->
   params:(string * int) list ->
@@ -127,24 +108,22 @@ val spec_count : compiled -> int
     readers that still record [spec_loops] keep building. *)
 
 val pool_fallbacks : compiled -> int
-(** Number of [Parallel] loops demoted to sequential by the demotion
-    heuristic (single effective CPU, or static per-chunk work estimate below
-    {!Pool.min_work}).  Always 0 for the [`Seq] strategy, and when
-    [TIRAMISU_POOL_MIN_WORK=0].  The count is per-[compiled] value —
-    repeated compiles in one process each report their own number, nothing
-    accumulates across compiles. *)
+(** Always [0]: the executor no longer demotes pool loops (the parallel
+    planner serializes them).  Kept so metric readers that still record
+    [pool_fallbacks] keep building. *)
 
 val static_count : compiled -> int
 (** Number of pool-executed [Parallel] loops compiled with the static
-    per-worker schedule (see {!schedule}).  Per-[compiled] value, like
-    {!pool_fallbacks}. *)
+    per-worker schedule ({!Pool.static_for}); the others run dynamically
+    ({!Pool.parallel_for}).  The count is per-[compiled] value — repeated
+    compiles in one process each report their own number. *)
 
 val tape_count : compiled -> int
 (** Number of loop nests claimed by the flat-tape backend ([tape], default
     on): perfect rectangular nests over straight-line affine stores compiled
     to register-file bytecode with strength-reduced cursor addressing (see
     {!Tape}).  The whole closure path stays compiled as the checked
-    fallback.  Per-[compiled] value, like {!pool_fallbacks}. *)
+    fallback.  Per-[compiled] value, like {!static_count}. *)
 
 val tape_vec_count : compiled -> int
 (** Number of claimed nests bound with lane batching (the vector tier):

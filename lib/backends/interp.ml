@@ -37,6 +37,26 @@ let create ?(params = []) ?(buffers = []) () =
   List.iter (fun b -> Hashtbl.replace t.bufs b.Buffers.name b) buffers;
   t
 
+exception
+  Comm_error of { src : int; dst : int; channel : string; reason : string }
+
+let () =
+  Printexc.register_printer (function
+    | Comm_error { src; dst; channel; reason } ->
+        Some
+          (Printf.sprintf "Comm_error(rank %d -> rank %d on %S: %s)" src dst
+             channel reason)
+    | _ -> None)
+
+let check_slice (b : Buffers.t) ~src ~dst ~offset ~count =
+  let size = Buffers.size b in
+  if offset < 0 || count < 0 || offset + count > size then
+    let reason =
+      Printf.sprintf "slice of %d elements at offset %d out of range (%d)"
+        count offset size
+    in
+    raise (Comm_error { src; dst; channel = b.Buffers.name; reason })
+
 let add_buffer t b = Hashtbl.replace t.bufs b.Buffers.name b
 
 let buffer t name =
@@ -193,6 +213,7 @@ let rec exec t (s : L.stmt) : unit =
       let dst = eval_int t dst in
       let off = flat_offset b (List.map (eval_int t) offset) in
       let count = eval_int t count in
+      check_slice b ~src:t.rank ~dst ~offset:off ~count;
       let payload = Array.sub b.Buffers.data off count in
       let key = (t.rank, dst) in
       let q =
@@ -211,19 +232,26 @@ let rec exec t (s : L.stmt) : unit =
       let src = eval_int t src in
       let off = flat_offset b (List.map (eval_int t) offset) in
       let count = eval_int t count in
-      let key = (src, t.rank) in
-      (match Hashtbl.find_opt t.channels key with
+      let dst = t.rank in
+      check_slice b ~src ~dst ~offset:off ~count;
+      (match Hashtbl.find_opt t.channels (src, dst) with
       | Some q when not (Queue.is_empty q) ->
           let payload = Queue.pop q in
           if Array.length payload <> count then
-            failwith "Interp: message size mismatch";
+            raise
+              (Comm_error
+                 { src; dst; channel = buf;
+                   reason =
+                     Printf.sprintf
+                       "message size mismatch: sent %d elements, recv \
+                        expects %d"
+                       (Array.length payload) count });
           Array.blit payload 0 b.Buffers.data off count
       | _ ->
-          failwith
-            (Printf.sprintf
-               "Interp: synchronous recv on rank %d from %d with no message \
-                (distributed deadlock)"
-               t.rank src))
+          raise
+            (Comm_error
+               { src; dst; channel = buf;
+                 reason = "synchronous recv with no message (deadlock)" }))
   | L.Memcpy { dst; src; _ } ->
       let s = buffer t src and d = buffer t dst in
       if Buffers.size s <> Buffers.size d then

@@ -12,6 +12,18 @@
     message raises (the real-MPI deadlock analogue).  Per-rank timing is the
     job of {!Dist_sim}. *)
 
+exception
+  Comm_error of { src : int; dst : int; channel : string; reason : string }
+(** Communication fault on either executor ({!Exec.Comm_error} is this
+    exception): a receive with no queued message (the MPI-deadlock
+    analogue), a size mismatch, a slice outside its buffer, or an
+    undelivered send.  [channel] is the buffer, [src]/[dst] ranks. *)
+
+val check_slice :
+  Buffers.t -> src:int -> dst:int -> offset:int -> count:int -> unit
+(** @raise Comm_error naming the buffer, offset and count unless [count]
+    elements at flat [offset] lie inside the buffer. *)
+
 type counters = {
   mutable flops : int;         (** arithmetic on loaded values *)
   mutable loads : int;
@@ -37,8 +49,8 @@ val on_store : t -> (string -> int array -> float -> unit) -> unit
     visit-trace oracle for AST-generation tests. *)
 
 val run : t -> Tiramisu_codegen.Loop_ir.stmt -> unit
-(** @raise Failure on a synchronous receive with no matching message or on
-    reads of undeclared buffers. *)
+(** @raise Comm_error on a communication fault (see {!Comm_error}).
+    @raise Failure on reads of undeclared buffers. *)
 
 val eval_expr : t -> Tiramisu_codegen.Loop_ir.expr -> float
 (** Evaluate a closed expression (no loop variables) — exposed for tests. *)

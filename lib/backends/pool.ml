@@ -235,40 +235,10 @@ let set_num_workers n =
 
 let () = at_exit shutdown
 
-(* ---------- work-size fallback threshold ---------- *)
-
-(* Below roughly this many estimated work units (≈ executed statements)
-   per worker share, a parallel loop is cheaper to run sequentially than
-   to fork across the pool: the wakeup broadcast, range hand-off and
-   per-range register-file setup cost a few microseconds each, and a work
-   unit costs on the order of 0.1 µs through the compiled drivers.  Used
-   by the parallel planner and the compiled backend's demotion
-   heuristic. *)
-let default_min_work = 4_000
-
-let warned_min_work = ref false
-
-let min_work () =
-  match Sys.getenv_opt "TIRAMISU_POOL_MIN_WORK" with
-  | None -> default_min_work
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ ->
-          if not !warned_min_work then begin
-            warned_min_work := true;
-            Printf.eprintf
-              "tiramisu: ignoring malformed TIRAMISU_POOL_MIN_WORK=%S (want \
-               a non-negative integer); using default %d\n\
-               %!"
-              s default_min_work
-          end;
-          default_min_work)
-
 (* TIRAMISU_ASSUME_CORES overrides the OS core count for planning and
    benchmarking (e.g. exercising the 4-worker plan inside a 1-CPU
-   container); wall-clock numbers stay honest, only the
-   profitability/demotion decisions believe the override. *)
+   container); wall-clock numbers stay honest, only the parallel
+   planner's decisions believe the override. *)
 let warned_assume_cores = ref false
 
 let assumed_cores () =

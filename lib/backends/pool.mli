@@ -6,7 +6,10 @@
     and distributed over per-worker deques; idle workers steal from the front
     of other deques, which load-balances the irregular extents of triangular
     domains and partial tiles.  The caller of {!parallel_for} participates as
-    a worker while it waits.
+    a worker while it waits.  The pool holds no scheduling policy: which
+    loops reach it, and whether through {!static_for} or {!parallel_for},
+    is the parallel planner's decision (its work threshold and shape rule,
+    {!Tiramisu_codegen.Parallel_plan}).
 
     Pool size resolution, first match wins: {!set_num_workers}, the
     [TIRAMISU_NUM_DOMAINS] environment variable, then
@@ -27,29 +30,11 @@ val in_worker : unit -> bool
     caller included).  Nested [parallel_for]s use this to run inline instead
     of oversubscribing. *)
 
-val chunks_per_worker : int
-(** Target number of chunks dealt per worker by {!parallel_for}'s default
-    chunking (exposed so the compiled backend's demotion heuristic can
-    estimate per-chunk work). *)
-
-val default_min_work : int
-(** Default value of {!min_work}: the break-even per-chunk work estimate
-    below which forking a loop across the pool costs more than it earns. *)
-
-val min_work : unit -> int
-(** Work-size threshold (in estimated work units, roughly executed
-    statements per worker share) below which the parallel planner and the
-    compiled backend demote a [Parallel] loop to sequential under the pool
-    strategy.  Defaults to {!default_min_work}; overridable via the
-    [TIRAMISU_POOL_MIN_WORK] environment variable (0 disables demotion
-    entirely).  A malformed value falls back to the default with a one-line
-    stderr warning (printed once per process). *)
-
 val effective_parallelism : unit -> int
 (** The parallelism the pool can actually realize: {!num_workers} capped by
     [Domain.recommended_domain_count ()].  A pool sized larger than the CPUs
     the OS grants this process time-slices instead of parallelizing, so the
-    compiled backend demotes all pool loops when this is 1.  The
+    parallel planner serializes every pool loop when this is 1.  The
     [TIRAMISU_ASSUME_CORES] environment variable overrides the OS core count
     (for exercising multi-worker plans on constrained machines); it changes
     planning decisions only, never the measured wall-clock. *)

@@ -1,5 +1,5 @@
 (* First-class execution target.  Every layer that used to hand-thread
-   `(parallel, sched, ...)` knob tuples — Exec, Pipeline, Runner, Service,
+   `(parallel, ...)` knob tuples — Exec, Pipeline, Runner, Service,
    Autosched, Fuzz, tiramisuc — now passes one of these instead.  The
    paper's portability claim (Layers III–IV) is that one schedule lowers
    to CPU, GPU, and distributed code; this module is the seam that names
@@ -10,10 +10,7 @@
    [to_key_string]: two compilations of the same program for different
    targets are different artifacts (see DESIGN.md §14). *)
 
-type cpu_knobs = {
-  parallel : [ `Pool | `Seq ];
-  sched : [ `Auto | `Static | `Dynamic ];
-}
+type cpu_knobs = { parallel : [ `Pool | `Seq ] }
 
 type grid_cfg = {
   max_threads : int;  (* thread-block size ceiling (per-SM cap of the model) *)
@@ -32,7 +29,7 @@ type t =
 
 (* ---------------- constructors ---------------- *)
 
-let cpu ?(parallel = `Pool) ?(sched = `Auto) () = Cpu { parallel; sched }
+let cpu ?(parallel = `Pool) () = Cpu { parallel }
 let default = cpu ()
 
 let gpu_sim ?(max_threads = Machine.default.Machine.gpu.Machine.max_threads_per_sm)
@@ -57,24 +54,17 @@ let par_strategy = function
   | Cpu k -> k.parallel
   | Gpu_sim _ | Distributed _ -> `Seq
 
-let sched = function Cpu k -> k.sched | Gpu_sim _ | Distributed _ -> `Auto
 let ranks = function Distributed d -> Some d.ranks | Cpu _ | Gpu_sim _ -> None
 
 (* ---------------- naming ---------------- *)
 
 let string_of_par = function `Pool -> "pool" | `Seq -> "seq"
 
-let string_of_sched = function
-  | `Auto -> "auto"
-  | `Static -> "static"
-  | `Dynamic -> "dynamic"
-
 (* Stable, total rendering: folded into the structural-hash cache key and
    the service store's artifact records.  Changing this string for an
    existing target invalidates every cached artifact for it — on purpose. *)
 let to_key_string = function
-  | Cpu k -> Printf.sprintf "cpu:%s:%s" (string_of_par k.parallel)
-               (string_of_sched k.sched)
+  | Cpu k -> Printf.sprintf "cpu:%s" (string_of_par k.parallel)
   | Gpu_sim g -> Printf.sprintf "gpu-sim:%d:%dk" g.max_threads g.shared_kb
   | Distributed d ->
       Printf.sprintf "dist:%d:a%.0f:b%.3f" d.ranks d.net.Machine.alpha
@@ -82,9 +72,7 @@ let to_key_string = function
 
 let pp ppf t =
   match t with
-  | Cpu k ->
-      Format.fprintf ppf "cpu(%s,%s)" (string_of_par k.parallel)
-        (string_of_sched k.sched)
+  | Cpu k -> Format.fprintf ppf "cpu(%s)" (string_of_par k.parallel)
   | Gpu_sim g ->
       Format.fprintf ppf "gpu-sim(threads=%d,shared=%dKiB)" g.max_threads
         g.shared_kb

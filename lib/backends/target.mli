@@ -1,15 +1,14 @@
 (** First-class execution target: which backend a compilation is for.
 
-    Replaces the ad-hoc [(parallel, sched, ...)] knob tuples that used to
+    Replaces the ad-hoc [(parallel, ...)] knob tuples that used to
     thread through Exec, Pipeline, Runner, Service, Autosched and the
     fuzzer.  A target participates in compile-cache and service-store
     keys via {!to_key_string}, so artifacts for different backends never
     alias (DESIGN.md §14). *)
 
-type cpu_knobs = {
-  parallel : [ `Pool | `Seq ];
-  sched : [ `Auto | `Static | `Dynamic ];
-}
+type cpu_knobs = { parallel : [ `Pool | `Seq ] }
+(** How [Parallel] loops run on the CPU.  Which of them fork, and with
+    which pool schedule, is the parallel planner's decision, not a knob. *)
 
 type grid_cfg = {
   max_threads : int;  (** thread-block size ceiling *)
@@ -27,14 +26,10 @@ type t =
   | Distributed of dist_cfg
 
 val default : t
-(** [Cpu { parallel = `Pool; sched = `Auto }] — what every caller that
-    never asks for a target gets. *)
+(** [Cpu { parallel = `Pool }] — what every caller that never asks for a
+    target gets. *)
 
-val cpu :
-  ?parallel:[ `Pool | `Seq ] ->
-  ?sched:[ `Auto | `Static | `Dynamic ] ->
-  unit ->
-  t
+val cpu : ?parallel:[ `Pool | `Seq ] -> unit -> t
 
 val gpu_sim : ?max_threads:int -> ?shared_kb:int -> unit -> t
 (** Defaults come from {!Machine.default}'s GPU record. *)
@@ -55,14 +50,13 @@ val par_strategy : t -> [ `Pool | `Seq ]
 (** CPU strategy; [`Seq] for GPU-sim and distributed targets (their
     parallelism is expressed by hardware tags, not the domain pool). *)
 
-val sched : t -> [ `Auto | `Static | `Dynamic ]
 val ranks : t -> int option
 
 (** {1 Naming} *)
 
 val to_key_string : t -> string
 (** Stable, total rendering folded into cache/store keys, e.g.
-    ["cpu:pool:auto"], ["gpu-sim:2048:48k"], ["dist:4:a1500:b0.180"]. *)
+    ["cpu:pool"], ["gpu-sim:2048:48k"], ["dist:4:a1500:b0.180"]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

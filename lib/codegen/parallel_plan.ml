@@ -20,7 +20,7 @@
      everything below;
    - loops whose whole subtree carries less estimated work than
      [min_work] per worker are serialized outright (the plan, not the
-     runtime, says no);
+     runtime, says no: the executor forks every loop the plan keeps);
    - [Parallel] loops nested under a kept parallel loop are retagged [Seq]
      (the backend would run them inline anyway; the retag keeps their
      nests tape-claimable, since the tape accepts [Parallel] tags only as
@@ -71,7 +71,14 @@ let decision_str d =
     d.d_per_worker
     (if d.d_uniform then "uniform" else "irregular")
 
-(* ---------- static work estimate (mirrors the executor's) ---------- *)
+(* ---------- static work estimate ---------- *)
+
+(* Below roughly this many estimated work units (≈ executed statements)
+   per worker, a parallel loop is cheaper to run sequentially than to fork
+   across the pool: the wakeup broadcast, range hand-off and per-range
+   register-file setup cost a few microseconds each, and a work unit costs
+   on the order of 0.1 µs through the compiled drivers. *)
+let min_work = 4_000
 
 let rec est_int env (e : L.expr) : int =
   match e with
@@ -121,6 +128,16 @@ let rec est_work env (s : L.stmt) : int =
         with_var env var
           (lo + ((extent - 1) / 2))
           (fun () -> extent * (1 + est_work env body))
+
+(* The static-vs-dynamic shape rule: a loop whose per-entry work estimate is
+   the same at both ends of its range (rectangular domains, and everything
+   the planner coalesces) balances exactly under static per-worker ranges;
+   anything else (triangular domains, guarded partial tiles) needs dynamic
+   chunking. *)
+let uniform env ~var ~lo ~hi body =
+  let at x = with_var env var x (fun () -> est_work env body) in
+  let lo = est_int env lo and hi = est_int env hi in
+  hi < lo || at lo = at hi
 
 (* ---------- polyhedral trip count of a parallel chain ---------- *)
 
@@ -276,7 +293,7 @@ let retag_seq_deep count (s : L.stmt) =
 
 let chunks_per_worker = 4
 
-let plan ~workers ~min_work ~params ?(force = false) ?(tape = false)
+let plan ~workers ~params ?(force = false) ?(tape = false)
     (stmt : L.stmt) : L.stmt * report =
   let env = Hashtbl.create 16 in
   List.iter (fun (p, v) -> Hashtbl.replace env p v) params;
@@ -373,16 +390,8 @@ let plan ~workers ~min_work ~params ?(force = false) ?(tape = false)
           with_var env var 0 (fun () -> est_work env (L.For f))
         in
         let per_worker = total_work / max 1 workers in
-        let uniform =
-          let at x =
-            with_var env var x (fun () -> est_work env f.body)
-          in
-          let lo = est_int env lo and hi = est_int env hi in
-          hi < lo || at lo = at hi
-        in
-        if (not force) && min_work > 0
-           && (workers <= 1 || per_worker < min_work)
-        then begin
+        let uniform = uniform env ~var ~lo ~hi f.body in
+        if (not force) && (workers <= 1 || per_worker < min_work) then begin
           (* Not worth forking: serialize the whole subtree (anything nested
              carries even less work per entry). *)
           rep := { !rep with r_serialized = !(rep).r_serialized + 1 };

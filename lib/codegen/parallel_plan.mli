@@ -41,20 +41,36 @@ type report = {
 
 val empty_report : report
 
+(** {1 Static work estimate}, shared with the compiled executor.  [env]
+    maps parameters to values and enclosing loop variables to midpoints. *)
+
+val min_work : int
+(** Per-worker work (≈ executed statements) below which a subtree is
+    serialized rather than forked. *)
+
+val est_int : (string, int) Hashtbl.t -> Loop_ir.expr -> int
+val est_work : (string, int) Hashtbl.t -> Loop_ir.stmt -> int
+
+val uniform :
+  (string, int) Hashtbl.t ->
+  var:string -> lo:Loop_ir.expr -> hi:Loop_ir.expr -> Loop_ir.stmt -> bool
+(** The shape rule for [for var = lo..hi body]: [true] (static pool
+    schedule) when [body]'s work estimate is equal at both ends of the
+    range, [false] (dynamic) for triangular domains and partial tiles. *)
+
 val plan :
   workers:int ->
-  min_work:int ->
   params:(string * int) list ->
   ?force:bool ->
   ?tape:bool ->
   Loop_ir.stmt ->
   Loop_ir.stmt * report
-(** [plan ~workers ~min_work ~params stmt] rewrites the outermost
-    [Parallel] loops of [stmt] as described above.  [workers] is the
-    parallelism the plan budgets for (normally the pool's effective
-    parallelism), [min_work] the per-worker work threshold below which a
-    subtree is serialized ([0] disables serialization), [params] the known
-    parameter values used by the work estimator.  [~force:true] skips the
+(** [plan ~workers ~params stmt] rewrites the outermost [Parallel] loops
+    of [stmt] as described above.  [workers] is the parallelism the plan
+    budgets for (normally the pool's effective parallelism; [<= 1]
+    serializes every subtree), [params] the known parameter values used by
+    the work estimator.  The executor forks every [Parallel] loop the plan
+    keeps.  [~force:true] skips the
     profitability test and fuses the maximal rectangular prefix — a
     machine-independent mode for differential testing.  [~tape:true]
     (default [false]) tells the planner the executor's flat-tape backend is

@@ -92,17 +92,17 @@ let interp_run ~params ~fills fn ast =
 
 (* Each config: (tag, pipeline knobs).  The CPU rows cross the parallel
    strategy with the optimization knobs; for parallel schedules the pool
-   rows cross the parallel planner (coalescing forced on / off —
-   [`Force] is machine-independent, it fuses the maximal rectangular
-   prefix regardless of core count) with the pool schedule (static
-   per-worker ranges / dynamic chunk stealing), plus the default
-   auto/auto row.  The tape axis runs the flat-tape backend (default,
-   on) against tape-off rows of the same configuration: bit-exact
-   interp-vs-tape diffing for sequential, planned-static and default pool
-   rows.  The lanes axis crosses the
-   tape's vector tier (default width) against a forced-scalar tape
-   ([lanes = 1]) — lane batching must be bit-identical to the scalar
-   tape, which itself must match the closure path and interpreter.
+   rows run the parallel planner as it runs by default ([`Auto]: loops
+   below the work threshold serialize) and forced ([`Force]: every
+   parallel loop kept, the maximal rectangular prefix fused, regardless of
+   core count — machine-independent).  Kept loops get the static or the
+   dynamic pool schedule by the planner's shape rule.  The tape axis runs
+   the flat-tape backend (default, on) against tape-off rows of the same
+   configuration: bit-exact interp-vs-tape diffing for sequential, default
+   pool and planned pool rows.  The lanes axis crosses the tape's vector
+   tier (default width) against a forced-scalar tape ([lanes = 1]) — lane
+   batching must be bit-identical to the scalar tape, which itself must
+   match the closure path and interpreter.
 
    Every case additionally runs on the GPU-sim and distributed targets:
    their compiled executors (grid simulation / rank-by-rank channels, with
@@ -110,9 +110,9 @@ let interp_run ~params ~fills fn ast =
    bit-exactly too, and their rows exercise the target-keyed compile
    cache end to end. *)
 let exec_configs case =
-  let cpu ?(narrow = true) ?(plan = `Off) ?(sched = `Auto) ?(tape = true)
+  let cpu ?(narrow = true) ?(plan = `Auto) ?(tape = true)
       ?(lanes = P.default_knobs.P.lanes) par =
-    { P.target = B.Target.cpu ~parallel:par ~sched ();
+    { P.target = B.Target.cpu ~parallel:par ();
       P.narrow = narrow; P.plan = plan; P.tape = tape; P.lanes = lanes }
   in
   let base =
@@ -130,15 +130,11 @@ let exec_configs case =
   if Case.has_parallel case then
     base
     @ [
-        ("pool", cpu ~plan:`Auto `Pool);
-        ("pool,notape", cpu ~plan:`Auto ~tape:false `Pool);
-        ("pool,nolanes", cpu ~plan:`Auto ~lanes:1 `Pool);
-        ("pool,plan,static", cpu ~plan:`Force ~sched:`Static `Pool);
-        ( "pool,plan,static,notape",
-          cpu ~plan:`Force ~sched:`Static ~tape:false `Pool );
-        ("pool,plan,dyn", cpu ~plan:`Force ~sched:`Dynamic `Pool);
-        ("pool,noplan,static", cpu ~sched:`Static `Pool);
-        ("pool,noplan,dyn", cpu ~sched:`Dynamic `Pool);
+        ("pool", cpu `Pool);
+        ("pool,notape", cpu ~tape:false `Pool);
+        ("pool,nolanes", cpu ~lanes:1 `Pool);
+        ("pool,plan", cpu ~plan:`Force `Pool);
+        ("pool,plan,notape", cpu ~plan:`Force ~tape:false `Pool);
       ]
   else base
 

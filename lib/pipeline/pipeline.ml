@@ -227,19 +227,19 @@ let front_pass ?tracer ~name ~context f x =
 type knobs = {
   target : B.Target.t;
       (** which backend this compilation is for (see
-          {!Tiramisu_backends.Target}): the CPU strategy/pool schedule,
-          the GPU simulator's grid config, or the distributed rank count.
+          {!Tiramisu_backends.Target}): the CPU strategy, the GPU
+          simulator's grid config, or the distributed rank count.
           The target's capability flag gates the parallel planner
           ([pool_schedulable]), and its key string participates in the compile-cache and service-store
           keys. *)
   narrow : bool;
-  plan : [ `Auto | `Off | `Force ];
-      (** parallel-planning pass: [`Auto] plans with the pool's effective
-          parallelism and work threshold, [`Force] fuses the maximal
-          rectangular prefix unconditionally (machine-independent, for
-          differential testing), [`Off] skips the pass (the executor's own
-          demotion heuristic then applies).  Only runs when the target is
-          pool-schedulable. *)
+  plan : [ `Auto | `Force ];
+      (** parallel-planning pass, the one place that decides which pool
+          loops fork: [`Auto] plans with the pool's effective parallelism
+          and {!Plan.min_work}, [`Force] keeps every parallel loop and
+          fuses the maximal rectangular prefix unconditionally
+          (machine-independent, for differential testing).  Runs whenever
+          the target is pool-schedulable. *)
   tape : bool;
       (** flat-tape backend: rectangular nests compile to register-file
           bytecode (see {!Tiramisu_backends.Tape}), with the closure path
@@ -293,8 +293,7 @@ let prepare ?tracer ?(knobs = default_knobs) ~params (s : L.stmt) =
     already narrowed to concrete integers, and only under the [`Pool]
     strategy.  Returns the rewritten statement and the planner's report. *)
 let plan_pass ?tracer ~knobs ~params (s : L.stmt) =
-  if (not (B.Target.pool_schedulable knobs.target)) || knobs.plan = `Off then
-    (s, Plan.empty_report)
+  if not (B.Target.pool_schedulable knobs.target) then (s, Plan.empty_report)
   else begin
     let report = ref Plan.empty_report in
     let s =
@@ -305,7 +304,6 @@ let plan_pass ?tracer ~knobs ~params (s : L.stmt) =
           let s', r =
             Plan.plan
               ~workers:(B.Pool.effective_parallelism ())
-              ~min_work:(B.Pool.min_work ())
               ~params
               ~force:(knobs.plan = `Force)
               ~tape:knobs.tape
@@ -348,14 +346,8 @@ let compile_stage ?tracer ?(knobs = default_knobs) ~params ~buffers
           | ps -> String.concat "; " (List.map Tape_gen.summary ps))
         (fun s -> s) s
   in
-  (* When the planner ran it already made every serialize/keep decision, so
-     the executor's own demotion heuristic is switched off — a loop is
-     never profitability-tested twice. *)
-  let demote =
-    (not (B.Target.pool_schedulable knobs.target)) || knobs.plan = `Off
-  in
   let do_compile s =
-    B.Exec.compile_prepared ~target:knobs.target ~demote ~tape:knobs.tape
+    B.Exec.compile_prepared ~target:knobs.target ~tape:knobs.tape
       ~lanes:knobs.lanes ~params ~buffers s
   in
   (match tracer with
@@ -418,7 +410,7 @@ type ckey = {
        targets never alias — the same program compiled for [Cpu] and
        [Gpu_sim] is two cache entries and two store artifacts *)
   k_narrow : bool;
-  k_plan : [ `Auto | `Off | `Force ];
+  k_plan : [ `Auto | `Force ];
   k_tape : bool;
   k_lanes : int;
     (* vector lane width claimed nests are bound with: the vector and
@@ -428,8 +420,8 @@ type ckey = {
     (* {!Tape_gen.version}: a cached artifact compiled by an older tape
        generator must miss, never be served — the same determinism class
        as the pool-environment fields below *)
-  k_pool : int * int * int;
-    (* (num_workers, min_work, effective_parallelism) sampled at build
+  k_pool : int * int;
+    (* (num_workers, effective_parallelism) sampled at build
        time: planner decisions and the compiled schedule depend on the
        pool environment, so a [set_num_workers] or TIRAMISU_* change
        between builds must miss rather than replay a stale plan *)
@@ -583,9 +575,7 @@ let make_key ~knobs ~params ~extents hash =
     k_narrow = knobs.narrow; k_plan = knobs.plan;
     k_tape = knobs.tape; k_lanes = knobs.lanes;
     k_tapegen = Tape_gen.version;
-    k_pool =
-      ( B.Pool.num_workers (), B.Pool.min_work (),
-        B.Pool.effective_parallelism () );
+    k_pool = (B.Pool.num_workers (), B.Pool.effective_parallelism ());
     k_extents = extents }
 
 let find_buffer buffers name =
@@ -777,7 +767,7 @@ let extents_of_fn fn ~params =
     artifact, with buffer extents derived from the function's buffer
     declarations.
 
-    Under the [`Pool] strategy with planning enabled, the schedule-level
+    Under the [`Pool] strategy, the schedule-level
     widening pass ({!Tiramisu_deps.Deps.widen_parallel}) first grows each
     computation's parallel band with every adjacent [Seq] dim the
     dependence oracle proves safe — handing the planner a deeper perfectly
@@ -787,7 +777,7 @@ let lower_for_build ?tracer ?(knobs = default_knobs) fn
     (k : Lower.t -> 'a) : 'a =
   let context = "function " ^ fn.Ir.fn_name in
   let widen () =
-    if B.Target.pool_schedulable knobs.target && knobs.plan <> `Off then begin
+    if B.Target.pool_schedulable knobs.target then begin
       let t0 = B.Clock.now_ms () in
       let widened, undo =
         guard ~stage:"widen-parallel" ~context Deps.widen_parallel fn

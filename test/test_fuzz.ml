@@ -105,9 +105,10 @@ let corpus_reduction =
 
 (* Doubly-parallel rectangular nest: the parallel planner coalesces the
    two [Parallel] dims into one fused loop, so the differential configs
-   (plan forced on/off x static/dynamic schedule) diverge on any bug in
-   the div/mod index recovery or the fused trip count.  Extents 5 x 7 are
-   coprime so a stride mix-up cannot alias back to the right cell. *)
+   (plan auto / forced, tape on / off) diverge on any bug in the div/mod
+   index recovery or the fused trip count.  Extents 5 x 7 are coprime so a
+   stride mix-up cannot alias back to the right cell.  The forced plan runs
+   the fused loop on the static pool schedule. *)
 let corpus_coalesce =
   { extents = [ Lit 5; Lit 7 ];
     n_value = 0;
@@ -116,6 +117,23 @@ let corpus_coalesce =
       [ { rc_name = "c0"; rc_rank = 2; rc_red = None;
           rc_expr = Bin (Add, In ("a0", [ (0, 1); (1, -2) ]), Const 3) } ];
     steps = [ Parallelize ("c0", "i"); Parallelize ("c0", "j") ] }
+
+(* Fuzz generator seed 222: the parallel loop is l0, the tile loop of the
+   extent-3 dim tiled by 2, so its last tile is partial (2 iterations at
+   l0 = 0, 1 at l0 = 1) and the shape rule gives it the dynamic pool
+   schedule — the counterpart of [corpus_coalesce] for the other pool
+   driver under the forced plan. *)
+let corpus_dynamic =
+  { extents = [ Lit 8; NParam; Lit 3 ];
+    n_value = 8;
+    inputs = [ ("a0", 2); ("a1", 1) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 3; rc_red = None;
+          rc_expr = In ("a1", [ (2, 2) ]) } ];
+    steps = [ Tile ("c0", "j", "l", 2, 2);
+      Tile ("c0", "i", "j0", 2, 2);
+      Parallelize ("c0", "l0");
+      Interchange ("c0", "j01", "i1") ] }
 
 (* Doubly-parallel rectangular stencil, extents coprime: with the tape
    knob on the planner keeps the nest intact (Keep_tape) and the executor
@@ -196,6 +214,7 @@ let replay_corpus () =
   check_pass "vector epilogue" corpus_vector_epilogue;
   check_pass "reduction" corpus_reduction;
   check_pass "coalesced parallel nest" corpus_coalesce;
+  check_pass "dynamic pool schedule" corpus_dynamic;
   check_pass "tape stencil" corpus_tape_stencil;
   check_pass "tape reduction" corpus_tape_reduction;
   check_pass "vector tape epilogue" corpus_vector_tape_epilogue;
@@ -230,6 +249,30 @@ let tape_corpus_reaches_tape () =
         (name ^ ": tape-off control compiles zero tapes")
         0 (B.Exec.tape_count off))
     [ ("stencil", corpus_tape_stencil); ("reduction", corpus_tape_reduction) ]
+
+(* The two pool-schedule seeds must keep reaching their driver under the
+   forced plan: the coalesced nest runs static, seed 222's kept loop runs
+   dynamically (kept, yet not static). *)
+let pool_corpus_reaches_both_schedules () =
+  List.iter
+    (fun (name, case, static) ->
+      let b = Case.build case in
+      let a =
+        Tiramisu_pipeline.Pipeline.build
+          ~knobs:
+            { Tiramisu_pipeline.Pipeline.default_knobs with
+              Tiramisu_pipeline.Pipeline.plan = `Force }
+          ~fn:b.Case.fn ~params:b.Case.params ~inputs:b.Case.fills ()
+      in
+      Alcotest.(check int)
+        (name ^ ": forced plan serializes nothing")
+        0 a.Tiramisu_pipeline.Pipeline.plan_report
+            .Tiramisu_codegen.Parallel_plan.r_serialized;
+      Alcotest.(check int)
+        (name ^ ": pool loops on the static schedule")
+        static
+        (B.Exec.static_count a.Tiramisu_pipeline.Pipeline.exec))
+    [ ("coalesce", corpus_coalesce, 1); ("dynamic", corpus_dynamic, 0) ]
 
 (* And the lane seeds must actually reach the vector tier (the scalar
    control at lanes=1 must not), or the epilogue corpus is testing
@@ -299,7 +342,7 @@ let oracle_accepts_legal_reduction () =
    first case — while vectorize's separation makes the producer write all
    its points at fused iteration 0, so the consumer at iteration i > 0
    reads across iterations of a parallel loop.  Sequential backends and
-   the work-size-demoted pool masked it; a per-entry domain-spawning
+   the planner-serialized pool masked it; a per-entry domain-spawning
    executor lost the race.  The oracle must reject the tag, not just the
    mapping. *)
 let oracle_rejects_parallel_carried () =
@@ -505,27 +548,23 @@ let pool_exception_propagates () =
    original Invalid_argument through both runtime strategies. *)
 let exec_parallel_exceptions () =
   B.Pool.set_num_workers 4;
-  Unix.putenv "TIRAMISU_POOL_MIN_WORK" "0";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TIRAMISU_POOL_MIN_WORK" "")
-    (fun () ->
-      let stmt =
-        L.For
-          { var = "i"; lo = L.Int 0; hi = L.Int 999; tag = L.Parallel;
-            body = L.Store ("out", [ L.Var "i" ], L.Float 1.0) }
+  let stmt =
+    L.For
+      { var = "i"; lo = L.Int 0; hi = L.Int 999; tag = L.Parallel;
+        body = L.Store ("out", [ L.Var "i" ], L.Float 1.0) }
+  in
+  List.iter
+    (fun (name, strategy) ->
+      let out = B.Buffers.create "out" [| 10 |] in
+      let c =
+        B.Exec.compile
+          ~target:(B.Target.cpu ~parallel:strategy ())
+          ~params:[] ~buffers:[ out ] stmt
       in
-      List.iter
-        (fun (name, strategy) ->
-          let out = B.Buffers.create "out" [| 10 |] in
-          let c =
-            B.Exec.compile
-              ~target:(B.Target.cpu ~parallel:strategy ())
-              ~params:[] ~buffers:[ out ] stmt
-          in
-          match B.Exec.run c with
-          | () -> Alcotest.failf "%s: expected Invalid_argument" name
-          | exception Invalid_argument _ -> ())
-        [ ("pool", `Pool); ("seq", `Seq) ])
+      match B.Exec.run c with
+      | () -> Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument _ -> ())
+    [ ("pool", `Pool); ("seq", `Seq) ]
 
 (* ---------- directed: per-compile counters ---------- *)
 
@@ -554,11 +593,10 @@ let counters_per_compile () =
   let c1 = compile `Pool and c2 = compile `Pool in
   Alcotest.(check int) "tape_count identical across recompiles"
     (B.Exec.tape_count c1) (B.Exec.tape_count c2);
-  Alcotest.(check int) "pool_fallbacks identical across recompiles"
-    (B.Exec.pool_fallbacks c1)
-    (B.Exec.pool_fallbacks c2);
-  Alcotest.(check int) "no pool fallbacks under Seq" 0
-    (B.Exec.pool_fallbacks (compile `Seq))
+  Alcotest.(check int) "static_count identical across recompiles"
+    (B.Exec.static_count c1) (B.Exec.static_count c2);
+  Alcotest.(check int) "no pool loops under Seq" 0
+    (B.Exec.static_count (compile `Seq))
 
 (* ---------- property: random seeds all pass ---------- *)
 
@@ -596,6 +634,8 @@ let tests =
       tape_corpus_reaches_tape;
     Alcotest.test_case "vector corpus reaches the vector tier" `Quick
       vector_corpus_reaches_vector;
+    Alcotest.test_case "pool corpus reaches both pool schedules" `Quick
+      pool_corpus_reaches_both_schedules;
     QCheck_alcotest.to_alcotest prop_random_seeds;
   ]
 

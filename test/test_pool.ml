@@ -254,7 +254,11 @@ let ir_tests =
                 Store ("out", [ Var "i"; Var "j" ],
                        Bin (Sub, Var "i", Var "j")) } }
   in
-  let diff name stmt dims =
+  (* [static] pins the pool schedule the outer loop gets: the executor
+     forks every outermost Parallel loop, static for rectangular domains
+     and dynamic for irregular ones, so "seq = pool" really compares a
+     sequential run against a forked one. *)
+  let diff name stmt dims ~static =
     Alcotest.test_case name `Quick (fun () ->
         let iref = run_ir stmt ~dims ~out:"out" `Interp in
         let seq = run_ir stmt ~dims ~out:"out" `Seq in
@@ -264,11 +268,40 @@ let ir_tests =
           (B.Buffers.equal ~eps:0.0 iref seq);
         Alcotest.(check bool)
           (name ^ ": seq = pool") true
-          (B.Buffers.equal ~eps:0.0 seq pool))
+          (B.Buffers.equal ~eps:0.0 seq pool);
+        let c =
+          B.Exec.compile ~params:[]
+            ~buffers:[ B.Buffers.create "out" dims ] stmt
+        in
+        Alcotest.(check int)
+          (name ^ ": pool loops on the static schedule") static
+          (B.Exec.static_count c))
   in
   [
-    diff "nested parallel loops" nested_parallel [| 16; 16 |];
-    diff "triangular parallel nest" triangular [| 32; 32 |];
+    diff "nested parallel loops" nested_parallel [| 16; 16 |] ~static:1;
+    diff "triangular parallel nest" triangular [| 32; 32 |] ~static:0;
+    Alcotest.test_case "shape rule picks the pool schedule" `Quick (fun () ->
+        (* Parallel_plan.uniform: static for a rectangular body, dynamic for
+           a triangular one and for a tiled loop whose last tile is partial
+           (inner bound min(3, 13 - 4*i0): 4 iterations at the first tile,
+           2 at the last). *)
+        let uniform ~hi body =
+          Tiramisu_codegen.Parallel_plan.uniform (Hashtbl.create 4) ~var:"i"
+            ~lo:(Int 0) ~hi body
+        in
+        let inner hi =
+          For
+            { var = "j"; lo = Int 0; hi; tag = Seq;
+              body = Store ("out", [ Var "i"; Var "j" ], Var "j") }
+        in
+        Alcotest.(check bool) "rectangular" true
+          (uniform ~hi:(Int 15) (inner (Int 15)));
+        Alcotest.(check bool) "triangular" false
+          (uniform ~hi:(Int 31) (inner (Var "i")));
+        Alcotest.(check bool) "partial tile" false
+          (uniform ~hi:(Int 3)
+             (inner (Bin (MinOp, Int 3,
+                          Bin (Sub, Int 13, Bin (Mul, Int 4, Var "i")))))));
     Alcotest.test_case "out-of-bounds still raises under hoisted checks"
       `Quick (fun () ->
         (* for i in 0..15: out[i+1] — the corner check at loop entry fails,

@@ -2,7 +2,8 @@
    epilogue, loop-invariant loads, accumulating — must produce bit-for-bit
    the floats the reference interpreter produces, both when the flat tape
    claims the nest and on the plain closure path with the tape off.  The
-   pool demotion heuristic must only change scheduling, never values.
+   parallel planner serializes tiny pool loops; forking one anyway must
+   only change scheduling, never values.
    Plus golden checks for the C pragmas and the odometer buffer fill. *)
 
 open Tiramisu_codegen
@@ -20,7 +21,7 @@ let bits_equal (a : B.Buffers.t) (b : B.Buffers.t) =
 (* Build two identical buffer sets, run the interpreter on one and the
    compiled executor on the other, and demand bit-identity on [outs].
    Returns the compiled program so callers can assert on [tape_count] /
-   [pool_fallbacks]. *)
+   [static_count]. *)
 let differential ?(strategy = `Seq) ?(tape = true) ?(params = []) ~shapes
     ~fills stmt outs =
   let mk () =
@@ -172,9 +173,10 @@ let accumulator () =
 
 (* ---------- pool demotion ---------- *)
 
-(* A tiny Parallel loop under the `Pool strategy must be demoted (its
-   per-chunk work is far below Pool.min_work — and on a single-CPU host
-   every pool loop is) and still compute the same values. *)
+(* A tiny Parallel loop is serialized by the parallel planner (its
+   per-worker work is far below Parallel_plan.min_work, and with one worker
+   every pool loop is), and the unplanned pool run of it — every outermost
+   Parallel loop forks — still computes the interpreter's values. *)
 let pool_demotion () =
   let stmt =
     L.For
@@ -185,31 +187,20 @@ let pool_demotion () =
               [ L.Var "i" ],
               L.(Bin (Mul, Load ("b", [ Var "i" ]), Float 3.0)) ) }
   in
+  List.iter
+    (fun workers ->
+      let _, r = Parallel_plan.plan ~workers ~params:[] stmt in
+      Alcotest.(check int)
+        (Printf.sprintf "tiny parallel loop serialized (workers=%d)" workers)
+        1 r.Parallel_plan.r_serialized)
+    [ 4; 1 ];
   let c =
     differential stmt [ "out" ] ~strategy:`Pool
       ~shapes:[ ("b", [ 4 ]); ("out", [ 4 ]) ]
       ~fills:[ ("b", fill_b) ]
   in
-  Alcotest.(check bool) "tiny parallel loop demoted" true
-    (B.Exec.pool_fallbacks c > 0)
-
-(* TIRAMISU_POOL_MIN_WORK=0 is the escape hatch: no loop is demoted. *)
-let pool_demotion_disabled () =
-  Unix.putenv "TIRAMISU_POOL_MIN_WORK" "0";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "TIRAMISU_POOL_MIN_WORK" "")
-    (fun () ->
-      let stmt =
-        L.For
-          { var = "i"; lo = L.Int 0; hi = L.Int 3; tag = L.Parallel;
-            body = L.Store ("out", [ L.Var "i" ], L.Float 1.0) }
-      in
-      let out = B.Buffers.create "out" [| 4 |] in
-      let c = B.Exec.compile
-          ~target:(B.Target.cpu ~parallel:`Pool ())
-          ~params:[] ~buffers:[ out ] stmt in
-      Alcotest.(check int) "no fallback when disabled" 0
-        (B.Exec.pool_fallbacks c))
+  Alcotest.(check int) "unplanned pool run forks it (static schedule)" 1
+    (B.Exec.static_count c)
 
 (* ---------- randomized affine accesses (property) ---------- *)
 
@@ -325,8 +316,6 @@ let tests =
     Alcotest.test_case "accumulator promotion" `Quick accumulator;
     Alcotest.test_case "pool demotion of tiny parallel loops" `Quick
       pool_demotion;
-    Alcotest.test_case "TIRAMISU_POOL_MIN_WORK=0 disables demotion" `Quick
-      pool_demotion_disabled;
     QCheck_alcotest.to_alcotest prop_spec_matches_interp;
     Alcotest.test_case "C pragmas for unroll / simd width" `Quick c_pragmas;
     Alcotest.test_case "odometer fill visits every cell" `Quick odometer_fill;

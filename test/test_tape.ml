@@ -555,7 +555,7 @@ let cache_key_includes_lanes () =
 let planner_keeps_tape_nests () =
   let stmt = blur_nest ~tag_i:L.Parallel ~tag_j:L.Parallel () in
   let planned, rep =
-    Parallel_plan.plan ~workers:4 ~min_work:0 ~params:[] ~force:true
+    Parallel_plan.plan ~workers:4 ~params:[] ~force:true
       ~tape:true stmt
   in
   Alcotest.(check bool)
@@ -571,7 +571,7 @@ let planner_keeps_tape_nests () =
     (Tape_gen.claimable planned);
   (* without the tape the same nest is coalesced into binder loops *)
   let planned', rep' =
-    Parallel_plan.plan ~workers:4 ~min_work:0 ~params:[] ~force:true stmt
+    Parallel_plan.plan ~workers:4 ~params:[] ~force:true stmt
   in
   Alcotest.(check int) "control coalesces" 1 rep'.Parallel_plan.r_coalesced;
   Alcotest.(check bool)

@@ -52,7 +52,7 @@ let target_of_string () =
 let target_keys_distinct () =
   let keys =
     List.map T.to_key_string
-      [ T.default; T.cpu ~parallel:`Seq (); T.cpu ~sched:`Static (); T.cpu ~sched:`Dynamic (); T.gpu_sim ();
+      [ T.default; T.cpu ~parallel:`Seq (); T.gpu_sim ();
         T.gpu_sim ~max_threads:512 (); T.gpu_sim ~shared_kb:96 ();
         T.distributed ~ranks:2 (); T.distributed ~ranks:4 () ]
   in
@@ -197,6 +197,10 @@ let halo_suite =
             (halo_exchange_bit_exact ~nodes ~halo))
         [ 0; 1; rows / nodes ])
     [ 1; 2; 4 ]
+  (* the blur distributed schedule at the command line's default sizes:
+     16 ranks of one row each, a 2-row halo reaching past each chunk *)
+  @ [ Alcotest.test_case "blur halo exchange: ranks=16 halo=2" `Quick
+        (halo_exchange_bit_exact ~nodes:16 ~halo:2) ]
 
 (* ---------- typed Comm_error diagnostics ---------- *)
 
@@ -273,6 +277,35 @@ let size_mismatch_diagnostic () =
       Alcotest.(check bool) "reason says size mismatch" true
         (Astring.String.is_infix ~affix:"size mismatch" reason)
 
+(* A halo send past the end of its buffer (a schedule sized for a larger
+   image than the one it runs on) is a typed error naming the buffer, the
+   offset and the count, on the compiled executor and on the interpreter
+   alike — not a bare [Invalid_argument "Array.sub"]. *)
+let out_of_range_send_diagnostic () =
+  let stmt =
+    L.Send
+      { dst = L.Int 1; buf = "img"; offset = [ L.Int 6 ]; count = L.Int 4;
+        props = { L.async = true } }
+  in
+  let check name run =
+    match run [ B.Buffers.create "img" [| 8 |] ] with
+    | () -> Alcotest.failf "%s: expected Comm_error for the slice" name
+    | exception B.Interp.Comm_error { src; dst; channel; reason } ->
+        Alcotest.(check int) (name ^ ": sending rank") 0 src;
+        Alcotest.(check int) (name ^ ": receiving rank") 1 dst;
+        Alcotest.(check string) (name ^ ": channel") "img" channel;
+        List.iter
+          (fun want ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: reason %S names %S" name reason want)
+              true
+              (Astring.String.is_infix ~affix:want reason))
+          [ "offset 6"; "4 elements" ]
+  in
+  check "exec" (run_dist stmt);
+  check "interp" (fun bufs ->
+      B.Interp.run (B.Interp.create ~buffers:bufs ()) stmt)
+
 (* ---------- pinned fuzz seeds for the new differential axes ---------- *)
 
 let outcome =
@@ -340,6 +373,8 @@ let () =
             `Quick recv_no_message_diagnostic;
           Alcotest.test_case "size mismatch names the sender's buffer" `Quick
             size_mismatch_diagnostic;
+          Alcotest.test_case "out-of-range send names buffer, offset, count"
+            `Quick out_of_range_send_diagnostic;
         ] );
       ( "fuzz-axes",
         [ Alcotest.test_case "pinned seeds for gpu-sim and dist rows" `Quick
