@@ -15,8 +15,9 @@ bench:
 	dune exec bench/main.exe
 
 # Differential fuzzing: 500 seeded random programs + schedules, every
-# backend configuration diffed bit-exactly against the interpreter
-# (exit 1 + shrunk OCaml-literal repro on divergence).
+# backend configuration built through Pipeline.build (the path users run)
+# and diffed bit-exactly against the interpreter (exit 1 + shrunk
+# OCaml-literal repro on divergence).
 fuzz:
 	dune exec bin/fuzz.exe -- -count 500
 

@@ -33,17 +33,6 @@ let workers () =
   | None -> B.Pool.set_num_workers 4);
   B.Pool.num_workers ()
 
-(* Let the parallel planner budget for the full pool even when the OS
-   grants this process fewer cores: the multi-worker plans (coalescing,
-   static ranges) are then exercised and measured honestly — wall-clock
-   numbers still reflect the machine actually underneath.  The
-   TIRAMISU_ASSUME_CORES override changes planning only, never timing. *)
-let assume_cores () =
-  (match Sys.getenv_opt "TIRAMISU_ASSUME_CORES" with
-  | Some _ -> ()
-  | None -> Unix.putenv "TIRAMISU_ASSUME_CORES" "4");
-  int_of_string (Sys.getenv "TIRAMISU_ASSUME_CORES")
-
 let img3 (idx : int array) =
   float_of_int (((idx.(0) * 13) + (idx.(1) * 7) + (idx.(2) * 3)) mod 31) /. 7.0
 
@@ -395,12 +384,9 @@ let json_of_row ~reps r =
 let run ?(smoke = false) () =
   let reps = if smoke then 1 else 15 in
   let w = workers () in
-  let assumed = assume_cores () in
   let min_work = Plan.min_work in
-  Common.pf
-    "\nExec strategies (workers=%d, assumed_cores=%d, reps=%d, \
-     pool_min_work=%d%s)\n"
-    w assumed reps min_work
+  Common.pf "\nExec strategies (workers=%d, reps=%d, pool_min_work=%d%s)\n"
+    w reps min_work
     (if smoke then ", smoke" else "");
   Common.pf "%-22s %-16s %10s %10s %10s %5s %5s %5s %5s %10s %10s\n"
     "kernel" "size" "interp ms" "seq ms" "pool ms" "coal" "stat" "tape" "vec"
@@ -425,9 +411,9 @@ let run ?(smoke = false) () =
     (* The header records the machine the numbers were taken on AND which
        regime the smoke gate would run in there: consumers of the JSON can
        tell a "pool won" claim from a "pool merely didn't lose" one.
-       [os_cpus] is what the OS grants (never TIRAMISU_ASSUME_CORES), so
-       the gate regime follows it; [effective_cpus] is the planner's view
-       under the assumed core count. *)
+       [os_cpus] is what the OS grants, so the gate regime follows it;
+       [effective_cpus] is what the planner budgets for, min(workers,
+       os_cpus). *)
     let effective = B.Pool.effective_parallelism () in
     let os_cpus = Domain.recommended_domain_count () in
     let gate_mode =
@@ -438,7 +424,6 @@ let run ?(smoke = false) () =
       "{\n\
       \  \"bench\": \"exec\",\n\
       \  \"workers\": %d,\n\
-      \  \"assumed_cores\": %d,\n\
       \  \"os_cpus\": %d,\n\
       \  \"effective_cpus\": %d,\n\
       \  \"gate_mode\": \"%s\",\n\
@@ -447,7 +432,7 @@ let run ?(smoke = false) () =
        %s\n\
       \  ]\n\
        }\n"
-      w assumed os_cpus effective gate_mode min_work
+      w os_cpus effective gate_mode min_work
       (String.concat ",\n" (List.map (json_of_row ~reps) rows));
     close_out oc;
     Common.pf "wrote BENCH_exec.json\n";
@@ -459,9 +444,7 @@ let run ?(smoke = false) () =
   end
 
 (* The `make bench-smoke` gate, in two regimes decided by what the OS
-   actually grants (no TIRAMISU_ASSUME_CORES here — the point is exactly
-   that planning for cores the OS does not grant must not be forced on
-   users):
+   actually grants:
 
    - real multicore: with the tape executor the pool must now {e win} —
      at 4 workers at least 2 of the 3 kernels must run >= 1.5x faster

@@ -9,6 +9,7 @@
    order, field names, verify/cache statuses.  Regenerate with
    TIRAMISU_UPDATE_GOLDEN=1 after an intentional schema change. *)
 
+module B = Tiramisu_backends
 module P = Tiramisu_pipeline.Pipeline
 
 let golden_path = "bench/pass_trace.golden"
@@ -55,11 +56,7 @@ let first_diff_line a b =
   in
   go 1 (la, lb)
 
-let run () =
-  (* The parallel-plan note records the planner's decisions, which depend
-     on the cores it plans for: plan for one, so the golden holds on any
-     machine (wall-clock is not part of this gate). *)
-  Unix.putenv "TIRAMISU_ASSUME_CORES" "1";
+let gate () =
   P.clear_cache ();
   let traces =
     List.map
@@ -149,3 +146,12 @@ let run () =
        warm-cache hits confirmed\n"
       (List.length traces)
   end
+
+(* The parallel-plan note records the planner's decisions, which depend
+   on the parallelism it plans for: pin a one-worker pool while the gate
+   runs, so the golden holds on any machine (wall-clock is not part of
+   this gate), and give later targets back the pool size they had. *)
+let run () =
+  let workers = B.Pool.num_workers () in
+  B.Pool.set_num_workers 1;
+  Fun.protect ~finally:(fun () -> B.Pool.set_num_workers workers) gate

@@ -691,27 +691,13 @@ let check_gpu_grid ~max_threads ~params stmt =
   in
   walk 1 stmt
 
-(* Parameters are known at compile time, so narrow bounds/indices/guards
-   with interval analysis, then re-run unroll expansion (narrowing often
-   turns dynamic [Unrolled] bounds static) and the statement simplifier
-   (which deletes loops narrowing proved empty, e.g. vector epilogues of
-   exact tiles).  [narrow:false] keeps the lowered statement as-is — the
-   differential fuzzer runs both settings against each other.  Exposed
-   separately so the pipeline pass manager can time the two stages
-   individually. *)
-let prepare ?(narrow = true) ~params stmt =
-  let stmt =
-    if narrow then Tiramisu_codegen.Passes.narrow ~params stmt else stmt
-  in
-  L.simplify_stmt (Tiramisu_codegen.Passes.unroll_expand stmt)
-
-(* Closure-compile an already-prepared (narrowed/simplified) statement
-   for a given execution target.  The target decides the CPU parallel
-   strategy (its projection) and — for [Gpu_sim] — the
-   static thread-block validation; the flat tape claims nests on every
-   target. *)
-let compile_prepared ?(target = Target.default) ?(tape = true) ?(lanes = 8)
-    ~params ~buffers stmt =
+(* Compile a statement verbatim for a given execution target (the
+   pipeline has already run narrowing, simplification and planning).  The
+   target decides the CPU parallel strategy (its projection) and — for
+   [Gpu_sim] — the static thread-block validation; the flat tape claims
+   nests on every target. *)
+let compile ?(target = Target.default) ?(tape = true) ?(lanes = 8) ~params
+    ~buffers stmt =
   let parallel = Target.par_strategy target in
   (match target with
   | Target.Gpu_sim g ->
@@ -801,11 +787,6 @@ let compile_prepared ?(target = Target.default) ?(tape = true) ?(lanes = 8)
        as the compiled object runs, so the compiled value shares the
        Atomics instead of snapshotting them *)
     c_tape_fb = ctx.n_tape_fb; c_msgs = ctx.n_msgs; c_bytes = ctx.n_bytes }
-
-let compile ?(target = Target.default) ?(narrow = true) ?(tape = true)
-    ?(lanes = 8) ~params ~buffers stmt =
-  compile_prepared ~target ~tape ~lanes ~params ~buffers
-    (prepare ~narrow ~params stmt)
 
 let run c = c.body (Array.copy c.regs0)
 let spec_count _ = 0

@@ -43,51 +43,26 @@ type par_strategy = [ `Pool | `Seq ]
 (** How [Parallel]-tagged loops execute: on the persistent domain pool
     (default) or sequentially. *)
 
-val prepare :
-  ?narrow:bool ->
-  params:(string * int) list ->
-  Tiramisu_codegen.Loop_ir.stmt ->
-  Tiramisu_codegen.Loop_ir.stmt
-(** The statement-level pre-passes of {!compile}: interval-based bound
-    narrowing with the concrete parameter values (gated by [narrow],
-    default [true]), then unroll expansion and simplification.  Exposed so
-    the {e pipeline} pass manager can run and time each stage
-    individually. *)
-
-val compile_prepared :
-  ?target:Target.t ->
-  ?tape:bool ->
-  ?lanes:int ->
-  params:(string * int) list ->
-  buffers:Buffers.t list ->
-  Tiramisu_codegen.Loop_ir.stmt ->
-  compiled
-(** Closure-compile a statement that already went through {!prepare} (or
-    that the caller wants compiled verbatim) for [target] (default
-    {!Target.default}, the pool CPU).  The target names the CPU parallel
-    strategy, and a [Gpu_sim] target statically validates thread-block
-    sizes against its [max_threads].  [lanes] (default [8]) is the vector
-    lane width claimed nests are bound with — [<= 1] forces the scalar
-    tape; lane-unsafe nests stay scalar either way (see {!Tape.bind}).
-    [compile] is [compile_prepared] after [prepare].  Neither runs the
-    parallel planner (the pipeline does). *)
-
 val compile :
   ?target:Target.t ->
-  ?narrow:bool ->
   ?tape:bool ->
   ?lanes:int ->
   params:(string * int) list ->
   buffers:Buffers.t list ->
   Tiramisu_codegen.Loop_ir.stmt ->
   compiled
-(** Compile once; buffers are captured by reference (re-fill between runs
-    to reuse).  The knobs are orthogonal, so the differential fuzzer can
-    cross targets with optimization settings: [tape] (default [true]) gates
-    the flat tape, [narrow] (default [true]) gates the
-    {!Tiramisu_codegen.Passes.narrow} bound-narrowing pre-pass; with tape
-    and narrow off the executor is the plain hoisted-addressing closure
-    compiler.
+(** Compile a statement verbatim for [target] (default {!Target.default},
+    the pool CPU); buffers are captured by reference (re-fill between runs
+    to reuse).  No pass runs here: bound narrowing, simplification and
+    parallel planning belong to the pipeline
+    ([Tiramisu_pipeline.Pipeline]), the one module that knows the pass
+    order.  The target names the CPU parallel strategy, and a [Gpu_sim]
+    target statically validates thread-block sizes against its
+    [max_threads].  [tape] (default [true]) gates the
+    flat tape; with it off the executor is the plain hoisted-addressing
+    closure compiler.  [lanes] (default [8]) is the vector lane width
+    claimed nests are bound with — [<= 1] forces the scalar tape;
+    lane-unsafe nests stay scalar either way (see {!Tape.bind}).
     @raise Failure on constructs the executor does not support. *)
 
 val run : compiled -> unit

@@ -235,39 +235,11 @@ let set_num_workers n =
 
 let () = at_exit shutdown
 
-(* TIRAMISU_ASSUME_CORES overrides the OS core count for planning and
-   benchmarking (e.g. exercising the 4-worker plan inside a 1-CPU
-   container); wall-clock numbers stay honest, only the parallel
-   planner's decisions believe the override. *)
-let warned_assume_cores = ref false
-
-let assumed_cores () =
-  match Sys.getenv_opt "TIRAMISU_ASSUME_CORES" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ ->
-          if not !warned_assume_cores then begin
-            warned_assume_cores := true;
-            Printf.eprintf
-              "tiramisu: ignoring malformed TIRAMISU_ASSUME_CORES=%S (want \
-               a positive integer)\n\
-               %!"
-              s
-          end;
-          None)
-
 (* How many domains can actually run at once: the configured pool size
    capped by the CPUs the OS grants this process.  A pool of 4 workers on a
    single-CPU container time-slices, it does not parallelize. *)
 let effective_parallelism () =
-  let cores =
-    match assumed_cores () with
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
-  in
-  min (num_workers ()) cores
+  min (num_workers ()) (Domain.recommended_domain_count ())
 
 (* ---------- parallel_for / static_for ---------- *)
 

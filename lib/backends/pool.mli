@@ -34,10 +34,7 @@ val effective_parallelism : unit -> int
 (** The parallelism the pool can actually realize: {!num_workers} capped by
     [Domain.recommended_domain_count ()].  A pool sized larger than the CPUs
     the OS grants this process time-slices instead of parallelizing, so the
-    parallel planner serializes every pool loop when this is 1.  The
-    [TIRAMISU_ASSUME_CORES] environment variable overrides the OS core count
-    (for exercising multi-worker plans on constrained machines); it changes
-    planning decisions only, never the measured wall-clock. *)
+    parallel planner serializes every pool loop when this is 1. *)
 
 val parallel_for : ?chunk:int -> int -> int -> body:(int -> int -> unit) -> unit
 (** [parallel_for lo hi ~body] runs [body clo chi] over disjoint inclusive

@@ -156,10 +156,10 @@ let legalize ?keep_claimable s =
 
 (* ---------- interval-based bound narrowing ---------- *)
 
-(* Once parameter values are known (the compiled backend knows them at
-   [Exec.compile] time), interval analysis over loop ranges collapses most
-   of the [min]/[max]/[floord] scaffolding the polyhedral AST generator
-   emits for partial tiles: a bound like [min(floord(S-1-8*k0, 2), 3)] with
+(* Once parameter values are known (the pipeline's [narrow] pass runs
+   with the build's concrete parameters), interval analysis over loop
+   ranges collapses most of the [min]/[max]/[floord] scaffolding the
+   polyhedral AST generator emits for partial tiles: a bound like [min(floord(S-1-8*k0, 2), 3)] with
    [S = 64] and [k0 in 0..7] is the constant 3.  Downstream this turns
    dynamic bounds static (so [unroll_expand] fires and vector epilogues
    become provably empty), makes indices affine (so the flat tape can claim

@@ -11,14 +11,18 @@
         programs use exact integer-valued floats so bit equality is the
         right notion);
      3. every compiled-executor configuration computes the same bits as
-        the scheduled interpreter run.  The configurations cross the
-        parallel strategy with the optimization knobs (tape, lanes,
-        narrow) on Seq, add the pool rows when the schedule parallelizes
-        anything, and run every case on the GPU-sim and distributed
-        targets too.
+        the scheduled interpreter run.  Each configuration is built by
+        [Pipeline.build] from the scheduled [Ir.fn] — the path users run:
+        widen-parallel, lowering with the tape-aware legalize, the
+        statement passes, the planner and the compile cache.  The
+        configurations cross the parallel strategy with the optimization
+        knobs (tape, lanes) on Seq, add the pool rows when the schedule
+        parallelizes anything, and run every case on the GPU-sim and
+        distributed targets too.
 
-   Each configuration gets freshly created and filled buffers, so runs
-   cannot contaminate each other. *)
+   Each configuration runs on its own cache lease, whose buffers the cache
+   restores to their initial contents on a hit, so runs cannot contaminate
+   each other. *)
 
 open Tiramisu_core
 module B = Tiramisu_backends
@@ -75,8 +79,9 @@ let find_buf name bufs = List.find (fun b -> b.B.Buffers.name = name) bufs
 
 (* Per-pass differential-verify probe for the pipeline: the case's own
    parameters, buffers, fills and outputs.  Every verifiable pass
-   (legalize, narrow, simplify) then gets interpreted before and after on
-   this input, a cross-check axis orthogonal to the config sweep below. *)
+   (legalize, narrow, simplify, parallel-plan) then gets interpreted before
+   and after on this input, a cross-check axis orthogonal to the config
+   sweep below. *)
 let probe_of fn ~params ~fills ~outputs =
   { P.probe_params = params;
     P.probe_extents = P.extents_of_fn fn ~params;
@@ -110,17 +115,16 @@ let interp_run ~params ~fills fn ast =
    bit-exactly too, and their rows exercise the target-keyed compile
    cache end to end. *)
 let exec_configs case =
-  let cpu ?(narrow = true) ?(plan = `Auto) ?(tape = true)
-      ?(lanes = P.default_knobs.P.lanes) par =
-    { P.target = B.Target.cpu ~parallel:par ();
-      P.narrow = narrow; P.plan = plan; P.tape = tape; P.lanes = lanes }
+  let cpu ?(plan = `Auto) ?(tape = true) ?(lanes = P.default_knobs.P.lanes)
+      par =
+    { P.target = B.Target.cpu ~parallel:par (); P.plan = plan; P.tape = tape;
+      P.lanes = lanes }
   in
   let base =
     [
       ("seq", cpu `Seq);
       ("seq,notape", cpu ~tape:false `Seq);
       ("seq,nolanes", cpu ~lanes:1 `Seq);
-      ("seq,nonarrow", cpu ~narrow:false `Seq);
       ("gpu-sim", { P.default_knobs with P.target = B.Target.gpu_sim () });
       ( "dist",
         { P.default_knobs with P.target = B.Target.distributed ~ranks:4 () }
@@ -137,6 +141,19 @@ let exec_configs case =
         ("pool,plan,notape", cpu ~plan:`Force ~tape:false `Pool);
       ]
   else base
+
+(* One configuration row: build the scheduled function through the
+   pipeline with the row's knobs and run it once.  Returns the artifact,
+   whose buffers the caller diffs and then releases, and the row's pass
+   trace. *)
+let run_row ?probe (b : Case.built) (tag, knobs) =
+  let tracer = P.make_tracer ?probe ~name:("exec:" ^ tag) () in
+  let art =
+    P.build ~tracer ~knobs ~fn:b.Case.fn ~params:b.Case.params
+      ~inputs:b.Case.fills ()
+  in
+  B.Exec.run art.P.exec;
+  (art, P.trace_of tracer)
 
 let run_case_unguarded (case : Case.t) : outcome =
   try
@@ -196,19 +213,8 @@ let run_case_unguarded (case : Case.t) : outcome =
     (* Compiled executor, every configuration, vs the scheduled interp. *)
     List.iter
       (fun (tag, knobs) ->
-        let bufs =
-          try
-            let bufs =
-              make_buffers b1.Case.fn ~params:b1.Case.params ~fills:b1.Case.fills
-            in
-            let tracer = P.make_tracer ~probe ~name:("exec:" ^ tag) () in
-            let c =
-              P.compile ~tracer ~knobs ~params:b1.Case.params ~buffers:bufs
-                ast1
-            in
-            B.Exec.run c;
-            bufs
-          with
+        let art =
+          try fst (run_row ~probe b1 (tag, knobs)) with
           | Limits.Timeout as t -> raise t
           | P.Error pe ->
               raise
@@ -225,14 +231,15 @@ let run_case_unguarded (case : Case.t) : outcome =
         in
         List.iter
           (fun out ->
-            let s = find_buf out sched_bufs and x = find_buf out bufs in
+            let s = find_buf out sched_bufs and x = find_buf out art.P.buffers in
             if not (bits_equal s x) then
               raise
                 (Stop
                    (Fail
                       (Printf.sprintf "exec(%s) diverges from interp: %s %s" tag
                          out (first_diff s x)))))
-          b1.Case.outputs)
+          b1.Case.outputs;
+        art.P.release ())
       (exec_configs case);
     Pass
   with

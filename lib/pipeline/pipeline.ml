@@ -3,8 +3,11 @@
 
     The paper's toolchain (§V) is a fixed sequence of lowering stages
     (Layer IV → ISL AST → Halide IR → LLVM); this module makes our
-    reproduction's equivalent sequence — expand/lower, legalize,
-    alloc-scope, narrow, simplify, backend compile — a first-class object.
+    reproduction's equivalent sequence — widen-parallel, expand/lower,
+    legalize, alloc-scope, narrow, simplify, parallel-plan, backend
+    compile — a first-class object, and is the only module that knows its
+    order: users and the fuzzer go through [build], the compile service
+    through its two halves [prepare_and_plan] and [compile_stage].
     Every stage runs as a named pass with per-pass wall-clock timing,
     before/after {!Tiramisu_codegen.Loop_ir.loop_meta} deltas, and an
     optional differential-verify hook (the reference interpreter runs on
@@ -232,7 +235,6 @@ type knobs = {
           The target's capability flag gates the parallel planner
           ([pool_schedulable]), and its key string participates in the compile-cache and service-store
           keys. *)
-  narrow : bool;
   plan : [ `Auto | `Force ];
       (** parallel-planning pass, the one place that decides which pool
           loops fork: [`Auto] plans with the pool's effective parallelism
@@ -254,8 +256,7 @@ type knobs = {
 }
 
 let default_knobs =
-  { target = B.Target.default; narrow = true; plan = `Auto; tape = true;
-    lanes = 8 }
+  { target = B.Target.default; plan = `Auto; tape = true; lanes = 8 }
 
 (** Layer IV → loop IR, as three traced passes: [lower] (scheduled-domain
     AST generation), [legalize] (vector/unroll legality rewrites, the one
@@ -273,16 +274,15 @@ let lower ?tracer ?(keep_claimable = false) (fn : Ir.fn) : Lower.t =
   in
   { Lower.ast; fn }
 
-(** The statement-level optimization passes ([Exec.prepare], staged):
-    interval narrowing under the concrete parameter values, then unroll
-    expansion + simplification.  Both are verifiable. *)
-let prepare ?tracer ?(knobs = default_knobs) ~params (s : L.stmt) =
+(** The statement-level optimization passes: interval narrowing under the
+    concrete parameter values, then unroll expansion + simplification
+    (which deletes the loops narrowing proved empty, e.g. vector epilogues
+    of exact tiles).  Both are verifiable. *)
+let prepare ?tracer ~params (s : L.stmt) =
   let context = "statement" in
   let s =
-    if knobs.narrow then
-      stmt_pass ?tracer ~name:"narrow" ~context ~verifiable:true
-        (Passes.narrow ~params) s
-    else s
+    stmt_pass ?tracer ~name:"narrow" ~context ~verifiable:true
+      (Passes.narrow ~params) s
   in
   stmt_pass ?tracer ~name:"simplify" ~context ~verifiable:true
     (fun s -> L.simplify_stmt (Passes.unroll_expand s))
@@ -323,15 +323,15 @@ let plan_pass ?tracer ~knobs ~params (s : L.stmt) =
     a warm service load skips every pass and goes straight to
     {!compile_stage}. *)
 let prepare_and_plan ?tracer ?(knobs = default_knobs) ~params (s : L.stmt) =
-  let s = prepare ?tracer ~knobs ~params s in
+  let s = prepare ?tracer ~params s in
   plan_pass ?tracer ~knobs ~params s
 
-(** Closure-compile an already prepared+planned statement (the backend
-    stage alone, traced).  Buffers are captured by reference, exactly as
-    with [Exec.compile]. *)
+(** Compile an already prepared+planned statement (the backend stage
+    alone, traced).  Buffers are captured by reference, exactly as with
+    [Exec.compile]. *)
 let compile_stage ?tracer ?(knobs = default_knobs) ~params ~buffers
     (s : L.stmt) =
-  (* The tape claim itself happens inside [Exec.compile_prepared]; this
+  (* The tape claim itself happens inside [Exec.compile]; this
      named identity pass exists for observability — its note lists every
      nest the tape backend will claim ([--trace-passes]), and its dump
      hook ([--dump-after=tape-compile]) is where the disassembler binds.
@@ -347,7 +347,7 @@ let compile_stage ?tracer ?(knobs = default_knobs) ~params ~buffers
         (fun s -> s) s
   in
   let do_compile s =
-    B.Exec.compile_prepared ~target:knobs.target ~tape:knobs.tape
+    B.Exec.compile ~target:knobs.target ~tape:knobs.tape
       ~lanes:knobs.lanes ~params ~buffers s
   in
   (match tracer with
@@ -364,20 +364,6 @@ let compile_stage ?tracer ?(knobs = default_knobs) ~params ~buffers
         { p_name = "compile"; p_ms = ms; p_before = Some meta;
           p_after = Some meta; p_verify = Skipped; p_note = "" };
       exec
-
-(** [prepare] + parallel planning + closure compilation, each stage traced.
-    Returns the compiled executor, the prepared statement it was compiled
-    from (what the cache stores so contended hits can re-compile without
-    re-running any pass) and the planner's report. *)
-let compile_with_report ?tracer ?(knobs = default_knobs) ~params ~buffers
-    (s : L.stmt) =
-  let s, report = prepare_and_plan ?tracer ~knobs ~params s in
-  let exec = compile_stage ?tracer ~knobs ~params ~buffers s in
-  (exec, s, report)
-
-let compile ?tracer ?(knobs = default_knobs) ~params ~buffers (s : L.stmt) =
-  let exec, _, _ = compile_with_report ?tracer ~knobs ~params ~buffers s in
-  exec
 
 (* ---------- compile cache ---------- *)
 
@@ -409,7 +395,6 @@ type ckey = {
     (* {!B.Target.to_key_string}: artifacts for different execution
        targets never alias — the same program compiled for [Cpu] and
        [Gpu_sim] is two cache entries and two store artifacts *)
-  k_narrow : bool;
   k_plan : [ `Auto | `Force ];
   k_tape : bool;
   k_lanes : int;
@@ -572,7 +557,7 @@ let make_key ~knobs ~params ~extents hash =
   { k_hash = hash;
     k_params = List.sort (fun (a, _) (b, _) -> compare a b) params;
     k_target = B.Target.to_key_string knobs.target;
-    k_narrow = knobs.narrow; k_plan = knobs.plan;
+    k_plan = knobs.plan;
     k_tape = knobs.tape; k_lanes = knobs.lanes;
     k_tapegen = Tape_gen.version;
     k_pool = (B.Pool.num_workers (), B.Pool.effective_parallelism ());
@@ -716,9 +701,8 @@ let build_stmt ?tracer ?(knobs = default_knobs) ~params ~extents ~inputs
           extents
       in
       fill_inputs ~stage:"buffers" buffers inputs;
-      let exec, prepared, report =
-        compile_with_report ?tracer ~knobs ~params ~buffers s
-      in
+      let prepared, report = prepare_and_plan ?tracer ~knobs ~params s in
+      let exec = compile_stage ?tracer ~knobs ~params ~buffers prepared in
       let snapshot =
         List.map
           (fun b -> (b.B.Buffers.name, Array.copy b.B.Buffers.data))

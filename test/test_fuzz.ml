@@ -135,6 +135,27 @@ let corpus_dynamic =
       Parallelize ("c0", "l0");
       Interchange ("c0", "j01", "i1") ] }
 
+(* Fuzz generator seed 42: a parallel producer tiled after a reversed
+   consumer was fused into it.  On every pool row [Pipeline.build]'s
+   widen-parallel pass proves more dims of c0 safe to run in parallel
+   than the schedule tagged, so the fuzzer's production path diffs a
+   widened schedule, not the user's. *)
+let corpus_widen =
+  { extents = [ Lit 5; Lit 5 ];
+    n_value = 8;
+    inputs = [ ("a0", 2); ("a1", 1) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = None;
+          rc_expr =
+            Bin (Min, Bin (Mul, Const 6, In ("a0", [ (0, 1); (0, -1) ])),
+                 Bin (Min, Const 7, In ("a1", [ (0, -2) ]))) };
+        { rc_name = "c1"; rc_rank = 2; rc_red = None;
+          rc_expr = Bin (Min, In ("a1", [ (1, 2) ]), Const 2) } ];
+    steps = [ Reverse ("c1", "i");
+      Parallelize ("c0", "i");
+      Fuse ("c1", "c0", "j");
+      Tile ("c0", "i", "j", 3, 2) ] }
+
 (* Doubly-parallel rectangular stencil, extents coprime: with the tape
    knob on the planner keeps the nest intact (Keep_tape) and the executor
    runs it as bytecode, so the differential configs now split three ways —
@@ -274,6 +295,35 @@ let pool_corpus_reaches_both_schedules () =
         (B.Exec.static_count a.Tiramisu_pipeline.Pipeline.exec))
     [ ("coalesce", corpus_coalesce, 1); ("dynamic", corpus_dynamic, 0) ]
 
+(* The fuzz rows are built by [Pipeline.build], so they run the passes
+   users get: on seed 42 every pool row's trace must show widen-parallel
+   widening at least one dim, and the case must still pass bit-exactly. *)
+let pool_rows_run_widen_parallel () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let b = Case.build corpus_widen in
+  let pool_rows =
+    List.filter
+      (fun (_, k) -> B.Target.pool_schedulable k.P.target)
+      (Differential.exec_configs corpus_widen)
+  in
+  Alcotest.(check int) "five pool rows" 5 (List.length pool_rows);
+  List.iter
+    (fun ((tag, _) as row) ->
+      let art, trace = Differential.run_row b row in
+      art.P.release ();
+      match
+        List.find_opt (fun p -> p.P.p_name = "widen-parallel") trace.P.t_passes
+      with
+      | None -> Alcotest.failf "%s: no widen-parallel pass in the trace" tag
+      | Some p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: widen-parallel widened a dim (%s)" tag
+               p.P.p_note)
+            true
+            (p.P.p_note <> "no dim widened"))
+    pool_rows;
+  check_pass "seed 42 bit-exact on every row" corpus_widen
+
 (* And the lane seeds must actually reach the vector tier (the scalar
    control at lanes=1 must not), or the epilogue corpus is testing
    nothing. *)
@@ -388,7 +438,9 @@ let bits_equal (a : B.Buffers.t) (b : B.Buffers.t) =
        (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
        a.B.Buffers.data b.B.Buffers.data
 
-(* Interp vs every Exec configuration on a hand-built loop IR stmt. *)
+(* Interp vs every Exec configuration on a hand-built loop IR stmt: the
+   tape on and off, crossed with the statement compiled verbatim and after
+   the pipeline's statement passes ([Pipeline.prepare]). *)
 let differential_stmt ?(strategies = [ `Seq ]) ~shapes ~fills stmt outs =
   let mk () =
     List.map
@@ -405,18 +457,23 @@ let differential_stmt ?(strategies = [ `Seq ]) ~shapes ~fills stmt outs =
   List.iter
     (fun strategy ->
       List.iter
-        (fun (tape, narrow) ->
+        (fun (tape, prepared) ->
+          let s =
+            if prepared then
+              Tiramisu_pipeline.Pipeline.prepare ~params:[] stmt
+            else stmt
+          in
           let c =
             B.Exec.compile
               ~target:(B.Target.cpu ~parallel:strategy ())
-              ~tape ~narrow ~params:[] ~buffers:(mk ()) stmt
+              ~tape ~params:[] ~buffers:(mk ()) s
           in
           B.Exec.run c;
           List.iter
             (fun o ->
               Alcotest.(check bool)
-                (Printf.sprintf "%s bit-identical (tape=%b narrow=%b)" o tape
-                   narrow)
+                (Printf.sprintf "%s bit-identical (tape=%b prepared=%b)" o
+                   tape prepared)
                 true
                 (bits_equal (B.Interp.buffer t o) (B.Exec.buffer c o)))
             outs)
@@ -636,6 +693,8 @@ let tests =
       vector_corpus_reaches_vector;
     Alcotest.test_case "pool corpus reaches both pool schedules" `Quick
       pool_corpus_reaches_both_schedules;
+    Alcotest.test_case "pool rows run widen-parallel" `Quick
+      pool_rows_run_widen_parallel;
     QCheck_alcotest.to_alcotest prop_random_seeds;
   ]
 

@@ -182,15 +182,15 @@ let knob_change_misses () =
   Alcotest.(check bool) "cold miss" true (a.P.cache = P.Miss);
   Alcotest.(check bool) "same knobs hit" true
     ((build P.default_knobs).P.cache = P.Hit);
-  Alcotest.(check bool) "narrow knob misses" true
-    ((build { P.default_knobs with P.narrow = false }).P.cache = P.Miss);
+  Alcotest.(check bool) "lanes knob misses" true
+    ((build { P.default_knobs with P.lanes = 1 }).P.cache = P.Miss);
   Alcotest.(check bool) "target change misses" true
     ((build
         { P.default_knobs with P.target = B.Target.cpu ~parallel:`Seq () })
        .P.cache = P.Miss);
   (* every variant is now cached independently *)
   Alcotest.(check bool) "variant hits after warmup" true
-    ((build { P.default_knobs with P.narrow = false }).P.cache = P.Hit);
+    ((build { P.default_knobs with P.lanes = 1 }).P.cache = P.Hit);
   let params_changed =
     P.build_stmt ~knobs:P.default_knobs
       ~params:[ ("N", 16); ("M", 14) ]
@@ -317,7 +317,7 @@ let error_names_stage () =
         body = L.Store ("tmp", [ L.Int 0 ], L.Int 1) }
   in
   match
-    P.compile ~params:[] ~buffers:[ B.Buffers.create "tmp" [| 4 |] ] s
+    P.build_stmt ~params:[] ~extents:[ ("tmp", [| 4 |], L.Host) ] ~inputs:[] s
   with
   | _ -> Alcotest.fail "expected Pipeline.Error"
   | exception P.Error e ->

@@ -59,7 +59,8 @@ let tape_and_closure ~shapes ~fills stmt outs =
   Alcotest.(check int) "tape off claims nothing" 0 (B.Exec.tape_count off)
 
 (* The tape programs the executor claims for [stmt]. *)
-let claimed stmt = Tape_gen.scan (B.Exec.prepare ~params:[] stmt)
+let claimed stmt =
+  Tape_gen.scan (Tiramisu_pipeline.Pipeline.prepare ~params:[] stmt)
 
 let fill_a idx =
   float_of_int (((idx.(0) * 13) + (idx.(1) * 7)) mod 29) /. 7.0
