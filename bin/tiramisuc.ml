@@ -327,9 +327,9 @@ let show_cmd =
   let doc = "Print the generated pseudocode for a kernel." in
   let run name sched =
     let k = find_kernel name in
+    let f = scheduled k sched ~params:k.params_small in
     print_endline
-      (Tiramisu_core.Lower.pseudocode
-         (scheduled k sched ~params:k.params_small))
+      (Tiramisu_codegen.Loop_ir.to_string (P.lower f).Tiramisu_core.Lower.ast)
   in
   Cmd.v (Cmd.info "show" ~doc) Term.(const run $ kernel_arg $ sched_arg)
 
@@ -378,7 +378,7 @@ let run_cmd =
     else begin
       let lowered = P.lower ?tracer f in
       let interp =
-        Runner.interp_of ~params ~extents:(P.extents_of_fn f ~params)
+        B.Interp.reference ~params ~extents:(P.extents_of_fn f ~params)
           ~inputs:k.inputs lowered.Tiramisu_core.Lower.ast
       in
       let c = B.Interp.counters interp in
@@ -497,24 +497,18 @@ let compile_cmd =
         let tracer =
           cli_tracer ~trace ~dump_after ~name:f.Tiramisu_core.Ir.fn_name ()
         in
-        (match
-           if emit_c then begin
-             let lowered = P.lower ?tracer f in
-             print_string
-               (Tiramisu_codegen.C_emit.emit_function
-                  ~name:f.Tiramisu_core.Ir.fn_name
-                  ~params:f.Tiramisu_core.Ir.params ~buffers:[]
-                  lowered.Tiramisu_core.Lower.ast)
-           end
-           else if trace || dump_after <> None then
-             (* pseudocode lowers internally; trace the pipeline run. *)
-             ignore (P.lower ?tracer f)
-         with
-        | () -> ()
+        (match P.lower ?tracer f with
+        | lowered ->
+            let ast = lowered.Tiramisu_core.Lower.ast in
+            if emit_c then
+              print_string
+                (Tiramisu_codegen.C_emit.emit_function
+                   ~name:f.Tiramisu_core.Ir.fn_name
+                   ~params:f.Tiramisu_core.Ir.params ~buffers:[] ast)
+            else print_endline (Tiramisu_codegen.Loop_ir.to_string ast)
         | exception P.Error e ->
             Printf.eprintf "%s\n" (P.error_to_string e);
             exit 1);
-        if not emit_c then print_endline (Tiramisu_core.Lower.pseudocode f);
         report_tracer ~trace tracer
   in
   Cmd.v (Cmd.info "compile" ~doc)

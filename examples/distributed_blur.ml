@@ -15,7 +15,9 @@ let () =
   let f, _, _ = Image.blur () in
   Schedules.dist_blur f ~n ~m ~nodes;
   print_endline "generated code (Fig. 3c right-hand side):";
-  print_endline (Tiramisu_core.Lower.pseudocode f);
+  print_endline
+    (Tiramisu_codegen.Loop_ir.to_string
+       (Tiramisu_pipeline.Pipeline.lower f).Tiramisu_core.Lower.ast);
 
   let pix (idx : int array) =
     float_of_int (((idx.(0) * 7) + (idx.(1) * 3) + idx.(2)) mod 23)

@@ -14,7 +14,9 @@ let () =
   let f, _, _ = Image.blur () in
   Schedules.gpu_blur f;
   print_endline "generated code (Fig. 3b right-hand side):";
-  print_endline (Tiramisu_core.Lower.pseudocode f);
+  print_endline
+    (C.Loop_ir.to_string
+       (Tiramisu_pipeline.Pipeline.lower f).Tiramisu_core.Lower.ast);
 
   (* functional execution on the grid interpreter *)
   let n = 24 and m = 20 in

@@ -58,7 +58,9 @@ let () =
 
   (* -------------------------------------------- generated pseudocode *)
   print_endline "generated code (Fig. 3a right-hand side):";
-  print_endline (Lower.pseudocode f);
+  print_endline
+    (Tiramisu_codegen.Loop_ir.to_string
+       (Tiramisu_pipeline.Pipeline.lower f).Lower.ast);
 
   (* -------------------------------------------------- run and check *)
   let n = 20 and m = 16 in

@@ -44,29 +44,25 @@ type config = {
   rounds : int;
   reps : int;  (** timing reps per measured candidate *)
   budget_ms : float;  (** whole-search wall-clock budget *)
-  cutoff_ratio : float;
-      (** abandon a candidate once a rep exceeds incumbent * ratio *)
   max_frontier : int;  (** candidates vetted per round (cost-ordered) *)
   menu : S.menu;
-  templates : bool;  (** seed round 1 with composite expert templates *)
   target : B.Target.t;
       (** execution target measured; the default is the sequential CPU —
           deterministic, and matching the exec-bench headline medians.
           GPU-sim and distributed candidates measure through the same
           compile cache (their artifacts never alias the CPU ones: the
           target is part of the cache key). *)
-  try_notape : bool;  (** also measure the incumbent with the tape off *)
-  try_lanes : bool;
-      (** also measure the incumbent at every [menu.lane_widths] width —
-          the vector tape's payoff is shape-dependent (lane-safe stores,
-          epilogue cost), so the knob is searched, not assumed *)
-  timeout_s : int;
-      (** per-candidate alarm on vetting and measuring: deeply stacked
-          schedules can blow up the Omega-test elimination (exponential
-          constraint growth), and the wall-clock budget is only checked
-          between candidates — the same guard the fuzz campaign uses *)
   verbose : bool;
 }
+
+(* Abandon a candidate once a rep exceeds incumbent * ratio. *)
+let cutoff_ratio = 1.5
+
+(* Per-candidate alarm on vetting and measuring: deeply stacked schedules
+   can blow up the Omega-test elimination (exponential constraint growth),
+   and the wall-clock budget is only checked between candidates — the same
+   guard the fuzz campaign uses. *)
+let timeout_s = 5
 
 let default_config =
   {
@@ -75,14 +71,9 @@ let default_config =
     rounds = 3;
     reps = 5;
     budget_ms = 120_000.0;
-    cutoff_ratio = 1.5;
     max_frontier = 200;
     menu = S.default_menu;
-    templates = true;
     target = B.Target.cpu ~parallel:`Seq ();
-    try_notape = true;
-    try_lanes = true;
-    timeout_s = 5;
     verbose = false;
   }
 
@@ -310,36 +301,19 @@ let verify cfg problem ~tape ~lanes actions =
     in
     B.Exec.run art.P.exec;
     let fn2 = scheduled problem actions in
-    let lowered = P.lower fn2 in
-    let extents = P.extents_of_fn fn2 ~params:problem.params in
-    let interp = B.Interp.create ~params:problem.params () in
-    List.iter
-      (fun (name, dims, mem) ->
-        B.Interp.add_buffer interp (B.Buffers.create ~mem name dims))
-      extents;
-    List.iter
-      (fun (name, fill) ->
-        B.Buffers.fill (B.Interp.buffer interp name) fill)
-      problem.inputs;
-    B.Interp.run interp lowered.Lower.ast;
+    let ast = (P.lower fn2).Lower.ast in
+    let interp =
+      B.Interp.reference ~params:problem.params
+        ~extents:(P.extents_of_fn fn2 ~params:problem.params)
+        ~inputs:problem.inputs ast
+    in
     List.for_all
       (fun out ->
-        let ib = B.Interp.buffer interp out in
         match
           List.find_opt (fun b -> b.B.Buffers.name = out) art.P.buffers
         with
         | None -> false
-        | Some eb ->
-            Array.length ib.B.Buffers.data = Array.length eb.B.Buffers.data
-            && (let ok = ref true in
-                Array.iteri
-                  (fun k v ->
-                    if
-                      Int64.bits_of_float v
-                      <> Int64.bits_of_float eb.B.Buffers.data.(k)
-                    then ok := false)
-                  ib.B.Buffers.data;
-                !ok))
+        | Some eb -> B.Buffers.bits_equal (B.Interp.buffer interp out) eb)
       problem.outputs
   with
   | ok -> ok
@@ -369,7 +343,7 @@ let run ?(config = default_config) (problem : problem) : result =
     Printf.ksprintf (fun s -> if cfg.verbose then prerr_endline s) fmt
   in
   let limited f =
-    Tiramisu_support.Limits.with_time_limit cfg.timeout_s f
+    Tiramisu_support.Limits.with_time_limit timeout_s f
   in
   (* Incumbent: the default (empty) schedule, measured first — so "searched
      >= default" holds by construction and the trajectory starts anchored.
@@ -378,7 +352,7 @@ let run ?(config = default_config) (problem : problem) : result =
      legal answer, so failing loudly beats searching blind. *)
   let default_ms, _ =
     match
-      Tiramisu_support.Limits.with_time_limit (8 * cfg.timeout_s) (fun () ->
+      Tiramisu_support.Limits.with_time_limit (8 * timeout_s) (fun () ->
           measure cfg problem ~tape:true ~lanes:P.default_knobs.P.lanes
             ~cutoff:infinity [])
     with
@@ -396,7 +370,7 @@ let run ?(config = default_config) (problem : problem) : result =
   say "autosched %s: default %.3f ms" problem.name default_ms;
   let consider ~tape ?(lanes = P.default_knobs.P.lanes) actions =
     if not (over_budget ()) then begin
-      let cutoff = cfg.cutoff_ratio *. !best_ms in
+      let cutoff = cutoff_ratio *. !best_ms in
       match
         limited (fun () -> measure cfg problem ~tape ~lanes ~cutoff actions)
       with
@@ -425,9 +399,7 @@ let run ?(config = default_config) (problem : problem) : result =
        (* frontier: template pipelines (first round) + one-action
           expansions of every beam state *)
        let frontier =
-         (if cfg.templates && round = 1 then
-            List.map (fun t -> t) (templates cfg.menu base_entries)
-          else [])
+         (if round = 1 then templates cfg.menu base_entries else [])
          @ List.concat_map
              (fun st ->
                let entries = replay_entries base_entries st.sc_actions in
@@ -491,15 +463,16 @@ let run ?(config = default_config) (problem : problem) : result =
      done
    with Exit -> ());
   (* the backend knobs: challenge the incumbent at the menu's other lane
-     widths, then with the tape off entirely — same pattern for both, the
-     schedule stays the winner's and only the knob moves *)
-  if cfg.try_lanes then
-    List.iter
-      (fun w ->
-        if w <> !best_lanes && not (over_budget ()) then
-          consider ~tape:true ~lanes:w !best)
-      cfg.menu.S.lane_widths;
-  if cfg.try_notape && not (over_budget ()) then consider ~tape:false !best;
+     widths — the vector tape's payoff is shape-dependent (lane-safe
+     stores, epilogue cost), so the width is searched, not assumed — then
+     with the tape off entirely.  The schedule stays the winner's and only
+     the knob moves. *)
+  List.iter
+    (fun w ->
+      if w <> !best_lanes && not (over_budget ()) then
+        consider ~tape:true ~lanes:w !best)
+    cfg.menu.S.lane_widths;
+  if not (over_budget ()) then consider ~tape:false !best;
   (* the verify rebuild goes through the cache too — a hit, since the
      winner was measured moments ago — so snapshot the stats after it *)
   let verified =

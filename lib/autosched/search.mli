@@ -23,22 +23,15 @@ type config = {
   rounds : int;
   reps : int;
   budget_ms : float;  (** whole-search wall-clock budget (anytime) *)
-  cutoff_ratio : float;
   max_frontier : int;  (** vetting cap per round; overflow is counted *)
   menu : Sched_space.menu;
-  templates : bool;
+      (** the action menu.  Round 1 is also seeded with the composite
+          expert templates over it, and the winner is challenged at every
+          [lane_widths] tape width, then with the tape off. *)
   target : Tiramisu_backends.Target.t;
       (** execution target measured (default: sequential CPU); GPU-sim
           and distributed candidates share the compile cache without
           aliasing CPU artifacts *)
-  try_notape : bool;  (** also challenge the incumbent with the tape off *)
-  try_lanes : bool;
-      (** also challenge the incumbent at every [menu.lane_widths] tape
-          lane width (the vector tape's payoff is shape-dependent) *)
-  timeout_s : int;
-      (** per-candidate alarm on vetting and measuring (Omega-test
-          blowup guard, as in the fuzz campaign); timed-out candidates
-          count as errored *)
   verbose : bool;  (** progress on stderr *)
 }
 
@@ -70,6 +63,10 @@ type result = {
 }
 
 val run : ?config:config -> problem -> result
+(** A measurement is abandoned once a rep exceeds 1.5x the incumbent.
+    Each candidate is vetted and measured under a 5 s alarm (the default
+    schedule under 40 s) — the Omega-test blowup guard the fuzz campaign
+    uses too; timed-out candidates count as errored. *)
 
 val literal : Sched_space.action list -> string
 (** The winning schedule as a replayable OCaml action-list literal. *)

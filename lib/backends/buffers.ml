@@ -74,3 +74,41 @@ let max_abs_diff a b =
   !m
 
 let equal ?(eps = 1e-4) a b = size a = size b && max_abs_diff a b <= eps
+
+(* Bit-exact comparison: [0.0] and [-0.0] differ, a NaN equals only the
+   same NaN bits. *)
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let first_diff_index a b =
+  let n = size a in
+  let rec go i =
+    if i = n then None
+    else if same_bits a.data.(i) b.data.(i) then go (i + 1)
+    else Some i
+  in
+  go 0
+
+let bits_equal a b = size a = size b && first_diff_index a b = None
+
+let first_diff a b =
+  if size a <> size b then Printf.sprintf "(sizes %d vs %d)" (size a) (size b)
+  else
+    match first_diff_index a b with
+    | None -> "(bit-identical)"
+    | Some i -> Printf.sprintf "[%d]: %.17g vs %.17g" i a.data.(i) b.data.(i)
+
+let fill_inputs buffers inputs =
+  List.iter
+    (fun (name, f) ->
+      match List.find_opt (fun b -> b.name = name) buffers with
+      | Some b -> fill b f
+      | None -> invalid_arg ("unknown input buffer " ^ name))
+    inputs
+
+let instantiate ~extents ~inputs =
+  let buffers =
+    List.map (fun (name, dims, mem) -> create ~mem name dims) extents
+  in
+  fill_inputs buffers inputs;
+  buffers

@@ -637,30 +637,11 @@ let rec has_comm (s : L.stmt) =
 
 (* Static thread-block check for the GPU simulator: the product of the
    extents of nested [Gpu_thread] loops must fit the target's
-   [max_threads] ceiling (the per-SM cap of the machine model).  Raised
-   as [Failure] so the pipeline's guard reports it as a typed error. *)
-let check_gpu_grid ~max_threads ~params stmt =
-  let rec ev (e : L.expr) =
-    match e with
-    | L.Int n -> n
-    | L.Var v -> (
-        match List.assoc_opt v params with Some x -> x | None -> 0)
-    | L.Neg a -> -ev a
-    | L.Cast (_, a) -> ev a
-    | L.Select (_, a, _) -> ev a
-    | L.Bin (op, a, b) -> (
-        let x = ev a and y = ev b in
-        match op with
-        | L.Add -> x + y
-        | L.Sub -> x - y
-        | L.Mul -> x * y
-        | L.Div -> if y = 0 then 0 else x / y
-        | L.FloorDiv -> if y = 0 then 0 else Tiramisu_support.Ints.fdiv x y
-        | L.Mod -> if y = 0 then 0 else Tiramisu_support.Ints.emod x y
-        | L.MinOp -> min x y
-        | L.MaxOp -> max x y)
-    | L.Float _ | L.Load _ | L.Call _ -> 0
-  in
+   [max_threads] ceiling (the per-SM cap of the machine model).  Extents
+   are the planner's estimates over [env], the params table (unbound names
+   read 0).  Raised as [Failure] so the pipeline's guard reports it as a
+   typed error. *)
+let check_gpu_grid ~max_threads env stmt =
   let rec walk threads (s : L.stmt) =
     match s with
     | L.Block l -> List.iter (walk threads) l
@@ -672,7 +653,11 @@ let check_gpu_grid ~max_threads ~params stmt =
         let threads =
           match tag with
           | L.Gpu_thread _ ->
-              let ext = max 1 (ev hi - ev lo + 1) in
+              let ext =
+                max 1
+                  (Parallel_plan.est_int env hi - Parallel_plan.est_int env lo
+                  + 1)
+              in
               let t = threads * ext in
               if t > max_threads then
                 failwith
@@ -699,10 +684,6 @@ let check_gpu_grid ~max_threads ~params stmt =
 let compile ?(target = Target.default) ?(tape = true) ?(lanes = 8) ~params
     ~buffers stmt =
   let parallel = Target.par_strategy target in
-  (match target with
-  | Target.Gpu_sim g ->
-      check_gpu_grid ~max_threads:g.Target.max_threads ~params stmt
-  | Target.Cpu _ | Target.Distributed _ -> ());
   let ctx =
     {
       slots = Hashtbl.create 32;
@@ -736,6 +717,10 @@ let compile ?(target = Target.default) ?(tape = true) ?(lanes = 8) ~params
       ignore (slot ctx p);
       Hashtbl.replace ctx.est_vars p v)
     params;
+  (match target with
+  | Target.Gpu_sim g ->
+      check_gpu_grid ~max_threads:g.Target.max_threads ctx.est_vars stmt
+  | Target.Cpu _ | Target.Distributed _ -> ());
   let body = compile_stmt ctx stmt in
   (* Communicating programs get a per-run envelope: channels start empty
      (no stale messages from a previous run), and any payload still

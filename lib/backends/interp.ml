@@ -259,4 +259,9 @@ let rec exec t (s : L.stmt) : unit =
       Array.blit s.Buffers.data 0 d.Buffers.data 0 (Buffers.size s)
 
 let run t s = exec t s
+
+let reference ~params ~extents ~inputs s =
+  let t = create ~params ~buffers:(Buffers.instantiate ~extents ~inputs) () in
+  run t s;
+  t
 let eval_expr t e = eval_f t e

@@ -52,5 +52,16 @@ val run : t -> Tiramisu_codegen.Loop_ir.stmt -> unit
 (** @raise Comm_error on a communication fault (see {!Comm_error}).
     @raise Failure on reads of undeclared buffers. *)
 
+val reference :
+  params:(string * int) list ->
+  extents:(string * int array * Tiramisu_codegen.Loop_ir.mem_space) list ->
+  inputs:(string * (int array -> float)) list ->
+  Tiramisu_codegen.Loop_ir.stmt ->
+  t
+(** The oracle path: {!Buffers.instantiate} the program's buffers, run
+    the statement, and return the interpreter (query outputs with
+    {!buffer}, compare them with {!Buffers.bits_equal}).
+    @raise Invalid_argument when an input names no buffer. *)
+
 val eval_expr : t -> Tiramisu_codegen.Loop_ir.expr -> float
 (** Evaluate a closed expression (no loop variables) — exposed for tests. *)

@@ -57,8 +57,9 @@ let rec subst_var v rep (s : L.stmt) : L.stmt =
    unsplit: the tape lane-batches it with its own scalar remainder, and
    splitting here would only break the surrounding perfect nest into
    per-block and epilogue claims — each a separate bind/enter per entry.
-   The closure fallback drives an unsplit [Vectorized] tag with its own
-   lane-blocked loop + epilogue, so the shape is legal either way. *)
+   If the tape does not claim the nest after all, the closure path runs
+   the unsplit [Vectorized] loop as a plain sequential loop, so the shape
+   is legal either way. *)
 let rec vector_legalize ?(keep_claimable = false) (s : L.stmt) : L.stmt =
   match s with
   | L.For ({ tag = L.Vectorized w; _ } as f) ->

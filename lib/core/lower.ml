@@ -510,9 +510,8 @@ let expand_shared_caches fn =
     fn.comps
 
 (* Expansion + polyhedral AST generation only — the raw statement before
-   legalization and alloc scoping.  {!Tiramisu_pipeline.Pipeline} runs the
-   three stages as separately traced passes; {!lower} below composes them
-   for direct callers. *)
+   legalization and alloc scoping.  {!Tiramisu_pipeline.Pipeline.lower}
+   runs the three stages as separately traced passes. *)
 let generate_ast fn =
   let params = fn.params in
   let context = fn.context in
@@ -652,12 +651,6 @@ let generate_ast fn =
 (* allocate_at post-pass, exposed as its own pipeline stage. *)
 let scope_allocs fn ast = wrap_allocs fn ast
 
-let lower fn =
-  let ast = generate_ast fn in
-  let ast = Tiramisu_codegen.Passes.legalize ast in
-  let ast = scope_allocs fn ast in
-  { ast; fn }
-
 let buffer_extents fn ~params =
   let eval a =
     Aff.eval a (fun n ->
@@ -666,5 +659,3 @@ let buffer_extents fn ~params =
         | None -> failwith ("buffer_extents: unbound parameter " ^ n))
   in
   List.map (fun b -> (b, Array.of_list (List.map eval b.buf_dims))) fn.buffers
-
-let pseudocode fn = L.to_string (lower fn).ast

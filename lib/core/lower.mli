@@ -2,9 +2,12 @@
 
     Builds every computation's scheduled set (including the footprint-derived
     sets of [compute_at] producers — overlapped tiling), pads the time
-    vectors to a common arity, emits per-statement bodies with accesses
-    rewritten through the backward schedule substitution, and runs the
-    vectorization/unrolling legalization passes. *)
+    vectors to a common arity, and emits per-statement bodies with accesses
+    rewritten through the backward schedule substitution.  The stages are
+    composed — with the vectorization/unrolling legalization between them —
+    only by [Tiramisu_pipeline.Pipeline.lower], the one place that knows
+    the pass order; print its result with
+    {!Tiramisu_codegen.Loop_ir.to_string} for Fig. 3-style pseudocode. *)
 
 type t = {
   ast : Tiramisu_codegen.Loop_ir.stmt;
@@ -20,26 +23,20 @@ val expand : Ir.fn -> Expr.t -> Expr.t
     Layer-I accesses). *)
 
 val generate_ast : Ir.fn -> Tiramisu_codegen.Loop_ir.stmt
-(** The front half of {!lower}: shared-cache expansion, per-computation
+(** The front half of lowering: shared-cache expansion, per-computation
     descriptors, and scheduled-domain AST generation — before
-    legalization and allocation scoping.  Exposed so the pipeline pass
-    manager can run and time the three stages individually. *)
+    legalization and allocation scoping.  The pipeline pass manager runs
+    and times the three stages individually.
+    @raise Failure on malformed schedules (e.g. iterators not recoverable
+    from the time dims).
+    @raise Unsupported on operations outside the lowering's reach. *)
 
 val scope_allocs : Ir.fn -> Tiramisu_codegen.Loop_ir.stmt ->
   Tiramisu_codegen.Loop_ir.stmt
-(** The back half of {!lower}: wrap buffers at their [allocate_at] scopes
-    (or at the root).  [lower fn] is [scope_allocs fn] of the legalized
-    {!generate_ast}. *)
-
-val lower : Ir.fn -> t
-(** @raise Failure on malformed schedules (e.g. iterators not recoverable
-    from the time dims).
-    @raise Unsupported on operations outside the lowering's reach. *)
+(** The back half of lowering: wrap buffers at their [allocate_at] scopes
+    (or at the root), applied to the legalized {!generate_ast}. *)
 
 val buffer_extents :
   Ir.fn -> params:(string * int) list -> (Ir.buffer * int array) list
 (** Concrete sizes of every buffer of the pipeline for the given parameter
     values (used by backends to allocate storage). *)
-
-val pseudocode : Ir.fn -> string
-(** Generated-code pseudocode (Fig. 3 right column style). *)

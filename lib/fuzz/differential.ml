@@ -36,47 +36,6 @@ type outcome =
 
 exception Stop of outcome
 
-let make_buffers fn ~params ~fills =
-  Lower.buffer_extents fn ~params
-  |> List.map (fun ((b : Ir.buffer), dims) ->
-         let buf = B.Buffers.create b.Ir.buf_name dims in
-         (match List.assoc_opt b.Ir.buf_name fills with
-         | Some f -> B.Buffers.fill buf f
-         | None -> ());
-         buf)
-
-let bits_equal (a : B.Buffers.t) (b : B.Buffers.t) =
-  Array.length a.B.Buffers.data = Array.length b.B.Buffers.data
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i x ->
-      if Int64.bits_of_float x <> Int64.bits_of_float b.B.Buffers.data.(i) then
-        ok := false)
-    a.B.Buffers.data;
-  !ok
-
-let first_diff (a : B.Buffers.t) (b : B.Buffers.t) =
-  let n = min (Array.length a.B.Buffers.data) (Array.length b.B.Buffers.data) in
-  let r = ref (Printf.sprintf "(sizes %d vs %d)"
-                 (Array.length a.B.Buffers.data) (Array.length b.B.Buffers.data))
-  in
-  (try
-     for i = 0 to n - 1 do
-       if
-         Int64.bits_of_float a.B.Buffers.data.(i)
-         <> Int64.bits_of_float b.B.Buffers.data.(i)
-       then (
-         r :=
-           Printf.sprintf "[%d]: %.17g vs %.17g" i a.B.Buffers.data.(i)
-             b.B.Buffers.data.(i);
-         raise Exit)
-     done
-   with Exit -> ());
-  !r
-
-let find_buf name bufs = List.find (fun b -> b.B.Buffers.name = name) bufs
-
 (* Per-pass differential-verify probe for the pipeline: the case's own
    parameters, buffers, fills and outputs.  Every verifiable pass
    (legalize, narrow, simplify, parallel-plan) then gets interpreted before
@@ -88,12 +47,12 @@ let probe_of fn ~params ~fills ~outputs =
     P.probe_fills = fills;
     P.probe_outputs = outputs }
 
-(* Run the loop IR on the interpreter over fresh buffers; return them. *)
-let interp_run ~params ~fills fn ast =
-  let bufs = make_buffers fn ~params ~fills in
-  let t = B.Interp.create ~params ~buffers:bufs () in
-  B.Interp.run t ast;
-  bufs
+(* Run the loop IR on the interpreter over fresh buffers (the oracle
+   path); [fn] must already be lowered, so its auto buffers exist. *)
+let interp_of (b : Case.built) ast =
+  B.Interp.reference ~params:b.Case.params
+    ~extents:(P.extents_of_fn b.Case.fn ~params:b.Case.params)
+    ~inputs:b.Case.fills ast
 
 (* Each config: (tag, pipeline knobs).  The CPU rows cross the parallel
    strategy with the optimization knobs; for parallel schedules the pool
@@ -160,9 +119,7 @@ let run_case_unguarded (case : Case.t) : outcome =
     (* Reference: unscheduled program on the interpreter. *)
     let b0 = Case.build ~with_steps:false case in
     let ast0 = (P.lower b0.Case.fn).Lower.ast in
-    let ref_bufs =
-      interp_run ~params:b0.Case.params ~fills:b0.Case.fills b0.Case.fn ast0
-    in
+    let ref_interp = interp_of b0 ast0 in
     (* Scheduled build + oracle. *)
     let b1 =
       try Case.build case with
@@ -193,22 +150,22 @@ let run_case_unguarded (case : Case.t) : outcome =
             (Stop
                (Fail ("lowering a legal schedule raised: " ^ Printexc.to_string e)))
     in
-    let sched_bufs =
-      try interp_run ~params:b1.Case.params ~fills:b1.Case.fills b1.Case.fn ast1
-      with
+    let sched_interp =
+      try interp_of b1 ast1 with
       | Limits.Timeout as t -> raise t
       | e ->
           raise (Stop (Fail ("interp(scheduled) raised: " ^ Printexc.to_string e)))
     in
     List.iter
       (fun out ->
-        let r = find_buf out ref_bufs and s = find_buf out sched_bufs in
-        if not (bits_equal r s) then
+        let r = B.Interp.buffer ref_interp out
+        and s = B.Interp.buffer sched_interp out in
+        if not (B.Buffers.bits_equal r s) then
           raise
             (Stop
                (Fail
                   (Printf.sprintf "schedule changed semantics: %s %s" out
-                     (first_diff r s)))))
+                     (B.Buffers.first_diff r s)))))
       b1.Case.outputs;
     (* Compiled executor, every configuration, vs the scheduled interp. *)
     List.iter
@@ -231,13 +188,14 @@ let run_case_unguarded (case : Case.t) : outcome =
         in
         List.iter
           (fun out ->
-            let s = find_buf out sched_bufs and x = find_buf out art.P.buffers in
-            if not (bits_equal s x) then
+            let s = B.Interp.buffer sched_interp out
+            and x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
+            if not (B.Buffers.bits_equal s x) then
               raise
                 (Stop
                    (Fail
                       (Printf.sprintf "exec(%s) diverges from interp: %s %s" tag
-                         out (first_diff s x)))))
+                         out (B.Buffers.first_diff s x)))))
           b1.Case.outputs;
         art.P.release ())
       (exec_configs case);

@@ -489,18 +489,8 @@ let compile p ~outputs ~inputs ~params =
   }
 
 let run compiled ~params ~inputs =
-  let module B = Tiramisu_backends in
-  let interp = B.Interp.create ~params () in
-  List.iter
-    (fun (name, dims, mem) ->
-      B.Interp.add_buffer interp (B.Buffers.create ~mem name dims))
-    compiled.buffers;
-  List.iter
-    (fun (name, fill) ->
-      B.Buffers.fill (B.Interp.buffer interp name) fill)
-    inputs;
-  B.Interp.run interp compiled.ast;
-  interp
+  Tiramisu_backends.Interp.reference ~params ~extents:compiled.buffers ~inputs
+    compiled.ast
 
 let estimate ?machine compiled ~params =
   Tiramisu_backends.Cost.estimate ?machine ~params ~buffers:compiled.buffers

@@ -2,31 +2,17 @@ open Tiramisu_core
 module B = Tiramisu_backends
 module P = Tiramisu_pipeline.Pipeline
 
-(* The one buffer-setup everything shares: allocate every buffer of the
-   function at its concrete extents, then fill the declared inputs. *)
-let interp_of ~params ~extents ~inputs ast =
-  let interp = B.Interp.create ~params () in
-  List.iter
-    (fun (name, dims, mem) ->
-      B.Interp.add_buffer interp (B.Buffers.create ~mem name dims))
-    extents;
-  List.iter
-    (fun (name, fill) -> B.Buffers.fill (B.Interp.buffer interp name) fill)
-    inputs;
-  B.Interp.run interp ast;
-  interp
-
+(* Every run of a benchmark kernel on the interpreter goes through the
+   oracle path, [B.Interp.reference]: buffers from the function's extents
+   ([B.Buffers.instantiate]), inputs filled, statement run. *)
 let prepare ~fn ~params ~inputs =
   (* Lower once; each call of the thunk re-creates buffers and executes the
      generated code (used by the wall-clock micro-benchmarks). *)
   let lowered = P.lower fn in
   let extents = P.extents_of_fn fn ~params in
-  fun () -> interp_of ~params ~extents ~inputs lowered.Lower.ast
+  fun () -> B.Interp.reference ~params ~extents ~inputs lowered.Lower.ast
 
-let run ~fn ~params ~inputs =
-  let lowered = P.lower fn in
-  interp_of ~params ~extents:(P.extents_of_fn fn ~params) ~inputs
-    lowered.Lower.ast
+let run ~fn ~params ~inputs = prepare ~fn ~params ~inputs ()
 
 let model ?machine ~fn ~params () =
   let lowered = P.lower fn in

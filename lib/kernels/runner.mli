@@ -3,15 +3,6 @@
 open Tiramisu_core
 module B = Tiramisu_backends
 
-val interp_of :
-  params:(string * int) list ->
-  extents:(string * int array * Tiramisu_codegen.Loop_ir.mem_space) list ->
-  inputs:(string * (int array -> float)) list ->
-  Tiramisu_codegen.Loop_ir.stmt ->
-  B.Interp.t
-(** The shared buffer setup: allocate every declared buffer, fill the
-    inputs, run the statement on the reference interpreter. *)
-
 val prepare :
   fn:Ir.fn ->
   params:(string * int) list ->
@@ -25,10 +16,12 @@ val run :
   params:(string * int) list ->
   inputs:(string * (int array -> float)) list ->
   B.Interp.t
-(** Lower the pipeline and execute it with the reference interpreter; input
-    buffers are filled from the given functions, every other buffer starts
-    zeroed.  Returns the interpreter (query outputs via
-    {!B.Interp.buffer}). *)
+(** Lower the pipeline and execute it with the reference interpreter
+    ({!B.Interp.reference}); input buffers are filled from the given
+    functions, every other buffer starts zeroed.  Returns the interpreter
+    (query outputs via {!B.Interp.buffer}).
+    @raise Invalid_argument ["unknown input buffer <name>"] when an input
+    names no buffer of the function. *)
 
 val model :
   ?machine:B.Machine.t ->

@@ -124,29 +124,12 @@ let trace_of tr =
 
 (* ---------- differential verification ---------- *)
 
-let bits_equal (a : float array) (b : float array) =
-  Array.length a = Array.length b
-  && (try
-        Array.iteri
-          (fun i x ->
-            if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
-              raise Exit)
-          a;
-        true
-      with Exit -> false)
-
 let probe_run (p : probe) (s : L.stmt) =
-  let interp = B.Interp.create ~params:p.probe_params () in
-  List.iter
-    (fun (name, dims, mem) ->
-      B.Interp.add_buffer interp (B.Buffers.create ~mem name dims))
-    p.probe_extents;
-  List.iter
-    (fun (name, fill) -> B.Buffers.fill (B.Interp.buffer interp name) fill)
-    p.probe_fills;
-  B.Interp.run interp s;
-  List.map (fun name -> (B.Interp.buffer interp name).B.Buffers.data)
-    p.probe_outputs
+  let interp =
+    B.Interp.reference ~params:p.probe_params ~extents:p.probe_extents
+      ~inputs:p.probe_fills s
+  in
+  List.map (B.Interp.buffer interp) p.probe_outputs
 
 (* Interp the probe on [before] and [after]; outputs must match bitwise.
    If the *reference* run on [before] fails (construct outside the probe's
@@ -163,16 +146,15 @@ let differential_verify p ~before ~after =
       match probe_run p after with
       | exception e ->
           Mismatch ("transformed program failed: " ^ Printexc.to_string e)
-      | out ->
-          let bad = ref None in
-          List.iteri
-            (fun i name ->
-              if !bad = None && not (bits_equal (List.nth ref_out i) (List.nth out i))
-              then bad := Some name)
-            p.probe_outputs;
-          (match !bad with
-           | None -> Verified
-           | Some name -> Mismatch ("buffer " ^ name ^ " differs bitwise")))
+      | out -> (
+          match
+            List.find_opt
+              (fun (r, o) -> not (B.Buffers.bits_equal r o))
+              (List.combine ref_out out)
+          with
+          | None -> Verified
+          | Some (r, _) ->
+              Mismatch ("buffer " ^ r.B.Buffers.name ^ " differs bitwise")))
 
 (* ---------- the pass runner ---------- *)
 
@@ -440,7 +422,9 @@ type centry = {
   ce_params : (string * int) list;
   ce_extents : (string * int array * L.mem_space) list;
   mutable ce_leases : lease list;
-  ce_snapshot : (string * float array) list;  (* initial buffer contents *)
+  ce_snapshot : float array list;
+    (* initial buffer contents, one per extent: every lease's buffers are
+       instantiated from [ce_extents], so they line up index by index *)
   ce_fills : (string * (int array -> float)) list;
   ce_plan : Plan.report;
   mutable ce_gen : int;  (* LRU generation: bumped on every hit/insert *)
@@ -563,18 +547,11 @@ let make_key ~knobs ~params ~extents hash =
     k_pool = (B.Pool.num_workers (), B.Pool.effective_parallelism ());
     k_extents = extents }
 
-let find_buffer buffers name =
-  List.find_opt (fun b -> b.B.Buffers.name = name) buffers
-
-let fill_inputs ~stage buffers inputs =
-  List.iter
-    (fun (name, fill) ->
-      match find_buffer buffers name with
-      | Some b -> B.Buffers.fill b fill
-      | None ->
-          raise (Error { err_stage = stage; err_context = "buffer setup";
-                         err_msg = "unknown input buffer " ^ name }))
-    inputs
+(* Buffer setup as a typed stage: an input naming no buffer is an
+   [Error] on [stage] ("buffers" on a miss, "cache" on a hit). *)
+let instantiate ~stage ~extents ~inputs =
+  guard ~stage ~context:"buffer setup"
+    (fun () -> B.Buffers.instantiate ~extents ~inputs) ()
 
 (* Restore a lease's buffers to the initial state implied by [fills].
    When the fill closures are the very same functions the entry was built
@@ -589,18 +566,16 @@ let restore entry lease fills =
          fills entry.ce_fills
   in
   if same then
-    List.iter
-      (fun (name, snap) ->
-        match find_buffer lease.l_buffers name with
-        | Some b -> Array.blit snap 0 b.B.Buffers.data 0 (Array.length snap)
-        | None -> ())
-      entry.ce_snapshot
+    List.iter2
+      (fun snap b -> Array.blit snap 0 b.B.Buffers.data 0 (Array.length snap))
+      entry.ce_snapshot lease.l_buffers
   else begin
     List.iter
       (fun b ->
         Array.fill b.B.Buffers.data 0 (Array.length b.B.Buffers.data) 0.)
       lease.l_buffers;
-    fill_inputs ~stage:"cache" lease.l_buffers fills
+    guard ~stage:"cache" ~context:"buffer setup"
+      (B.Buffers.fill_inputs lease.l_buffers) fills
   end
 
 let release_of lease () = locked (fun () -> lease.l_owner <- None)
@@ -679,11 +654,8 @@ let build_stmt ?tracer ?(knobs = default_knobs) ~params ~extents ~inputs
          pair from the stored prepared statement — no pass re-runs, only
          the backend closure compilation — and lease it to this domain. *)
       let buffers =
-        List.map
-          (fun (name, dims, mem) -> B.Buffers.create ~mem name dims)
-          entry.ce_extents
+        instantiate ~stage:"cache" ~extents:entry.ce_extents ~inputs
       in
-      fill_inputs ~stage:"cache" buffers inputs;
       let exec =
         compile_stage ?tracer ~knobs:entry.ce_knobs ~params:entry.ce_params
           ~buffers entry.ce_prepared
@@ -695,19 +667,10 @@ let build_stmt ?tracer ?(knobs = default_knobs) ~params ~extents ~inputs
       artifact_of_lease entry lease ~hash ~status:Hit
   | None ->
       locked (fun () -> incr cache_misses);
-      let buffers =
-        List.map
-          (fun (name, dims, mem) -> B.Buffers.create ~mem name dims)
-          extents
-      in
-      fill_inputs ~stage:"buffers" buffers inputs;
+      let buffers = instantiate ~stage:"buffers" ~extents ~inputs in
       let prepared, report = prepare_and_plan ?tracer ~knobs ~params s in
       let exec = compile_stage ?tracer ~knobs ~params ~buffers prepared in
-      let snapshot =
-        List.map
-          (fun b -> (b.B.Buffers.name, Array.copy b.B.Buffers.data))
-          buffers
-      in
+      let snapshot = List.map (fun b -> Array.copy b.B.Buffers.data) buffers in
       let lease =
         { l_exec = exec; l_buffers = buffers; l_owner = Some (self_id ()) }
       in

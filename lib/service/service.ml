@@ -302,16 +302,6 @@ let request_of_fn ?(knobs = P.default_knobs) ?deadline_s ~fn ~params () =
         rq_deadline_s = deadline_s })
 
 let instantiate (req : request) (rs : response) ~inputs =
-  let buffers =
-    List.map
-      (fun (name, dims, mem) -> B.Buffers.create ~mem name dims)
-      req.rq_extents
-  in
-  List.iter
-    (fun (name, fill) ->
-      match List.find_opt (fun b -> b.B.Buffers.name = name) buffers with
-      | Some b -> B.Buffers.fill b fill
-      | None -> invalid_arg ("Service.instantiate: unknown input " ^ name))
-    inputs;
+  let buffers = B.Buffers.instantiate ~extents:req.rq_extents ~inputs in
   P.compile_stage ~knobs:req.rq_knobs ~params:req.rq_params ~buffers
     rs.rs_prepared

@@ -121,6 +121,9 @@ val instantiate :
   inputs:(string * (int array -> float)) list ->
   Tiramisu_backends.Exec.compiled
 (** Turn a response into a runnable executor: fresh buffers at the
-    request's extents, inputs filled, backend compile stage only (no pass
-    re-runs).  Each call returns an independent executor+buffer pair, so
-    concurrent clients never share mutable state. *)
+    request's extents, inputs filled ({!Tiramisu_backends.Buffers.instantiate}),
+    backend compile stage only (no pass re-runs).  Each call returns an
+    independent executor+buffer pair, so concurrent clients never share
+    mutable state.
+    @raise Invalid_argument ["unknown input buffer <name>"] when an input
+    names no buffer of the request. *)

@@ -210,7 +210,9 @@ let blur_tests =
         let f, _, _, by = make_blur () in
         Tiramisu.tile by "i" "j" 4 4 "i0" "j0" "i1" "j1";
         Tiramisu.parallelize by "i0";
-        let code = Lower.pseudocode f in
+        let code =
+          L.to_string (Tiramisu_pipeline.Pipeline.lower f).Lower.ast
+        in
         Alcotest.(check bool) "has parallel loop" true
           (Astring.String.is_infix ~affix:"parallel for (i0" code);
         Alcotest.(check bool) "tiled loop present" true

@@ -57,7 +57,10 @@ let tests =
     Alcotest.test_case "parsed schedule generates the tiled nest" `Quick
       (fun () ->
         let fn = F.parse blur_src in
-        let code = Tiramisu_core.Lower.pseudocode fn in
+        let code =
+          Tiramisu_codegen.Loop_ir.to_string
+            (Tiramisu_pipeline.Pipeline.lower fn).Tiramisu_core.Lower.ast
+        in
         Alcotest.(check bool) "parallel i0" true
           (Astring.String.is_infix ~affix:"parallel for (i0" code));
     Alcotest.test_case "'where' clause restricts the domain (ticket #2373)"
@@ -89,7 +92,10 @@ schedule
 |}
         in
         let fn = F.parse src in
-        let code = Tiramisu_core.Lower.pseudocode fn in
+        let code =
+          Tiramisu_codegen.Loop_ir.to_string
+            (Tiramisu_pipeline.Pipeline.lower fn).Tiramisu_core.Lower.ast
+        in
         Alcotest.(check bool) "j outermost" true
           (Astring.String.is_prefix ~affix:"for (t0" code));
     Alcotest.test_case "parse errors carry line numbers" `Quick (fun () ->

@@ -56,7 +56,9 @@ let tests =
         Alcotest.(check (float 0.001)) "value" 4.0
           (B.Buffers.get out [| 2; 1 |]);
         (* the generated loop nest iterates j outermost *)
-        let code = Lower.pseudocode f in
+        let code =
+          C.Loop_ir.to_string (Tiramisu_pipeline.Pipeline.lower f).Lower.ast
+        in
         Alcotest.(check bool) "j outer" true
           (Astring.String.is_prefix ~affix:"for (t0" code));
     Alcotest.test_case "C emission compiles the blur shape" `Quick (fun () ->

@@ -9,6 +9,10 @@ module K = Tiramisu_kernels
 let a = Aff.var
 let c0 = Aff.const
 
+let pseudocode f =
+  Tiramisu_codegen.Loop_ir.to_string
+    (Tiramisu_pipeline.Pipeline.lower f).Lower.ast
+
 let tests =
   [
     Alcotest.test_case "allocate_at scopes the producer buffer in the tile"
@@ -17,7 +21,7 @@ let tests =
         Tiramisu.tile by "i" "j" 4 4 "i0" "j0" "i1" "j1";
         Tiramisu.compute_at bx by "j0";
         Tiramisu.allocate_at (Tiramisu.buffer_of bx) by "j0";
-        let code = Lower.pseudocode f in
+        let code = pseudocode f in
         Alcotest.(check bool) "Alloc inside j0 loop" true
           (Astring.String.is_infix ~affix:"host float bx" code);
         (* interp still computes the right thing: the tile is recomputed
@@ -58,7 +62,7 @@ let tests =
         Tiramisu.tile_gpu by "i" "j" 4 4 "i0" "j0" "i1" "j1";
         Tiramisu.compute_at bx by "j0";
         Tiramisu.cache_shared_at bx by "j0";
-        let code = Lower.pseudocode f in
+        let code = pseudocode f in
         Alcotest.(check bool) "copy statement present" true
           (Astring.String.is_infix ~affix:"bx_shared" code);
         (* shared buffer is tagged for GPU shared memory *)
@@ -94,14 +98,14 @@ let tests =
           Tiramisu.barrier_at f "sync" ~iters:[ Tiramisu.var "o" (c0 0) (c0 1) ]
         in
         Tiramisu.after b s Tiramisu.root;
-        let code = Lower.pseudocode f in
+        let code = pseudocode f in
         Alcotest.(check bool) "barrier in code" true
           (Astring.String.is_infix ~affix:"barrier()" code));
     Alcotest.test_case "host/device copies bracket the GPU kernel" `Quick
       (fun () ->
         let f, _ = K.Image.cvt_color () in
         K.Schedules.gpu_cvt_color f;
-        let code = Lower.pseudocode f in
+        let code = pseudocode f in
         let idx_h2d = Astring.String.find_sub ~sub:"host_to_device" code in
         let idx_kernel = Astring.String.find_sub ~sub:"GPUBlock" code in
         let idx_d2h = Astring.String.find_sub ~sub:"device_to_host" code in

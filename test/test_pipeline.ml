@@ -364,6 +364,60 @@ let verify_catches_broken_pass () =
     | P.Verified -> true
     | _ -> false)
 
+(* ---------- the oracle path ---------- *)
+
+let bits_equal_is_bitwise () =
+  let buf data = B.Buffers.of_array "b" [| Array.length data |] data in
+  let eq a b = B.Buffers.bits_equal (buf a) (buf b) in
+  let nan1 = Int64.float_of_bits 0x7FF8_0000_0000_0001L
+  and nan2 = Int64.float_of_bits 0x7FF8_0000_0000_0002L in
+  Alcotest.(check bool) "0.0 vs -0.0 differ" false (eq [| 0.0 |] [| -0.0 |]);
+  Alcotest.(check bool) "same NaN bits are equal" true
+    (eq [| nan1; 1.0 |] [| nan1; 1.0 |]);
+  Alcotest.(check bool) "different NaN payloads differ" false
+    (eq [| nan1 |] [| nan2 |]);
+  Alcotest.(check bool) "length mismatch" false (eq [| 1.0 |] [| 1.0; 2.0 |]);
+  Alcotest.(check string) "first_diff names the first differing index"
+    "[2]: 3 vs 4"
+    (B.Buffers.first_diff (buf [| 1.0; 2.0; 3.0; 5.0 |])
+       (buf [| 1.0; 2.0; 4.0; 6.0 |]));
+  Alcotest.(check string) "first_diff on a length mismatch" "(sizes 1 vs 2)"
+    (B.Buffers.first_diff (buf [| 1.0 |]) (buf [| 1.0; 2.0 |]))
+
+(* An input naming no buffer is one error on every path that stands a
+   program up: [Invalid_argument "unknown input buffer <name>"], typed as
+   a [Pipeline.Error] on the buffer-setup stage when the pipeline builds
+   (test_service checks [Service.instantiate]). *)
+let unknown_input_one_error () =
+  let bad = ("nope", fun _ -> 1.0) in
+  let msg = "unknown input buffer nope" in
+  let expect_stage stage f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Pipeline.Error" stage
+    | exception P.Error e ->
+        Alcotest.(check string) "stage" stage e.P.err_stage;
+        Alcotest.(check string) "message" msg e.P.err_msg
+  in
+  P.clear_cache ();
+  let build inputs () =
+    P.build ~fn:(blur_fn ()) ~params:blur_params ~inputs ()
+  in
+  expect_stage "buffers" (build (bad :: blur_inputs));
+  (* on a hit, the restore re-fills a leased buffer set *)
+  (build blur_inputs ()).P.release ();
+  expect_stage "cache" (build (blur_inputs @ [ bad ]));
+  Alcotest.check_raises "Runner.run" (Invalid_argument msg) (fun () ->
+      ignore
+        (Tiramisu_kernels.Runner.run ~fn:(blur_fn ()) ~params:blur_params
+           ~inputs:(bad :: blur_inputs)));
+  let fn = blur_fn () in
+  let ast = (P.lower fn).Tiramisu_core.Lower.ast in
+  Alcotest.check_raises "Interp.reference" (Invalid_argument msg) (fun () ->
+      ignore
+        (B.Interp.reference ~params:blur_params
+           ~extents:(P.extents_of_fn fn ~params:blur_params)
+           ~inputs:(bad :: blur_inputs) ast))
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -390,5 +444,12 @@ let () =
             error_names_stage;
           Alcotest.test_case "differential verify flags a broken pass" `Quick
             verify_catches_broken_pass;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "bits_equal is bitwise" `Quick
+            bits_equal_is_bitwise;
+          Alcotest.test_case "unknown input is one error on every path" `Quick
+            unknown_input_one_error;
         ] );
     ]

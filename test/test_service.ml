@@ -382,6 +382,17 @@ let limits_deadline () =
   Alcotest.(check bool) "with_time_limit works off-main" true
     (in_domain = Some 7)
 
+(* An input naming no buffer of the request is the same error the
+   pipeline, the kernel runner and the interpreter oracle raise
+   (test_pipeline checks those paths). *)
+let instantiate_unknown_input () =
+  with_service ~workers:1 (fun sv ->
+      let req = test_req 11 in
+      let rs = expect_done (S.submit sv req) in
+      Alcotest.check_raises "unknown input"
+        (Invalid_argument "unknown input buffer nope") (fun () ->
+          ignore (S.instantiate req rs ~inputs:[ ("nope", fun _ -> 1.0) ])))
+
 let () =
   Alcotest.run "service"
     [
@@ -409,6 +420,8 @@ let () =
             service_deadline;
           Alcotest.test_case "Cpu and Gpu_sim artifacts coexist in one store"
             `Quick service_target_distinct;
+          Alcotest.test_case "instantiate rejects an unknown input" `Quick
+            instantiate_unknown_input;
         ] );
       ( "limits",
         [ Alcotest.test_case "cooperative deadline guard" `Quick
