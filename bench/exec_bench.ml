@@ -460,9 +460,10 @@ let smoke_gate () =
   let measure case =
     let _, seq = time_exec ~reps case `Seq in
     let _, pool = time_exec ~reps case `Pool in
-    Common.pf "bench-smoke %-22s seq %8.3f ms   pool %8.3f ms   (%.2fx)\n"
+    Common.pf
+      "bench-smoke %-22s seq %8.3f ms   pool %8.3f ms   (pool speedup %.2fx, >1 = pool wins)\n"
       case.c_name seq.s_min pool.s_min
-      (pool.s_min /. seq.s_min);
+      (seq.s_min /. pool.s_min);
     (case.c_name, seq, pool)
   in
   let rows = List.map measure (cases ~smoke:true) in

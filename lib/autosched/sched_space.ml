@@ -110,10 +110,14 @@ let factor_pool = [| 2; 2; 3; 4 |]
 
    Split/Tile only apply to names of length <= 2 (the base dims plus one
    derivation level): each stacked split or tile adds another div/mod pair
-   to every access relation, and the Omega-test elimination in the
-   legality check grows exponentially in those — a third level can eat
-   gigabytes before deciding.  The vet timeout backstops whatever the
-   bound still lets through.
+   to every access relation, and the legality check's Omega queries grow
+   with those.  Measured on a 2-CPU x86-64 VM over generator seeds 1-100,
+   with a chain of 2-way splits stacked on every computation's [i] (and a
+   reduction's [r]): the legality check takes at most 24 ms and allocates
+   at most 7 MB at two levels, 52 ms / 15 MB at three, 125 ms / 32 MB at
+   four.  The bound stays because the pinned fuzz corpus and the
+   benchmark's programs are drawn under it; the 5 s vet timeout backstops
+   whatever it still lets through.
 
    The draw sequence against [rng] is load-bearing: the pinned fuzz corpus
    seeds (test/test_fuzz.ml) replay through this exact R.int stream. *)

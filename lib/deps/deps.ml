@@ -315,20 +315,51 @@ let effective_tags fn =
     | Some arr when level < Array.length arr -> arr.(level)
     | _ -> LT.Seq
 
-let check_dep_legality ?(tags = fun _ _ -> LT.Seq) ~params (d : dep) =
+(* ---------- Level profile of one dependence ----------
+
+   Whether a schedule preserves a dependence depends on the hardware tags
+   only through which time levels relax execution order, so the Omega
+   queries are asked once per dependence and then folded with any tag
+   assignment.  Let P_k be the dependence polyhedron in time space
+   restricted to the instance pairs whose first k time coordinates are
+   equal.  The profile records:
+   - [gt.(k)]: P_k has a pair with ts_k > td_k — the mapping breaks the
+     order at k, whatever the tags;
+   - [lt.(k)]: P_k has a pair with ts_k < td_k — the dependence is carried
+     at k, which races when a tag relaxes level k.  Asked only when a fold
+     meets such a tag, then remembered;
+   - [all_eq]: P_t is non-empty — source and sink run at the same time.
+   A level where both sides sit at the same static position asks nothing
+   (P_(k+1) = P_k).  The profile stops at the first level where they sit at
+   distinct static positions: P_(k+1) is empty there, and every deeper
+   question asks about a subset of it.  It never asks whether P_k itself is
+   empty: that is an Omega run on the bare dependence polyhedron, which no
+   per-level question needs and which stacked splits make explode. *)
+type profile = {
+  pdep : dep;
+  gt : bool array;
+  lt : bool Lazy.t array;
+  all_eq : bool;
+}
+
+let profile ~params (d : dep) =
   let src = d.src and dst = d.dst in
   let s_desc = time_desc src and d_desc = time_desc dst in
   let t = max (List.length s_desc) (List.length d_desc) in
-  let pad desc = desc @ List.init (t - List.length desc) (fun _ -> `Const 0) in
+  let pad desc =
+    Array.of_list (desc @ List.init (t - List.length desc) (fun _ -> `Const 0))
+  in
   let s_desc = pad s_desc and d_desc = pad d_desc in
   let s_iters = List.map sren src.iters in
   let d_iters = List.map dren dst.iters in
   let s_extra = List.map sren (src.sched.inter @ List.map (fun dd -> dd.d_col) src.sched.dims) in
   let d_extra = List.map dren (dst.sched.inter @ List.map (fun dd -> dd.d_col) dst.sched.dims) in
-  let ts = List.init t (Printf.sprintf "ts$%d") in
-  let td = List.init t (Printf.sprintf "td$%d") in
+  let ts = Array.init t (Printf.sprintf "ts$%d") in
+  let td = Array.init t (Printf.sprintf "td$%d") in
   let cols =
-    Array.of_list (params @ s_iters @ d_iters @ s_extra @ d_extra @ ts @ td)
+    Array.of_list
+      (params @ s_iters @ d_iters @ s_extra @ d_extra @ Array.to_list ts
+     @ Array.to_list td)
   in
   let total = Array.length cols in
   let np = List.length params in
@@ -352,75 +383,72 @@ let check_dep_legality ?(tags = fun _ _ -> LT.Seq) ~params (d : dep) =
         match slot with
         | `Const v -> add acc (Cstr.Eq (Aff.var name, Aff.const v))
         | `Col col -> add acc (Cstr.Eq (Aff.var name, Aff.var (f col))))
-      base tdesc names
+      base (Array.to_list tdesc) (Array.to_list names)
   in
   let base = link base s_desc ts sren in
   let base = link base d_desc td dren in
-  (* Violation at level k: equal prefix, ts_k >= td_k at k... strictly:
-     source not strictly before = exists k with prefix equal and ts_k >
-     td_k, or all equal. *)
-  let violations = ref [] in
-  let satisfiable cstrs =
-    List.exists
+  let pieces =
+    List.map
       (fun rp ->
-        let lifted =
-          Poly.insert_vars rp ~at:(np + nsi + ndi)
-            ~count:(total - np - nsi - ndi)
-        in
-        not (Poly.is_empty (Poly.intersect (List.fold_left add base cstrs) lifted)))
+        Poly.intersect base
+          (Poly.insert_vars rp ~at:(np + nsi + ndi)
+             ~count:(total - np - nsi - ndi)))
       d.rel
   in
-  for k = 0 to t - 1 do
-    let prefix_eq =
-      List.init k (fun m ->
-          Cstr.Eq (Aff.var (List.nth ts m), Aff.var (List.nth td m)))
-    in
-    if
-      satisfiable
-        (prefix_eq @ [ Cstr.Gt (Aff.var (List.nth ts k), Aff.var (List.nth td k)) ])
-    then violations := { dep = d; level = k; carried = false } :: !violations
-    else if
-      (* The mapping orders the dependence at level k — but if the
-         generated loop there runs its iterations out of order (parallel,
-         vector lanes, gpu, distributed), a dependence *carried* at k
-         still races.  Carried = some instance pair first separates at k. *)
-      (relaxes_order (tags d.src.comp_name k)
-      || relaxes_order (tags d.dst.comp_name k))
-      && satisfiable
-           (prefix_eq
-           @ [ Cstr.Lt (Aff.var (List.nth ts k), Aff.var (List.nth td k)) ])
-    then violations := { dep = d; level = k; carried = true } :: !violations
-  done;
-  (* Simultaneity: all time dims equal. *)
-  let any_eq =
-    List.exists
-      (fun rp ->
-        let lifted =
-          Poly.insert_vars rp ~at:(np + nsi + ndi)
-            ~count:(total - np - nsi - ndi)
-        in
-        let sys =
-          Poly.intersect
-            (List.fold_left add base
-               (List.init t (fun m ->
-                    Cstr.Eq (Aff.var (List.nth ts m), Aff.var (List.nth td m)))))
-            lifted
-        in
-        not (Poly.is_empty sys))
-      d.rel
+  let nonempty p = not (Poly.is_empty p) in
+  let sat prefix c = List.exists (fun p -> nonempty (add p c)) prefix in
+  let gt = Array.make t false in
+  let lt = Array.make t (Lazy.from_val false) in
+  (* [prefix]: the pieces of P_k, with the prefix equalities added. *)
+  let rec go k prefix =
+    if k = t then List.exists nonempty prefix
+    else
+      let ts_k = Aff.var ts.(k) and td_k = Aff.var td.(k) in
+      match (s_desc.(k), d_desc.(k)) with
+      | `Const a, `Const b when a = b -> go (k + 1) prefix
+      | `Const a, `Const b ->
+          (* Distinct static positions: P_(k+1) is empty. *)
+          if a > b then gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k))
+          else lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
+          false
+      | _ ->
+          gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k));
+          lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
+          go (k + 1)
+            (List.map (fun p -> add p (Cstr.Eq (ts_k, td_k))) prefix)
   in
-  if any_eq then violations := { dep = d; level = t; carried = false } :: !violations;
-  List.rev !violations
+  let all_eq = go 0 pieces in
+  { pdep = d; gt; lt; all_eq }
+
+(* The violations of a profiled dependence under [tags], lazily and in level
+   order: a caller that only asks whether there is one stops at the first.
+   A level the mapping orders still races when the generated loop there
+   runs its iterations out of order (parallel, vector lanes, gpu,
+   distributed) and the dependence is carried there. *)
+let violations ~tags p =
+  let d = p.pdep in
+  let relaxed k =
+    relaxes_order (tags d.src.comp_name k) || relaxes_order (tags d.dst.comp_name k)
+  in
+  let at k =
+    if p.gt.(k) then Some { dep = d; level = k; carried = false }
+    else if relaxed k && Lazy.force p.lt.(k) then Some { dep = d; level = k; carried = true }
+    else None
+  in
+  let t = Array.length p.gt in
+  Seq.append
+    (Seq.filter_map at (Seq.init t Fun.id))
+    (if p.all_eq then Seq.return { dep = d; level = t; carried = false } else Seq.empty)
+
+(* Flow dependences between computations outside any [compute_at]. *)
+let checked_deps fn =
+  List.filter (fun d -> d.src.computed_at = None && d.dst.computed_at = None) (flow_deps fn)
 
 let check_legality fn =
-  let deps = flow_deps fn in
-  let deps =
-    List.filter
-      (fun d -> d.src.computed_at = None && d.dst.computed_at = None)
-      deps
-  in
   let tags = effective_tags fn in
-  List.concat_map (check_dep_legality ~tags ~params:fn.params) deps
+  List.concat_map
+    (fun d -> List.of_seq (violations ~tags (profile ~params:fn.params d)))
+    (checked_deps fn)
 
 let compute_at_covered fn (p : computation) =
   match p.computed_at with
@@ -549,8 +577,8 @@ let legal_under_schedule fn =
    Before lowering, try to grow each computation's parallel band: any [Seq]
    dynamic dim contiguous with the existing [Parallel] band — just outside
    its outermost dim, or just inside its innermost — is trial-retagged
-   [Parallel] and kept only if {!check_legality} still reports no violation
-   (the trial runs against the whole function, so loop sharing via
+   [Parallel] and kept only if the function still has no violation (the
+   trial runs against the whole function, so loop sharing via
    [effective_tags] is honoured: a tag widened on one computation is vetted
    against the dependences of everything fused into that loop).  The result
    is a perfectly-nested [Parallel] chain the planner can coalesce into one
@@ -558,60 +586,20 @@ let legal_under_schedule fn =
    closure undoes every accepted mutation, so callers can widen, lower, and
    restore the user's schedule.
 
-   Cost: each trial used to re-run {!check_legality} from scratch — flow
-   dependence computation plus an Omega-test per dependence — which
-   dominated whole-pipeline compiles (BENCH_pass_trace.json showed 32ms of
-   439ms on sgemm_tuned in widening alone).  Both halves are memoizable
-   exactly: [flow_deps] reads only domains and access relations, never
-   tags, so it is hoisted out of the trial loop; and [check_dep_legality]
-   sees the trial tags only through the two endpoints' effective-tag
-   vectors, so its verdict is cached keyed by (dependence index, source
-   tag signature, destination tag signature).  A rejected trial's revert
-   restores a previously-seen signature, so subsequent trials hit the
-   cache instead of re-eliminating. *)
+   Cost: tags never change a dependence or its level profile, so
+   [flow_deps] runs once and each dependence is profiled once, on its first
+   trial; a trial is then a fold of the profiles with the trial's effective
+   tags, and asks Omega only for an [lt] level no earlier trial relaxed.
+   On a 2-CPU x86-64 VM, sgemm's [tuned] schedule widens in 6-9 ms; it
+   took 530-590 ms when every new tag signature re-ran the per-level
+   queries with the row-copying equality elimination. *)
 let widen_parallel fn =
-  let deps =
-    Array.of_list
-      (List.filter
-         (fun d -> d.src.computed_at = None && d.dst.computed_at = None)
-         (flow_deps fn))
+  let profiles =
+    List.map (fun d -> lazy (profile ~params:fn.params d)) (checked_deps fn)
   in
-  (* Tag signatures cover every level a dependence check can query:
-     check_dep_legality looks at levels < max (length time_desc) over the
-     two endpoints, and time_desc has one slot per schedule dim. *)
-  let nlev =
-    List.fold_left
-      (fun acc (c : computation) -> max acc (List.length c.sched.dims))
-      0 fn.comps
-  in
-  let verdicts = Hashtbl.create 64 in
   let all_legal () =
     let tags = effective_tags fn in
-    let sigs = Hashtbl.create 8 in
-    let sg name =
-      match Hashtbl.find_opt sigs name with
-      | Some s -> s
-      | None ->
-          let s = List.init nlev (tags name) in
-          Hashtbl.add sigs name s;
-          s
-    in
-    try
-      Array.iteri
-        (fun i d ->
-          let key = (i, sg d.src.comp_name, sg d.dst.comp_name) in
-          let ok =
-            match Hashtbl.find_opt verdicts key with
-            | Some ok -> ok
-            | None ->
-                let ok = check_dep_legality ~tags ~params:fn.params d = [] in
-                Hashtbl.add verdicts key ok;
-                ok
-          in
-          if not ok then raise Exit)
-        deps;
-      true
-    with Exit -> false
+    List.for_all (fun p -> Seq.is_empty (violations ~tags (Lazy.force p))) profiles
   in
   let widened = ref [] in
   let undos = ref [] in

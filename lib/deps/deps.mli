@@ -46,6 +46,12 @@ type violation = {
           vectorized, gpu, distributed), so the carried dependence races. *)
 }
 
+val effective_tags :
+  Tiramisu_core.Ir.fn -> string -> int -> Tiramisu_codegen.Loop_ir.loop_tag
+(** [effective_tags fn] maps a computation name and a time level to the
+    hardware tag of the generated loop at that level.  Computations fused
+    into one generated loop share its tag: the join of their own tags. *)
+
 val check_legality : Tiramisu_core.Ir.fn -> violation list
 (** Empty list = the current schedules preserve every flow dependence, and
     no flow dependence is carried by a loop whose hardware tag relaxes

@@ -12,6 +12,7 @@ let normalize_eq row =
   let g = Vec.content_except row 0 in
   if g = 0 then if row.(0) = 0 then None else raise Infeasible
   else if row.(0) mod g <> 0 then raise Infeasible
+  else if g = 1 then Some row
   else Some (Array.map (fun c -> c / g) row)
 
 let normalize_ineq row =
@@ -50,20 +51,46 @@ let nth_split l i =
   in
   go [] i l
 
+(* Drop the variables no row mentions, in one pass over the rows; returns
+   the new variable count and the narrowed rows. *)
+let drop_unused n rows =
+  let used = Array.make n false in
+  List.iter
+    (fun r ->
+      for v = 0 to n - 1 do
+        if r.(v + 1) <> 0 then used.(v) <- true
+      done)
+    rows;
+  let keep = Array.of_list (List.filter (fun v -> used.(v)) (List.init n Fun.id)) in
+  let n' = Array.length keep in
+  if n' = n then (n, rows)
+  else
+    let narrow r =
+      Array.init (n' + 1) (fun j -> if j = 0 then r.(0) else r.(keep.(j - 1) + 1))
+    in
+    (n', List.map narrow rows)
+
 (* Eliminate all equalities, returning an equivalent pure-inequality system.
-   May grow the variable count (modular reduction introduces fresh
-   variables); returns (n, ineqs). *)
-let rec eliminate_eqs n eqs ineqs =
-  let eqs = List.filter_map normalize_eq eqs in
+   Rows keep their width [n] while unit equalities are substituted: the
+   substituted column is left at zero, and the columns no row mentions are
+   dropped once, at the end.  Modular reduction introduces fresh variables,
+   appended as new columns.  [eqs] are normalized; a substitution
+   re-normalizes only the rows it changed.  Returns (n, ineqs). *)
+let rec eliminate_normalized n eqs ineqs =
   match eqs with
-  | [] -> (n, List.filter_map normalize_ineq ineqs)
+  | [] -> drop_unused n (List.filter_map normalize_ineq ineqs)
   | _ -> (
       match find_unit_eq eqs with
       | Some (i, k) ->
           let e, rest = nth_split eqs i in
-          let eqs' = drop_var ~k (List.map (subst_eq ~k e) rest) in
-          let ineqs' = drop_var ~k (List.map (subst_eq ~k e) ineqs) in
-          eliminate_eqs (n - 1) eqs' ineqs'
+          let eqs' =
+            List.filter_map
+              (fun r ->
+                let r' = subst_eq ~k e r in
+                if r' == r then Some r else normalize_eq r')
+              rest
+          in
+          eliminate_normalized n eqs' (List.map (subst_eq ~k e) ineqs)
       | None ->
           (* Modular reduction: no unit coefficient anywhere. Pick the
              equality variable with the smallest |coefficient| >= 2. *)
@@ -92,7 +119,10 @@ let rec eliminate_eqs n eqs ineqs =
           in
           let eqs' = e' :: List.map widen eqs in
           let ineqs' = List.map widen ineqs in
-          eliminate_eqs (n + 1) eqs' ineqs')
+          eliminate_normalized (n + 1) eqs' ineqs')
+
+let eliminate_eqs n eqs ineqs =
+  eliminate_normalized n (List.filter_map normalize_eq eqs) ineqs
 
 (* All-pairs shadow of [lo]x[hi] over [var]; [dark] subtracts (a-1)(b-1). *)
 let shadows ~var ~dark lo hi rest =
@@ -117,19 +147,29 @@ let rec solve n ineqs =
   | ineqs ->
       if n = 0 then true
       else
-        (* Drop variables unbounded in one direction: constraints bounding
-           them cannot cause infeasibility. *)
-        let has_lo = Array.make n false and has_hi = Array.make n false in
+        (* One pass counts each variable's lower and upper bounds and
+           whether they all have a unit coefficient. *)
+        let nlo = Array.make n 0 and nhi = Array.make n 0 in
+        let unit_lo = Array.make n true and unit_hi = Array.make n true in
         List.iter
           (fun r ->
             for v = 0 to n - 1 do
-              if r.(v + 1) > 0 then has_lo.(v) <- true
-              else if r.(v + 1) < 0 then has_hi.(v) <- true
+              let c = r.(v + 1) in
+              if c > 0 then begin
+                nlo.(v) <- nlo.(v) + 1;
+                if c <> 1 then unit_lo.(v) <- false
+              end
+              else if c < 0 then begin
+                nhi.(v) <- nhi.(v) + 1;
+                if c <> -1 then unit_hi.(v) <- false
+              end
             done)
           ineqs;
+        (* Drop variables unbounded in one direction: constraints bounding
+           them cannot cause infeasibility. *)
         let free = ref None in
         for v = n - 1 downto 0 do
-          if has_lo.(v) <> has_hi.(v) then free := Some v
+          if (nlo.(v) > 0) <> (nhi.(v) > 0) then free := Some v
         done;
         (match !free with
         | Some v ->
@@ -137,32 +177,23 @@ let rec solve n ineqs =
             solve (n - 1) (drop_var ~k:v remaining)
         | None ->
             (* Every variable is two-sided bounded (or absent). Choose the
-               elimination variable: prefer an exact one, else fewest pairs. *)
-            let metrics =
-              Array.init n (fun v ->
-                  let lo, hi, _ = Fm.bounds_on ~n ~var:v ineqs in
-                  let exact =
-                    (lo <> [] || hi <> [])
-                    && (List.for_all (fun r -> r.(v + 1) = 1) lo
-                       || List.for_all (fun r -> r.(v + 1) = -1) hi)
-                  in
-                  (v, List.length lo * List.length hi, exact, lo <> []))
-            in
-            let candidates =
-              Array.to_list metrics |> List.filter (fun (_, _, _, used) -> used)
-            in
-            (match candidates with
-            | [] ->
+               elimination variable: prefer an exact one, else fewest pairs;
+               the first such in variable order. *)
+            let best = ref None in
+            for v = 0 to n - 1 do
+              if nlo.(v) > 0 then begin
+                let p = nlo.(v) * nhi.(v) and e = unit_lo.(v) || unit_hi.(v) in
+                match !best with
+                | Some (_, bp, be) when not ((e && not be) || (e = be && p < bp)) -> ()
+                | _ -> best := Some (v, p, e)
+              end
+            done;
+            (match !best with
+            | None ->
                 (* No variable actually appears: all rows constant, already
                    validated by normalize_ineq. *)
                 true
-            | _ ->
-                let v, _, exact, _ =
-                  List.fold_left
-                    (fun ((_, bp, be, _) as best) ((_, p, e, _) as cand) ->
-                      if (e && not be) || (e = be && p < bp) then cand else best)
-                    (List.hd candidates) (List.tl candidates)
-                in
+            | Some (v, _, exact) ->
                 let lo, hi, rest = Fm.bounds_on ~n ~var:v ineqs in
                 if exact then solve (n - 1) (shadows ~var:v ~dark:false lo hi rest)
                 else if solve (n - 1) (shadows ~var:v ~dark:true lo hi rest) then true

@@ -13,7 +13,9 @@ let add = map2 Ints.add
 let sub = map2 Ints.sub
 let neg = Array.map Ints.neg
 let scale k = Array.map (Ints.mul k)
-let combine a u b v = map2 Ints.add (scale a u) (scale b v)
+let combine a u b v =
+  if Array.length u <> Array.length v then invalid_arg "Vec: length mismatch";
+  Array.init (Array.length u) (fun i -> Ints.add (Ints.mul a u.(i)) (Ints.mul b v.(i)))
 let content v = Array.fold_left (fun g x -> Ints.gcd g x) 0 v
 
 let content_except v col =

@@ -148,4 +148,215 @@ let tests =
         Alcotest.(check int) "no deps" 0 (List.length (D.flow_deps f)));
   ]
 
-let () = Alcotest.run "deps" [ ("deps", tests) ]
+(* ---------- level profile = per-level queries ----------
+
+   [check_legality] and [widen_parallel] fold one level profile per
+   dependence with the tags.  The reference below is the loop the profile
+   replaced: every call asks Omega one question per time level (plus the
+   carried question at every order-relaxing level, plus the all-equal one),
+   with no memo.  Both must report the same violations under every tag
+   assignment the widening tries, and the widening must accept the same
+   dims as a greedy loop driven by the reference. *)
+
+module LT = Tiramisu_codegen.Loop_ir
+
+let sren x = "s@" ^ x
+let dren x = "d@" ^ x
+
+let rename_cstr ~params f c =
+  let r e = Aff.subst e (fun n -> if List.mem n params then None else Some (Aff.var (f n))) in
+  match c with
+  | Cstr.Eq (x, y) -> Cstr.Eq (r x, r y)
+  | Cstr.Le (x, y) -> Cstr.Le (r x, r y)
+  | Cstr.Lt (x, y) -> Cstr.Lt (r x, r y)
+  | Cstr.Ge (x, y) -> Cstr.Ge (r x, r y)
+  | Cstr.Gt (x, y) -> Cstr.Gt (r x, r y)
+
+let time_desc (c : Ir.computation) =
+  List.map
+    (fun (d : Ir.dim) ->
+      match d.Ir.d_kind with Ir.Static v -> `Const (2 * v) | Ir.Dyn -> `Col d.Ir.d_col)
+    c.Ir.sched.Ir.dims
+
+let relaxes_order = function LT.Seq | LT.Unrolled -> false | _ -> true
+
+(* (level, carried) for every violation of [d], in level order. *)
+let reference_dep ~tags ~params (d : D.dep) =
+  let src = d.D.src and dst = d.D.dst in
+  let s_desc = time_desc src and d_desc = time_desc dst in
+  let t = max (List.length s_desc) (List.length d_desc) in
+  let pad desc = desc @ List.init (t - List.length desc) (fun _ -> `Const 0) in
+  let s_desc = pad s_desc and d_desc = pad d_desc in
+  let s_iters = List.map sren src.Ir.iters and d_iters = List.map dren dst.Ir.iters in
+  let extra f (c : Ir.computation) =
+    List.map f (c.Ir.sched.Ir.inter @ List.map (fun (dd : Ir.dim) -> dd.Ir.d_col) c.Ir.sched.Ir.dims)
+  in
+  let ts = List.init t (Printf.sprintf "ts$%d") and td = List.init t (Printf.sprintf "td$%d") in
+  let cols =
+    Array.of_list (params @ s_iters @ d_iters @ extra sren src @ extra dren dst @ ts @ td)
+  in
+  let total = Array.length cols in
+  let lead = List.length params + List.length s_iters + List.length d_iters in
+  let add p c =
+    match Cstr.to_row ~cols c with `Eq r -> Poly.add_eq p r | `Ineq r -> Poly.add_ineq p r
+  in
+  let base =
+    List.fold_left add (Poly.universe total)
+      (List.map (rename_cstr ~params sren) src.Ir.sched.Ir.cstrs
+      @ List.map (rename_cstr ~params dren) dst.Ir.sched.Ir.cstrs)
+  in
+  let link base tdesc names f =
+    List.fold_left2
+      (fun acc slot name ->
+        match slot with
+        | `Const v -> add acc (Cstr.Eq (a name, c0 v))
+        | `Col col -> add acc (Cstr.Eq (a name, a (f col))))
+      base tdesc names
+  in
+  let base = link (link base s_desc ts sren) d_desc td dren in
+  let satisfiable cstrs =
+    List.exists
+      (fun rp ->
+        let lifted = Poly.insert_vars rp ~at:lead ~count:(total - lead) in
+        not (Poly.is_empty (Poly.intersect (List.fold_left add base cstrs) lifted)))
+      d.D.rel
+  in
+  let eq m = Cstr.Eq (a (List.nth ts m), a (List.nth td m)) in
+  let levels =
+    List.concat
+      (List.init t (fun k ->
+           let prefix = List.init k eq in
+           let tk = a (List.nth ts k) and dk = a (List.nth td k) in
+           if satisfiable (prefix @ [ Cstr.Gt (tk, dk) ]) then [ (k, false) ]
+           else if
+             (relaxes_order (tags src.Ir.comp_name k) || relaxes_order (tags dst.Ir.comp_name k))
+             && satisfiable (prefix @ [ Cstr.Lt (tk, dk) ])
+           then [ (k, true) ]
+           else []))
+  in
+  if satisfiable (List.init t eq) then levels @ [ (t, false) ] else levels
+
+let violation_key (v : D.violation) =
+  (v.D.dep.D.src.Ir.comp_name, v.D.dep.D.dst.Ir.comp_name, v.D.level, v.D.carried)
+
+let reference_check fn =
+  let tags = D.effective_tags fn in
+  List.concat_map
+    (fun (d : D.dep) ->
+      if d.D.src.Ir.computed_at <> None || d.D.dst.Ir.computed_at <> None then []
+      else
+        List.map
+          (fun (level, carried) -> (d.D.src.Ir.comp_name, d.D.dst.Ir.comp_name, level, carried))
+          (reference_dep ~tags ~params:fn.Ir.params d))
+    (D.flow_deps fn)
+
+(* The greedy widening loop, vetted by [reference_check]; every trial also
+   compares [check_legality]'s violations with the reference's.  Tags are
+   restored before returning.  Returns the widened dims and the number of
+   checks, the schedule as given included. *)
+let reference_widen ~label fn =
+  let trials = ref 0 in
+  let legal () =
+    let want = reference_check fn in
+    let got = List.map violation_key (D.check_legality fn) in
+    if got <> want then
+      Alcotest.failf "%s, trial %d: profile reports %d violations, the per-level loop %d" label
+        !trials (List.length got) (List.length want);
+    incr trials;
+    want = []
+  in
+  (* Trial 0: the schedule as given. *)
+  ignore (legal ());
+  let widened = ref [] and undos = ref [] in
+  let try_widen (c : Ir.computation) (d : Ir.dim) =
+    d.Ir.d_tag = LT.Seq
+    && begin
+         d.Ir.d_tag <- LT.Parallel;
+         if legal () then begin
+           widened := (c.Ir.comp_name, d.Ir.d_name) :: !widened;
+           undos := (fun () -> d.Ir.d_tag <- LT.Seq) :: !undos;
+           true
+         end
+         else begin
+           d.Ir.d_tag <- LT.Seq;
+           false
+         end
+       end
+  in
+  List.iter
+    (fun (c : Ir.computation) ->
+      if c.Ir.kind = Ir.Regular && (not c.Ir.inlined) && c.Ir.computed_at = None then begin
+        let dyns = Array.of_list (Ir.dyn_dims c.Ir.sched) in
+        let n = Array.length dyns in
+        match List.find_opt (fun i -> dyns.(i).Ir.d_tag = LT.Parallel) (List.init n Fun.id) with
+        | None -> ()
+        | Some p ->
+            let i = ref (p - 1) in
+            while !i >= 0 && try_widen c dyns.(!i) do decr i done;
+            let q = ref p in
+            while !q + 1 < n && dyns.(!q + 1).Ir.d_tag = LT.Parallel do incr q done;
+            let j = ref (!q + 1) in
+            while !j < n && try_widen c dyns.(!j) do incr j done
+      end)
+    fn.Ir.comps;
+  List.iter (fun f -> f ()) !undos;
+  (List.rev !widened, !trials)
+
+let cli_kernels =
+  let module K = Tiramisu_kernels in
+  [ ("blur/cpu", (fun () -> let f, _, _ = K.Image.blur () in f), fun f -> K.Schedules.cpu_blur f);
+    ("cvtColor/cpu", (fun () -> fst (K.Image.cvt_color ())), K.Schedules.cpu_cvt_color);
+    ("conv2D/cpu", (fun () -> let f, _, _ = K.Image.conv2d () in f), K.Schedules.cpu_conv2d);
+    ("warpAffine/cpu", (fun () -> fst (K.Image.warp_affine ())), K.Schedules.cpu_warp_affine);
+    ("gaussian/cpu", (fun () -> let f, _, _ = K.Image.gaussian () in f), K.Schedules.cpu_gaussian);
+    ("nb/cpu", (fun () -> let f, _, _, _, _ = K.Image.nb () in f), K.Schedules.cpu_nb ~fuse:true);
+    ( "nb/cpu-unfused",
+      (fun () -> let f, _, _, _, _ = K.Image.nb () in f),
+      K.Schedules.cpu_nb ~fuse:false );
+    ( "edgeDetector/cpu",
+      (fun () -> let f, _, _ = K.Image.edge_detector () in f),
+      K.Schedules.cpu_edge_detector );
+    ("ticket2373/cpu", (fun () -> fst (K.Image.ticket2373 ())), K.Schedules.cpu_ticket2373);
+    ("sgemm/tuned", (fun () -> let f, _, _ = K.Linalg.sgemm () in f), fun f -> K.Linalg.sgemm_tuned f);
+    ("hpcg/cpu", (fun () -> fst (K.Linalg.hpcg ())), K.Linalg.hpcg_schedule);
+    ("baryon/cpu", (fun () -> let f, _, _ = K.Linalg.baryon () in f), K.Linalg.baryon_schedule) ]
+
+(* Same trials, same verdicts, same widened dims; the user's tags come back. *)
+let check_widening ~label fn =
+  let tags_of () =
+    List.concat_map
+      (fun (c : Ir.computation) -> List.map (fun (d : Ir.dim) -> d.Ir.d_tag) c.Ir.sched.Ir.dims)
+      fn.Ir.comps
+  in
+  let before = tags_of () in
+  let want, trials = reference_widen ~label fn in
+  let got, undo = D.widen_parallel fn in
+  undo ();
+  Alcotest.(check (list (pair string string))) (label ^ ": widened dims") want got;
+  Alcotest.(check bool) (label ^ ": tags restored") true (tags_of () = before);
+  trials
+
+let equivalence_tests =
+  [
+    Alcotest.test_case "level profile = per-level queries on every CLI kernel" `Quick (fun () ->
+        let trials =
+          List.fold_left
+            (fun acc (label, build, sched) ->
+              let f = build () in
+              sched f;
+              acc + check_widening ~label f - 1)
+            0 cli_kernels
+        in
+        Alcotest.(check bool) "the widening tried some tag assignment" true (trials > 0));
+    Alcotest.test_case "level profile = per-level queries on fuzz seeds 1-300" `Quick (fun () ->
+        let module Fz = Tiramisu_fuzz in
+        let widening_trials = ref 0 in
+        for s = 1 to 300 do
+          let b = Fz.Case.build (Fz.Fuzz.gen_seed s) in
+          let checks = check_widening ~label:(Printf.sprintf "fuzz seed %d" s) b.Fz.Case.fn in
+          widening_trials := !widening_trials + checks - 1
+        done;
+        Alcotest.(check bool) "the widening tried some tag assignment" true (!widening_trials > 0));
+  ]
+
+let () = Alcotest.run "deps" [ ("deps", tests); ("profile", equivalence_tests) ]

@@ -132,6 +132,55 @@ let prop_gist n =
           (not (Poly.mem ctx pt)) || Poly.mem p pt = Poly.mem g pt)
         (box_points n (-2) 2))
 
+(* Systems heavy in equalities: up to [n] of them over [n] box variables,
+   with coefficients in +-2..+-4 so no equality has a unit coefficient and
+   the elimination must take the modular-reduction branch, plus padding
+   columns that no row mentions, scattered between the variables. *)
+let eq_heavy_gen n =
+  QCheck.Gen.(
+    let coef = frequency [ (1, return 0); (2, map2 ( * ) (oneofl [ -1; 1 ]) (int_range 2 4)) ] in
+    let eq_row = map2 (fun k cs -> Array.append [| k |] cs) (int_range (-6) 6) (array_size (return n) coef) in
+    let* eqs = list_size (int_range 1 n) eq_row in
+    let* ineqs = list_size (int_range 0 2) (row_gen n) in
+    let* gaps = array_size (return (n + 1)) (frequency [ (3, return 0); (1, return 1) ]) in
+    (* Column of box variable [v] once the padding before it is inserted. *)
+    let col = Array.init n (fun v -> v + Array.fold_left ( + ) 0 (Array.sub gaps 0 (v + 1))) in
+    let width = n + Array.fold_left ( + ) 0 gaps in
+    let spread r =
+      let w = Array.make (width + 1) 0 in
+      w.(0) <- r.(0);
+      Array.iteri (fun v c -> w.(c + 1) <- r.(v + 1)) col;
+      w
+    in
+    return (col, Poly.make width ~eqs:(List.map spread eqs) ~ineqs:(List.map spread ineqs)))
+
+let prop_eq_heavy n =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "omega emptiness = brute force, many equalities, padded (dim %d)" n)
+    (QCheck.make ~print:(fun (_, p) -> Format.asprintf "%a" Poly.pp p) (eq_heavy_gen n))
+    (fun (col, p) ->
+      let lo = -3 and hi = 3 in
+      (* Box the real variables; the padding columns stay unmentioned. *)
+      let p =
+        Array.fold_left
+          (fun p c ->
+            let bound k s =
+              let r = Array.make (Poly.dim p + 1) 0 in
+              r.(0) <- k;
+              r.(c + 1) <- s;
+              r
+            in
+            Poly.add_ineq (Poly.add_ineq p (bound (-lo) 1)) (bound hi (-1)))
+          p col
+      in
+      let embed pt =
+        let full = Array.make (Poly.dim p) 0 in
+        Array.iteri (fun v c -> full.(c) <- pt.(v)) col;
+        full
+      in
+      let brute = List.exists (fun pt -> Poly.mem p (embed pt)) (box_points n lo hi) in
+      Poly.is_empty p = not brute)
+
 let unit_tests =
   [
     Alcotest.test_case "simple emptiness" `Quick (fun () ->
@@ -334,5 +383,6 @@ let () =
             prop_subtract 2; prop_gist 2;
             prop_card 1; prop_card 2; prop_card 3;
             prop_card_box 2;
+            prop_eq_heavy 3; prop_eq_heavy 4; prop_eq_heavy 5;
           ] );
     ]
