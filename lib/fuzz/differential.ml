@@ -207,9 +207,10 @@ let run_case_unguarded (case : Case.t) : outcome =
 
 (* Corpus replays skip generator vetting, so the polyhedral blowup guard
    has to live here too: a case the machinery cannot decide in time is
-   reported as rejected, never allowed to wedge the campaign. *)
+   reported as rejected, never allowed to wedge the campaign.  The limit is
+   on CPU time, so a busy machine does not turn a case into a rejection. *)
 let run_case (case : Case.t) : outcome =
-  match Limits.with_time_limit 30 (fun () -> run_case_unguarded case) with
+  match Limits.with_time_limit ~cpu:true 30 (fun () -> run_case_unguarded case) with
   | Some o -> o
   | None -> Rejected "timed out (polyhedral blowup guard)"
 

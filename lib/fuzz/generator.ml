@@ -102,12 +102,13 @@ let candidate : R.t -> S.entry list -> (Case.step * (unit -> unit)) option =
 let debug = Sys.getenv_opt "TIRAMISU_FUZZ_DEBUG" <> None
 
 (* Rebuild from scratch and check: schedule applies, the oracle accepts,
-   lowering succeeds.  Runs under a wall-clock limit: candidates whose
-   legality check blows up are dropped as errored, not allowed to hang. *)
+   lowering succeeds.  Runs under a CPU-time limit: candidates whose
+   legality check blows up are dropped as errored, not allowed to hang, and
+   a busy machine does not change which candidates a seed keeps. *)
 let vet case =
   if debug then prerr_endline ("vet:\n" ^ Case.to_literal case);
   match
-    Tiramisu_support.Limits.with_time_limit 5 (fun () ->
+    Tiramisu_support.Limits.with_time_limit ~cpu:true 5 (fun () ->
         match Case.build case with
         | exception e -> `Err (Printexc.to_string e)
         | b -> (

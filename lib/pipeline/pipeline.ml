@@ -134,9 +134,11 @@ let probe_run (p : probe) (s : L.stmt) =
 (* Interp the probe on [before] and [after]; outputs must match bitwise.
    If the *reference* run on [before] fails (construct outside the probe's
    reach), the probe can't judge the pass: Skipped.  If only the [after]
-   run fails, the pass broke the program: Mismatch. *)
+   run fails, the pass broke the program: Mismatch.  A [Limits.Timeout]
+   judges nothing and propagates, like everywhere else in the pipeline. *)
 let differential_verify p ~before ~after =
   match probe_run p before with
+  | exception (Tiramisu_support.Limits.Timeout as t) -> raise t
   | exception e ->
       if Sys.getenv_opt "TIRAMISU_DEBUG_PROBE" <> None then
         Printf.eprintf "probe reference run failed: %s\n"
@@ -144,6 +146,7 @@ let differential_verify p ~before ~after =
       Skipped
   | ref_out -> (
       match probe_run p after with
+      | exception (Tiramisu_support.Limits.Timeout as t) -> raise t
       | exception e ->
           Mismatch ("transformed program failed: " ^ Printexc.to_string e)
       | out -> (

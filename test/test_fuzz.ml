@@ -667,6 +667,39 @@ let prop_random_seeds =
           QCheck.Test.fail_reportf "seed %d: %s" seed
             (Differential.outcome_str o))
 
+(* ---------- time limits ----------
+
+   The fuzzer's guards budget CPU time, so a seed generates and judges the
+   same case on an idle and on a busy machine; and a [Timeout] that lands
+   in a pass's differential-verify probe propagates to the guard instead
+   of being judged as "probe skipped" or "pass broke the program". *)
+
+let cpu_limit_ignores_waiting () =
+  let module Lm = Tiramisu_support.Limits in
+  Alcotest.(check (option int)) "1.5 s asleep under a 1 s CPU limit" (Some 7)
+    (Lm.with_time_limit ~cpu:true 1 (fun () -> Unix.sleepf 1.5; 7));
+  let spin () =
+    let r = ref [] in
+    while true do r := [ 1 ] :: List.tl ([] :: !r) done
+  in
+  Alcotest.(check (option unit)) "a busy loop is stopped" None
+    (Lm.with_time_limit ~cpu:true 1 spin)
+
+let probe_timeout_propagates () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let module Lm = Tiramisu_support.Limits in
+  let b = Case.build corpus_widen in
+  let probe =
+    Differential.probe_of b.fn ~params:b.params
+      ~fills:(List.map (fun (n, _) -> (n, fun _ -> raise Lm.Timeout)) b.fills)
+      ~outputs:b.outputs
+  in
+  let tracer = P.make_tracer ~probe ~name:"timeout" () in
+  match P.lower ~tracer b.fn with
+  | exception Lm.Timeout -> ()
+  | exception e -> Alcotest.failf "lower raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "the probe's Timeout was swallowed"
+
 let tests =
   [
     Alcotest.test_case "replay corpus" `Quick replay_corpus;
@@ -696,6 +729,10 @@ let tests =
     Alcotest.test_case "pool rows run widen-parallel" `Quick
       pool_rows_run_widen_parallel;
     QCheck_alcotest.to_alcotest prop_random_seeds;
+    Alcotest.test_case "fuzz time limits count CPU, not waiting" `Quick
+      cpu_limit_ignores_waiting;
+    Alcotest.test_case "a Timeout in a verify probe propagates" `Quick
+      probe_timeout_propagates;
   ]
 
 let () =
