@@ -18,6 +18,7 @@ exception Unbounded of string
 type instance = {
   src : source;
   poly : Poly.t;          (* over [params; time dims] *)
+  consts : int option array; (* [Poly.constant_values poly] *)
   ctx : Poly.t;           (* constraints already enforced for this instance *)
   pending : L.cond list;
 }
@@ -116,11 +117,9 @@ let rows_on ~np ~k p =
 let merge_tags name tags =
   List.fold_left
     (fun acc t ->
-      match (acc, t) with
-      | L.Seq, t -> t
-      | t, L.Seq -> t
-      | a, b when a = b -> a
-      | _ ->
+      match L.join_tags acc t with
+      | Some t -> t
+      | None ->
           invalid_arg
             (Printf.sprintf
                "Ast_gen: conflicting hardware tags on a shared loop of %s" name))
@@ -152,9 +151,7 @@ let rec gen env level insts : L.stmt list =
         insts
   | _ ->
       let np = Array.length env.params in
-      let consts =
-        List.map (fun i -> Poly.constant_value i.poly (np + level)) insts
-      in
+      let consts = List.map (fun i -> i.consts.(np + level)) insts in
       if List.for_all Option.is_some consts then begin
         (* Static dimension: group by value, in increasing order. *)
         let tagged = List.map2 (fun i c -> (Option.get c, i)) insts consts in
@@ -165,7 +162,8 @@ let rec gen env level insts : L.stmt list =
               List.filter_map
                 (fun (c, i) ->
                   if c = v then
-                    Some { i with ctx = Poly.fix_var i.ctx (np + level) v }
+                    let fixed = Poly.fix_var (Poly.universe (Poly.dim i.ctx)) (np + level) v in
+                    Some { i with ctx = Poly.extend i.ctx fixed }
                   else None)
                 tagged
             in
@@ -215,7 +213,7 @@ let rec gen env level insts : L.stmt list =
             (fun inst proj ->
               let enforced =
                 if single then
-                  Poly.intersect inst.ctx (rows_on ~np ~k:level proj)
+                  Poly.extend inst.ctx (rows_on ~np ~k:level proj)
                 else inst.ctx
               in
               let g = Poly.gist proj ~ctx:enforced in
@@ -223,7 +221,7 @@ let rec gen env level insts : L.stmt list =
               let pending =
                 match guard with L.True -> inst.pending | c -> c :: inst.pending
               in
-              { inst with ctx = Poly.intersect inst.ctx proj; pending })
+              { inst with ctx = Poly.extend inst.ctx proj; pending })
             insts projs
         in
         let body = L.block (gen env (level + 1) insts') in
@@ -262,7 +260,8 @@ let generate ?(context = []) ~params sources =
         List.concat_map
           (fun src ->
             List.map
-              (fun poly -> { src; poly; ctx = ctx0; pending = [] })
+              (fun poly ->
+                { src; poly; consts = Poly.constant_values poly; ctx = ctx0; pending = [] })
               src.sched.Iset.polys)
           sources
       in

@@ -66,6 +66,16 @@ let tag_name = function
   | Gpu_thread a -> Printf.sprintf "GPUThread.%c for" "xyz".[a]
   | Distributed -> "distributed for"
 
+(* The tag of one generated loop that statements tagged [a] and [b] share:
+   [Seq] defers to the other tag and equal tags agree; any other pair
+   conflicts ([None]) — one loop cannot be, say, both parallel and
+   unrolled. *)
+let join_tags a b =
+  match (a, b) with
+  | Seq, t | t, Seq -> Some t
+  | a, b when a = b -> Some a
+  | _ -> None
+
 type comm_props = { async : bool }
 
 type stmt =

@@ -239,11 +239,9 @@ let memory_deps fn =
 
 let is_empty_dep d = List.for_all Poly.is_empty d.rel
 
-type violation = {
-  dep : dep;
-  level : int;
-  carried : bool;
-}
+type violation =
+  | Order of { dep : dep; level : int; carried : bool }
+  | Tag_conflict of { comps : string list; level : int; tags : Tiramisu_codegen.Loop_ir.loop_tag list }
 
 (* Materialized time description of a computation: list of (column name or
    constant) in order, using the same doubling of statics as lowering. *)
@@ -270,7 +268,9 @@ let relaxes_order = function LT.Seq | LT.Unrolled -> false | _ -> true
    the whole group shares one loop, whose tag is the join of the members'
    tags.  So a Parallel tag contributed by any fused computation applies
    to every statement under that loop — which is exactly what a
-   per-endpoint tag check would miss. *)
+   per-endpoint tag check would miss.  Tags that do not join (say
+   [Parallel] and [Unrolled]) are a [Tag_conflict], which lowering would
+   reject; the loop then keeps the first tag that is not [Seq]. *)
 let effective_tags fn =
   let comps =
     List.filter (fun (c : computation) -> c.kind = Regular && not c.inlined) fn.comps
@@ -289,6 +289,7 @@ let effective_tags fn =
   in
   let eff = Hashtbl.create 16 in
   List.iter (fun (n, _, _) -> Hashtbl.replace eff n (Array.make nt LT.Seq)) info;
+  let conflicts = ref [] in
   let rec go group level =
     if level < nt && group <> [] then
       let static (_, desc, _) =
@@ -299,21 +300,26 @@ let effective_tags fn =
         |> List.iter (fun v ->
                go (List.filter (fun m -> static m = Some v) group) (level + 1))
       else begin
+        let level_tags = List.map (fun (_, _, tags) -> tags.(level)) group in
         let t =
-          List.fold_left
-            (fun acc (_, _, tags) ->
-              if relaxes_order tags.(level) then tags.(level) else acc)
-            LT.Seq group
+          match List.fold_left (fun acc t -> Option.bind acc (LT.join_tags t)) (Some LT.Seq) level_tags with
+          | Some t -> t
+          | None ->
+              let comps = List.map (fun (n, _, _) -> n) group in
+              let tags = List.sort_uniq compare (List.filter (( <> ) LT.Seq) level_tags) in
+              conflicts := Tag_conflict { comps; level; tags } :: !conflicts;
+              List.find (( <> ) LT.Seq) level_tags
         in
         List.iter (fun (n, _, _) -> (Hashtbl.find eff n).(level) <- t) group;
         go group (level + 1)
       end
   in
   go info 0;
-  fun name level ->
-    match Hashtbl.find_opt eff name with
-    | Some arr when level < Array.length arr -> arr.(level)
-    | _ -> LT.Seq
+  ( (fun name level ->
+      match Hashtbl.find_opt eff name with
+      | Some arr when level < Array.length arr -> arr.(level)
+      | _ -> LT.Seq),
+    List.rev !conflicts )
 
 (* ---------- Level profile of one dependence ----------
 
@@ -431,24 +437,25 @@ let violations ~tags p =
     relaxes_order (tags d.src.comp_name k) || relaxes_order (tags d.dst.comp_name k)
   in
   let at k =
-    if p.gt.(k) then Some { dep = d; level = k; carried = false }
-    else if relaxed k && Lazy.force p.lt.(k) then Some { dep = d; level = k; carried = true }
+    if p.gt.(k) then Some (Order { dep = d; level = k; carried = false })
+    else if relaxed k && Lazy.force p.lt.(k) then Some (Order { dep = d; level = k; carried = true })
     else None
   in
   let t = Array.length p.gt in
   Seq.append
     (Seq.filter_map at (Seq.init t Fun.id))
-    (if p.all_eq then Seq.return { dep = d; level = t; carried = false } else Seq.empty)
+    (if p.all_eq then Seq.return (Order { dep = d; level = t; carried = false }) else Seq.empty)
 
 (* Flow dependences between computations outside any [compute_at]. *)
 let checked_deps fn =
   List.filter (fun d -> d.src.computed_at = None && d.dst.computed_at = None) (flow_deps fn)
 
 let check_legality fn =
-  let tags = effective_tags fn in
-  List.concat_map
-    (fun d -> List.of_seq (violations ~tags (profile ~params:fn.params d)))
-    (checked_deps fn)
+  let tags, conflicts = effective_tags fn in
+  conflicts
+  @ List.concat_map
+      (fun d -> List.of_seq (violations ~tags (profile ~params:fn.params d)))
+      (checked_deps fn)
 
 let compute_at_covered fn (p : computation) =
   match p.computed_at with
@@ -541,11 +548,16 @@ let pp_dep ppf d =
   Format.fprintf ppf "%s: %s -> %s (%d pieces)" (kind_str d.kind)
     d.src.comp_name d.dst.comp_name (List.length d.rel)
 
-let pp_violation ppf v =
-  if v.carried then
-    Format.fprintf ppf "%a carried by an order-relaxing (parallel/vector) loop at level %d"
-      pp_dep v.dep v.level
-  else Format.fprintf ppf "%a violated at level %d" pp_dep v.dep v.level
+let pp_violation ppf = function
+  | Order { dep; level; carried = true } ->
+      Format.fprintf ppf "%a carried by an order-relaxing (parallel/vector) loop at level %d"
+        pp_dep dep level
+  | Order { dep; level; carried = false } ->
+      Format.fprintf ppf "%a violated at level %d" pp_dep dep level
+  | Tag_conflict { comps; level; tags } ->
+      Format.fprintf ppf "conflicting hardware tags (%s) on the loop at level %d shared by %s"
+        (String.concat ", " (List.map LT.tag_name tags))
+        level (String.concat ", " comps)
 
 (* The one-call legality oracle: flow-dependence preservation under the
    current schedules plus coverage of every [compute_at] producer.  This is
@@ -598,8 +610,9 @@ let widen_parallel fn =
     List.map (fun d -> lazy (profile ~params:fn.params d)) (checked_deps fn)
   in
   let all_legal () =
-    let tags = effective_tags fn in
-    List.for_all (fun p -> Seq.is_empty (violations ~tags (Lazy.force p))) profiles
+    let tags, conflicts = effective_tags fn in
+    conflicts = []
+    && List.for_all (fun p -> Seq.is_empty (violations ~tags (Lazy.force p))) profiles
   in
   let widened = ref [] in
   let undos = ref [] in

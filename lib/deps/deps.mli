@@ -36,26 +36,41 @@ val memory_deps : Tiramisu_core.Ir.fn -> dep list
 
 val is_empty_dep : dep -> bool
 
-type violation = {
-  dep : dep;
-  level : int;  (** time dimension at which the order breaks *)
-  carried : bool;
-      (** [false]: the mapping reverses (or collapses) the order at
-          [level].  [true]: the mapping orders the dependence at [level],
-          but the generated loop there is tagged order-relaxing (parallel,
-          vectorized, gpu, distributed), so the carried dependence races. *)
-}
+type violation =
+  | Order of {
+      dep : dep;
+      level : int;  (** time dimension at which the order breaks *)
+      carried : bool;
+          (** [false]: the mapping reverses (or collapses) the order at
+              [level].  [true]: the mapping orders the dependence at
+              [level], but the generated loop there is tagged
+              order-relaxing (parallel, vectorized, gpu, distributed), so
+              the carried dependence races. *)
+    }
+  | Tag_conflict of {
+      comps : string list;  (** the computations sharing the loop *)
+      level : int;  (** time dimension of the shared loop *)
+      tags : Tiramisu_codegen.Loop_ir.loop_tag list;
+          (** their tags other than [Seq], without duplicates *)
+    }
+      (** Computations fused into one generated loop carry tags that do not
+          join ({!Tiramisu_codegen.Loop_ir.join_tags}), say [Parallel] and
+          [Unrolled]: lowering would reject the schedule. *)
 
 val effective_tags :
-  Tiramisu_core.Ir.fn -> string -> int -> Tiramisu_codegen.Loop_ir.loop_tag
+  Tiramisu_core.Ir.fn ->
+  (string -> int -> Tiramisu_codegen.Loop_ir.loop_tag) * violation list
 (** [effective_tags fn] maps a computation name and a time level to the
     hardware tag of the generated loop at that level.  Computations fused
-    into one generated loop share its tag: the join of their own tags. *)
+    into one generated loop share its tag: the join of their own tags.  The
+    list holds a [Tag_conflict] for every shared loop whose tags do not
+    join; such a loop keeps its first tag other than [Seq]. *)
 
 val check_legality : Tiramisu_core.Ir.fn -> violation list
-(** Empty list = the current schedules preserve every flow dependence, and
-    no flow dependence is carried by a loop whose hardware tag relaxes
-    execution order.  Tag legality mirrors code generation's loop sharing:
+(** Empty list = the current schedules preserve every flow dependence, no
+    flow dependence is carried by a loop whose hardware tag relaxes
+    execution order, and the tags of every shared loop join (the
+    [Tag_conflict]s of {!effective_tags} come first).  Tag legality mirrors code generation's loop sharing:
     computations fused into one generated loop share its tag, so a
     [Parallel] tag contributed by any of them is checked against the
     dependences of all of them.  Computations under [compute_at] are
@@ -69,8 +84,9 @@ val compute_at_covered : Tiramisu_core.Ir.fn -> Tiramisu_core.Ir.computation -> 
 val legal_under_schedule : Tiramisu_core.Ir.fn -> (unit, string) result
 (** The one-call schedule-legality oracle: [Ok ()] iff {!check_legality}
     reports no violation and every [compute_at] producer passes
-    {!compute_at_covered}.  [Error msg] describes every violated dependence
-    (kind, endpoints, time level).  This is the check the differential
+    {!compute_at_covered}.  [Error msg] describes every violation: each
+    violated dependence (kind, endpoints, time level) and each shared loop
+    whose tags conflict.  This is the check the differential
     fuzzer runs on each randomly generated schedule before execution.  It
     validates both the time-space mapping and the hardware tags: a
     dependence carried by a parallelized or vectorized loop is reported

@@ -88,21 +88,6 @@ let fix_var s i v =
   let np = n_params s in
   { s with polys = List.map (fun p -> Poly.fix_var p (np + i) v) s.polys }
 
-let constant_value s i =
-  let np = n_params s in
-  match s.polys with
-  | [] -> None
-  | p :: rest -> (
-      match Poly.constant_value p (np + i) with
-      | None -> None
-      | Some c ->
-          if
-            List.for_all
-              (fun q -> Poly.constant_value q (np + i) = Some c)
-              rest
-          then Some c
-          else None)
-
 let project_onto_prefix s k =
   let np = n_params s and nv = n_vars s in
   if k > nv then invalid_arg "Iset.project_onto_prefix";

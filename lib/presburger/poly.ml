@@ -136,51 +136,55 @@ let fix_var p v c =
   row.(0) <- -c;
   add_eq p row
 
-let constant_value p v =
-  (* Gauss-propagate equalities to surface single-variable rows. *)
-  match
-    let eqs = ref (normalize_eqs p.eqs) in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      (* Use any single-variable equality x_j = c to substitute everywhere. *)
+(* Gauss-propagate the normalized equalities until no single-variable row
+   [x_j = c] substitutes into another; then every variable's value is the
+   first single-variable unit row on it.  An infeasible system (a row
+   [0 = c], or a GCD that does not divide the constant) fixes nothing. *)
+let constant_values p =
+  let values = Array.make p.n None in
+  let single e =
+    let j = ref (-1) and many = ref false in
+    for i = 1 to p.n do
+      if e.(i) <> 0 then if !j < 0 then j := i - 1 else many := true
+    done;
+    if !j >= 0 && (not !many) && abs e.(!j + 1) = 1 then Some !j else None
+  in
+  (match
+     let eqs = ref (normalize_eqs p.eqs) in
+     let progress = ref true in
+     while !progress do
+       progress := false;
+       List.iter
+         (fun e ->
+           match single e with
+           | Some j ->
+               let changed = ref false in
+               eqs :=
+                 List.map
+                   (fun r ->
+                     if r != e && r.(j + 1) <> 0 then (
+                       changed := true;
+                       let r' = Omega.subst_eq ~k:j e r in
+                       r'.(j + 1) <- 0;
+                       r')
+                     else r)
+                   !eqs;
+               if !changed then progress := true
+           | None -> ())
+         !eqs;
+       eqs := normalize_eqs !eqs
+     done;
+     !eqs
+   with
+  | exception Omega.Infeasible -> ()
+  | eqs ->
       List.iter
         (fun e ->
-          let nz =
-            List.filter (fun j -> e.(j + 1) <> 0) (List.init p.n Fun.id)
-          in
-          match nz with
-          | [ j ] when abs e.(j + 1) = 1 ->
-              let changed = ref false in
-              eqs :=
-                List.map
-                  (fun r ->
-                    if r != e && r.(j + 1) <> 0 then (
-                      changed := true;
-                      let r' = Omega.subst_eq ~k:j e r in
-                      r'.(j + 1) <- 0;
-                      r')
-                    else r)
-                  !eqs;
-              if !changed then progress := true
+          match single e with
+          | Some j when values.(j) = None -> values.(j) <- Some (-e.(0) * e.(j + 1))
           | _ -> ())
-        !eqs;
-      eqs := normalize_eqs !eqs
-    done;
-    !eqs
-  with
-  | exception Omega.Infeasible -> None
-  | eqs ->
-      List.find_map
-        (fun e ->
-          let nz =
-            List.filter (fun j -> e.(j + 1) <> 0) (List.init p.n Fun.id)
-          in
-          match nz with
-          | [ j ] when j = v && abs e.(j + 1) = 1 ->
-              Some (-e.(0) * e.(j + 1))
-          | _ -> None)
-        eqs
+        eqs);
+  values
 
 let to_ineqs p = p.ineqs @ List.concat_map (fun e -> [ e; Vec.neg e ]) p.eqs
 
@@ -203,9 +207,38 @@ let subtract a b =
   in
   List.rev pieces
 
+(* [sign·r >= 0] implies [row >= 0] syntactically: the same variable
+   coefficients and a constant no larger. *)
+let dominates ~sign r row =
+  sign * r.(0) <= row.(0)
+  &&
+  let rec same i = i = Array.length row || (sign * r.(i) = row.(i) && same (i + 1)) in
+  same 1
+
+(* Does a row of [p] already give [row >= 0]?  An equality counts in both
+   signs.  Exact: [p] then implies [row >= 0], as Omega would answer. *)
+let holds p row =
+  List.exists (fun r -> dominates ~sign:1 r row) p.ineqs
+  || List.exists (fun e -> dominates ~sign:1 e row || dominates ~sign:(-1) e row) p.eqs
+
 let implies_ineq p row =
   check_row p.n row;
-  is_empty (add_ineq p (negate_ineq row))
+  holds p row || is_empty (add_ineq p (negate_ineq row))
+
+let extend ctx p =
+  if ctx.n <> p.n then invalid_arg "Poly.extend: arity mismatch";
+  let held added r = holds ctx r || holds added r in
+  let added =
+    List.fold_left
+      (fun a e -> if held a e && held a (Vec.neg e) then a else { a with eqs = e :: a.eqs })
+      (universe p.n) p.eqs
+  in
+  let added =
+    List.fold_left
+      (fun a r -> if held a r then a else { a with ineqs = r :: a.ineqs })
+      added p.ineqs
+  in
+  { ctx with eqs = ctx.eqs @ List.rev added.eqs; ineqs = ctx.ineqs @ List.rev added.ineqs }
 
 let gist p ~ctx =
   let keep_ineqs = List.filter (fun r -> not (implies_ineq ctx r)) p.ineqs in

@@ -47,19 +47,37 @@ val project_out : t -> at:int -> count:int -> t * bool
 val fix_var : t -> int -> int -> t
 (** [fix_var p v c] adds the equality [x_v = c]. *)
 
-val constant_value : t -> int -> int option
-(** [constant_value p v] is [Some c] when the (normalized, propagated)
-    equalities force [x_v = c] syntactically. *)
+val constant_values : t -> int option array
+(** [(constant_values p).(v)] is [Some c] when the normalized equalities,
+    Gauss-propagated through their single-variable rows, force [x_v = c]
+    syntactically: the first single-variable unit row on [v] gives [c].
+    One propagation answers every column.  [None] everywhere when the
+    equalities are infeasible ([0 = c], or a GCD that does not divide the
+    constant). *)
 
 val subtract : t -> t -> t list
 (** [subtract a b] is a disjoint decomposition of [a \ b] into convex
     pieces; empty pieces are filtered out. *)
 
 val implies_ineq : t -> int array -> bool
-(** [implies_ineq p row] holds when every point of [p] satisfies [row >= 0]. *)
+(** [implies_ineq p row] holds when every point of [p] satisfies [row >= 0].
+    Exact.  A syntactic screen answers first: a row of [p] with the same
+    variable coefficients as [row] and a constant no larger implies it (an
+    equality counts in both signs).  Only when no row does is the question
+    put to the Omega test, as the emptiness of [p] with [row < 0].  The
+    screen answers only "implied", and only when Omega would, so every
+    verdict is Omega's. *)
 
 val gist : t -> ctx:t -> t
-(** Drop from [p] every constraint already implied by [ctx]. *)
+(** Drop from [p] every constraint already implied by [ctx]: the rows of
+    [p] it keeps are in their order in [p].  Each implication goes through
+    {!implies_ineq}, so it is exact and screened before Omega. *)
+
+val extend : t -> t -> t
+(** [extend ctx p] is [intersect ctx p] without the rows of [p] that the
+    screen of {!implies_ineq} finds already held by [ctx] (or by a row of
+    [p] added before them): the same set, with no row re-added.  Rows of
+    [ctx] come first, in order. *)
 
 val to_ineqs : t -> int array list
 (** All constraints as inequality rows (equalities become two rows). *)

@@ -236,19 +236,25 @@ let reference_dep ~tags ~params (d : D.dep) =
   in
   if satisfiable (List.init t eq) then levels @ [ (t, false) ] else levels
 
-let violation_key (v : D.violation) =
-  (v.D.dep.D.src.Ir.comp_name, v.D.dep.D.dst.Ir.comp_name, v.D.level, v.D.carried)
+let violation_key = function
+  | D.Order { dep; level; carried } ->
+      `Order (dep.D.src.Ir.comp_name, dep.D.dst.Ir.comp_name, level, carried)
+  | D.Tag_conflict { comps; level; _ } -> `Conflict (comps, level)
 
+(* Tag conflicts come from [effective_tags] on both sides: the reference
+   re-derives only the dependence violations. *)
 let reference_check fn =
-  let tags = D.effective_tags fn in
-  List.concat_map
-    (fun (d : D.dep) ->
-      if d.D.src.Ir.computed_at <> None || d.D.dst.Ir.computed_at <> None then []
-      else
-        List.map
-          (fun (level, carried) -> (d.D.src.Ir.comp_name, d.D.dst.Ir.comp_name, level, carried))
-          (reference_dep ~tags ~params:fn.Ir.params d))
-    (D.flow_deps fn)
+  let tags, conflicts = D.effective_tags fn in
+  List.map violation_key conflicts
+  @ List.concat_map
+      (fun (d : D.dep) ->
+        if d.D.src.Ir.computed_at <> None || d.D.dst.Ir.computed_at <> None then []
+        else
+          List.map
+            (fun (level, carried) ->
+              `Order (d.D.src.Ir.comp_name, d.D.dst.Ir.comp_name, level, carried))
+            (reference_dep ~tags ~params:fn.Ir.params d))
+      (D.flow_deps fn)
 
 (* The greedy widening loop, vetted by [reference_check]; every trial also
    compares [check_legality]'s violations with the reference's.  Tags are

@@ -226,6 +226,35 @@ let corpus_nparam n =
           rc_expr = Bin (Add, In ("a0", [ (0, -2); (1, 2) ]), Const 4) } ];
     steps = [ Tile ("c0", "i", "j", 2, 2); Parallelize ("c0", "i0") ] }
 
+(* Fuzz generator seed 81793: c0_upd's parallel loop on [i] is fused with
+   c1_init, whose inner dim is unrolled and shares the loop of c0_upd's
+   [r].  The schedule as given lowers; widen-parallel used to grow c0_upd's
+   parallel band onto [r], and lowering then rejected the loop tagged both
+   parallel and unrolled.  Widening now refuses a tag that does not join
+   the other tags of the loop it lands on. *)
+let corpus_tag_join =
+  { extents = [ NParam ];
+    n_value = 1;
+    inputs = [ ("a0", 1); ("a1", 1) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 1; rc_red = Some 1;
+          rc_expr =
+            Bin (Min, Bin (Mul, In ("a1", [ (1, -1) ]), In ("a1", [ (0, -2) ])),
+                 Bin (Add, In ("a0", [ (1, 0) ]), In ("a0", [ (1, 2) ]))) };
+        { rc_name = "c1"; rc_rank = 1; rc_red = Some 4; rc_expr = Prod "c0" };
+        { rc_name = "c2"; rc_rank = 1; rc_red = None;
+          rc_expr =
+            Bin (Sub, In ("a1", [ (0, 1) ]),
+                 Bin (Add, In ("a1", [ (0, 0) ]), In ("a0", [ (0, -1) ]))) } ];
+    steps = [ Split ("c0_init", "i", 2);
+      Parallelize ("c0_upd", "i");
+      Unroll ("c1_init", "i", 3);
+      Fuse ("c1_init", "c0_init", "root") ] }
+
+(* The same conflict written by the schedule itself. *)
+let corpus_tag_conflict =
+  { corpus_tag_join with steps = corpus_tag_join.steps @ [ Parallelize ("c0_upd", "r") ] }
+
 let replay_corpus () =
   check_pass "neg floord/emod" corpus_neg_floord;
   check_pass "split of 1 iteration" corpus_split_one;
@@ -243,7 +272,9 @@ let replay_corpus () =
   check_pass "vector tape one-trip" (corpus_vector_tape_short 1);
   check_pass "vector tape sub-lane extent" (corpus_vector_tape_short 3);
   check_pass "symbolic N = 5" (corpus_nparam 5);
-  check_pass "symbolic N = 0" (corpus_nparam 0)
+  check_pass "symbolic N = 0" (corpus_nparam 0);
+  check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
+  check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
 (* The tape seeds must actually reach the tape: compile each through the
    pipeline and check the per-compile counters, with the tape-off control
@@ -655,6 +686,27 @@ let counters_per_compile () =
   Alcotest.(check int) "no pool loops under Seq" 0
     (B.Exec.static_count (compile `Seq))
 
+(* The oracle and widen-parallel see a shared loop's tags as lowering
+   joins them: a conflict is a typed violation, and the widening that
+   would create one is refused. *)
+let oracle_rejects_tag_conflict () =
+  let module D = Tiramisu_deps.Deps in
+  let conflicts fn =
+    List.filter_map
+      (function D.Tag_conflict { comps; level; tags } -> Some (comps, level, tags) | D.Order _ -> None)
+      (D.check_legality fn)
+  in
+  let b = Case.build corpus_tag_conflict in
+  Alcotest.(check (list (triple (list string) int (list string))))
+    "one conflict, on c0_upd's r"
+    [ ([ "c0_upd"; "c1_init" ], 3, [ "parallel for"; "unrolled for" ]) ]
+    (List.map (fun (c, l, t) -> (c, l, List.map L.tag_name t)) (conflicts b.fn));
+  let b = Case.build corpus_tag_join in
+  let widened, undo = D.widen_parallel b.fn in
+  Alcotest.(check bool) "c0_upd's r not widened" false (List.mem ("c0_upd", "r") widened);
+  Alcotest.(check int) "widened schedule has no conflict" 0 (List.length (conflicts b.fn));
+  undo ()
+
 (* ---------- property: random seeds all pass ---------- *)
 
 let prop_random_seeds =
@@ -711,6 +763,8 @@ let tests =
       oracle_accepts_legal_reduction;
     Alcotest.test_case "oracle rejects parallel-carried dependences" `Quick
       oracle_rejects_parallel_carried;
+    Alcotest.test_case "oracle rejects conflicting loop tags" `Quick
+      oracle_rejects_tag_conflict;
     Alcotest.test_case "floored div/mod on negative operands" `Quick
       floored_div_mod_negative;
     Alcotest.test_case "C emitter uses emod/floord helpers" `Quick c_emits_emod;

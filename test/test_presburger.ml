@@ -132,6 +132,185 @@ let prop_gist n =
           (not (Poly.mem ctx pt)) || Poly.mem p pt = Poly.mem g pt)
         (box_points n (-2) 2))
 
+(* ---------- the implication screen is exact ----------
+
+   [Poly.implies_ineq] answers "implied" without a query when the system
+   holds a row with the same coefficients and a constant no larger.  The
+   reference below is the screen-free version: every implication is an
+   Omega emptiness query.  [gist] must keep exactly the same rows, in the
+   same order, on contexts built to hit the screen's edges: rows copied
+   from [p], copies with a smaller and with a larger constant, equalities
+   in both signs, and rows that differ in one coefficient. *)
+
+let omega_implies p row =
+  let neg = Array.map (fun c -> -c) row in
+  neg.(0) <- neg.(0) - 1;
+  Poly.is_empty (Poly.add_ineq p neg)
+
+let omega_gist p ~ctx =
+  let neg r = Array.map (fun c -> -c) r in
+  let ineqs = List.filter (fun r -> not (omega_implies ctx r)) p.Poly.ineqs in
+  let eqs =
+    List.filter (fun e -> not (omega_implies ctx e && omega_implies ctx (neg e))) p.Poly.eqs
+  in
+  Poly.make (Poly.dim p) ~eqs ~ineqs
+
+(* A context row derived from a row of [p]. *)
+let derived_row r =
+  QCheck.Gen.(
+    let n = Array.length r - 1 in
+    let* kind = int_range 0 5 in
+    let* d = int_range 1 3 in
+    let* col = int_range 1 (max 1 n) in
+    let* sign = oneofl [ 1; -1 ] in
+    let r' = Array.copy r in
+    return
+      (match kind with
+      | 0 -> `Ineq r'
+      | 1 ->
+          r'.(0) <- r.(0) - d;
+          `Ineq r'
+      | 2 ->
+          r'.(0) <- r.(0) + d;
+          `Ineq r'
+      | 3 -> `Eq (Array.map (fun c -> sign * c) r')
+      | 4 ->
+          if n > 0 then r'.(col) <- r.(col) + (sign * d);
+          `Ineq r'
+      | _ ->
+          (* an equality with a shifted constant, in either sign *)
+          r'.(0) <- r.(0) + (sign * d);
+          `Eq (Array.map (fun c -> sign * c) r')))
+
+let gist_pair_gen n =
+  QCheck.Gen.(
+    let* p = poly_gen n in
+    let* base = poly_gen n in
+    let rows = p.Poly.ineqs @ p.Poly.eqs @ List.map (Array.map (fun c -> -c)) p.Poly.eqs in
+    let* derived = flatten_l (List.map derived_row rows) in
+    let* keep = list_size (return (List.length derived)) bool in
+    let picked = List.filteri (fun i _ -> List.nth keep i) derived in
+    let eqs = List.filter_map (function `Eq r -> Some r | `Ineq _ -> None) picked in
+    let ineqs = List.filter_map (function `Ineq r -> Some r | `Eq _ -> None) picked in
+    return (p, Poly.make n ~eqs:(base.Poly.eqs @ eqs) ~ineqs:(base.Poly.ineqs @ ineqs)))
+
+let arb_gist_pair n =
+  QCheck.make
+    ~print:(fun (p, ctx) -> Format.asprintf "p = %a@.ctx = %a" Poly.pp p Poly.pp ctx)
+    (gist_pair_gen n)
+
+let prop_screen_exact n =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "gist screen = Omega, rows (dim %d)" n)
+    (arb_gist_pair n)
+    (fun (p, ctx) ->
+      let g = Poly.gist p ~ctx and want = omega_gist p ~ctx in
+      let rows = Poly.to_ineqs p @ Poly.to_ineqs ctx in
+      g.Poly.eqs = want.Poly.eqs
+      && g.Poly.ineqs = want.Poly.ineqs
+      && List.for_all (fun r -> Poly.implies_ineq ctx r = omega_implies ctx r) rows)
+
+(* [extend] describes the same set as [intersect], keeps [ctx]'s rows first,
+   and adds only rows of [p]. *)
+let prop_extend n =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "extend = intersect as sets (dim %d)" n)
+    (arb_gist_pair n)
+    (fun (p, ctx) ->
+      let e = Poly.extend ctx p and i = Poly.intersect ctx p in
+      let prefix l l' = List.filteri (fun k _ -> k < List.length l) l' = l in
+      List.for_all (fun pt -> Poly.mem e pt = Poly.mem i pt) (box_points n (-2) 2)
+      && prefix ctx.Poly.eqs e.Poly.eqs
+      && prefix ctx.Poly.ineqs e.Poly.ineqs
+      && List.length e.Poly.eqs + List.length e.Poly.ineqs
+         <= List.length i.Poly.eqs + List.length i.Poly.ineqs)
+
+(* ---------- constant_values = one constant_value per column ----------
+
+   The reference is the per-column function [constant_values] replaced:
+   Gauss-propagate the equalities, then take the first single-variable
+   unit row on the column.  Systems are equality-heavy with unit
+   coefficients, and some are infeasible: [0 = 1], or a GCD that does not
+   divide the constant. *)
+
+let reference_constant_value p v =
+  let n = Poly.dim p in
+  let normalize eqs = List.filter_map Omega.normalize_eq eqs in
+  match
+    let eqs = ref (normalize p.Poly.eqs) in
+    let progress = ref true in
+    while !progress do
+      progress := false;
+      List.iter
+        (fun e ->
+          let nz = List.filter (fun j -> e.(j + 1) <> 0) (List.init n Fun.id) in
+          match nz with
+          | [ j ] when abs e.(j + 1) = 1 ->
+              let changed = ref false in
+              eqs :=
+                List.map
+                  (fun r ->
+                    if r != e && r.(j + 1) <> 0 then (
+                      changed := true;
+                      let r' = Omega.subst_eq ~k:j e r in
+                      r'.(j + 1) <- 0;
+                      r')
+                    else r)
+                  !eqs;
+              if !changed then progress := true
+          | _ -> ())
+        !eqs;
+      eqs := normalize !eqs
+    done;
+    !eqs
+  with
+  | exception Omega.Infeasible -> None
+  | eqs ->
+      List.find_map
+        (fun e ->
+          let nz = List.filter (fun j -> e.(j + 1) <> 0) (List.init n Fun.id) in
+          match nz with
+          | [ j ] when j = v && abs e.(j + 1) = 1 -> Some (-e.(0) * e.(j + 1))
+          | _ -> None)
+        eqs
+
+let constant_system_gen n =
+  QCheck.Gen.(
+    let coef = frequency [ (3, return 0); (2, oneofl [ -1; 1 ]); (1, oneofl [ -2; 2; 3 ]) ] in
+    let row = map2 (fun k cs -> Array.append [| k |] cs) (int_range (-5) 5) (array_size (return n) coef) in
+    let single =
+      map3
+        (fun v k c ->
+          let r = Array.make (n + 1) 0 in
+          r.(0) <- k;
+          r.(v + 1) <- c;
+          r)
+        (int_range 0 (n - 1)) (int_range (-5) 5) (oneofl [ -1; 1; 2 ])
+    in
+    let bad =
+      (* 0 = 1, or 2·x_v + odd = 0 *)
+      oneof
+        [ return (Array.init (n + 1) (fun i -> if i = 0 then 1 else 0));
+          map2
+            (fun v k ->
+              Array.init (n + 1) (fun i -> if i = 0 then (2 * k) + 1 else if i = v + 1 then 2 else 0))
+            (int_range 0 (n - 1)) (int_range (-3) 3) ]
+    in
+    let* eqs = list_size (int_range 0 n) (frequency [ (2, single); (3, row) ]) in
+    let* infeasible = frequency [ (4, return []); (1, map (fun r -> [ r ]) bad) ] in
+    let* at = int_range 0 (List.length eqs) in
+    let eqs = List.filteri (fun i _ -> i < at) eqs @ infeasible @ List.filteri (fun i _ -> i >= at) eqs in
+    let* ineqs = list_size (int_range 0 2) (row_gen n) in
+    return (Poly.make n ~eqs ~ineqs))
+
+let prop_constant_values n =
+  QCheck.Test.make ~count:400
+    ~name:(Printf.sprintf "constant_values exact (dim %d)" n)
+    (QCheck.make ~print:(fun p -> Format.asprintf "%a" Poly.pp p) (constant_system_gen n))
+    (fun p ->
+      Array.to_list (Poly.constant_values p)
+      = List.init n (fun v -> reference_constant_value p v))
+
 (* Systems heavy in equalities: up to [n] of them over [n] box variables,
    with coefficients in +-2..+-4 so no equality has a unit coefficient and
    the elimination must take the modular-reduction branch, plus padding
@@ -204,8 +383,15 @@ let unit_tests =
     Alcotest.test_case "constant_value" `Quick (fun () ->
         let p = Poly.make 2 ~eqs:[ [| -3; 1; 0 |]; [| -1; -1; 1 |] ] ~ineqs:[] in
         (* x = 3, y = x + 1 = 4 *)
-        Alcotest.(check (option int)) "x" (Some 3) (Poly.constant_value p 0);
-        Alcotest.(check (option int)) "y" (Some 4) (Poly.constant_value p 1));
+        let values = Poly.constant_values p in
+        Alcotest.(check (option int)) "x" (Some 3) values.(0);
+        Alcotest.(check (option int)) "y" (Some 4) values.(1);
+        (* Infeasible equalities fix nothing: 0 = 1, and 2y = 3. *)
+        let none = Alcotest.(array (option int)) in
+        Alcotest.check none "0 = 1" [| None; None |]
+          (Poly.constant_values (Poly.make 2 ~eqs:[ [| -3; 1; 0 |]; [| 1; 0; 0 |] ] ~ineqs:[]));
+        Alcotest.check none "2y = 3" [| None; None |]
+          (Poly.constant_values (Poly.make 2 ~eqs:[ [| -3; 1; 0 |]; [| -3; 0; 2 |] ] ~ineqs:[])));
     Alcotest.test_case "exact elimination via equality" `Quick (fun () ->
         (* i = 4*i0 + i1, 0<=i1<4, 0<=i<13: eliminating i is exact. *)
         let p =
@@ -384,5 +570,7 @@ let () =
             prop_card 1; prop_card 2; prop_card 3;
             prop_card_box 2;
             prop_eq_heavy 3; prop_eq_heavy 4; prop_eq_heavy 5;
+            prop_screen_exact 2; prop_screen_exact 3; prop_extend 2;
+            prop_constant_values 3; prop_constant_values 5;
           ] );
     ]
