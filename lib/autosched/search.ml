@@ -194,14 +194,16 @@ let blocking_templates menu (entries : S.entry list) =
 
 (* Stencil fusion (the cpu_blur shape): tile a consumer, parallelize the
    outer tile loop, compute the producer at the tile, vectorize the
-   intra-tile column loop.  Proposed for every ordered pair — the oracle
-   and the apply step prune pairs that are not producer/consumer. *)
-let stencil_templates menu (entries : S.entry list) =
+   intra-tile column loop.  Proposed for every pair where [consumes cons
+   prod] ({!Tiramisu_core.Lower.consumes}, the test [compute_at] itself
+   applies). *)
+let stencil_templates ~consumes menu (entries : S.entry list) =
   List.concat_map
     (fun (prod, _) ->
       List.concat_map
         (fun (cons, cref) ->
-          if prod = cons || List.length !cref < 2 then []
+          if prod = cons || List.length !cref < 2 || not (consumes cons prod)
+          then []
           else
             let i = List.nth !cref 0 and j = List.nth !cref 1 in
             List.concat_map
@@ -241,10 +243,21 @@ let tile_par_vec_templates menu (entries : S.entry list) =
           menu.S.tile_sizes)
     entries
 
-let templates menu entries =
+let templates ~consumes menu entries =
   blocking_templates menu entries
-  @ stencil_templates menu entries
+  @ stencil_templates ~consumes menu entries
   @ tile_par_vec_templates menu entries
+
+(* The producer/consumer relation of the problem's computations, by name. *)
+let consumes_of problem =
+  let fn = problem.build () in
+  let comp name =
+    List.find_opt (fun c -> c.Ir.comp_name = name) fn.Ir.comps
+  in
+  fun cons prod ->
+    match (comp cons, comp prod) with
+    | Some consumer, Some producer -> Lower.consumes ~consumer ~producer
+    | _ -> false
 
 (* ---------- measurement ---------- *)
 
@@ -399,7 +412,9 @@ let run ?(config = default_config) (problem : problem) : result =
        (* frontier: template pipelines (first round) + one-action
           expansions of every beam state *)
        let frontier =
-         (if round = 1 then templates cfg.menu base_entries else [])
+         (if round = 1 then
+            templates ~consumes:(consumes_of problem) cfg.menu base_entries
+          else [])
          @ List.concat_map
              (fun st ->
                let entries = replay_entries base_entries st.sc_actions in

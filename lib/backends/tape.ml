@@ -29,9 +29,10 @@
    through the scalar tape; each lane applies the same float operations
    in the same order as the scalar interpreter, so results stay
    bit-identical.  Programs with an accumulator or inexact store/load
-   aliasing never vectorize (the generator's analysis), and a
-   read-modify-write access with innermost step 0 falls back to scalar
-   at bind time (lanes must touch distinct addresses).
+   aliasing never vectorize (the generator's analysis), and at bind time
+   a read-modify-write access with innermost step 0, or two stores into
+   one buffer whose lanes could meet, fall back to scalar (lanes must
+   touch distinct addresses, and stores must not overtake each other).
 
    The iteration space of the [Parallel] tag prefix (levels [0..p_par-1])
    is linearized into a single fused range the caller may split across
@@ -44,7 +45,9 @@
    Entry corner checks cover the whole box at once: every access
    dimension's min and max over all levels' ranges are computed from the
    coefficient signs, so a passing check makes every executed iteration
-   in-bounds with no per-access checks inside the loop.  A failing check
+   in-bounds with no per-access checks inside the loop.  Dimensions that
+   differ only by their constant (a stencil's taps) share one check over
+   the extreme constants, which passes exactly when each of theirs would.  A failing check
    (or a zero-extent level: nothing to do) is reported to the caller, who
    falls back to the generic closure path — whose per-access checks then
    raise at exactly the faulting iteration. *)
@@ -55,12 +58,18 @@ type baccess = {
   b_data : float array;
   b_base : int array -> int;  (* env -> flat offset with all nest ivs 0 *)
   b_steps : int array;        (* flat-offset step per unit of each level *)
+  b_rest : (string * int) list * int;
+    (* the base as data: sorted non-nest flat terms and the constant *)
 }
 
-(* One access dimension's whole-box bounds check. *)
+(* One whole-box bounds check, shared by every access dimension of the
+   same extent whose index differs from the others only by its constant
+   (a stencil's taps): [c_lo]/[c_hi] are the extreme constants. *)
 type dimchk = {
   c_coeffs : int array;       (* per nest level *)
-  c_rest : int array -> int;  (* env -> non-nest part of the index *)
+  c_rest : int array -> int;  (* env -> non-nest, non-constant part *)
+  c_lo : int;
+  c_hi : int;
   c_dim : int;
 }
 
@@ -172,7 +181,10 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
   in
   let exception Unbound in
   try
-    let checks = ref [] in
+    let checks : (int * int list * (string * int) list, int * int) Hashtbl.t
+        =
+      Hashtbl.create 16
+    in
     let accs =
       Array.map
         (fun (a : T.access) ->
@@ -205,18 +217,24 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
                   end)
                 ts;
               rest_const := !rest_const + (c * stride);
-              checks :=
-                { c_coeffs = dim_coeffs;
-                  c_rest = affine_fn ~slot (!dim_rest, c);
-                  c_dim = dims.(k) }
-                :: !checks)
+              let key =
+                (dims.(k), Array.to_list dim_coeffs, List.sort compare !dim_rest)
+              in
+              Hashtbl.replace checks key
+                (match Hashtbl.find_opt checks key with
+                | Some (lo, hi) -> (min lo c, max hi c)
+                | None -> (c, c)))
             a.T.ac_idx;
           let rest =
-            Hashtbl.fold (fun v c acc -> (v, c) :: acc) rest_terms []
+            List.sort compare
+              (Hashtbl.fold
+                 (fun v c acc -> if c = 0 then acc else (v, c) :: acc)
+                 rest_terms [])
           in
           { b_data = b.Buffers.data;
             b_base = affine_fn ~slot (rest, !rest_const);
-            b_steps = steps })
+            b_steps = steps;
+            b_rest = (rest, !rest_const) })
         p.T.p_accesses
     in
     let nacc = Array.length accs in
@@ -265,12 +283,28 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
     done;
     let xd = !xd in
     let inner_steps = Array.init nacc (fun a -> xsteps.(a).(xd - 1)) in
-    (* vector tier: effective only when the program is lane-batchable and
-       every read-modify-write access has lanes on distinct addresses *)
+    (* Two stores into one buffer keep their scalar order within an
+       iteration but not across the lanes of a batch.  Equal steps and
+       non-nest terms make their offsets differ by a constant [d] at
+       every point; with inner step [s <> 0], a lane of one meets a lane
+       of the other exactly when [d = s*k], [k] the lane distance. *)
+    let no_collision (i, j) =
+      let a = accs.(i) and b = accs.(j) in
+      let s = inner_steps.(i) in
+      let d = snd a.b_rest - snd b.b_rest in
+      a.b_steps = b.b_steps
+      && fst a.b_rest = fst b.b_rest
+      && s <> 0
+      && (d mod s <> 0 || abs (d / s) = 0 || abs (d / s) >= lanes)
+    in
+    (* vector tier: effective only when the program is lane-batchable,
+       every read-modify-write access has lanes on distinct addresses and
+       no two stores into one buffer collide *)
     let lanes_eff =
       if
         lanes > 1 && p.T.p_vec_ok
         && Array.for_all (fun i -> inner_steps.(i) <> 0) p.T.p_rmw
+        && Array.for_all no_collision p.T.p_store_pairs
       then lanes
       else 0
     in
@@ -366,7 +400,15 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
         t_code = p.T.p_code;
         t_accs = accs;
         t_datas = Array.map (fun a -> a.b_data) accs;
-        t_checks = Array.of_list (List.rev !checks);
+        t_checks =
+          Array.of_list
+            (Hashtbl.fold
+               (fun (dim, coeffs, rest) (clo, chi) acc ->
+                 { c_coeffs = Array.of_list coeffs;
+                   c_rest = affine_fn ~slot (rest, 0);
+                   c_lo = clo; c_hi = chi; c_dim = dim }
+                 :: acc)
+               checks []);
         t_lo = lo;
         t_hi = hi;
         t_promos = p.T.p_promos;
@@ -493,8 +535,8 @@ let enter t env =
     let i = ref 0 in
     while !ok && !i < nchk do
       let c = t.t_checks.(!i) in
-      let mn = ref (c.c_rest env) in
-      let mx = ref !mn in
+      let r = c.c_rest env in
+      let mn = ref (r + c.c_lo) and mx = ref (r + c.c_hi) in
       for l = 0 to d - 1 do
         let a = c.c_coeffs.(l) in
         if a >= 0 then begin

@@ -174,7 +174,75 @@ let legalize ?keep_claimable s =
    opaque ([None, None]), so only genuinely integer-valued subexpressions
    ever fold. *)
 
-let narrow ~(params : (string * int) list) (s : L.stmt) : L.stmt =
+(* ---------- clamp splitting ----------
+
+   A clamped stencil reads [img[max(i-1, 0)]]: the [max] cannot fold over
+   all of [i], but it folds on [i >= 1], and the clamp's other side folds
+   near the upper edge.  When a CPU-tagged loop has such an index
+   [min]/[max] — one arm affine in the loop variable, the other free of
+   it — [narrow] cuts the loop's (constant) range at the points where the
+   term's fold changes, in iteration order (prologue, steady, epilogue
+   pieces), and narrows each piece with its own range, which is where the
+   term folds.  Inner loops split the same way inside every piece, so
+   only true border points keep their clamps, and those are usually
+   single points on which every index is constant.
+
+   The thresholds come from the interval arithmetic [norm] itself uses:
+   with the dependent arm [z = k*v + r] (r ranging over the other
+   variables' intervals) and the other arm in [wlo, whi], the arms'
+   intervals are disjoint for ranges inside [(-inf, b]] and inside
+   [[a, inf)].  When the two regions meet, one cut separates them,
+   placed to keep the piece at the nearer edge of the loop small;
+   otherwise the unfoldable middle becomes a piece of its own.
+
+   Exact by construction: consecutive pieces cover the original range
+   once, in order, and each piece is narrowed soundly.  Splitting never
+   runs under a GPU loop (device code keeps its shape) nor around
+   communication, scoped allocations or barriers, and a split is taken
+   only while the loop's rewritten statement stays within
+   [max_split_size] {!stmt_size} nodes. *)
+
+let max_split_size = 256
+
+type split = { sp_var : string; sp_cuts : int list }
+
+let rec mentions v (e : L.expr) =
+  match e with
+  | L.Var x -> x = v
+  | L.Int _ | L.Float _ -> false
+  | L.Load (_, idx) | L.Call (_, idx) -> List.exists (mentions v) idx
+  | L.Bin (_, a, b) -> mentions v a || mentions v b
+  | L.Neg a | L.Cast (_, a) -> mentions v a
+  | L.Select (_, a, b) -> mentions v a || mentions v b
+
+(* A piece keeps its loop's tag, except that a one-point piece and a
+   vector piece shorter than its width run as plain sequential loops
+   (the [simplify] pass then drops the one-point loop). *)
+let piece_tag tag p q =
+  match tag with
+  | _ when p = q -> L.Seq
+  | L.Vectorized w when q - p + 1 < w -> L.Seq
+  | t -> t
+
+let split_note (splits : split list) =
+  let counted =
+    List.fold_left
+      (fun acc sp ->
+        match List.assoc_opt sp acc with
+        | Some n -> (sp, n + 1) :: List.remove_assoc sp acc
+        | None -> (sp, 1) :: acc)
+      [] splits
+  in
+  String.concat "; "
+    (List.rev_map
+       (fun (sp, n) ->
+         Printf.sprintf "split %s at %s%s" sp.sp_var
+           (String.concat "/" (List.map string_of_int sp.sp_cuts))
+           (if n > 1 then Printf.sprintf " (x%d)" n else ""))
+       counted)
+
+let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
+    L.stmt * split list =
   let env : (string, int option * int option) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (p, v) -> Hashtbl.replace env p (Some v, Some v)) params;
   let unknown = (None, None) in
@@ -331,8 +399,152 @@ let narrow ~(params : (string * int) list) (s : L.stmt) : L.stmt =
         let a', t = norm_cond a in
         (L.Not a', Option.map not t)
   in
+  let scoped var iv f =
+    let saved = Hashtbl.find_opt env var in
+    Hashtbl.replace env var iv;
+    let r = f () in
+    (match saved with
+    | Some iv -> Hashtbl.replace env var iv
+    | None -> Hashtbl.remove env var);
+    r
+  in
+  (* Some index [min]/[max] of [s] that [norm] leaves unfolded has an
+     arm affine in [v] (the shape cuts are computed for); [s] holds only
+     loops, guards and stores (no communication, allocation or barrier).
+     A cheap screen: [env] knows [v] but no loop inside [s], and only
+     nodes with an integer-arithmetic arm on [v] are normalized. *)
+  let clamped_on v (s : L.stmt) =
+    let exception Stop in
+    let rec arith (e : L.expr) =
+      match e with
+      | L.Int _ | L.Var _ -> true
+      | L.Neg a -> arith a
+      | L.Bin ((L.Add | L.Sub | L.Mul | L.MinOp | L.MaxOp | L.FloorDiv | L.Mod), a, b)
+      | L.Select (_, a, b) ->
+          arith a && arith b
+      | _ -> false
+    in
+    let on x = mentions v x && L.affine_terms x <> None in
+    let rec index e =
+      match e with
+      | L.Bin ((L.MinOp | L.MaxOp), a, b)
+        when (arith a && mentions v a) || (arith b && mentions v b) -> (
+          match fst (norm e) with
+          | L.Bin ((L.MinOp | L.MaxOp), a, b) ->
+              on a || on b || index a || index b
+          | e' -> index e')
+      | L.Bin (_, a, b) -> index a || index b
+      | L.Neg a | L.Cast (_, a) -> index a
+      | L.Load (_, idx) | L.Call (_, idx) -> List.exists index idx
+      | L.Select (_, a, b) -> index a || index b
+      | L.Int _ | L.Float _ | L.Var _ -> false
+    and value e =
+      match e with
+      | L.Load (_, idx) -> List.exists index idx
+      | L.Bin (_, a, b) | L.Select (_, a, b) -> value a || value b
+      | L.Neg a | L.Cast (_, a) -> value a
+      | L.Call (_, args) -> List.exists value args
+      | L.Int _ | L.Float _ | L.Var _ -> false
+    in
+    let rec stmt s =
+      match s with
+      | L.Block l -> List.exists stmt l
+      | L.For f -> f.var <> v && stmt f.body
+      | L.If (_, t, e) -> stmt t || Option.fold ~none:false ~some:stmt e
+      | L.Store (_, idx, x) -> List.exists index idx || value x
+      | L.Comment _ -> false
+      | L.Alloc _ | L.Barrier | L.Send _ | L.Recv _ | L.Memcpy _ ->
+          raise Stop
+    in
+    try stmt s with Stop -> false
+  in
+  (* Cut points of [var]'s range [lo..hi] (see the section comment),
+     sorted; [env] binds [var] to the range.  The flag is false when a
+     term on [var] has an arm that is not affine (a nested clamp): it may
+     fold only inside a piece, so the pieces must be split again. *)
+  let cut_points var lo hi body =
+    let cuts = ref [] and final = ref true in
+    let add c = if c > lo && c <= hi then cuts := c :: !cuts in
+    let rest ts c =
+      List.fold_left
+        (fun acc (u, k) ->
+          match (acc, Hashtbl.find_opt env u) with
+          | Some (a, b), Some (Some x, Some y) ->
+              if k > 0 then Some (a + (k * x), b + (k * y))
+              else Some (a + (k * y), b + (k * x))
+          | _ -> None)
+        (Some (c, c)) ts
+    in
+    let side z w =
+      match L.affine_terms z with
+      | Some (ts, c) when List.mem_assoc var ts && not (mentions var w) -> (
+          let k = List.assoc var ts in
+          match (rest (List.remove_assoc var ts) c, snd (norm w)) with
+          | Some (rlo, rhi), (Some wlo, Some whi) ->
+              let fdiv = Tiramisu_support.Ints.fdiv
+              and cdiv = Tiramisu_support.Ints.cdiv in
+              let b, a =
+                if k > 0 then (fdiv (wlo - rhi) k, cdiv (whi - rlo) k)
+                else (fdiv (rlo - whi) (-k), cdiv (rhi - wlo) (-k))
+              in
+              if a <= lo || b >= hi then ()
+              else if a <= b + 1 then
+                add (if a - lo <= hi - (b + 1) then a else b + 1)
+              else begin
+                add (b + 1);
+                add a
+              end
+          | _ -> ())
+      | _ -> ()
+    in
+    let nested z = mentions var z && L.affine_terms z = None in
+    let rec index (e : L.expr) =
+      match e with
+      | L.Bin ((L.MinOp | L.MaxOp), x, y) ->
+          side x y;
+          side y x;
+          if nested x || nested y then final := false;
+          index x;
+          index y
+      | L.Bin (_, x, y) | L.Select (_, x, y) ->
+          index x;
+          index y
+      | L.Neg x | L.Cast (_, x) -> index x
+      | L.Load (_, idx) | L.Call (_, idx) -> List.iter index idx
+      | L.Int _ | L.Float _ | L.Var _ -> ()
+    in
+    let rec value (e : L.expr) =
+      match e with
+      | L.Load (_, idx) -> List.iter (fun i -> index (fst (norm i))) idx
+      | L.Bin (_, x, y) | L.Select (_, x, y) ->
+          value x;
+          value y
+      | L.Neg x | L.Cast (_, x) -> value x
+      | L.Call (_, args) -> List.iter value args
+      | L.Int _ | L.Float _ | L.Var _ -> ()
+    in
+    let rec stmt (s : L.stmt) =
+      match s with
+      | L.Block l -> List.iter stmt l
+      | L.For f when f.var <> var ->
+          let _, (flo, _) = norm f.lo and _, (_, fhi) = norm f.hi in
+          scoped f.var (flo, fhi) (fun () -> stmt f.body)
+      | L.If (_, t, e) ->
+          stmt t;
+          Option.iter stmt e
+      | L.Store (_, idx, v) ->
+          List.iter (fun i -> index (fst (norm i))) idx;
+          value v
+      | _ -> ()
+    in
+    stmt body;
+    (List.sort_uniq compare !cuts, !final)
+  in
+  let splits = ref [] in
+  let device = ref 0 in
   let rec walk (s : L.stmt) : L.stmt =
     match s with
+    | L.For { var; lo; hi; tag; body } -> loop ~split:true var lo hi tag body
     | L.Block l -> L.Block (List.map walk l)
     | L.Comment _ | L.Barrier | L.Memcpy _ -> s
     | L.Store (b, idx, v) ->
@@ -344,19 +556,6 @@ let narrow ~(params : (string * int) list) (s : L.stmt) : L.stmt =
         | Some false -> (
             match e with Some e -> walk e | None -> L.Block [])
         | None -> L.If (c', walk t, Option.map walk e))
-    | L.For { var; lo; hi; tag; body } -> (
-        let lo', (llo, _) = norm lo in
-        let hi', (_, hhi) = norm hi in
-        match (lo', hi') with
-        | L.Int a, L.Int b when b < a -> L.Block []
-        | _ ->
-            let saved = Hashtbl.find_opt env var in
-            Hashtbl.replace env var (llo, hhi);
-            let body' = walk body in
-            (match saved with
-            | Some iv -> Hashtbl.replace env var iv
-            | None -> Hashtbl.remove env var);
-            L.For { var; lo = lo'; hi = hi'; tag; body = body' })
     | L.Alloc a ->
         L.Alloc
           { a with
@@ -374,5 +573,72 @@ let narrow ~(params : (string * int) list) (s : L.stmt) : L.stmt =
             src = fst (norm r.src);
             offset = List.map (fun e -> fst (norm e)) r.offset;
             count = fst (norm r.count) }
+  (* [split]: try to split this loop at its clamps; false for a piece
+     whose cuts already separate every fold *)
+  and loop ~split var lo hi tag body =
+    let lo', (llo, _) = norm lo in
+    let hi', (_, hhi) = norm hi in
+    let plain () =
+      let gpu =
+        match tag with L.Gpu_block _ | L.Gpu_thread _ -> 1 | _ -> 0
+      in
+      device := !device + gpu;
+      let body' = scoped var (llo, hhi) (fun () -> walk body) in
+      device := !device - gpu;
+      L.For { var; lo = lo'; hi = hi'; tag; body = body' }
+    in
+    match (lo', hi', tag) with
+    | L.Int a, L.Int b, _ when b < a -> L.Block []
+    | L.Int a, L.Int b, (L.Seq | L.Parallel | L.Vectorized _ | L.Unrolled)
+      when split && a < b && !device = 0
+           && 2 * stmt_size body <= max_split_size
+           && scoped var (llo, hhi) (fun () -> clamped_on var body) -> (
+        match scoped var (llo, hhi) (fun () -> cut_points var a b body) with
+        | [], _ -> plain ()
+        | cuts, _
+          when (List.length cuts + 1) * stmt_size body > max_split_size ->
+            plain ()
+        | cuts, final ->
+            let before = !splits in
+            splits := { sp_var = var; sp_cuts = cuts } :: before;
+            let pieces =
+              List.map2
+                (fun p q ->
+                  loop ~split:(not final) var (L.Int p) (L.Int q)
+                    (piece_tag tag p q) body)
+                (a :: cuts)
+                (List.map pred cuts @ [ b ])
+            in
+            let out = L.Block pieces in
+            if stmt_size out <= max_split_size then out
+            else begin
+              splits := before;
+              plain ()
+            end)
+    | _ -> plain ()
   in
-  walk s
+  let s' = walk s in
+  (s', List.rev !splits)
+
+let narrow ~params s = fst (narrow_splits ~params s)
+
+(* ---------- one-trip loops ---------- *)
+
+(* A sequential loop over a single point is its body with the variable
+   substituted: after narrowing and splitting, such loops would otherwise
+   sit inside claimable nests as an innermost level of extent 1. *)
+let rec drop_unit_loops (s : L.stmt) : L.stmt =
+  match s with
+  | L.For ({ tag = L.Seq; _ } as f) -> (
+      let body = drop_unit_loops f.body in
+      match (L.simplify_expr f.lo, L.simplify_expr f.hi) with
+      | L.Int a, L.Int b when a = b -> subst_var f.var (L.Int a) body
+      | _ -> L.For { f with body })
+  | L.For f -> L.For { f with body = drop_unit_loops f.body }
+  | L.Block l -> L.Block (List.map drop_unit_loops l)
+  | L.If (c, t, e) ->
+      L.If (c, drop_unit_loops t, Option.map drop_unit_loops e)
+  | L.Alloc a -> L.Alloc { a with body = drop_unit_loops a.body }
+  | _ -> s
+
+let simplify s = L.simplify_stmt (drop_unit_loops (unroll_expand s))

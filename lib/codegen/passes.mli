@@ -29,4 +29,27 @@ val narrow : params:(string * int) list -> Loop_ir.stmt -> Loop_ir.stmt
     deletes provably-empty loops and always/never-taken guards.  Purely a
     strengthening of constant folding: the rewritten program computes the
     same values and fails the same bounds checks as the original.  Used by
-    the compiled backend, whose parameters are fixed at compile time. *)
+    the compiled backend, whose parameters are fixed at compile time.
+
+    A CPU-tagged loop ([Seq], [Parallel], [Vectorized], [Unrolled]) with
+    constant bounds whose body indexes through a [min]/[max] of the loop
+    variable (a clamp) is split into consecutive pieces — prologue,
+    steady, epilogue — at the points where the clamp folds, and every
+    piece is narrowed (and split) with its own range.  One-point pieces
+    and vector pieces shorter than their width become [Seq].  Never under
+    a GPU loop, and bounded by a fixed statement-size limit. *)
+
+type split = { sp_var : string; sp_cuts : int list }
+(** One loop split: the first iteration of every piece after the first. *)
+
+val narrow_splits :
+  params:(string * int) list -> Loop_ir.stmt -> Loop_ir.stmt * split list
+(** [narrow] plus the splits it made, outermost first. *)
+
+val split_note : split list -> string
+(** ["split i at 1/127; split j at 1/15 (x3)"]: repeated splits counted. *)
+
+val simplify : Loop_ir.stmt -> Loop_ir.stmt
+(** The pipeline's [simplify] pass: {!unroll_expand}; every [Seq] loop
+    whose constant range is a single point replaced by its body with the
+    variable substituted; then {!Loop_ir.simplify_stmt}. *)

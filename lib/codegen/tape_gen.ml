@@ -40,7 +40,7 @@ module L = Loop_ir
 (* Bump when instruction semantics or the program layout change: the
    pipeline compile cache mixes this into its key, so a cached artifact
    built by an older tape generator can never be served to a newer one. *)
-let version = 2
+let version = 3
 
 (* ---------- instruction set ---------- *)
 
@@ -152,12 +152,15 @@ type program = {
   p_ivuse : bool array;          (* per level: body reads the var's register *)
   p_vec_ok : bool;
     (* lane batching preserves scalar semantics: no accumulator, every
-       load from a stored buffer exactly aliases the store, and no two
-       stores target the same buffer *)
+       load from a stored buffer exactly aliases the store, and no load
+       reads a buffer that two stores write *)
   p_rmw : int array;
     (* accesses both loaded and stored (exact read-modify-write alias);
        vector execution additionally needs their innermost step nonzero
        so lanes touch distinct addresses *)
+  p_store_pairs : (int * int) array;
+    (* distinct store accesses into one buffer; vector execution
+       additionally needs each pair to never collide across lanes *)
   p_pieces : (bexpr * bexpr) array array;
     (* guarded leaf pieces, piece-major then level-major (lo, hi): the
        program's level bounds are the union box (min of lows, max of
@@ -507,7 +510,7 @@ let compile_nest (s : L.stmt) : program option =
         let acc_tbl : (string * affine list, int) Hashtbl.t =
           Hashtbl.create 8
         in
-        let acc_list = ref [] in
+        let acc_of : (int, access) Hashtbl.t = Hashtbl.create 8 in
         let acc_index bname (idx : L.expr list) : int =
           let aidx =
             List.map
@@ -523,13 +526,12 @@ let compile_nest (s : L.stmt) : program option =
           | None ->
               let i = Hashtbl.length acc_tbl in
               Hashtbl.add acc_tbl key i;
-              acc_list :=
+              Hashtbl.add acc_of i
                 { ac_buf = bname; ac_idx = Array.of_list aidx;
-                  ac_stored = List.mem bname stored_bufs }
-                :: !acc_list;
+                  ac_stored = List.mem bname stored_bufs };
               i
         in
-        let access i = List.nth (List.rev !acc_list) i in
+        let access i = Hashtbl.find acc_of i in
         let invariant_in_inner i =
           Array.for_all
             (fun (ts, _) -> not (List.mem_assoc inner_var ts))
@@ -795,7 +797,7 @@ let compile_nest (s : L.stmt) : program option =
             packed.((4 * k) + 3) <- remap b
           end
         done;
-        let accesses = Array.of_list (List.rev !acc_list) in
+        let accesses = Array.init (Hashtbl.length acc_of) access in
         (* vector-tier analysis: which iteration variables the body reads
            (operand scan, since unused fields are literal 0 and register 0
            is a real register), and whether lane batching is semantically
@@ -844,11 +846,32 @@ let compile_nest (s : L.stmt) : program option =
               || (accesses.(i).ac_stored && not (Hashtbl.mem store_set i)))
             load_set false
         in
-        let dup_store =
-          let bufs =
-            Hashtbl.fold (fun i () l -> accesses.(i).ac_buf :: l) store_set []
-          in
-          List.length bufs <> List.length (List.sort_uniq compare bufs)
+        (* several stores into one buffer: lane batching reorders them
+           across iterations, which is exact only when the buffer feeds
+           no load of the nest and the stores never collide across lanes
+           — the first is checked here, the second needs the strides and
+           is [Tape.bind]'s check over [p_store_pairs] *)
+        let store_accs =
+          List.sort compare (Hashtbl.fold (fun i () l -> i :: l) store_set [])
+        in
+        let store_pairs =
+          List.concat_map
+            (fun i ->
+              List.filter_map
+                (fun j ->
+                  if j > i && accesses.(j).ac_buf = accesses.(i).ac_buf then
+                    Some (i, j)
+                  else None)
+                store_accs)
+            store_accs
+        in
+        let shared_store_loaded =
+          List.exists
+            (fun (i, _) ->
+              Hashtbl.fold
+                (fun l () hit -> hit || accesses.(l).ac_buf = accesses.(i).ac_buf)
+                load_set false)
+            store_pairs
         in
         Some
           { p_levels = levels;
@@ -862,8 +885,10 @@ let compile_nest (s : L.stmt) : program option =
             p_accum = accum;
             p_code = packed;
             p_ivuse = ivuse;
-            p_vec_ok = accum = None && (not alias_bad) && not dup_store;
+            p_vec_ok =
+              accum = None && (not alias_bad) && not shared_store_loaded;
             p_rmw = Array.of_list rmw;
+            p_store_pairs = Array.of_list store_pairs;
             p_pieces =
               (if npieces >= 2 then Array.of_list piece_bnds else [||]) }
       with Reject -> None)

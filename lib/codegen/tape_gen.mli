@@ -116,12 +116,18 @@ type program = {
       (** per level: the body reads the variable's register *)
   p_vec_ok : bool;
       (** lane batching preserves scalar semantics: no accumulator, every
-          load from a stored buffer exactly aliases the store, no two
-          stores share a buffer *)
+          load from a stored buffer exactly aliases the store, and no
+          load reads a buffer that two stores write *)
   p_rmw : int array;
       (** accesses both loaded and stored (exact read-modify-write);
           vector execution additionally requires their innermost step be
           nonzero so lanes touch distinct addresses *)
+  p_store_pairs : (int * int) array;
+      (** pairs of distinct store accesses into one buffer; vector
+          execution additionally requires, per pair, equal per-level
+          steps and non-nest terms, a nonzero innermost step [s], and a
+          constant offset difference [d] with [d <> s*k] for every
+          [0 < |k| < lanes], so the stores never collide across lanes *)
   p_pieces : (bexpr * bexpr) array array;
       (** guarded leaf pieces, piece-major then level-major (lo, hi).
           The program's level bounds are the union box (min of lows,

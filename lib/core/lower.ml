@@ -91,6 +91,17 @@ let static_fixes ?(sub = 0) dims =
       | Dyn -> None)
     dims
 
+(* [consumer]'s accesses to [producer]: a consumer rewired by
+   cache_shared_at reads "<producer>_shared", and its accesses still
+   define the producer's footprint. *)
+let reads ~(consumer : computation) ~(producer : computation) =
+  List.filter
+    (fun (name, _) ->
+      name = producer.comp_name || name = producer.comp_name ^ "_shared")
+    (Expr.accesses (expand consumer.fn consumer.expr))
+
+let consumes ~consumer ~producer = reads ~consumer ~producer <> []
+
 (* Footprint of [consumer]'s accesses to [producer] within the loop prefix
    ending at consumer's dynamic level [lvl]: a set over
    [prefix_cols @ p_coord] (footprint coordinates are renamed producer
@@ -114,14 +125,7 @@ let footprint ~params ~context ~(consumer : computation) ~(producer : computatio
       prefix_dims
   in
   let rest_cols = List.map (fun d -> d.d_col) rest_dims in
-  let accs =
-    (* A consumer rewired by cache_shared_at reads "<producer>_shared"; its
-       accesses still define the producer's footprint. *)
-    List.filter
-      (fun (name, _) ->
-        name = producer.comp_name || name = producer.comp_name ^ "_shared")
-      (Expr.accesses (expand fn consumer.expr))
-  in
+  let accs = reads ~consumer ~producer in
   if accs = [] then
     invalid_arg
       (Printf.sprintf "compute_at: %s does not consume %s" consumer.comp_name

@@ -22,6 +22,11 @@ val expand : Ir.fn -> Expr.t -> Expr.t
 (** Substitute inlined producers into an expression (beta-reduction of
     Layer-I accesses). *)
 
+val consumes : consumer:Ir.computation -> producer:Ir.computation -> bool
+(** [consumer]'s expression (with inlined producers expanded) reads
+    [producer] or its [cache_shared_at] copy: the pairs [compute_at]
+    accepts. *)
+
 val generate_ast : Ir.fn -> Tiramisu_codegen.Loop_ir.stmt
 (** The front half of lowering: shared-cache expansion, per-computation
     descriptors, and scheduled-domain AST generation — before

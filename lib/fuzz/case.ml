@@ -30,6 +30,11 @@ type cexpr =
           Consumer dim indices cover the free dims and, for reduction
           computations, the reduction dim (index = rank).  Offsets stay in
           [-pad, pad]; input domains are padded accordingly. *)
+  | Clamped of string * (int * int) list
+      (** Clamped input access: like [In], but each index is
+          [clamp(dim + offset, 0, extent - 1)] over the consumer dim's
+          extent — the border handling of conv2D and gaussian.  The
+          generator never draws it; pinned cases use it. *)
   | Prod of string
       (** Identity access to an earlier computation (offset 0 on every dim).
           For a reduction producer this reads the final accumulator
@@ -126,7 +131,13 @@ let build ?(with_steps = true) (t : t) : built =
     t.inputs;
   (* [all_vars]: the consumer's full iterator list (free dims then the
      reduction dim, when present); [fvars]: free dims only. *)
-  let conv all_vars fvars e =
+  let free_hi d =
+    match List.nth t.extents d with
+    | Lit n -> E.int (n - 1)
+    | NParam -> E.(param "N" -: int 1)
+  in
+  (* [hi cd]: the last index of consumer dim [cd] (clamped accesses) *)
+  let conv ~hi all_vars fvars e =
     let rec go = function
       | Const n -> E.float (float_of_int n)
       | Bin (op, u, v) -> (
@@ -145,6 +156,16 @@ let build ?(with_steps = true) (t : t) : built =
                   (fun (cd, off) ->
                     let v = List.nth all_vars cd in
                     if off = 0 then x v else E.(x v +: int off))
+                  dims
+          | _ -> failwith ("fuzz case: unknown input " ^ name))
+      | Clamped (name, dims) -> (
+          match Hashtbl.find_opt producers name with
+          | Some (`Input c) ->
+              c
+              $ List.map
+                  (fun (cd, off) ->
+                    let v = List.nth all_vars cd in
+                    E.clamp E.(x v +: int off) (E.int 0) (hi cd))
                   dims
           | _ -> failwith ("fuzz case: unknown input " ^ name))
       | Prod p -> (
@@ -168,7 +189,9 @@ let build ?(with_steps = true) (t : t) : built =
       in
       match rc.rc_red with
       | None ->
-          let c = comp fn rc.rc_name fvars (conv fvars fvars rc.rc_expr) in
+          let c =
+            comp fn rc.rc_name fvars (conv ~hi:free_hi fvars fvars rc.rc_expr)
+          in
           ignore (buffer_of c);
           Hashtbl.replace producers rc.rc_name (`Plain (c, rc.rc_rank));
           outputs := rc.rc_name :: !outputs
@@ -179,7 +202,8 @@ let build ?(with_steps = true) (t : t) : built =
           let rvar = var "r" (Aff.const 0) (Aff.const kx) in
           let init = comp fn (rc.rc_name ^ "_init") fvars (E.float 0.) in
           let upd = comp fn (rc.rc_name ^ "_upd") (fvars @ [ rvar ]) (E.int 0) in
-          let term = conv (fvars @ [ rvar ]) fvars rc.rc_expr in
+          let hi d = if d = rc.rc_rank then E.int (kx - 1) else free_hi d in
+          let term = conv ~hi (fvars @ [ rvar ]) fvars rc.rc_expr in
           let prev =
             Ir.Access_e
               (rc.rc_name ^ "_upd", List.map x fvars @ [ E.(x rvar -: int 1) ])
@@ -211,12 +235,13 @@ let op_name = function
   | Min -> "Min"
   | Max -> "Max"
 
+let dims_lit l =
+  String.concat "; " (List.map (fun (d, o) -> Printf.sprintf "(%d, %d)" d o) l)
+
 let rec expr_lit = function
   | Const n -> Printf.sprintf "Const (%d)" n
-  | In (s, l) ->
-      Printf.sprintf "In (%S, [ %s ])" s
-        (String.concat "; "
-           (List.map (fun (d, o) -> Printf.sprintf "(%d, %d)" d o) l))
+  | In (s, l) -> Printf.sprintf "In (%S, [ %s ])" s (dims_lit l)
+  | Clamped (s, l) -> Printf.sprintf "Clamped (%S, [ %s ])" s (dims_lit l)
   | Prod s -> Printf.sprintf "Prod %S" s
   | Bin (op, a, b) ->
       Printf.sprintf "Bin (%s, %s, %s)" (op_name op) (expr_lit a) (expr_lit b)

@@ -7,10 +7,10 @@
 let rec prods_of = function
   | Case.Prod p -> [ p ]
   | Case.Bin (_, a, b) -> prods_of a @ prods_of b
-  | Case.Const _ | Case.In _ -> []
+  | Case.Const _ | Case.In _ | Case.Clamped _ -> []
 
 let rec inputs_of = function
-  | Case.In (n, _) -> [ n ]
+  | Case.In (n, _) | Case.Clamped (n, _) -> [ n ]
   | Case.Bin (_, a, b) -> inputs_of a @ inputs_of b
   | Case.Const _ | Case.Prod _ -> []
 

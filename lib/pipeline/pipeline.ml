@@ -260,17 +260,23 @@ let lower ?tracer ?(keep_claimable = false) (fn : Ir.fn) : Lower.t =
   { Lower.ast; fn }
 
 (** The statement-level optimization passes: interval narrowing under the
-    concrete parameter values, then unroll expansion + simplification
-    (which deletes the loops narrowing proved empty, e.g. vector epilogues
-    of exact tiles).  Both are verifiable. *)
+    concrete parameter values, which also splits loops at index clamps
+    (its note lists the splits), then unroll expansion, one-point loop
+    removal and simplification (which deletes the loops narrowing proved
+    empty, e.g. vector epilogues of exact tiles).  Both are verifiable. *)
 let prepare ?tracer ~params (s : L.stmt) =
   let context = "statement" in
+  let splits = ref [] in
   let s =
     stmt_pass ?tracer ~name:"narrow" ~context ~verifiable:true
-      (Passes.narrow ~params) s
+      ~note:(fun () -> Passes.split_note !splits)
+      (fun s ->
+        let s', sp = Passes.narrow_splits ~params s in
+        splits := sp;
+        s')
+      s
   in
-  stmt_pass ?tracer ~name:"simplify" ~context ~verifiable:true
-    (fun s -> L.simplify_stmt (Passes.unroll_expand s))
+  stmt_pass ?tracer ~name:"simplify" ~context ~verifiable:true Passes.simplify
     s
 
 (** The parallel-planning pass (see {!Tiramisu_codegen.Parallel_plan}):

@@ -360,8 +360,21 @@ let blur_tape_claim_test () =
   if Tape_gen.scan stmt = [] then
     Alcotest.fail "tape claimed nothing in the blur schedule"
 
+(* The search proposes [compute_at] only for pairs that [compute_at]
+   accepts: the consumer reads the producer (after inlining). *)
+let consumes_test () =
+  let f, _, _ = Image.blur () in
+  let comp name = Tiramisu_core.Tiramisu.find_comp f name in
+  let consumes c p =
+    Tiramisu_core.Lower.consumes ~consumer:(comp c) ~producer:(comp p)
+  in
+  Alcotest.(check bool) "by reads bx" true (consumes "by" "bx");
+  Alcotest.(check bool) "bx does not read by" false (consumes "bx" "by")
+
 let search_tests =
   [
+    Alcotest.test_case "compute_at pairs are producer/consumer" `Quick
+      consumes_test;
     QCheck_alcotest.to_alcotest prop_tile_claimed_nest;
     Alcotest.test_case "cost prior rank-correlates with measured medians"
       `Quick rank_correlation_test;

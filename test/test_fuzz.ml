@@ -226,6 +226,50 @@ let corpus_nparam n =
           rc_expr = Bin (Add, In ("a0", [ (0, -2); (1, 2) ]), Const 4) } ];
     steps = [ Tile ("c0", "i", "j", 2, 2); Parallelize ("c0", "i0") ] }
 
+(* Clamped stencils, the conv2D/gaussian border idiom: [narrow] splits
+   every clamped loop into border and steady pieces.  1-D vectorized over
+   a symbolic extent (0, 1, 2, 3 and a steady piece at 13); 2-D with the
+   outer loop parallel and the inner one unrolled, where a clamp reads
+   the transposed input; and a vectorized 2-D stencil next to a
+   reduction whose clamp runs over the unrolled reduction dim. *)
+let corpus_clamped_1d n =
+  { extents = [ NParam ];
+    n_value = n;
+    inputs = [ ("a0", 1) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 1; rc_red = None;
+          rc_expr =
+            Bin (Add, Clamped ("a0", [ (0, -1) ]),
+                 Bin (Mul, Clamped ("a0", [ (0, 2) ]), Const 2)) } ];
+    steps = [ Vectorize ("c0", "i", 4) ] }
+
+let corpus_clamped_2d ext =
+  { extents = [ Lit ext; Lit 7 ];
+    n_value = 0;
+    inputs = [ ("a0", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = None;
+          rc_expr =
+            Bin (Sub, Clamped ("a0", [ (0, -1); (1, 1) ]),
+                 Bin (Add, Clamped ("a0", [ (1, -2); (0, 1) ]),
+                      In ("a0", [ (0, 0); (1, 0) ]))) } ];
+    steps = [ Parallelize ("c0", "i"); Unroll ("c0", "j", 3) ] }
+
+let corpus_clamped_reduction =
+  { extents = [ Lit 9; NParam ];
+    n_value = 11;
+    inputs = [ ("a0", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = None;
+          rc_expr =
+            Bin (Max, Clamped ("a0", [ (0, 1); (1, -1) ]),
+                 Clamped ("a0", [ (0, -2); (1, 2) ])) };
+        { rc_name = "c1"; rc_rank = 1; rc_red = Some 3;
+          rc_expr = Bin (Mul, Clamped ("a0", [ (0, -1); (1, 1) ]), Const 3) } ];
+    steps =
+      [ Parallelize ("c0", "i"); Vectorize ("c0", "j", 4);
+        Unroll ("c1_upd", "r", 3) ] }
+
 (* Fuzz generator seed 81793: c0_upd's parallel loop on [i] is fused with
    c1_init, whose inner dim is unrolled and shares the loop of c0_upd's
    [r].  The schedule as given lowers; widen-parallel used to grow c0_upd's
@@ -273,6 +317,13 @@ let replay_corpus () =
   check_pass "vector tape sub-lane extent" (corpus_vector_tape_short 3);
   check_pass "symbolic N = 5" (corpus_nparam 5);
   check_pass "symbolic N = 0" (corpus_nparam 0);
+  List.iter
+    (fun n -> check_pass (Printf.sprintf "clamped 1-D, N = %d" n) (corpus_clamped_1d n))
+    [ 0; 1; 2; 3; 13 ];
+  List.iter
+    (fun n -> check_pass (Printf.sprintf "clamped 2-D, %d rows" n) (corpus_clamped_2d n))
+    [ 0; 1; 2; 3; 10 ];
+  check_pass "clamped stencil and reduction" corpus_clamped_reduction;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
@@ -301,6 +352,37 @@ let tape_corpus_reaches_tape () =
         (name ^ ": tape-off control compiles zero tapes")
         0 (B.Exec.tape_count off))
     [ ("stencil", corpus_tape_stencil); ("reduction", corpus_tape_reduction) ]
+
+(* The clamped seeds must reach what they pin: on the sequential row the
+   narrow pass splits a clamped loop and the tape claims a nest. *)
+let clamped_corpus_splits () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  (* a cache hit would skip the passes whose note this test reads *)
+  P.clear_cache ();
+  List.iter
+    (fun (name, case) ->
+      let b = Case.build case in
+      let row = List.hd (Differential.exec_configs case) in
+      let art, trace = Differential.run_row b row in
+      art.P.release ();
+      let note =
+        match
+          List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes
+        with
+        | Some p -> p.P.p_note
+        | None -> ""
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: narrow split a loop (%s)" name note)
+        true
+        (Astring.String.is_prefix ~affix:"split " note);
+      Alcotest.(check bool)
+        (name ^ ": tape claims a nest")
+        true
+        (B.Exec.tape_count art.P.exec >= 1))
+    [ ("1-D", corpus_clamped_1d 13);
+      ("2-D", corpus_clamped_2d 10);
+      ("stencil and reduction", corpus_clamped_reduction) ]
 
 (* The two pool-schedule seeds must keep reaching their driver under the
    forced plan: the coalesced nest runs static, seed 222's kept loop runs
@@ -719,6 +801,83 @@ let prop_random_seeds =
           QCheck.Test.fail_reportf "seed %d: %s" seed
             (Differential.outcome_str o))
 
+(* ---------- property: clamp splitting is exact ----------
+
+   Random 1-/2-D stencils over clamped input accesses, from a generator
+   local to this test (the fuzzer's own draws stay as they are).  Extents
+   run 0..20 and favour the small ones, where the steady piece of a split
+   is empty or a single point.  Each case builds through the pipeline on
+   the sequential and pool targets with the tape on and off, and every
+   output must equal, bit for bit, the interpreter's on the unscheduled
+   (unsplit) program. *)
+
+let gen_clamped_case =
+  QCheck.Gen.(
+    let ext = frequency [ (2, int_range 0 4); (1, int_range 5 20) ] in
+    let* rank = int_range 1 2 in
+    let* extents = list_repeat rank ext in
+    let access =
+      let* offs = list_repeat rank (int_range (-2) 2) in
+      let* transpose = bool in
+      let dims = List.mapi (fun d o -> (d, o)) offs in
+      return
+        (Clamped ("a0", if transpose && rank = 2 then List.rev dims else dims))
+    in
+    let* first = access in
+    let* rest = list_size (int_range 0 2) access in
+    let* ops = list_repeat (List.length rest) (oneofl [ Add; Sub; Max ]) in
+    let expr =
+      List.fold_left2 (fun e op a -> Bin (op, e, a)) first ops rest
+    in
+    let inner = if rank = 2 then "j" else "i" in
+    let* steps =
+      oneofl
+        [ [];
+          [ Parallelize ("c0", "i") ];
+          [ Vectorize ("c0", inner, 4) ];
+          [ Unroll ("c0", inner, 3) ];
+          [ Parallelize ("c0", "i"); Vectorize ("c0", inner, 8) ] ]
+    in
+    return
+      { extents = List.map (fun n -> Lit n) extents;
+        n_value = 0;
+        inputs = [ ("a0", rank) ];
+        comps =
+          [ { rc_name = "c0"; rc_rank = rank; rc_red = None; rc_expr = expr } ];
+        steps })
+
+let clamped_case_exact case =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let b0 = Case.build ~with_steps:false case in
+  let reference =
+    Differential.interp_of b0 (P.lower b0.Case.fn).Tiramisu_core.Lower.ast
+  in
+  let b = Case.build case in
+  List.for_all
+    (fun (par, tape) ->
+      let knobs =
+        { P.default_knobs with P.target = B.Target.cpu ~parallel:par (); tape }
+      in
+      let art, _ = Differential.run_row b ("clamped", knobs) in
+      let ok =
+        List.for_all
+          (fun out ->
+            let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
+            B.Buffers.bits_equal (B.Interp.buffer reference out) x
+            || QCheck.Test.fail_reportf "%s differs (%s, tape %b):\n%s" out
+                 (match par with `Seq -> "seq" | `Pool -> "pool") tape
+                 (Case.to_literal case))
+          b.Case.outputs
+      in
+      art.P.release ();
+      ok)
+    [ (`Seq, true); (`Seq, false); (`Pool, true); (`Pool, false) ]
+
+let prop_clamped_split_exact =
+  QCheck.Test.make ~count:60 ~name:"clamp splitting is bit-exact"
+    (QCheck.make ~print:Case.to_literal gen_clamped_case)
+    clamped_case_exact
+
 (* ---------- time limits ----------
 
    The fuzzer's guards budget CPU time, so a seed generates and judges the
@@ -778,11 +937,14 @@ let tests =
       tape_corpus_reaches_tape;
     Alcotest.test_case "vector corpus reaches the vector tier" `Quick
       vector_corpus_reaches_vector;
+    Alcotest.test_case "clamped corpus splits and reaches the tape" `Quick
+      clamped_corpus_splits;
     Alcotest.test_case "pool corpus reaches both pool schedules" `Quick
       pool_corpus_reaches_both_schedules;
     Alcotest.test_case "pool rows run widen-parallel" `Quick
       pool_rows_run_widen_parallel;
     QCheck_alcotest.to_alcotest prop_random_seeds;
+    QCheck_alcotest.to_alcotest prop_clamped_split_exact;
     Alcotest.test_case "fuzz time limits count CPU, not waiting" `Quick
       cpu_limit_ignores_waiting;
     Alcotest.test_case "a Timeout in a verify probe propagates" `Quick

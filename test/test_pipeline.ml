@@ -102,6 +102,29 @@ let prop_simplify_hash =
       simplified = nest
       || L.structural_hash simplified <> L.structural_hash nest)
 
+(* The simplify pass substitutes a one-point [Seq] loop away, in its
+   body and in inner bounds; other tags keep their loop. *)
+let simplify_drops_unit_loops () =
+  let body tag =
+    L.For
+      { var = "c"; lo = L.Int 2; hi = L.Int 2; tag;
+        body =
+          L.For
+            { var = "j"; lo = L.Int 0; hi = L.Var "c"; tag = L.Seq;
+              body =
+                L.Store
+                  ( "out",
+                    [ L.Var "c"; L.Var "j" ],
+                    L.Load ("a", [ L.(Bin (Add, Var "c", Int 1)); L.Var "j" ])
+                  ) } }
+  in
+  Alcotest.(check string)
+    "seq loop substituted" "for (j in 0..2)\n  out[2][j] = a[3][j]"
+    (L.to_string (Passes.simplify (body L.Seq)));
+  Alcotest.(check bool)
+    "parallel loop kept" true
+    (match Passes.simplify (body L.Parallel) with L.For _ -> true | _ -> false)
+
 (* Free names (parameters, buffers) are hashed by spelling: renaming a
    *free* variable must change the hash, unlike renaming a bound one. *)
 let free_name_sensitivity () =
@@ -427,6 +450,9 @@ let () =
             prop_simplify_hash ]
         @ [ Alcotest.test_case "free names hash by spelling" `Quick
               free_name_sensitivity ] );
+      ( "passes",
+        [ Alcotest.test_case "simplify drops one-point seq loops" `Quick
+            simplify_drops_unit_loops ] );
       ( "compile-cache",
         [
           Alcotest.test_case "hit returns bit-identical buffers" `Quick

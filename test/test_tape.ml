@@ -196,6 +196,45 @@ let fallback_parity () =
     "stores before the fault landed" 1.0
     (B.Exec.buffer c "out").B.Buffers.data.(4)
 
+(* Stencil taps share one corner check over their extreme offsets: a
+   nest whose lowest tap alone, or whose highest tap alone, leaves the
+   buffer must still fail the check and fault exactly like the
+   interpreter. *)
+let stencil_tap_fallback () =
+  List.iter
+    (fun (lo_tap, hi_tap) ->
+      let tap k =
+        L.Load ("a", [ L.(Bin (Add, Var "i", Int k)) ])
+      in
+      let stmt =
+        L.For
+          { var = "i"; lo = L.Int 0; hi = L.Int 5; tag = L.Seq;
+            body =
+              store "out" [ L.Var "i" ]
+                L.(Bin (Add, Bin (Add, tap lo_tap, tap 0), tap hi_tap)) }
+      in
+      let bufs () =
+        let a = B.Buffers.create "a" [| 6 |] in
+        B.Buffers.fill a (fun idx -> float_of_int idx.(0));
+        [ a; B.Buffers.create "out" [| 6 |] ]
+      in
+      let run f = try f (); None with Invalid_argument m -> Some m in
+      let t = B.Interp.create ~buffers:(bufs ()) () in
+      let interp_err = run (fun () -> B.Interp.run t stmt) in
+      let c =
+        B.Exec.compile
+          ~target:(B.Target.cpu ~parallel:`Seq ())
+          ~params:[] ~buffers:(bufs ()) stmt
+      in
+      let name = Printf.sprintf "taps %d/%d" lo_tap hi_tap in
+      Alcotest.(check bool) (name ^ ": interpreter raised") true
+        (interp_err <> None);
+      Alcotest.(check (option string)) (name ^ ": same error") interp_err
+        (run (fun () -> B.Exec.run c));
+      Alcotest.(check int) (name ^ ": fallback counted") 1
+        (B.Exec.tape_fallbacks c))
+    [ (-1, 0); (0, 1) ]
+
 let tape_off_control () =
   let c =
     differential ~tape:false (blur_nest ()) [ "out" ]
@@ -281,6 +320,116 @@ let accumulator_stays_scalar () =
   in
   Alcotest.(check bool) "claimed" true (B.Exec.tape_count c >= 1);
   Alcotest.(check int) "not vector-bound" 0 (B.Exec.tape_vec_count c)
+
+(* Several stores into one buffer: lanes reorder them across iterations,
+   so they batch only when the buffer feeds no load and no lane of one
+   store meets a lane of another.  [stores] are (offset, value) pairs of
+   [a[stride*i + offset]] over i in 0..36 (four batches and a remainder);
+   [b] is the input. *)
+let multi_store_nest ~stride stores =
+  let i = L.Var "i" in
+  L.For
+    { var = "i"; lo = L.Int 0; hi = L.Int 36; tag = L.Seq;
+      body =
+        L.Block
+          (List.map
+             (fun (off, v) ->
+               store "a" [ L.(Bin (Add, Bin (Mul, Int stride, i), Int off)) ] v)
+             stores) }
+
+let multi_store_run ~stride stores =
+  let shapes = [ ("a", [ (stride * 36) + 8 ]); ("b", [ 37 ]) ] in
+  differential ~shapes
+    ~fills:[ ("b", fun idx -> float_of_int ((idx.(0) * 7) mod 11) /. 3.0) ]
+    (multi_store_nest ~stride stores)
+    [ "a" ]
+
+let load_b = L.Load ("b", [ L.Var "i" ])
+
+(* offsets 0/1/2 under stride 3: the offset differences are never a
+   multiple of the step, so the stores interleave without meeting *)
+let disjoint_stores_vectorize () =
+  let c =
+    multi_store_run ~stride:3
+      [ (0, load_b);
+        (1, L.(Bin (Mul, load_b, Float 2.0)));
+        (2, L.(Bin (Add, load_b, Float 1.0))) ]
+  in
+  Alcotest.(check bool) "claimed" true (B.Exec.tape_count c >= 1);
+  Alcotest.(check int) "vector-bound" 1 (B.Exec.tape_vec_count c)
+
+(* a[2i] and a[2i+2]: d = s, so iteration i+1's first store overwrites
+   iteration i's second one — a lane batch would reverse that *)
+let colliding_stores_stay_scalar () =
+  let c =
+    multi_store_run ~stride:2
+      [ (0, load_b); (2, L.(Bin (Mul, load_b, Float 2.0))) ]
+  in
+  Alcotest.(check bool) "claimed" true (B.Exec.tape_count c >= 1);
+  Alcotest.(check int) "not vector-bound" 0 (B.Exec.tape_vec_count c)
+
+(* a[3i] = b[i]; a[3i+1] = a[3i] + 1: the stored buffer is also read
+   (through an exact alias of the first store) *)
+let loaded_store_buffer_stays_scalar () =
+  let c =
+    multi_store_run ~stride:3
+      [ (0, load_b);
+        (1, L.(Bin (Add, Load ("a", [ Bin (Mul, Int 3, Var "i") ]), Float 1.0)))
+      ]
+  in
+  Alcotest.(check bool) "claimed" true (B.Exec.tape_count c >= 1);
+  Alcotest.(check int) "not vector-bound" 0 (B.Exec.tape_vec_count c)
+
+(* The clamped image kernels under their [cpu] schedules: clamp splitting
+   leaves steady pieces the vector tape claims (conv2D's three unrolled
+   channel stores share the [conv] buffer), and every size — including
+   images too small for a steady piece — stays bit-exact against the
+   interpreter on the lowered, unsplit program. *)
+let clamped_kernels_vector_claimed () =
+  let open Tiramisu_kernels in
+  let img idx =
+    float_of_int (((idx.(0) * 13) + (idx.(1) * 7) + (idx.(2) * 3)) mod 31)
+    /. 7.0
+  in
+  let weights idx = float_of_int ((idx.(0) * 3) + idx.(1) + 1) /. 16.0 in
+  let kernels =
+    [ ( "conv2D",
+        (fun () ->
+          let f, _, _ = Image.conv2d () in
+          Schedules.cpu_conv2d f;
+          f),
+        [ ("img", img); ("weights", weights) ],
+        "conv" );
+      ( "gaussian",
+        (fun () ->
+          let f, _, _ = Image.gaussian () in
+          Schedules.cpu_gaussian f;
+          f),
+        [ ("img", img) ],
+        "gy" ) ]
+  in
+  let sizes = [ 1; 2; 3; 9; 64 ] in
+  List.iter
+    (fun (name, build, inputs, out) ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun m ->
+              let params = [ ("N", n); ("M", m) ] in
+              let interp = Runner.run ~fn:(build ()) ~params ~inputs in
+              let c = Runner.run_native ~fn:(build ()) ~params ~inputs () in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %dx%d bit-exact" name n m)
+                true
+                (bits_equal (B.Interp.buffer interp out) (B.Exec.buffer c out));
+              if n = 64 && m = 64 then
+                Alcotest.(check bool)
+                  (name ^ " 64x64: a vector nest claimed")
+                  true
+                  (B.Exec.tape_vec_count c >= 1))
+            sizes)
+        sizes)
+    kernels
 
 (* Vector and scalar tapes must produce bit-identical buffers — the
    differential the fuzzer's lanes axis runs, pinned here directly. *)
@@ -587,6 +736,8 @@ let tests =
     Alcotest.test_case "zero-trip inner extent" `Quick zero_trip;
     Alcotest.test_case "one-trip extents" `Quick one_trip;
     Alcotest.test_case "corner-check fallback parity" `Quick fallback_parity;
+    Alcotest.test_case "stencil taps fall back like the interpreter" `Quick
+      stencil_tap_fallback;
     Alcotest.test_case "tape=off control" `Quick tape_off_control;
     Alcotest.test_case "doubly-parallel nest on the pool" `Quick
       parallel_fused;
@@ -601,6 +752,14 @@ let tests =
       accumulator_stays_scalar;
     Alcotest.test_case "vector = scalar tape bitwise" `Quick
       vector_vs_scalar_identical;
+    Alcotest.test_case "disjoint stores into one buffer vectorize" `Quick
+      disjoint_stores_vectorize;
+    Alcotest.test_case "colliding stores stay scalar" `Quick
+      colliding_stores_stay_scalar;
+    Alcotest.test_case "stores into a loaded buffer stay scalar" `Quick
+      loaded_store_buffer_stays_scalar;
+    Alcotest.test_case "clamped kernels vector-claimed and bit-exact" `Quick
+      clamped_kernels_vector_claimed;
     Alcotest.test_case "blur kernel vector-claimed, no fallbacks" `Quick
       blur_kernel_claims_vector;
     Alcotest.test_case "guarded pieces claimed and bit-exact" `Quick
