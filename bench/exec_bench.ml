@@ -505,8 +505,10 @@ let smoke_gate () =
   end;
   (* The vector sub-gate compares the lane-batched tape against the
      forced-scalar tape on purely sequential timings, so it is honest on
-     a single-CPU box — no regime split.  The accumulator kernel (sgemm)
-     stays scalar by design, hence >= 2 of 3, not 3 of 3. *)
+     a single-CPU box — no regime split.  Every kernel has a vector nest
+     now: sgemm's accumulator batches its lanes along the vectorized
+     level above the reduction, not along the reduction itself.  The
+     gate still asks for >= 2 of 3, not 3 of 3. *)
   let vec_rows =
     List.map
       (fun case ->

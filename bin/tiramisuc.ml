@@ -186,7 +186,13 @@ let run_cmd =
       B.Exec.run art.P.exec;
       Printf.printf "native execution (%s) ok in %.3f ms\n"
         (B.Target.to_string target)
-        (Tiramisu_backends.Clock.now_ms () -. t0)
+        (Tiramisu_backends.Clock.now_ms () -. t0);
+      (* one line per claimed nest: how it batches lanes, or why not *)
+      if trace then
+        List.iter
+          (fun (nest, m) ->
+            Printf.printf "  lanes %s: %s\n" nest (B.Tape.mode_to_string m))
+          (B.Exec.lane_modes art.P.exec)
     end
     else begin
       let lowered = P.lower ?tracer f in

@@ -35,10 +35,10 @@ type compiled = {
   bufs : (string, Buffers.t) Hashtbl.t;
   cmeta : L.loop_meta;
   c_static : int;                (* pool loops given the static schedule *)
-  c_tape : int;                  (* nests claimed by the tape backend *)
-  c_tape_vec : int;              (* claimed nests bound with lane batching *)
   c_tape_lanes : int;            (* requested lane width (0 = scalar tape) *)
   c_tape_instr : int;            (* total tape instructions across nests *)
+  c_lane_modes : (string * Tape.lane_mode) list;
+    (* per nest claimed by the tape, in claim order: how it batches lanes *)
   c_tape_fb : int Atomic.t;      (* runtime corner-check fallbacks (shared) *)
   c_msgs : int Atomic.t;         (* messages sent at run time (shared) *)
   c_bytes : int Atomic.t;        (* payload bytes sent at run time (shared) *)
@@ -64,9 +64,9 @@ type ctx = {
   tape_enabled : bool;
   tape_lanes : int;                  (* vector lane width (<= 1: scalar) *)
   mutable in_tape : int;             (* compiling inside a claimed nest *)
-  n_tape : int Atomic.t;             (* nests claimed by the tape *)
-  n_tape_vec : int Atomic.t;         (* claimed nests bound with lanes *)
   n_tape_instr : int Atomic.t;       (* total tape instructions *)
+  mutable lane_modes : (string * Tape.lane_mode) list;
+    (* per claimed nest, newest first *)
   n_tape_fb : int Atomic.t;          (* runtime corner-check fallbacks *)
   n_msgs : int Atomic.t;             (* runtime: messages sent *)
   n_bytes : int Atomic.t;            (* runtime: payload bytes sent *)
@@ -391,8 +391,8 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
       in
       (match tape_rt with
       | Some (prog, bt) ->
-          Atomic.incr ctx.n_tape;
-          if Tape.vectorized bt then Atomic.incr ctx.n_tape_vec;
+          ctx.lane_modes <-
+            (Tape_gen.nest_name prog, Tape.mode bt) :: ctx.lane_modes;
           ignore
             (Atomic.fetch_and_add ctx.n_tape_instr (Tape_gen.instr_count prog))
       | None -> ());
@@ -701,9 +701,8 @@ let compile ?(target = Target.default) ?(tape = true) ?(lanes = 8) ~params
       tape_enabled = tape;
       tape_lanes = lanes;
       in_tape = 0;
-      n_tape = Atomic.make 0;
-      n_tape_vec = Atomic.make 0;
       n_tape_instr = Atomic.make 0;
+      lane_modes = [];
       n_tape_fb = Atomic.make 0;
       n_msgs = Atomic.make 0;
       n_bytes = Atomic.make 0;
@@ -764,10 +763,9 @@ let compile ?(target = Target.default) ?(tape = true) ?(lanes = 8) ~params
      independent. *)
   { body; regs0; bufs = ctx.cbufs; cmeta = L.analyze_loops stmt;
     c_static = Atomic.get ctx.n_static;
-    c_tape = Atomic.get ctx.n_tape;
-    c_tape_vec = Atomic.get ctx.n_tape_vec;
     c_tape_lanes = (if tape && lanes > 1 then lanes else 0);
     c_tape_instr = Atomic.get ctx.n_tape_instr;
+    c_lane_modes = List.rev ctx.lane_modes;
     (* runtime counters (tape fallbacks, comm traffic) keep accumulating
        as the compiled object runs, so the compiled value shares the
        Atomics instead of snapshotting them *)
@@ -777,10 +775,16 @@ let run c = c.body (Array.copy c.regs0)
 let spec_count _ = 0
 let pool_fallbacks _ = 0
 let static_count c = c.c_static
-let tape_count c = c.c_tape
-let tape_vec_count c = c.c_tape_vec
+let tape_count c = List.length c.c_lane_modes
+
+let tape_vec_count c =
+  List.length
+    (List.filter
+       (fun (_, m) -> match m with Tape.Scalar _ -> false | _ -> true)
+       c.c_lane_modes)
 let tape_lanes c = c.c_tape_lanes
 let tape_instrs c = c.c_tape_instr
+let lane_modes c = c.c_lane_modes
 let tape_fallbacks c = Atomic.get c.c_tape_fb
 let comm_msgs c = Atomic.get c.c_msgs
 let comm_bytes c = Atomic.get c.c_bytes

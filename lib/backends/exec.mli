@@ -102,9 +102,8 @@ val tape_count : compiled -> int
 
 val tape_vec_count : compiled -> int
 (** Number of claimed nests bound with lane batching (the vector tier):
-    the generator marked them lane-safe and the backend found a usable
-    batched level at the requested width.  Per-[compiled], like
-    {!tape_count}. *)
+    those whose {!lane_modes} entry is [Inner] or [Outer].  Per-[compiled],
+    like {!tape_count}. *)
 
 val tape_lanes : compiled -> int
 (** The lane width this program was compiled with ([0] when the tape was
@@ -112,6 +111,12 @@ val tape_lanes : compiled -> int
 
 val tape_instrs : compiled -> int
 (** Total tape instructions across all claimed nests.  Per-[compiled]. *)
+
+val lane_modes : compiled -> (string * Tape.lane_mode) list
+(** Per claimed nest, in claim order: the nest's name (its level
+    variables joined by ['.'], as in the pass trace) and the lane
+    decision {!Tape.bind} took for it — [Inner], [Outer] or [Scalar]
+    with the reason.  Per-[compiled], like {!tape_count}. *)
 
 val tape_fallbacks : compiled -> int
 (** Number of nest {e entries} whose whole-box corner check failed at run

@@ -28,11 +28,26 @@
    [len / lanes] batches through the vector tape and the remainder
    through the scalar tape; each lane applies the same float operations
    in the same order as the scalar interpreter, so results stay
-   bit-identical.  Programs with an accumulator or inexact store/load
-   aliasing never vectorize (the generator's analysis), and at bind time
-   a read-modify-write access with innermost step 0, or two stores into
-   one buffer whose lanes could meet, fall back to scalar (lanes must
-   touch distinct addresses, and stores must not overtake each other).
+   bit-identical.  Programs with inexact store/load aliasing never batch
+   (the generator's analysis), and at bind time a read-modify-write
+   access with innermost step 0, or two stores into one buffer whose
+   lanes could meet, fall back to scalar (lanes must touch distinct
+   addresses, and stores must not overtake each other).
+
+   An accumulator never batches along its innermost (reduction) level:
+   that would reassociate the sum.  It batches along the level above
+   instead ([Outer]), when the schedule tagged that level [Vectorized]
+   (sgemm's [j1_v] above [k1]) — register blocking.  That level is
+   merged with its linearizable parents into one lane run; each batch of
+   [w] positions loads the accumulator into a lane register, runs the
+   whole innermost loop through the vector tape (loads specialized by
+   their step along the lane level: broadcast, unit or strided), and
+   stores it once.  Lane [j] computes position [j]'s sum in the scalar
+   order, and the accumulator is the only stored access and moves along
+   the lane level, so lanes never share an address: the batch is exact.
+   Positions past the last full batch run as one narrower batch (a
+   single leftover position runs scalar).  Every binding records
+   its decision as a {!lane_mode}, with a typed reason when scalar.
 
    The iteration space of the [Parallel] tag prefix (levels [0..p_par-1])
    is linearized into a single fused range the caller may split across
@@ -73,9 +88,39 @@ type dimchk = {
   c_dim : int;
 }
 
+type scalar_reason =
+  | Lanes_off
+  | Not_lane_safe
+  | Rmw_step_zero
+  | Store_collision
+  | Accum_no_lane_level
+  | Accum_reads_lane_var
+  | Accum_step_zero
+
+type lane_mode =
+  | Inner of int
+  | Outer of { level : string; width : int }
+  | Scalar of scalar_reason
+
+let reason_to_string = function
+  | Lanes_off -> "lanes off"
+  | Not_lane_safe -> "not lane-safe"
+  | Rmw_step_zero -> "read-modify-write step 0"
+  | Store_collision -> "store collision"
+  | Accum_no_lane_level -> "accumulator without a vectorized level above it"
+  | Accum_reads_lane_var -> "accumulator body reads a lane variable"
+  | Accum_step_zero -> "accumulator step 0 along the lane level"
+
+let mode_to_string = function
+  | Inner w -> Printf.sprintf "inner x%d" w
+  | Outer { level; width } -> Printf.sprintf "outer %s x%d" level width
+  | Scalar r -> "scalar (" ^ reason_to_string r ^ ")"
+
 type t = {
   t_d : int;                   (* nest depth (original view) *)
-  t_split : int;               (* fused split depth: max 1 p_par *)
+  t_split : int;
+    (* fused split depth: max 1 p_par, or p_par itself when lanes run
+       along an outer level (that level may be level 0) *)
   t_nregs : int;
   t_lits : (int * float) array;
   t_hoists : (int * int) array;     (* (reg, env slot) *)
@@ -98,13 +143,18 @@ type t = {
     (* guarded-piece bounds, piece-major then level-major; [||] when the
        program's leaf was unguarded (no per-entry coverage check) *)
   (* --- vector tier --- *)
+  t_mode : lane_mode;
   t_lanes : int;                    (* 0 = scalar execution *)
   t_vcode : int array;              (* derived vector tape ([||] if scalar) *)
+  t_vpro : int array;
+    (* [Outer]: per-batch vector loads of the promoted registers and the
+       accumulator, before the innermost loop *)
+  t_vepi : int array;               (* [Outer]: the accumulator's store *)
   t_vlivein : int array;
     (* registers the vector tape reads before writing (minus the batched
        iteration variable): the only ones whose scalar value must be
-       broadcast into lanes at segment entry *)
-  t_winc : int array;               (* per access, lanes * inner step *)
+       broadcast into lanes at segment (or lane-run) entry *)
+  t_winc : int array;               (* per access, lanes * batched step *)
   t_iv_vec : bool;                  (* body reads the batched level's var *)
 }
 
@@ -114,6 +164,7 @@ type state = {
   cur : int array;     (* flat cursor per access *)
   abase : int array;   (* per-range base per access *)
   ivs : int array;     (* integer odometer per exec level *)
+  lbase : int array;   (* [Outer]: per access, cursor at the batch start *)
   los : int array;
   exts : int array;
   fstr : int array;    (* fused-space stride per split level *)
@@ -238,24 +289,55 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
         p.T.p_accesses
     in
     let nacc = Array.length accs in
-    let split = max 1 p.T.p_par in
     let lo = Array.map (fun l -> bexpr_fn ~slot l.T.lv_lo) p.T.p_levels in
     let hi = Array.map (fun l -> bexpr_fn ~slot l.T.lv_hi) p.T.p_levels in
-    (* execution view: greedily fold the innermost level into its parent
-       while the fold is a pure linearization.  Conditions: the inner
-       level has constant bounds [0..e-1]; the pair is outside the fused
-       split space; no accumulator; the body reads neither variable's
-       register; every access steps through the pair as one flat run
-       (outer step = e * inner step, which also keeps promoted loads
-       segment-invariant). *)
+    (* An accumulator nest batches lanes along the level above its
+       innermost one, or not at all.  The generator names that level
+       ([outer_lane_level]: tagged [Vectorized], outside the parallel
+       prefix); batching along it is exact when the body reads neither
+       lane variable and the accumulator's address moves along it, so
+       every lane owns one address (the generator already made the
+       accumulator the only stored access, aliased by every load of its
+       buffer). *)
+    let outer =
+      match p.T.p_accum with
+      | None -> Ok None
+      | Some (_, ai, _) -> (
+          if lanes <= 1 then Error Lanes_off
+          else
+            match T.outer_lane_level p with
+            | None -> Error Accum_no_lane_level
+            | Some l ->
+                if p.T.p_ivuse.(l) || p.T.p_ivuse.(d - 1) then
+                  Error Accum_reads_lane_var
+                else if accs.(ai).b_steps.(l) = 0 then Error Accum_step_zero
+                else Ok (Some l))
+    in
+    let split =
+      match outer with Ok (Some _) -> p.T.p_par | _ -> max 1 p.T.p_par
+    in
+    (* execution view: greedily fold a level into its parent while the
+       fold is a pure linearization.  Conditions: the child level has
+       constant bounds [0..e-1]; the pair is outside the fused split
+       space; the body reads neither variable's register; every access
+       steps through the pair as one flat run (outer step = e * inner
+       step, which also keeps promoted loads segment-invariant).  The
+       child is the innermost level, or — for an accumulator batched
+       along an outer level — that lane level, so sgemm's [j1 x j1_v]
+       becomes one lane run; an accumulator otherwise folds nothing. *)
     let xd = ref d in
     let xlo = Array.copy lo and xhi = Array.copy hi in
     let xiv = Array.copy p.T.p_ivregs in
     let xsteps = Array.map (fun a -> Array.copy a.b_steps) accs in
-    let inner_c = ref (const_bounds p.T.p_levels.(d - 1)) in
-    let stop = ref (p.T.p_accum <> None || p.T.p_ivuse.(d - 1)) in
-    while (not !stop) && !xd >= 2 do
-      let li = !xd - 2 in
+    let child, stop =
+      match outer with
+      | Ok (Some l) -> (l, false)
+      | _ -> (d - 1, p.T.p_accum <> None || p.T.p_ivuse.(d - 1))
+    in
+    let child = ref child and stop = ref stop in
+    let inner_c = ref (const_bounds p.T.p_levels.(!child)) in
+    while (not !stop) && !child >= 1 do
+      let li = !child - 1 in
       match !inner_c with
       | Some (0, hi_i)
         when hi_i >= 0 && li >= split && not p.T.p_ivuse.(li) ->
@@ -272,10 +354,21 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
               xsteps.(a).(li) <- xsteps.(a).(li + 1)
             done;
             xiv.(li) <- xiv.(li + 1);
+            (* close the gap the child leaves (non-empty only when the
+               child is an outer lane level) *)
+            for m = li + 1 to !xd - 2 do
+              xlo.(m) <- xlo.(m + 1);
+              xhi.(m) <- xhi.(m + 1);
+              xiv.(m) <- xiv.(m + 1);
+              for a = 0 to nacc - 1 do
+                xsteps.(a).(m) <- xsteps.(a).(m + 1)
+              done
+            done;
             inner_c :=
               (match const_bounds p.T.p_levels.(li) with
               | Some (clo, chi) -> Some (clo * e, (chi * e) + e - 1)
               | None -> None);
+            child := li;
             decr xd
           end
           else stop := true
@@ -297,44 +390,69 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
       && s <> 0
       && (d mod s <> 0 || abs (d / s) = 0 || abs (d / s) >= lanes)
     in
-    (* vector tier: effective only when the program is lane-batchable,
-       every read-modify-write access has lanes on distinct addresses and
-       no two stores into one buffer collide *)
+    (* the lane decision: along the outer level proven above, along the
+       innermost level when the program is lane-batchable, every
+       read-modify-write access has lanes on distinct addresses and no
+       two stores into one buffer collide — otherwise scalar, and why *)
+    let mode =
+      match outer with
+      | Ok (Some l) ->
+          Outer { level = p.T.p_levels.(l).T.lv_var; width = lanes }
+      | Error r -> Scalar r
+      | Ok None ->
+          if lanes <= 1 then Scalar Lanes_off
+          else if Array.exists (fun i -> inner_steps.(i) = 0) p.T.p_rmw then
+            Scalar Rmw_step_zero
+          else if not p.T.p_vec_ok then Scalar Not_lane_safe
+          else if not (Array.for_all no_collision p.T.p_store_pairs) then
+            Scalar Store_collision
+          else Inner lanes
+    in
     let lanes_eff =
-      if
-        lanes > 1 && p.T.p_vec_ok
-        && Array.for_all (fun i -> inner_steps.(i) <> 0) p.T.p_rmw
-        && Array.for_all no_collision p.T.p_store_pairs
-      then lanes
-      else 0
+      match mode with Inner w | Outer { width = w; _ } -> w | Scalar _ -> 0
+    in
+    (* the batched level: its steps specialize the vector memory ops *)
+    let bsteps =
+      match mode with
+      | Outer _ -> Array.init nacc (fun a -> xsteps.(a).(xd - 2))
+      | Inner _ | Scalar _ -> inner_steps
+    in
+    let vload dst a =
+      let s = bsteps.(a) in
+      if s = 0 then [| T.op_vload_bcast; dst; a; 0 |]
+      else if s = 1 then [| T.op_vload_unit; dst; a; 0 |]
+      else [| T.op_vload_strided; dst; a; s |]
+    in
+    let vstore a src =
+      let s = bsteps.(a) in
+      if s = 1 then [| T.op_vstore_unit; 0; a; src |]
+      else [| T.op_vstore_strided; s; a; src |]
     in
     let vcode =
       if lanes_eff = 0 then [||]
       else begin
+        (* an accumulator program has no store in its body: every store
+           folded into the accumulator register *)
         let c = Array.copy p.T.p_code in
         let n = Array.length c / 4 in
         for k = 0 to n - 1 do
           let op = c.(4 * k) and a = c.((4 * k) + 2) in
-          if op = T.op_load then begin
-            let s = inner_steps.(a) in
-            if s = 0 then c.(4 * k) <- T.op_vload_bcast
-            else if s = 1 then c.(4 * k) <- T.op_vload_unit
-            else begin
-              c.(4 * k) <- T.op_vload_strided;
-              c.((4 * k) + 3) <- s
-            end
-          end
-          else if op = T.op_store then begin
-            let s = inner_steps.(a) in
-            if s = 1 then c.(4 * k) <- T.op_vstore_unit
-            else begin
-              c.(4 * k) <- T.op_vstore_strided;
-              c.((4 * k) + 1) <- s
-            end
-          end
+          if op = T.op_load then
+            Array.blit (vload c.((4 * k) + 1) a) 0 c (4 * k) 4
+          else if op = T.op_store then
+            Array.blit (vstore a c.((4 * k) + 3)) 0 c (4 * k) 4
         done;
         c
       end
+    in
+    let vpro, vepi =
+      match (mode, p.T.p_accum) with
+      | Outer _, Some (r, a, init) ->
+          ( Array.concat
+              (List.map (fun (r, a) -> vload r a) (Array.to_list p.T.p_promos)
+              @ if init then [ vload r a ] else []),
+            vstore a r )
+      | _ -> ([||], [||])
     in
     let vlivein =
       if lanes_eff = 0 then [||]
@@ -343,20 +461,22 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
            before any write needs its scalar value broadcast at segment
            entry; one written first (vector loads, ALU results) does not.
            The batched level's variable is excluded — when the body reads
-           it, the batch loop fills its lanes itself. *)
-        let ivd = xiv.(xd - 1) in
+           it, the batch loop fills its lanes itself (an outer lane run
+           has a body that reads no lane variable). *)
+        let ivd = match mode with Inner _ -> xiv.(xd - 1) | _ -> -1 in
         let nregs = p.T.p_nregs in
         let written = Array.make nregs false in
         let livein = Array.make nregs false in
         let read r =
           if r <> ivd && not written.(r) then livein.(r) <- true
         in
-        let n = Array.length vcode / 4 in
+        let code = Array.append vpro vcode in
+        let n = Array.length code / 4 in
         for k = 0 to n - 1 do
-          let op = vcode.(4 * k) in
-          let dst = vcode.((4 * k) + 1)
-          and a = vcode.((4 * k) + 2)
-          and b = vcode.((4 * k) + 3) in
+          let op = code.(4 * k) in
+          let dst = code.((4 * k) + 1)
+          and a = code.((4 * k) + 2)
+          and b = code.((4 * k) + 3) in
           if
             op = T.op_vload_unit || op = T.op_vload_strided
             || op = T.op_vload_bcast
@@ -423,15 +543,20 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
             (Array.map (fun (plo, phi) ->
                  (bexpr_fn ~slot plo, bexpr_fn ~slot phi)))
             p.T.p_pieces;
+        t_mode = mode;
         t_lanes = lanes_eff;
         t_vcode = vcode;
+        t_vpro = vpro;
+        t_vepi = vepi;
         t_vlivein = vlivein;
-        t_winc = Array.map (fun s -> lanes_eff * s) inner_steps;
-        t_iv_vec = xd = d && p.T.p_ivuse.(d - 1) }
+        t_winc = Array.map (fun s -> lanes_eff * s) bsteps;
+        t_iv_vec =
+          (match mode with
+          | Inner _ -> xd = d && p.T.p_ivuse.(d - 1)
+          | Outer _ | Scalar _ -> false) }
   with Unbound -> None
 
-let vectorized t = t.t_lanes > 1
-let lanes t = t.t_lanes
+let mode t = t.t_mode
 
 let new_state t =
   let st =
@@ -443,6 +568,7 @@ let new_state t =
       cur = Array.make (Array.length t.t_accs) 0;
       abase = Array.make (Array.length t.t_accs) 0;
       ivs = Array.make t.t_d 0;
+      lbase = Array.make (Array.length t.t_accs) 0;
       los = Array.make t.t_d 0;
       exts = Array.make t.t_d 0;
       fstr = Array.make t.t_split 1 }
@@ -819,7 +945,7 @@ let run_segment t st len =
   let inner = t.t_inner_steps in
   let ivd = t.t_xivregs.(xd - 1) in
   let cur = st.cur and regs = st.regs in
-  let w = t.t_lanes in
+  let w = match t.t_mode with Inner w -> w | Outer _ | Scalar _ -> 0 in
   let rest =
     if w > 1 && len >= w then begin
       (* lane batches through the vector tape; the scalar register file
@@ -864,6 +990,72 @@ let run_segment t st len =
   | Some (r, a, _) -> datas.(a).(st.cur.(a)) <- st.regs.(r)
   | None -> ()
 
+(* One lane run of an [Outer] binding: the odometer [st.ivs] is in
+   position above the lane level [xl] (exec level [t_xd - 2]).  Each batch
+   takes [w] consecutive lane positions, vector-loads the promoted
+   registers and the accumulator, runs the whole innermost loop through
+   the vector tape with inner-step cursor bumps, and stores the
+   accumulator once.  Every lane performs its position's float operations
+   in the scalar order, and lanes own distinct accumulator addresses, so
+   the interleaving is exact.  Positions left over after the last full
+   batch run as one narrower batch, or as a scalar segment when only one
+   is left. *)
+let run_lanes t st =
+  let xl = t.t_xd - 2 in
+  let kx = xl + 1 in
+  let w = t.t_lanes in
+  let n = st.exts.(xl) and lo = st.los.(xl) in
+  let rest = n mod w in
+  if n >= 2 then begin
+    let nacc = Array.length t.t_accs in
+    let datas = t.t_datas in
+    let regs = st.regs and vr = st.vregs and cur = st.cur in
+    let lbase = st.lbase in
+    (* outer iteration variables feed the live-in broadcast *)
+    for l = 0 to xl - 1 do
+      regs.(t.t_xivregs.(l)) <- float_of_int st.ivs.(l)
+    done;
+    let lv = t.t_vlivein in
+    for q = 0 to Array.length lv - 1 do
+      let r = lv.(q) in
+      Array.fill vr.(r) 0 w regs.(r)
+    done;
+    st.ivs.(xl) <- lo;
+    for a = 0 to nacc - 1 do
+      let steps = t.t_xsteps.(a) in
+      let c = ref st.abase.(a) in
+      for l = 0 to kx do
+        c := !c + (steps.(l) * st.ivs.(l))
+      done;
+      lbase.(a) <- !c
+    done;
+    let vcode = t.t_vcode and vpro = t.t_vpro and vepi = t.t_vepi in
+    let inner = t.t_inner_steps and winc = t.t_winc in
+    let ext = st.exts.(kx) in
+    let batch bw =
+      Array.blit lbase 0 cur 0 nacc;
+      exec_code_vec vpro st datas bw;
+      for _ = 1 to ext do
+        exec_code_vec vcode st datas bw;
+        for a = 0 to nacc - 1 do
+          cur.(a) <- cur.(a) + inner.(a)
+        done
+      done;
+      exec_code_vec vepi st datas bw
+    in
+    for _ = 1 to n / w do
+      batch w;
+      for a = 0 to nacc - 1 do
+        lbase.(a) <- lbase.(a) + winc.(a)
+      done
+    done;
+    if rest >= 2 then batch rest
+  end;
+  if rest = 1 then begin
+    st.ivs.(xl) <- lo + n - 1;
+    run_segment t st st.exts.(kx)
+  end
+
 (* [run_range t st env f_lo f_hi] executes the fused-range slice
    [f_lo..f_hi] (inclusive) of the split space on [st].  The caller
    guarantees [enter] returned a total > f_hi.  Iteration runs over the
@@ -875,8 +1067,9 @@ let run_range t st env f_lo f_hi =
       st.los.(l) <- t.t_xlo.(l) env;
       st.exts.(l) <- t.t_xhi.(l) env - st.los.(l) + 1
     done;
-    (* fused-space strides over the split levels *)
-    st.fstr.(p - 1) <- 1;
+    (* fused-space strides over the split levels (none when an outer
+       lane binding has no parallel prefix: one fused point) *)
+    if p > 0 then st.fstr.(p - 1) <- 1;
     for l = p - 2 downto 0 do
       st.fstr.(l) <- st.fstr.(l + 1) * st.exts.(l + 1)
     done;
@@ -916,12 +1109,14 @@ let run_range t st env f_lo f_hi =
           for l = p to d - 1 do
             st.ivs.(l) <- st.los.(l)
           done;
-          (* odometer over the middle levels; the innermost level is one
-             whole segment per middle position *)
+          (* odometer over the middle levels; per middle position the
+             innermost level is one whole segment, or (outer lanes) the
+             lane level and the innermost are one lane run *)
+          let outer = match t.t_mode with Outer _ -> true | _ -> false in
           let running = ref true in
           while !running do
-            run_segment t st st.exts.(d - 1);
-            let l = ref (d - 2) in
+            if outer then run_lanes t st else run_segment t st st.exts.(d - 1);
+            let l = ref (if outer then d - 3 else d - 2) in
             let carry = ref true in
             while !carry && !l >= p do
               st.ivs.(!l) <- st.ivs.(!l) + 1;

@@ -19,16 +19,54 @@ type t
     reuse freely across ranges of the same bound program. *)
 type state
 
+(** Why a bound nest runs on the scalar tape. *)
+type scalar_reason =
+  | Lanes_off  (** the caller asked for [lanes <= 1] *)
+  | Not_lane_safe
+      (** the generator found inexact store/load aliasing ([p_vec_ok]) *)
+  | Rmw_step_zero
+      (** a read-modify-write access has innermost step 0: every lane
+          would share its address *)
+  | Store_collision  (** two stores into one buffer could meet across lanes *)
+  | Accum_no_lane_level
+      (** an accumulator whose level above the innermost is not a
+          [Vectorized] level outside the parallel prefix *)
+  | Accum_reads_lane_var
+      (** an accumulator body reads the lane level's or the innermost
+          level's variable *)
+  | Accum_step_zero
+      (** the accumulator's address does not move along the lane level,
+          so every lane would sum into one address *)
+
+(** How a bound nest batches lanes: along its innermost level, along the
+    level above an accumulator's innermost (reduction) level — [level]
+    names the original loop variable; the run may be merged with parents
+    that linearize with it — or not at all. *)
+type lane_mode =
+  | Inner of int
+  | Outer of { level : string; width : int }
+  | Scalar of scalar_reason
+
+(** ["inner x8"], ["outer j1_v x8"], ["scalar (lanes off)"]. *)
+val mode_to_string : lane_mode -> string
+
 (** [bind ~buf ~slot p] resolves buffer names and free names; [None]
     when a buffer is unknown or its rank does not match an access.
 
-    [~lanes] > 1 requests lane-batched (vector) execution: segments run
-    [len / lanes] batches through a vector tape derived from the scalar
-    code (unit-stride loads/stores as blits) and the remainder through
-    the scalar tape, bit-identically to scalar execution.  The request
-    takes effect only when the generator marked the program lane-safe
-    ([p_vec_ok]) and every read-modify-write access has a nonzero
-    innermost step; otherwise the binding silently stays scalar. *)
+    [~lanes] > 1 requests lane-batched (vector) execution.  For a
+    lane-safe program ([p_vec_ok]) whose read-modify-write accesses all
+    have a nonzero innermost step and whose stores never collide across
+    lanes, segments run [len / lanes] batches through a vector tape
+    derived from the scalar code (unit-stride loads/stores as blits) and
+    the remainder through the scalar tape ([Inner]).  An accumulator
+    program with a {!Tiramisu_codegen.Tape_gen.outer_lane_level} whose
+    body reads neither lane variable and whose accumulator moves along
+    that level batches [lanes] positions of it instead: each batch runs
+    the whole innermost loop with the accumulator in a lane register,
+    loaded once before and stored once after ([Outer]); leftover
+    positions run as one narrower batch (a single one runs scalar).  Either way every lane performs the scalar
+    tape's float operations in its order, so results are bit-identical.
+    Anything else stays scalar, with the reason in {!mode}. *)
 val bind :
   ?lanes:int ->
   buf:(string -> Buffers.t option) ->
@@ -36,11 +74,8 @@ val bind :
   Tiramisu_codegen.Tape_gen.program ->
   t option
 
-(** Whether this binding executes lane batches (vector tier engaged). *)
-val vectorized : t -> bool
-
-(** The effective lane width (0 when scalar). *)
-val lanes : t -> int
+(** The lane decision [bind] took, with its reason when scalar. *)
+val mode : t -> lane_mode
 
 val new_state : t -> state
 

@@ -22,10 +22,12 @@
    - loads/stores address memory through per-access cursors the executor
      strength-reduces (base + per-level steps); loads invariant in the
      innermost variable from unwritten buffers are promoted to registers,
-     and a single store invariant in the innermost variable whose
-     same-buffer loads all alias it becomes a register accumulator
-     (disallowed when the innermost level is part of the parallel prefix,
-     where a worker boundary could split the accumulation);
+     and stores that all write one access invariant in the innermost
+     variable, whose same-buffer loads all alias it, become a register
+     accumulator (disallowed when the innermost level is part of the
+     parallel prefix, where a worker boundary could split the
+     accumulation) — an unrolled reduction's stores fold into it one
+     after another;
    - [Add (x, Mul (a, b))] folds to an [Fma] instruction, defined with two
      roundings (multiply then add) so results stay bit-identical to the
      interpreter — it is a dispatch fusion, not a hardware fma.
@@ -40,7 +42,7 @@ module L = Loop_ir
 (* Bump when instruction semantics or the program layout change: the
    pipeline compile cache mixes this into its key, so a cached artifact
    built by an older tape generator can never be served to a newer one. *)
-let version = 3
+let version = 4
 
 (* ---------- instruction set ---------- *)
 
@@ -147,13 +149,16 @@ type program = {
   p_ivregs : int array;          (* float register of each level's var *)
   p_promos : (int * int) array;  (* (reg, access): per-segment load *)
   p_accum : (int * int * bool) option;
-    (* (reg, store access, init-from-memory): register accumulator *)
+    (* (reg, store access, init-from-memory): register accumulator, the
+       one access every store writes; lanes batch along the level above
+       the innermost ([outer_lane_level]), never along the innermost *)
   p_code : int array;            (* packed body instructions *)
   p_ivuse : bool array;          (* per level: body reads the var's register *)
   p_vec_ok : bool;
-    (* lane batching preserves scalar semantics: no accumulator, every
-       load from a stored buffer exactly aliases the store, and no load
-       reads a buffer that two stores write *)
+    (* lane batching along the innermost level preserves scalar
+       semantics: no accumulator, every load from a stored buffer exactly
+       aliases the store, no load reads a buffer that two stores write,
+       and no read-modify-write address ignores the innermost variable *)
   p_rmw : int array;
     (* accesses both loaded and stored (exact read-modify-write alias);
        vector execution additionally needs their innermost step nonzero
@@ -574,9 +579,12 @@ let compile_nest (s : L.stmt) : program option =
         in
         let promos = ref [] in
         let promo_tbl : (int, int) Hashtbl.t = Hashtbl.create 4 in
-        (* accumulator: single store, address invariant in the innermost
-           variable, same-buffer loads all alias it exactly — and the
-           innermost level must not be part of the parallel split space *)
+        (* accumulator: every store writes one access whose address is
+           invariant in the innermost variable, same-buffer loads all
+           alias it exactly — and the innermost level must not be part of
+           the parallel split space.  Several stores (an unrolled
+           reduction) fold one after another into the register, each
+           reading the value the previous one wrote. *)
         let rec value_loads (e : L.expr) acc =
           match e with
           | L.Int _ | L.Float _ | L.Var _ -> acc
@@ -599,10 +607,11 @@ let compile_nest (s : L.stmt) : program option =
         then raise Reject;
         let accum =
           match stores with
-          | [ (sb, sidx, _) ] when npieces <= 1 && (q = 0 || q < d) ->
+          | (sb, sidx, _) :: rest when npieces <= 1 && q < d ->
               let i = acc_index sb sidx in
               if
-                invariant_in_inner i
+                List.for_all (fun (b, idx, _) -> acc_index b idx = i) rest
+                && invariant_in_inner i
                 && List.for_all
                      (fun (b, idx) ->
                        b <> sb || acc_index b idx = i)
@@ -886,7 +895,10 @@ let compile_nest (s : L.stmt) : program option =
             p_code = packed;
             p_ivuse = ivuse;
             p_vec_ok =
-              accum = None && (not alias_bad) && not shared_store_loaded;
+              accum = None && (not alias_bad) && (not shared_store_loaded)
+              (* a read-modify-write address fixed along the innermost
+                 level would put every lane on one address *)
+              && not (List.exists invariant_in_inner rmw);
             p_rmw = Array.of_list rmw;
             p_store_pairs = Array.of_list store_pairs;
             p_pieces =
@@ -924,6 +936,29 @@ let nest_name p =
   String.concat "."
     (Array.to_list (Array.map (fun l -> l.lv_var) p.p_levels))
 
+(* The level an accumulator nest may batch its lanes along: the one
+   directly above the innermost (reduction) level, when it is tagged
+   [Vectorized] and lies outside the parallel prefix.  The tag chooses
+   the level; [Tape.bind] proves from the strides that the choice is
+   exact. *)
+let outer_lane_level p =
+  let d = Array.length p.p_levels in
+  let l = d - 2 in
+  match p.p_accum with
+  | Some _ when l >= p.p_par -> (
+      match p.p_levels.(l).lv_tag with L.Vectorized _ -> Some l | _ -> None)
+  | _ -> None
+
+(* Some read-modify-write access ignores the innermost variable. *)
+let rmw_fixed_inner p =
+  let inner = p.p_levels.(Array.length p.p_levels - 1).lv_var in
+  Array.exists
+    (fun i ->
+      Array.for_all
+        (fun (ts, _) -> not (List.mem_assoc inner ts))
+        p.p_accesses.(i).ac_idx)
+    p.p_rmw
+
 let summary p =
   Printf.sprintf
     "tape %s: depth=%d par=%d instrs=%d regs=%d accesses=%d vec=%s%s"
@@ -932,7 +967,9 @@ let summary p =
     p.p_par (instr_count p) p.p_nregs
     (Array.length p.p_accesses)
     (if p.p_vec_ok then "ok"
+     else if outer_lane_level p <> None then "outer"
      else if p.p_accum <> None then "accum"
+     else if rmw_fixed_inner p then "rmw"
      else "alias")
     (if Array.length p.p_pieces = 0 then ""
      else Printf.sprintf " pieces=%d" (Array.length p.p_pieces))
@@ -958,16 +995,22 @@ let rec bexpr_str = function
   | Bmod (a, k) -> Printf.sprintf "emod(%s,%d)" (bexpr_str a) k
 
 let disassemble ?(lanes = 0) p =
-  let vec = lanes > 1 && p.p_vec_ok in
+  let outer = if lanes > 1 then outer_lane_level p else None in
+  let vec = lanes > 1 && (p.p_vec_ok || outer <> None) in
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "tape nest %s (depth %d, parallel prefix %d%s)\n"
        (nest_name p)
        (Array.length p.p_levels)
        p.p_par
-       (if vec then Printf.sprintf ", lanes %d" lanes
-        else if lanes > 1 then Printf.sprintf ", scalar (lanes %d off)" lanes
-        else ""));
+       (match outer with
+        | Some l ->
+            Printf.sprintf ", lanes %d along %s" lanes p.p_levels.(l).lv_var
+        | None ->
+            if vec then Printf.sprintf ", lanes %d" lanes
+            else if lanes > 1 then
+              Printf.sprintf ", scalar (lanes %d off)" lanes
+            else ""));
   Array.iteri
     (fun l (lv : level) ->
       Buffer.add_string b

@@ -110,14 +110,24 @@ type program = {
   p_ivregs : int array;            (** float register of each level's var *)
   p_promos : (int * int) array;    (** (reg, access): per-segment load *)
   p_accum : (int * int * bool) option;
-      (** (reg, store access, init-from-memory) accumulator *)
+      (** (reg, store access, init-from-memory) accumulator: every store
+          of the leaf writes this one access, its address ignores the
+          innermost variable, and each same-buffer load aliases it.  The
+          register is loaded before the innermost loop (when the first
+          value reads it) and stored once after; an unrolled reduction's
+          stores fold into it in order.  Such a nest never batches lanes
+          along its innermost level; {!outer_lane_level} names the level
+          it may batch along instead. *)
   p_code : int array;              (** packed body instructions *)
   p_ivuse : bool array;
       (** per level: the body reads the variable's register *)
   p_vec_ok : bool;
-      (** lane batching preserves scalar semantics: no accumulator, every
-          load from a stored buffer exactly aliases the store, and no
-          load reads a buffer that two stores write *)
+      (** lane batching along the innermost level preserves scalar
+          semantics: no accumulator, every load from a stored buffer
+          exactly aliases the store, no load reads a buffer that two
+          stores write, and no read-modify-write address ignores the
+          innermost variable (its lanes would share one address).  The
+          backend still checks strides at bind time. *)
   p_rmw : int array;
       (** accesses both loaded and stored (exact read-modify-write);
           vector execution additionally requires their innermost step be
@@ -163,11 +173,27 @@ val claimable : Loop_ir.stmt -> bool
     top-down, never descending into a claimed subtree. *)
 val scan : Loop_ir.stmt -> program list
 
-(** One-line shape summary (for [--trace-passes]). *)
+(** The level an accumulator program may batch lanes along: the level
+    directly above the innermost (reduction) level, when it is tagged
+    [Vectorized] and lies outside the parallel prefix.  [None] for other
+    programs.  The tag chooses the level; {!Tiramisu_backends.Tape.bind}
+    checks the strides that make the choice exact. *)
+val outer_lane_level : program -> int option
+
+(** The nest's level variables, outermost first, joined by ['.']. *)
+val nest_name : program -> string
+
+(** One-line shape summary (for [--trace-passes]).  Its [vec=] field is
+    what the generator knows before strides are: [ok] (lanes along the
+    innermost level), [outer] (an accumulator with an
+    {!outer_lane_level}), [accum] (an accumulator without one), [rmw] (a
+    read-modify-write address ignores the innermost variable) or [alias]
+    (inexact store/load aliasing). *)
 val summary : program -> string
 
 (** Full listing: levels, accesses, register layout, instructions.
     With [~lanes] > 1 and a vector-eligible program, instructions are
     printed with their vector-tier mnemonics and the header records the
-    lane width. *)
+    lane width (and, for an accumulator, the level the lanes run
+    along). *)
 val disassemble : ?lanes:int -> program -> string

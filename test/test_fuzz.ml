@@ -270,6 +270,38 @@ let corpus_clamped_reduction =
       [ Parallelize ("c0", "i"); Vectorize ("c0", "j", 4);
         Unroll ("c1_upd", "r", 3) ] }
 
+(* Register-blocked reductions: [Vectorize] on the free dimension
+   directly above the reduction and [Unroll] on the reduction, so the
+   tape batches lanes along the vectorized level (an [Outer] binding)
+   with the unrolled stores folded into one lane accumulator.  1-D over
+   19 points (4-lane runs plus a 3-point scalar piece), and a 2-D
+   product with a parallel outer dim and a symbolic inner extent.  The
+   unroll factors divide the reduction extents: a remainder would leave
+   the unrolled loop with bounds in the reduction variable, which the
+   tape does not claim as one nest. *)
+let corpus_outer_lanes_1d =
+  { extents = [ Lit 19 ];
+    n_value = 0;
+    inputs = [ ("a0", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 1; rc_red = Some 8;
+          rc_expr = Bin (Mul, In ("a0", [ (0, 0); (1, -1) ]), Const 3) } ];
+    steps = [ Vectorize ("c0_upd", "i", 4); Unroll ("c0_upd", "r", 2) ] }
+
+let corpus_outer_lanes_2d =
+  { extents = [ Lit 6; NParam ];
+    n_value = 13;
+    inputs = [ ("a0", 2); ("a1", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = Some 9;
+          rc_expr =
+            Bin (Add, Bin (Mul, In ("a0", [ (0, 0); (2, 0) ]),
+                           In ("a1", [ (2, 0); (1, 0) ])),
+                 In ("a0", [ (1, 1); (2, -1) ])) } ];
+    steps =
+      [ Parallelize ("c0_upd", "i"); Vectorize ("c0_upd", "j", 4);
+        Unroll ("c0_upd", "r", 3) ] }
+
 (* Fuzz generator seed 81793: c0_upd's parallel loop on [i] is fused with
    c1_init, whose inner dim is unrolled and shares the loop of c0_upd's
    [r].  The schedule as given lowers; widen-parallel used to grow c0_upd's
@@ -324,6 +356,8 @@ let replay_corpus () =
     (fun n -> check_pass (Printf.sprintf "clamped 2-D, %d rows" n) (corpus_clamped_2d n))
     [ 0; 1; 2; 3; 10 ];
   check_pass "clamped stencil and reduction" corpus_clamped_reduction;
+  check_pass "outer lanes, 1-D reduction" corpus_outer_lanes_1d;
+  check_pass "outer lanes, 2-D reduction" corpus_outer_lanes_2d;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
@@ -460,6 +494,38 @@ let vector_corpus_reaches_vector () =
         (B.Exec.tape_vec_count scalar))
     [ ("epilogue", corpus_vector_tape_epilogue);
       ("sub-lane", corpus_vector_tape_short 3) ]
+
+(* The register-blocked reduction seeds must bind an accumulator nest
+   with lanes along the vectorized level at lanes=8, and the lanes=1
+   control must bind no nest with lanes. *)
+let outer_lane_corpus_reaches_vector () =
+  List.iter
+    (fun (name, case) ->
+      let b = Case.build case in
+      let exec_of lanes =
+        (Tiramisu_kernels.Runner.build_native ~lanes ~fn:b.Case.fn
+           ~params:b.Case.params ~inputs:b.Case.fills ())
+          .Tiramisu_pipeline.Pipeline.exec
+      in
+      let vec = exec_of 8 and scalar = exec_of 1 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: an accumulator binds lanes along an outer level (%s)"
+           name
+           (String.concat "; "
+              (List.map
+                 (fun (n, m) -> n ^ ": " ^ B.Tape.mode_to_string m)
+                 (B.Exec.lane_modes vec))))
+        true
+        (List.exists
+           (fun (_, m) ->
+             match m with B.Tape.Outer { width = 8; _ } -> true | _ -> false)
+           (B.Exec.lane_modes vec));
+      Alcotest.(check int)
+        (name ^ ": lanes=1 control binds none")
+        0
+        (B.Exec.tape_vec_count scalar))
+    [ ("outer 1-D", corpus_outer_lanes_1d);
+      ("outer 2-D", corpus_outer_lanes_2d) ]
 
 (* ---------- legality oracle ---------- *)
 
@@ -935,6 +1001,8 @@ let tests =
     Alcotest.test_case "counters are per-compile" `Quick counters_per_compile;
     Alcotest.test_case "tape corpus reaches the tape" `Quick
       tape_corpus_reaches_tape;
+    Alcotest.test_case "outer-lane corpus binds lanes along an outer level"
+      `Quick outer_lane_corpus_reaches_vector;
     Alcotest.test_case "vector corpus reaches the vector tier" `Quick
       vector_corpus_reaches_vector;
     Alcotest.test_case "clamped corpus splits and reaches the tape" `Quick

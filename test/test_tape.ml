@@ -321,6 +321,151 @@ let accumulator_stays_scalar () =
   Alcotest.(check bool) "claimed" true (B.Exec.tape_count c >= 1);
   Alcotest.(check int) "not vector-bound" 0 (B.Exec.tape_vec_count c)
 
+(* ---------- register-blocked reductions: outer lanes ---------- *)
+
+let lane_mode_str c =
+  String.concat "; "
+    (List.map
+       (fun (n, m) -> n ^ ": " ^ B.Tape.mode_to_string m)
+       (B.Exec.lane_modes c))
+
+(* Fractional fills, so a reassociated sum would show in the low bits. *)
+let sgemm_inputs =
+  let f k idx =
+    float_of_int ((((idx.(0) * 13) + (idx.(1) * 7) + k) mod 29) - 14) /. 7.0
+  in
+  [ ("A", f 1); ("B", f 2); ("C0", f 3) ]
+
+(* sgemm's update nest is the claimed nest whose innermost level is the
+   reduction [k1]: under both hand configurations it binds lanes along
+   the vectorized level above [k1] at the default width 8 (the
+   benchmark's 2 x 4 [j1 x j1_v] merged into one 8-lane run), runs with
+   no fallback, and matches the interpreter on the unscheduled program
+   bit for bit.  Sizes 1, 3 and 13 (partial tiles, lane runs shorter
+   than a batch) only have to stay exact. *)
+let sgemm_outer_lanes () =
+  let open Tiramisu_kernels in
+  let configs =
+    [ ("bench config", Linalg.sgemm_tuned ~bi:8 ~bj:8 ~bk:8 ~vec:4 ~unr:2);
+      ("tuned", fun f -> Linalg.sgemm_tuned f) ]
+  in
+  List.iter
+    (fun (label, sched) ->
+      List.iter
+        (fun s ->
+          let params = [ ("S", s) ] in
+          let reference =
+            let f, _, _ = Linalg.sgemm () in
+            Runner.run ~fn:f ~params ~inputs:sgemm_inputs
+          in
+          let f, _, _ = Linalg.sgemm () in
+          sched f;
+          let c =
+            Runner.run_native
+              ~target:(B.Target.cpu ~parallel:`Seq ())
+              ~fn:f ~params ~inputs:sgemm_inputs ()
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s S=%d bit-exact" label s)
+            true
+            (bits_equal (B.Interp.buffer reference "C") (B.Exec.buffer c "C"));
+          if List.mem s [ 8; 16; 64 ] then begin
+            let update =
+              List.find_map
+                (fun (n, m) ->
+                  if String.ends_with ~suffix:".k1" n then Some m else None)
+                (B.Exec.lane_modes c)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s S=%d update nest outer x8 (%s)" label s
+                 (lane_mode_str c))
+              true
+              (match update with
+              | Some (B.Tape.Outer { width = 8; _ }) -> true
+              | _ -> false);
+            Alcotest.(check int)
+              (Printf.sprintf "%s S=%d no fallback" label s)
+              0 (B.Exec.tape_fallbacks c)
+          end)
+        [ 1; 3; 8; 13; 16; 64 ])
+    configs
+
+(* out[i] += a[i][j][k] with j vectorized above k: every j position sums
+   into the same out[i], so lanes along j would race on one address —
+   the accumulator's step along the lane level is 0 and the nest stays
+   scalar, still exact. *)
+let outer_lanes_step_zero_stays_scalar () =
+  let stmt =
+    L.For
+      { var = "i"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq;
+        body =
+          L.For
+            { var = "j"; lo = L.Int 0; hi = L.Int 7; tag = L.Vectorized 8;
+              body =
+                L.For
+                  { var = "k"; lo = L.Int 0; hi = L.Int 5; tag = L.Seq;
+                    body =
+                      store "out" [ L.Var "i" ]
+                        L.(
+                          Bin
+                            ( Add,
+                              Load ("out", [ Var "i" ]),
+                              Load ("a", [ Var "i"; Var "j"; Var "k" ]) )) } } }
+  in
+  let fill3 idx =
+    float_of_int (((idx.(0) * 5) + (idx.(1) * 3) + idx.(2)) mod 11) /. 7.0
+  in
+  let c =
+    differential ~shapes:[ ("a", [ 5; 8; 6 ]); ("out", [ 5 ]) ]
+      ~fills:[ ("a", fill3) ] stmt [ "out" ]
+  in
+  Alcotest.(check string)
+    "scalar: accumulator step 0 along j"
+    ("i.j.k: " ^ B.Tape.mode_to_string (B.Tape.Scalar B.Tape.Accum_step_zero))
+    (lane_mode_str c);
+  Alcotest.(check int) "not vector-bound" 0 (B.Exec.tape_vec_count c)
+
+(* An unrolled reduction: three stores into the same out[i] per k
+   iteration.  They fold into one register accumulator (no store left in
+   the body, one fma per store) instead of three loads and stores of
+   out[i], and the result stays exact. *)
+let unrolled_reduction_one_accumulator () =
+  let tap u =
+    L.(Bin (Add, Bin (Mul, Int 3, Var "k"), Int u))
+  in
+  let upd u =
+    store "out" [ L.Var "i" ]
+      L.(
+        Bin
+          ( Add,
+            Load ("out", [ Var "i" ]),
+            Bin (Mul, Load ("a", [ Var "i"; tap u ]), Load ("b", [ tap u ])) ))
+  in
+  let stmt =
+    L.For
+      { var = "i"; lo = L.Int 0; hi = L.Int 6; tag = L.Seq;
+        body =
+          L.For
+            { var = "k"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq;
+              body = L.Block [ upd 0; upd 1; upd 2 ] } }
+  in
+  (match Tape_gen.compile_nest stmt with
+  | None -> Alcotest.fail "unrolled reduction not claimable"
+  | Some p ->
+      let ops =
+        List.init (Tape_gen.instr_count p) (fun k -> p.Tape_gen.p_code.(4 * k))
+      in
+      Alcotest.(check bool) "one accumulator, initialized from memory" true
+        (match p.Tape_gen.p_accum with Some (_, _, true) -> true | _ -> false);
+      Alcotest.(check int) "no store in the body" 0
+        (List.length (List.filter (( = ) Tape_gen.op_store) ops));
+      Alcotest.(check int) "one fma per store" 3
+        (List.length (List.filter (( = ) Tape_gen.op_fma) ops)));
+  ignore
+    (differential ~shapes:[ ("a", [ 7; 15 ]); ("b", [ 15 ]); ("out", [ 7 ]) ]
+       ~fills:[ ("a", fill_a); ("b", fun idx -> fill_b [| idx.(0); 0 |]) ]
+       stmt [ "out" ])
+
 (* Several stores into one buffer: lanes reorder them across iterations,
    so they batch only when the buffer feeds no load and no lane of one
    store meets a lane of another.  [stores] are (offset, value) pairs of
@@ -593,6 +738,81 @@ let qcheck_cursor_addressing =
     ~name:"tape cursor addressing = interpreter flat offsets"
     (QCheck.make gen_affine_case) run_affine_case
 
+(* Random 2-3-D reductions out[i(,j)] += a0[i][r] * a1[r][last] + 1 with
+   the last free dim vectorized directly above the reduction, the
+   reduction unrolled by 1, 2 or 3 and, in 3-D, the outer dim
+   parallelized; extents 0-13.  Every combination of seq/pool, lanes
+   8/1 and tape on/off must reproduce the interpreter on the unscheduled
+   program bit for bit (fractional inputs, so a reassociated sum would
+   show). *)
+let gen_reduction_case =
+  QCheck.Gen.(
+    let* rank = int_range 1 2 in
+    let* exts = list_repeat rank (int_range 0 13) in
+    let* red = int_range 0 13 in
+    let* unroll = int_range 1 3 in
+    let* width = oneofl [ 2; 4; 8 ] in
+    let* par = bool in
+    return (exts, red, unroll, width, par && rank = 2))
+
+let reduction_case (exts, red, unroll, width, par) =
+  let open Tiramisu_fuzz.Case in
+  let rank = List.length exts in
+  { extents = List.map (fun e -> Lit e) exts;
+    n_value = 0;
+    inputs = [ ("a0", 2); ("a1", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = rank; rc_red = Some red;
+          rc_expr =
+            Bin (Add,
+                 Bin (Mul, In ("a0", [ (0, 0); (rank, 0) ]),
+                      In ("a1", [ (rank, 0); (rank - 1, 0) ])),
+                 Const 1) } ];
+    steps =
+      (if par then [ Parallelize ("c0_upd", "i") ] else [])
+      @ [ Vectorize ("c0_upd", dim_name (rank - 1), width) ]
+      @ if unroll > 1 then [ Unroll ("c0_upd", "r", unroll) ] else [] }
+
+let run_reduction_case g =
+  let module C = Tiramisu_fuzz.Case in
+  let case = reduction_case g in
+  let fills (b : C.built) =
+    List.map
+      (fun (n, f) -> (n, fun idx -> (f idx /. 7.0) +. 0.1))
+      b.C.fills
+  in
+  let plain = C.build ~with_steps:false case in
+  let reference =
+    Tiramisu_kernels.Runner.run ~fn:plain.C.fn ~params:plain.C.params
+      ~inputs:(fills plain)
+  in
+  List.for_all
+    (fun (parallel, lanes, tape) ->
+      let b = C.build case in
+      let c =
+        Tiramisu_kernels.Runner.run_native
+          ~target:(B.Target.cpu ~parallel ())
+          ~tape ~lanes ~fn:b.C.fn ~params:b.C.params ~inputs:(fills b) ()
+      in
+      List.for_all
+        (fun o ->
+          bits_equal (B.Interp.buffer reference o) (B.Exec.buffer c o))
+        b.C.outputs)
+    (List.concat_map
+       (fun par ->
+         List.concat_map
+           (fun lanes -> [ (par, lanes, true); (par, lanes, false) ])
+           [ 8; 1 ])
+       [ `Seq; `Pool ])
+
+let qcheck_outer_lane_reductions =
+  QCheck.Test.make ~count:40
+    ~name:"vectorized-above-reduction nests = interpreter, every config"
+    (QCheck.make
+       ~print:(fun g -> Tiramisu_fuzz.Case.to_literal (reduction_case g))
+       gen_reduction_case)
+    run_reduction_case
+
 (* Random extents drawn from {0, 1, 2}: the degenerate-trip property. *)
 let qcheck_degenerate_extents =
   QCheck.Test.make ~count:100 ~name:"tape zero/one-trip extents"
@@ -750,6 +970,12 @@ let tests =
       vector_epilogue_extents;
     Alcotest.test_case "accumulator nest stays scalar" `Quick
       accumulator_stays_scalar;
+    Alcotest.test_case "sgemm update nest binds outer lanes, bit-exact" `Quick
+      sgemm_outer_lanes;
+    Alcotest.test_case "accumulator step 0 along the lane level stays scalar"
+      `Quick outer_lanes_step_zero_stays_scalar;
+    Alcotest.test_case "unrolled reduction folds into one accumulator" `Quick
+      unrolled_reduction_one_accumulator;
     Alcotest.test_case "vector = scalar tape bitwise" `Quick
       vector_vs_scalar_identical;
     Alcotest.test_case "disjoint stores into one buffer vectorize" `Quick
@@ -768,6 +994,7 @@ let tests =
       `Quick guarded_pieces_gap_falls_back;
     QCheck_alcotest.to_alcotest qcheck_cursor_addressing;
     QCheck_alcotest.to_alcotest qcheck_degenerate_extents;
+    QCheck_alcotest.to_alcotest qcheck_outer_lane_reductions;
     Alcotest.test_case "compile-cache key includes the tape knob" `Quick
       cache_key_includes_tape;
     Alcotest.test_case "compile-cache key includes the lane width" `Quick
