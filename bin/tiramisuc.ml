@@ -99,16 +99,23 @@ let cli_tracer ?(target = B.Target.default) ~trace ~dump_after ~name () =
           if String.equal pass want then
             if String.equal pass "tape-compile" then
               (* The tape pass is an observation point: dump the bytecode the
-                 executor will run instead of the (unchanged) loop IR. *)
-              match Tiramisu_codegen.Tape_gen.scan s with
+                 executor will run instead of the (unchanged) loop IR,
+                 each nest headed by why its enclosing loop's nest was
+                 not claimed. *)
+              let module T = Tiramisu_codegen.Tape_gen in
+              match T.scan_explained s with
               | [] -> Printf.printf "=== after %s ===\n(no nest claimed)\n" pass
               | progs ->
                   List.iter
-                    (fun p ->
-                      Printf.printf "=== after %s: %s ===\n%s" pass
-                        (Tiramisu_codegen.Tape_gen.summary p)
-                        (Tiramisu_codegen.Tape_gen.disassemble
-                           ~lanes:P.default_knobs.P.lanes p))
+                    (fun (parent, p) ->
+                      Printf.printf "=== after %s: %s ===\n%s\n%s" pass
+                        (T.summary p)
+                        (match parent with
+                        | Some (v, r) ->
+                            Printf.sprintf "parent %s: %s" v
+                              (T.reject_to_string r)
+                        | None -> "parent: none (outermost nest)")
+                        (T.disassemble ~lanes:P.default_knobs.P.lanes p))
                     progs
             else
               Printf.printf "=== after %s ===\n%s\n" pass

@@ -174,7 +174,7 @@ let legalize ?keep_claimable s =
    opaque ([None, None]), so only genuinely integer-valued subexpressions
    ever fold. *)
 
-(* ---------- clamp splitting ----------
+(* ---------- index-set splitting: clamps and partial-tile bounds ----------
 
    A clamped stencil reads [img[max(i-1, 0)]]: the [max] cannot fold over
    all of [i], but it folds on [i >= 1], and the clamp's other side folds
@@ -186,6 +186,22 @@ let legalize ?keep_claimable s =
    term folds.  Inner loops split the same way inside every piece, so
    only true border points keep their clamps, and those are usually
    single points on which every index is constant.
+
+   A partial tile leaves the same kind of term in an inner loop's bound:
+   blur's vector loop runs [j1_v in 0..min(381 - 32*j0 - 8*j1, 7)].  The
+   bound reads the nest variable [j1], so the tape cannot claim any chain
+   above [j1_v] and enters once per [(j0, j1)] block.  A CPU loop is
+   therefore also cut where such a bound folds, when the bound reads the
+   variable of a loop strictly between the cut loop and the bounded one,
+   or reads the cut loop's own variable and the bounded loop is its
+   direct child (through CPU loops only: a chain never crosses a device
+   loop).  The full tiles then form one piece whose bounds are constant,
+   and the partial tile another.  A bound that reads the cut loop's
+   variable from deeper down, or only variables of loops above it, is
+   left alone: no chain it blocks contains the cut loop, and the tape
+   evaluates such bounds from the environment on entry.  This keeps an
+   outer parallel tile loop whole (its inner tile loop's bound reads it
+   from under the next tile loop).
 
    The thresholds come from the interval arithmetic [norm] itself uses:
    with the dependent arm [z = k*v + r] (r ranging over the other
@@ -204,7 +220,13 @@ let legalize ?keep_claimable s =
 
 let max_split_size = 256
 
-type split = { sp_var : string; sp_cuts : int list }
+type cause = Clamp | Bound of string
+
+type split = { sp_var : string; sp_cuts : int list; sp_cause : cause }
+
+let cpu_tag = function
+  | L.Seq | L.Parallel | L.Vectorized _ | L.Unrolled -> true
+  | L.Gpu_block _ | L.Gpu_thread _ | L.Distributed -> false
 
 let rec mentions v (e : L.expr) =
   match e with
@@ -236,9 +258,12 @@ let split_note (splits : split list) =
   String.concat "; "
     (List.rev_map
        (fun (sp, n) ->
-         Printf.sprintf "split %s at %s%s" sp.sp_var
+         Printf.sprintf "split %s at %s (%s%s)" sp.sp_var
            (String.concat "/" (List.map string_of_int sp.sp_cuts))
-           (if n > 1 then Printf.sprintf " (x%d)" n else ""))
+           (match sp.sp_cause with
+           | Clamp -> "clamp"
+           | Bound v -> "bound " ^ v)
+           (if n > 1 then Printf.sprintf ", x%d" n else ""))
        counted)
 
 let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
@@ -408,11 +433,27 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
     | None -> Hashtbl.remove env var);
     r
   in
-  (* Some index [min]/[max] of [s] that [norm] leaves unfolded has an
-     arm affine in [v] (the shape cuts are computed for); [s] holds only
-     loops, guards and stores (no communication, allocation or barrier).
-     A cheap screen: [env] knows [v] but no loop inside [s], and only
-     nodes with an integer-arithmetic arm on [v] are normalized. *)
+  (* A bound of a CPU loop inside the cut loop's body that the cut may
+     fold for the tape (see the section comment): it reads a loop
+     variable strictly between ([between], innermost first, [None] below
+     a device loop), or the cut loop's own [v] from its direct child. *)
+  let blocks_chain v between e =
+    match between with
+    | Some [] -> mentions v e
+    | Some between -> List.exists (fun u -> mentions u e) between
+    | None -> false
+  in
+  let inside between var tag =
+    match between with
+    | Some b when cpu_tag tag -> Some (var :: b)
+    | _ -> None
+  in
+  (* Some index [min]/[max] of [s], or some bound [blocks_chain] picks,
+     that [norm] leaves unfolded has an arm affine in [v] (the shape cuts
+     are computed for); [s] holds only loops, guards and stores (no
+     communication, allocation or barrier).  A cheap screen: [env] knows
+     [v] but no loop inside [s], and only nodes with an
+     integer-arithmetic arm on [v] are normalized. *)
   let clamped_on v (s : L.stmt) =
     let exception Stop in
     let rec arith (e : L.expr) =
@@ -446,25 +487,35 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
       | L.Call (_, args) -> List.exists value args
       | L.Int _ | L.Float _ | L.Var _ -> false
     in
-    let rec stmt s =
+    let rec stmt between s =
       match s with
-      | L.Block l -> List.exists stmt l
-      | L.For f -> f.var <> v && stmt f.body
-      | L.If (_, t, e) -> stmt t || Option.fold ~none:false ~some:stmt e
+      | L.Block l -> List.exists (stmt between) l
+      | L.For f ->
+          f.var <> v
+          && (cpu_tag f.tag
+              && List.exists
+                   (fun e -> blocks_chain v between e && index e)
+                   [ f.lo; f.hi ]
+             || stmt (inside between f.var f.tag) f.body)
+      | L.If (_, t, e) ->
+          stmt between t || Option.fold ~none:false ~some:(stmt between) e
       | L.Store (_, idx, x) -> List.exists index idx || value x
       | L.Comment _ -> false
       | L.Alloc _ | L.Barrier | L.Send _ | L.Recv _ | L.Memcpy _ ->
           raise Stop
     in
-    try stmt s with Stop -> false
+    try stmt (Some []) s with Stop -> false
   in
   (* Cut points of [var]'s range [lo..hi] (see the section comment),
-     sorted; [env] binds [var] to the range.  The flag is false when a
-     term on [var] has an arm that is not affine (a nested clamp): it may
-     fold only inside a piece, so the pieces must be split again. *)
+     sorted, and their cause: [Clamp] when an index clamp gave a cut,
+     else the first bounded loop that did; [env] binds [var] to the
+     range.  The flag is false when a term on [var] has an arm that is
+     not affine (a nested clamp): it may fold only inside a piece, so the
+     pieces must be split again. *)
   let cut_points var lo hi body =
-    let cuts = ref [] and final = ref true in
-    let add c = if c > lo && c <= hi then cuts := c :: !cuts in
+    (* cuts newest first, each with the cause of the term that gave it *)
+    let cuts = ref [] and final = ref true and cause = ref Clamp in
+    let add c = if c > lo && c <= hi then cuts := (c, !cause) :: !cuts in
     let rest ts c =
       List.fold_left
         (fun acc (u, k) ->
@@ -523,22 +574,39 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
       | L.Call (_, args) -> List.iter value args
       | L.Int _ | L.Float _ | L.Var _ -> ()
     in
-    let rec stmt (s : L.stmt) =
+    let rec stmt between (s : L.stmt) =
       match s with
-      | L.Block l -> List.iter stmt l
+      | L.Block l -> List.iter (stmt between) l
       | L.For f when f.var <> var ->
-          let _, (flo, _) = norm f.lo and _, (_, fhi) = norm f.hi in
-          scoped f.var (flo, fhi) (fun () -> stmt f.body)
+          let lo', (flo, _) = norm f.lo and hi', (_, fhi) = norm f.hi in
+          (* the bound as written decides: a one-point loop between,
+             which [simplify] drops, still counts, since the bound then
+             reads the cut loop from inside a chain that may hold it *)
+          if cpu_tag f.tag then begin
+            cause := Bound f.var;
+            List.iter
+              (fun (e, e') -> if blocks_chain var between e then index e')
+              [ (f.lo, lo'); (f.hi, hi') ];
+            cause := Clamp
+          end;
+          let between = inside between f.var f.tag in
+          scoped f.var (flo, fhi) (fun () -> stmt between f.body)
       | L.If (_, t, e) ->
-          stmt t;
-          Option.iter stmt e
+          stmt between t;
+          Option.iter (stmt between) e
       | L.Store (_, idx, v) ->
           List.iter (fun i -> index (fst (norm i))) idx;
           value v
       | _ -> ()
     in
-    stmt body;
-    (List.sort_uniq compare !cuts, !final)
+    stmt (Some []) body;
+    let causes = List.rev_map snd !cuts in
+    let cause =
+      match causes with
+      | first :: _ when not (List.mem Clamp causes) -> first
+      | _ -> Clamp
+    in
+    (List.sort_uniq compare (List.map fst !cuts), !final, cause)
   in
   let splits = ref [] in
   let device = ref 0 in
@@ -573,8 +641,8 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
             src = fst (norm r.src);
             offset = List.map (fun e -> fst (norm e)) r.offset;
             count = fst (norm r.count) }
-  (* [split]: try to split this loop at its clamps; false for a piece
-     whose cuts already separate every fold *)
+  (* [split]: try to split this loop at its clamps and partial-tile
+     bounds; false for a piece whose cuts already separate every fold *)
   and loop ~split var lo hi tag body =
     let lo', (llo, _) = norm lo in
     let hi', (_, hhi) = norm hi in
@@ -589,18 +657,19 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
     in
     match (lo', hi', tag) with
     | L.Int a, L.Int b, _ when b < a -> L.Block []
-    | L.Int a, L.Int b, (L.Seq | L.Parallel | L.Vectorized _ | L.Unrolled)
-      when split && a < b && !device = 0
+    | L.Int a, L.Int b, _
+      when split && cpu_tag tag && a < b && !device = 0
            && 2 * stmt_size body <= max_split_size
            && scoped var (llo, hhi) (fun () -> clamped_on var body) -> (
         match scoped var (llo, hhi) (fun () -> cut_points var a b body) with
-        | [], _ -> plain ()
-        | cuts, _
+        | [], _, _ -> plain ()
+        | cuts, _, _
           when (List.length cuts + 1) * stmt_size body > max_split_size ->
             plain ()
-        | cuts, final ->
+        | cuts, final, cause ->
             let before = !splits in
-            splits := { sp_var = var; sp_cuts = cuts } :: before;
+            splits :=
+              { sp_var = var; sp_cuts = cuts; sp_cause = cause } :: before;
             let pieces =
               List.map2
                 (fun p q ->

@@ -31,15 +31,31 @@ val narrow : params:(string * int) list -> Loop_ir.stmt -> Loop_ir.stmt
     same values and fails the same bounds checks as the original.  Used by
     the compiled backend, whose parameters are fixed at compile time.
 
-    A CPU-tagged loop ([Seq], [Parallel], [Vectorized], [Unrolled]) with
-    constant bounds whose body indexes through a [min]/[max] of the loop
-    variable (a clamp) is split into consecutive pieces — prologue,
-    steady, epilogue — at the points where the clamp folds, and every
-    piece is narrowed (and split) with its own range.  One-point pieces
-    and vector pieces shorter than their width become [Seq].  Never under
-    a GPU loop, and bounded by a fixed statement-size limit. *)
+    Index-set splitting: a CPU-tagged loop ([Seq], [Parallel],
+    [Vectorized], [Unrolled]) with constant bounds is split into
+    consecutive pieces — prologue, steady, epilogue — at the points where
+    a [min]/[max] term on its variable folds, and every piece is narrowed
+    (and split) with its own range.  Two kinds of term count: an index
+    clamp in the body, and a partial-tile bound of an inner CPU loop that
+    reads the variable of a loop strictly between the two (or the split
+    loop's own variable, from its direct child) — the non-rectangular
+    bounds that stop the tape from claiming a deeper nest, so the full
+    tiles become one piece with constant bounds.  One-point pieces and
+    vector pieces shorter than their width become [Seq].  Never under a
+    GPU loop, and bounded by {!max_split_size}. *)
 
-type split = { sp_var : string; sp_cuts : int list }
+val stmt_size : Loop_ir.stmt -> int
+(** Node count: loops, guards, allocations and leaf statements. *)
+
+val max_split_size : int
+(** [narrow] takes a split only while the split loop's rewritten
+    statement stays within this many {!stmt_size} nodes. *)
+
+type cause = Clamp | Bound of string
+(** Why a loop was cut: an index clamp, or else the bound of the named
+    inner loop (a partial tile), the first one that gave a cut. *)
+
+type split = { sp_var : string; sp_cuts : int list; sp_cause : cause }
 (** One loop split: the first iteration of every piece after the first. *)
 
 val narrow_splits :
@@ -47,7 +63,9 @@ val narrow_splits :
 (** [narrow] plus the splits it made, outermost first. *)
 
 val split_note : split list -> string
-(** ["split i at 1/127; split j at 1/15 (x3)"]: repeated splits counted. *)
+(** ["split i at 1/127 (clamp); split j0 at 11 (bound j1_v, x3)"]: the
+    first iteration of every piece after the first, the cause, and how
+    often the same split repeats. *)
 
 val simplify : Loop_ir.stmt -> Loop_ir.stmt
 (** The pipeline's [simplify] pass: {!unroll_expand}; every [Seq] loop

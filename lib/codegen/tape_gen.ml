@@ -179,7 +179,31 @@ let instr_count p = Array.length p.p_code / 4
 
 (* ---------- classification ---------- *)
 
-exception Reject
+type reject =
+  | Not_perfect
+  | Non_cpu_tag
+  | Shadowed_var of string
+  | Bound_reads_nest_var of string
+  | Bound_shape
+  | Parallel_below_seq
+  | Guard_shape
+  | Non_affine_index of string
+  | Value_shape
+  | Pieces_reread
+
+let reject_to_string = function
+  | Not_perfect -> "not a perfect nest over straight-line stores"
+  | Non_cpu_tag -> "non-CPU loop tag"
+  | Shadowed_var v -> "loop variable " ^ v ^ " rebound"
+  | Bound_reads_nest_var v -> "bound reads nest variable " ^ v
+  | Bound_shape -> "bound outside the affine min/max/floord grammar"
+  | Parallel_below_seq -> "parallel level below a sequential one"
+  | Guard_shape -> "guard is not an affine box over one shared body"
+  | Non_affine_index b -> "non-affine index into " ^ b
+  | Value_shape -> "stored value outside the tape grammar"
+  | Pieces_reread -> "overlapping guarded pieces read a stored buffer"
+
+exception Reject of reject
 
 let norm_affine ((ts, c) : affine) : affine =
   (List.sort (fun (a, _) (b, _) -> compare a b) ts, c)
@@ -308,8 +332,9 @@ let collect_chain (s : L.stmt) : level list * string list * L.stmt =
     | L.For { var; lo; hi; tag; body } ->
         (match tag with
         | L.Seq | L.Parallel | L.Unrolled | L.Vectorized _ -> ()
-        | L.Gpu_block _ | L.Gpu_thread _ | L.Distributed -> raise Reject);
-        if List.mem var vars then raise Reject;
+        | L.Gpu_block _ | L.Gpu_thread _ | L.Distributed ->
+            raise (Reject Non_cpu_tag));
+        if List.mem var vars then raise (Reject (Shadowed_var var));
         let vars = var :: vars in
         (* Bound classifier: affine where possible, otherwise peel the
            min/max/floordiv/mod/scale layers tiling and vector
@@ -321,8 +346,9 @@ let collect_chain (s : L.stmt) : level list * string list * L.stmt =
         let rec bnd e =
           match L.affine_terms e with
           | Some (ts, c) ->
-              if List.exists (fun (v, _) -> List.mem v vars) ts then
-                raise Reject;
+              (match List.find_opt (fun (v, _) -> List.mem v vars) ts with
+              | Some (v, _) -> raise (Reject (Bound_reads_nest_var v))
+              | None -> ());
               Baff (norm_affine (ts, c))
           | None -> (
               match e with
@@ -335,7 +361,7 @@ let collect_chain (s : L.stmt) : level list * string list * L.stmt =
               | L.Bin (L.Mul, a, L.Int k) | L.Bin (L.Mul, L.Int k, a) ->
                   Bscale (bnd a, k)
               | L.Cast (_, a) -> bnd a
-              | _ -> raise Reject)
+              | _ -> raise (Reject Bound_shape))
         in
         let lvl =
           { lv_var = var; lv_lo = bnd lo; lv_hi = bnd hi; lv_tag = tag }
@@ -343,13 +369,13 @@ let collect_chain (s : L.stmt) : level list * string list * L.stmt =
         (match single_for body with
         | Some inner -> go (lvl :: acc) vars inner
         | None -> (List.rev (lvl :: acc), vars, body))
-    | _ -> raise Reject
+    | _ -> raise (Reject Not_perfect)
   in
   go [] [] s
 
 (* ---------- emission ---------- *)
 
-let compile_nest (s : L.stmt) : program option =
+let classify (s : L.stmt) : (program, reject) result =
   match s with
   | L.For _ -> (
       try
@@ -362,7 +388,8 @@ let compile_nest (s : L.stmt) : program option =
         while !q < d && levels.(!q).lv_tag = L.Parallel do incr q done;
         let q = !q in
         for l = q to d - 1 do
-          if levels.(l).lv_tag = L.Parallel then raise Reject
+          if levels.(l).lv_tag = L.Parallel then
+            raise (Reject Parallel_below_seq)
         done;
         (* Guarded leaves lower to bound intersections.  Each piece's
            guard must be a conjunction of affine comparisons over at most
@@ -379,7 +406,7 @@ let compile_nest (s : L.stmt) : program option =
            closure fallback. *)
         let level_of_var v =
           let rec go l =
-            if l >= d then raise Reject
+            if l >= d then raise (Reject Guard_shape)
             else if levels.(l).lv_var = v then l
             else go (l + 1)
           in
@@ -433,12 +460,12 @@ let compile_nest (s : L.stmt) : program option =
                   else Bfdiv (Baff (norm_affine (rest, c)), k)
                 in
                 hi.(l) <- Bmin (hi.(l), b)
-            | _ -> raise Reject
+            | _ -> raise (Reject Guard_shape)
           in
           let atom a b =
             match (L.affine_terms a, L.affine_terms b) with
             | Some (ta, ca), Some (tb, cb) -> (merge ta (neg tb), ca - cb)
-            | _ -> raise Reject
+            | _ -> raise (Reject Guard_shape)
           in
           List.iter
             (fun (c : L.cond) ->
@@ -457,19 +484,21 @@ let compile_nest (s : L.stmt) : program option =
                   | L.EqOp ->
                       constrain (atom a b);
                       constrain (atom b a)
-                  | L.NeOp -> raise Reject)
-              | _ -> raise Reject)
+                  | L.NeOp -> raise (Reject Guard_shape))
+              | _ -> raise (Reject Guard_shape))
             (conjuncts cond);
           Array.init d (fun l -> (lo.(l), hi.(l)))
         in
         let leaf, piece_bnds =
           match guard_pieces leaf with
           | None -> (leaf, [])
-          | Some [] -> raise Reject
+          | Some [] -> raise (Reject Not_perfect)
           | Some (((_, b0) :: rest) as ps) ->
               (* overlap soundness rests on the bodies being the same
                  program: structural equality, checked here *)
-              List.iter (fun (_, b) -> if b <> b0 then raise Reject) rest;
+              List.iter
+                (fun (_, b) -> if b <> b0 then raise (Reject Guard_shape))
+                rest;
               (b0, List.map (fun (c, _) -> piece_bounds c) ps)
         in
         let npieces = List.length piece_bnds in
@@ -500,13 +529,14 @@ let compile_nest (s : L.stmt) : program option =
         in
         let stores =
           match L.spec_stores leaf with
-          | None | Some [] -> raise Reject
+          | None | Some [] -> raise (Reject Not_perfect)
           | Some stores -> stores
         in
         List.iter
-          (fun (_, idx, v) ->
-            if not (List.for_all L.affine idx) then raise Reject;
-            if not (L.spec_value_ok v) then raise Reject)
+          (fun (b, idx, v) ->
+            if not (List.for_all L.affine idx) then
+              raise (Reject (Non_affine_index b));
+            if not (L.spec_value_ok v) then raise (Reject Value_shape))
           stores;
         let stored_bufs = List.map (fun (b, _, _) -> b) stores in
         let inner_var = levels.(d - 1).lv_var in
@@ -522,7 +552,7 @@ let compile_nest (s : L.stmt) : program option =
               (fun e ->
                 match L.affine_terms e with
                 | Some a -> norm_affine a
-                | None -> raise Reject)
+                | None -> raise (Reject (Non_affine_index bname)))
               idx
           in
           let key = (bname, aidx) in
@@ -593,7 +623,7 @@ let compile_nest (s : L.stmt) : program option =
           | L.Bin (_, a, b) -> value_loads b (value_loads a acc)
           | L.Call (_, args) ->
               List.fold_left (fun acc a -> value_loads a acc) acc args
-          | L.Select _ -> raise Reject
+          | L.Select _ -> raise (Reject Value_shape)
         in
         let all_loads =
           List.concat_map (fun (_, _, v) -> value_loads v []) stores
@@ -604,7 +634,7 @@ let compile_nest (s : L.stmt) : program option =
         if
           npieces >= 2
           && List.exists (fun (b, _) -> List.mem b stored_bufs) all_loads
-        then raise Reject;
+        then raise (Reject Pieces_reread);
         let accum =
           match stores with
           | (sb, sidx, _) :: rest when npieces <= 1 && q < d ->
@@ -682,7 +712,7 @@ let compile_nest (s : L.stmt) : program option =
           | L.Neg a -> unop op_neg (emit a)
           | L.Cast (L.I32, a) -> unop op_trunc (emit a)
           | L.Cast (_, a) -> emit a
-          | L.Select _ -> raise Reject
+          | L.Select _ -> raise (Reject Value_shape)
           | L.Bin (L.Add, x, L.Bin (L.Mul, a, b)) ->
               (* fma fusion: safe in place only when x landed in a temp *)
               let rx = emit x in
@@ -743,7 +773,7 @@ let compile_nest (s : L.stmt) : program option =
                   let t = binop op_max rx rlo in
                   let rhi = emit hi in
                   binop op_min t rhi
-              | _ -> raise Reject)
+              | _ -> raise (Reject Value_shape))
         in
         List.iter
           (fun (sb, sidx, sval) ->
@@ -882,7 +912,7 @@ let compile_nest (s : L.stmt) : program option =
                 load_set false)
             store_pairs
         in
-        Some
+        Ok
           { p_levels = levels;
             p_par = q;
             p_accesses = accesses;
@@ -903,32 +933,37 @@ let compile_nest (s : L.stmt) : program option =
             p_store_pairs = Array.of_list store_pairs;
             p_pieces =
               (if npieces >= 2 then Array.of_list piece_bnds else [||]) }
-      with Reject -> None)
-  | _ -> None
+      with Reject r -> Error r)
+  | _ -> Error Not_perfect
 
-let claimable s = compile_nest s <> None
+let compile_nest s = Result.to_option (classify s)
+
+let claimable s = Result.is_ok (classify s)
 
 (* Tape programs of a whole statement: claim maximal nests top-down, never
-   descending into a claimed subtree (mirrors the executor's dispatch). *)
-let scan (s : L.stmt) : program list =
+   descending into a claimed subtree (mirrors the executor's dispatch);
+   each with the nearest enclosing loop and why its nest was rejected. *)
+let scan_explained (s : L.stmt) : ((string * reject) option * program) list =
   let out = ref [] in
-  let rec go (s : L.stmt) =
+  let rec go parent (s : L.stmt) =
     match s with
-    | L.For { body; _ } -> (
-        match compile_nest s with
-        | Some p -> out := p :: !out
-        | None -> go body)
-    | L.Block l -> List.iter go l
+    | L.For { var; body; _ } -> (
+        match classify s with
+        | Ok p -> out := (parent, p) :: !out
+        | Error r -> go (Some (var, r)) body)
+    | L.Block l -> List.iter (go parent) l
     | L.If (_, t, e) ->
-        go t;
-        Option.iter go e
-    | L.Alloc { body; _ } -> go body
+        go parent t;
+        Option.iter (go parent) e
+    | L.Alloc { body; _ } -> go parent body
     | L.Store _ | L.Barrier | L.Comment _ | L.Send _ | L.Recv _
     | L.Memcpy _ ->
         ()
   in
-  go s;
+  go None s;
   List.rev !out
+
+let scan s = List.map snd (scan_explained s)
 
 (* ---------- printing ---------- *)
 

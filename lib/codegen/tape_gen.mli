@@ -150,9 +150,33 @@ type program = {
 
 val instr_count : program -> int
 
-(** [compile_nest s] lowers the perfect rectangular nest rooted at [s]
-    (which must be a [For]) to a tape program, or [None] when the nest
-    does not qualify: non-CPU tags, a [Parallel] tag below a sequential
+(** Why a nest is not claimed (the first check that failed). *)
+type reject =
+  | Not_perfect
+      (** the root is not a [For], or the leaf is not a straight-line
+          store sequence (several loops, an [If] with an [else], ...) *)
+  | Non_cpu_tag  (** a GPU or distributed level *)
+  | Shadowed_var of string  (** a nest variable bound twice *)
+  | Bound_reads_nest_var of string
+      (** a level's bound reads this nest variable (non-rectangular: a
+          partial tile's [min] that [Passes.narrow] did not cut away) *)
+  | Bound_shape  (** a bound outside the affine min/max/floord grammar *)
+  | Parallel_below_seq  (** a [Parallel] level under a sequential one *)
+  | Guard_shape
+      (** a guarded leaf whose guards are not affine conjunctions over
+          one nest variable each, or whose bodies differ *)
+  | Non_affine_index of string  (** an index into this buffer *)
+  | Value_shape  (** a [Select] or an unknown call in a stored value *)
+  | Pieces_reread
+      (** >= 2 overlapping guarded pieces whose values read a stored
+          buffer *)
+
+val reject_to_string : reject -> string
+(** ["bound reads nest variable j1"], ... *)
+
+(** [classify s] lowers the perfect rectangular nest rooted at [s]
+    (which must be a [For]) to a tape program, or says why the nest does
+    not qualify: non-CPU tags, a [Parallel] tag below a sequential
     level, non-affine bounds or indices, bounds referencing a nest
     variable, or a leaf that is not a straight-line store sequence.
 
@@ -163,6 +187,9 @@ val instr_count : program -> int
     intersections; >= 2 pieces additionally require that no stored
     value reads a written buffer, so overlapped points re-store the
     same bits. *)
+val classify : Loop_ir.stmt -> (program, reject) result
+
+(** [compile_nest s] = [Result.to_option (classify s)]. *)
 val compile_nest : Loop_ir.stmt -> program option
 
 (** [claimable s] = [compile_nest s <> None]; used by the parallel
@@ -172,6 +199,12 @@ val claimable : Loop_ir.stmt -> bool
 (** All programs the executor would claim in a statement: maximal nests,
     top-down, never descending into a claimed subtree. *)
 val scan : Loop_ir.stmt -> program list
+
+(** {!scan}, each program with its nearest enclosing loop's variable and
+    the reason that loop's nest was rejected ([None] for a nest with no
+    enclosing loop). *)
+val scan_explained :
+  Loop_ir.stmt -> ((string * reject) option * program) list
 
 (** The level an accumulator program may batch lanes along: the level
     directly above the innermost (reduction) level, when it is tagged

@@ -302,6 +302,34 @@ let corpus_outer_lanes_2d =
       [ Parallelize ("c0_upd", "i"); Vectorize ("c0_upd", "j", 4);
         Unroll ("c0_upd", "r", 3) ] }
 
+(* A partial tile under a vectorized level, blur_large's shape: 21
+   columns in tiles of 8 split into 4-lane vectors, so the last tile is
+   5 wide and the vector loop's bound [min(20 - 8*j0 - 4*j1, 3)] reads
+   the nest variable [j1].  [narrow] cuts [j0] where that bound folds,
+   and the full tiles run as one claim deeper than [j1_v]. *)
+let corpus_partial_tile =
+  { extents = [ Lit 6; Lit 21 ];
+    n_value = 0;
+    inputs = [ ("a0", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = None;
+          rc_expr =
+            Bin (Add, In ("a0", [ (0, -1); (1, 1) ]),
+                 In ("a0", [ (0, 1); (1, -2) ])) } ];
+    steps = [ Tile ("c0", "i", "j", 3, 8); Vectorize ("c0", "j1", 4) ] }
+
+(* Three stacked tiles, none dividing its extent, under a 2-lane vector
+   loop: nearly every level carries a partial-tile bound, so the cuts
+   nest deeply and [max_split_size] is what stops them. *)
+let corpus_stacked_tiles =
+  { corpus_partial_tile with
+    extents = [ Lit 23; Lit 37 ];
+    steps =
+      [ Tile ("c0", "i", "j", 7, 9);
+        Tile ("c0", "i1", "j1", 3, 4);
+        Tile ("c0", "i11", "j11", 2, 3);
+        Vectorize ("c0", "j111", 2) ] }
+
 (* Fuzz generator seed 81793: c0_upd's parallel loop on [i] is fused with
    c1_init, whose inner dim is unrolled and shares the loop of c0_upd's
    [r].  The schedule as given lowers; widen-parallel used to grow c0_upd's
@@ -356,6 +384,8 @@ let replay_corpus () =
     (fun n -> check_pass (Printf.sprintf "clamped 2-D, %d rows" n) (corpus_clamped_2d n))
     [ 0; 1; 2; 3; 10 ];
   check_pass "clamped stencil and reduction" corpus_clamped_reduction;
+  check_pass "partial tile under a vectorized level" corpus_partial_tile;
+  check_pass "three stacked non-dividing tiles" corpus_stacked_tiles;
   check_pass "outer lanes, 1-D reduction" corpus_outer_lanes_1d;
   check_pass "outer lanes, 2-D reduction" corpus_outer_lanes_2d;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
@@ -417,6 +447,56 @@ let clamped_corpus_splits () =
     [ ("1-D", corpus_clamped_1d 13);
       ("2-D", corpus_clamped_2d 10);
       ("stencil and reduction", corpus_clamped_reduction) ]
+
+(* The partial-tile seed must reach what it pins: on the sequential row
+   [narrow] cuts a loop at the vector loop's bound, and the tape claims a
+   nest deeper than the vector loop and its parent.  The stacked-tiles
+   seed's narrowed statement stays within the split size limit. *)
+let partial_tile_corpus_cuts () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  P.clear_cache ();
+  let b = Case.build corpus_partial_tile in
+  let row = List.hd (Differential.exec_configs corpus_partial_tile) in
+  let art, trace = Differential.run_row b row in
+  art.P.release ();
+  let note =
+    match List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes with
+    | Some p -> p.P.p_note
+    | None -> ""
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "narrow cut at the vector loop's bound (%s)" note)
+    true
+    (Astring.String.is_infix ~affix:"(bound j1_v" note);
+  let nests = List.map fst (B.Exec.lane_modes art.P.exec) in
+  Alcotest.(check bool)
+    (Printf.sprintf "a claimed nest 3+ levels deep (%s)"
+       (String.concat "; " nests))
+    true
+    (List.exists
+       (fun n -> List.length (String.split_on_char '.' n) >= 3)
+       nests);
+  let narrowed = ref None in
+  let tracer =
+    P.make_tracer
+      ~on_after:(fun pass s -> if pass = "narrow" then narrowed := Some s)
+      ~name:"stacked" ()
+  in
+  let b = Case.build corpus_stacked_tiles in
+  let art =
+    P.build ~tracer ~knobs:P.default_knobs ~fn:b.Case.fn
+      ~params:b.Case.params ~inputs:b.Case.fills ()
+  in
+  art.P.release ();
+  match !narrowed with
+  | None -> Alcotest.fail "stacked tiles: no narrow pass ran"
+  | Some s ->
+      let size = Tiramisu_codegen.Passes.stmt_size s in
+      Alcotest.(check bool)
+        (Printf.sprintf "stacked tiles: narrowed size %d <= %d" size
+           Tiramisu_codegen.Passes.max_split_size)
+        true
+        (size <= Tiramisu_codegen.Passes.max_split_size)
 
 (* The two pool-schedule seeds must keep reaching their driver under the
    forced plan: the coalesced nest runs static, seed 222's kept loop runs
@@ -944,6 +1024,88 @@ let prop_clamped_split_exact =
     (QCheck.make ~print:Case.to_literal gen_clamped_case)
     clamped_case_exact
 
+(* ---------- property: partial-tile bound cuts are exact ----------
+
+   Random 2-D stencils, tiled 2..9 and vectorized 2, 4 or 8 wide (or
+   only vectorized), over extents 0..40: partial tiles and vector
+   remainders shorter than the width.  [narrow] cuts loops at the
+   partial tiles' bounds; each case builds on the sequential and pool
+   targets, tape on and off, lanes 8 and 1, and every output must equal,
+   bit for bit, the interpreter's on the unscheduled program.  A local
+   generator, so the fuzzer's own draws stay as they are. *)
+
+let gen_partial_tile_case =
+  QCheck.Gen.(
+    let ext = frequency [ (2, int_range 0 12); (1, int_range 13 40) ] in
+    let* ei = ext in
+    let* ej = ext in
+    let access =
+      let* oi = int_range (-2) 2 in
+      let* oj = int_range (-2) 2 in
+      return (In ("a0", [ (0, oi); (1, oj) ]))
+    in
+    let* first = access in
+    let* rest = list_size (int_range 0 2) access in
+    let* ops = list_repeat (List.length rest) (oneofl [ Add; Sub; Max ]) in
+    let expr = List.fold_left2 (fun e op a -> Bin (op, e, a)) first ops rest in
+    let* ti = int_range 2 9 in
+    let* tj = int_range 2 9 in
+    let* w = oneofl [ 2; 4; 8 ] in
+    let tile = Tile ("c0", "i", "j", ti, tj) in
+    let* steps =
+      oneofl
+        [ [ tile; Vectorize ("c0", "j1", w) ];
+          [ tile; Parallelize ("c0", "i0"); Vectorize ("c0", "j1", w) ];
+          [ tile; Parallelize ("c0", "j0"); Vectorize ("c0", "j1", w) ];
+          [ Parallelize ("c0", "i"); Vectorize ("c0", "j", w) ] ]
+    in
+    return
+      { extents = [ Lit ei; Lit ej ];
+        n_value = 0;
+        inputs = [ ("a0", 2) ];
+        comps =
+          [ { rc_name = "c0"; rc_rank = 2; rc_red = None; rc_expr = expr } ];
+        steps })
+
+let partial_tile_case_exact case =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let b0 = Case.build ~with_steps:false case in
+  let reference =
+    Differential.interp_of b0 (P.lower b0.Case.fn).Tiramisu_core.Lower.ast
+  in
+  let b = Case.build case in
+  List.for_all
+    (fun (par, tape, lanes) ->
+      let knobs =
+        { P.default_knobs with
+          P.target = B.Target.cpu ~parallel:par (); tape; lanes }
+      in
+      let art, _ = Differential.run_row b ("partial-tile", knobs) in
+      let ok =
+        List.for_all
+          (fun out ->
+            let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
+            B.Buffers.bits_equal (B.Interp.buffer reference out) x
+            || QCheck.Test.fail_reportf "%s differs (%s, tape %b, lanes %d):\n%s"
+                 out
+                 (match par with `Seq -> "seq" | `Pool -> "pool")
+                 tape lanes (Case.to_literal case))
+          b.Case.outputs
+      in
+      art.P.release ();
+      ok)
+    (List.concat_map
+       (fun par ->
+         List.concat_map
+           (fun tape -> [ (par, tape, 8); (par, tape, 1) ])
+           [ true; false ])
+       [ `Seq; `Pool ])
+
+let prop_partial_tile_split_exact =
+  QCheck.Test.make ~count:60 ~name:"partial-tile bound cuts are bit-exact"
+    (QCheck.make ~print:Case.to_literal gen_partial_tile_case)
+    partial_tile_case_exact
+
 (* ---------- time limits ----------
 
    The fuzzer's guards budget CPU time, so a seed generates and judges the
@@ -1013,6 +1175,9 @@ let tests =
       pool_rows_run_widen_parallel;
     QCheck_alcotest.to_alcotest prop_random_seeds;
     QCheck_alcotest.to_alcotest prop_clamped_split_exact;
+    Alcotest.test_case "partial-tile corpus cuts and claims deeper" `Quick
+      partial_tile_corpus_cuts;
+    QCheck_alcotest.to_alcotest prop_partial_tile_split_exact;
     Alcotest.test_case "fuzz time limits count CPU, not waiting" `Quick
       cpu_limit_ignores_waiting;
     Alcotest.test_case "a Timeout in a verify probe propagates" `Quick

@@ -629,6 +629,162 @@ let blur_kernel_claims_vector () =
     (B.Exec.tape_vec_count c >= 1);
   Alcotest.(check int) "zero runtime fallbacks" 0 (B.Exec.tape_fallbacks c)
 
+(* ---------- reject reasons ---------- *)
+
+(* [classify] names the first check a nest fails, and [scan_explained]
+   heads each claimed nest with its enclosing loop's reason: a partial
+   tile's vector bound reading [j], a parallel level under a sequential
+   one, a GPU tag, and a loop holding two loops. *)
+let reject_reasons () =
+  let reason s =
+    match Tape_gen.classify s with
+    | Ok _ -> "claimed"
+    | Error r -> Tape_gen.reject_to_string r
+  in
+  let x = L.Var "x" in
+  let leaf v = store "out" [ L.Var "i"; v ] (L.Load ("a", [ L.Var "i"; v ])) in
+  let partial =
+    L.For
+      { var = "j"; lo = L.Int 0; hi = L.Int 3; tag = L.Seq;
+        body =
+          L.For
+            { var = "x"; lo = L.Int 0;
+              hi =
+                L.(
+                  Bin
+                    (MinOp, Bin (Sub, Int 29, Bin (Mul, Int 8, Var "j")), Int 7));
+              tag = L.Vectorized 8;
+              body = leaf L.(Bin (Add, Bin (Mul, Int 8, Var "j"), x)) } }
+  in
+  let outer =
+    L.For { var = "i"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq; body = partial }
+  in
+  Alcotest.(check string) "partial tile" "bound reads nest variable j"
+    (reason outer);
+  Alcotest.(check string) "parallel under seq"
+    "parallel level below a sequential one"
+    (reason (blur_nest ~tag_j:L.Parallel ()));
+  Alcotest.(check string) "gpu tag" "non-CPU loop tag"
+    (reason (blur_nest ~tag_i:(L.Gpu_block 0) ()));
+  Alcotest.(check string) "two loops"
+    "not a perfect nest over straight-line stores"
+    (reason
+       (L.For
+          { var = "i"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq;
+            body = L.Block [ partial; partial ] }));
+  Alcotest.(check (list string)) "claimed nest headed by its parent's reason"
+    [ "j: bound reads nest variable j" ]
+    (List.map
+       (fun (parent, _) ->
+         match parent with
+         | Some (v, r) -> v ^ ": " ^ Tape_gen.reject_to_string r
+         | None -> "none")
+       (Tape_gen.scan_explained outer))
+
+(* ---------- partial-tile bound cuts ---------- *)
+
+(* blur built, scheduled and compiled through the pipeline on the
+   sequential target, with its [narrow] note; the pipeline cache is
+   cleared first, since a hit would skip the pass whose note is read. *)
+let blur_native ~sched ~n ~m =
+  let open Tiramisu_kernels in
+  let img i =
+    float_of_int (((i.(0) * 13) + (i.(1) * 7) + (i.(2) * 3)) mod 31) /. 7.0
+  in
+  let params = [ ("N", n); ("M", m) ] and inputs = [ ("img", img) ] in
+  let f, _, _ = Image.blur () in
+  sched f;
+  P.clear_cache ();
+  let tracer = P.make_tracer ~name:"blur" () in
+  let art =
+    Runner.build_native ~tracer ~target:(B.Target.cpu ~parallel:`Seq ())
+      ~fn:f ~params ~inputs ()
+  in
+  B.Exec.run art.P.exec;
+  let note =
+    match
+      List.find_opt
+        (fun p -> p.P.p_name = "narrow")
+        (P.trace_of tracer).P.t_passes
+    with
+    | Some p -> p.P.p_note
+    | None -> ""
+  in
+  let reference =
+    let f, _, _ = Image.blur () in
+    Runner.run ~fn:f ~params ~inputs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%dx%d bit-exact against the unscheduled program" n m)
+    true
+    (bits_equal (B.Interp.buffer reference "by") (B.Exec.buffer art.P.exec "by"));
+  Alcotest.(check int)
+    (Printf.sprintf "%dx%d no fallbacks" n m)
+    0
+    (B.Exec.tape_fallbacks art.P.exec);
+  (art.P.exec, note)
+
+let has affix s = Astring.String.is_infix ~affix s
+
+(* blur's [cpu] schedule (tile 32, vectorize 8) at partial-tile sizes:
+   [narrow] cuts [j0] where the vector loop's bound [min(.., 7)] folds,
+   so the steady tiles' [by] nest is one [i1.j1.j1_v.c_1] claim with
+   lanes along [j1_v]; the parallel [i0] stays whole.  At an exact-tile
+   size there is no partial tile and no bound cut. *)
+let blur_steady_tiles_one_claim () =
+  List.iter
+    (fun n ->
+      let c, note =
+        blur_native ~sched:(fun f -> Tiramisu_kernels.Schedules.cpu_blur f)
+          ~n ~m:n
+      in
+      let modes = B.Exec.lane_modes c in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d: steady by nest i1.j1.j1_v.c_1 inner x8 (%s)" n
+           (lane_mode_str c))
+        true
+        (List.assoc_opt "i1.j1.j1_v.c_1" modes = Some (B.Tape.Inner 8));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d: j0 cut at its partial tile (%s)" n note)
+        true
+        (has "split j0 at" note && has "(bound j1_v)" note);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d: parallel i0 not cut (%s)" n note)
+        false (has "split i0" note))
+    [ 72; 384 ];
+  let _, note =
+    blur_native ~sched:(fun f -> Tiramisu_kernels.Schedules.cpu_blur f)
+      ~n:388 ~m:386
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "388x386: no bound cut (%s)" note)
+    false (has "bound" note)
+
+(* [parallelize i; vectorize j 8] at M = 70: 68 columns, so the last
+   8-wide block is partial.  The full blocks run as one [j.j_v.c] claim
+   per row; only the partial block is a [j_v.c] claim of its own. *)
+let blur_vector_blocks_one_claim () =
+  let sched f =
+    let open Tiramisu_core.Tiramisu in
+    let by = find_comp f "by" in
+    parallelize by "i";
+    vectorize by "j" 8
+  in
+  let c, note = blur_native ~sched ~n:24 ~m:70 in
+  let by_nests =
+    List.filter
+      (fun (nest, _) -> has "j_v" nest)
+      (B.Exec.lane_modes c)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "bound cut on j (%s)" note)
+    true (has "(bound j_v)" note);
+  Alcotest.(check (list string))
+    (Printf.sprintf "full blocks one nest, partial block one nest (%s)"
+       (lane_mode_str c))
+    [ "j_1.j_v.c_1"; "j_v.c_1" ]
+    (List.map fst by_nests)
+
 (* Guarded leaves (the coalesced-nest shape compute_at produces): a block
    of else-less [If]s with identical bodies claims as one piece-bounded
    nest.  [split] chooses where piece 0 ends and piece 1 starts. *)
@@ -988,6 +1144,12 @@ let tests =
       clamped_kernels_vector_claimed;
     Alcotest.test_case "blur kernel vector-claimed, no fallbacks" `Quick
       blur_kernel_claims_vector;
+    Alcotest.test_case "reject reasons name the failed check" `Quick
+      reject_reasons;
+    Alcotest.test_case "blur's steady tiles are one claim each" `Quick
+      blur_steady_tiles_one_claim;
+    Alcotest.test_case "full vector blocks are one claim" `Quick
+      blur_vector_blocks_one_claim;
     Alcotest.test_case "guarded pieces claimed and bit-exact" `Quick
       guarded_pieces_claimed;
     Alcotest.test_case "non-contiguous pieces take the counted fallback"
