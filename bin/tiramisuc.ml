@@ -86,6 +86,38 @@ let dump_after_arg =
            tape-compile the dump is the disassembled instruction tape of \
            every claimed nest rather than the loop IR.")
 
+(* [--dump-after=tape-compile] listings wait for the build, so each nest's
+   header records the lane width the executor bound it with: the width is
+   fitted per nest at bind time and can be narrower than the request. *)
+let tape_dump = ref []
+
+let print_tape_dump modes =
+  let module T = Tiramisu_codegen.Tape_gen in
+  (* claims bind in scan order: each nest takes the first unused
+     binding of its name *)
+  let rec take name acc = function
+    | [] -> (0, List.rev acc)
+    | (n, m) :: rest when String.equal n name ->
+        ( (match m with
+          | B.Tape.Inner w | B.Tape.Outer { width = w; _ } -> w
+          | B.Tape.Scalar _ -> 0),
+          List.rev_append acc rest )
+    | x :: rest -> take name (x :: acc) rest
+  in
+  ignore
+    (List.fold_left
+       (fun modes (parent, p) ->
+         let lanes, modes = take (T.nest_name p) [] modes in
+         Printf.printf "=== after tape-compile: %s ===\n%s\n%s" (T.summary p)
+           (match parent with
+           | Some (v, r) ->
+               Printf.sprintf "parent %s: %s" v (T.reject_to_string r)
+           | None -> "parent: none (outermost nest)")
+           (T.disassemble ~lanes p);
+         modes)
+       modes !tape_dump);
+  tape_dump := []
+
 (* A tracer when either observation flag is set, [None] otherwise.  The
    resolved target is stamped on the tracer up front so even lower-only
    runs (cc, compile) print it in the pass-trace header; compile-stage
@@ -101,22 +133,10 @@ let cli_tracer ?(target = B.Target.default) ~trace ~dump_after ~name () =
               (* The tape pass is an observation point: dump the bytecode the
                  executor will run instead of the (unchanged) loop IR,
                  each nest headed by why its enclosing loop's nest was
-                 not claimed. *)
-              let module T = Tiramisu_codegen.Tape_gen in
-              match T.scan_explained s with
+                 not claimed ([print_tape_dump], after the build). *)
+              match Tiramisu_codegen.Tape_gen.scan_explained s with
               | [] -> Printf.printf "=== after %s ===\n(no nest claimed)\n" pass
-              | progs ->
-                  List.iter
-                    (fun (parent, p) ->
-                      Printf.printf "=== after %s: %s ===\n%s\n%s" pass
-                        (T.summary p)
-                        (match parent with
-                        | Some (v, r) ->
-                            Printf.sprintf "parent %s: %s" v
-                              (T.reject_to_string r)
-                        | None -> "parent: none (outermost nest)")
-                        (T.disassemble ~lanes:P.default_knobs.P.lanes p))
-                    progs
+              | progs -> tape_dump := progs
             else
               Printf.printf "=== after %s ===\n%s\n" pass
                 (Tiramisu_codegen.Loop_ir.to_string s))
@@ -188,12 +208,19 @@ let run_cmd =
     if native then begin
       let t0 = Tiramisu_backends.Clock.now_ms () in
       let art =
-        Runner.build_native ?tracer ~target ~fn:f ~params ~inputs:k.inputs ()
+        match
+          Runner.build_native ?tracer ~target ~fn:f ~params ~inputs:k.inputs ()
+        with
+        | art -> art
+        | exception e ->
+            print_tape_dump [];
+            raise e
       in
       B.Exec.run art.P.exec;
+      let ms = Tiramisu_backends.Clock.now_ms () -. t0 in
+      print_tape_dump (B.Exec.lane_modes art.P.exec);
       Printf.printf "native execution (%s) ok in %.3f ms\n"
-        (B.Target.to_string target)
-        (Tiramisu_backends.Clock.now_ms () -. t0);
+        (B.Target.to_string target) ms;
       (* one line per claimed nest: how it batches lanes, or why not *)
       if trace then
         List.iter

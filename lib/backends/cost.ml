@@ -537,7 +537,8 @@ let rec walk st (s : L.stmt) : cost =
             scale e c ++ { zero with c_overhead = launch }
       end
 
-let estimate ?(machine = M.default) ?(tape = false) ?(lanes = 8) ~params
+let estimate ?(machine = M.default) ?(tape = false)
+    ?(lanes = Tape.default_lanes) ~params
     ~buffers stmt =
   let st =
     {

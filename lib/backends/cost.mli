@@ -37,11 +37,13 @@ val estimate :
     instruction-tape backend: loop control inside a nest [Tape_gen] would
     claim is charged at bytecode-cursor cost, which is what lets the
     autoscheduler's prior rank tape-friendly schedules above
-    structurally-equal ones the tape cannot claim.  [lanes] (default [8],
-    matching {!Exec.compile}) is the lane width the tape binds claimed
-    nests with: when the generator marks a claimed nest lane-safe, its
-    innermost loop is discounted like a [Vectorized] loop (compute
-    divided by the effective width, memory partially amortized) so the
-    prior tracks the vector tier's measured speedups. *)
+    structurally-equal ones the tape cannot claim.  [lanes] (default
+    {!Tape.default_lanes}, matching {!Exec.compile}) is the widest lane
+    batch the tape binds claimed nests with: when the generator marks a
+    claimed nest lane-safe, its innermost loop is discounted like a
+    [Vectorized] loop (compute divided by [min lanes vec_width], memory
+    partially amortized) so the prior tracks the vector tier's measured
+    speedups; a request wider than the machine's vector width prices
+    like the vector width itself. *)
 
 val pp_report : Format.formatter -> report -> unit

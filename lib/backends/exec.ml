@@ -513,9 +513,8 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
           let seq_tape =
             (* per-domain persistent state: safe under an enclosing
                parallel loop, reused across entries once warm *)
-            let key = Domain.DLS.new_key (fun () -> Tape.new_state bt) in
-            fun env total ->
-              Tape.run_range bt (Domain.DLS.get key) env 0 (total - 1)
+            let state = Tape.domain_state bt in
+            fun env total -> Tape.run_range bt (state ()) env 0 (total - 1)
           in
           let run_tape =
             if not parallel then seq_tape
@@ -540,10 +539,10 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
                     Tape.run_range bt ps.(k) env flo fhi)
             end
             else begin
-              let key = Domain.DLS.new_key (fun () -> Tape.new_state bt) in
+              let state = Tape.domain_state bt in
               fun env total ->
                 Pool.parallel_for 0 (total - 1) ~body:(fun flo fhi ->
-                    Tape.run_range bt (Domain.DLS.get key) env flo fhi)
+                    Tape.run_range bt (state ()) env flo fhi)
             end
           in
           fun env ->
@@ -681,7 +680,8 @@ let check_gpu_grid ~max_threads env stmt =
    target decides the CPU parallel strategy (its projection) and — for
    [Gpu_sim] — the static thread-block validation; the flat tape claims
    nests on every target. *)
-let compile ?(target = Target.default) ?(tape = true) ?(lanes = 8) ~params
+let compile ?(target = Target.default) ?(tape = true)
+    ?(lanes = Tape.default_lanes) ~params
     ~buffers stmt =
   let parallel = Target.par_strategy target in
   let ctx =

@@ -60,9 +60,10 @@ val compile :
     target statically validates thread-block sizes against its
     [max_threads].  [tape] (default [true]) gates the
     flat tape; with it off the executor is the plain hoisted-addressing
-    closure compiler.  [lanes] (default [8]) is the vector lane width
-    claimed nests are bound with — [<= 1] forces the scalar tape;
-    lane-unsafe nests stay scalar either way (see {!Tape.bind}).
+    closure compiler.  [lanes] (default {!Tape.default_lanes}) is the
+    widest lane batch claimed nests are bound with — [<= 1] forces the
+    scalar tape; lane-unsafe nests stay scalar either way, and binding
+    fits the width to each nest (see {!Tape.bind}).
     @raise Failure on constructs the executor does not support. *)
 
 val run : compiled -> unit

@@ -24,14 +24,21 @@
    for [lanes] > 1, binding derives a vector tape from the scalar code —
    loads and stores specialized by their now-known innermost step into
    unit (blit), strided and broadcast forms, ALU opcodes re-read with
-   lane-wise semantics over a vector register file.  A segment then runs
-   [len / lanes] batches through the vector tape and the remainder
-   through the scalar tape; each lane applies the same float operations
-   in the same order as the scalar interpreter, so results stay
-   bit-identical.  Programs with inexact store/load aliasing never batch
-   (the generator's analysis), and at bind time a read-modify-write
-   access with innermost step 0, or two stores into one buffer whose
-   lanes could meet, fall back to scalar (lanes must touch distinct
+   lane-wise semantics over a vector register file.  The width is an
+   interpreter strip, not a hardware vector: a vector dispatch costs the
+   same however many floats it covers, so a segment runs as few batches
+   as it can — [len / w] full ones, the remainder as one narrower batch,
+   and only a single leftover iteration through the scalar tape.  Each
+   lane applies the same float operations in the same order as the
+   scalar interpreter, so results stay bit-identical.  [w] is the
+   request fitted to the nest: capped by the exec-inner extent when that
+   is a bind-time constant, and by the distance at which two stores into
+   one buffer would meet across lanes.  A state allocates its lane
+   registers at its first vector batch, at the width that batch needs.
+   Programs with inexact store/load aliasing never batch (the
+   generator's analysis), and at bind time a read-modify-write access
+   with innermost step 0, or two stores into one buffer whose lanes meet
+   one lane apart, fall back to scalar (lanes must touch distinct
    addresses, and stores must not overtake each other).
 
    An accumulator never batches along its innermost (reduction) level:
@@ -102,6 +109,8 @@ type lane_mode =
   | Outer of { level : string; width : int }
   | Scalar of scalar_reason
 
+let default_lanes = 128
+
 let reason_to_string = function
   | Lanes_off -> "lanes off"
   | Not_lane_safe -> "not lane-safe"
@@ -144,7 +153,7 @@ type t = {
        program's leaf was unguarded (no per-entry coverage check) *)
   (* --- vector tier --- *)
   t_mode : lane_mode;
-  t_lanes : int;                    (* 0 = scalar execution *)
+  t_lanes : int;                    (* bound (fitted) width, 0 = scalar *)
   t_vcode : int array;              (* derived vector tape ([||] if scalar) *)
   t_vpro : int array;
     (* [Outer]: per-batch vector loads of the promoted registers and the
@@ -154,13 +163,15 @@ type t = {
     (* registers the vector tape reads before writing (minus the batched
        iteration variable): the only ones whose scalar value must be
        broadcast into lanes at segment (or lane-run) entry *)
-  t_winc : int array;               (* per access, lanes * batched step *)
+  t_bsteps : int array;             (* per access, step of the batched level *)
   t_iv_vec : bool;                  (* body reads the batched level's var *)
 }
 
 type state = {
   regs : float array;
-  vregs : float array array;  (* lane registers, [|..|] when scalar *)
+  mutable vregs : float array array;
+    (* lane registers: empty until the first vector batch, then grown to
+       the widest batch so far (at most [t_lanes]) *)
   cur : int array;     (* flat cursor per access *)
   abase : int array;   (* per-range base per access *)
   ivs : int array;     (* integer odometer per exec level *)
@@ -218,8 +229,8 @@ let const_bounds (lv : T.level) =
 
 (* [bind p ~buf ~slot] resolves buffer names and free names; [None] when
    a buffer is unknown or its rank does not match the access.  [lanes]
-   asks for vector execution; it takes effect only when the program is
-   lane-batchable (see the header comment). *)
+   asks for vector execution at most that wide; it takes effect only
+   when the program is lane-batchable (see the header comment). *)
 let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
     ~(slot : string -> int) (p : T.program) : t option =
   let d = Array.length p.T.p_levels in
@@ -380,33 +391,45 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
        iteration but not across the lanes of a batch.  Equal steps and
        non-nest terms make their offsets differ by a constant [d] at
        every point; with inner step [s <> 0], a lane of one meets a lane
-       of the other exactly when [d = s*k], [k] the lane distance. *)
-    let no_collision (i, j) =
+       of the other exactly when [d = s*k], [k] the lane distance, so the
+       pair caps the width at [|k|] (any other pair shape at 1: scalar). *)
+    let collision_cap (i, j) =
       let a = accs.(i) and b = accs.(j) in
       let s = inner_steps.(i) in
       let d = snd a.b_rest - snd b.b_rest in
-      a.b_steps = b.b_steps
-      && fst a.b_rest = fst b.b_rest
-      && s <> 0
-      && (d mod s <> 0 || abs (d / s) = 0 || abs (d / s) >= lanes)
+      if a.b_steps <> b.b_steps || fst a.b_rest <> fst b.b_rest || s = 0 then 1
+      else if d mod s <> 0 || d = 0 then max_int
+      else abs (d / s)
+    in
+    (* the widest batch lanes may take: the exec-inner extent (the lane
+       run for [Outer]) when it is a bind-time constant, capped by the
+       request — a wider register file would only hold dead lanes *)
+    let fit =
+      match !inner_c with
+      | Some (clo, chi) -> max 2 (min lanes (chi - clo + 1))
+      | None -> lanes
     in
     (* the lane decision: along the outer level proven above, along the
        innermost level when the program is lane-batchable, every
        read-modify-write access has lanes on distinct addresses and no
-       two stores into one buffer collide — otherwise scalar, and why *)
+       two stores into one buffer meet within a batch of at least two
+       lanes (their distance caps the width) — otherwise scalar, and why *)
     let mode =
       match outer with
-      | Ok (Some l) ->
-          Outer { level = p.T.p_levels.(l).T.lv_var; width = lanes }
+      | Ok (Some l) -> Outer { level = p.T.p_levels.(l).T.lv_var; width = fit }
       | Error r -> Scalar r
       | Ok None ->
+          let cap =
+            Array.fold_left
+              (fun m pr -> min m (collision_cap pr))
+              max_int p.T.p_store_pairs
+          in
           if lanes <= 1 then Scalar Lanes_off
           else if Array.exists (fun i -> inner_steps.(i) = 0) p.T.p_rmw then
             Scalar Rmw_step_zero
           else if not p.T.p_vec_ok then Scalar Not_lane_safe
-          else if not (Array.for_all no_collision p.T.p_store_pairs) then
-            Scalar Store_collision
-          else Inner lanes
+          else if cap < 2 then Scalar Store_collision
+          else Inner (min fit cap)
     in
     let lanes_eff =
       match mode with Inner w | Outer { width = w; _ } -> w | Scalar _ -> 0
@@ -549,7 +572,7 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
         t_vpro = vpro;
         t_vepi = vepi;
         t_vlivein = vlivein;
-        t_winc = Array.map (fun s -> lanes_eff * s) bsteps;
+        t_bsteps = bsteps;
         t_iv_vec =
           (match mode with
           | Inner _ -> xd = d && p.T.p_ivuse.(d - 1)
@@ -561,10 +584,7 @@ let mode t = t.t_mode
 let new_state t =
   let st =
     { regs = Array.make t.t_nregs 0.0;
-      vregs =
-        (if t.t_lanes > 1 then
-           Array.init t.t_nregs (fun _ -> Array.make t.t_lanes 0.0)
-         else [||]);
+      vregs = [||];
       cur = Array.make (Array.length t.t_accs) 0;
       abase = Array.make (Array.length t.t_accs) 0;
       ivs = Array.make t.t_d 0;
@@ -575,6 +595,32 @@ let new_state t =
   in
   Array.iter (fun (r, v) -> st.regs.(r) <- v) t.t_lits;
   st
+
+(* One state per domain, held by the returned closure and so freed with
+   it.  A [Domain.DLS] key per nest would do the same job, but a key
+   lives as long as its domain: every compiled program would pin its
+   states, lane registers included, for the rest of the process.  The
+   owners list holds one entry per domain that ever ran the nest. *)
+let domain_state t =
+  let owners = Atomic.make [] in
+  fun () ->
+    let id = (Domain.self () :> int) in
+    let rec find = function
+      | [] ->
+          let st = new_state t in
+          let rec push () =
+            let l = Atomic.get owners in
+            if not (Atomic.compare_and_set owners l ((id, st) :: l)) then
+              push ()
+          in
+          push ();
+          st
+      | (d, st) :: rest -> if d = id then st else find rest
+    in
+    find (Atomic.get owners)
+
+let lane_width st =
+  if Array.length st.vregs = 0 then 0 else Array.length st.vregs.(0)
 
 (* A program merged from guarded pieces iterates the union box of the
    piece bounds; that equals the union of the pieces only when, at this
@@ -915,6 +961,23 @@ let[@inline] exec_code_vec (code : int array) (st : state)
     pc := i + 4
   done
 
+(* The lane register file, wide enough for a batch of [bw] lanes.  It
+   grows on the first vector batch, and then at least doubles (up to the
+   bound width), so a state whose nest never batches allocates no lane
+   registers and a run of growing segments reallocates a few times at
+   most.  Growing drops lane contents, which is safe between batches:
+   callers size the file before broadcasting the live-in registers, and
+   every other register is written before it is read. *)
+let lane_regs t st bw =
+  let have = lane_width st in
+  if have >= bw then st.vregs
+  else begin
+    let w = Int.min t.t_lanes (Int.max bw (2 * have)) in
+    let vr = Array.init t.t_nregs (fun _ -> Array.make w 0.0) in
+    st.vregs <- vr;
+    vr
+  end
+
 (* One segment: the outer odometer [st.ivs] is in position, run [len]
    iterations of the exec-inner level starting at its current value. *)
 let run_segment t st len =
@@ -947,37 +1010,42 @@ let run_segment t st len =
   let cur = st.cur and regs = st.regs in
   let w = match t.t_mode with Inner w -> w | Outer _ | Scalar _ -> 0 in
   let rest =
-    if w > 1 && len >= w then begin
-      (* lane batches through the vector tape; the scalar register file
-         stays authoritative for the remainder loop below.  Only live-in
-         registers broadcast — the rest are written before read. *)
-      let vr = st.vregs in
+    if w > 1 && len >= 2 then begin
+      (* lane batches through the vector tape: [len / w] full ones, then
+         the remainder as one narrower batch, so only a single leftover
+         iteration reaches the scalar loop below.  The scalar register
+         file stays authoritative between batches; only live-in registers
+         broadcast — the rest are written before read. *)
+      let bw0 = Int.min w len in
+      let vr = lane_regs t st bw0 in
       let lv = t.t_vlivein in
       for q = 0 to Array.length lv - 1 do
         let r = lv.(q) in
-        Array.fill vr.(r) 0 w regs.(r)
+        Array.fill vr.(r) 0 bw0 regs.(r)
       done;
-      let vcode = t.t_vcode and winc = t.t_winc in
+      let vcode = t.t_vcode in
       let ivv = if t.t_iv_vec then vr.(ivd) else [||] in
-      let nb = len / w in
-      for _ = 1 to nb do
+      let left = ref len in
+      while !left >= 2 do
+        let bw = Int.min w !left in
         if t.t_iv_vec then begin
           let b0 = regs.(ivd) in
-          for j = 0 to w - 1 do
+          for j = 0 to bw - 1 do
             ivv.(j) <- b0 +. float_of_int j
           done
         end;
-        exec_code_vec vcode st datas w;
+        exec_code_vec vcode st datas bw;
         for a = 0 to nacc - 1 do
-          cur.(a) <- cur.(a) + winc.(a)
+          cur.(a) <- cur.(a) + (bw * inner.(a))
         done;
-        regs.(ivd) <- regs.(ivd) +. float_of_int w
+        regs.(ivd) <- regs.(ivd) +. float_of_int bw;
+        left := !left - bw
       done;
-      len - (nb * w)
+      !left
     end
     else len
   in
-  (* the scalar hot loop (whole segment, or the masked-out remainder) *)
+  (* the scalar hot loop (whole segment, or the single leftover) *)
   for _ = 1 to rest do
     exec_code code st datas;
     for a = 0 to nacc - 1 do
@@ -1005,20 +1073,22 @@ let run_lanes t st =
   let kx = xl + 1 in
   let w = t.t_lanes in
   let n = st.exts.(xl) and lo = st.los.(xl) in
-  let rest = n mod w in
+  let left = ref n in
   if n >= 2 then begin
     let nacc = Array.length t.t_accs in
     let datas = t.t_datas in
-    let regs = st.regs and vr = st.vregs and cur = st.cur in
+    let regs = st.regs and cur = st.cur in
     let lbase = st.lbase in
     (* outer iteration variables feed the live-in broadcast *)
     for l = 0 to xl - 1 do
       regs.(t.t_xivregs.(l)) <- float_of_int st.ivs.(l)
     done;
+    let bw0 = Int.min w n in
+    let vr = lane_regs t st bw0 in
     let lv = t.t_vlivein in
     for q = 0 to Array.length lv - 1 do
       let r = lv.(q) in
-      Array.fill vr.(r) 0 w regs.(r)
+      Array.fill vr.(r) 0 bw0 regs.(r)
     done;
     st.ivs.(xl) <- lo;
     for a = 0 to nacc - 1 do
@@ -1030,9 +1100,10 @@ let run_lanes t st =
       lbase.(a) <- !c
     done;
     let vcode = t.t_vcode and vpro = t.t_vpro and vepi = t.t_vepi in
-    let inner = t.t_inner_steps and winc = t.t_winc in
+    let inner = t.t_inner_steps and bsteps = t.t_bsteps in
     let ext = st.exts.(kx) in
-    let batch bw =
+    while !left >= 2 do
+      let bw = Int.min w !left in
       Array.blit lbase 0 cur 0 nacc;
       exec_code_vec vpro st datas bw;
       for _ = 1 to ext do
@@ -1041,17 +1112,14 @@ let run_lanes t st =
           cur.(a) <- cur.(a) + inner.(a)
         done
       done;
-      exec_code_vec vepi st datas bw
-    in
-    for _ = 1 to n / w do
-      batch w;
+      exec_code_vec vepi st datas bw;
       for a = 0 to nacc - 1 do
-        lbase.(a) <- lbase.(a) + winc.(a)
-      done
-    done;
-    if rest >= 2 then batch rest
+        lbase.(a) <- lbase.(a) + (bw * bsteps.(a))
+      done;
+      left := !left - bw
+    done
   end;
-  if rest = 1 then begin
+  if !left = 1 then begin
     st.ivs.(xl) <- lo + n - 1;
     run_segment t st st.exts.(kx)
   end

@@ -41,32 +41,46 @@ type scalar_reason =
 (** How a bound nest batches lanes: along its innermost level, along the
     level above an accumulator's innermost (reduction) level — [level]
     names the original loop variable; the run may be merged with parents
-    that linearize with it — or not at all. *)
+    that linearize with it — or not at all.  The width is the one the
+    nest was bound with, after fitting (see {!bind}). *)
 type lane_mode =
   | Inner of int
   | Outer of { level : string; width : int }
   | Scalar of scalar_reason
 
-(** ["inner x8"], ["outer j1_v x8"], ["scalar (lanes off)"]. *)
+(** The default [~lanes] request: the widest batch the vector tier may
+    run.  Shared by {!Exec.compile}, {!Cost.estimate} and the pipeline's
+    default knobs. *)
+val default_lanes : int
+
+(** ["inner x24"], ["outer j1_v x8"], ["scalar (lanes off)"]. *)
 val mode_to_string : lane_mode -> string
 
 (** [bind ~buf ~slot p] resolves buffer names and free names; [None]
     when a buffer is unknown or its rank does not match an access.
 
-    [~lanes] > 1 requests lane-batched (vector) execution.  For a
-    lane-safe program ([p_vec_ok]) whose read-modify-write accesses all
-    have a nonzero innermost step and whose stores never collide across
-    lanes, segments run [len / lanes] batches through a vector tape
-    derived from the scalar code (unit-stride loads/stores as blits) and
-    the remainder through the scalar tape ([Inner]).  An accumulator
-    program with a {!Tiramisu_codegen.Tape_gen.outer_lane_level} whose
-    body reads neither lane variable and whose accumulator moves along
-    that level batches [lanes] positions of it instead: each batch runs
-    the whole innermost loop with the accumulator in a lane register,
-    loaded once before and stored once after ([Outer]); leftover
-    positions run as one narrower batch (a single one runs scalar).  Either way every lane performs the scalar
-    tape's float operations in its order, so results are bit-identical.
-    Anything else stays scalar, with the reason in {!mode}. *)
+    [~lanes] > 1 requests lane-batched (vector) execution, [lanes] the
+    widest batch.  The width is an interpreter strip, not SIMD: each
+    vector dispatch has a fixed cost, so wider batches are cheaper.  The
+    bound width [w] is [lanes] fitted to the nest — capped by the
+    exec-inner extent (the lane run for [Outer]) when that is a
+    bind-time constant — and {!mode} reports it.  For a lane-safe
+    program ([p_vec_ok]) whose read-modify-write accesses all have a
+    nonzero innermost step, each segment runs [len / w] batches through
+    a vector tape derived from the scalar code (unit-stride
+    loads/stores as blits), then its remainder as one narrower batch; a
+    single leftover iteration runs on the scalar tape ([Inner]).  Two
+    stores into one buffer whose lanes meet [k] lanes apart cap [w] at
+    [k], or keep the nest scalar when [k = 1].  An accumulator program
+    with a {!Tiramisu_codegen.Tape_gen.outer_lane_level} whose body reads
+    neither lane variable and whose accumulator moves along that level
+    batches [w] positions of it instead: each batch runs the whole
+    innermost loop with the accumulator in a lane register, loaded once
+    before and stored once after ([Outer]); leftover positions run as
+    one narrower batch (a single one runs scalar).  Either way every lane
+    performs the scalar tape's float operations in its order, so results
+    are bit-identical.  Anything else stays scalar, with the reason in
+    {!mode}. *)
 val bind :
   ?lanes:int ->
   buf:(string -> Buffers.t option) ->
@@ -77,7 +91,19 @@ val bind :
 (** The lane decision [bind] took, with its reason when scalar. *)
 val mode : t -> lane_mode
 
+(** A fresh state.  It holds no lane registers: the first vector batch
+    allocates them, at the width that batch needs. *)
 val new_state : t -> state
+
+(** [domain_state t] is a getter for a per-domain state of [t]: each
+    domain that calls it gets its own state, created on its first call
+    and reused after.  The states live as long as the getter. *)
+val domain_state : t -> unit -> state
+
+(** The width of the state's lane register file: [0] until its first
+    vector batch, then the widest batch run so far rounded up (at most
+    the bound width). *)
+val lane_width : state -> int
 
 (** [enter t env] evaluates the nest bounds and runs the whole-box
     corner checks against every access: [-1] when a check fails (take

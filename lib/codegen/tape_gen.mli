@@ -228,5 +228,7 @@ val summary : program -> string
     With [~lanes] > 1 and a vector-eligible program, instructions are
     printed with their vector-tier mnemonics and the header records the
     lane width (and, for an accumulator, the level the lanes run
-    along). *)
+    along).  Pass the width the nest was bound with (the backend's
+    [Tape.mode]): binding fits it to the nest, so it can be narrower
+    than the requested one. *)
 val disassemble : ?lanes:int -> program -> string

@@ -66,7 +66,9 @@ let interp_of (b : Case.built) ast =
    pool and planned pool rows.  The lanes axis crosses the tape's vector
    tier (default width) against a forced-scalar tape ([lanes = 1]) — lane
    batching must be bit-identical to the scalar tape, which itself must
-   match the closure path and interpreter.
+   match the closure path and interpreter.  The default width is fitted
+   to each nest, so most fuzz segments run as one batch; a 3-wide row
+   splits them into many full batches and a narrower tail.
 
    Every case additionally runs on the GPU-sim and distributed targets:
    their compiled executors (grid simulation / rank-by-rank channels, with
@@ -84,6 +86,7 @@ let exec_configs case =
       ("seq", cpu `Seq);
       ("seq,notape", cpu ~tape:false `Seq);
       ("seq,nolanes", cpu ~lanes:1 `Seq);
+      ("seq,lanes3", cpu ~lanes:3 `Seq);
       ("gpu-sim", { P.default_knobs with P.target = B.Target.gpu_sim () });
       ( "dist",
         { P.default_knobs with P.target = B.Target.distributed ~ranks:4 () }

@@ -59,8 +59,8 @@ val build_native :
     lowered statement.  [target] (default {!B.Target.default}, the pool
     CPU) selects the execution backend; [tape] (default [true]) gates the
     flat-tape backend, the knob the benchmarks use for their tape-off
-    control; [lanes] (default the pipeline's, 8) is the vector lane width
-    claimed nests are bound with ([<= 1] forces the scalar tape, the
+    control; [lanes] (default the pipeline's, {!B.Tape.default_lanes}) is
+    the widest lane batch claimed nests are bound with ([<= 1] forces the scalar tape, the
     benchmarks' vector-off control). *)
 
 val prepare_native :

@@ -234,14 +234,19 @@ type knobs = {
           from coalescing nests the tape would claim.  Applies on every
           target. *)
   lanes : int;
-      (** vector lane width the tape binds claimed nests with (see
-          {!Tiramisu_backends.Tape.bind}); [<= 1] forces the scalar tape.
-          Participates in the compile-cache key: the vector and scalar
-          tapes are different generated code. *)
+      (** the widest lane batch the tape's vector tier may run claimed
+          nests with (see {!Tiramisu_backends.Tape.bind}); [<= 1] forces
+          the scalar tape.  The width is an interpreter strip, not SIMD:
+          binding fits it to each nest and caps it at store collisions,
+          and segments run as few batches as fit.  Default
+          {!Tiramisu_backends.Tape.default_lanes}.  Participates in the
+          compile-cache key: the vector and scalar tapes are different
+          generated code. *)
 }
 
 let default_knobs =
-  { target = B.Target.default; plan = `Auto; tape = true; lanes = 8 }
+  { target = B.Target.default; plan = `Auto; tape = true;
+    lanes = B.Tape.default_lanes }
 
 (** Layer IV → loop IR, as three traced passes: [lower] (scheduled-domain
     AST generation), [legalize] (vector/unroll legality rewrites, the one

@@ -371,6 +371,31 @@ let consumes_test () =
   Alcotest.(check bool) "by reads bx" true (consumes "by" "bx");
   Alcotest.(check bool) "bx does not read by" false (consumes "bx" "by")
 
+(* The tape-aware prior discounts a lane-safe nest by [min lanes
+   vec_width], so widening the tape's default batch past the machine's
+   vector width (8) must leave every estimate exactly where an 8-wide
+   request puts it: search ranking and the paper figures do not move. *)
+let cost_default_width_test () =
+  List.iter
+    (fun (k : Catalog.kernel) ->
+      let params = k.params_small in
+      List.iter
+        (fun (sched, apply) ->
+          let f = k.build () in
+          apply f;
+          let stmt = P.prepare ~params (P.lower f).Tiramisu_core.Lower.ast in
+          let est ?lanes () =
+            B.Cost.estimate ~tape:true ?lanes ~params
+              ~buffers:(P.extents_of_fn f ~params) stmt
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: default width prices like lanes 8"
+               k.k_name sched)
+            true
+            (est () = est ~lanes:8 ()))
+        (k.schedules params))
+    Catalog.kernels
+
 let search_tests =
   [
     Alcotest.test_case "compute_at pairs are producer/consumer" `Quick
@@ -382,6 +407,8 @@ let search_tests =
       search_smoke_test;
     Alcotest.test_case "blur compute_at nest stays tape-unclaimed (pinned)"
       `Quick blur_tape_claim_test;
+    Alcotest.test_case "cost prior at the default width = lanes 8" `Quick
+      cost_default_width_test;
   ]
 
 let () =

@@ -187,11 +187,13 @@ let corpus_tape_reduction =
         { rc_name = "c1"; rc_rank = 2; rc_red = None; rc_expr = Prod "c0" } ];
     steps = [ Parallelize ("c0_upd", "i") ] }
 
-(* The vector tape's masked epilogue: a lane-safe stencil whose inner
-   extent (37) is not a multiple of the default lane width (8), so every
-   row runs 4 full batches plus a 5-element scalar epilogue.  The config
-   matrix diffs it against the forced-scalar tape and the interpreter
-   bit-exactly; shrunk by hand from the width-boundary family. *)
+(* The vector tape's epilogue: a lane-safe stencil whose inner extent
+   (37) is not a multiple of 8 or 3, so at lanes 8 every row runs 4 full
+   batches plus a 5-wide tail batch, and the config matrix's 3-wide row
+   12 full batches plus a single scalar leftover (the default width fits
+   the row whole).  The matrix diffs it against the forced-scalar tape
+   and the interpreter bit-exactly; shrunk by hand from the
+   width-boundary family. *)
 let corpus_vector_tape_epilogue =
   { extents = [ Lit 5; Lit 37 ];
     n_value = 0;
@@ -203,9 +205,9 @@ let corpus_vector_tape_epilogue =
                  Bin (Mul, In ("a0", [ (0, 1); (1, 1) ]), Const 3)) } ];
     steps = [ Parallelize ("c0", "i") ] }
 
-(* Inner extents below the lane width (0, 1 and 3 against lanes=8): the
-   whole segment is epilogue, and the zero-extent row must not touch
-   memory at all. *)
+(* Inner extents below the lane width (0, 1 and 3 against lanes=8): a
+   3-long segment is one narrow batch, a 1-long one the single scalar
+   leftover, and the zero-extent row must not touch memory at all. *)
 let corpus_vector_tape_short j =
   { extents = [ Lit 3; Lit j ];
     n_value = 0;

@@ -279,7 +279,7 @@ let vector_claimed_bit_exact () =
   in
   Alcotest.(check bool) "vector tier engaged" true
     (B.Exec.tape_vec_count c >= 1);
-  Alcotest.(check int) "compiled at the default width" 8
+  Alcotest.(check int) "compiled at the default width" B.Tape.default_lanes
     (B.Exec.tape_lanes c);
   Alcotest.(check int) "no runtime fallback" 0 (B.Exec.tape_fallbacks c)
 
@@ -294,21 +294,30 @@ let lanes_off_control () =
   Alcotest.(check int) "no vector bindings" 0 (B.Exec.tape_vec_count c);
   Alcotest.(check int) "reports scalar" 0 (B.Exec.tape_lanes c)
 
-(* Extents around and below the lane width: 37 (4 batches + 5-wide
-   epilogue), 8 (exactly one batch), and 0/1/3 (shorter than a batch, the
-   whole segment is epilogue). *)
+(* The widths the multi-batch tests run at: the default, which the
+   binding fits down to the segment, and narrow ones that split a
+   segment into many full batches plus a narrower tail. *)
+let test_widths = [ 2; 3; 8; B.Tape.default_lanes ]
+
+(* Extents around, below and above the lane widths: 37 (full batches and
+   a narrower tail), 8, 0/1/3 (shorter than a batch, or one leftover
+   iteration), 256/257 and 600 (several default-width batches, a single
+   scalar leftover, an 88-wide tail). *)
 let vector_epilogue_extents () =
   List.iter
-    (fun hi_j ->
-      let shapes = blur_shapes ~hi_j () in
-      let c =
-        differential ~shapes ~fills:[ ("a", fill_a) ]
-          (blur_nest ~hi_j ()) [ "out" ]
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "hi_j=%d: no fallback" hi_j)
-        0 (B.Exec.tape_fallbacks c))
-    [ 36; 7; 0; 2 ]
+    (fun lanes ->
+      List.iter
+        (fun hi_j ->
+          let shapes = blur_shapes ~hi_j () in
+          let c =
+            differential ~lanes ~shapes ~fills:[ ("a", fill_a) ]
+              (blur_nest ~hi_j ()) [ "out" ]
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "lanes=%d hi_j=%d: no fallback" lanes hi_j)
+            0 (B.Exec.tape_fallbacks c))
+        [ 36; 7; 0; 2; 255; 256; 599 ])
+    test_widths
 
 (* An accumulator nest must stay scalar: lanes would race on the running
    sum.  The claim itself survives. *)
@@ -338,19 +347,21 @@ let sgemm_inputs =
 
 (* sgemm's update nest is the claimed nest whose innermost level is the
    reduction [k1]: under both hand configurations it binds lanes along
-   the vectorized level above [k1] at the default width 8 (the
-   benchmark's 2 x 4 [j1 x j1_v] merged into one 8-lane run), runs with
-   no fallback, and matches the interpreter on the unscheduled program
-   bit for bit.  Sizes 1, 3 and 13 (partial tiles, lane runs shorter
-   than a batch) only have to stay exact. *)
+   the vectorized level above [k1], with the width fitted to the merged
+   [j1 x j1_v] lane run (the benchmark's 2 x 4 = 8; [tuned]'s 8 x 8 = 64,
+   or the whole row when [S] is smaller), runs with no fallback, and
+   matches the interpreter on the unscheduled program bit for bit.
+   Sizes 1, 3 and 13 (partial tiles, lane runs shorter than a batch)
+   only have to stay exact. *)
 let sgemm_outer_lanes () =
   let open Tiramisu_kernels in
   let configs =
-    [ ("bench config", Linalg.sgemm_tuned ~bi:8 ~bj:8 ~bk:8 ~vec:4 ~unr:2);
-      ("tuned", fun f -> Linalg.sgemm_tuned f) ]
+    [ ("bench config", Linalg.sgemm_tuned ~bi:8 ~bj:8 ~bk:8 ~vec:4 ~unr:2,
+       fun _ -> 8);
+      ("tuned", (fun f -> Linalg.sgemm_tuned f), fun s -> min s 64) ]
   in
   List.iter
-    (fun (label, sched) ->
+    (fun (label, sched, width) ->
       List.iter
         (fun s ->
           let params = [ ("S", s) ] in
@@ -377,11 +388,11 @@ let sgemm_outer_lanes () =
                 (B.Exec.lane_modes c)
             in
             Alcotest.(check bool)
-              (Printf.sprintf "%s S=%d update nest outer x8 (%s)" label s
-                 (lane_mode_str c))
+              (Printf.sprintf "%s S=%d update nest outer x%d (%s)" label s
+                 (width s) (lane_mode_str c))
               true
               (match update with
-              | Some (B.Tape.Outer { width = 8; _ }) -> true
+              | Some (B.Tape.Outer { width = w; _ }) -> w = width s
               | _ -> false);
             Alcotest.(check int)
               (Printf.sprintf "%s S=%d no fallback" label s)
@@ -525,6 +536,106 @@ let loaded_store_buffer_stays_scalar () =
   Alcotest.(check bool) "claimed" true (B.Exec.tape_count c >= 1);
   Alcotest.(check int) "not vector-bound" 0 (B.Exec.tape_vec_count c)
 
+(* a[i] and a[i+16]: the stores meet 16 iterations apart, so they batch
+   at most 16 wide — the width is capped at the distance instead of the
+   nest going scalar — and stay bit-exact against the scalar tape *)
+let collision_caps_width () =
+  let i = L.Var "i" in
+  let stmt =
+    L.For
+      { var = "i"; lo = L.Int 0; hi = L.Int 36; tag = L.Seq;
+        body =
+          L.Block
+            [ store "a" [ i ] load_b;
+              store "a" [ L.(Bin (Add, i, Int 16)) ]
+                L.(Bin (Mul, load_b, Float 2.0)) ] }
+  in
+  let run lanes =
+    differential ~lanes
+      ~shapes:[ ("a", [ 53 ]); ("b", [ 37 ]) ]
+      ~fills:[ ("b", fun idx -> float_of_int ((idx.(0) * 7) mod 11) /. 3.0) ]
+      stmt [ "a" ]
+  in
+  let v = run B.Tape.default_lanes and s = run 1 in
+  Alcotest.(check (list string)) "binds inner x16" [ "inner x16" ]
+    (List.map (fun (_, m) -> B.Tape.mode_to_string m) (B.Exec.lane_modes v));
+  Alcotest.(check bool) "bit-identical to lanes=1" true
+    (bits_equal (B.Exec.buffer v "a") (B.Exec.buffer s "a"))
+
+(* A nest whose exec-inner extent is the constant 24 binds 24 wide, not
+   at the default request; a fresh state holds no lane registers, and
+   the first vector batch grows them to exactly that width. *)
+let fitted_width_lazy_registers () =
+  let hi_j = 23 in
+  let prog =
+    match Tape_gen.compile_nest (blur_nest ~hi_j ()) with
+    | Some p -> p
+    | None -> Alcotest.fail "blur nest not claimable"
+  in
+  let bufs =
+    List.map
+      (fun (name, dims) ->
+        let b = B.Buffers.create name (Array.of_list dims) in
+        if name = "a" then B.Buffers.fill b fill_a;
+        b)
+      (blur_shapes ~hi_j ())
+  in
+  let t =
+    match
+      B.Tape.bind ~lanes:B.Tape.default_lanes
+        ~buf:(fun n -> List.find_opt (fun b -> b.B.Buffers.name = n) bufs)
+        ~slot:(fun _ -> 0) prog
+    with
+    | Some t -> t
+    | None -> Alcotest.fail "blur nest did not bind"
+  in
+  Alcotest.(check string) "binds inner x24" "inner x24"
+    (B.Tape.mode_to_string (B.Tape.mode t));
+  let st = B.Tape.new_state t in
+  Alcotest.(check int) "fresh state: no lane registers" 0
+    (B.Tape.lane_width st);
+  let env = [| 0 |] in
+  let total = B.Tape.enter t env in
+  Alcotest.(check bool) "in bounds" true (total > 0);
+  B.Tape.run_range t st env 0 (total - 1);
+  Alcotest.(check int) "grown to the fitted width" 24 (B.Tape.lane_width st)
+
+(* Per-domain tape states: one domain gets the same state on every call,
+   another domain its own, and the states go away with the getter (a
+   compiled program no longer pins its states, lane registers included,
+   for the life of the process). *)
+let domain_states_owned_by_getter () =
+  let bind () =
+    let bufs =
+      List.map
+        (fun (name, dims) -> B.Buffers.create name (Array.of_list dims))
+        (blur_shapes ())
+    in
+    match
+      Tape_gen.compile_nest (blur_nest ())
+      |> Option.map
+           (B.Tape.bind ~lanes:B.Tape.default_lanes
+              ~buf:(fun n -> List.find_opt (fun b -> b.B.Buffers.name = n) bufs)
+              ~slot:(fun _ -> 0))
+    with
+    | Some (Some t) -> t
+    | _ -> Alcotest.fail "blur nest did not bind"
+  in
+  let get = B.Tape.domain_state (bind ()) in
+  let st = get () in
+  Alcotest.(check bool) "same domain, same state" true (get () == st);
+  Alcotest.(check bool) "another domain, its own state" true
+    (Domain.join (Domain.spawn get) != st);
+  let weak = Weak.create 1 in
+  let[@inline never] fill () =
+    let get = B.Tape.domain_state (bind ()) in
+    Weak.set weak 0 (Some (get ()))
+  in
+  fill ();
+  Gc.full_major ();
+  Alcotest.(check bool) "state freed with its getter" true
+    (Weak.get weak 0 = None)
+
 (* The clamped image kernels under their [cpu] schedules: clamp splitting
    leaves steady pieces the vector tape claims (conv2D's three unrolled
    channel stores share the [conv] buffer), and every size — including
@@ -577,30 +688,40 @@ let clamped_kernels_vector_claimed () =
     kernels
 
 (* Vector and scalar tapes must produce bit-identical buffers — the
-   differential the fuzzer's lanes axis runs, pinned here directly. *)
+   differential the fuzzer's lanes axis runs, pinned here directly, at
+   every test width and at extents that take one batch, several, and a
+   narrow tail. *)
 let vector_vs_scalar_identical () =
-  let run lanes =
+  let run ~hi_j lanes =
     let bufs =
       List.map
         (fun (name, dims) ->
           let b = B.Buffers.create name (Array.of_list dims) in
           if name = "a" then B.Buffers.fill b fill_a;
           b)
-        (blur_shapes ())
+        (blur_shapes ~hi_j ())
     in
     let c =
       B.Exec.compile
         ~target:(B.Target.cpu ~parallel:`Seq ())
-        ~lanes ~params:[] ~buffers:bufs (blur_nest ())
+        ~lanes ~params:[] ~buffers:bufs (blur_nest ~hi_j ())
     in
     B.Exec.run c;
     c
   in
-  let v = run 8 and s = run 1 in
-  Alcotest.(check bool) "vector run is vector" true
-    (B.Exec.tape_vec_count v >= 1 && B.Exec.tape_vec_count s = 0);
-  Alcotest.(check bool) "bit-identical" true
-    (bits_equal (B.Exec.buffer v "out") (B.Exec.buffer s "out"))
+  List.iter
+    (fun hi_j ->
+      let s = run ~hi_j 1 in
+      List.iter
+        (fun lanes ->
+          let v = run ~hi_j lanes in
+          let name = Printf.sprintf "lanes=%d hi_j=%d" lanes hi_j in
+          Alcotest.(check bool) (name ^ ": vector run is vector") true
+            (B.Exec.tape_vec_count v >= 1 && B.Exec.tape_vec_count s = 0);
+          Alcotest.(check bool) (name ^ ": bit-identical") true
+            (bits_equal (B.Exec.buffer v "out") (B.Exec.buffer s "out")))
+        test_widths)
+    [ 29; 257; 599 ]
 
 (* The real blur kernel under its bench schedule (tile + parallelize +
    compute_at + vectorize) lowers with min/floord partial-tile bounds;
@@ -728,8 +849,9 @@ let has affix s = Astring.String.is_infix ~affix s
 
 (* blur's [cpu] schedule (tile 32, vectorize 8) at partial-tile sizes:
    [narrow] cuts [j0] where the vector loop's bound [min(.., 7)] folds,
-   so the steady tiles' [by] nest is one [i1.j1.j1_v.c_1] claim with
-   lanes along [j1_v]; the parallel [i0] stays whole.  At an exact-tile
+   so the steady tiles' [by] nest is one [i1.j1.j1_v.c_1] claim whose
+   [j1 x j1_v x c_1] tile row (4 x 8 x 3) runs as one 96-lane batch; the
+   parallel [i0] stays whole.  At an exact-tile
    size there is no partial tile and no bound cut. *)
 let blur_steady_tiles_one_claim () =
   List.iter
@@ -740,10 +862,10 @@ let blur_steady_tiles_one_claim () =
       in
       let modes = B.Exec.lane_modes c in
       Alcotest.(check bool)
-        (Printf.sprintf "%d: steady by nest i1.j1.j1_v.c_1 inner x8 (%s)" n
+        (Printf.sprintf "%d: steady by nest i1.j1.j1_v.c_1 inner x96 (%s)" n
            (lane_mode_str c))
         true
-        (List.assoc_opt "i1.j1.j1_v.c_1" modes = Some (B.Tape.Inner 8));
+        (List.assoc_opt "i1.j1.j1_v.c_1" modes = Some (B.Tape.Inner 96));
       Alcotest.(check bool)
         (Printf.sprintf "%d: j0 cut at its partial tile (%s)" n note)
         true
@@ -1163,6 +1285,12 @@ let tests =
       cache_key_includes_lanes;
     Alcotest.test_case "planner keeps tape-claimable nests" `Quick
       planner_keeps_tape_nests;
+    Alcotest.test_case "a store collision caps the width" `Quick
+      collision_caps_width;
+    Alcotest.test_case "width fitted to the extent, registers grown lazily"
+      `Quick fitted_width_lazy_registers;
+    Alcotest.test_case "per-domain states are owned by their getter" `Quick
+      domain_states_owned_by_getter;
   ]
 
 let () = Alcotest.run "tape" [ ("flat-tape", tests) ]
