@@ -349,7 +349,7 @@ let json_of_row ~reps r =
   in
   Printf.sprintf
     {|    { "kernel": "%s", "size": "%s", "reps": %d,
-      "loop_meta": { "n_loops": %d, "n_parallel": %d, "n_nested_parallel": %d, "max_depth": %d, "n_specializable": %d },
+      "loop_meta": { "n_loops": %d, "n_parallel": %d, "n_nested_parallel": %d, "max_depth": %d },
       "coalesced": %d, "fused_levels": %d, "plan_serialized": %d, "static_sched": %d,
       "tape_compiled": %d, "tape_instr_count": %d, "tape_fallbacks": %d,
       "vector_claimed": %d, "lane_width": %d,
@@ -366,7 +366,7 @@ let json_of_row ~reps r =
       "speedup_tape_vs_closure_seq": %.2f,
       "speedup_vector_vs_scalar_tape": %.2f }|}
     r.r_case.c_name r.r_case.c_size reps m.L.n_loops m.L.n_parallel
-    m.L.n_nested_parallel m.L.max_depth m.L.n_specializable
+    m.L.n_nested_parallel m.L.max_depth
     r.r_coalesced r.r_fused_levels r.r_serialized r.r_static
     r.r_tape r.r_tape_instr r.r_tape_fb
     r.r_tape_vec r.r_lanes

@@ -1,7 +1,8 @@
 (* Pipeline smoke gate: compile the three exec-bench kernels through the
    pass-manager API, validate the emitted trace JSON shape against a golden
-   file, and assert that a warm-cache recompile of each kernel reports a
-   hit.  Part of `make check`.
+   file, assert that the [tape-compile] note names exactly the nests the
+   executor claimed, and assert that a warm-cache recompile of each kernel
+   reports a hit.  Part of `make check`.
 
    Numbers in the JSON (timings, loop counts) vary per machine, so both
    sides are normalized — every digit run collapses to `N` — before the
@@ -56,6 +57,16 @@ let first_diff_line a b =
   in
   go 1 (la, lb)
 
+(* The nest names of a [tape-compile] note: "tape NAME: ...; tape ...". *)
+let note_nests note =
+  if note = "no nest claimed" then []
+  else
+    List.map
+      (fun e ->
+        let e = String.trim e in
+        String.sub e 5 (String.index e ':' - 5))
+      (String.split_on_char ';' note)
+
 let gate () =
   P.clear_cache ();
   let traces =
@@ -87,6 +98,26 @@ let gate () =
             (case.Exec_bench.c_name
            ^ ": warm-cache recompile did not report a hit");
         let trace = P.trace_of tracer in
+        (* The note is built from the claim record the executor read: it
+           must list exactly the executor's claims, in order. *)
+        let noted =
+          match
+            List.find_opt
+              (fun (p : P.pass_trace) -> p.P.p_name = "tape-compile")
+              trace.P.t_passes
+          with
+          | Some p -> note_nests p.P.p_note
+          | None -> failwith (case.Exec_bench.c_name ^ ": no tape-compile pass")
+        in
+        let claimed = List.map fst (B.Exec.lane_modes cold.P.exec) in
+        if List.length noted <> B.Exec.tape_count cold.P.exec || noted <> claimed
+        then
+          failwith
+            (Printf.sprintf "%s: tape-compile note lists %d nests [%s], the \
+                             executor claimed %d [%s]"
+               case.Exec_bench.c_name (List.length noted)
+               (String.concat ", " noted) (B.Exec.tape_count cold.P.exec)
+               (String.concat ", " claimed));
         (* The probe must actually engage: at least one verifiable pass
            per kernel differentially verified (not merely skipped), and
            none may report a semantics change. *)
@@ -143,7 +174,8 @@ let gate () =
     end;
     Common.pf
       "pipeline-smoke: %d kernels compiled, trace schema matches golden, \
-       warm-cache hits confirmed\n"
+       tape-compile notes match the executor's claims, warm-cache hits \
+       confirmed\n"
       (List.length traces)
   end
 

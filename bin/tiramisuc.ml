@@ -86,37 +86,32 @@ let dump_after_arg =
            tape-compile the dump is the disassembled instruction tape of \
            every claimed nest rather than the loop IR.")
 
-(* [--dump-after=tape-compile] listings wait for the build, so each nest's
-   header records the lane width the executor bound it with: the width is
-   fitted per nest at bind time and can be narrower than the request. *)
-let tape_dump = ref []
-
-let print_tape_dump modes =
+(* [--dump-after=tape-compile] lists the pass's claim record after the
+   build, so each nest's header records the lane width the executor bound
+   it with (fitted per nest, it can be narrower than the request): entry
+   [i] has the [i]th mode, none when the build failed. *)
+let print_tape_dump ~dump_after tracer modes =
   let module T = Tiramisu_codegen.Tape_gen in
-  (* claims bind in scan order: each nest takes the first unused
-     binding of its name *)
-  let rec take name acc = function
-    | [] -> (0, List.rev acc)
-    | (n, m) :: rest when String.equal n name ->
-        ( (match m with
-          | B.Tape.Inner w | B.Tape.Outer { width = w; _ } -> w
-          | B.Tape.Scalar _ -> 0),
-          List.rev_append acc rest )
-    | x :: rest -> take name (x :: acc) rest
-  in
-  ignore
-    (List.fold_left
-       (fun modes (parent, p) ->
-         let lanes, modes = take (T.nest_name p) [] modes in
-         Printf.printf "=== after tape-compile: %s ===\n%s\n%s" (T.summary p)
-           (match parent with
-           | Some (v, r) ->
-               Printf.sprintf "parent %s: %s" v (T.reject_to_string r)
-           | None -> "parent: none (outermost nest)")
-           (T.disassemble ~lanes p);
-         modes)
-       modes !tape_dump);
-  tape_dump := []
+  match (dump_after, tracer) with
+  | Some "tape-compile", Some { P.tr_claims = Some cs; _ } ->
+      if cs.T.cs_nests = [] then
+        print_string "=== after tape-compile ===\n(no nest claimed)\n";
+      List.iteri
+        (fun i (c : T.claim) ->
+          let lanes =
+            match List.nth_opt modes i with
+            | Some (_, (B.Tape.Inner w | B.Tape.Outer { width = w; _ })) -> w
+            | Some (_, B.Tape.Scalar _) | None -> 0
+          in
+          let p = c.T.cl_program in
+          Printf.printf "=== after tape-compile: %s ===\n%s\n%s" (T.summary p)
+            (match c.T.cl_parent with
+            | Some (v, r) ->
+                Printf.sprintf "parent %s: %s" v (T.reject_to_string r)
+            | None -> "parent: none (outermost nest)")
+            (T.disassemble ~lanes p))
+        cs.T.cs_nests
+  | _ -> ()
 
 (* A tracer when either observation flag is set, [None] otherwise.  The
    resolved target is stamped on the tracer up front so even lower-only
@@ -129,17 +124,8 @@ let cli_tracer ?(target = B.Target.default) ~trace ~dump_after ~name () =
       Option.map
         (fun want pass s ->
           if String.equal pass want then
-            if String.equal pass "tape-compile" then
-              (* The tape pass is an observation point: dump the bytecode the
-                 executor will run instead of the (unchanged) loop IR,
-                 each nest headed by why its enclosing loop's nest was
-                 not claimed ([print_tape_dump], after the build). *)
-              match Tiramisu_codegen.Tape_gen.scan_explained s with
-              | [] -> Printf.printf "=== after %s ===\n(no nest claimed)\n" pass
-              | progs -> tape_dump := progs
-            else
-              Printf.printf "=== after %s ===\n%s\n" pass
-                (Tiramisu_codegen.Loop_ir.to_string s))
+            Printf.printf "=== after %s ===\n%s\n" pass
+              (Tiramisu_codegen.Loop_ir.to_string s))
         dump_after
     in
     let tr = P.make_tracer ?on_after ~name () in
@@ -213,12 +199,12 @@ let run_cmd =
         with
         | art -> art
         | exception e ->
-            print_tape_dump [];
+            print_tape_dump ~dump_after tracer [];
             raise e
       in
       B.Exec.run art.P.exec;
       let ms = Tiramisu_backends.Clock.now_ms () -. t0 in
-      print_tape_dump (B.Exec.lane_modes art.P.exec);
+      print_tape_dump ~dump_after tracer (B.Exec.lane_modes art.P.exec);
       Printf.printf "native execution (%s) ok in %.3f ms\n"
         (B.Target.to_string target) ms;
       (* one line per claimed nest: how it batches lanes, or why not *)

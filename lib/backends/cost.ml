@@ -66,11 +66,11 @@ type state = {
   mutable local_stores : string list;
       (* buffers stored within the current innermost loop body: loads of
          them hit the cache (producer-consumer fusion locality) *)
-  tape : bool;     (* model the flat-tape backend (DESIGN.md §11) *)
+  claims : Tiramisu_codegen.Tape_gen.claims;  (* the tape's nests (§11) *)
   lanes : int;     (* vector-tape lane width (<= 1: scalar tape) *)
   mutable in_tape : bool;
-      (* inside a nest Tape_gen would claim: loop control runs as
-         strength-reduced bytecode cursors, not closure dispatch *)
+      (* inside a claimed nest: loop control runs as strength-reduced
+         bytecode cursors, not closure dispatch *)
   mutable tape_vec : string option;
       (* innermost variable of the claimed nest when the generator marked
          it lane-safe: that loop runs width-[lanes] batches, amortizing
@@ -402,18 +402,15 @@ let rec walk st (s : L.stmt) : cost =
       let bytes = 4.0 *. float_of_int (max 0 (eval st count)) in
       { zero with c_comm = m.M.net.M.alpha +. (bytes *. m.M.net.M.beta);
         c_bytes = bytes; c_msgs = 1. }
-  | L.For { var; lo; hi; tag; body } ->
+  | L.For { var; lo; hi; tag; body } as whole ->
       let lo_v = eval st lo and hi_v = eval st hi in
       let extent = max 0 (hi_v - lo_v + 1) in
       if extent = 0 then zero
       else begin
         let saved_tape = st.in_tape in
         let saved_vec = st.tape_vec in
-        (if st.tape && not st.in_tape then
-           match
-             Tiramisu_codegen.Tape_gen.compile_nest
-               (L.For { var; lo; hi; tag; body })
-           with
+        (if not st.in_tape then
+           match Tiramisu_codegen.Tape_gen.find st.claims whole with
            | Some p ->
                st.in_tape <- true;
                if st.lanes > 1 && p.Tiramisu_codegen.Tape_gen.p_vec_ok then
@@ -491,7 +488,7 @@ let rec walk st (s : L.stmt) : cost =
                their nest is rectangular. *)
             let oh =
               if in_tape then m.M.loop_overhead *. 0.05
-              else if L.spec_candidate (L.For { var; lo; hi; tag; body }) then
+              else if L.spec_candidate whole then
                 m.M.loop_overhead *. 0.25
               else m.M.loop_overhead
             in
@@ -550,7 +547,9 @@ let estimate ?(machine = M.default) ?(tape = false)
       launch_charged = false;
       block_threads = 0;
       local_stores = [];
-      tape;
+      claims =
+        (if tape then Tiramisu_codegen.Tape_gen.claims stmt
+         else Tiramisu_codegen.Tape_gen.no_claims);
       lanes;
       in_tape = false;
       tape_vec = None;

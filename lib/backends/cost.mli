@@ -34,8 +34,9 @@ val estimate :
 (** [buffers] gives each buffer's dimensions and memory space (for stride,
     footprint and GPU memory-hierarchy computation).  [tape] (default off,
     preserving the paper-figure calibration) additionally models the flat
-    instruction-tape backend: loop control inside a nest [Tape_gen] would
-    claim is charged at bytecode-cursor cost, which is what lets the
+    instruction-tape backend: it computes the claim record
+    ({!Tiramisu_codegen.Tape_gen.claims}) once and charges loop control
+    inside a claimed nest at bytecode-cursor cost, which is what lets the
     autoscheduler's prior rank tape-friendly schedules above
     structurally-equal ones the tape cannot claim.  [lanes] (default
     {!Tape.default_lanes}, matching {!Exec.compile}) is the widest lane

@@ -61,11 +61,9 @@ type ctx = {
   est_vars : (string, int) Hashtbl.t;  (* params, enclosing-loop midpoints *)
   n_static : int Atomic.t;           (* pool loops compiled static *)
   (* the flat-tape backend (see {!Tape}) *)
-  tape_enabled : bool;
+  claims : Tape_gen.claims;          (* the nests it runs *)
   tape_lanes : int;                  (* vector lane width (<= 1: scalar) *)
-  mutable in_tape : int;             (* compiling inside a claimed nest *)
-  n_tape_instr : int Atomic.t;       (* total tape instructions *)
-  mutable lane_modes : (string * Tape.lane_mode) list;
+  mutable bound : (Tape_gen.program * Tape.lane_mode) list;
     (* per claimed nest, newest first *)
   n_tape_fb : int Atomic.t;          (* runtime corner-check fallbacks *)
   n_msgs : int Atomic.t;             (* runtime: messages sent *)
@@ -366,37 +364,27 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
   | L.For { var; lo; hi; tag; body } as whole ->
       let s = slot ctx var in
       let flo = compile_int ctx lo and fhi = compile_int ctx hi in
-      (* Attempt the flat-tape backend first: a perfect rectangular nest
-         over straight-line affine stores compiles to register-file
-         bytecode with strength-reduced cursors (see {!Tape_gen} /
-         {!Tape}), and the whole closure compile below becomes the
-         checked fallback taken when the whole-box corner check fails at
-         run time.  Inner loops of a claimed nest are not re-attempted
-         ([in_tape]).  The tape reads every bound and hoisted name from
-         [env] on entry, so nests under GPU-grid and rank loops claim the
-         same way as on the CPU. *)
+      (* A nest the claim record names runs on the flat tape (see
+         {!Tape_gen} / {!Tape}): register-file bytecode with
+         strength-reduced cursors, and the whole closure compile below
+         becomes the checked fallback taken when the whole-box corner
+         check fails at run time.  The tape reads every bound and hoisted
+         name from [env] on entry, so nests under GPU-grid and rank loops
+         claim the same way as on the CPU. *)
       let tape_rt =
-        if (not ctx.tape_enabled) || ctx.in_tape > 0 then None
-        else
-          match Tape_gen.compile_nest whole with
-          | None -> None
-          | Some prog -> (
-              match
-                Tape.bind ~lanes:ctx.tape_lanes
-                  ~buf:(Hashtbl.find_opt ctx.cbufs)
-                  ~slot:(slot ctx) prog
-              with
-              | None -> None
-              | Some bt -> Some (prog, bt))
+        match Tape_gen.find ctx.claims whole with
+        | None -> None
+        | Some prog -> (
+            match
+              Tape.bind ~lanes:ctx.tape_lanes
+                ~buf:(Hashtbl.find_opt ctx.cbufs)
+                ~slot:(slot ctx) prog
+            with
+            | None -> None
+            | Some bt ->
+                ctx.bound <- (prog, Tape.mode bt) :: ctx.bound;
+                Some bt)
       in
-      (match tape_rt with
-      | Some (prog, bt) ->
-          ctx.lane_modes <-
-            (Tape_gen.nest_name prog, Tape.mode bt) :: ctx.lane_modes;
-          ignore
-            (Atomic.fetch_and_add ctx.n_tape_instr (Tape_gen.instr_count prog))
-      | None -> ());
-      if Option.is_some tape_rt then ctx.in_tape <- ctx.in_tape + 1;
       (* Statically nested Parallel loops run sequentially inside their
          chunk: the pool already owns the machine at the outer level.  Every
          other pool-strategy Parallel loop forks, static or dynamic by the
@@ -420,7 +408,6 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
       let my_pending = ref [] in
       Hashtbl.replace ctx.pending var my_pending;
       let fbody = compile_stmt ctx body in
-      if Option.is_some tape_rt then ctx.in_tape <- ctx.in_tape - 1;
       let checks = Array.of_list !my_pending in
       (match saved_pending with
       | Some r -> Hashtbl.replace ctx.pending var r
@@ -504,7 +491,7 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
           fun env ->
             let lo = flo env and hi = fhi env in
             if hi >= lo then closure_run env lo hi
-      | Some (_, bt) ->
+      | Some bt ->
           (* Tape dispatch: [Tape.enter] evaluates bounds and the
              whole-box corner checks once per nest entry — a failure
              falls back to the closure path (whose per-access checks
@@ -676,13 +663,20 @@ let check_gpu_grid ~max_threads env stmt =
   walk 1 stmt
 
 (* Compile a statement verbatim for a given execution target (the
-   pipeline has already run narrowing, simplification and planning).  The
-   target decides the CPU parallel strategy (its projection) and — for
-   [Gpu_sim] — the static thread-block validation; the flat tape claims
-   nests on every target. *)
-let compile ?(target = Target.default) ?(tape = true)
+   pipeline has already run narrowing, simplification, planning and the
+   tape claim).  The target decides the CPU parallel strategy (its
+   projection) and — for [Gpu_sim] — the static thread-block validation;
+   the flat tape runs the claimed nests on every target. *)
+let compile ?(target = Target.default) ?claims
     ?(lanes = Tape.default_lanes) ~params
     ~buffers stmt =
+  let claims =
+    match claims with
+    | None -> Tape_gen.claims stmt
+    | Some { Tape_gen.cs_source = Some s; _ } when s != stmt ->
+        invalid_arg "Exec.compile: claims computed from another statement"
+    | Some c -> c
+  in
   let parallel = Target.par_strategy target in
   let ctx =
     {
@@ -698,11 +692,9 @@ let compile ?(target = Target.default) ?(tape = true)
       par_depth = 0;
       est_vars = Hashtbl.create 16;
       n_static = Atomic.make 0;
-      tape_enabled = tape;
+      claims;
       tape_lanes = lanes;
-      in_tape = 0;
-      n_tape_instr = Atomic.make 0;
-      lane_modes = [];
+      bound = [];
       n_tape_fb = Atomic.make 0;
       n_msgs = Atomic.make 0;
       n_bytes = Atomic.make 0;
@@ -763,9 +755,12 @@ let compile ?(target = Target.default) ?(tape = true)
      independent. *)
   { body; regs0; bufs = ctx.cbufs; cmeta = L.analyze_loops stmt;
     c_static = Atomic.get ctx.n_static;
-    c_tape_lanes = (if tape && lanes > 1 then lanes else 0);
-    c_tape_instr = Atomic.get ctx.n_tape_instr;
-    c_lane_modes = List.rev ctx.lane_modes;
+    c_tape_lanes =
+      (if claims.Tape_gen.cs_source <> None && lanes > 1 then lanes else 0);
+    c_tape_instr =
+      List.fold_left (fun n (p, _) -> n + Tape_gen.instr_count p) 0 ctx.bound;
+    c_lane_modes =
+      List.rev_map (fun (p, m) -> (Tape_gen.nest_name p, m)) ctx.bound;
     (* runtime counters (tape fallbacks, comm traffic) keep accumulating
        as the compiled object runs, so the compiled value shares the
        Atomics instead of snapshotting them *)

@@ -45,7 +45,7 @@ type par_strategy = [ `Pool | `Seq ]
 
 val compile :
   ?target:Target.t ->
-  ?tape:bool ->
+  ?claims:Tiramisu_codegen.Tape_gen.claims ->
   ?lanes:int ->
   params:(string * int) list ->
   buffers:Buffers.t list ->
@@ -58,13 +58,15 @@ val compile :
     ([Tiramisu_pipeline.Pipeline]), the one module that knows the pass
     order.  The target names the CPU parallel strategy, and a [Gpu_sim]
     target statically validates thread-block sizes against its
-    [max_threads].  [tape] (default [true]) gates the
-    flat tape; with it off the executor is the plain hoisted-addressing
-    closure compiler.  [lanes] (default {!Tape.default_lanes}) is the
-    widest lane batch claimed nests are bound with — [<= 1] forces the
-    scalar tape; lane-unsafe nests stay scalar either way, and binding
-    fits the width to each nest (see {!Tape.bind}).
-    @raise Failure on constructs the executor does not support. *)
+    [max_threads].  [claims] (default: the statement's) are the nests
+    the flat tape runs; under [Tape_gen.no_claims] the executor is the
+    plain hoisted-addressing closure compiler.  [lanes] (default
+    {!Tape.default_lanes}) is the widest lane batch claimed nests are
+    bound with — [<= 1] forces the scalar tape; lane-unsafe nests stay
+    scalar either way, and binding fits the width to each nest (see
+    {!Tape.bind}).
+    @raise Failure on constructs the executor does not support.
+    @raise Invalid_argument on [claims] of another statement. *)
 
 val run : compiled -> unit
 (** Execute.  With the default [`Pool] strategy, parallel loops use the
@@ -95,8 +97,8 @@ val static_count : compiled -> int
     compiles in one process each report their own number. *)
 
 val tape_count : compiled -> int
-(** Number of loop nests claimed by the flat-tape backend ([tape], default
-    on): perfect rectangular nests over straight-line affine stores compiled
+(** Number of loop nests claimed by the flat-tape backend ([claims]):
+    perfect rectangular nests over straight-line affine stores compiled
     to register-file bytecode with strength-reduced cursor addressing (see
     {!Tape}).  The whole closure path stays compiled as the checked
     fallback.  Per-[compiled] value, like {!static_count}. *)
@@ -107,8 +109,8 @@ val tape_vec_count : compiled -> int
     like {!tape_count}. *)
 
 val tape_lanes : compiled -> int
-(** The lane width this program was compiled with ([0] when the tape was
-    disabled or [lanes <= 1] forced the scalar tape). *)
+(** The lane width this program was compiled with ([0] under [no_claims]
+    or when [lanes <= 1] forced the scalar tape). *)
 
 val tape_instrs : compiled -> int
 (** Total tape instructions across all claimed nests.  Per-[compiled]. *)

@@ -269,7 +269,7 @@ let affine e = affine_terms e <> None
    may be lane-batched.  These predicates are the *structural* half of the
    leaf contract (the tape additionally requires a perfect rectangular
    chain above the leaf, buffers that exist with matching rank, and entry
-   corner checks that pass); they are shared with {!analyze_loops} and the
+   corner checks that pass); they are shared with {!Tape_gen} and the
    cost model. *)
 
 (* [Some stores] when [s] is a straight-line sequence of stores (comments
@@ -425,48 +425,33 @@ type loop_meta = {
   n_parallel : int;          (* Parallel-tagged loops *)
   n_nested_parallel : int;   (* Parallel loops inside another Parallel loop *)
   max_depth : int;           (* deepest loop nesting *)
-  innermost : string list;   (* vars of loops containing no other loop *)
-  n_specializable : int;
-    (* innermost loops with a tape-claimable leaf ({!spec_candidate}) *)
 }
 
 let analyze_loops stmt =
   let meta =
-    ref { n_loops = 0; n_parallel = 0; n_nested_parallel = 0; max_depth = 0;
-          innermost = []; n_specializable = 0 }
+    ref { n_loops = 0; n_parallel = 0; n_nested_parallel = 0; max_depth = 0 }
   in
-  (* returns whether [s] contains a loop *)
   let rec go depth in_par s =
     match s with
-    | Block l -> List.fold_left (fun acc s -> go depth in_par s || acc) false l
-    | For { var; tag; body; _ } ->
+    | Block l -> List.iter (go depth in_par) l
+    | For { tag; body; _ } ->
         let m = !meta in
         meta :=
-          { m with
-            n_loops = m.n_loops + 1;
+          { n_loops = m.n_loops + 1;
             n_parallel = (m.n_parallel + if tag = Parallel then 1 else 0);
             n_nested_parallel =
               (m.n_nested_parallel
                + if tag = Parallel && in_par then 1 else 0);
-            max_depth = max m.max_depth (depth + 1);
-            n_specializable =
-              (m.n_specializable + if spec_candidate s then 1 else 0) };
-        let inner = go (depth + 1) (in_par || tag = Parallel) body in
-        if not inner then begin
-          let m = !meta in
-          meta := { m with innermost = var :: m.innermost }
-        end;
-        true
+            max_depth = max m.max_depth (depth + 1) };
+        go (depth + 1) (in_par || tag = Parallel) body
     | If (_, t, e) ->
-        let a = go depth in_par t in
-        let b = match e with Some e -> go depth in_par e | None -> false in
-        a || b
+        go depth in_par t;
+        Option.iter (go depth in_par) e
     | Alloc { body; _ } -> go depth in_par body
-    | Store _ | Barrier | Comment _ | Send _ | Recv _ | Memcpy _ -> false
+    | Store _ | Barrier | Comment _ | Send _ | Recv _ | Memcpy _ -> ()
   in
-  ignore (go 0 false stmt);
-  let m = !meta in
-  { m with innermost = List.rev m.innermost }
+  go 0 false stmt;
+  !meta
 
 (* ---------- pretty printing (paper-style pseudocode) ---------- *)
 

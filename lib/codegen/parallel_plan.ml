@@ -442,6 +442,8 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
               List.filteri (fun i _ -> i < m)
                 (List.map (fun l -> l.l_var) levels)
             in
+            (* Predictive, not the [tape-compile] record: a retag here
+               still changes [p_par], and with it the lane level. *)
             if tape && Tape_gen.claimable s then begin
               (* The tape backend linearizes the Parallel prefix itself
                  (no div/mod binder loops — which would destroy tape

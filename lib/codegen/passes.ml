@@ -73,6 +73,8 @@ let rec vector_legalize ?(keep_claimable = false) (s : L.stmt) : L.stmt =
       | L.Int n when n < w ->
           (* Statically partial: scalar loop. *)
           L.For { f with tag = L.Seq; body }
+      (* Predictive, not the [tape-compile] record: the final statement
+         does not exist yet. *)
       | _ when keep_claimable && Tape_gen.claimable (L.For { f with body })
         ->
           L.For { f with body }

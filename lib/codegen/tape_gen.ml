@@ -375,7 +375,12 @@ let collect_chain (s : L.stmt) : level list * string list * L.stmt =
 
 (* ---------- emission ---------- *)
 
+(* for the tests that pin one claim per compile *)
+let n_classify = Atomic.make 0
+let classify_calls () = Atomic.get n_classify
+
 let classify (s : L.stmt) : (program, reject) result =
+  Atomic.incr n_classify;
   match s with
   | L.For _ -> (
       try
@@ -936,20 +941,30 @@ let classify (s : L.stmt) : (program, reject) result =
       with Reject r -> Error r)
   | _ -> Error Not_perfect
 
-let compile_nest s = Result.to_option (classify s)
-
 let claimable s = Result.is_ok (classify s)
 
-(* Tape programs of a whole statement: claim maximal nests top-down, never
-   descending into a claimed subtree (mirrors the executor's dispatch);
+(* ---------- the claim record ---------- *)
+
+type claim = {
+  cl_root : L.stmt;
+  cl_program : program;
+  cl_parent : (string * reject) option;
+}
+
+type claims = { cs_source : L.stmt option; cs_nests : claim list }
+
+let no_claims = { cs_source = None; cs_nests = [] }
+
+(* Claim maximal nests top-down, never descending into a claimed subtree;
    each with the nearest enclosing loop and why its nest was rejected. *)
-let scan_explained (s : L.stmt) : ((string * reject) option * program) list =
+let claims (s : L.stmt) : claims =
   let out = ref [] in
   let rec go parent (s : L.stmt) =
     match s with
     | L.For { var; body; _ } -> (
         match classify s with
-        | Ok p -> out := (parent, p) :: !out
+        | Ok p ->
+            out := { cl_root = s; cl_program = p; cl_parent = parent } :: !out
         | Error r -> go (Some (var, r)) body)
     | L.Block l -> List.iter (go parent) l
     | L.If (_, t, e) ->
@@ -961,9 +976,12 @@ let scan_explained (s : L.stmt) : ((string * reject) option * program) list =
         ()
   in
   go None s;
-  List.rev !out
+  { cs_source = Some s; cs_nests = List.rev !out }
 
-let scan s = List.map snd (scan_explained s)
+let find cs (s : L.stmt) =
+  List.find_map
+    (fun c -> if c.cl_root == s then Some c.cl_program else None)
+    cs.cs_nests
 
 (* ---------- printing ---------- *)
 

@@ -189,22 +189,35 @@ val reject_to_string : reject -> string
     same bits. *)
 val classify : Loop_ir.stmt -> (program, reject) result
 
-(** [compile_nest s] = [Result.to_option (classify s)]. *)
-val compile_nest : Loop_ir.stmt -> program option
+(** Calls of {!classify} so far in this process. *)
+val classify_calls : unit -> int
 
-(** [claimable s] = [compile_nest s <> None]; used by the parallel
-    planner to leave tape-eligible nests uncoalesced. *)
+(** [Result.is_ok (classify s)]: the predictive check of the passes that
+    run before the final statement (and so its {!claims}) exists. *)
 val claimable : Loop_ir.stmt -> bool
 
-(** All programs the executor would claim in a statement: maximal nests,
-    top-down, never descending into a claimed subtree. *)
-val scan : Loop_ir.stmt -> program list
+type claim = {
+  cl_root : Loop_ir.stmt;  (** the claimed [For] *)
+  cl_program : program;
+  cl_parent : (string * reject) option;
+      (** the nearest enclosing loop and why its nest was rejected *)
+}
 
-(** {!scan}, each program with its nearest enclosing loop's variable and
-    the reason that loop's nest was rejected ([None] for a nest with no
-    enclosing loop). *)
-val scan_explained :
-  Loop_ir.stmt -> ((string * reject) option * program) list
+type claims = private {
+  cs_source : Loop_ir.stmt option;  (** [None] for {!no_claims} *)
+  cs_nests : claim list;  (** top-down, in claim order *)
+}
+
+(** The nests of [s] the tape runs: maximal nests, top-down.  Made once
+    per compile by the pipeline's [tape-compile] pass; the executor, the
+    cost model and [tiramisuc] read it and never classify. *)
+val claims : Loop_ir.stmt -> claims
+
+(** Claims nothing, of any statement: the closure-only control. *)
+val no_claims : claims
+
+(** The program of the claimed nest rooted at [s] (physical identity). *)
+val find : claims -> Loop_ir.stmt -> program option
 
 (** The level an accumulator program may batch lanes along: the level
     directly above the innermost (reduction) level, when it is tagged

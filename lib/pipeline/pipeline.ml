@@ -111,11 +111,13 @@ type tracer = {
   mutable tr_passes : pass_trace list;  (* reverse execution order *)
   tr_probe : probe option;
   tr_on_after : (string -> L.stmt -> unit) option;
+  mutable tr_claims : Tape_gen.claims option;  (* tape-compile's output *)
 }
 
 let make_tracer ?probe ?on_after ?(name = "<stmt>") () =
   { tr_fn = name; tr_start = B.Clock.now_ms (); tr_cache = Bypass;
-    tr_target = ""; tr_passes = []; tr_probe = probe; tr_on_after = on_after }
+    tr_target = ""; tr_passes = []; tr_probe = probe; tr_on_after = on_after;
+    tr_claims = None }
 
 let trace_of tr =
   { t_fn = tr.tr_fn; t_cache = tr.tr_cache; t_target = tr.tr_target;
@@ -194,21 +196,21 @@ let stmt_pass ?tracer ~name ~context ?(verifiable = false)
        | Verified | Skipped -> ());
       s'
 
-(* A pass whose input is not a statement (the Layer-IV expansion); only
-   the output metadata is recorded. *)
-let front_pass ?tracer ~name ~context f x =
+(** Run an unverified pass: time it, wrap its errors, and record the loop
+    metadata [meta] gives for its input and output. *)
+let timed_pass ?tracer ~name ~context ?(meta = fun _ _ -> (None, None))
+    ?(note = fun _ -> "") f x =
   match tracer with
   | None -> guard ~stage:name ~context f x
   | Some tr ->
       let t0 = B.Clock.now_ms () in
-      let s = guard ~stage:name ~context f x in
-      let ms = B.Clock.now_ms () -. t0 in
+      let y = guard ~stage:name ~context f x in
+      let p_ms = B.Clock.now_ms () -. t0 in
+      let p_before, p_after = meta x y in
       record tr
-        { p_name = name; p_ms = ms; p_before = None;
-          p_after = Some (L.analyze_loops s); p_verify = Skipped;
-          p_note = "" };
-      (match tr.tr_on_after with Some h -> h name s | None -> ());
-      s
+        { p_name = name; p_ms; p_before; p_after; p_verify = Skipped;
+          p_note = note y };
+      y
 
 (* ---------- the staged path ---------- *)
 
@@ -254,7 +256,15 @@ let default_knobs =
     verifiable), and [alloc-scope] ([allocate_at] placement). *)
 let lower ?tracer ?(keep_claimable = false) (fn : Ir.fn) : Lower.t =
   let context = "function " ^ fn.Ir.fn_name in
-  let ast = front_pass ?tracer ~name:"lower" ~context Lower.generate_ast fn in
+  (* its input is not a statement: only the output metadata is recorded *)
+  let ast =
+    timed_pass ?tracer ~name:"lower" ~context
+      ~meta:(fun _ s -> (None, Some (L.analyze_loops s)))
+      Lower.generate_ast fn
+  in
+  (match tracer with
+  | Some { tr_on_after = Some h; _ } -> h "lower" ast
+  | _ -> ());
   let ast =
     stmt_pass ?tracer ~name:"legalize" ~context ~verifiable:true
       (Passes.legalize ~keep_claimable) ast
@@ -327,39 +337,36 @@ let prepare_and_plan ?tracer ?(knobs = default_knobs) ~params (s : L.stmt) =
     [Exec.compile]. *)
 let compile_stage ?tracer ?(knobs = default_knobs) ~params ~buffers
     (s : L.stmt) =
-  (* The tape claim itself happens inside [Exec.compile]; this
-     named identity pass exists for observability — its note lists every
-     nest the tape backend will claim ([--trace-passes]), and its dump
-     hook ([--dump-after=tape-compile]) is where the disassembler binds.
-     With the tape off the pass is skipped entirely. *)
-  let s =
-    if not knobs.tape then s
-    else
-      stmt_pass ?tracer ~name:"tape-compile" ~context:"statement"
-        ~note:(fun () ->
-          match Tape_gen.scan s with
-          | [] -> "no nest claimed"
-          | ps -> String.concat "; " (List.map Tape_gen.summary ps))
-        (fun s -> s) s
-  in
-  let do_compile s =
-    B.Exec.compile ~target:knobs.target ~tape:knobs.tape
-      ~lanes:knobs.lanes ~params ~buffers s
+  (* [tape-compile] is the tape claim: {!Tape_gen.claims} classifies the
+     nests once, traced or not, and [compile] hands the record to
+     [Exec.compile], which never classifies.  With the tape off the pass
+     is skipped and the executor gets the empty record. *)
+  let meta s _ = let m = Some (L.analyze_loops s) in (m, m) in
+  let claims =
+    if not knobs.tape then Tape_gen.no_claims
+    else begin
+      let cs =
+        timed_pass ?tracer ~name:"tape-compile" ~context:"statement" ~meta
+          ~note:(fun cs ->
+            match cs.Tape_gen.cs_nests with
+            | [] -> "no nest claimed"
+            | nests ->
+                String.concat "; "
+                  (List.map (fun c -> Tape_gen.summary c.Tape_gen.cl_program)
+                     nests))
+          Tape_gen.claims s
+      in
+      Option.iter (fun tr -> tr.tr_claims <- Some cs) tracer;
+      cs
+    end
   in
   (match tracer with
   | Some tr -> tr.tr_target <- B.Target.to_key_string knobs.target
   | None -> ());
-  match tracer with
-  | None -> guard ~stage:"compile" ~context:"statement" do_compile s
-  | Some tr ->
-      let meta = L.analyze_loops s in
-      let t0 = B.Clock.now_ms () in
-      let exec = guard ~stage:"compile" ~context:"statement" do_compile s in
-      let ms = B.Clock.now_ms () -. t0 in
-      record tr
-        { p_name = "compile"; p_ms = ms; p_before = Some meta;
-          p_after = Some meta; p_verify = Skipped; p_note = "" };
-      exec
+  timed_pass ?tracer ~name:"compile" ~context:"statement" ~meta
+    (B.Exec.compile ~target:knobs.target ~claims ~lanes:knobs.lanes ~params
+       ~buffers)
+    s
 
 (* ---------- compile cache ---------- *)
 
@@ -737,29 +744,18 @@ let extents_of_fn fn ~params =
 let lower_for_build ?tracer ?(knobs = default_knobs) fn
     (k : Lower.t -> 'a) : 'a =
   let context = "function " ^ fn.Ir.fn_name in
-  let widen () =
-    if B.Target.pool_schedulable knobs.target then begin
-      let t0 = B.Clock.now_ms () in
-      let widened, undo =
-        guard ~stage:"widen-parallel" ~context Deps.widen_parallel fn
-      in
-      (match tracer with
-       | Some tr ->
-           record tr
-             { p_name = "widen-parallel"; p_ms = B.Clock.now_ms () -. t0;
-               p_before = None; p_after = None; p_verify = Skipped;
-               p_note =
-                 (match widened with
-                  | [] -> "no dim widened"
-                  | ws ->
-                      String.concat ", "
-                        (List.map (fun (c, d) -> c ^ "/" ^ d) ws)) }
-       | None -> ());
-      undo
-    end
+  let undo =
+    if B.Target.pool_schedulable knobs.target then
+      snd
+        (timed_pass ?tracer ~name:"widen-parallel" ~context
+           ~note:(fun (widened, _) ->
+             match widened with
+             | [] -> "no dim widened"
+             | ws ->
+                 String.concat ", " (List.map (fun (c, d) -> c ^ "/" ^ d) ws))
+           Deps.widen_parallel fn)
     else fun () -> ()
   in
-  let undo = widen () in
   (* Vector loops the tape would claim stay unsplit when this compile can
      actually claim them (tape on): the tape lane-batches the
      unsplit loop with its own scalar remainder, and splitting would only
@@ -777,9 +773,8 @@ let build ?tracer ?(knobs = default_knobs) ~fn ~params ~inputs () : artifact =
 
 let json_of_meta (m : L.loop_meta) =
   Printf.sprintf
-    {|{ "n_loops": %d, "n_parallel": %d, "n_nested_parallel": %d, "max_depth": %d, "n_specializable": %d }|}
+    {|{ "n_loops": %d, "n_parallel": %d, "n_nested_parallel": %d, "max_depth": %d }|}
     m.L.n_loops m.L.n_parallel m.L.n_nested_parallel m.L.max_depth
-    m.L.n_specializable
 
 let json_of_verdict = function
   | Verified -> {|"verified"|}

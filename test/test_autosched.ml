@@ -357,7 +357,7 @@ let blur_tape_claim_test () =
           "blur's compute_at parallel nest became tape-claimable — \
            revisit DESIGN.md §12 and the exec-bench expectations");
   (* ...but the tape still claims the inner rectangular nests. *)
-  if Tape_gen.scan stmt = [] then
+  if (Tape_gen.claims stmt).Tape_gen.cs_nests = [] then
     Alcotest.fail "tape claimed nothing in the blur schedule"
 
 (* The search proposes [compute_at] only for pairs that [compute_at]

@@ -727,7 +727,10 @@ let differential_stmt ?(strategies = [ `Seq ]) ~shapes ~fills stmt outs =
           let c =
             B.Exec.compile
               ~target:(B.Target.cpu ~parallel:strategy ())
-              ~tape ~params:[] ~buffers:(mk ()) s
+              ?claims:
+                (if tape then None
+                 else Some Tiramisu_codegen.Tape_gen.no_claims)
+              ~params:[] ~buffers:(mk ()) s
           in
           B.Exec.run c;
           List.iter

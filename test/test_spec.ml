@@ -38,7 +38,8 @@ let differential ?(strategy = `Seq) ?(tape = true) ?(params = []) ~shapes
   B.Interp.run t stmt;
   let c = B.Exec.compile
       ~target:(B.Target.cpu ~parallel:strategy ())
-      ~tape ~params ~buffers:(mk ()) stmt in
+      ?claims:(if tape then None else Some Tape_gen.no_claims)
+      ~params ~buffers:(mk ()) stmt in
   B.Exec.run c;
   List.iter
     (fun o ->
@@ -60,7 +61,10 @@ let tape_and_closure ~shapes ~fills stmt outs =
 
 (* The tape programs the executor claims for [stmt]. *)
 let claimed stmt =
-  Tape_gen.scan (Tiramisu_pipeline.Pipeline.prepare ~params:[] stmt)
+  List.map
+    (fun c -> c.Tape_gen.cl_program)
+    (Tape_gen.claims (Tiramisu_pipeline.Pipeline.prepare ~params:[] stmt))
+      .Tape_gen.cs_nests
 
 let fill_a idx =
   float_of_int (((idx.(0) * 13) + (idx.(1) * 7)) mod 29) /. 7.0

@@ -35,7 +35,8 @@ let differential ?(strategy = `Seq) ?(tape = true) ?lanes ?(params = [])
   let c =
     B.Exec.compile
       ~target:(B.Target.cpu ~parallel:strategy ())
-      ~tape ?lanes ~params ~buffers:(mk ()) stmt
+      ?claims:(if tape then None else Some Tape_gen.no_claims)
+      ?lanes ~params ~buffers:(mk ()) stmt
   in
   B.Exec.run c;
   List.iter
@@ -124,7 +125,7 @@ let gemm_accumulator () =
   Alcotest.(check bool) "tape claimed the nest" true (B.Exec.tape_count c >= 1)
 
 let gemm_disassembles_fma () =
-  match Tape_gen.compile_nest (gemm_nest ~n:8 ()) with
+  match Result.to_option (Tape_gen.classify (gemm_nest ~n:8 ())) with
   | None -> Alcotest.fail "gemm nest not claimable"
   | Some p ->
       let dis = Tape_gen.disassemble p in
@@ -460,7 +461,7 @@ let unrolled_reduction_one_accumulator () =
             { var = "k"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq;
               body = L.Block [ upd 0; upd 1; upd 2 ] } }
   in
-  (match Tape_gen.compile_nest stmt with
+  (match Result.to_option (Tape_gen.classify stmt) with
   | None -> Alcotest.fail "unrolled reduction not claimable"
   | Some p ->
       let ops =
@@ -568,7 +569,7 @@ let collision_caps_width () =
 let fitted_width_lazy_registers () =
   let hi_j = 23 in
   let prog =
-    match Tape_gen.compile_nest (blur_nest ~hi_j ()) with
+    match Result.to_option (Tape_gen.classify (blur_nest ~hi_j ())) with
     | Some p -> p
     | None -> Alcotest.fail "blur nest not claimable"
   in
@@ -612,7 +613,7 @@ let domain_states_owned_by_getter () =
         (blur_shapes ())
     in
     match
-      Tape_gen.compile_nest (blur_nest ())
+      Result.to_option (Tape_gen.classify (blur_nest ()))
       |> Option.map
            (B.Tape.bind ~lanes:B.Tape.default_lanes
               ~buf:(fun n -> List.find_opt (fun b -> b.B.Buffers.name = n) bufs)
@@ -752,7 +753,7 @@ let blur_kernel_claims_vector () =
 
 (* ---------- reject reasons ---------- *)
 
-(* [classify] names the first check a nest fails, and [scan_explained]
+(* [classify] names the first check a nest fails, and [claims]
    heads each claimed nest with its enclosing loop's reason: a partial
    tile's vector bound reading [j], a parallel level under a sequential
    one, a GPU tag, and a loop holding two loops. *)
@@ -796,11 +797,11 @@ let reject_reasons () =
   Alcotest.(check (list string)) "claimed nest headed by its parent's reason"
     [ "j: bound reads nest variable j" ]
     (List.map
-       (fun (parent, _) ->
-         match parent with
+       (fun c ->
+         match c.Tape_gen.cl_parent with
          | Some (v, r) -> v ^ ": " ^ Tape_gen.reject_to_string r
          | None -> "none")
-       (Tape_gen.scan_explained outer))
+       (Tape_gen.claims outer).Tape_gen.cs_nests)
 
 (* ---------- partial-tile bound cuts ---------- *)
 
@@ -1293,4 +1294,156 @@ let tests =
       domain_states_owned_by_getter;
   ]
 
-let () = Alcotest.run "tape" [ ("flat-tape", tests) ]
+(* ---------- one claim per compile ---------- *)
+
+module Catalog = Tiramisu_kernels.Catalog
+
+let scheduled (k : Catalog.kernel) apply =
+  let f = k.Catalog.build () in
+  apply f;
+  f
+
+let kernel name = List.find (fun k -> k.Catalog.k_name = name) Catalog.kernels
+
+(* The [tape-compile] pass classifies the final statement once whether or
+   not the build is traced: its note reads the record instead of
+   classifying again. *)
+let traced_build_classifies_once () =
+  let k = kernel "conv2D" in
+  let params = k.Catalog.params_small in
+  let classify_calls tracer =
+    P.clear_cache ();
+    let fn = scheduled k (List.assoc "cpu" (k.Catalog.schedules params)) in
+    let n0 = Tape_gen.classify_calls () in
+    ignore (P.build ?tracer ~fn ~params ~inputs:k.Catalog.inputs ());
+    Tape_gen.classify_calls () - n0
+  in
+  let untraced = classify_calls None in
+  let traced = classify_calls (Some (P.make_tracer ())) in
+  Alcotest.(check int) "traced = untraced classify calls" untraced traced
+
+(* For every kernel x schedule pair, the executor claims exactly the nests
+   of the record the [tape-compile] pass handed it, in order. *)
+let executor_claims_the_record () =
+  List.iter
+    (fun (k : Catalog.kernel) ->
+      let params = k.Catalog.params_small in
+      List.iter
+        (fun (sched, apply) ->
+          let tracer = P.make_tracer () in
+          P.clear_cache ();
+          let art =
+            P.build ~tracer ~fn:(scheduled k apply) ~params
+              ~inputs:k.Catalog.inputs ()
+          in
+          let what = k.Catalog.k_name ^ " " ^ sched in
+          let nests =
+            match tracer.P.tr_claims with
+            | Some cs -> cs.Tape_gen.cs_nests
+            | None -> Alcotest.failf "%s: no tape-compile record" what
+          in
+          Alcotest.(check int) (what ^ ": tape_count") (List.length nests)
+            (B.Exec.tape_count art.P.exec);
+          Alcotest.(check (list string)) (what ^ ": nest names")
+            (List.map (fun c -> Tape_gen.nest_name c.Tape_gen.cl_program) nests)
+            (List.map fst (B.Exec.lane_modes art.P.exec)))
+        (k.Catalog.schedules params))
+    Catalog.kernels
+
+(* A record made from another statement (here a structurally equal copy)
+   is rejected, not silently run without the tape; the executor itself
+   never classifies. *)
+let stale_claims_rejected () =
+  let mk () =
+    List.map
+      (fun (name, dims) -> B.Buffers.create name (Array.of_list dims))
+      (blur_shapes ())
+  in
+  let stmt = blur_nest () in
+  let claims = Tape_gen.claims stmt in
+  Alcotest.check_raises "record of another statement"
+    (Invalid_argument "Exec.compile: claims computed from another statement")
+    (fun () ->
+      ignore (B.Exec.compile ~claims ~params:[] ~buffers:(mk ()) (blur_nest ())));
+  let n0 = Tape_gen.classify_calls () in
+  let c = B.Exec.compile ~claims ~params:[] ~buffers:(mk ()) stmt in
+  Alcotest.(check int) "no classify call in Exec.compile" 0
+    (Tape_gen.classify_calls () - n0);
+  Alcotest.(check int) "the record's nest claimed" 1 (B.Exec.tape_count c)
+
+(* [Cost.estimate ~tape:true] of every kernel x schedule pair's prepared
+   statement, bit-exact: reading the claim record prices the same nests
+   the per-loop classification did. *)
+let cost_pinned =
+  [ ("blur", "none", 0x1.67a547ae147aep+10);
+    ("blur", "cpu", 0x1.e5f0f5c28f5c2p+12);
+    ("blur", "gpu", 0x1.922e504816fp+14);
+    ("blur", "dist", 0x1.413ce8b439582p+13);
+    ("blur", "pencil", 0x1.23530147ae148p+13);
+    ("cvtColor", "none", 0x1.14547ae147ae2p+9);
+    ("cvtColor", "cpu", 0x1.f6e747ae147aep+11);
+    ("cvtColor", "gpu", 0x1.d2c083126e978p+13);
+    ("cvtColor", "pencil", 0x1.15a15c28f5c29p+12);
+    ("conv2D", "none", 0x1.cca0000000001p+11);
+    ("conv2D", "cpu", 0x1.3254c7ae147aep+12);
+    ("conv2D", "gpu", 0x1.273b1de69ad42p+15);
+    ("conv2D", "pencil", 0x1.d270ccccccccep+12);
+    ("warpAffine", "none", 0x1.b88p+13);
+    ("warpAffine", "cpu", 0x1.0196666666666p+12);
+    ("warpAffine", "gpu", 0x1.08f3b645a1cacp+13);
+    ("warpAffine", "pencil", 0x1.1ac3333333333p+14);
+    ("gaussian", "none", 0x1.69bae147ae148p+11);
+    ("gaussian", "cpu", 0x1.ff33133333333p+12);
+    ("gaussian", "gpu", 0x1.4854c985f06f6p+15);
+    ("gaussian", "pencil", 0x1.6a87c28f5c29p+13);
+    ("nb", "none", 0x1.8dp+10);
+    ("nb", "cpu", 0x1.f6e919999999ap+11);
+    ("nb", "cpu-unfused", 0x1.f5068cccccccdp+13);
+    ("nb", "gpu", 0x1.8de7ab7564303p+14);
+    ("nb", "pencil", 0x1.1150ccccccccdp+14);
+    ("edgeDetector", "none", 0x1.cbfdc28f5c28fp+9);
+    ("edgeDetector", "cpu", 0x1.f78247ae147aep+12);
+    ("edgeDetector", "gpu", 0x1.1ad52b020c49cp+13);
+    ("edgeDetector", "pencil", 0x1.141c9c28f5c29p+13);
+    ("ticket2373", "none", 0x1.f8e147ae147afp+5);
+    ("ticket2373", "cpu", 0x1.f47e3851eb852p+11);
+    ("ticket2373", "pencil", 0x1.fb8651eb851ecp+11);
+    ("sgemm", "none", 0x1.157999999999bp+13);
+    ("sgemm", "tuned", 0x1.4bae666666666p+13);
+    ("sgemm", "pluto", 0x1.9280000000002p+13);
+    ("sgemm", "gpu", 0x1.21cb5dcc63f14p+13);
+    ("hpcg", "none", 0x1.de51eb851eb86p+11);
+    ("hpcg", "cpu", 0x1.3249d70a3d70ap+12);
+    ("baryon", "none", 0x1.758e147ae147bp+10);
+    ("baryon", "cpu", 0x1.e1bae147ae149p+8) ]
+
+let cost_reads_the_record () =
+  List.iter
+    (fun (name, sched, want) ->
+      let k = kernel name in
+      let params = k.Catalog.params_small in
+      let fn = scheduled k (List.assoc sched (k.Catalog.schedules params)) in
+      let stmt = P.prepare ~params (P.lower fn).Tiramisu_core.Lower.ast in
+      let got =
+        (B.Cost.estimate ~tape:true ~params
+           ~buffers:(P.extents_of_fn fn ~params) stmt)
+          .B.Cost.time_ns
+      in
+      Alcotest.(check string) (name ^ " " ^ sched) (Printf.sprintf "%h" want)
+        (Printf.sprintf "%h" got))
+    cost_pinned
+
+let claim_tests =
+  [
+    Alcotest.test_case "traced and untraced builds classify alike" `Quick
+      traced_build_classifies_once;
+    Alcotest.test_case "the executor claims the record, every kernel" `Quick
+      executor_claims_the_record;
+    Alcotest.test_case "a record of another statement is rejected" `Quick
+      stale_claims_rejected;
+    Alcotest.test_case "cost model prices the record, bit-exact" `Quick
+      cost_reads_the_record;
+  ]
+
+let () =
+  Alcotest.run "tape" [ ("flat-tape", tests); ("claims", claim_tests) ]
