@@ -514,13 +514,22 @@ let smoke_gate () =
       (fun case ->
         let a, vec = time_exec ~reps case `Seq in
         let _, scalar = time_exec ~lanes:1 ~reps case `Seq in
+        (* the modes the nests bound, not the requested width: each
+           nest fits the request to its own shape *)
+        let modes =
+          List.filter_map
+            (fun (_, m) ->
+              match m with
+              | B.Tape.Scalar _ -> None
+              | m -> Some (B.Tape.mode_to_string m))
+            (B.Exec.lane_modes a.P.exec)
+        in
         Common.pf
           "bench-smoke %-22s scalar-tape %8.3f ms   vector %8.3f ms   \
-           (%.2fx, %d nests @ %d lanes)\n"
+           (%.2fx, %d nests: %s)\n"
           case.c_name scalar.s_min vec.s_min
           (scalar.s_min /. vec.s_min)
-          (B.Exec.tape_vec_count a.P.exec)
-          (B.Exec.tape_lanes a.P.exec);
+          (List.length modes) (String.concat ", " modes);
         (case.c_name, scalar, vec))
       (cases ~smoke:true)
   in

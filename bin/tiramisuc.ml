@@ -87,9 +87,11 @@ let dump_after_arg =
            every claimed nest rather than the loop IR.")
 
 (* [--dump-after=tape-compile] lists the pass's claim record after the
-   build, so each nest's header records the lane width the executor bound
-   it with (fitted per nest, it can be narrower than the request): entry
-   [i] has the [i]th mode, none when the build failed. *)
+   build, so each nest's header records the lane mode the executor bound
+   it with (fitted per nest, it can be narrower than the request, and an
+   accumulator's may be a 2-D block): entry [i] has the [i]th mode, none
+   when the build failed.  The listing's own header names the lanes along
+   one run, so a block passes its row width there. *)
 let print_tape_dump ~dump_after tracer modes =
   let module T = Tiramisu_codegen.Tape_gen in
   match (dump_after, tracer) with
@@ -98,17 +100,22 @@ let print_tape_dump ~dump_after tracer modes =
         print_string "=== after tape-compile ===\n(no nest claimed)\n";
       List.iteri
         (fun i (c : T.claim) ->
+          let mode = Option.map snd (List.nth_opt modes i) in
           let lanes =
-            match List.nth_opt modes i with
-            | Some (_, (B.Tape.Inner w | B.Tape.Outer { width = w; _ })) -> w
-            | Some (_, B.Tape.Scalar _) | None -> 0
+            match mode with
+            | Some (B.Tape.Inner w | B.Tape.Outer { width = w; _ }) -> w
+            | Some (B.Tape.Scalar _) | None -> 0
           in
           let p = c.T.cl_program in
-          Printf.printf "=== after tape-compile: %s ===\n%s\n%s" (T.summary p)
+          Printf.printf "=== after tape-compile: %s ===\n%s\nlanes: %s\n%s"
+            (T.summary p)
             (match c.T.cl_parent with
             | Some (v, r) ->
                 Printf.sprintf "parent %s: %s" v (T.reject_to_string r)
             | None -> "parent: none (outermost nest)")
+            (match mode with
+            | Some m -> B.Tape.mode_to_string m
+            | None -> "none (build failed)")
             (T.disassemble ~lanes p))
         cs.T.cs_nests
   | _ -> ()

@@ -15,8 +15,11 @@
    whose fold is a pure linearization — constant 0-based inner bounds,
    every access stepping through the pair as one flat run, no body use of
    either variable — are merged, so a [lane][channel] tail becomes one
-   long unit-stride segment.  The merge preserves iteration order
-   exactly, so it is semantically invisible; entry corner checks keep the
+   long unit-stride segment, and a nest with no parallel prefix may merge
+   all the way to level 0 (conv2D's steady [j.j_v] rows: one 112-wide
+   run).  The merge never folds into the parallel prefix, the range
+   callers split across workers.  It preserves iteration order exactly,
+   so it is semantically invisible; entry corner checks keep the
    original per-level view.
 
    On top of the exec view sits the vector tier: when the generator
@@ -53,16 +56,28 @@
    order, and the accumulator is the only stored access and moves along
    the lane level, so lanes never share an address: the batch is exact.
    Positions past the last full batch run as one narrower batch (a
-   single leftover position runs scalar).  Every binding records
-   its decision as a {!lane_mode}, with a typed reason when scalar.
+   single leftover position runs scalar).
+
+   An [Outer] batch may also be 2-D.  When the lane run stops merging at
+   a level that is outside the parallel prefix, has constant bounds and a
+   variable the body does not read, that level becomes a row level: a
+   batch covers [rows] of its positions times [w] run positions, [rows =
+   min(extent, lanes / w)] (sgemm's [i1] above [j1 x j1_v]: C's row
+   stride does not linearize with the run, so the 1-D run is only 8
+   wide).  Vector loads and stores address row [r] at [r] row steps past
+   the cursor.  The accumulator's row step must clear a whole run,
+   [|S_r| >= w * |S_c|], so the [rows x w] addresses are distinct and each
+   lane still owns one; the exactness argument is the 1-D one.  Every
+   binding records its decision as a {!lane_mode}, with a typed reason
+   when scalar.
 
    The iteration space of the [Parallel] tag prefix (levels [0..p_par-1])
    is linearized into a single fused range the caller may split across
-   workers: ranges of the fused space never cut a sequential subnest, so
-   accumulators and loop-carried store/load orders inside it are
-   preserved exactly.  When the whole nest is the prefix, segments are
-   additionally clipped to the caller's range (and the generator emitted
-   no accumulator for that shape).
+   workers (one point when there is no prefix): ranges of the fused space
+   never cut a sequential subnest, so accumulators and loop-carried
+   store/load orders inside it are preserved exactly.  When the whole
+   nest is the prefix, segments are additionally clipped to the caller's
+   range (and the generator emitted no accumulator for that shape).
 
    Entry corner checks cover the whole box at once: every access
    dimension's min and max over all levels' ranges are computed from the
@@ -106,7 +121,7 @@ type scalar_reason =
 
 type lane_mode =
   | Inner of int
-  | Outer of { level : string; width : int }
+  | Outer of { rows : (string * int) option; level : string; width : int }
   | Scalar of scalar_reason
 
 let default_lanes = 128
@@ -122,14 +137,17 @@ let reason_to_string = function
 
 let mode_to_string = function
   | Inner w -> Printf.sprintf "inner x%d" w
-  | Outer { level; width } -> Printf.sprintf "outer %s x%d" level width
+  | Outer { rows = None; level; width } ->
+      Printf.sprintf "outer %s x%d" level width
+  | Outer { rows = Some (row, n); level; width } ->
+      Printf.sprintf "outer %s x%d × %s x%d" row n level width
   | Scalar r -> "scalar (" ^ reason_to_string r ^ ")"
 
 type t = {
   t_d : int;                   (* nest depth (original view) *)
   t_split : int;
-    (* fused split depth: max 1 p_par, or p_par itself when lanes run
-       along an outer level (that level may be level 0) *)
+    (* fused split depth: p_par (0 when the nest has no parallel prefix,
+       so the exec-view merge may reach level 0) *)
   t_nregs : int;
   t_lits : (int * float) array;
   t_hoists : (int * int) array;     (* (reg, env slot) *)
@@ -153,7 +171,10 @@ type t = {
        program's leaf was unguarded (no per-entry coverage check) *)
   (* --- vector tier --- *)
   t_mode : lane_mode;
-  t_lanes : int;                    (* bound (fitted) width, 0 = scalar *)
+  t_lanes : int;
+    (* lanes of the widest batch, 0 = scalar: the fitted width, times the
+       row count for a 2-D [Outer] block *)
+  t_rows : int;                     (* [Outer] rows per batch, 1 = 1-D *)
   t_vcode : int array;              (* derived vector tape ([||] if scalar) *)
   t_vpro : int array;
     (* [Outer]: per-batch vector loads of the promoted registers and the
@@ -164,6 +185,8 @@ type t = {
        iteration variable): the only ones whose scalar value must be
        broadcast into lanes at segment (or lane-run) entry *)
   t_bsteps : int array;             (* per access, step of the batched level *)
+  t_rsteps : int array;
+    (* per access, step of the row level ([t_rows] > 1), else 0 *)
   t_iv_vec : bool;                  (* body reads the batched level's var *)
 }
 
@@ -324,13 +347,12 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
                 else if accs.(ai).b_steps.(l) = 0 then Error Accum_step_zero
                 else Ok (Some l))
     in
-    let split =
-      match outer with Ok (Some _) -> p.T.p_par | _ -> max 1 p.T.p_par
-    in
+    let split = p.T.p_par in
     (* execution view: greedily fold a level into its parent while the
        fold is a pure linearization.  Conditions: the child level has
        constant bounds [0..e-1]; the pair is outside the fused split
-       space; the body reads neither variable's register; every access
+       space (the parallel prefix: with none, the fold may reach level
+       0); the body reads neither variable's register; every access
        steps through the pair as one flat run (outer step = e * inner
        step, which also keeps promoted loads segment-invariant).  The
        child is the innermost level, or — for an accumulator batched
@@ -409,6 +431,29 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
       | Some (clo, chi) -> max 2 (min lanes (chi - clo + 1))
       | None -> lanes
     in
+    (* A 2-D block for an [Outer] binding: the level directly above the
+       merged lane run becomes a row level when it is outside the split
+       prefix, has constant bounds and an unread variable, and the
+       accumulator's row step clears a whole run ([|S_r| >= fit * |S_c|]),
+       so the rows' addresses are disjoint and each lane of a
+       [rows x fit] batch still owns one accumulator address.  Fewer than
+       two rows leaves the 1-D run. *)
+    let rows =
+      match (outer, p.T.p_accum, !inner_c) with
+      | Ok (Some _), Some (_, ai, _), Some _ ->
+          let rl = !child - 1 in
+          if rl < split || p.T.p_ivuse.(rl) then None
+          else begin
+            match const_bounds p.T.p_levels.(rl) with
+            | Some (rlo, rhi) ->
+                let n = Int.min (rhi - rlo + 1) (lanes / fit) in
+                let s_r = xsteps.(ai).(rl) and s_c = xsteps.(ai).(xd - 2) in
+                if n >= 2 && abs s_r >= fit * abs s_c then Some (rl, n)
+                else None
+            | None -> None
+          end
+      | _ -> None
+    in
     (* the lane decision: along the outer level proven above, along the
        innermost level when the program is lane-batchable, every
        read-modify-write access has lanes on distinct addresses and no
@@ -416,7 +461,14 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
        lanes (their distance caps the width) — otherwise scalar, and why *)
     let mode =
       match outer with
-      | Ok (Some l) -> Outer { level = p.T.p_levels.(l).T.lv_var; width = fit }
+      | Ok (Some l) ->
+          Outer
+            { rows =
+                Option.map
+                  (fun (rl, n) -> (p.T.p_levels.(rl).T.lv_var, n))
+                  rows;
+              level = p.T.p_levels.(l).T.lv_var;
+              width = fit }
       | Error r -> Scalar r
       | Ok None ->
           let cap =
@@ -431,8 +483,12 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
           else if cap < 2 then Scalar Store_collision
           else Inner (min fit cap)
     in
+    let nrows = match rows with Some (_, n) -> n | None -> 1 in
     let lanes_eff =
-      match mode with Inner w | Outer { width = w; _ } -> w | Scalar _ -> 0
+      match mode with
+      | Inner w -> w
+      | Outer { width; _ } -> width * nrows
+      | Scalar _ -> 0
     in
     (* the batched level: its steps specialize the vector memory ops *)
     let bsteps =
@@ -568,11 +624,16 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
             p.T.p_pieces;
         t_mode = mode;
         t_lanes = lanes_eff;
+        t_rows = nrows;
         t_vcode = vcode;
         t_vpro = vpro;
         t_vepi = vepi;
         t_vlivein = vlivein;
         t_bsteps = bsteps;
+        t_rsteps =
+          (match rows with
+          | Some (rl, _) -> Array.init nacc (fun a -> xsteps.(a).(rl))
+          | None -> Array.make nacc 0);
         t_iv_vec =
           (match mode with
           | Inner _ -> xd = d && p.T.p_ivuse.(d - 1)
@@ -819,124 +880,150 @@ let[@inline] exec_code (code : int array) (st : state)
     pc := i + 4
   done
 
-(* The vector interpreter: one dispatch covers [w] lanes.  ALU opcodes
-   keep their scalar numbering (lane-wise semantics); loads and stores
-   were specialized at bind time into unit (blit), strided and broadcast
-   forms.  Each lane performs the same float operations in the same
-   order as {!exec_code}, so results are bit-identical. *)
+(* The vector interpreter: one dispatch covers a batch of [rows] rows of
+   [w] lanes each, row [r] in lanes [r*w .. r*w + w - 1].  ALU opcodes
+   keep their scalar numbering (lane-wise semantics over all
+   [rows * w] lanes); loads and stores were specialized at bind time
+   into unit (blit), strided and broadcast forms along a row, and row [r]
+   addresses its access at [r * rsteps.(a)] past the cursor — one row is
+   exactly the 1-D op.  Each lane performs the same float operations in
+   the same order as {!exec_code}, so results are bit-identical. *)
 let[@inline] exec_code_vec (code : int array) (st : state)
-    (datas : float array array) (w : int) =
+    (datas : float array array) (rsteps : int array) (rows : int) (w : int)
+    =
   let vr = st.vregs and cur = st.cur in
   let n = Array.length code in
+  let nl = rows * w in
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
     let dst = code.(i + 1) and a = code.(i + 2) and b = code.(i + 3) in
     (match Array.unsafe_get code i with
-    | 22 (* vload.u *) -> Array.blit datas.(a) cur.(a) vr.(dst) 0 w
+    | 22 (* vload.u *) ->
+        let src = datas.(a) and d_ = vr.(dst) in
+        let c = cur.(a) and rs = rsteps.(a) in
+        for r = 0 to rows - 1 do
+          Array.blit src (c + (r * rs)) d_ (r * w) w
+        done
     | 23 (* vload.s *) ->
         let d_ = vr.(dst) and src = datas.(a) in
-        let c = cur.(a) in
-        for j = 0 to w - 1 do
-          Array.unsafe_set d_ j (Array.unsafe_get src (c + (j * b)))
+        let c = cur.(a) and rs = rsteps.(a) in
+        for r = 0 to rows - 1 do
+          let c = c + (r * rs) and o = r * w in
+          for j = 0 to w - 1 do
+            Array.unsafe_set d_ (o + j) (Array.unsafe_get src (c + (j * b)))
+          done
         done
-    | 24 (* vbcast *) -> Array.fill vr.(dst) 0 w datas.(a).(cur.(a))
-    | 25 (* vstore.u *) -> Array.blit vr.(b) 0 datas.(a) cur.(a) w
+    | 24 (* vbcast *) ->
+        let src = datas.(a) and d_ = vr.(dst) in
+        let c = cur.(a) and rs = rsteps.(a) in
+        for r = 0 to rows - 1 do
+          Array.fill d_ (r * w) w src.(c + (r * rs))
+        done
+    | 25 (* vstore.u *) ->
+        let s = vr.(b) and d_ = datas.(a) in
+        let c = cur.(a) and rs = rsteps.(a) in
+        for r = 0 to rows - 1 do
+          Array.blit s (r * w) d_ (c + (r * rs)) w
+        done
     | 26 (* vstore.s *) ->
         let s = vr.(b) and d_ = datas.(a) in
-        let c = cur.(a) in
-        for j = 0 to w - 1 do
-          Array.unsafe_set d_ (c + (j * dst)) (Array.unsafe_get s j)
+        let c = cur.(a) and rs = rsteps.(a) in
+        for r = 0 to rows - 1 do
+          let c = c + (r * rs) and o = r * w in
+          for j = 0 to w - 1 do
+            Array.unsafe_set d_ (c + (j * dst)) (Array.unsafe_get s (o + j))
+          done
         done
-    | 2 (* vmov *) -> Array.blit vr.(a) 0 vr.(dst) 0 w
+    | 2 (* vmov *) -> Array.blit vr.(a) 0 vr.(dst) 0 nl
     | 3 (* vadd *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Array.unsafe_get x j +. Array.unsafe_get y j)
         done
     | 4 (* vsub *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Array.unsafe_get x j -. Array.unsafe_get y j)
         done
     | 5 (* vmul *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Array.unsafe_get x j *. Array.unsafe_get y j)
         done
     | 6 (* vdiv *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Array.unsafe_get x j /. Array.unsafe_get y j)
         done
     | 7 (* vmin *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j
             (Float.min (Array.unsafe_get x j) (Array.unsafe_get y j))
         done
     | 8 (* vmax *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j
             (Float.max (Array.unsafe_get x j) (Array.unsafe_get y j))
         done
     | 9 (* vfma *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j
             (Array.unsafe_get d_ j
             +. (Array.unsafe_get x j *. Array.unsafe_get y j))
         done
     | 10 (* vneg *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (-.Array.unsafe_get x j)
         done
     | 11 (* vabs *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Float.abs (Array.unsafe_get x j))
         done
     | 12 (* vsqrt *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (sqrt (Array.unsafe_get x j))
         done
     | 13 (* vexp *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (exp (Array.unsafe_get x j))
         done
     | 14 (* vlog *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (log (Array.unsafe_get x j))
         done
     | 15 (* vsin *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (sin (Array.unsafe_get x j))
         done
     | 16 (* vcos *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (cos (Array.unsafe_get x j))
         done
     | 17 (* vfloor *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Float.floor (Array.unsafe_get x j))
         done
     | 18 (* vpow *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j
             (Float.pow (Array.unsafe_get x j) (Array.unsafe_get y j))
         done
     | 19 (* vfdivi *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j
             (Float.of_int
                (Tiramisu_support.Ints.fdiv
@@ -945,7 +1032,7 @@ let[@inline] exec_code_vec (code : int array) (st : state)
         done
     | 20 (* vmodi *) ->
         let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j
             (Float.of_int
                (Tiramisu_support.Ints.emod
@@ -954,7 +1041,7 @@ let[@inline] exec_code_vec (code : int array) (st : state)
         done
     | 21 (* vtrunc *) ->
         let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to w - 1 do
+        for j = 0 to nl - 1 do
           Array.unsafe_set d_ j (Float.of_int (int_of_float (Array.unsafe_get x j)))
         done
     | _ -> assert false);
@@ -1034,7 +1121,7 @@ let run_segment t st len =
             ivv.(j) <- b0 +. float_of_int j
           done
         end;
-        exec_code_vec vcode st datas bw;
+        exec_code_vec vcode st datas t.t_rsteps 1 bw;
         for a = 0 to nacc - 1 do
           cur.(a) <- cur.(a) + (bw * inner.(a))
         done;
@@ -1058,38 +1145,50 @@ let run_segment t st len =
   | Some (r, a, _) -> datas.(a).(st.cur.(a)) <- st.regs.(r)
   | None -> ()
 
-(* One lane run of an [Outer] binding: the odometer [st.ivs] is in
-   position above the lane level [xl] (exec level [t_xd - 2]).  Each batch
-   takes [w] consecutive lane positions, vector-loads the promoted
-   registers and the accumulator, runs the whole innermost loop through
-   the vector tape with inner-step cursor bumps, and stores the
-   accumulator once.  Every lane performs its position's float operations
-   in the scalar order, and lanes own distinct accumulator addresses, so
-   the interleaving is exact.  Positions left over after the last full
-   batch run as one narrower batch, or as a scalar segment when only one
-   is left. *)
+(* One block of an [Outer] binding: the odometer [st.ivs] is in position
+   above the lane run [xl] (exec level [t_xd - 2]), or above its row level
+   [xl - 1] for a 2-D block ([t_rows] > 1).  Rows go in chunks of
+   [t_rows] (1-D: the single current row), and each chunk's lane run in
+   batches of [w] positions: a batch vector-loads the promoted registers
+   and the accumulator for its [rows x w] lanes, runs the whole innermost
+   loop through the vector tape with inner-step cursor bumps, and stores
+   the accumulator once.  Every lane performs its position's float
+   operations in the scalar order, and lanes own distinct accumulator
+   addresses, so the interleaving is exact.  A chunk's positions left
+   over after its last full batch run as one narrower batch, or as a
+   scalar segment when a single lane is left. *)
 let run_lanes t st =
   let xl = t.t_xd - 2 in
-  let kx = xl + 1 in
-  let w = t.t_lanes in
+  let kx = xl + 1 and rl = xl - 1 in
+  let rows = t.t_rows in
+  let w = match t.t_mode with Outer { width; _ } -> width | _ -> 1 in
   let n = st.exts.(xl) and lo = st.los.(xl) in
-  let left = ref n in
-  if n >= 2 then begin
-    let nacc = Array.length t.t_accs in
-    let datas = t.t_datas in
-    let regs = st.regs and cur = st.cur in
-    let lbase = st.lbase in
+  let rlo, rn = if rows > 1 then (st.los.(rl), st.exts.(rl)) else (0, 1) in
+  let nacc = Array.length t.t_accs in
+  let datas = t.t_datas in
+  let regs = st.regs and cur = st.cur in
+  let lbase = st.lbase in
+  let nl0 = Int.min rows rn * Int.min w n in
+  if nl0 >= 2 then begin
     (* outer iteration variables feed the live-in broadcast *)
-    for l = 0 to xl - 1 do
+    for l = 0 to (if rows > 1 then rl else xl) - 1 do
       regs.(t.t_xivregs.(l)) <- float_of_int st.ivs.(l)
     done;
-    let bw0 = Int.min w n in
-    let vr = lane_regs t st bw0 in
+    let vr = lane_regs t st nl0 in
     let lv = t.t_vlivein in
     for q = 0 to Array.length lv - 1 do
       let r = lv.(q) in
-      Array.fill vr.(r) 0 bw0 regs.(r)
-    done;
+      Array.fill vr.(r) 0 nl0 regs.(r)
+    done
+  end;
+  let vcode = t.t_vcode and vpro = t.t_vpro and vepi = t.t_vepi in
+  let inner = t.t_inner_steps and bsteps = t.t_bsteps in
+  let rsteps = t.t_rsteps in
+  let ext = st.exts.(kx) in
+  let r0 = ref 0 in
+  while !r0 < rn do
+    let nr = Int.min rows (rn - !r0) in
+    if rows > 1 then st.ivs.(rl) <- rlo + !r0;
     st.ivs.(xl) <- lo;
     for a = 0 to nacc - 1 do
       let steps = t.t_xsteps.(a) in
@@ -1099,30 +1198,31 @@ let run_lanes t st =
       done;
       lbase.(a) <- !c
     done;
-    let vcode = t.t_vcode and vpro = t.t_vpro and vepi = t.t_vepi in
-    let inner = t.t_inner_steps and bsteps = t.t_bsteps in
-    let ext = st.exts.(kx) in
-    while !left >= 2 do
+    let left = ref n in
+    while !left > 0 do
       let bw = Int.min w !left in
-      Array.blit lbase 0 cur 0 nacc;
-      exec_code_vec vpro st datas bw;
-      for _ = 1 to ext do
-        exec_code_vec vcode st datas bw;
+      if nr * bw >= 2 then begin
+        Array.blit lbase 0 cur 0 nacc;
+        exec_code_vec vpro st datas rsteps nr bw;
+        for _ = 1 to ext do
+          exec_code_vec vcode st datas rsteps nr bw;
+          for a = 0 to nacc - 1 do
+            cur.(a) <- cur.(a) + inner.(a)
+          done
+        done;
+        exec_code_vec vepi st datas rsteps nr bw;
         for a = 0 to nacc - 1 do
-          cur.(a) <- cur.(a) + inner.(a)
+          lbase.(a) <- lbase.(a) + (bw * bsteps.(a))
         done
-      done;
-      exec_code_vec vepi st datas bw;
-      for a = 0 to nacc - 1 do
-        lbase.(a) <- lbase.(a) + (bw * bsteps.(a))
-      done;
+      end
+      else begin
+        st.ivs.(xl) <- lo + n - 1;
+        run_segment t st ext
+      end;
       left := !left - bw
-    done
-  end;
-  if !left = 1 then begin
-    st.ivs.(xl) <- lo + n - 1;
-    run_segment t st st.exts.(kx)
-  end
+    done;
+    r0 := !r0 + nr
+  done
 
 (* [run_range t st env f_lo f_hi] executes the fused-range slice
    [f_lo..f_hi] (inclusive) of the split space on [st].  The caller
@@ -1179,12 +1279,18 @@ let run_range t st env f_lo f_hi =
           done;
           (* odometer over the middle levels; per middle position the
              innermost level is one whole segment, or (outer lanes) the
-             lane level and the innermost are one lane run *)
-          let outer = match t.t_mode with Outer _ -> true | _ -> false in
+             lane level and the innermost — and the row level above them
+             for a 2-D block — are one [run_lanes] block *)
+          let blk =
+            match t.t_mode with
+            | Outer _ -> if t.t_rows > 1 then 3 else 2
+            | Inner _ | Scalar _ -> 1
+          in
           let running = ref true in
           while !running do
-            if outer then run_lanes t st else run_segment t st st.exts.(d - 1);
-            let l = ref (if outer then d - 3 else d - 2) in
+            if blk > 1 then run_lanes t st
+            else run_segment t st st.exts.(d - 1);
+            let l = ref (d - 1 - blk) in
             let carry = ref true in
             while !carry && !l >= p do
               st.ivs.(!l) <- st.ivs.(!l) + 1;

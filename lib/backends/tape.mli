@@ -42,10 +42,13 @@ type scalar_reason =
     level above an accumulator's innermost (reduction) level — [level]
     names the original loop variable; the run may be merged with parents
     that linearize with it — or not at all.  The width is the one the
-    nest was bound with, after fitting (see {!bind}). *)
+    nest was bound with, after fitting (see {!bind}).  An [Outer] batch
+    may also span [rows = Some (row, n)]: [n] positions of the level
+    [row] directly above the lane run, so one batch is an [n x width]
+    block of accumulators; [None] is a 1-D run. *)
 type lane_mode =
   | Inner of int
-  | Outer of { level : string; width : int }
+  | Outer of { rows : (string * int) option; level : string; width : int }
   | Scalar of scalar_reason
 
 (** The default [~lanes] request: the widest batch the vector tier may
@@ -53,7 +56,8 @@ type lane_mode =
     default knobs. *)
 val default_lanes : int
 
-(** ["inner x24"], ["outer j1_v x8"], ["scalar (lanes off)"]. *)
+(** ["inner x24"], ["outer j1_v x8"], ["outer i1 x8 × j1_v x8"],
+    ["scalar (lanes off)"]. *)
 val mode_to_string : lane_mode -> string
 
 (** [bind ~buf ~slot p] resolves buffer names and free names; [None]
@@ -79,8 +83,14 @@ val mode_to_string : lane_mode -> string
     before and stored once after ([Outer]); leftover positions run as
     one narrower batch (a single one runs scalar).  Either way every lane
     performs the scalar tape's float operations in its order, so results
-    are bit-identical.  Anything else stays scalar, with the reason in
-    {!mode}. *)
+    are bit-identical.  An [Outer] batch takes [rows] positions of the
+    level directly above its lane run as well — a 2-D block of
+    [rows x w] accumulators, [rows = min(extent, lanes / w)] — when that
+    level is outside the parallel prefix, has constant bounds and a
+    variable the body does not read, and the accumulator's step along it
+    is at least [w] times its step along the run, so the block's
+    addresses stay disjoint; otherwise (or below 2 rows) the run is 1-D.
+    Anything else stays scalar, with the reason in {!mode}. *)
 val bind :
   ?lanes:int ->
   buf:(string -> Buffers.t option) ->

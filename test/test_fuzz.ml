@@ -304,6 +304,26 @@ let corpus_outer_lanes_2d =
       [ Parallelize ("c0_upd", "i"); Vectorize ("c0_upd", "j", 4);
         Unroll ("c0_upd", "r", 3) ] }
 
+(* A 2-D accumulator block: a rank-3 reduction with a parallel [i], [l]
+   vectorized by 4 above the unrolled reduction and [j] between them.
+   [l x l_v] merge into one 8-wide run, and c0's row stride along [j]
+   (8) clears it, so at the default lanes the update nest batches all 5
+   rows of [j] at once ([outer j_1 x5 × l_v_ln x8]); the pool rows split
+   the parallel [i] above the block. *)
+let corpus_outer_lanes_block =
+  { extents = [ Lit 3; Lit 5; Lit 8 ];
+    n_value = 0;
+    inputs = [ ("a0", 3); ("a1", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 3; rc_red = Some 6;
+          rc_expr =
+            Bin (Add, Bin (Mul, In ("a0", [ (0, 0); (1, 0); (3, 0) ]),
+                           In ("a1", [ (3, 0); (2, 0) ])),
+                 In ("a0", [ (2, 1); (1, -1); (3, -1) ])) } ];
+    steps =
+      [ Parallelize ("c0_upd", "i"); Vectorize ("c0_upd", "l", 4);
+        Unroll ("c0_upd", "r", 2) ] }
+
 (* A partial tile under a vectorized level, blur_large's shape: 21
    columns in tiles of 8 split into 4-lane vectors, so the last tile is
    5 wide and the vector loop's bound [min(20 - 8*j0 - 4*j1, 3)] reads
@@ -390,6 +410,7 @@ let replay_corpus () =
   check_pass "three stacked non-dividing tiles" corpus_stacked_tiles;
   check_pass "outer lanes, 1-D reduction" corpus_outer_lanes_1d;
   check_pass "outer lanes, 2-D reduction" corpus_outer_lanes_2d;
+  check_pass "outer lanes, 2-D accumulator block" corpus_outer_lanes_block;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
@@ -600,7 +621,9 @@ let outer_lane_corpus_reaches_vector () =
         true
         (List.exists
            (fun (_, m) ->
-             match m with B.Tape.Outer { width = 8; _ } -> true | _ -> false)
+             match m with
+             | B.Tape.Outer { rows = None; width = 8; _ } -> true
+             | _ -> false)
            (B.Exec.lane_modes vec));
       Alcotest.(check int)
         (name ^ ": lanes=1 control binds none")
@@ -608,6 +631,27 @@ let outer_lane_corpus_reaches_vector () =
         (B.Exec.tape_vec_count scalar))
     [ ("outer 1-D", corpus_outer_lanes_1d);
       ("outer 2-D", corpus_outer_lanes_2d) ]
+
+(* The block seed binds its update nest as a 5 x 8 block at the default
+   lanes, and as a 1-D run when the lanes fit a single row. *)
+let outer_block_corpus_binds_block () =
+  let b = Case.build corpus_outer_lanes_block in
+  let modes ?lanes () =
+    let art =
+      Tiramisu_kernels.Runner.build_native ?lanes ~fn:b.Case.fn
+        ~params:b.Case.params ~inputs:b.Case.fills ()
+    in
+    List.filter_map
+      (fun (_, m) ->
+        match m with
+        | B.Tape.Outer _ -> Some (B.Tape.mode_to_string m)
+        | _ -> None)
+      (B.Exec.lane_modes art.Tiramisu_pipeline.Pipeline.exec)
+  in
+  Alcotest.(check (list string)) "default lanes: a 5 x 8 block"
+    [ "outer j_1 x5 × l_v_ln x8" ] (modes ());
+  Alcotest.(check (list string)) "8 lanes: one row"
+    [ "outer l_v_ln x8" ] (modes ~lanes:8 ())
 
 (* ---------- legality oracle ---------- *)
 
@@ -1170,6 +1214,8 @@ let tests =
       tape_corpus_reaches_tape;
     Alcotest.test_case "outer-lane corpus binds lanes along an outer level"
       `Quick outer_lane_corpus_reaches_vector;
+    Alcotest.test_case "the block seed binds a 2-D accumulator block" `Quick
+      outer_block_corpus_binds_block;
     Alcotest.test_case "vector corpus reaches the vector tier" `Quick
       vector_corpus_reaches_vector;
     Alcotest.test_case "clamped corpus splits and reaches the tape" `Quick

@@ -339,6 +339,9 @@ let lane_mode_str c =
        (fun (n, m) -> n ^ ": " ^ B.Tape.mode_to_string m)
        (B.Exec.lane_modes c))
 
+let lane_modes_of c =
+  List.map (fun (_, m) -> B.Tape.mode_to_string m) (B.Exec.lane_modes c)
+
 (* Fractional fills, so a reassociated sum would show in the low bits. *)
 let sgemm_inputs =
   let f k idx =
@@ -346,61 +349,219 @@ let sgemm_inputs =
   in
   [ ("A", f 1); ("B", f 2); ("C0", f 3) ]
 
-(* sgemm's update nest is the claimed nest whose innermost level is the
-   reduction [k1]: under both hand configurations it binds lanes along
-   the vectorized level above [k1], with the width fitted to the merged
-   [j1 x j1_v] lane run (the benchmark's 2 x 4 = 8; [tuned]'s 8 x 8 = 64,
-   or the whole row when [S] is smaller), runs with no fallback, and
-   matches the interpreter on the unscheduled program bit for bit.
-   Sizes 1, 3 and 13 (partial tiles, lane runs shorter than a batch)
-   only have to stay exact. *)
-let sgemm_outer_lanes () =
+let sgemm_configs =
   let open Tiramisu_kernels in
-  let configs =
-    [ ("bench config", Linalg.sgemm_tuned ~bi:8 ~bj:8 ~bk:8 ~vec:4 ~unr:2,
-       fun _ -> 8);
-      ("tuned", (fun f -> Linalg.sgemm_tuned f), fun s -> min s 64) ]
+  [ ("bench config", Linalg.sgemm_tuned ~bi:8 ~bj:8 ~bk:8 ~vec:4 ~unr:2);
+    ("tuned", fun f -> Linalg.sgemm_tuned f) ]
+
+(* The interpreter on the unscheduled sgemm, once per size. *)
+let sgemm_reference =
+  let memo = Hashtbl.create 8 in
+  fun s ->
+    match Hashtbl.find_opt memo s with
+    | Some r -> r
+    | None ->
+        let f, _, _ = Tiramisu_kernels.Linalg.sgemm () in
+        let r =
+          B.Interp.buffer
+            (Tiramisu_kernels.Runner.run ~fn:f ~params:[ ("S", s) ]
+               ~inputs:sgemm_inputs)
+            "C"
+        in
+        Hashtbl.replace memo s r;
+        r
+
+(* sgemm under a hand configuration at size [s], lanes [lanes] and
+   strategy [strategy], checked bit for bit against the interpreter on
+   the unscheduled program. *)
+let sgemm_native ?lanes ?(strategy = `Seq) (label, sched) s =
+  let open Tiramisu_kernels in
+  let params = [ ("S", s) ] in
+  let f, _, _ = Linalg.sgemm () in
+  sched f;
+  let c =
+    Runner.run_native
+      ~target:(B.Target.cpu ~parallel:strategy ())
+      ?lanes ~fn:f ~params ~inputs:sgemm_inputs ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s S=%d lanes=%s bit-exact" label s
+       (match lanes with Some l -> string_of_int l | None -> "default"))
+    true
+    (bits_equal (sgemm_reference s) (B.Exec.buffer c "C"));
+  c
+
+(* sgemm's update nest is the claimed nest whose innermost level is the
+   reduction [k1]: it binds a 2-D block of accumulators, rows along
+   [i1_1] (C's row stride clears the whole run) and lanes along the
+   vectorized level above [k1], merged with [j1_1] into one run.  The
+   benchmark's 8 x (2 x 4) tile is one 64-lane block at every size that
+   is a multiple of 8; [tuned]'s 32 x (8 x 8) tile fits two 64-wide runs
+   into the default 128 lanes at S=64, and 8 whole rows when S is 8 or
+   16.
+   Every binding runs with no fallback and matches the interpreter on
+   the unscheduled program bit for bit. *)
+let sgemm_outer_lanes () =
+  let block rows width =
+    Some
+      (B.Tape.Outer
+         { rows = Some ("i1_1", rows); level = "j1_v_1_ln"; width })
   in
   List.iter
-    (fun (label, sched, width) ->
+    (fun ((label, _) as config, s, want) ->
+      let c = sgemm_native config s in
+      let update =
+        List.find_map
+          (fun (n, m) ->
+            if String.ends_with ~suffix:".k1" n then Some m else None)
+          (B.Exec.lane_modes c)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s S=%d update nest block (%s)" label s
+           (lane_mode_str c))
+        true (update = want);
+      Alcotest.(check int)
+        (Printf.sprintf "%s S=%d no fallback" label s)
+        0 (B.Exec.tape_fallbacks c))
+    (let bench = List.nth sgemm_configs 0
+     and tuned = List.nth sgemm_configs 1 in
+     [ (bench, 8, block 8 8); (bench, 16, block 8 8); (bench, 64, block 8 8);
+       (tuned, 8, block 8 8); (tuned, 16, block 8 16);
+       (tuned, 64, block 2 64) ])
+
+(* Both configurations stay bit-exact wherever the blocks land: sizes
+   with partial tiles (1, 3, 13, 70), runs shorter than a batch and row
+   counts that leave a short last chunk (24 under [tuned]: 5 rows of 24),
+   at widths that give 1-D runs (3), 8- and 20-lane budgets, the default,
+   and the scalar control, sequentially and on the pool. *)
+let sgemm_blocks_bit_exact () =
+  B.Pool.set_num_workers 2;
+  List.iter
+    (fun config ->
       List.iter
         (fun s ->
-          let params = [ ("S", s) ] in
-          let reference =
-            let f, _, _ = Linalg.sgemm () in
-            Runner.run ~fn:f ~params ~inputs:sgemm_inputs
-          in
-          let f, _, _ = Linalg.sgemm () in
-          sched f;
-          let c =
-            Runner.run_native
-              ~target:(B.Target.cpu ~parallel:`Seq ())
-              ~fn:f ~params ~inputs:sgemm_inputs ()
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s S=%d bit-exact" label s)
-            true
-            (bits_equal (B.Interp.buffer reference "C") (B.Exec.buffer c "C"));
-          if List.mem s [ 8; 16; 64 ] then begin
-            let update =
-              List.find_map
-                (fun (n, m) ->
-                  if String.ends_with ~suffix:".k1" n then Some m else None)
-                (B.Exec.lane_modes c)
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s S=%d update nest outer x%d (%s)" label s
-                 (width s) (lane_mode_str c))
-              true
-              (match update with
-              | Some (B.Tape.Outer { width = w; _ }) -> w = width s
-              | _ -> false);
-            Alcotest.(check int)
-              (Printf.sprintf "%s S=%d no fallback" label s)
-              0 (B.Exec.tape_fallbacks c)
-          end)
-        [ 1; 3; 8; 13; 16; 64 ])
-    configs
+          List.iter
+            (fun lanes ->
+              List.iter
+                (fun strategy ->
+                  let c = sgemm_native ?lanes ~strategy config s in
+                  Alcotest.(check int) "no fallback" 0
+                    (B.Exec.tape_fallbacks c))
+                [ `Seq; `Pool ])
+            [ Some 1; Some 3; Some 8; Some 20; None ])
+        [ 1; 3; 13; 24; 70 ])
+    sgemm_configs
+
+(* out[i][j] += a[i][k] * b[k][j], j vectorized above k, i the level
+   above the lane run; [row] is out's row stride.  A stride of at least
+   the run (8) makes i a row level; a stride of 3 makes rows overlap. *)
+let blocked_gemm ?(strategy = `Seq) ?(tag_i = L.Seq) ?(row_factor = L.Float 1.0)
+    ~row () =
+  let i = L.Var "i" and j = L.Var "j" and k = L.Var "k" in
+  let at = L.(Bin (Add, Bin (Mul, Int row, i), j)) in
+  let stmt =
+    L.For
+      { var = "i"; lo = L.Int 0; hi = L.Int 5; tag = tag_i;
+        body =
+          L.For
+            { var = "j"; lo = L.Int 0; hi = L.Int 7; tag = L.Vectorized 8;
+              body =
+                L.For
+                  { var = "k"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq;
+                    body =
+                      store "out" [ at ]
+                        L.(
+                          Bin
+                            ( Add,
+                              Load ("out", [ at ]),
+                              Bin
+                                ( Mul,
+                                  Bin (Mul, Load ("a", [ i; k ]), row_factor),
+                                  Load ("b", [ k; j ]) ) )) } } }
+  in
+  differential ~strategy
+    ~shapes:[ ("a", [ 6; 5 ]); ("b", [ 5; 8 ]); ("out", [ (5 * row) + 8 ]) ]
+    ~fills:[ ("a", fill_a); ("b", fill_b); ("out", fill_b) ]
+    stmt [ "out" ]
+
+(* The row level's preconditions: a stride that clears the run binds the
+   6 x 8 block; overlapping rows, or a body that reads the row variable,
+   keep today's 1-D run at its width (and stay exact). *)
+let outer_blocks_need_disjoint_unread_rows () =
+  Alcotest.(check (list string)) "disjoint rows: 6 x 8 block"
+    [ "outer i x6 × j x8" ] (lane_modes_of (blocked_gemm ~row:8 ()));
+  Alcotest.(check (list string)) "overlapping rows: 1-D"
+    [ "outer j x8" ] (lane_modes_of (blocked_gemm ~row:3 ()));
+  Alcotest.(check (list string)) "body reads i: 1-D"
+    [ "outer j x8" ]
+    (lane_modes_of (blocked_gemm ~row_factor:(L.Var "i") ~row:8 ()))
+
+(* conv2D's [cpu] schedule at 128x128: the steady piece of each unrolled
+   channel store is a [j.j_v_ln] nest under the parallel [i], with no
+   parallel prefix of its own, so its lane run merges [j] into [j_v_ln]
+   down to level 0 and binds all 112 steady columns in one batch.  No
+   entry falls back, and the image matches the interpreter on the
+   unscheduled program bit for bit. *)
+let conv2d_rows_reach_level_zero () =
+  let open Tiramisu_kernels in
+  let img idx =
+    float_of_int (((idx.(0) * 13) + (idx.(1) * 7) + (idx.(2) * 3)) mod 31)
+    /. 7.0
+  in
+  let weights idx = float_of_int ((idx.(0) * 3) + idx.(1) + 1) /. 16.0 in
+  let inputs = [ ("img", img); ("weights", weights) ] in
+  let params = [ ("N", 128); ("M", 128) ] in
+  let reference =
+    let f, _, _ = Image.conv2d () in
+    Runner.run ~fn:f ~params ~inputs
+  in
+  let f, _, _ = Image.conv2d () in
+  Schedules.cpu_conv2d f;
+  let c =
+    Runner.run_native ~target:(B.Target.cpu ~parallel:`Seq ()) ~fn:f ~params
+      ~inputs ()
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "three steady nests inner x112 (%s)" (lane_mode_str c))
+    [ "inner x112"; "inner x112"; "inner x112" ]
+    (List.filter_map
+       (fun (n, m) ->
+         if n = "j.j_v_ln" then Some (B.Tape.mode_to_string m) else None)
+       (B.Exec.lane_modes c));
+  Alcotest.(check int) "no fallback" 0 (B.Exec.tape_fallbacks c);
+  Alcotest.(check bool) "bit-exact" true
+    (bits_equal (B.Interp.buffer reference "conv") (B.Exec.buffer c "conv"))
+
+(* A parallel prefix is the range the pool splits, so the exec-view merge
+   never folds into it.  A 20 x 30 copy whose rows linearize merges into
+   one run (capped at the 128-lane request) under a sequential [i], but
+   binds one 30-wide row per batch under a parallel [i]; an accumulator
+   under a parallel [i] keeps its 1-D run, [i] being no row level. *)
+let parallel_prefix_never_merged () =
+  B.Pool.set_num_workers 4;
+  let copy tag_i =
+    L.For
+      { var = "i"; lo = L.Int 0; hi = L.Int 19; tag = tag_i;
+        body =
+          L.For
+            { var = "j"; lo = L.Int 0; hi = L.Int 29; tag = L.Seq;
+              body =
+                store "out"
+                  [ L.Var "i"; L.Var "j" ]
+                  L.(Bin (Mul, Load ("a", [ Var "i"; Var "j" ]), Float 2.0)) } }
+  in
+  let run strategy tag_i =
+    differential ~strategy
+      ~shapes:[ ("a", [ 20; 30 ]); ("out", [ 20; 30 ]) ]
+      ~fills:[ ("a", fill_a) ] (copy tag_i) [ "out" ]
+  in
+  Alcotest.(check (list string)) "sequential i: one merged run"
+    [ "inner x128" ] (lane_modes_of (run `Seq L.Seq));
+  Alcotest.(check (list string)) "parallel i: rows stay split"
+    [ "inner x30" ] (lane_modes_of (run `Pool L.Parallel));
+  Alcotest.(check (list string)) "parallel i: accumulator stays 1-D"
+    [ "outer j x8" ]
+    (lane_modes_of (blocked_gemm ~strategy:`Pool ~tag_i:L.Parallel ~row:8 ()))
 
 (* out[i] += a[i][j][k] with j vectorized above k: every j position sums
    into the same out[i], so lanes along j would race on one address —
@@ -1292,6 +1453,14 @@ let tests =
       `Quick fitted_width_lazy_registers;
     Alcotest.test_case "per-domain states are owned by their getter" `Quick
       domain_states_owned_by_getter;
+    Alcotest.test_case "sgemm blocks bit-exact at every size and width" `Quick
+      sgemm_blocks_bit_exact;
+    Alcotest.test_case "outer blocks need disjoint, unread rows" `Quick
+      outer_blocks_need_disjoint_unread_rows;
+    Alcotest.test_case "conv2D steady rows merge down to level 0" `Quick
+      conv2d_rows_reach_level_zero;
+    Alcotest.test_case "a parallel prefix is never merged into" `Quick
+      parallel_prefix_never_merged;
   ]
 
 (* ---------- one claim per compile ---------- *)
