@@ -89,10 +89,11 @@ let dump_after_arg =
 (* [--dump-after=tape-compile] lists the pass's claim record after the
    build, so each nest's header records the lane mode the executor bound
    it with (fitted per nest, it can be narrower than the request, and an
-   accumulator's may be a 2-D block): entry [i] has the [i]th mode, none
-   when the build failed.  The listing's own header names the lanes along
-   one run, so a block passes its row width there. *)
-let print_tape_dump ~dump_after tracer modes =
+   accumulator's may be a 2-D block): entry [i] has the [i]th bound tape,
+   none when the build failed.  The listing's own header names the lanes
+   along one run, so a block passes its row width there; the bound vector
+   tape follows it, showing which loads folded into their readers. *)
+let print_tape_dump ~dump_after tracer bound =
   let module T = Tiramisu_codegen.Tape_gen in
   match (dump_after, tracer) with
   | Some "tape-compile", Some { P.tr_claims = Some cs; _ } ->
@@ -100,7 +101,8 @@ let print_tape_dump ~dump_after tracer modes =
         print_string "=== after tape-compile ===\n(no nest claimed)\n";
       List.iteri
         (fun i (c : T.claim) ->
-          let mode = Option.map snd (List.nth_opt modes i) in
+          let bt = Option.map snd (List.nth_opt bound i) in
+          let mode = Option.map B.Tape.mode bt in
           let lanes =
             match mode with
             | Some (B.Tape.Inner w | B.Tape.Outer { width = w; _ }) -> w
@@ -116,7 +118,8 @@ let print_tape_dump ~dump_after tracer modes =
             (match mode with
             | Some m -> B.Tape.mode_to_string m
             | None -> "none (build failed)")
-            (T.disassemble ~lanes p))
+            (T.disassemble ~lanes p);
+          Option.iter (fun bt -> print_string (B.Tape.listing bt)) bt)
         cs.T.cs_nests
   | _ -> ()
 
@@ -211,7 +214,7 @@ let run_cmd =
       in
       B.Exec.run art.P.exec;
       let ms = Tiramisu_backends.Clock.now_ms () -. t0 in
-      print_tape_dump ~dump_after tracer (B.Exec.lane_modes art.P.exec);
+      print_tape_dump ~dump_after tracer (B.Exec.bound_tapes art.P.exec);
       Printf.printf "native execution (%s) ok in %.3f ms\n"
         (B.Target.to_string target) ms;
       (* one line per claimed nest: how it batches lanes, or why not *)

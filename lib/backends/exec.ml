@@ -37,8 +37,8 @@ type compiled = {
   c_static : int;                (* pool loops given the static schedule *)
   c_tape_lanes : int;            (* requested lane width (0 = scalar tape) *)
   c_tape_instr : int;            (* total tape instructions across nests *)
-  c_lane_modes : (string * Tape.lane_mode) list;
-    (* per nest claimed by the tape, in claim order: how it batches lanes *)
+  c_bound : (string * Tape.t) list;
+    (* per nest claimed by the tape, in claim order: its bound tape *)
   c_tape_fb : int Atomic.t;      (* runtime corner-check fallbacks (shared) *)
   c_msgs : int Atomic.t;         (* messages sent at run time (shared) *)
   c_bytes : int Atomic.t;        (* payload bytes sent at run time (shared) *)
@@ -63,7 +63,7 @@ type ctx = {
   (* the flat-tape backend (see {!Tape}) *)
   claims : Tape_gen.claims;          (* the nests it runs *)
   tape_lanes : int;                  (* vector lane width (<= 1: scalar) *)
-  mutable bound : (Tape_gen.program * Tape.lane_mode) list;
+  mutable bound : (Tape_gen.program * Tape.t) list;
     (* per claimed nest, newest first *)
   n_tape_fb : int Atomic.t;          (* runtime corner-check fallbacks *)
   n_msgs : int Atomic.t;             (* runtime: messages sent *)
@@ -382,7 +382,7 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
             with
             | None -> None
             | Some bt ->
-                ctx.bound <- (prog, Tape.mode bt) :: ctx.bound;
+                ctx.bound <- (prog, bt) :: ctx.bound;
                 Some bt)
       in
       (* Statically nested Parallel loops run sequentially inside their
@@ -497,11 +497,12 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
              falls back to the closure path (whose per-access checks
              raise at the faulting iteration) and is counted. *)
           let tfb = ctx.n_tape_fb in
-          let seq_tape =
-            (* per-domain persistent state: safe under an enclosing
-               parallel loop, reused across entries once warm *)
-            let state = Tape.domain_state bt in
-            fun env total -> Tape.run_range bt (state ()) env 0 (total - 1)
+          (* per-domain persistent state: safe under an enclosing parallel
+             loop, reused across entries once warm; [enter] evaluates its
+             bounds into the entering domain's one *)
+          let state = Tape.domain_state bt in
+          let seq_tape env total =
+            Tape.run_range bt (state ()) env 0 (total - 1)
           in
           let run_tape =
             if not parallel then seq_tape
@@ -525,17 +526,14 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
                 Pool.static_for 0 (total - 1) ~body:(fun k flo fhi ->
                     Tape.run_range bt ps.(k) env flo fhi)
             end
-            else begin
-              let state = Tape.domain_state bt in
-              fun env total ->
-                Pool.parallel_for 0 (total - 1) ~body:(fun flo fhi ->
-                    Tape.run_range bt (state ()) env flo fhi)
-            end
+            else fun env total ->
+              Pool.parallel_for 0 (total - 1) ~body:(fun flo fhi ->
+                  Tape.run_range bt (state ()) env flo fhi)
           in
           fun env ->
             let lo = flo env and hi = fhi env in
             if hi >= lo then begin
-              let total = Tape.enter bt env in
+              let total = Tape.enter bt (state ()) env in
               if total < 0 then begin
                 Atomic.incr tfb;
                 closure_run env lo hi
@@ -759,8 +757,8 @@ let compile ?(target = Target.default) ?claims
       (if claims.Tape_gen.cs_source <> None && lanes > 1 then lanes else 0);
     c_tape_instr =
       List.fold_left (fun n (p, _) -> n + Tape_gen.instr_count p) 0 ctx.bound;
-    c_lane_modes =
-      List.rev_map (fun (p, m) -> (Tape_gen.nest_name p, m)) ctx.bound;
+    c_bound =
+      List.rev_map (fun (p, bt) -> (Tape_gen.nest_name p, bt)) ctx.bound;
     (* runtime counters (tape fallbacks, comm traffic) keep accumulating
        as the compiled object runs, so the compiled value shares the
        Atomics instead of snapshotting them *)
@@ -770,16 +768,17 @@ let run c = c.body (Array.copy c.regs0)
 let spec_count _ = 0
 let pool_fallbacks _ = 0
 let static_count c = c.c_static
-let tape_count c = List.length c.c_lane_modes
+let tape_count c = List.length c.c_bound
+let bound_tapes c = c.c_bound
+let lane_modes c = List.map (fun (n, bt) -> (n, Tape.mode bt)) c.c_bound
 
 let tape_vec_count c =
   List.length
     (List.filter
        (fun (_, m) -> match m with Tape.Scalar _ -> false | _ -> true)
-       c.c_lane_modes)
+       (lane_modes c))
 let tape_lanes c = c.c_tape_lanes
 let tape_instrs c = c.c_tape_instr
-let lane_modes c = c.c_lane_modes
 let tape_fallbacks c = Atomic.get c.c_tape_fb
 let comm_msgs c = Atomic.get c.c_msgs
 let comm_bytes c = Atomic.get c.c_bytes

@@ -121,6 +121,10 @@ val lane_modes : compiled -> (string * Tape.lane_mode) list
     decision {!Tape.bind} took for it — [Inner], [Outer] or [Scalar]
     with the reason.  Per-[compiled], like {!tape_count}. *)
 
+val bound_tapes : compiled -> (string * Tape.t) list
+(** Per claimed nest, in claim order: its name and the bound tape, for
+    {!Tape.listing} and {!Tape.folded}. *)
+
 val tape_fallbacks : compiled -> int
 (** Number of nest {e entries} whose whole-box corner check failed at run
     time, falling back to the generic closure path (whose per-access checks

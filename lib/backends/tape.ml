@@ -26,8 +26,12 @@
    marked the program lane-batchable ([p_vec_ok]) and the caller asked
    for [lanes] > 1, binding derives a vector tape from the scalar code —
    loads and stores specialized by their now-known innermost step into
-   unit (blit), strided and broadcast forms, ALU opcodes re-read with
-   lane-wise semantics over a vector register file.  The width is an
+   unit, strided and broadcast forms, ALU opcodes re-read with lane-wise
+   semantics over a vector register file.  An ALU operand may also be a
+   uniform scalar (a register the vector tape never writes) or memory
+   read directly: a load whose value only its reader consumes folds into
+   that reader (the load-folding rule in [bind]), and the lane loops are
+   specialized per opcode and operand shape.  The width is an
    interpreter strip, not a hardware vector: a vector dispatch costs the
    same however many floats it covers, so a segment runs as few batches
    as it can — [len / w] full ones, the remainder as one narrower batch,
@@ -175,15 +179,19 @@ type t = {
     (* lanes of the widest batch, 0 = scalar: the fitted width, times the
        row count for a 2-D [Outer] block *)
   t_rows : int;                     (* [Outer] rows per batch, 1 = 1-D *)
-  t_vcode : int array;              (* derived vector tape ([||] if scalar) *)
+  t_vcode : int array;
+    (* bound vector tape, [vw] ints per instruction ([||] if scalar) *)
   t_vpro : int array;
     (* [Outer]: per-batch vector loads of the promoted registers and the
        accumulator, before the innermost loop *)
   t_vepi : int array;               (* [Outer]: the accumulator's store *)
   t_vlivein : int array;
-    (* registers the vector tape reads before writing (minus the batched
-       iteration variable): the only ones whose scalar value must be
-       broadcast into lanes at segment (or lane-run) entry *)
+    (* registers the bound vector tape reads as lane registers before
+       writing them (minus the batched iteration variable): the only ones
+       whose scalar value must be broadcast into lanes at segment (or
+       lane-run) entry *)
+  t_folded : int;                   (* loads folded into their readers *)
+  t_names : string array;           (* per access, its buffer (listings) *)
   t_bsteps : int array;             (* per access, step of the batched level *)
   t_rsteps : int array;
     (* per access, step of the row level ([t_rows] > 1), else 0 *)
@@ -202,6 +210,13 @@ type state = {
   los : int array;
   exts : int array;
   fstr : int array;    (* fused-space stride per split level *)
+  (* [enter]'s scratch: original-view bounds, guarded-piece bounds
+     (piece-major, level-major) and which pieces are non-empty *)
+  elo : int array;
+  ehi : int array;
+  plo : int array;
+  phi : int array;
+  plive : bool array;
 }
 
 let affine_fn ~slot ((ts, c) : T.affine) : int array -> int =
@@ -249,6 +264,53 @@ let const_bounds (lv : T.level) =
   match (lv.T.lv_lo, lv.T.lv_hi) with
   | T.Baff ([], lo), T.Baff ([], hi) -> Some (lo, hi)
   | _ -> None
+
+(* ---------- the bound vector tape ----------
+
+   A bound vector instruction is [vw] ints: [op; dst; ka; xa; sa; kb; xb;
+   sb].  An ALU opcode reads operand A as kind [ka] with index [xa] and
+   stride [sa] along the batched level, and operand B likewise:
+   - [k_reg]: lane register [x] (stride 1);
+   - [k_scalar]: scalar register [x], which the vector tape never writes,
+     so one value serves every lane (stride 0);
+   - [k_mem]: access [x], lane [j] of row [r] at [cur + r * rsteps + j *
+     s] — exactly where the load it replaces would have read.
+   A unary opcode reads A only (a register); [fma] also reads [dst].
+   Loads are [op; dst; k_mem; access; stride; ...]; stores are [op; 0;
+   k_mem; access; stride; k_reg; src; 1]. *)
+let vw = 8
+let k_reg = 0
+let k_scalar = 1
+let k_mem = 2
+
+let is_vload op =
+  op = T.op_vload_unit || op = T.op_vload_strided || op = T.op_vload_bcast
+
+let is_vstore op = op = T.op_vstore_unit || op = T.op_vstore_strided
+
+let is_binary op =
+  (op >= T.op_add && op <= T.op_fma)
+  || op = T.op_pow || op = T.op_fdivi || op = T.op_modi
+
+(* opcodes whose operands may be scalars or memory *)
+let fusable op = op >= T.op_add && op <= T.op_fma
+
+(* How the instruction at [i] of a bound tape reads register [r]: [0] not
+   at all, [1] once as operand A of a fusable opcode, [2] once as its
+   operand B, [3] any other way (fma's addend, a store's source, a
+   non-fusable operand, or more than once). *)
+let read_kind (code : int array) i r =
+  let op = code.(i) in
+  if is_vload op then 0
+  else if is_vstore op then if code.(i + 6) = r then 3 else 0
+  else begin
+    let a = code.(i + 2) = k_reg && code.(i + 3) = r in
+    let b = is_binary op && code.(i + 5) = k_reg && code.(i + 6) = r in
+    if (op = T.op_fma && code.(i + 1) = r) || (a && b) then 3
+    else if a then if fusable op then 1 else 3
+    else if b then if fusable op then 2 else 3
+    else 0
+  end
 
 (* [bind p ~buf ~slot] resolves buffer names and free names; [None] when
    a buffer is unknown or its rank does not match the access.  [lanes]
@@ -496,98 +558,171 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
       | Outer _ -> Array.init nacc (fun a -> xsteps.(a).(xd - 2))
       | Inner _ | Scalar _ -> inner_steps
     in
-    let vload dst a =
+    (* the bound vector tape (format above): loads and stores specialized
+       by their step along the batched level, ALU operands registers *)
+    let set_vload c i dst a =
       let s = bsteps.(a) in
-      if s = 0 then [| T.op_vload_bcast; dst; a; 0 |]
-      else if s = 1 then [| T.op_vload_unit; dst; a; 0 |]
-      else [| T.op_vload_strided; dst; a; s |]
+      c.(i) <-
+        (if s = 0 then T.op_vload_bcast
+         else if s = 1 then T.op_vload_unit
+         else T.op_vload_strided);
+      c.(i + 1) <- dst;
+      c.(i + 2) <- k_mem;
+      c.(i + 3) <- a;
+      c.(i + 4) <- s
     in
-    let vstore a src =
+    let set_vstore c i a src =
       let s = bsteps.(a) in
-      if s = 1 then [| T.op_vstore_unit; 0; a; src |]
-      else [| T.op_vstore_strided; s; a; src |]
+      c.(i) <- (if s = 1 then T.op_vstore_unit else T.op_vstore_strided);
+      c.(i + 2) <- k_mem;
+      c.(i + 3) <- a;
+      c.(i + 4) <- s;
+      c.(i + 5) <- k_reg;
+      c.(i + 6) <- src;
+      c.(i + 7) <- 1
     in
-    let vcode =
-      if lanes_eff = 0 then [||]
+    let nv = if lanes_eff = 0 then 0 else Array.length p.T.p_code / 4 in
+    let vcode = Array.make (nv * vw) 0 in
+    for k = 0 to nv - 1 do
+      (* an accumulator program has no store in its body: every store
+         folded into the accumulator register *)
+      let c = p.T.p_code and i = k * vw in
+      let op = c.(4 * k)
+      and dst = c.((4 * k) + 1)
+      and a = c.((4 * k) + 2)
+      and b = c.((4 * k) + 3) in
+      if op = T.op_load then set_vload vcode i dst a
+      else if op = T.op_store then set_vstore vcode i a b
       else begin
-        (* an accumulator program has no store in its body: every store
-           folded into the accumulator register *)
-        let c = Array.copy p.T.p_code in
-        let n = Array.length c / 4 in
-        for k = 0 to n - 1 do
-          let op = c.(4 * k) and a = c.((4 * k) + 2) in
-          if op = T.op_load then
-            Array.blit (vload c.((4 * k) + 1) a) 0 c (4 * k) 4
-          else if op = T.op_store then
-            Array.blit (vstore a c.((4 * k) + 3)) 0 c (4 * k) 4
+        vcode.(i) <- op;
+        vcode.(i + 1) <- dst;
+        vcode.(i + 2) <- k_reg;
+        vcode.(i + 3) <- a;
+        vcode.(i + 4) <- 1;
+        if is_binary op then begin
+          vcode.(i + 5) <- k_reg;
+          vcode.(i + 6) <- b;
+          vcode.(i + 7) <- 1
+        end
+      end
+    done;
+    let vpro, vepi =
+      match (mode, p.T.p_accum) with
+      | Outer _, Some (r, a, init) ->
+          let np = Array.length p.T.p_promos in
+          let pro = Array.make ((np + if init then 1 else 0) * vw) 0 in
+          Array.iteri (fun k (r, a) -> set_vload pro (k * vw) r a) p.T.p_promos;
+          if init then set_vload pro (np * vw) r a;
+          let epi = Array.make vw 0 in
+          set_vstore epi 0 a r;
+          (pro, epi)
+      | _ -> ([||], [||])
+    in
+    (* the batched level's variable: the batch loop fills its lanes *)
+    let ivd = match mode with Inner _ -> xiv.(xd - 1) | _ -> -1 in
+    let nregs = p.T.p_nregs in
+    (* registers [code] reads as lane registers before writing them:
+       marks [livein], given the registers already [written] *)
+    let live_in code ~written ~livein =
+      let read r = if r <> ivd && not written.(r) then livein.(r) <- true in
+      for k = 0 to (Array.length code / vw) - 1 do
+        let i = k * vw in
+        let op = code.(i) in
+        if is_vstore op then read code.(i + 6)
+        else begin
+          if not (is_vload op) then begin
+            if code.(i + 2) = k_reg then read code.(i + 3);
+            if is_binary op && code.(i + 5) = k_reg then read code.(i + 6);
+            if op = T.op_fma then read code.(i + 1)
+          end;
+          written.(code.(i + 1)) <- true
+        end
+      done
+    in
+    (* Load folding.  A load folds into its reader — the reader's operand
+       becomes the load's access, read at the same cursor, row and lane
+       offsets — when the reader is a fusable ALU opcode reading the
+       register once, that read is the register's only one before its
+       next write (or before the body ends, with the accumulator store
+       after it), no store lies between the two (memory still holds what
+       the load would have read), and the register is not live-in to the
+       body (no read of the previous iteration's value).  Lane by lane the
+       reader then sees exactly the load's value, so folding is exact. *)
+    let body_livein = Array.make nregs false in
+    live_in vcode ~written:(Array.make nregs false) ~livein:body_livein;
+    let keep = Array.make nv true and folded = ref 0 in
+    for k = 0 to nv - 1 do
+      let i = k * vw in
+      let r = vcode.(i + 1) in
+      if is_vload vcode.(i) && not body_livein.(r) then begin
+        (* the reader's operand field, once found *)
+        let field = ref (-1) and ok = ref true and ended = ref false in
+        let m = ref (k + 1) in
+        while !ok && (not !ended) && !m < nv do
+          let j = !m * vw in
+          let rk = read_kind vcode j r in
+          if rk > 0 then
+            if rk < 3 && !field < 0 then field := j + if rk = 1 then 2 else 5
+            else ok := false;
+          if is_vstore vcode.(j) then (if !field < 0 then ok := false)
+          else if vcode.(j + 1) = r then ended := true;
+          incr m
+        done;
+        if (not !ended) && Array.length vepi > 0 && vepi.(6) = r then
+          ok := false;
+        if !ok && !field >= 0 then begin
+          let o = !field in
+          vcode.(o) <- k_mem;
+          vcode.(o + 1) <- vcode.(i + 3);
+          vcode.(o + 2) <- vcode.(i + 4);
+          keep.(k) <- false;
+          incr folded
+        end
+      end
+    done;
+    let vcode =
+      if !folded = 0 then vcode
+      else begin
+        let c = Array.make ((nv - !folded) * vw) 0 and n = ref 0 in
+        for k = 0 to nv - 1 do
+          if keep.(k) then begin
+            Array.blit vcode (k * vw) c (!n * vw) vw;
+            incr n
+          end
         done;
         c
       end
     in
-    let vpro, vepi =
-      match (mode, p.T.p_accum) with
-      | Outer _, Some (r, a, init) ->
-          ( Array.concat
-              (List.map (fun (r, a) -> vload r a) (Array.to_list p.T.p_promos)
-              @ if init then [ vload r a ] else []),
-            vstore a r )
-      | _ -> ([||], [||])
-    in
+    (* a register the vector tape never writes holds one value for the
+       whole batch: ALU opcodes read it as a scalar *)
+    let written = Array.make nregs false in
+    if ivd >= 0 then written.(ivd) <- true;
+    List.iter
+      (fun code ->
+        for k = 0 to (Array.length code / vw) - 1 do
+          if not (is_vstore code.(k * vw)) then written.(code.((k * vw) + 1)) <- true
+        done)
+      [ vpro; vcode ];
+    for k = 0 to (Array.length vcode / vw) - 1 do
+      let i = k * vw in
+      if fusable vcode.(i) then
+        for o = 0 to 1 do
+          let f = i + 2 + (3 * o) in
+          if vcode.(f) = k_reg && not written.(vcode.(f + 1)) then begin
+            vcode.(f) <- k_scalar;
+            vcode.(f + 2) <- 0
+          end
+        done
+    done;
     let vlivein =
-      if lanes_eff = 0 then [||]
-      else begin
-        (* live-in scan over the derived vector tape: a register read
-           before any write needs its scalar value broadcast at segment
-           entry; one written first (vector loads, ALU results) does not.
-           The batched level's variable is excluded — when the body reads
-           it, the batch loop fills its lanes itself (an outer lane run
-           has a body that reads no lane variable). *)
-        let ivd = match mode with Inner _ -> xiv.(xd - 1) | _ -> -1 in
-        let nregs = p.T.p_nregs in
-        let written = Array.make nregs false in
-        let livein = Array.make nregs false in
-        let read r =
-          if r <> ivd && not written.(r) then livein.(r) <- true
-        in
-        let code = Array.append vpro vcode in
-        let n = Array.length code / 4 in
-        for k = 0 to n - 1 do
-          let op = code.(4 * k) in
-          let dst = code.((4 * k) + 1)
-          and a = code.((4 * k) + 2)
-          and b = code.((4 * k) + 3) in
-          if
-            op = T.op_vload_unit || op = T.op_vload_strided
-            || op = T.op_vload_bcast
-          then written.(dst) <- true
-          else if op = T.op_vstore_unit || op = T.op_vstore_strided then
-            read b
-          else if op = T.op_fma then begin
-            read dst;
-            read a;
-            read b;
-            written.(dst) <- true
-          end
-          else if
-            op = T.op_mov
-            || (op >= T.op_neg && op <= T.op_floor)
-            || op = T.op_trunc
-          then begin
-            read a;
-            written.(dst) <- true
-          end
-          else begin
-            read a;
-            read b;
-            written.(dst) <- true
-          end
-        done;
-        let out = ref [] in
-        for r = nregs - 1 downto 0 do
-          if livein.(r) then out := r :: !out
-        done;
-        Array.of_list !out
-      end
+      let written = Array.make nregs false and livein = Array.make nregs false in
+      live_in vpro ~written ~livein;
+      live_in vcode ~written ~livein;
+      let out = ref [] in
+      for r = nregs - 1 downto 0 do
+        if livein.(r) then out := r :: !out
+      done;
+      Array.of_list !out
     in
     Some
       { t_d = d;
@@ -629,6 +764,8 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
         t_vpro = vpro;
         t_vepi = vepi;
         t_vlivein = vlivein;
+        t_folded = !folded;
+        t_names = Array.map (fun a -> a.T.ac_buf) p.T.p_accesses;
         t_bsteps = bsteps;
         t_rsteps =
           (match rows with
@@ -641,6 +778,51 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
   with Unbound -> None
 
 let mode t = t.t_mode
+let folded t = t.t_folded
+
+(* The bound vector tape as text: one line per instruction, operands as
+   [r5] (lane register), [r4:scalar] (uniform scalar) or [img@s3]
+   (memory: buffer and step along the batched level — [u] unit, [b]
+   broadcast, [sK] stride K). *)
+let listing t =
+  if t.t_lanes = 0 then ""
+  else begin
+    let b = Buffer.create 256 in
+    let opnd k x s =
+      if k = k_reg then Printf.sprintf "r%d" x
+      else if k = k_scalar then Printf.sprintf "r%d:scalar" x
+      else
+        Printf.sprintf "%s@%s" t.t_names.(x)
+          (if s = 1 then "u" else if s = 0 then "b" else Printf.sprintf "s%d" s)
+    in
+    Buffer.add_string b
+      (Printf.sprintf "bound vector tape (%s): %d loads folded, live-in [%s]\n"
+         (mode_to_string t.t_mode) t.t_folded
+         (String.concat " "
+            (Array.to_list
+               (Array.map (Printf.sprintf "r%d") t.t_vlivein))));
+    let section tag code =
+      for k = 0 to (Array.length code / vw) - 1 do
+        let f o = code.((k * vw) + o) in
+        let op = f 0 in
+        let txt =
+          if is_vload op then Printf.sprintf "r%d <- %s" (f 1) (opnd k_mem (f 3) (f 4))
+          else if is_vstore op then
+            Printf.sprintf "%s <- r%d" (opnd k_mem (f 3) (f 4)) (f 6)
+          else if is_binary op then
+            Printf.sprintf "r%d <- %s, %s" (f 1) (opnd (f 2) (f 3) (f 4))
+              (opnd (f 5) (f 6) (f 7))
+          else Printf.sprintf "r%d <- %s" (f 1) (opnd (f 2) (f 3) (f 4))
+        in
+        Buffer.add_string b
+          (Printf.sprintf "  %s%2d: %-8s %s\n" tag k (T.vop_name op) txt)
+      done
+    in
+    section "pro " t.t_vpro;
+    section "    " t.t_vcode;
+    section "epi " t.t_vepi;
+    Buffer.contents b
+  end
 
 let new_state t =
   let st =
@@ -652,7 +834,12 @@ let new_state t =
       lbase = Array.make (Array.length t.t_accs) 0;
       los = Array.make t.t_d 0;
       exts = Array.make t.t_d 0;
-      fstr = Array.make t.t_split 1 }
+      fstr = Array.make t.t_split 1;
+      elo = Array.make t.t_d 0;
+      ehi = Array.make t.t_d 0;
+      plo = Array.make (Array.length t.t_pieces * t.t_d) 0;
+      phi = Array.make (Array.length t.t_pieces * t.t_d) 0;
+      plive = Array.make (Array.length t.t_pieces) false }
   in
   Array.iter (fun (r, v) -> st.regs.(r) <- v) t.t_lits;
   st
@@ -689,76 +876,95 @@ let lane_width st =
    their intervals on that level tile the box contiguously (overlap is
    fine — the generator required identical, idempotent piece bodies).
    Any other shape reports [false] and the caller takes the closure
-   fallback, which replays the original guarded IR exactly. *)
-let pieces_cover t env (lo : int array) (hi : int array) =
+   fallback, which replays the original guarded IR exactly.  The piece
+   bounds are evaluated into the state's scratch, so a check allocates
+   nothing. *)
+let pieces_cover t st env =
   let np = Array.length t.t_pieces in
   if np = 0 then true
   else begin
     let d = t.t_d in
-    let boxes = ref [] in
+    let lo = st.elo and hi = st.ehi in
+    let plo = st.plo and phi = st.phi and live = st.plive in
+    let first = ref (-1) in
     for k = np - 1 downto 0 do
       let pb = t.t_pieces.(k) in
-      let plo = Array.init d (fun l -> fst pb.(l) env) in
-      let phi = Array.init d (fun l -> snd pb.(l) env) in
       let empty = ref false in
       for l = 0 to d - 1 do
-        if phi.(l) < plo.(l) then empty := true
+        let a = fst pb.(l) env and b = snd pb.(l) env in
+        plo.((k * d) + l) <- a;
+        phi.((k * d) + l) <- b;
+        if b < a then empty := true
       done;
-      if not !empty then boxes := (plo, phi) :: !boxes
+      live.(k) <- not !empty;
+      if not !empty then first := k
     done;
-    match !boxes with
-    | [] -> false (* program box is non-empty but no piece covers it *)
-    | (l0, h0) :: rest ->
-        let varying = ref (-1) and ok = ref true in
-        List.iter
-          (fun (l1, h1) ->
-            for l = 0 to d - 1 do
-              if l1.(l) <> l0.(l) || h1.(l) <> h0.(l) then
-                if !varying = -1 || !varying = l then varying := l
-                else ok := false
-            done)
-          rest;
-        (* levels the pieces agree on must coincide with the program box
-           (an empty piece may have widened the min/max fold) *)
-        for l = 0 to d - 1 do
-          if l <> !varying && (l0.(l) <> lo.(l) || h0.(l) <> hi.(l)) then
-            ok := false
+    if !first < 0 then false (* the box is non-empty but no piece covers it *)
+    else begin
+      let f = !first * d in
+      let varying = ref (-1) and ok = ref true in
+      for k = !first + 1 to np - 1 do
+        if live.(k) then
+          for l = 0 to d - 1 do
+            if plo.((k * d) + l) <> plo.(f + l) || phi.((k * d) + l) <> phi.(f + l)
+            then
+              if !varying = -1 || !varying = l then varying := l
+              else ok := false
+          done
+      done;
+      (* levels the pieces agree on must coincide with the program box
+         (an empty piece may have widened the min/max fold) *)
+      for l = 0 to d - 1 do
+        if l <> !varying && (plo.(f + l) <> lo.(l) || phi.(f + l) <> hi.(l))
+        then ok := false
+      done;
+      if not !ok then false
+      else if !varying = -1 then true
+      else begin
+        (* on the varying level the intervals must start at the box's low
+           end, chain without a gap and reach its high end *)
+        let lv = !varying in
+        let mn = ref max_int and mx = ref min_int in
+        for k = 0 to np - 1 do
+          if live.(k) then begin
+            mn := Int.min !mn plo.((k * d) + lv);
+            mx := Int.max !mx phi.((k * d) + lv)
+          end
         done;
-        if not !ok then false
-        else if !varying = -1 then true
-        else begin
-          let lv = !varying in
-          let iv =
-            List.sort compare
-              (List.map (fun (l1, h1) -> (l1.(lv), h1.(lv))) !boxes)
-          in
-          match iv with
-          | [] -> false
-          | (a0, b0) :: rest ->
-              a0 = lo.(lv)
-              &&
-              let cover = ref b0 and good = ref true in
-              List.iter
-                (fun (a, b) ->
-                  if a > !cover + 1 then good := false
-                  else if b > !cover then cover := b)
-                rest;
-              !good && !cover = hi.(lv)
-        end
+        !mn = lo.(lv) && !mx = hi.(lv)
+        &&
+        let cover = ref (lo.(lv) - 1) and grew = ref true in
+        while !grew do
+          grew := false;
+          for k = 0 to np - 1 do
+            if live.(k)
+               && plo.((k * d) + lv) <= !cover + 1
+               && phi.((k * d) + lv) > !cover
+            then begin
+              cover := phi.((k * d) + lv);
+              grew := true
+            end
+          done
+        done;
+        !cover = hi.(lv)
+      end
+    end
   end
 
-(* [enter t env] evaluates bounds and runs the whole-box corner checks:
+(* [enter t st env] evaluates bounds and runs the whole-box corner checks:
    [-1] when a check fails (caller takes the closure fallback), otherwise
    the size of the fused split space (0 when any level is empty: nothing
    to run, vacuously in bounds).  Checks run against the original
    per-level view — the exec view merge is order-preserving, so a passing
-   check covers it too. *)
-let enter t env =
+   check covers it too.  The bounds land in [st]'s scratch: no
+   allocation per entry. *)
+let enter t st env =
   let d = t.t_d in
-  let lo = Array.init d (fun l -> t.t_lo.(l) env) in
-  let hi = Array.init d (fun l -> t.t_hi.(l) env) in
+  let lo = st.elo and hi = st.ehi in
   let empty = ref false in
   for l = 0 to d - 1 do
+    lo.(l) <- t.t_lo.(l) env;
+    hi.(l) <- t.t_hi.(l) env;
     if hi.(l) < lo.(l) then empty := true
   done;
   if !empty then 0
@@ -785,7 +991,7 @@ let enter t env =
       incr i
     done;
     if not !ok then -1
-    else if not (pieces_cover t env lo hi) then -1
+    else if not (pieces_cover t st env) then -1
     else begin
       let total = ref 1 in
       for l = 0 to t.t_split - 1 do
@@ -795,6 +1001,14 @@ let enter t env =
     end
   end
 
+(* Bit-exact fast paths for [Float.min] / [Float.max]: when one operand is
+   strictly below (above) the other, both are ordinary, distinct numbers
+   and the library would return that operand too.  Ties — signed zeros
+   among them — and NaNs take the library call.  Shared by both
+   interpreters. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
 (* The instruction interpreter.  Opcode numbering mirrors
    {!Tiramisu_codegen.Tape_gen}; [fma] deliberately rounds twice so
    results stay bit-identical to the reference interpreter.
@@ -803,9 +1017,10 @@ let enter t env =
    corner checks prove every data cursor the segment will touch is in
    bounds before a single instruction runs, register/cursor indices are
    validated against the register-file and access counts at bind time,
-   and the tape length is a multiple of 4 by construction.  Re-checking
-   each access in the hot loop would only re-prove what [enter] already
-   established. *)
+   and a tape's length is a multiple of its instruction width by
+   construction.  Re-checking each access in the hot loop would only
+   re-prove what [enter] already established. *)
+
 let[@inline] exec_code (code : int array) (st : state)
     (datas : float array array) =
   let regs = st.regs and cur = st.cur in
@@ -839,10 +1054,10 @@ let[@inline] exec_code (code : int array) (st : state)
           (Array.unsafe_get regs a /. Array.unsafe_get regs b)
     | 7 (* min *) ->
         Array.unsafe_set regs dst
-          (Float.min (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+          (fmin (Array.unsafe_get regs a) (Array.unsafe_get regs b))
     | 8 (* max *) ->
         Array.unsafe_set regs dst
-          (Float.max (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+          (fmax (Array.unsafe_get regs a) (Array.unsafe_get regs b))
     | 9 (* fma *) ->
         Array.unsafe_set regs dst
           (Array.unsafe_get regs dst
@@ -880,173 +1095,301 @@ let[@inline] exec_code (code : int array) (st : state)
     pc := i + 4
   done
 
+(* ---------- lane kernels ----------
+
+   Every lane loop below is a template: an [@inline] function whose
+   opcode and operand classes are integer constants at each
+   instantiation, so inlining folds the test chains away and leaves one
+   straight unrolled loop per (opcode, operand shape) — no closure call
+   and no boxed float per lane.  An operand is an array, a base offset and
+   a stride, in one of three classes: [0] unit stride (a lane register, or
+   memory one element apart), [1] uniform (a scalar register, or memory
+   at stride 0: one value for the whole row, read once) and [2] any other
+   constant stride.  Loops run four lanes per test; the remainder runs
+   one lane at a time. *)
+
+(* one lane of an ALU opcode other than [fma]; [op] is a constant at
+   every use, and a unary opcode ([mov] included) ignores [y] *)
+let[@inline] alu op x y =
+  if op = 2 then x
+  else if op = 3 then x +. y
+  else if op = 4 then x -. y
+  else if op = 5 then x *. y
+  else if op = 6 then x /. y
+  else if op = 7 then fmin x y
+  else if op = 8 then fmax x y
+  else if op = 10 then -.x
+  else if op = 11 then Float.abs x
+  else if op = 12 then sqrt x
+  else if op = 13 then exp x
+  else if op = 14 then log x
+  else if op = 15 then sin x
+  else if op = 16 then cos x
+  else if op = 17 then Float.floor x
+  else if op = 18 then Float.pow x y
+  else if op = 19 then
+    Float.of_int
+      (Tiramisu_support.Ints.fdiv (int_of_float x) (int_of_float y))
+  else if op = 20 then
+    Float.of_int
+      (Tiramisu_support.Ints.emod (int_of_float x) (int_of_float y))
+  else Float.of_int (int_of_float x)
+
+(* lane [q] of [d] gets [op x y]; [fma] adds the product to the lane *)
+let[@inline] lane op (d : float array) q x y =
+  Array.unsafe_set d q
+    (if op = 9 then Array.unsafe_get d q +. (x *. y) else alu op x y)
+
+(* operand value at lane [k] (0..3) of an unrolled step based at [p]:
+   [o] is [k] strides, [v0] the uniform value *)
+let[@inline] opnd cls (a : float array) p k o v0 =
+  if cls = 1 then v0
+  else if cls = 0 then Array.unsafe_get a (p + k)
+  else Array.unsafe_get a (p + o)
+
+(* [w] lanes of a binary opcode into [d] from [doff]: operand [x] of class
+   [cx] at [xa.(xo + j*xs)], [y] likewise *)
+let[@inline] lanes2 op cx cy (d : float array) doff (xa : float array) xo xs
+    (ya : float array) yo ys w =
+  let x0 = Array.unsafe_get xa xo and y0 = Array.unsafe_get ya yo in
+  let xs2 = xs + xs and ys2 = ys + ys in
+  let xs3 = xs2 + xs and ys3 = ys2 + ys in
+  let xs4 = xs2 + xs2 and ys4 = ys2 + ys2 in
+  let stop = doff + w in
+  let q = ref doff and px = ref xo and py = ref yo in
+  while !q + 3 < stop do
+    let i = !q and p = !px and r = !py in
+    lane op d i (opnd cx xa p 0 0 x0) (opnd cy ya r 0 0 y0);
+    lane op d (i + 1) (opnd cx xa p 1 xs x0) (opnd cy ya r 1 ys y0);
+    lane op d (i + 2) (opnd cx xa p 2 xs2 x0) (opnd cy ya r 2 ys2 y0);
+    lane op d (i + 3) (opnd cx xa p 3 xs3 x0) (opnd cy ya r 3 ys3 y0);
+    q := i + 4;
+    px := p + xs4;
+    py := r + ys4
+  done;
+  while !q < stop do
+    let i = !q and p = !px and r = !py in
+    lane op d i (opnd cx xa p 0 0 x0) (opnd cy ya r 0 0 y0);
+    q := i + 1;
+    px := p + xs;
+    py := r + ys
+  done
+
+let[@inline] stride_class s = if s = 1 then 0 else if s = 0 then 1 else 2
+
+(* [rows] rows of [w] lanes of a binary opcode, row [r] into [d] from
+   [r * w], its operands [xrs] / [yrs] past their row-0 offsets *)
+let[@inline] rows_of op cx cy d rows w xa xo xrs xs ya yo yrs ys =
+  for r = 0 to rows - 1 do
+    lanes2 op cx cy d (r * w) xa (xo + (r * xrs)) xs ya (yo + (r * yrs)) ys w
+  done
+
+(* the operand classes, read off the strides, pick one of nine
+   specialized loops once for the whole batch *)
+let[@inline] rows2 op d rows w xa xo xrs xs ya yo yrs ys =
+  match (3 * stride_class xs) + stride_class ys with
+  | 0 -> rows_of op 0 0 d rows w xa xo xrs xs ya yo yrs ys
+  | 1 -> rows_of op 0 1 d rows w xa xo xrs xs ya yo yrs ys
+  | 2 -> rows_of op 0 2 d rows w xa xo xrs xs ya yo yrs ys
+  | 3 -> rows_of op 1 0 d rows w xa xo xrs xs ya yo yrs ys
+  | 4 -> rows_of op 1 1 d rows w xa xo xrs xs ya yo yrs ys
+  | 5 -> rows_of op 1 2 d rows w xa xo xrs xs ya yo yrs ys
+  | 6 -> rows_of op 2 0 d rows w xa xo xrs xs ya yo yrs ys
+  | 7 -> rows_of op 2 1 d rows w xa xo xrs xs ya yo yrs ys
+  | _ -> rows_of op 2 2 d rows w xa xo xrs xs ya yo yrs ys
+
+(* an opcode whose operands are lane registers, over every lane of the
+   batch: binary when [cy] is 0, unary (its one operand read twice, the
+   second time as an ignored uniform) when [cy] is 1 *)
+let[@inline] reg_lanes op cy (vr : float array array) (code : int array) i nl =
+  let x = Array.unsafe_get vr (Array.unsafe_get code (i + 3)) in
+  let y =
+    if cy = 0 then Array.unsafe_get vr (Array.unsafe_get code (i + 6)) else x
+  in
+  lanes2 op 0 cy
+    (Array.unsafe_get vr (Array.unsafe_get code (i + 1)))
+    0 x 0 1 y 0 (1 - cy) nl
+
+(* Rows at least this wide copy and fill through the runtime's block
+   primitives; shorter ones (sgemm's 8-lane rows) run the unrolled loops,
+   which beat a C call's fixed cost there. *)
+let block_min = 32
+
+(* [w] elements from [a] at [p + j*s] (stride class [c]) into [d] from
+   [doff]: a load, run as [mov] lanes (the second operand is unused) *)
+let[@inline] gather c (d : float array) doff (a : float array) p s w =
+  if c = 0 && w >= block_min then Array.blit a p d doff w
+  else if c = 1 && w >= block_min then
+    Array.fill d doff w (Array.unsafe_get a p)
+  else lanes2 2 c 1 d doff a p s a p 0 w
+
+(* [w] lanes of [x] from [xo] into [d] at [p + j*s] (stride [s] <> 0): a
+   store *)
+let[@inline] scatter unit (d : float array) p s (x : float array) xo w =
+  if unit && w >= block_min then Array.blit x xo d p w
+  else begin
+    let s2 = s + s in
+    let s3 = s2 + s and s4 = s2 + s2 in
+    let q = ref 0 and pd = ref p in
+    while !q + 3 < w do
+      let i = xo + !q and o = !pd in
+      Array.unsafe_set d o (Array.unsafe_get x i);
+      Array.unsafe_set d (o + s) (Array.unsafe_get x (i + 1));
+      Array.unsafe_set d (o + s2) (Array.unsafe_get x (i + 2));
+      Array.unsafe_set d (o + s3) (Array.unsafe_get x (i + 3));
+      q := !q + 4;
+      pd := o + s4
+    done;
+    while !q < w do
+      Array.unsafe_set d !pd (Array.unsafe_get x (xo + !q));
+      incr q;
+      pd := !pd + s
+    done
+  end
+
+(* operand [k, x] of a batch: its array, the offset of row 0's lane 0,
+   and the distance between rows ([w] lanes apart in a register) *)
+let[@inline] src_array k x (vr : float array array) (regs : float array)
+    (datas : float array array) =
+  if k = 0 then Array.unsafe_get vr x
+  else if k = 1 then regs
+  else Array.unsafe_get datas x
+
+let[@inline] src_offset k x (cur : int array) =
+  if k = 0 then 0 else if k = 1 then x else Array.unsafe_get cur x
+
+let[@inline] src_row_step k x w (rsteps : int array) =
+  if k = 0 then w else if k = 1 then 0 else Array.unsafe_get rsteps x
+
+(* one ALU instruction at [i] over the batch.  A memory operand needs
+   its row offsets, so the batch goes row by row; registers and scalars
+   alone run every lane of the batch as one row. *)
+let[@inline] exec_alu op (code : int array) i (vr : float array array)
+    (regs : float array) (datas : float array array) (cur : int array)
+    (rsteps : int array) rows w =
+  let d = Array.unsafe_get vr (Array.unsafe_get code (i + 1)) in
+  let ka = Array.unsafe_get code (i + 2)
+  and xa = Array.unsafe_get code (i + 3)
+  and sa = Array.unsafe_get code (i + 4)
+  and kb = Array.unsafe_get code (i + 5)
+  and xb = Array.unsafe_get code (i + 6)
+  and sb = Array.unsafe_get code (i + 7) in
+  let nrows = if ka = 2 || kb = 2 then rows else 1 in
+  let rw = if nrows = rows then w else rows * w in
+  rows2 op d nrows rw
+    (src_array ka xa vr regs datas) (src_offset ka xa cur)
+    (src_row_step ka xa rw rsteps) sa
+    (src_array kb xb vr regs datas) (src_offset kb xb cur)
+    (src_row_step kb xb rw rsteps) sb
+
 (* The vector interpreter: one dispatch covers a batch of [rows] rows of
    [w] lanes each, row [r] in lanes [r*w .. r*w + w - 1].  ALU opcodes
-   keep their scalar numbering (lane-wise semantics over all
-   [rows * w] lanes); loads and stores were specialized at bind time
-   into unit (blit), strided and broadcast forms along a row, and row [r]
+   keep their scalar numbering (lane-wise semantics over all [rows * w]
+   lanes) and read registers, uniform scalars or memory directly (see the
+   bound format above); loads and stores were specialized at bind time
+   into unit, strided and broadcast forms along a row, and row [r]
    addresses its access at [r * rsteps.(a)] past the cursor — one row is
    exactly the 1-D op.  Each lane performs the same float operations in
    the same order as {!exec_code}, so results are bit-identical. *)
-let[@inline] exec_code_vec (code : int array) (st : state)
-    (datas : float array array) (rsteps : int array) (rows : int) (w : int)
-    =
-  let vr = st.vregs and cur = st.cur in
+let exec_code_vec (code : int array) (st : state) (datas : float array array)
+    (rsteps : int array) (rows : int) (w : int) =
+  let vr = st.vregs and regs = st.regs and cur = st.cur in
   let n = Array.length code in
   let nl = rows * w in
   let pc = ref 0 in
   while !pc < n do
     let i = !pc in
-    let dst = code.(i + 1) and a = code.(i + 2) and b = code.(i + 3) in
+    let dst = Array.unsafe_get code (i + 1)
+    and a = Array.unsafe_get code (i + 3)
+    and s = Array.unsafe_get code (i + 4) in
     (match Array.unsafe_get code i with
+    | 3 -> exec_alu 3 code i vr regs datas cur rsteps rows w
+    | 4 -> exec_alu 4 code i vr regs datas cur rsteps rows w
+    | 5 -> exec_alu 5 code i vr regs datas cur rsteps rows w
+    | 6 -> exec_alu 6 code i vr regs datas cur rsteps rows w
+    | 7 -> exec_alu 7 code i vr regs datas cur rsteps rows w
+    | 8 -> exec_alu 8 code i vr regs datas cur rsteps rows w
+    | 9 -> exec_alu 9 code i vr regs datas cur rsteps rows w
     | 22 (* vload.u *) ->
-        let src = datas.(a) and d_ = vr.(dst) in
+        let d = vr.(dst) and src = datas.(a) in
         let c = cur.(a) and rs = rsteps.(a) in
         for r = 0 to rows - 1 do
-          Array.blit src (c + (r * rs)) d_ (r * w) w
+          gather 0 d (r * w) src (c + (r * rs)) 1 w
         done
     | 23 (* vload.s *) ->
-        let d_ = vr.(dst) and src = datas.(a) in
+        let d = vr.(dst) and src = datas.(a) in
         let c = cur.(a) and rs = rsteps.(a) in
         for r = 0 to rows - 1 do
-          let c = c + (r * rs) and o = r * w in
-          for j = 0 to w - 1 do
-            Array.unsafe_set d_ (o + j) (Array.unsafe_get src (c + (j * b)))
-          done
+          gather 2 d (r * w) src (c + (r * rs)) s w
         done
     | 24 (* vbcast *) ->
-        let src = datas.(a) and d_ = vr.(dst) in
+        let d = vr.(dst) and src = datas.(a) in
         let c = cur.(a) and rs = rsteps.(a) in
         for r = 0 to rows - 1 do
-          Array.fill d_ (r * w) w src.(c + (r * rs))
+          gather 1 d (r * w) src (c + (r * rs)) 0 w
         done
     | 25 (* vstore.u *) ->
-        let s = vr.(b) and d_ = datas.(a) in
+        let x = vr.(code.(i + 6)) and d = datas.(a) in
         let c = cur.(a) and rs = rsteps.(a) in
         for r = 0 to rows - 1 do
-          Array.blit s (r * w) d_ (c + (r * rs)) w
+          scatter true d (c + (r * rs)) 1 x (r * w) w
         done
     | 26 (* vstore.s *) ->
-        let s = vr.(b) and d_ = datas.(a) in
+        let x = vr.(code.(i + 6)) and d = datas.(a) in
         let c = cur.(a) and rs = rsteps.(a) in
         for r = 0 to rows - 1 do
-          let c = c + (r * rs) and o = r * w in
-          for j = 0 to w - 1 do
-            Array.unsafe_set d_ (c + (j * dst)) (Array.unsafe_get s (o + j))
-          done
+          scatter false d (c + (r * rs)) s x (r * w) w
         done
-    | 2 (* vmov *) -> Array.blit vr.(a) 0 vr.(dst) 0 nl
-    | 3 (* vadd *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Array.unsafe_get x j +. Array.unsafe_get y j)
-        done
-    | 4 (* vsub *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Array.unsafe_get x j -. Array.unsafe_get y j)
-        done
-    | 5 (* vmul *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Array.unsafe_get x j *. Array.unsafe_get y j)
-        done
-    | 6 (* vdiv *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Array.unsafe_get x j /. Array.unsafe_get y j)
-        done
-    | 7 (* vmin *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j
-            (Float.min (Array.unsafe_get x j) (Array.unsafe_get y j))
-        done
-    | 8 (* vmax *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j
-            (Float.max (Array.unsafe_get x j) (Array.unsafe_get y j))
-        done
-    | 9 (* vfma *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j
-            (Array.unsafe_get d_ j
-            +. (Array.unsafe_get x j *. Array.unsafe_get y j))
-        done
-    | 10 (* vneg *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (-.Array.unsafe_get x j)
-        done
-    | 11 (* vabs *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Float.abs (Array.unsafe_get x j))
-        done
-    | 12 (* vsqrt *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (sqrt (Array.unsafe_get x j))
-        done
-    | 13 (* vexp *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (exp (Array.unsafe_get x j))
-        done
-    | 14 (* vlog *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (log (Array.unsafe_get x j))
-        done
-    | 15 (* vsin *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (sin (Array.unsafe_get x j))
-        done
-    | 16 (* vcos *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (cos (Array.unsafe_get x j))
-        done
-    | 17 (* vfloor *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Float.floor (Array.unsafe_get x j))
-        done
-    | 18 (* vpow *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j
-            (Float.pow (Array.unsafe_get x j) (Array.unsafe_get y j))
-        done
-    | 19 (* vfdivi *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j
-            (Float.of_int
-               (Tiramisu_support.Ints.fdiv
-                  (int_of_float (Array.unsafe_get x j))
-                  (int_of_float (Array.unsafe_get y j))))
-        done
-    | 20 (* vmodi *) ->
-        let d_ = vr.(dst) and x = vr.(a) and y = vr.(b) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j
-            (Float.of_int
-               (Tiramisu_support.Ints.emod
-                  (int_of_float (Array.unsafe_get x j))
-                  (int_of_float (Array.unsafe_get y j))))
-        done
-    | 21 (* vtrunc *) ->
-        let d_ = vr.(dst) and x = vr.(a) in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set d_ j (Float.of_int (int_of_float (Array.unsafe_get x j)))
-        done
+    | 18 (* vpow *) -> reg_lanes 18 0 vr code i nl
+    | 19 (* vfdivi *) -> reg_lanes 19 0 vr code i nl
+    | 20 (* vmodi *) -> reg_lanes 20 0 vr code i nl
+    | 2 (* vmov *) -> reg_lanes 2 1 vr code i nl
+    | 10 (* vneg *) -> reg_lanes 10 1 vr code i nl
+    | 11 (* vabs *) -> reg_lanes 11 1 vr code i nl
+    | 12 (* vsqrt *) -> reg_lanes 12 1 vr code i nl
+    | 13 (* vexp *) -> reg_lanes 13 1 vr code i nl
+    | 14 (* vlog *) -> reg_lanes 14 1 vr code i nl
+    | 15 (* vsin *) -> reg_lanes 15 1 vr code i nl
+    | 16 (* vcos *) -> reg_lanes 16 1 vr code i nl
+    | 17 (* vfloor *) -> reg_lanes 17 1 vr code i nl
+    | 21 (* vtrunc *) -> reg_lanes 21 1 vr code i nl
     | _ -> assert false);
-    pc := i + 4
+    pc := i + vw
   done
+
+(* A one-instruction bound tape over hand-made operands, run through
+   {!exec_code_vec}: the lane-kernel property tests' entry point. *)
+type operand =
+  | Reg of float array
+  | Uniform of float
+  | Mem of { data : float array; base : int; stride : int; row_step : int }
+
+let lane_kernel ~op ~rows ~width ~acc x y =
+  let nl = rows * width in
+  let vregs = [| Array.sub acc 0 nl; [||]; [||] |] in
+  let regs = [| 0.0; 0.0; 0.0 |] in
+  let datas = [| [||]; [||] |] and cur = [| 0; 0 |] and rsteps = [| 0; 0 |] in
+  let place k = function
+    | Reg lanes ->
+        vregs.(k) <- Array.sub lanes 0 nl;
+        [| k_reg; k; 1 |]
+    | Uniform v ->
+        regs.(k) <- v;
+        [| k_scalar; k; 0 |]
+    | Mem { data; base; stride; row_step } ->
+        datas.(k - 1) <- data;
+        cur.(k - 1) <- base;
+        rsteps.(k - 1) <- row_step;
+        [| k_mem; k - 1; stride |]
+  in
+  let a = place 1 x and b = place 2 y in
+  let st =
+    { regs; vregs; cur; abase = cur; ivs = [||]; lbase = cur; los = [||];
+      exts = [||]; fstr = [||]; elo = [||]; ehi = [||]; plo = [||];
+      phi = [||]; plive = [||] }
+  in
+  exec_code_vec (Array.concat [ [| op; 0 |]; a; b ]) st datas rsteps rows width;
+  vregs.(0)
 
 (* The lane register file, wide enough for a batch of [bw] lanes.  It
    grows on the first vector batch, and then at least doubles (up to the

@@ -72,7 +72,7 @@ val mode_to_string : lane_mode -> string
     program ([p_vec_ok]) whose read-modify-write accesses all have a
     nonzero innermost step, each segment runs [len / w] batches through
     a vector tape derived from the scalar code (unit-stride
-    loads/stores as blits), then its remainder as one narrower batch; a
+    loads/stores copying whole rows), then its remainder as one narrower batch; a
     single leftover iteration runs on the scalar tape ([Inner]).  Two
     stores into one buffer whose lanes meet [k] lanes apart cap [w] at
     [k], or keep the nest scalar when [k = 1].  An accumulator program
@@ -83,7 +83,12 @@ val mode_to_string : lane_mode -> string
     before and stored once after ([Outer]); leftover positions run as
     one narrower batch (a single one runs scalar).  Either way every lane
     performs the scalar tape's float operations in its order, so results
-    are bit-identical.  An [Outer] batch takes [rows] positions of the
+    are bit-identical.  The vector tape's ALU operands (add, sub, mul,
+    div, min, max, fma) read lane registers, uniform scalars (registers
+    the vector tape never writes) or memory directly: a vector load folds
+    into its reader when that reader is its value's only consumer, no
+    store lies between them and the register carries nothing across
+    iterations ({!folded}, {!listing}).  An [Outer] batch takes [rows] positions of the
     level directly above its lane run as well — a 2-D block of
     [rows x w] accumulators, [rows = min(extent, lanes / w)] — when that
     level is outside the parallel prefix, has constant bounds and a
@@ -101,6 +106,20 @@ val bind :
 (** The lane decision [bind] took, with its reason when scalar. *)
 val mode : t -> lane_mode
 
+(** How many vector loads [bind] folded into the ALU instruction reading
+    them ([0] for a scalar binding). *)
+val folded : t -> int
+
+(** The bound vector tape as text, [""] for a scalar binding: a header
+    with the lane mode, the folded-load count and the live-in registers,
+    then one line per instruction ([pro]/[epi] mark an [Outer] batch's
+    loads before and store after the innermost loop).  Operands read
+    [r5] (lane register), [r4:scalar] (a register the vector tape never
+    writes, read once per batch) or [img@s3] (memory read directly:
+    buffer and step along the batched level, [u] unit, [b] broadcast,
+    [sK] stride [K]), e.g. [vfma r10 <- img@s3, r2:scalar]. *)
+val listing : t -> string
+
 (** A fresh state.  It holds no lane registers: the first vector batch
     allocates them, at the width that batch needs. *)
 val new_state : t -> state
@@ -115,13 +134,14 @@ val domain_state : t -> unit -> state
     the bound width). *)
 val lane_width : state -> int
 
-(** [enter t env] evaluates the nest bounds and runs the whole-box
+(** [enter t st env] evaluates the nest bounds and runs the whole-box
     corner checks against every access: [-1] when a check fails (take
     the generic closure fallback, whose per-access checks raise at the
     faulting iteration), [0] when some level is empty (nothing to run),
     otherwise the size of the fused parallel range to split across
-    workers. *)
-val enter : t -> int array -> int
+    workers.  The bounds are evaluated into [st]'s scratch, so an entry
+    allocates nothing; [st] must not be in use by another domain. *)
+val enter : t -> state -> int array -> int
 
 (** [run_range t st env f_lo f_hi] executes the inclusive slice
     [f_lo..f_hi] of the fused range on [st].  Slices never cut a
@@ -129,3 +149,23 @@ val enter : t -> int array -> int
     locations and may run concurrently.  [enter] must have returned a
     total [> f_hi]. *)
 val run_range : t -> state -> int array -> int -> int -> unit
+
+(** {2 Lane kernels, for tests} *)
+
+(** An operand of one vector ALU instruction: a lane register ([rows *
+    width] lanes, row-major), a uniform scalar, or memory read directly —
+    lane [j] of row [r] at [base + r * row_step + j * stride]. *)
+type operand =
+  | Reg of float array
+  | Uniform of float
+  | Mem of { data : float array; base : int; stride : int; row_step : int }
+
+(** [lane_kernel ~op ~rows ~width ~acc x y] runs the ALU opcode [op] (a
+    {!Tiramisu_codegen.Tape_gen} binary opcode, [op_fma] included) as one
+    bound vector instruction over a [rows x width] batch, through the
+    vector interpreter, and returns the destination lanes.  The
+    destination starts as the first [rows * width] lanes of [acc] (the
+    addend of [fma]). *)
+val lane_kernel :
+  op:int -> rows:int -> width:int -> acc:float array -> operand -> operand ->
+  float array

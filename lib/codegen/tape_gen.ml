@@ -77,14 +77,14 @@ let op_trunc = 21 (* Cast to I32 and back: float_of_int (int_of_float a) *)
 (* Vector-tier memory opcodes.  The generator never emits these — the
    backend derives a vector tape from [p_code] at bind time, once access
    strides are known, rewriting [op_load]/[op_store] to the forms below
-   and reusing codes 2..21 with lane-wise semantics.  For the unit forms
-   the step is implicitly 1; for the strided forms it rides in the
-   otherwise-unused field ([b] for loads, [dst] for stores). *)
-let op_vload_unit = 22    (* vregs[dst][0..w) <- data[a][cur[a] ..] (blit) *)
-let op_vload_strided = 23 (* vregs[dst][j] <- data[a][cur[a] + j*b] *)
+   and reusing codes 2..21 with lane-wise semantics.  The bound
+   instruction layout (the step [s] of each access, operand forms) is
+   the backend's: see [Tape]. *)
+let op_vload_unit = 22    (* vregs[dst][0..w) <- data[a][cur[a] ..] *)
+let op_vload_strided = 23 (* vregs[dst][j] <- data[a][cur[a] + j*s] *)
 let op_vload_bcast = 24   (* vregs[dst][0..w) <- data[a][cur[a]] *)
-let op_vstore_unit = 25   (* data[a][cur[a] ..] <- vregs[b][0..w) (blit) *)
-let op_vstore_strided = 26 (* data[a][cur[a] + j*dst] <- vregs[b][j] *)
+let op_vstore_unit = 25   (* data[a][cur[a] ..] <- vregs[src][0..w) *)
+let op_vstore_strided = 26 (* data[a][cur[a] + j*s] <- vregs[src][j] *)
 
 let op_name = function
   | 0 -> "load" | 1 -> "store" | 2 -> "mov" | 3 -> "add" | 4 -> "sub"

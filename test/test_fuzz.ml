@@ -324,6 +324,23 @@ let corpus_outer_lanes_block =
       [ Parallelize ("c0_upd", "i"); Vectorize ("c0_upd", "l", 4);
         Unroll ("c0_upd", "r", 2) ] }
 
+(* A strided load folded into a multiply-add: [a0[j][i]] steps a whole
+   input row per [j], and it feeds the product of an [x + y*3] whose
+   addend lands in a temp, so the vector tape binds [vfma r <- a0@s41,
+   r:scalar] — the load read straight from memory.  37 columns leave an
+   unroll remainder at every width: one lane of the 37-wide batch at the
+   default lanes, every lane of the seq,lanes3 row's 3-lane batches. *)
+let corpus_folded_fma =
+  { extents = [ Lit 5; Lit 37 ];
+    n_value = 0;
+    inputs = [ ("a0", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = None;
+          rc_expr =
+            Bin (Add, In ("a0", [ (0, 0); (1, 1) ]),
+                 Bin (Mul, In ("a0", [ (1, 0); (0, 0) ]), Const 3)) } ];
+    steps = [ Parallelize ("c0", "i") ] }
+
 (* A partial tile under a vectorized level, blur_large's shape: 21
    columns in tiles of 8 split into 4-lane vectors, so the last tile is
    5 wide and the vector loop's bound [min(20 - 8*j0 - 4*j1, 3)] reads
@@ -411,6 +428,7 @@ let replay_corpus () =
   check_pass "outer lanes, 1-D reduction" corpus_outer_lanes_1d;
   check_pass "outer lanes, 2-D reduction" corpus_outer_lanes_2d;
   check_pass "outer lanes, 2-D accumulator block" corpus_outer_lanes_block;
+  check_pass "strided load folded into an fma" corpus_folded_fma;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
@@ -597,6 +615,34 @@ let vector_corpus_reaches_vector () =
         (B.Exec.tape_vec_count scalar))
     [ ("epilogue", corpus_vector_tape_epilogue);
       ("sub-lane", corpus_vector_tape_short 3) ]
+
+(* The folded-fma seed must reach what it pins: at the default lanes and
+   at 3 (the seq,lanes3 row), a bound vector tape multiply-adds a strided
+   operand read straight from memory. *)
+let folded_fma_corpus_folds () =
+  let b = Case.build corpus_folded_fma in
+  List.iter
+    (fun lanes ->
+      let exec =
+        (Tiramisu_kernels.Runner.build_native ~lanes ~fn:b.Case.fn
+           ~params:b.Case.params ~inputs:b.Case.fills ())
+          .Tiramisu_pipeline.Pipeline.exec
+      in
+      let lines =
+        List.concat_map
+          (fun (_, bt) -> String.split_on_char '\n' (B.Tape.listing bt))
+          (B.Exec.bound_tapes exec)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "lanes %d: vfma reads a strided operand (%s)" lanes
+           (String.concat " | " lines))
+        true
+        (List.exists
+           (fun l ->
+             Astring.String.is_infix ~affix:"vfma" l
+             && Astring.String.is_infix ~affix:"a0@s" l)
+           lines))
+    [ B.Tape.default_lanes; 3 ]
 
 (* The register-blocked reduction seeds must bind an accumulator nest
    with lanes along the vectorized level at lanes=8, and the lanes=1
@@ -1233,6 +1279,8 @@ let tests =
       cpu_limit_ignores_waiting;
     Alcotest.test_case "a Timeout in a verify probe propagates" `Quick
       probe_timeout_propagates;
+    Alcotest.test_case "folded-fma seed folds a strided load" `Quick
+      folded_fma_corpus_folds;
   ]
 
 let () =

@@ -757,7 +757,7 @@ let fitted_width_lazy_registers () =
   Alcotest.(check int) "fresh state: no lane registers" 0
     (B.Tape.lane_width st);
   let env = [| 0 |] in
-  let total = B.Tape.enter t env in
+  let total = B.Tape.enter t st env in
   Alcotest.(check bool) "in bounds" true (total > 0);
   B.Tape.run_range t st env 0 (total - 1);
   Alcotest.(check int) "grown to the fitted width" 24 (B.Tape.lane_width st)
@@ -1387,6 +1387,407 @@ let planner_keeps_tape_nests () =
     "binder loops are not claimable" false
     (Tape_gen.claimable planned')
 
+(* [Tape.enter] evaluates bounds and piece covers into its state's
+   scratch: a contiguous cover (pieces [0..4] and [5..9]) and an overlap
+   ([0..4] and [3..9]) enter, a gap ([0..4] and [7..9]) reports the
+   fallback, and a thousand entries allocate nothing. *)
+let enter_allocates_nothing () =
+  List.iter
+    (fun (lo2, enters) ->
+      let prog =
+        match Result.to_option (Tape_gen.classify (pieces_nest ~lo2)) with
+        | Some p -> p
+        | None -> Alcotest.fail "pieces nest not claimable"
+      in
+      let bufs =
+        List.map
+          (fun n -> B.Buffers.create n [| 10; 6 |])
+          [ "inp"; "out" ]
+      in
+      let t =
+        match
+          B.Tape.bind ~lanes:B.Tape.default_lanes
+            ~buf:(fun n -> List.find_opt (fun b -> b.B.Buffers.name = n) bufs)
+            ~slot:(fun _ -> 0) prog
+        with
+        | Some t -> t
+        | None -> Alcotest.fail "pieces nest did not bind"
+      in
+      let st = B.Tape.new_state t and env = [| 0 |] in
+      let first = B.Tape.enter t st env in
+      Alcotest.(check bool)
+        (Printf.sprintf "pieces from %d: enters = %b" lo2 enters)
+        enters (first > 0);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (B.Tape.enter t st env))
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "pieces from %d: %.0f words for 1000 entries" lo2 words)
+        true (words < 100.))
+    [ (5, true); (3, true); (7, false) ]
+
+(* ---------- fused lane kernels ---------- *)
+
+(* Values for the lane-kernel property: NaNs of three payloads, signed
+   zeros, infinities, a subnormal and a few ordinary numbers.  Drawn from a
+   small pool, equal operands (min/max ties) are frequent. *)
+let lane_values =
+  [| Float.nan; Int64.float_of_bits 0x7ff8000000000002L;
+     Int64.float_of_bits 0xfff8000000000000L; 0.0; -0.0; Float.infinity;
+     Float.neg_infinity; 1.0; -1.0; 2.5; -2.5; 4.9e-320; 3.0; 0.1 |]
+
+let lane_value salt k =
+  lane_values.(((k * ((2 * salt) + 3)) + salt) mod Array.length lane_values)
+
+(* One operand of a [rows x w] batch and the value it gives lane [j] of
+   row [r].  Memory rows sit [row_step] apart without overlapping (or all
+   on one row when [row_step] is 0), and a negative stride starts from
+   the high end. *)
+let lane_operand kind ~rows ~w ~salt =
+  match kind with
+  | `Reg ->
+      let lanes = Array.init (rows * w) (lane_value salt) in
+      (B.Tape.Reg lanes, fun r j -> lanes.((r * w) + j))
+  | `Uniform ->
+      let x = lane_value salt 5 in
+      (B.Tape.Uniform x, fun _ _ -> x)
+  | `Mem stride ->
+      let span = (w - 1) * abs stride in
+      let row_step = if salt mod 2 = 0 then span + 2 else 0 in
+      let base = if stride < 0 then span else 0 in
+      let data = Array.init (base + (rows * (row_step + 1)) + span + 1) (lane_value salt) in
+      ( B.Tape.Mem { data; base; stride; row_step },
+        fun r j -> data.(base + (r * row_step) + (j * stride)) )
+
+let lane_kinds = [ `Reg; `Uniform; `Mem 0; `Mem 1; `Mem 3; `Mem (-2) ]
+
+let lane_ops =
+  Tape_gen.
+    [ (op_add, "add", fun _ x y -> x +. y);
+      (op_sub, "sub", fun _ x y -> x -. y);
+      (op_mul, "mul", fun _ x y -> x *. y);
+      (op_div, "div", fun _ x y -> x /. y);
+      (op_min, "min", fun _ x y -> Float.min x y);
+      (op_max, "max", fun _ x y -> Float.max x y);
+      (op_fma, "fma", fun d x y -> d +. (x *. y)) ]
+
+let kind_str = function
+  | `Reg -> "reg"
+  | `Uniform -> "scalar"
+  | `Mem s -> Printf.sprintf "mem@%d" s
+
+(* Every fusable ALU opcode over every pair of operand kinds, widths 1 to
+   130 (each unroll remainder 0..3, single-lane rows included) and 1 to 3
+   rows: each lane equals the scalar opcode on that lane's operands, bit
+   for bit — NaN payloads, signed zeros and min/max ties included. *)
+let lane_kernels_match_scalar () =
+  let bad = ref [] in
+  List.iter
+    (fun (op, name, scalar) ->
+      List.iteri
+        (fun a ka ->
+          List.iteri
+            (fun b kb ->
+              for w = 1 to 130 do
+                for rows = 1 to 3 do
+                  let salt = (a * 7) + b + w + rows in
+                  let x, xv = lane_operand ka ~rows ~w ~salt
+                  and y, yv = lane_operand kb ~rows ~w ~salt:(salt + 1) in
+                  let acc = Array.init (rows * w) (lane_value (salt + 2)) in
+                  let out = B.Tape.lane_kernel ~op ~rows ~width:w ~acc x y in
+                  for r = 0 to rows - 1 do
+                    for j = 0 to w - 1 do
+                      let want = scalar acc.((r * w) + j) (xv r j) (yv r j) in
+                      if
+                        Int64.bits_of_float out.((r * w) + j)
+                        <> Int64.bits_of_float want
+                        && List.length !bad < 5
+                      then
+                        bad :=
+                          Printf.sprintf "%s %s,%s w=%d rows=%d lane %d.%d"
+                            name (kind_str ka) (kind_str kb) w rows r j
+                          :: !bad
+                    done
+                  done
+                done
+              done)
+            lane_kinds)
+        lane_kinds)
+    lane_ops;
+  Alcotest.(check (list string)) "every lane bit-exact" [] (List.rev !bad)
+
+(* Hand-built tape programs over [i] (parallel when [par]) x [j], bound
+   against named buffers: the fusion rule's negative cases need register
+   shapes the generator never emits.  Registers 0 and 1 hold [i] and [j],
+   [lits] follow. *)
+let acc2 ?(stored = false) buf rows cols : Tape_gen.access =
+  { Tape_gen.ac_buf = buf;
+    ac_idx = [| rows; cols |];
+    ac_stored = stored }
+
+let level ?(tag = L.Seq) v n : Tape_gen.level =
+  { Tape_gen.lv_var = v; lv_lo = Tape_gen.Baff ([], 0);
+    lv_hi = Tape_gen.Baff ([], n - 1); lv_tag = tag }
+
+let hand_program ?(accum = None) ?(rmw = [||]) ~levels ~par ~accesses ~nregs
+    ~lits code : Tape_gen.program =
+  let d = Array.length levels in
+  { Tape_gen.p_levels = levels; p_par = par; p_accesses = accesses;
+    p_nregs = nregs; p_lits = lits; p_hoists = [||];
+    p_ivregs = Array.init d Fun.id; p_promos = [||]; p_accum = accum;
+    p_code = Array.concat (List.map Array.of_list code);
+    p_ivuse = Array.make d false; p_vec_ok = true; p_rmw = rmw;
+    p_store_pairs = [||]; p_pieces = [||] }
+
+(* Bind [prog] against fresh copies of [bufs] and run it whole — one
+   range on one state, or split across the pool with per-domain states;
+   returns the binding and the buffers. *)
+let run_hand ~lanes ~strategy prog bufs =
+  let bufs =
+    List.map
+      (fun (b : B.Buffers.t) ->
+        { b with B.Buffers.data = Array.copy b.B.Buffers.data })
+      bufs
+  in
+  let bt =
+    match
+      B.Tape.bind ~lanes
+        ~buf:(fun n -> List.find_opt (fun b -> b.B.Buffers.name = n) bufs)
+        ~slot:(fun _ -> 0) prog
+    with
+    | Some bt -> bt
+    | None -> Alcotest.fail "hand program did not bind"
+  in
+  let state = B.Tape.domain_state bt in
+  let env = [| 0 |] in
+  let total = B.Tape.enter bt (state ()) env in
+  Alcotest.(check bool) "in bounds" true (total > 0);
+  (match strategy with
+  | `Seq -> B.Tape.run_range bt (state ()) env 0 (total - 1)
+  | `Pool ->
+      B.Pool.parallel_for ~chunk:1 0 (total - 1) ~body:(fun lo hi ->
+          B.Tape.run_range bt (state ()) env lo hi));
+  (bt, bufs)
+
+(* [prog] against [stmt], its meaning as loop IR: the interpreter runs
+   the IR, the tape runs [prog] vector-bound (seq and pool) and at
+   [lanes = 1]; every output must agree bit for bit.  Returns the vector
+   binding's mode and folded-load count. *)
+let hand_case prog stmt ~shapes ~fills outs =
+  B.Pool.set_num_workers 2;
+  let mk () =
+    List.map
+      (fun (name, dims) ->
+        let b = B.Buffers.create name (Array.of_list dims) in
+        (match List.assoc_opt name fills with
+        | Some f -> B.Buffers.fill b f
+        | None -> ());
+        b)
+      shapes
+  in
+  let it = B.Interp.create ~buffers:(mk ()) () in
+  B.Interp.run it stmt;
+  let runs =
+    List.map
+      (fun (label, lanes, strategy) ->
+        (label, run_hand ~lanes ~strategy prog (mk ())))
+      [ ("seq", B.Tape.default_lanes, `Seq); ("pool", B.Tape.default_lanes, `Pool);
+        ("lanes1", 1, `Seq) ]
+  in
+  List.iter
+    (fun (label, (_, bufs)) ->
+      List.iter
+        (fun o ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s bit-identical to interpreter" label o)
+            true
+            (bits_equal (B.Interp.buffer it o)
+               (List.find (fun b -> b.B.Buffers.name = o) bufs)))
+        outs)
+    runs;
+  let bt = fst (List.assoc "seq" runs) in
+  (B.Tape.mode_to_string (B.Tape.mode bt), B.Tape.folded bt)
+
+let ij = ([ ("i", 1) ], 0) and jj = ([ ("j", 1) ], 0)
+let ins op dst a b = [ op; dst; a; b ]
+
+let two_level_ir body =
+  L.For
+    { var = "i"; lo = L.Int 0; hi = L.Int 5; tag = L.Parallel;
+      body = L.For { var = "j"; lo = L.Int 0; hi = L.Int 36; tag = L.Seq; body } }
+
+let two_level_shapes = [ ("a", [ 6; 37 ]); ("out", [ 6; 37 ]) ]
+let two_levels = [| level ~tag:L.Parallel "i" 6; level "j" 37 |]
+
+(* Loads a fold must leave alone, each next to the same shape that does
+   fold: a store into the load's buffer between the load and its reader
+   (memory no longer holds the loaded value), a register read twice —
+   by one instruction or by two — and, in an [Outer] body, a register
+   read before its load (the previous iteration's value). *)
+let fusion_legality () =
+  let open Tape_gen in
+  let a = L.Load ("a", [ L.Var "i"; L.Var "j" ]) in
+  let case ?rmw ~accesses ~nregs ~lits code body =
+    hand_case
+      (hand_program ?rmw ~levels:two_levels ~par:1 ~accesses ~nregs ~lits code)
+      (two_level_ir body) ~shapes:two_level_shapes ~fills:[ ("a", fill_a) ] [ "a"; "out" ]
+  in
+  (* r4 <- a; a <- 5.0; out <- r4 + 1.0 *)
+  let store_between =
+    case ~rmw:[| 0 |]
+      ~accesses:[| acc2 ~stored:true "a" ij jj; acc2 ~stored:true "out" ij jj |]
+      ~nregs:6 ~lits:[| (2, 5.0); (3, 1.0) |]
+      [ ins op_load 4 0 0; ins op_store 0 0 2; ins op_add 5 4 3;
+        ins op_store 0 1 5 ]
+      (L.Block
+         [ store "out" [ L.Var "i"; L.Var "j" ] L.(Bin (Add, a, Float 1.0));
+           store "a" [ L.Var "i"; L.Var "j" ] (L.Float 5.0) ])
+  in
+  Alcotest.(check (pair string int)) "store between: unfused" ("inner x37", 0)
+    store_between;
+  (* the same with the store after the reader folds *)
+  let store_after =
+    case ~rmw:[| 0 |]
+      ~accesses:[| acc2 ~stored:true "a" ij jj; acc2 ~stored:true "out" ij jj |]
+      ~nregs:6 ~lits:[| (2, 5.0); (3, 1.0) |]
+      [ ins op_load 4 0 0; ins op_add 5 4 3; ins op_store 0 0 2;
+        ins op_store 0 1 5 ]
+      (L.Block
+         [ store "out" [ L.Var "i"; L.Var "j" ] L.(Bin (Add, a, Float 1.0));
+           store "a" [ L.Var "i"; L.Var "j" ] (L.Float 5.0) ])
+  in
+  Alcotest.(check (pair string int)) "store after the reader: folded"
+    ("inner x37", 1) store_after;
+  let plain = [| acc2 "a" ij jj; acc2 ~stored:true "out" ij jj |] in
+  (* r4 <- a; out <- r4 * r4 *)
+  Alcotest.(check (pair string int)) "read twice by one reader: unfused"
+    ("inner x37", 0)
+    (case ~accesses:plain ~nregs:6 ~lits:[||]
+       [ ins op_load 4 0 0; ins op_mul 5 4 4; ins op_store 0 1 5 ]
+       (store "out" [ L.Var "i"; L.Var "j" ] L.(Bin (Mul, a, a))));
+  (* r4 <- a; r5 <- r4 + 2.0; out <- r4 * r5 *)
+  Alcotest.(check (pair string int)) "read by two readers: unfused"
+    ("inner x37", 0)
+    (case ~accesses:plain ~nregs:7 ~lits:[| (2, 2.0) |]
+       [ ins op_load 4 0 0; ins op_add 5 4 2; ins op_mul 6 4 5;
+         ins op_store 0 1 6 ]
+       (store "out" [ L.Var "i"; L.Var "j" ]
+          L.(Bin (Mul, a, Bin (Add, a, Float 2.0)))));
+  (* out[i][j] += (a[i][k] * 2.0) * b[k][j], j vectorized above k: with
+     [mov r7 <- r5] first, r5 is read before its load in every
+     iteration after the first, so its load stays; b's folds either way *)
+  let outer ~carried =
+    let levels =
+      [| level ~tag:L.Parallel "i" 6; level ~tag:(L.Vectorized 8) "j" 37;
+         level "k" 5 |]
+    in
+    let kk = ([ ("k", 1) ], 0) in
+    let accesses =
+      [| acc2 ~stored:true "out" ij jj; acc2 "a" ij kk; acc2 "b" kk jj |]
+    in
+    let body =
+      [ ins op_load 5 1 0; ins op_mul 6 5 3; ins op_load 8 2 0;
+        ins op_fma 4 6 8 ]
+    in
+    let prog =
+      hand_program ~accum:(Some (4, 0, true)) ~levels ~par:1 ~accesses
+        ~nregs:9 ~lits:[| (3, 2.0) |]
+        ((if carried then [ ins op_mov 7 5 0 ] else []) @ body)
+    in
+    let stmt =
+      L.For
+        { var = "i"; lo = L.Int 0; hi = L.Int 5; tag = L.Parallel;
+          body =
+            L.For
+              { var = "j"; lo = L.Int 0; hi = L.Int 36; tag = L.Vectorized 8;
+                body =
+                  L.For
+                    { var = "k"; lo = L.Int 0; hi = L.Int 4; tag = L.Seq;
+                      body =
+                        store "out" [ L.Var "i"; L.Var "j" ]
+                          L.(
+                            Bin
+                              ( Add,
+                                Load ("out", [ Var "i"; Var "j" ]),
+                                Bin
+                                  ( Mul,
+                                    Bin (Mul, Load ("a", [ Var "i"; Var "k" ]), Float 2.0),
+                                    Load ("b", [ Var "k"; Var "j" ]) ) )) } } }
+    in
+    hand_case prog stmt
+      ~shapes:[ ("out", [ 6; 37 ]); ("a", [ 6; 5 ]); ("b", [ 5; 37 ]) ]
+      ~fills:[ ("a", fill_a); ("b", fill_a); ("out", fill_b) ]
+      [ "out" ]
+  in
+  Alcotest.(check (pair string int)) "outer body, carried read: one fold"
+    ("outer j x37", 1) (outer ~carried:true);
+  Alcotest.(check (pair string int)) "outer body, no carried read: two folds"
+    ("outer j x37", 2) (outer ~carried:false)
+
+(* The kernels the fold is for: conv2D's [cpu] schedule at 128² folds all
+   27 strided image loads of each steady [j.j_v_ln] nest into their
+   multiply-adds (no vector load left), nb's four unfused stages each
+   fold their one load, and both stay bit-exact against the interpreter
+   on the unscheduled program, sequential and on the pool. *)
+let kernels_fold_loads () =
+  let open Tiramisu_kernels in
+  B.Pool.set_num_workers 2;
+  let check name build sched ~params ~inputs outs want =
+    let reference = Runner.run ~fn:(build ()) ~params ~inputs in
+    List.iter
+      (fun parallel ->
+        let f = build () in
+        sched f;
+        let c =
+          Runner.run_native ~target:(B.Target.cpu ~parallel ()) ~fn:f ~params
+            ~inputs ()
+        in
+        List.iter
+          (fun o ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s bit-exact" name o)
+              true
+              (bits_equal (B.Interp.buffer reference o) (B.Exec.buffer c o)))
+          outs;
+        Alcotest.(check (list (pair string int)))
+          (name ^ " folded loads per vector nest") want
+          (List.filter_map
+             (fun (n, bt) ->
+               match B.Tape.mode bt with
+               | B.Tape.Scalar _ -> None
+               | _ ->
+                   let l = B.Tape.listing bt in
+                   Alcotest.(check bool)
+                     (name ^ " " ^ n ^ ": no vector load left") false
+                     (has "vload" l);
+                   Some (B.Tape.mode_to_string (B.Tape.mode bt), B.Tape.folded bt))
+             (List.filter
+                (fun (n, _) -> name <> "conv2D" || n = "j.j_v_ln")
+                (B.Exec.bound_tapes c))))
+      [ `Seq; `Pool ]
+  in
+  let img idx =
+    float_of_int (((idx.(0) * 13) + (idx.(1) * 7) + (idx.(2) * 3)) mod 31)
+    /. 7.0
+  in
+  check "conv2D"
+    (fun () -> let f, _, _ = Image.conv2d () in f)
+    Schedules.cpu_conv2d
+    ~params:[ ("N", 128); ("M", 128) ]
+    ~inputs:
+      [ ("img", img);
+        ("weights", fun idx -> float_of_int ((idx.(0) * 3) + idx.(1) + 1) /. 16.0) ]
+    [ "conv" ]
+    (List.init 3 (fun _ -> ("inner x112", 27)));
+  check "nb"
+    (fun () -> let f, _, _, _, _ = Image.nb () in f)
+    (Schedules.cpu_nb ~fuse:false)
+    ~params:[ ("N", 48); ("M", 48) ] ~inputs:[ ("img", img) ]
+    [ "negative"; "brightened" ]
+    (List.init 4 (fun _ -> ("inner x128", 1)))
+
 let tests =
   [
     Alcotest.test_case "blur nest claimed and bit-exact" `Quick blur_claimed;
@@ -1461,6 +1862,14 @@ let tests =
       conv2d_rows_reach_level_zero;
     Alcotest.test_case "a parallel prefix is never merged into" `Quick
       parallel_prefix_never_merged;
+    Alcotest.test_case "lane kernels = scalar opcodes, every operand kind"
+      `Quick lane_kernels_match_scalar;
+    Alcotest.test_case "loads fold only where the value is unchanged" `Quick
+      fusion_legality;
+    Alcotest.test_case "conv2D and nb fold their loads, bit-exact" `Quick
+      kernels_fold_loads;
+    Alcotest.test_case "tape entries allocate nothing" `Quick
+      enter_allocates_nothing;
   ]
 
 (* ---------- one claim per compile ---------- *)
