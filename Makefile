@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench bench-smoke fuzz check pipeline-smoke autosched-smoke service-smoke gpu-smoke dist-smoke clean
+.PHONY: all build test bench exec-smoke bench-smoke fuzz check pipeline-smoke autosched-smoke service-smoke gpu-smoke dist-smoke clean
 
 all: build
 
@@ -71,23 +71,29 @@ dist-smoke:
 bench-smoke:
 	dune exec bench/main.exe -- bench-smoke
 
-# The pre-commit gate: tier-1 (build + tests) plus a 1-rep smoke run of the
-# exec-strategy bench, which exercises the flat tape, the domain pool and
-# the parallel planner end-to-end without touching BENCH_exec.json,
-# the pipeline/compile-cache smoke gate, the pool-vs-seq perf gate, the
-# autoscheduler and compile-service gates, the GPU-sim and distributed
-# backend gates, plus the 500-case differential fuzz sweep.
-check:
-	dune build
-	dune runtest
+# 1-rep smoke run of the exec-strategy bench: exercises the flat tape, the
+# domain pool and the parallel planner end-to-end without touching
+# BENCH_exec.json.
+exec-smoke:
 	dune exec bench/main.exe -- exec-smoke
-	$(MAKE) pipeline-smoke
-	$(MAKE) bench-smoke
-	$(MAKE) autosched-smoke
-	$(MAKE) service-smoke
-	$(MAKE) gpu-smoke
-	$(MAKE) dist-smoke
-	$(MAKE) fuzz
+
+# The pre-commit gate: tier-1 (build + tests), the exec smoke run, the
+# pipeline/compile-cache smoke gate, the pool-vs-seq perf gate, the
+# autoscheduler and compile-service gates, the GPU-sim and distributed
+# backend gates, plus the 500-case differential fuzz sweep.  Every gate
+# runs even when an earlier one fails; the summary names each failed gate
+# and the target fails if any did.
+check:
+	@failed=""; \
+	for gate in build test exec-smoke pipeline-smoke bench-smoke \
+	    autosched-smoke service-smoke gpu-smoke dist-smoke fuzz; do \
+	  echo "=== check: $$gate"; \
+	  $(MAKE) --no-print-directory $$gate || failed="$$failed $$gate"; \
+	done; \
+	if [ -n "$$failed" ]; then \
+	  echo "=== check: FAILED:$$failed"; exit 1; \
+	fi; \
+	echo "=== check: every gate passed"
 
 clean:
 	dune clean

@@ -1,9 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (CGO'19).  Run with no argument for everything, or with a
-   subset of: fig1 table1 fig5 fig6 fig7 micro. *)
+   evaluation (CGO'19) and the executor, search, service and target
+   benches.  Run with no argument for everything, or with a subset of the
+   names in [all]. *)
 
 let all =
-  [ "fig1"; "table1"; "fig5"; "fig6"; "fig7"; "micro"; "exec"; "autosched";
+  [ "fig1"; "table1"; "fig5"; "fig6"; "fig7"; "exec"; "autosched";
     "service"; "gpu"; "dist" ]
 (* "exec-smoke" is invocable but not part of the default sweep: it is the
    tier-1 fast path (1 rep, tiny sizes, no JSON). *)
@@ -20,7 +21,6 @@ let () =
       | "fig5" -> Fig5.run ()
       | "fig6" -> Fig6.run ()
       | "fig7" -> Fig7.run ()
-      | "micro" -> Micro.run ()
       | "exec" -> Exec_bench.run ()
       | "exec-smoke" -> Exec_bench.run ~smoke:true ()
       | "bench-smoke" -> Exec_bench.smoke_gate ()

@@ -16,14 +16,14 @@ module L = Loop_ir
      nested ones run inline on their worker.  Which loops fork is decided
      earlier, by the parallel planner ({!Parallel_plan}).
 
-   - Addressing is hoisted: buffer strides are computed once at compile
-     time, index expressions are classified as affine combinations of loop
-     variables, and for each access dimension the bounds check is hoisted to
-     the entry of the innermost loop whose variable it involves — the two
-     corners of the loop range are checked once and a per-loop "in-bounds"
-     register tells every access in the body to skip its per-iteration
-     check.  Accesses that are not affine, or whose corners fail (e.g. the
-     guarded edges of partial tiles), fall back to the per-access check. *)
+   - Addressing is precomputed: buffer strides are computed once at
+     compile time, constant indices fold into a static base (bounds
+     checked at compile time), and affine indices evaluate through small
+     fixed-arity sums.  Every other access checks its bounds each time it
+     runs, so a fault raises at the iteration that makes it and a guarded
+     access that never runs out of range is accepted.  The only hoisted
+     check is the tape's: {!Tape.enter} checks the whole box of a claimed
+     nest once per entry and falls back to these closures when it fails. *)
 
 type par_strategy = [ `Pool | `Seq ]
 
@@ -53,10 +53,6 @@ type ctx = {
   chan_mutex : Mutex.t;
   rank_slot : int;
   par_mode : par_strategy;
-  (* compile-time state of the addressing-optimisation pass *)
-  pending : (string, (int array -> int -> int -> bool) list ref) Hashtbl.t;
-    (* per loop-var corner checks collected while compiling its body *)
-  mutable loop_stack : string list;  (* enclosing loop vars, innermost first *)
   mutable par_depth : int;           (* enclosing Parallel loops *)
   est_vars : (string, int) Hashtbl.t;  (* params, enclosing-loop midpoints *)
   n_static : int Atomic.t;           (* pool loops compiled static *)
@@ -78,22 +74,6 @@ let slot ctx name =
       ctx.nslots <- ctx.nslots + 1;
       Hashtbl.replace ctx.slots name s;
       s
-
-(* The "accesses through var v are in bounds" register of a loop: 1 after
-   the corner check at loop entry succeeded, 0 otherwise.  ':' cannot occur
-   in IR variable names, so the slot cannot collide. *)
-let flag_slot ctx v = slot ctx ("__inb:" ^ v)
-
-let hoist_check ctx v chk =
-  let r =
-    match Hashtbl.find_opt ctx.pending v with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace ctx.pending v r;
-        r
-  in
-  r := chk :: !r
 
 let buf ctx name =
   match Hashtbl.find_opt ctx.cbufs name with
@@ -228,11 +208,9 @@ and compile_f ctx (e : L.expr) : int array -> float =
       | L.MaxOp -> fun env -> Float.max (fa env) (fb env))
 
 (* Flat-index closure of a full-rank access.  Strides are precomputed once;
-   per dimension the index is classified: constant indices fold into the
-   static base (their bounds are checked here, at compile time), affine
-   indices check per access only while the "in-bounds" register of their
-   innermost loop variable is 0 (see the For case of {!compile_stmt}),
-   opaque indices always check. *)
+   per dimension, an in-range constant index folds into the static base
+   (checked here, at compile time) and every other index is checked each
+   time the access runs. *)
 and index_fn ctx (b : Buffers.t) (idx : L.expr list) : int array -> int =
   let dims = b.Buffers.dims in
   let rank = Array.length dims in
@@ -253,16 +231,16 @@ and index_fn ctx (b : Buffers.t) (idx : L.expr list) : int array -> int =
       | Some ([], c) ->
           if c >= 0 && c < dk then base := !base + (c * stride)
           else terms := (fun _ -> oob c) :: !terms
-      | Some (ts, c) -> (
-          let eval =
-            match ts with
-            | [ (v0, a0) ] ->
+      | aff ->
+          let idx =
+            match aff with
+            | Some ([ (v0, a0) ], c) ->
                 let s0 = slot ctx v0 in
                 fun env -> (a0 * env.(s0)) + c
-            | [ (v0, a0); (v1, a1) ] ->
+            | Some ([ (v0, a0); (v1, a1) ], c) ->
                 let s0 = slot ctx v0 and s1 = slot ctx v1 in
                 fun env -> (a0 * env.(s0)) + (a1 * env.(s1)) + c
-            | _ ->
+            | Some (ts, c) ->
                 let slots =
                   Array.of_list (List.map (fun (v, _) -> slot ctx v) ts)
                 in
@@ -274,49 +252,11 @@ and index_fn ctx (b : Buffers.t) (idx : L.expr list) : int array -> int =
                     x := !x + (coeffs.(t) * env.(slots.(t)))
                   done;
                   !x
+            | None -> compile_int ctx e
           in
-          let deepest =
-            List.find_opt (fun lv -> List.mem_assoc lv ts) ctx.loop_stack
-          in
-          match deepest with
-          | Some d ->
-              let fl = flag_slot ctx d in
-              let ad = List.assoc d ts in
-              let others = List.filter (fun (v, _) -> v <> d) ts in
-              let oslots =
-                Array.of_list (List.map (fun (v, _) -> slot ctx v) others)
-              in
-              let ocoeffs = Array.of_list (List.map snd others) in
-              (* The non-d part of the index is fixed while the d-loop runs,
-                 and the index is monotone in d: checking the two corners of
-                 [lo,hi] at loop entry covers every iteration. *)
-              hoist_check ctx d (fun env lo hi ->
-                  let rest = ref c in
-                  for t = 0 to Array.length oslots - 1 do
-                    rest := !rest + (ocoeffs.(t) * env.(oslots.(t)))
-                  done;
-                  let x0 = (ad * lo) + !rest and x1 = (ad * hi) + !rest in
-                  x0 >= 0 && x0 < dk && x1 >= 0 && x1 < dk);
-              terms :=
-                (fun env ->
-                  let i = eval env in
-                  if env.(fl) = 0 && (i < 0 || i >= dk) then oob i;
-                  i * stride)
-                :: !terms
-          | None ->
-              (* affine purely in parameters: loop-invariant, keep the
-                 per-access check *)
-              terms :=
-                (fun env ->
-                  let i = eval env in
-                  if i < 0 || i >= dk then oob i;
-                  i * stride)
-                :: !terms)
-      | None ->
-          let f = compile_int ctx e in
           terms :=
             (fun env ->
-              let i = f env in
+              let i = idx env in
               if i < 0 || i >= dk then oob i;
               i * stride)
             :: !terms)
@@ -397,25 +337,16 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
       in
       if static_sched then Atomic.incr ctx.n_static;
       if tag = L.Parallel then ctx.par_depth <- ctx.par_depth + 1;
-      ctx.loop_stack <- var :: ctx.loop_stack;
       (* midpoint binding so nested shape-rule tests see this loop's extent *)
       let saved_est = Hashtbl.find_opt ctx.est_vars var in
       let est_lo = Parallel_plan.est_int ctx.est_vars lo
       and est_hi = Parallel_plan.est_int ctx.est_vars hi in
       Hashtbl.replace ctx.est_vars var
         (est_lo + (max 0 (est_hi - est_lo) / 2));
-      let saved_pending = Hashtbl.find_opt ctx.pending var in
-      let my_pending = ref [] in
-      Hashtbl.replace ctx.pending var my_pending;
       let fbody = compile_stmt ctx body in
-      let checks = Array.of_list !my_pending in
-      (match saved_pending with
-      | Some r -> Hashtbl.replace ctx.pending var r
-      | None -> Hashtbl.remove ctx.pending var);
       (match saved_est with
       | Some x -> Hashtbl.replace ctx.est_vars var x
       | None -> Hashtbl.remove ctx.est_vars var);
-      ctx.loop_stack <- List.tl ctx.loop_stack;
       if tag = L.Parallel then ctx.par_depth <- ctx.par_depth - 1;
       let rs = ctx.rank_slot in
       let seq_run =
@@ -468,29 +399,11 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
           Pool.parallel_for lo hi ~body:(fun clo chi ->
               seq_run (Array.copy env) clo chi)
       in
-      let closure_run =
-        if Array.length checks = 0 then run
-        else begin
-          let fv = flag_slot ctx var in
-          let nchecks = Array.length checks in
-          fun env lo hi ->
-            let ok = ref true in
-            let i = ref 0 in
-            while !ok && !i < nchecks do
-              ok := checks.(!i) env lo hi;
-              incr i
-            done;
-            let saved = env.(fv) in
-            env.(fv) <- (if !ok then 1 else 0);
-            run env lo hi;
-            env.(fv) <- saved
-        end
-      in
       (match tape_rt with
       | None ->
           fun env ->
             let lo = flo env and hi = fhi env in
-            if hi >= lo then closure_run env lo hi
+            if hi >= lo then run env lo hi
       | Some bt ->
           (* Tape dispatch: [Tape.enter] evaluates bounds and the
              whole-box corner checks once per nest entry — a failure
@@ -536,7 +449,7 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
               let total = Tape.enter bt (state ()) env in
               if total < 0 then begin
                 Atomic.incr tfb;
-                closure_run env lo hi
+                run env lo hi
               end
               else if total > 0 then run_tape env total
             end)
@@ -685,8 +598,6 @@ let compile ?(target = Target.default) ?claims
       chan_mutex = Mutex.create ();
       rank_slot = 0;
       par_mode = parallel;
-      pending = Hashtbl.create 8;
-      loop_stack = [];
       par_depth = 0;
       est_vars = Hashtbl.create 16;
       n_static = Atomic.make 0;

@@ -12,11 +12,13 @@
     metadata, or dynamically via {!Pool.in_worker} — run sequentially on
     their worker instead of oversubscribing.
 
-    Addressing is hoisted: strides are precomputed per access, affine index
-    expressions fold to register/coefficient pairs, and per-dimension bounds
-    checks move to the entry of the innermost loop whose variable they
-    involve (the two corners of the range are checked once; non-affine
-    indices and failed corner checks fall back to per-access checks).
+    Addressing is precomputed: strides per access, affine index
+    expressions as register/coefficient sums, and in-range constant
+    indices folded at compile time.  Every other index is bounds-checked
+    each time its access runs, so a fault raises [Invalid_argument] at
+    the iteration that makes it and a guarded access that never runs out
+    of range is accepted.  The one hoisted check is the tape's whole-box
+    check at nest entry.
 
     Rectangular nests over straight-line affine stores are claimed by the
     flat instruction tape ({!Tape}) on every target, with the closures as
@@ -60,7 +62,7 @@ val compile :
     target statically validates thread-block sizes against its
     [max_threads].  [claims] (default: the statement's) are the nests
     the flat tape runs; under [Tape_gen.no_claims] the executor is the
-    plain hoisted-addressing closure compiler.  [lanes] (default
+    plain closure compiler.  [lanes] (default
     {!Tape.default_lanes}) is the widest lane batch claimed nests are
     bound with — [<= 1] forces the scalar tape; lane-unsafe nests stay
     scalar either way, and binding fits the width to each nest (see

@@ -1009,9 +1009,50 @@ let enter t st env =
 let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
 let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
 
+(* one lane of an ALU opcode other than [fma], the one definition both
+   interpreters instantiate; [op] is a constant at every use, and a unary
+   opcode ([mov] included) ignores [y] *)
+let[@inline] alu op x y =
+  if op = 2 then x
+  else if op = 3 then x +. y
+  else if op = 4 then x -. y
+  else if op = 5 then x *. y
+  else if op = 6 then x /. y
+  else if op = 7 then fmin x y
+  else if op = 8 then fmax x y
+  else if op = 10 then -.x
+  else if op = 11 then Float.abs x
+  else if op = 12 then sqrt x
+  else if op = 13 then exp x
+  else if op = 14 then log x
+  else if op = 15 then sin x
+  else if op = 16 then cos x
+  else if op = 17 then Float.floor x
+  else if op = 18 then Float.pow x y
+  else if op = 19 then
+    Float.of_int
+      (Tiramisu_support.Ints.fdiv (int_of_float x) (int_of_float y))
+  else if op = 20 then
+    Float.of_int
+      (Tiramisu_support.Ints.emod (int_of_float x) (int_of_float y))
+  else Float.of_int (int_of_float x)
+
+(* lane [q] of [d] gets [op x y]; [fma] adds the product to the lane,
+   bound first so that a NaN lane keeps its payload, as in the
+   interpreter's [x +. y] (folded into the addition as a memory operand,
+   the compiler would swap the operands) *)
+let[@inline] lane op (d : float array) q x y =
+  Array.unsafe_set d q
+    (if op = 9 then
+       let p = x *. y in
+       let acc = Array.unsafe_get d q in
+       acc +. p
+     else alu op x y)
+
 (* The instruction interpreter.  Opcode numbering mirrors
    {!Tiramisu_codegen.Tape_gen}; [fma] deliberately rounds twice so
-   results stay bit-identical to the reference interpreter.
+   results stay bit-identical to the reference interpreter.  Every ALU
+   arm is one [lane] call with a literal opcode.
 
    Both interpreters run unchecked array accesses: [enter]'s whole-box
    corner checks prove every data cursor the segment will touch is in
@@ -1039,65 +1080,43 @@ let[@inline] exec_code (code : int array) (st : state)
     | 1 (* store *) ->
         let d_ = Array.unsafe_get datas a in
         Array.unsafe_set d_ (Array.unsafe_get cur a) (Array.unsafe_get regs b)
-    | 2 (* mov *) -> Array.unsafe_set regs dst (Array.unsafe_get regs a)
+    | 2 (* mov *) -> lane 2 regs dst (Array.unsafe_get regs a) 0.
     | 3 (* add *) ->
-        Array.unsafe_set regs dst
-          (Array.unsafe_get regs a +. Array.unsafe_get regs b)
+        lane 3 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 4 (* sub *) ->
-        Array.unsafe_set regs dst
-          (Array.unsafe_get regs a -. Array.unsafe_get regs b)
+        lane 4 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 5 (* mul *) ->
-        Array.unsafe_set regs dst
-          (Array.unsafe_get regs a *. Array.unsafe_get regs b)
+        lane 5 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 6 (* div *) ->
-        Array.unsafe_set regs dst
-          (Array.unsafe_get regs a /. Array.unsafe_get regs b)
+        lane 6 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 7 (* min *) ->
-        Array.unsafe_set regs dst
-          (fmin (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+        lane 7 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 8 (* max *) ->
-        Array.unsafe_set regs dst
-          (fmax (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+        lane 8 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 9 (* fma *) ->
-        Array.unsafe_set regs dst
-          (Array.unsafe_get regs dst
-          +. (Array.unsafe_get regs a *. Array.unsafe_get regs b))
-    | 10 (* neg *) -> Array.unsafe_set regs dst (-.Array.unsafe_get regs a)
-    | 11 (* abs *) ->
-        Array.unsafe_set regs dst (Float.abs (Array.unsafe_get regs a))
-    | 12 (* sqrt *) ->
-        Array.unsafe_set regs dst (sqrt (Array.unsafe_get regs a))
-    | 13 (* exp *) -> Array.unsafe_set regs dst (exp (Array.unsafe_get regs a))
-    | 14 (* log *) -> Array.unsafe_set regs dst (log (Array.unsafe_get regs a))
-    | 15 (* sin *) -> Array.unsafe_set regs dst (sin (Array.unsafe_get regs a))
-    | 16 (* cos *) -> Array.unsafe_set regs dst (cos (Array.unsafe_get regs a))
-    | 17 (* floor *) ->
-        Array.unsafe_set regs dst (Float.floor (Array.unsafe_get regs a))
+        lane 9 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 10 (* neg *) -> lane 10 regs dst (Array.unsafe_get regs a) 0.
+    | 11 (* abs *) -> lane 11 regs dst (Array.unsafe_get regs a) 0.
+    | 12 (* sqrt *) -> lane 12 regs dst (Array.unsafe_get regs a) 0.
+    | 13 (* exp *) -> lane 13 regs dst (Array.unsafe_get regs a) 0.
+    | 14 (* log *) -> lane 14 regs dst (Array.unsafe_get regs a) 0.
+    | 15 (* sin *) -> lane 15 regs dst (Array.unsafe_get regs a) 0.
+    | 16 (* cos *) -> lane 16 regs dst (Array.unsafe_get regs a) 0.
+    | 17 (* floor *) -> lane 17 regs dst (Array.unsafe_get regs a) 0.
     | 18 (* pow *) ->
-        Array.unsafe_set regs dst
-          (Float.pow (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+        lane 18 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 19 (* fdivi *) ->
-        Array.unsafe_set regs dst
-          (Float.of_int
-             (Tiramisu_support.Ints.fdiv
-                (int_of_float (Array.unsafe_get regs a))
-                (int_of_float (Array.unsafe_get regs b))))
+        lane 19 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
     | 20 (* modi *) ->
-        Array.unsafe_set regs dst
-          (Float.of_int
-             (Tiramisu_support.Ints.emod
-                (int_of_float (Array.unsafe_get regs a))
-                (int_of_float (Array.unsafe_get regs b))))
-    | 21 (* trunc *) ->
-        Array.unsafe_set regs dst
-          (Float.of_int (int_of_float (Array.unsafe_get regs a)))
+        lane 20 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 21 (* trunc *) -> lane 21 regs dst (Array.unsafe_get regs a) 0.
     | _ -> assert false);
     pc := i + 4
   done
 
 (* ---------- lane kernels ----------
 
-   Every lane loop below is a template: an [@inline] function whose
+   Every lane loop below is a template over [lane]: an [@inline] function whose
    opcode and operand classes are integer constants at each
    instantiation, so inlining folds the test chains away and leaves one
    straight unrolled loop per (opcode, operand shape) — no closure call
@@ -1107,38 +1126,6 @@ let[@inline] exec_code (code : int array) (st : state)
    at stride 0: one value for the whole row, read once) and [2] any other
    constant stride.  Loops run four lanes per test; the remainder runs
    one lane at a time. *)
-
-(* one lane of an ALU opcode other than [fma]; [op] is a constant at
-   every use, and a unary opcode ([mov] included) ignores [y] *)
-let[@inline] alu op x y =
-  if op = 2 then x
-  else if op = 3 then x +. y
-  else if op = 4 then x -. y
-  else if op = 5 then x *. y
-  else if op = 6 then x /. y
-  else if op = 7 then fmin x y
-  else if op = 8 then fmax x y
-  else if op = 10 then -.x
-  else if op = 11 then Float.abs x
-  else if op = 12 then sqrt x
-  else if op = 13 then exp x
-  else if op = 14 then log x
-  else if op = 15 then sin x
-  else if op = 16 then cos x
-  else if op = 17 then Float.floor x
-  else if op = 18 then Float.pow x y
-  else if op = 19 then
-    Float.of_int
-      (Tiramisu_support.Ints.fdiv (int_of_float x) (int_of_float y))
-  else if op = 20 then
-    Float.of_int
-      (Tiramisu_support.Ints.emod (int_of_float x) (int_of_float y))
-  else Float.of_int (int_of_float x)
-
-(* lane [q] of [d] gets [op x y]; [fma] adds the product to the lane *)
-let[@inline] lane op (d : float array) q x y =
-  Array.unsafe_set d q
-    (if op = 9 then Array.unsafe_get d q +. (x *. y) else alu op x y)
 
 (* operand value at lane [k] (0..3) of an unrolled step based at [p]:
    [o] is [k] strides, [v0] the uniform value *)

@@ -160,9 +160,10 @@ type operand =
   | Uniform of float
   | Mem of { data : float array; base : int; stride : int; row_step : int }
 
-(** [lane_kernel ~op ~rows ~width ~acc x y] runs the ALU opcode [op] (a
-    {!Tiramisu_codegen.Tape_gen} binary opcode, [op_fma] included) as one
-    bound vector instruction over a [rows x width] batch, through the
+(** [lane_kernel ~op ~rows ~width ~acc x y] runs the ALU opcode [op] (any
+    {!Tiramisu_codegen.Tape_gen} opcode from [op_mov] to [op_trunc]; a
+    non-fusable one takes [Reg] operands, and a unary one ignores [y]) as
+    one bound vector instruction over a [rows x width] batch, through the
     vector interpreter, and returns the destination lanes.  The
     destination starts as the first [rows * width] lanes of [acc] (the
     addend of [fma]). *)

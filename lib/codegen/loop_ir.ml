@@ -222,8 +222,8 @@ let rec simplify_stmt s =
 (* ---------- affine index analysis ---------- *)
 
 (* Σ coeff·var + const view of an index expression; None if not affine.
-   Shared by the compiled backend's addressing (stride folding, corner
-   bounds checks), the tape generator and the cost model. *)
+   Shared by the compiled backend's addressing (stride folding), the
+   tape generator and the cost model. *)
 let affine_terms (e : expr) : ((string * int) list * int) option =
   let merge t1 t2 =
     List.fold_left

@@ -16,8 +16,7 @@
      single parallel loop over the product domain ([collapse]): the fused
      loop iterates [0 .. Πnᵢ-1] and single-trip binder loops recover each
      original variable as [lᵢ + (fused / strideᵢ) mod nᵢ], preserving the
-     affine addressing, hoisted corner checks and tape claims of
-     everything below;
+     affine addressing and tape claims of everything below;
    - loops whose whole subtree carries less estimated work than
      [min_work] per worker are serialized outright (the plan, not the
      runtime, says no: the executor forks every loop the plan keeps);

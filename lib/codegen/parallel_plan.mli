@@ -13,7 +13,7 @@
     The result is plain loop IR — binder loops are ordinary single-trip
     [For]s — so the interpreter, the closure compiler and the C emitter
     execute it unchanged, and everything below a fused group keeps its
-    affine addressing, hoisted corner checks and tape claims. *)
+    affine addressing and tape claims. *)
 
 type decision = {
   d_var : string;              (** outermost loop var the decision is about *)

@@ -783,12 +783,6 @@ let oracle_rejects_parallel_carried () =
 
 (* ---------- directed: floored div/mod (loop-IR level) ---------- *)
 
-let bits_equal (a : B.Buffers.t) (b : B.Buffers.t) =
-  Array.length a.B.Buffers.data = Array.length b.B.Buffers.data
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a.B.Buffers.data b.B.Buffers.data
-
 (* Interp vs every Exec configuration on a hand-built loop IR stmt: the
    tape on and off, crossed with the statement compiled verbatim and after
    the pipeline's statement passes ([Pipeline.prepare]). *)
@@ -829,7 +823,8 @@ let differential_stmt ?(strategies = [ `Seq ]) ~shapes ~fills stmt outs =
                 (Printf.sprintf "%s bit-identical (tape=%b prepared=%b)" o
                    tape prepared)
                 true
-                (bits_equal (B.Interp.buffer t o) (B.Exec.buffer c o)))
+                (B.Buffers.bits_equal (B.Interp.buffer t o)
+                   (B.Exec.buffer c o)))
             outs)
         [ (true, true); (false, true); (true, false); (false, false) ])
     strategies

@@ -341,8 +341,9 @@ let ir_tests =
                           Bin (Sub, Int 13, Bin (Mul, Int 4, Var "i")))))));
     Alcotest.test_case "out-of-bounds still raises under hoisted checks"
       `Quick (fun () ->
-        (* for i in 0..15: out[i+1] — the corner check at loop entry fails,
-           execution falls back to per-access checks and raises at i=15. *)
+        (* for i in 0..15: out[i+1] — a tape claim fails its whole-box
+           check at entry, the closures run instead, and their per-access
+           check raises at i=15. *)
         let stmt =
           For
             { var = "i"; lo = Int 0; hi = Int 15; tag = Seq;
@@ -360,9 +361,10 @@ let ir_tests =
         | exception Invalid_argument _ -> ());
     Alcotest.test_case "guarded partial access inside hoist-failing loop"
       `Quick (fun () ->
-        (* for i in 0..15: if i >= 1 then out[i-1] = i — corners fail
-           (i=0 gives -1) but the guard keeps every executed access legal:
-           the fallback per-access checks must accept the program. *)
+        (* for i in 0..15: if i >= 1 then out[i-1] = i — the index box
+           reaches -1 at i=0, but the guard keeps every executed access
+           legal: the closures' per-access checks must accept the
+           program. *)
         let stmt =
           For
             { var = "i"; lo = Int 0; hi = Int 15; tag = Seq;
@@ -377,6 +379,88 @@ let ir_tests =
         Alcotest.(check bool)
           "guarded program matches interpreter" true
           (B.Buffers.equal ~eps:0.0 iref seq));
+    (* The closure path alone (no tape claims): every access is checked
+       as it runs, so a fault raises at its own iteration, after every
+       earlier store landed. *)
+    Alcotest.test_case "closures raise at the last iteration's affine fault"
+      `Quick (fun () ->
+        (* for i, j in 0..7: out[i][i+j] — in range except at i = j = 7 *)
+        let stmt =
+          For
+            { var = "i"; lo = Int 0; hi = Int 7; tag = Seq;
+              body =
+                For
+                  { var = "j"; lo = Int 0; hi = Int 7; tag = Seq;
+                    body =
+                      Store
+                        ( "out",
+                          [ Var "i"; Bin (Add, Var "i", Var "j") ],
+                          Float 1.0 ) } }
+        in
+        let b = B.Buffers.create "out" [| 8; 14 |] in
+        let c =
+          B.Exec.compile
+            ~target:(B.Target.cpu ~parallel:`Seq ())
+            ~claims:Tiramisu_codegen.Tape_gen.no_claims ~params:[]
+            ~buffers:[ b ] stmt
+        in
+        (match B.Exec.run c with
+        | () -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            Alcotest.(check string) "the faulting index"
+              "buffer out: index 14 out of bounds [0,14) at dim 1" msg);
+        let stored = Array.fold_left ( +. ) 0.0 b.B.Buffers.data in
+        Alcotest.(check (float 0.0)) "every earlier store landed" 63.0 stored);
+    Alcotest.test_case "closures raise on a non-affine index out of range"
+      `Quick (fun () ->
+        (* for i in 0..7: out[0][i*i] = i — 9 at i = 3 leaves its
+           dimension while the flat offset stays inside the buffer *)
+        let stmt =
+          For
+            { var = "i"; lo = Int 0; hi = Int 7; tag = Seq;
+              body =
+                Store
+                  ("out", [ Int 0; Bin (Mul, Var "i", Var "i") ], Var "i") }
+        in
+        let b = B.Buffers.create "out" [| 8; 8 |] in
+        let c =
+          B.Exec.compile
+            ~target:(B.Target.cpu ~parallel:`Seq ())
+            ~claims:Tiramisu_codegen.Tape_gen.no_claims ~params:[]
+            ~buffers:[ b ] stmt
+        in
+        (match B.Exec.run c with
+        | () -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            Alcotest.(check string) "the faulting index"
+              "buffer out: index 9 out of bounds [0,8) at dim 1" msg);
+        Alcotest.(check (float 0.0)) "i = 2 stored" 2.0 b.B.Buffers.data.(4);
+        Alcotest.(check (float 0.0)) "i = 3 not stored" 0.0
+          b.B.Buffers.data.(9));
+    Alcotest.test_case "closures accept a guarded out-of-range constant"
+      `Quick (fun () ->
+        (* for i in 0..15: if i > 100 then out[99] = -1 else out[i] = i —
+           the constant index is out of range but never runs *)
+        let stmt =
+          For
+            { var = "i"; lo = Int 0; hi = Int 15; tag = Seq;
+              body =
+                If
+                  ( Cmp (GtOp, Var "i", Int 100),
+                    Store ("out", [ Int 99 ], Float (-1.0)),
+                    Some (Store ("out", [ Var "i" ], Var "i")) ) }
+        in
+        let iref = run_ir stmt ~dims:[| 16 |] ~out:"out" `Interp in
+        let b = B.Buffers.create "out" [| 16 |] in
+        let c =
+          B.Exec.compile
+            ~target:(B.Target.cpu ~parallel:`Seq ())
+            ~claims:Tiramisu_codegen.Tape_gen.no_claims ~params:[]
+            ~buffers:[ b ] stmt
+        in
+        B.Exec.run c;
+        Alcotest.(check bool) "bit-exact against the interpreter" true
+          (B.Buffers.bits_equal iref b));
   ]
 
 let () =

@@ -12,12 +12,6 @@ module B = Tiramisu_backends
 
 (* ---------- differential harness ---------- *)
 
-let bits_equal (a : B.Buffers.t) (b : B.Buffers.t) =
-  Array.length a.B.Buffers.data = Array.length b.B.Buffers.data
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a.B.Buffers.data b.B.Buffers.data
-
 (* Build two identical buffer sets, run the interpreter on one and the
    compiled executor on the other, and demand bit-identity on [outs].
    Returns the compiled program so callers can assert on [tape_count] /
@@ -46,7 +40,7 @@ let differential ?(strategy = `Seq) ?(tape = true) ?(params = []) ~shapes
       Alcotest.(check bool)
         (Printf.sprintf "%s bit-identical to interpreter (tape=%b)" o tape)
         true
-        (bits_equal (B.Interp.buffer t o) (B.Exec.buffer c o)))
+        (B.Buffers.bits_equal (B.Interp.buffer t o) (B.Exec.buffer c o)))
     outs;
   c
 

@@ -10,12 +10,6 @@ module L = Loop_ir
 module B = Tiramisu_backends
 module P = Tiramisu_pipeline.Pipeline
 
-let bits_equal (a : B.Buffers.t) (b : B.Buffers.t) =
-  Array.length a.B.Buffers.data = Array.length b.B.Buffers.data
-  && Array.for_all2
-       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-       a.B.Buffers.data b.B.Buffers.data
-
 (* Interp vs exec on identical fresh buffer sets; returns the compiled
    program so callers can assert on the tape counters. *)
 let differential ?(strategy = `Seq) ?(tape = true) ?lanes ?(params = [])
@@ -44,7 +38,7 @@ let differential ?(strategy = `Seq) ?(tape = true) ?lanes ?(params = [])
       Alcotest.(check bool)
         (o ^ " bit-identical to interpreter")
         true
-        (bits_equal (B.Interp.buffer t o) (B.Exec.buffer c o)))
+        (B.Buffers.bits_equal (B.Interp.buffer t o) (B.Exec.buffer c o)))
     outs;
   c
 
@@ -388,7 +382,7 @@ let sgemm_native ?lanes ?(strategy = `Seq) (label, sched) s =
     (Printf.sprintf "%s S=%d lanes=%s bit-exact" label s
        (match lanes with Some l -> string_of_int l | None -> "default"))
     true
-    (bits_equal (sgemm_reference s) (B.Exec.buffer c "C"));
+    (B.Buffers.bits_equal (sgemm_reference s) (B.Exec.buffer c "C"));
   c
 
 (* sgemm's update nest is the claimed nest whose innermost level is the
@@ -530,7 +524,8 @@ let conv2d_rows_reach_level_zero () =
        (B.Exec.lane_modes c));
   Alcotest.(check int) "no fallback" 0 (B.Exec.tape_fallbacks c);
   Alcotest.(check bool) "bit-exact" true
-    (bits_equal (B.Interp.buffer reference "conv") (B.Exec.buffer c "conv"))
+    (B.Buffers.bits_equal (B.Interp.buffer reference "conv")
+       (B.Exec.buffer c "conv"))
 
 (* A parallel prefix is the range the pool splits, so the exec-view merge
    never folds into it.  A 20 x 30 copy whose rows linearize merges into
@@ -722,7 +717,7 @@ let collision_caps_width () =
   Alcotest.(check (list string)) "binds inner x16" [ "inner x16" ]
     (List.map (fun (_, m) -> B.Tape.mode_to_string m) (B.Exec.lane_modes v));
   Alcotest.(check bool) "bit-identical to lanes=1" true
-    (bits_equal (B.Exec.buffer v "a") (B.Exec.buffer s "a"))
+    (B.Buffers.bits_equal (B.Exec.buffer v "a") (B.Exec.buffer s "a"))
 
 (* A nest whose exec-inner extent is the constant 24 binds 24 wide, not
    at the default request; a fresh state holds no lane registers, and
@@ -839,7 +834,8 @@ let clamped_kernels_vector_claimed () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s %dx%d bit-exact" name n m)
                 true
-                (bits_equal (B.Interp.buffer interp out) (B.Exec.buffer c out));
+                (B.Buffers.bits_equal (B.Interp.buffer interp out)
+                   (B.Exec.buffer c out));
               if n = 64 && m = 64 then
                 Alcotest.(check bool)
                   (name ^ " 64x64: a vector nest claimed")
@@ -881,7 +877,8 @@ let vector_vs_scalar_identical () =
           Alcotest.(check bool) (name ^ ": vector run is vector") true
             (B.Exec.tape_vec_count v >= 1 && B.Exec.tape_vec_count s = 0);
           Alcotest.(check bool) (name ^ ": bit-identical") true
-            (bits_equal (B.Exec.buffer v "out") (B.Exec.buffer s "out")))
+            (B.Buffers.bits_equal (B.Exec.buffer v "out")
+               (B.Exec.buffer s "out")))
         test_widths)
     [ 29; 257; 599 ]
 
@@ -1000,7 +997,8 @@ let blur_native ~sched ~n ~m =
   Alcotest.(check bool)
     (Printf.sprintf "%dx%d bit-exact against the unscheduled program" n m)
     true
-    (bits_equal (B.Interp.buffer reference "by") (B.Exec.buffer art.P.exec "by"));
+    (B.Buffers.bits_equal (B.Interp.buffer reference "by")
+       (B.Exec.buffer art.P.exec "by"));
   Alcotest.(check int)
     (Printf.sprintf "%dx%d no fallbacks" n m)
     0
@@ -1169,7 +1167,7 @@ let run_affine_case ?(strategy = `Seq) ((ei, ej, a, b, c) as case) =
       ~target:(B.Target.cpu ~parallel:strategy ())
       ~params:[] ~buffers:(mk ()) stmt in
   B.Exec.run cc;
-  bits_equal (B.Interp.buffer t "out") (B.Exec.buffer cc "out")
+  B.Buffers.bits_equal (B.Interp.buffer t "out") (B.Exec.buffer cc "out")
   && B.Exec.tape_count cc = 1
   && B.Exec.tape_fallbacks cc = 0
 
@@ -1236,7 +1234,8 @@ let run_reduction_case g =
       in
       List.for_all
         (fun o ->
-          bits_equal (B.Interp.buffer reference o) (B.Exec.buffer c o))
+          B.Buffers.bits_equal (B.Interp.buffer reference o)
+            (B.Exec.buffer c o))
         b.C.outputs)
     (List.concat_map
        (fun par ->
@@ -1290,7 +1289,7 @@ let qcheck_degenerate_extents =
           ~target:(B.Target.cpu ~parallel:`Seq ())
           ~params:[] ~buffers:(mk ()) stmt in
       B.Exec.run cc;
-      bits_equal (B.Interp.buffer t "out") (B.Exec.buffer cc "out"))
+      B.Buffers.bits_equal (B.Interp.buffer t "out") (B.Exec.buffer cc "out"))
 
 (* ---------- pipeline integration ---------- *)
 
@@ -1431,61 +1430,105 @@ let enter_allocates_nothing () =
 (* ---------- fused lane kernels ---------- *)
 
 (* Values for the lane-kernel property: NaNs of three payloads, signed
-   zeros, infinities, a subnormal and a few ordinary numbers.  Drawn from a
-   small pool, equal operands (min/max ties) are frequent. *)
+   zeros, infinities, a subnormal, values beyond the int range (whose
+   [int_of_float] the integer opcodes read) and a few ordinary numbers.
+   Drawn from a small pool, equal operands (min/max ties) are frequent. *)
 let lane_values =
   [| Float.nan; Int64.float_of_bits 0x7ff8000000000002L;
      Int64.float_of_bits 0xfff8000000000000L; 0.0; -0.0; Float.infinity;
-     Float.neg_infinity; 1.0; -1.0; 2.5; -2.5; 4.9e-320; 3.0; 0.1 |]
+     Float.neg_infinity; 1.0; -1.0; 2.5; -2.5; 4.9e-320; 3.0; 0.1; 6e18;
+     -1e19; 1e300 |]
 
-let lane_value salt k =
-  lane_values.(((k * ((2 * salt) + 3)) + salt) mod Array.length lane_values)
+(* Divisors of [fdivi] / [modi]: no integer part is zero, and none
+   overflows [modi]'s product, so a batch runs to the end.  [6e18] lies
+   beyond the int range (its conversion is unspecified, but one and the
+   same instruction on both sides). *)
+let divisor_values = [| 1.0; 2.5; -2.5; 3.0; -7.9; 6e18 |]
+
+let lane_value ?(pool = lane_values) salt k =
+  pool.(((k * ((2 * salt) + 3)) + salt) mod Array.length pool)
 
 (* One operand of a [rows x w] batch and the value it gives lane [j] of
    row [r].  Memory rows sit [row_step] apart without overlapping (or all
    on one row when [row_step] is 0), and a negative stride starts from
    the high end. *)
-let lane_operand kind ~rows ~w ~salt =
+let lane_operand ?pool kind ~rows ~w ~salt =
   match kind with
   | `Reg ->
-      let lanes = Array.init (rows * w) (lane_value salt) in
+      let lanes = Array.init (rows * w) (lane_value ?pool salt) in
       (B.Tape.Reg lanes, fun r j -> lanes.((r * w) + j))
   | `Uniform ->
-      let x = lane_value salt 5 in
+      let x = lane_value ?pool salt 5 in
       (B.Tape.Uniform x, fun _ _ -> x)
   | `Mem stride ->
       let span = (w - 1) * abs stride in
       let row_step = if salt mod 2 = 0 then span + 2 else 0 in
       let base = if stride < 0 then span else 0 in
-      let data = Array.init (base + (rows * (row_step + 1)) + span + 1) (lane_value salt) in
+      let data =
+        Array.init
+          (base + (rows * (row_step + 1)) + span + 1)
+          (lane_value ?pool salt)
+      in
       ( B.Tape.Mem { data; base; stride; row_step },
         fun r j -> data.(base + (r * row_step) + (j * stride)) )
 
 let lane_kinds = [ `Reg; `Uniform; `Mem 0; `Mem 1; `Mem 3; `Mem (-2) ]
 
+(* Every ALU opcode, its operand kinds (the fusable ones read every kind,
+   the others lane registers only), the pool its second operand draws
+   from, and its reference: the interpreter's expression for the same
+   operation on the lane's accumulator [d] and operands [x], [y] (a
+   unary opcode ignores [y]; [mov] is the operand itself). *)
 let lane_ops =
+  let open L in
+  let call f args = Call (f, args) in
+  let un f = ([ `Reg ], lane_values, fun _ x _ -> f x) in
+  let bin ?(pool = lane_values) f = ([ `Reg ], pool, fun _ x y -> f x y) in
+  let fused f = (lane_kinds, lane_values, fun _ x y -> f x y) in
   Tape_gen.
-    [ (op_add, "add", fun _ x y -> x +. y);
-      (op_sub, "sub", fun _ x y -> x -. y);
-      (op_mul, "mul", fun _ x y -> x *. y);
-      (op_div, "div", fun _ x y -> x /. y);
-      (op_min, "min", fun _ x y -> Float.min x y);
-      (op_max, "max", fun _ x y -> Float.max x y);
-      (op_fma, "fma", fun d x y -> d +. (x *. y)) ]
+    [ (op_add, "add", fused (fun x y -> Bin (Add, x, y)));
+      (op_sub, "sub", fused (fun x y -> Bin (Sub, x, y)));
+      (op_mul, "mul", fused (fun x y -> Bin (Mul, x, y)));
+      (op_div, "div", fused (fun x y -> Bin (Div, x, y)));
+      (op_min, "min", fused (fun x y -> Bin (MinOp, x, y)));
+      (op_max, "max", fused (fun x y -> Bin (MaxOp, x, y)));
+      ( op_fma, "fma",
+        (lane_kinds, lane_values, fun d x y -> Bin (Add, d, Bin (Mul, x, y)))
+      );
+      (op_mov, "mov", un (fun x -> x));
+      (op_neg, "neg", un (fun x -> Neg x));
+      (op_abs, "abs", un (fun x -> call "abs" [ x ]));
+      (op_sqrt, "sqrt", un (fun x -> call "sqrt" [ x ]));
+      (op_exp, "exp", un (fun x -> call "exp" [ x ]));
+      (op_log, "log", un (fun x -> call "log" [ x ]));
+      (op_sin, "sin", un (fun x -> call "sin" [ x ]));
+      (op_cos, "cos", un (fun x -> call "cos" [ x ]));
+      (op_floor, "floor", un (fun x -> call "floor" [ x ]));
+      (op_pow, "pow", bin (fun x y -> call "pow" [ x; y ]));
+      ( op_fdivi, "fdivi",
+        bin ~pool:divisor_values (fun x y -> Bin (FloorDiv, x, y)) );
+      (op_modi, "modi", bin ~pool:divisor_values (fun x y -> Bin (Mod, x, y)));
+      (op_trunc, "trunc", un (fun x -> Cast (I32, x))) ]
 
 let kind_str = function
   | `Reg -> "reg"
   | `Uniform -> "scalar"
   | `Mem s -> Printf.sprintf "mem@%d" s
 
-(* Every fusable ALU opcode over every pair of operand kinds, widths 1 to
-   130 (each unroll remainder 0..3, single-lane rows included) and 1 to 3
-   rows: each lane equals the scalar opcode on that lane's operands, bit
-   for bit — NaN payloads, signed zeros and min/max ties included. *)
+(* Every ALU opcode over every pair of its operand kinds, widths 1 to 130
+   (each unroll remainder 0..3, single-lane rows included) and 1 to 3
+   rows: each lane equals the interpreter's expression on that lane's
+   operands, bit for bit — NaN payloads, signed zeros, infinities, min/max
+   ties and out-of-int-range conversions included.  The same values run
+   each opcode through the scalar tape as well, and the faults a batch
+   can stop at (a divisor whose integer part is zero, [modi]'s overflow)
+   raise what the interpreter raises. *)
 let lane_kernels_match_scalar () =
+  let interp = B.Interp.create () in
+  let eval e = B.Interp.eval_expr interp e in
   let bad = ref [] in
   List.iter
-    (fun (op, name, scalar) ->
+    (fun (op, name, (kinds, pool, reference)) ->
       List.iteri
         (fun a ka ->
           List.iteri
@@ -1494,12 +1537,17 @@ let lane_kernels_match_scalar () =
                 for rows = 1 to 3 do
                   let salt = (a * 7) + b + w + rows in
                   let x, xv = lane_operand ka ~rows ~w ~salt
-                  and y, yv = lane_operand kb ~rows ~w ~salt:(salt + 1) in
+                  and y, yv = lane_operand ~pool kb ~rows ~w ~salt:(salt + 1) in
                   let acc = Array.init (rows * w) (lane_value (salt + 2)) in
                   let out = B.Tape.lane_kernel ~op ~rows ~width:w ~acc x y in
                   for r = 0 to rows - 1 do
                     for j = 0 to w - 1 do
-                      let want = scalar acc.((r * w) + j) (xv r j) (yv r j) in
+                      let want =
+                        eval
+                          (reference
+                             (L.Float acc.((r * w) + j))
+                             (L.Float (xv r j)) (L.Float (yv r j)))
+                      in
                       if
                         Int64.bits_of_float out.((r * w) + j)
                         <> Int64.bits_of_float want
@@ -1513,10 +1561,69 @@ let lane_kernels_match_scalar () =
                   done
                 done
               done)
-            lane_kinds)
-        lane_kinds)
+            kinds)
+        kinds)
     lane_ops;
-  Alcotest.(check (list string)) "every lane bit-exact" [] (List.rev !bad)
+  Alcotest.(check (list string)) "every lane bit-exact" [] (List.rev !bad);
+  (* the same values through the scalar tape ([lanes:1]), which runs
+     every ALU arm of the scalar interpreter on a claimed loop *)
+  List.iter
+    (fun (_, name, (_, pool, reference)) ->
+      let n = 390 in
+      let ld b = L.Load (b, [ L.Var "i" ]) in
+      let stmt =
+        L.For
+          { var = "i"; lo = L.Int 0; hi = L.Int (n - 1); tag = L.Seq;
+            body =
+              L.Store
+                (name, [ L.Var "i" ], reference (ld name) (ld "x") (ld "y")) }
+      in
+      let c =
+        differential ~lanes:1
+          ~shapes:[ (name, [ n ]); ("x", [ n ]); ("y", [ n ]) ]
+          ~fills:
+            [ (name, fun ix -> lane_value 2 ix.(0));
+              ("x", fun ix -> lane_value 0 ix.(0));
+              ("y", fun ix -> lane_value ~pool 1 ix.(0)) ]
+          stmt [ name ]
+      in
+      Alcotest.(check int) (name ^ ": one scalar tape nest") 1
+        (B.Exec.tape_count c))
+    lane_ops;
+  (* the faults a batch stops at: a divisor whose integer part is zero,
+     and [min_int mod -1], whose product overflows *)
+  let outcome f = match f () with _ -> None | exception e -> Some e in
+  List.iter
+    (fun (op, name, (_, _, reference)) ->
+      let zero_divisors =
+        if op = Tape_gen.op_fdivi || op = Tape_gen.op_modi then
+          List.map
+            (fun z -> (7.0, z))
+            [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity;
+              1e300; 0.5 ]
+        else []
+      in
+      let overflows =
+        if op = Tape_gen.op_modi then [ (0x1p62, -1.0) ] else []
+      in
+      List.iter
+        (fun (x, y) ->
+          let what = Printf.sprintf "%s %g by %g" name x y in
+          let want =
+            outcome (fun () ->
+                eval (reference (L.Float 0.) (L.Float x) (L.Float y)))
+          in
+          Alcotest.(check bool) (what ^ ": interpreter raises") true
+            (want <> None);
+          Alcotest.(check bool) (what ^ ": lane kernel raises the same") true
+            (want
+            = outcome (fun () ->
+                  B.Tape.lane_kernel ~op ~rows:1 ~width:5
+                    ~acc:(Array.make 5 0.)
+                    (B.Tape.Reg (Array.make 5 x))
+                    (B.Tape.Reg (Array.make 5 y)))))
+        (zero_divisors @ overflows))
+    lane_ops
 
 (* Hand-built tape programs over [i] (parallel when [par]) x [j], bound
    against named buffers: the fusion rule's negative cases need register
@@ -1603,7 +1710,7 @@ let hand_case prog stmt ~shapes ~fills outs =
           Alcotest.(check bool)
             (Printf.sprintf "%s: %s bit-identical to interpreter" label o)
             true
-            (bits_equal (B.Interp.buffer it o)
+            (B.Buffers.bits_equal (B.Interp.buffer it o)
                (List.find (fun b -> b.B.Buffers.name = o) bufs)))
         outs)
     runs;
@@ -1749,7 +1856,8 @@ let kernels_fold_loads () =
             Alcotest.(check bool)
               (Printf.sprintf "%s %s bit-exact" name o)
               true
-              (bits_equal (B.Interp.buffer reference o) (B.Exec.buffer c o)))
+              (B.Buffers.bits_equal (B.Interp.buffer reference o)
+                 (B.Exec.buffer c o)))
           outs;
         Alcotest.(check (list (pair string int)))
           (name ^ " folded loads per vector nest") want
