@@ -81,15 +81,22 @@ exec-smoke:
 # pipeline/compile-cache smoke gate, the pool-vs-seq perf gate, the
 # autoscheduler and compile-service gates, the GPU-sim and distributed
 # backend gates, plus the 500-case differential fuzz sweep.  Every gate
-# runs even when an earlier one fails; the summary names each failed gate
-# and the target fails if any did.
+# runs even when an earlier one fails; each gate's wall time follows it,
+# the summary lists every gate's time and names each failed gate, and the
+# target fails if any did.
 check:
-	@failed=""; \
+	@failed=""; times=""; \
 	for gate in build test exec-smoke pipeline-smoke bench-smoke \
 	    autosched-smoke service-smoke gpu-smoke dist-smoke fuzz; do \
 	  echo "=== check: $$gate"; \
+	  t0=$$(date +%s%N); \
 	  $(MAKE) --no-print-directory $$gate || failed="$$failed $$gate"; \
+	  ms=$$(( ($$(date +%s%N) - t0) / 1000000 )); \
+	  took="$$((ms / 1000)).$$((ms % 1000 / 100)) s"; \
+	  echo "=== check: $$gate took $$took"; \
+	  times="$$times $$gate $$took,"; \
 	done; \
+	echo "=== check: wall time:$${times%,}"; \
 	if [ -n "$$failed" ]; then \
 	  echo "=== check: FAILED:$$failed"; exit 1; \
 	fi; \

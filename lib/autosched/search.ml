@@ -98,7 +98,35 @@ type result = {
   r_trajectory : trajectory_point list;  (** oldest first *)
   r_verified : bool;
   r_elapsed_ms : float;
+  r_stage_ms : (string * float) list;
+      (** wall-clock per search stage, summed over candidates, in
+          {!stage_names} order *)
 }
+
+(* ---------- stage attribution ---------- *)
+
+(* Where a search spends its time.  [verify.lower] is the winner's
+   rebuild, executor run and lowering for the interpreter;
+   [verify.interpret] the interpreter run and the comparison. *)
+let stage_names =
+  [ "schedule+legality"; "lower+prepare"; "prior"; "measure.build";
+    "measure.reps"; "verify.lower"; "verify.interpret" ]
+
+let st_legal = 0
+and st_lower = 1
+and st_prior = 2
+and st_build = 3
+and st_reps = 4
+and st_verify_lower = 5
+and st_verify_interp = 6
+
+(* Add [f]'s wall-clock to stage [k] of [acc], whether it returns or
+   raises (a timed-out candidate's time still counts). *)
+let timed acc k f =
+  let t0 = B.Clock.now_ms () in
+  Fun.protect
+    ~finally:(fun () -> acc.(k) <- acc.(k) +. (B.Clock.now_ms () -. t0))
+    f
 
 let literal actions =
   "[ " ^ String.concat ";\n  " (List.map S.to_literal actions) ^ " ]"
@@ -126,22 +154,40 @@ let replay_entries base actions =
   List.iter (S.commit entries) actions;
   entries
 
+let knobs_of cfg ~tape ~lanes =
+  { P.default_knobs with P.target = cfg.target; P.tape = tape;
+    P.lanes = lanes }
+
 (* Oracle + lowering + preparation; `Ok carries the prepared statement the
    cost prior scores (narrowed bounds let the tape-claim check in the model
-   see the concrete rectangles the backend will see). *)
-let vet problem actions =
-  match scheduled problem actions with
-  | exception e -> `Err (Printexc.to_string e)
-  | fn -> (
-      match D.legal_under_schedule fn with
-      | Error e -> `Illegal e
-      | Ok () -> (
-          match
-            let lowered = P.lower fn in
-            P.prepare ~params:problem.params lowered.Lower.ast
-          with
-          | exception e -> `Err (Printexc.to_string e)
-          | stmt -> `Ok (fn, stmt)))
+   see the concrete rectangles the backend will see).  It is lowered,
+   prepared and planned exactly as {!measure}'s [P.build] does for a
+   tape-on candidate at the config's target, so the prior scores the
+   statement that is built: with the tape on, vector loops the tape
+   claims stay unsplit. *)
+let vet ?(acc = Array.make (List.length stage_names) 0.0) cfg problem actions
+    =
+  match
+    timed acc st_legal (fun () ->
+        match scheduled problem actions with
+        | exception e -> `Err (Printexc.to_string e)
+        | fn -> (
+            match D.legal_under_schedule fn with
+            | Error e -> `Illegal e
+            | Ok () -> `Legal fn))
+  with
+  | (`Err _ | `Illegal _) as v -> v
+  | `Legal fn -> (
+      let knobs = knobs_of cfg ~tape:true ~lanes:P.default_knobs.P.lanes in
+      match
+        timed acc st_lower (fun () ->
+            P.lower_for_build ~knobs fn (fun lowered ->
+                fst
+                  (P.prepare_and_plan ~knobs ~params:problem.params
+                     lowered.Lower.ast)))
+      with
+      | exception e -> `Err (Printexc.to_string e)
+      | stmt -> `Ok (fn, stmt))
 
 let prior problem fn stmt =
   (B.Cost.estimate ~tape:true ~params:problem.params
@@ -259,21 +305,34 @@ let consumes_of problem =
     | Some consumer, Some producer -> Lower.consumes ~consumer ~producer
     | _ -> false
 
-(* ---------- measurement ---------- *)
+(* One round's candidates: the expert templates (first round only) and
+   every one-action expansion of each beam state, before deduplication. *)
+let expand cfg problem base_entries ~round beam =
+  (if round = 1 then
+     templates ~consumes:(consumes_of problem) cfg.menu base_entries
+   else [])
+  @ List.concat_map
+      (fun acts ->
+        let entries = replay_entries base_entries acts in
+        List.map (fun a -> acts @ [ a ]) (S.enumerate ~menu:cfg.menu entries))
+      beam
 
-let knobs_of cfg ~tape ~lanes =
-  { P.default_knobs with P.target = cfg.target; P.tape = tape;
-    P.lanes = lanes }
+let first_round cfg problem =
+  expand cfg problem (initial_entries problem) ~round:1 [ [] ]
+
+(* ---------- measurement ---------- *)
 
 (* Median wall-clock of [reps] runs with early cutoff against the
    incumbent: once the best rep so far cannot beat [cutoff], stop — the
    candidate has lost, and its partial minimum is score enough. *)
-let measure cfg problem ~tape ~lanes ~cutoff actions =
-  let fn = scheduled problem actions in
+let measure acc cfg problem ~tape ~lanes ~cutoff actions =
   let art =
-    P.build ~knobs:(knobs_of cfg ~tape ~lanes) ~fn ~params:problem.params
-      ~inputs:problem.inputs ()
+    timed acc st_build (fun () ->
+        let fn = scheduled problem actions in
+        P.build ~knobs:(knobs_of cfg ~tape ~lanes) ~fn ~params:problem.params
+          ~inputs:problem.inputs ())
   in
+  timed acc st_reps @@ fun () ->
   let c = art.P.exec in
   B.Exec.run c (* warmup; surfaces bounds failures before timing *);
   let samples = ref [] in
@@ -305,16 +364,20 @@ let measure cfg problem ~tape ~lanes ~cutoff actions =
    the cache (restoring buffers to their freshly-filled snapshot), run the
    executor once, and compare every output buffer with an interpreter run
    of the same scheduled IR. *)
-let verify cfg problem ~tape ~lanes actions =
+let verify acc cfg problem ~tape ~lanes actions =
   match
-    let fn = scheduled problem actions in
-    let art =
-      P.build ~knobs:(knobs_of cfg ~tape ~lanes) ~fn ~params:problem.params
-        ~inputs:problem.inputs ()
+    let art, fn2, ast =
+      timed acc st_verify_lower (fun () ->
+          let fn = scheduled problem actions in
+          let art =
+            P.build ~knobs:(knobs_of cfg ~tape ~lanes) ~fn
+              ~params:problem.params ~inputs:problem.inputs ()
+          in
+          B.Exec.run art.P.exec;
+          let fn2 = scheduled problem actions in
+          (art, fn2, (P.lower fn2).Lower.ast))
     in
-    B.Exec.run art.P.exec;
-    let fn2 = scheduled problem actions in
-    let ast = (P.lower fn2).Lower.ast in
+    timed acc st_verify_interp @@ fun () ->
     let interp =
       B.Interp.reference ~params:problem.params
         ~extents:(P.extents_of_fn fn2 ~params:problem.params)
@@ -342,6 +405,7 @@ let run ?(config = default_config) (problem : problem) : result =
   let elapsed () = B.Clock.now_ms () -. t_start in
   let over_budget () = elapsed () > cfg.budget_ms in
   let stats0 = P.cache_stats () in
+  let acc = Array.make (List.length stage_names) 0.0 in
   let base_entries = initial_entries problem in
   let enumerated = ref 0
   and vetted = ref 0
@@ -366,7 +430,7 @@ let run ?(config = default_config) (problem : problem) : result =
   let default_ms, _ =
     match
       Tiramisu_support.Limits.with_time_limit (8 * timeout_s) (fun () ->
-          measure cfg problem ~tape:true ~lanes:P.default_knobs.P.lanes
+          measure acc cfg problem ~tape:true ~lanes:P.default_knobs.P.lanes
             ~cutoff:infinity [])
     with
     | Some r -> r
@@ -385,7 +449,8 @@ let run ?(config = default_config) (problem : problem) : result =
     if not (over_budget ()) then begin
       let cutoff = cutoff_ratio *. !best_ms in
       match
-        limited (fun () -> measure cfg problem ~tape ~lanes ~cutoff actions)
+        limited (fun () ->
+            measure acc cfg problem ~tape ~lanes ~cutoff actions)
       with
       | exception _ -> ()
       | None -> ()
@@ -412,16 +477,8 @@ let run ?(config = default_config) (problem : problem) : result =
        (* frontier: template pipelines (first round) + one-action
           expansions of every beam state *)
        let frontier =
-         (if round = 1 then
-            templates ~consumes:(consumes_of problem) cfg.menu base_entries
-          else [])
-         @ List.concat_map
-             (fun st ->
-               let entries = replay_entries base_entries st.sc_actions in
-               List.map
-                 (fun a -> st.sc_actions @ [ a ])
-                 (S.enumerate ~menu:cfg.menu entries))
-             !beam
+         expand cfg problem base_entries ~round
+           (List.map (fun st -> st.sc_actions) !beam)
        in
        let frontier =
          List.filter
@@ -450,7 +507,7 @@ let run ?(config = default_config) (problem : problem) : result =
            (fun acts ->
              if over_budget () then None
              else
-               match limited (fun () -> vet problem acts) with
+               match limited (fun () -> vet ~acc cfg problem acts) with
                | None (* Omega blowup: the alarm fired mid-vet *)
                | Some (`Err _) ->
                    incr errored;
@@ -460,7 +517,10 @@ let run ?(config = default_config) (problem : problem) : result =
                    None
                | Some (`Ok (fn, stmt)) ->
                    incr vetted;
-                   Some { sc_actions = acts; sc_prior = prior problem fn stmt })
+                   let sc_prior =
+                     timed acc st_prior (fun () -> prior problem fn stmt)
+                   in
+                   Some { sc_actions = acts; sc_prior })
            frontier
        in
        let ranked =
@@ -491,7 +551,7 @@ let run ?(config = default_config) (problem : problem) : result =
   (* the verify rebuild goes through the cache too — a hit, since the
      winner was measured moments ago — so snapshot the stats after it *)
   let verified =
-    verify cfg problem ~tape:!best_tape ~lanes:!best_lanes !best
+    verify acc cfg problem ~tape:!best_tape ~lanes:!best_lanes !best
   in
   let stats1 = P.cache_stats () in
   {
@@ -512,6 +572,7 @@ let run ?(config = default_config) (problem : problem) : result =
     r_trajectory = List.rev !trajectory;
     r_verified = verified;
     r_elapsed_ms = elapsed ();
+    r_stage_ms = List.mapi (fun k name -> (name, acc.(k))) stage_names;
   }
 
 let pp_result ppf (r : result) =
@@ -521,9 +582,13 @@ let pp_result ppf (r : result) =
      dropped@\n\
      measured: %d (%d cutoffs), cache %d hits / %d misses@\n\
      verified: %b, tape: %b, lanes: %d@\n\
+     stages (ms): %s@\n\
      schedule:@\n%s@\n"
     r.r_best_ms r.r_default_ms
     (r.r_default_ms /. r.r_best_ms)
     r.r_elapsed_ms r.r_enumerated r.r_vetted r.r_illegal r.r_errored
     r.r_dropped r.r_measured r.r_cutoffs r.r_cache_hits r.r_cache_misses
-    r.r_verified r.r_best_tape r.r_best_lanes (literal r.r_best)
+    r.r_verified r.r_best_tape r.r_best_lanes
+    (String.concat ", "
+       (List.map (fun (n, ms) -> Printf.sprintf "%s %.1f" n ms) r.r_stage_ms))
+    (literal r.r_best)

@@ -60,13 +60,45 @@ type result = {
   r_trajectory : trajectory_point list;  (** oldest first *)
   r_verified : bool;  (** winner matched the interpreter bitwise *)
   r_elapsed_ms : float;
+  r_stage_ms : (string * float) list;
+      (** wall-clock per stage, summed over the search, one entry per
+          {!stage_names} name in that order *)
 }
+
+val stage_names : string list
+(** The stages a search's time is split into: [schedule+legality]
+    (building the scheduled function and the dependence oracle),
+    [lower+prepare] (lowering and the statement passes the cost prior
+    scores), [prior] (the cost model), [measure.build] ([Pipeline.build]
+    of a measured candidate, cache hits included), [measure.reps] (its
+    warm-up and timed runs), [verify.lower] (the winner's rebuild,
+    executor run and lowering for the interpreter) and [verify.interpret]
+    (the interpreter run and the bitwise comparison). *)
 
 val run : ?config:config -> problem -> result
 (** A measurement is abandoned once a rep exceeds 1.5x the incumbent.
     Each candidate is vetted and measured under a 5 s alarm (the default
     schedule under 40 s) — the Omega-test blowup guard the fuzz campaign
     uses too; timed-out candidates count as errored. *)
+
+val first_round : config -> problem -> Sched_space.action list list
+(** The first round's candidates, before deduplication and the
+    [max_frontier] cap: the expert templates, then every single action
+    {!Sched_space.enumerate} offers on the unscheduled pipeline. *)
+
+val vet :
+  ?acc:float array ->
+  config ->
+  problem ->
+  Sched_space.action list ->
+  [ `Ok of Tiramisu_core.Ir.fn * Tiramisu_codegen.Loop_ir.stmt
+  | `Illegal of string
+  | `Err of string ]
+(** Schedule a fresh pipeline with the actions, check legality, and lower,
+    prepare and plan it the way [Pipeline.build] does at the config's
+    target with the tape on; [`Ok] carries the function and the statement
+    the cost prior scores — the one that build compiles.  [acc], when
+    given, accumulates the time of the first two {!stage_names}. *)
 
 val literal : Sched_space.action list -> string
 (** The winning schedule as a replayable OCaml action-list literal. *)

@@ -30,19 +30,21 @@ let strides_of dims =
 let strides b = strides_of b.dims
 
 let flat_index b idx =
-  if Array.length idx <> Array.length b.dims then
+  let dims = b.dims in
+  let n = Array.length dims in
+  if Array.length idx <> n then
     invalid_arg
       (Printf.sprintf "buffer %s: rank %d access on rank %d buffer" b.name
-         (Array.length idx) (Array.length b.dims));
+         (Array.length idx) n);
   let acc = ref 0 in
-  Array.iteri
-    (fun k i ->
-      if i < 0 || i >= b.dims.(k) then
-        invalid_arg
-          (Printf.sprintf "buffer %s: index %d out of bounds [0,%d) at dim %d"
-             b.name i b.dims.(k) k);
-      acc := (!acc * b.dims.(k)) + i)
-    idx;
+  for k = 0 to n - 1 do
+    let i = idx.(k) and d = dims.(k) in
+    if i < 0 || i >= d then
+      invalid_arg
+        (Printf.sprintf "buffer %s: index %d out of bounds [0,%d) at dim %d"
+           b.name i d k);
+    acc := (!acc * d) + i
+  done;
   !acc
 
 let get b idx = b.data.(flat_index b idx)

@@ -396,6 +396,60 @@ let cost_default_width_test () =
         (k.schedules params))
     Catalog.kernels
 
+(* The cost prior scores the statement the build compiles: for every
+   first-round candidate of blur, nb and sgemm that [vet] passes, the
+   statement it hands the prior has the structural hash of the prepared
+   statement [Pipeline.build] caches for the same schedule (the last
+   statement pass's output on a cache miss). *)
+let vet_scores_built_test () =
+  let config =
+    { S.default_config with
+      S.menu =
+        { Sp.tile_sizes = [ 8 ]; split_factors = [ 8 ]; vec_widths = [ 4 ];
+          unroll_factors = [ 2 ]; lane_widths = [ 1; 4 ] } }
+  in
+  let knobs =
+    { P.default_knobs with P.target = config.S.target; tape = true }
+  in
+  let problem name build params inputs =
+    { S.name; build; params; inputs; outputs = [] }
+  in
+  let problems =
+    [ problem "blur" (fun () -> let f, _, _ = Image.blur () in f)
+        [ ("N", 16); ("M", 16) ] [ ("img", img3) ];
+      problem "nb" (fun () -> let f, _, _, _, _ = Image.nb () in f)
+        [ ("N", 16); ("M", 16) ] [ ("img", img3) ];
+      problem "sgemm" (fun () -> let f, _, _ = Linalg.sgemm () in f)
+        [ ("S", 8) ] sgemm_inputs ]
+  in
+  List.iter
+    (fun (p : S.problem) ->
+      let vetted = ref 0 in
+      List.iter
+        (fun acts ->
+          match S.vet config p acts with
+          | `Illegal _ | `Err _ -> ()
+          | `Ok (_, scored) ->
+              incr vetted;
+              P.clear_cache ();
+              let built = ref None in
+              let tracer =
+                P.make_tracer ~on_after:(fun _ s -> built := Some s) ()
+              in
+              let fn = p.S.build () in
+              List.iter (Sp.apply fn) acts;
+              ignore (P.build ~tracer ~knobs ~fn ~params:p.S.params
+                        ~inputs:p.S.inputs ());
+              match !built with
+              | None -> Alcotest.failf "%s: the build ran no pass" p.S.name
+              | Some b ->
+                  if L.structural_hash b <> L.structural_hash scored then
+                    Alcotest.failf "%s %s: vet scored another statement"
+                      p.S.name (S.literal acts))
+        (S.first_round config p);
+      if !vetted = 0 then Alcotest.failf "%s: nothing vetted" p.S.name)
+    problems
+
 let search_tests =
   [
     Alcotest.test_case "compute_at pairs are producer/consumer" `Quick
@@ -409,6 +463,8 @@ let search_tests =
       `Quick blur_tape_claim_test;
     Alcotest.test_case "cost prior at the default width = lanes 8" `Quick
       cost_default_width_test;
+    Alcotest.test_case "vet scores the statement the build compiles" `Quick
+      vet_scores_built_test;
   ]
 
 let () =
