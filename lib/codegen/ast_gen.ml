@@ -17,8 +17,10 @@ exception Unbounded of string
    the first point where the instance is alone (or at the leaf). *)
 type instance = {
   src : source;
-  poly : Poly.t;          (* over [params; time dims] *)
-  consts : int option array; (* [Poly.constant_values poly] *)
+  poly : Poly.t;          (* over [params; time dims], less [statics] *)
+  statics : (int * int array) list;
+      (* the piece's static time dims, each with the row fixing it *)
+  consts : int option array; (* [Poly.constant_values] of the whole piece *)
   ctx : Poly.t;           (* constraints already enforced for this instance *)
   pending : L.cond list;
 }
@@ -33,7 +35,7 @@ type gen_env = {
 let fresh_name env base =
   let base = if base = "" then "t" else base in
   let rec go i =
-    let n = if i = 0 then base else Printf.sprintf "%s_%d" base i in
+    let n = if i = 0 then base else base ^ "_" ^ string_of_int i in
     if Hashtbl.mem env.used_names n then go (i + 1)
     else begin
       Hashtbl.add env.used_names n ();
@@ -107,6 +109,61 @@ let guard_cond env g =
 
 let keep_upto ~np k i = i < np + k + 1 (* params and dims 0..k *)
 
+(* The static-column rule.  A time dim is static in a piece when one row
+   alone mentions it: an equality that fixes it (a static schedule
+   dimension becomes exactly that).  Such a row constrains nothing else,
+   so it is kept out of the piece and of its context: a static level
+   groups by the value [consts] already holds, an equality elimination
+   only passes the row through, and every later level's context would
+   hold it.  It comes back where it can show: as a passive row of the
+   projections at and below its own level, so a Fourier-Motzkin fallback
+   sees the rows the whole piece would give it, and in the projection of
+   its own level when that level is a loop.  Only the piece's leading
+   equalities are taken, so their order is known. *)
+let split_statics ~np p =
+  let n = Poly.dim p in
+  let mentions = Array.make (n + 1) 0 in
+  let count r =
+    for j = 1 to n do
+      if r.(j) <> 0 then mentions.(j) <- mentions.(j) + 1
+    done
+  in
+  List.iter count p.Poly.eqs;
+  List.iter count p.Poly.ineqs;
+  let static_dim r =
+    let j = ref 0 and many = ref false in
+    for i = 1 to n do
+      if r.(i) <> 0 then if !j = 0 then j := i else many := true
+    done;
+    if (not !many) && !j > np && abs r.(!j) = 1 && mentions.(!j) = 1 then
+      Some (!j - np - 1)
+    else None
+  in
+  let rec take acc = function
+    | r :: rest when static_dim r <> None ->
+        take ((Option.get (static_dim r), r) :: acc) rest
+    | eqs -> (List.rev acc, eqs)
+  in
+  match take [] p.Poly.eqs with
+  | [], _ -> ([], p)
+  | statics, eqs -> (statics, Poly.make n ~eqs ~ineqs:p.Poly.ineqs)
+
+(* The projection of [inst] onto params and dims 0..[level]: the rows of
+   its static dims above [level] go in passive and come out again, the
+   row of a static [level] stays. *)
+let project ~np ~level inst =
+  let passive =
+    List.filter_map (fun (d, r) -> if d <= level then Some r else None) inst.statics
+  in
+  let proj, _ = Poly.eliminate ~passive inst.poly ~keep:(keep_upto ~np level) in
+  if List.for_all (fun (d, _) -> d >= level) inst.statics then proj
+  else
+    let held r =
+      List.exists (fun (d, _) -> d < level && r.(np + d + 1) <> 0) inst.statics
+    in
+    let keep = List.filter (fun r -> not (held r)) in
+    Poly.make (Poly.dim proj) ~eqs:(keep proj.Poly.eqs) ~ineqs:(keep proj.Poly.ineqs)
+
 (* Rows of [p] that mention time dim k. *)
 let rows_on ~np ~k p =
   let col = np + k + 1 in
@@ -161,10 +218,11 @@ let rec gen env level insts : L.stmt list =
             let group =
               List.filter_map
                 (fun (c, i) ->
-                  if c = v then
+                  if c <> v then None
+                  else if List.mem_assoc level i.statics then Some i
+                  else
                     let fixed = Poly.fix_var (Poly.universe (Poly.dim i.ctx)) (np + level) v in
-                    Some { i with ctx = Poly.extend i.ctx fixed }
-                  else None)
+                    Some { i with ctx = Poly.extend i.ctx fixed })
                 tagged
             in
             env.dim_vars.(level) <- Some (L.Int v);
@@ -183,12 +241,7 @@ let rec gen env level insts : L.stmt list =
           in
           fresh_name env suggested
         in
-        let projs =
-          List.map
-            (fun inst ->
-              fst (Poly.eliminate inst.poly ~keep:(keep_upto ~np level)))
-            insts
-        in
+        let projs = List.map (project ~np ~level) insts in
         let per_inst_bounds =
           List.map2
             (fun inst proj -> bounds_of env ~k:level proj inst.src.name)
@@ -252,7 +305,7 @@ let generate ?(context = []) ~params sources =
       let ctx0 =
         let space =
           Space.set_space ~params:(Array.to_list params)
-            (List.init nt (Printf.sprintf "__t%d"))
+            (List.init nt (fun k -> "__t" ^ string_of_int k))
         in
         (Iset.of_constraints space context).Iset.polys |> List.hd
       in
@@ -260,8 +313,10 @@ let generate ?(context = []) ~params sources =
         List.concat_map
           (fun src ->
             List.map
-              (fun poly ->
-                { src; poly; consts = Poly.constant_values poly; ctx = ctx0; pending = [] })
+              (fun piece ->
+                let statics, poly = split_statics ~np:(Array.length params) piece in
+                { src; poly; statics; consts = Poly.constant_values piece; ctx = ctx0;
+                  pending = [] })
               src.sched.Iset.polys)
           sources
       in

@@ -549,7 +549,7 @@ let generate_ast fn =
             (fun i td ->
               match td with
               | T_dyn dd -> dd.d_col
-              | T_static _ -> Printf.sprintf "s$%d" i)
+              | T_static _ -> "s$" ^ string_of_int i)
             tdims
         in
         let fixes =
@@ -558,11 +558,13 @@ let generate_ast fn =
                (fun i td ->
                  match td with
                  | T_static (v, sub) ->
-                     [ (Printf.sprintf "s$%d" i, (2 * v) + sub) ]
+                     [ ("s$" ^ string_of_int i, (2 * v) + sub) ]
                  | T_dyn _ -> [])
                tdims)
         in
         let np = List.length params in
+        (* each full column's position among the set's columns *)
+        let set_pos = List.map (col_index set_cols) full_cols in
         let polys =
           List.map
             (fun p ->
@@ -575,11 +577,11 @@ let generate_ast fn =
                   row'.(i + 1) <- row.(i + 1)
                 done;
                 List.iteri
-                  (fun fi col ->
-                    match col_index set_cols col with
+                  (fun fi pos ->
+                    match pos with
                     | Some si -> row'.(np + fi + 1) <- row.(np + si + 1)
                     | None -> ())
-                  full_cols;
+                  set_pos;
                 row'
               in
               List.iter (fun r -> q := Poly.add_eq !q (remap r)) p.Poly.eqs;
@@ -609,18 +611,21 @@ let generate_ast fn =
                tdims)
         in
         let col_pos = List.mapi (fun i col -> (col, i)) full_cols in
-        let emit env =
-          let col_env name =
-            Option.map env (List.assoc_opt name col_pos)
-          in
-          let iter_map =
-            match c.kind with
+        (* one substitution per computation, shared by its leaf pieces *)
+        let iter_map =
+          lazy
+            (match c.kind with
             | Op_barrier | Op_copy _ -> []
             | _ -> (
                 try
                   Schedule.backward_exprs ~params:c.fn.params c.domain c.sched
-                with Failure m -> failwith (c.comp_name ^ ": " ^ m))
+                with Failure m -> failwith (c.comp_name ^ ": " ^ m)))
+        in
+        let emit env =
+          let col_env name =
+            Option.map env (List.assoc_opt name col_pos)
           in
+          let iter_map = Lazy.force iter_map in
           let translate e = translate_expr ~fn ~params ~iter_map ~col_env e in
           let aff a = aff_to_expr ~params ~iter_map ~col_env a in
           match c.kind with

@@ -36,8 +36,13 @@ let lift_domain ~np ~at ~total p =
   let p = Poly.insert_vars p ~at:np ~count:(at - np) in
   Poly.insert_vars p ~at:(at + ni) ~count:(total - (at + ni))
 
+(* for the test that pins a widening with no trial to no analysis *)
+let n_flow_deps = Atomic.make 0
+let flow_deps_calls () = Atomic.get n_flow_deps
+
 (* Flow dependences from Layer I producer-consumer edges. *)
 let flow_deps fn =
+  Atomic.incr n_flow_deps;
   let params = fn.params in
   let np = List.length params in
   let regulars =
@@ -360,8 +365,8 @@ let profile ~params (d : dep) =
   let d_iters = List.map dren dst.iters in
   let s_extra = List.map sren (src.sched.inter @ List.map (fun dd -> dd.d_col) src.sched.dims) in
   let d_extra = List.map dren (dst.sched.inter @ List.map (fun dd -> dd.d_col) dst.sched.dims) in
-  let ts = Array.init t (Printf.sprintf "ts$%d") in
-  let td = Array.init t (Printf.sprintf "td$%d") in
+  let ts = Array.init t (fun k -> "ts$" ^ string_of_int k) in
+  let td = Array.init t (fun k -> "td$" ^ string_of_int k) in
   let cols =
     Array.of_list
       (params @ s_iters @ d_iters @ s_extra @ d_extra @ Array.to_list ts
@@ -402,24 +407,31 @@ let profile ~params (d : dep) =
       d.rel
   in
   let nonempty p = not (Poly.is_empty p) in
-  let sat prefix c = List.exists (fun p -> nonempty (add p c)) prefix in
+  (* A level's [gt] and [lt] questions add one inequality each to the
+     same pieces: each piece's equalities are eliminated once for both. *)
+  let sat queries c =
+    match Cstr.to_row ~cols c with
+    | `Ineq r -> List.exists (fun feasible -> feasible r) queries
+    | `Eq _ -> assert false
+  in
   let gt = Array.make t false in
   let lt = Array.make t (Lazy.from_val false) in
   (* [prefix]: the pieces of P_k, with the prefix equalities added. *)
   let rec go k prefix =
     if k = t then List.exists nonempty prefix
     else
+      let sat = sat (List.map Poly.feasible_with prefix) in
       let ts_k = Aff.var ts.(k) and td_k = Aff.var td.(k) in
       match (s_desc.(k), d_desc.(k)) with
       | `Const a, `Const b when a = b -> go (k + 1) prefix
       | `Const a, `Const b ->
           (* Distinct static positions: P_(k+1) is empty. *)
-          if a > b then gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k))
-          else lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
+          if a > b then gt.(k) <- sat (Cstr.Gt (ts_k, td_k))
+          else lt.(k) <- lazy (sat (Cstr.Lt (ts_k, td_k)));
           false
       | _ ->
-          gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k));
-          lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
+          gt.(k) <- sat (Cstr.Gt (ts_k, td_k));
+          lt.(k) <- lazy (sat (Cstr.Lt (ts_k, td_k)));
           go (k + 1)
             (List.map (fun p -> add p (Cstr.Eq (ts_k, td_k))) prefix)
   in
@@ -599,20 +611,24 @@ let legal_under_schedule fn =
    restore the user's schedule.
 
    Cost: tags never change a dependence or its level profile, so
-   [flow_deps] runs once and each dependence is profiled once, on its first
-   trial; a trial is then a fold of the profiles with the trial's effective
-   tags, and asks Omega only for an [lt] level no earlier trial relaxed.
+   [flow_deps] runs at most once, on the first trial (a function with no
+   parallel band to grow runs none and analyses nothing), and each
+   dependence is profiled once, on its first trial; a trial is then a fold
+   of the profiles with the trial's effective tags, and asks Omega only for
+   an [lt] level no earlier trial relaxed.
    On a 2-CPU x86-64 VM, sgemm's [tuned] schedule widens in 6-9 ms; it
    took 530-590 ms when every new tag signature re-ran the per-level
    queries with the row-copying equality elimination. *)
 let widen_parallel fn =
   let profiles =
-    List.map (fun d -> lazy (profile ~params:fn.params d)) (checked_deps fn)
+    lazy (List.map (fun d -> lazy (profile ~params:fn.params d)) (checked_deps fn))
   in
   let all_legal () =
     let tags, conflicts = effective_tags fn in
     conflicts = []
-    && List.for_all (fun p -> Seq.is_empty (violations ~tags (Lazy.force p))) profiles
+    && List.for_all
+         (fun p -> Seq.is_empty (violations ~tags (Lazy.force p)))
+         (Lazy.force profiles)
   in
   let widened = ref [] in
   let undos = ref [] in
@@ -620,7 +636,16 @@ let widen_parallel fn =
     d.d_tag = LT.Seq
     && begin
          d.d_tag <- LT.Parallel;
-         if all_legal () then begin
+         (* the first trial also runs the dependence analysis, which may
+            raise: hand the tags back as they were *)
+         let legal =
+           try all_legal ()
+           with e ->
+             d.d_tag <- LT.Seq;
+             List.iter (fun f -> f ()) !undos;
+             raise e
+         in
+         if legal then begin
            widened := (c.comp_name, d.d_name) :: !widened;
            undos := (fun () -> d.d_tag <- LT.Seq) :: !undos;
            true

@@ -30,6 +30,9 @@ type dep = {
 val flow_deps : Tiramisu_core.Ir.fn -> dep list
 (** Producer-consumer dependences of the algorithm (Layer I). *)
 
+val flow_deps_calls : unit -> int
+(** Calls of {!flow_deps} so far in this process. *)
+
 val memory_deps : Tiramisu_core.Ir.fn -> dep list
 (** Buffer-based dependences after data mapping (Layer III): all pairs of
     accesses to the same buffer where at least one writes. *)

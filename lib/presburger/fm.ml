@@ -33,7 +33,10 @@ let dedup rows =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun row ->
-      let key = Array.to_list (Array.sub row 1 (Array.length row - 1)) in
+      let key =
+        let rec coeffs i acc = if i = 0 then acc else coeffs (i - 1) (row.(i) :: acc) in
+        coeffs (Array.length row - 1) []
+      in
       match Hashtbl.find_opt tbl key with
       | Some c when c <= row.(0) -> ()
       | _ -> Hashtbl.replace tbl key row.(0))

@@ -52,78 +52,72 @@ let drop_vars p ~at ~count =
 let normalize_eqs eqs = List.filter_map Omega.normalize_eq eqs
 
 (* Substitute out every to-be-eliminated variable that carries a unit
-   coefficient in some equality. Exact. *)
+   coefficient in some equality. Exact.  The rows keep their arity: the
+   substituted column is left at zero ([Omega.subst_eq] zeroes it, and a
+   row without the variable is shared unchanged). *)
 let subst_units ~keep p =
-  let rec go eqs ineqs zeroed =
-    let pick =
-      List.find_opt
-        (fun e ->
-          let found = ref false in
-          Array.iteri
-            (fun j c ->
-              if j > 0 && abs c = 1 && (not (keep (j - 1))) && not zeroed.(j - 1)
-              then found := true)
-            e;
-          !found)
-        eqs
-    in
-    match pick with
+  let zeroed = Array.make p.n false in
+  (* The first equality with a unit coefficient on a variable still to go,
+     and the first such variable in it. *)
+  let rec pick = function
+    | [] -> None
+    | e :: rest ->
+        let k = ref (-1) and j = ref 1 in
+        while !k < 0 && !j <= p.n do
+          if abs e.(!j) = 1 && (not (keep (!j - 1))) && not zeroed.(!j - 1)
+          then k := !j - 1;
+          incr j
+        done;
+        if !k >= 0 then Some (e, !k) else pick rest
+  in
+  let rec go eqs ineqs =
+    match pick eqs with
     | None -> (eqs, ineqs, zeroed)
-    | Some e ->
-        let k = ref (-1) in
-        Array.iteri
-          (fun j c ->
-            if !k < 0 && j > 0 && abs c = 1 && (not (keep (j - 1)))
-               && not zeroed.(j - 1)
-            then k := j - 1)
-          e;
-        let k = !k in
-        let sub r = if r == e then r else Omega.subst_eq ~k e r in
-        let clear r =
-          (* Keep arity: zero the substituted column instead of dropping. *)
-          let r' = Array.copy r in
-          r'.(k + 1) <- 0;
-          r'
-        in
+    | Some (e, k) ->
         let eqs' =
           List.filter_map
-            (fun r -> if r == e then None else Some (clear (sub r)))
+            (fun r -> if r == e then None else Some (Omega.subst_eq ~k e r))
             eqs
         in
-        let ineqs' = List.map (fun r -> clear (sub r)) ineqs in
+        let ineqs' = List.map (Omega.subst_eq ~k e) ineqs in
         zeroed.(k) <- true;
-        go eqs' ineqs' zeroed
+        go eqs' ineqs'
   in
-  let zeroed = Array.make p.n false in
-  go (normalize_eqs p.eqs) p.ineqs zeroed
+  go (normalize_eqs p.eqs) p.ineqs
 
-let eliminate p ~keep =
-  match subst_units ~keep p with
+let eliminate ?(passive = []) p ~keep =
+  match
+    let passive = normalize_eqs passive in
+    (passive, subst_units ~keep p)
+  with
   | exception Omega.Infeasible ->
       (* Represent the contradiction explicitly: -1 >= 0. *)
       let bad = Vec.zero (p.n + 1) in
       bad.(0) <- -1;
       ({ n = p.n; eqs = []; ineqs = [ bad ] }, true)
-  | eqs, ineqs, zeroed ->
-      let still_to_go v = (not (keep v)) && not zeroed.(v) in
-      let appears v =
-        List.exists (fun r -> r.(v + 1) <> 0) eqs
-        || List.exists (fun r -> r.(v + 1) <> 0) ineqs
+  | passive, (eqs, ineqs, zeroed) ->
+      (* One scan of the rows marks the variables still to go that some
+         row mentions: the leftovers. *)
+      let leftover = Array.make p.n false in
+      let mark r =
+        for v = 0 to p.n - 1 do
+          if r.(v + 1) <> 0 && (not (keep v)) && not zeroed.(v) then
+            leftover.(v) <- true
+        done
       in
-      let leftovers =
-        List.filter
-          (fun v -> still_to_go v && appears v)
-          (List.init p.n Fun.id)
-      in
-      if leftovers = [] then ({ n = p.n; eqs; ineqs }, true)
+      List.iter mark eqs;
+      List.iter mark ineqs;
+      (* Rows over kept variables alone take no part in the substitution:
+         they would have come through it unchanged, ahead of [p]'s. *)
+      let eqs = passive @ eqs in
+      if not (Array.exists Fun.id leftover) then ({ n = p.n; eqs; ineqs }, true)
       else
         (* Fall back to rational Fourier-Motzkin with integer tightening:
            an over-approximation of the integer projection. *)
         let rows =
           ineqs @ List.concat_map (fun e -> [ e; Vec.neg e ]) eqs
         in
-        let keep' v = not (List.mem v leftovers) in
-        let rows' = Fm.eliminate ~n:p.n ~keep:keep' rows in
+        let rows' = Fm.eliminate ~n:p.n ~keep:(fun v -> not leftover.(v)) rows in
         ({ n = p.n; eqs = []; ineqs = rows' }, false)
 
 let project_out p ~at ~count =
@@ -238,14 +232,23 @@ let extend ctx p =
       (fun a r -> if held a r then a else { a with ineqs = r :: a.ineqs })
       added p.ineqs
   in
-  { ctx with eqs = ctx.eqs @ List.rev added.eqs; ineqs = ctx.ineqs @ List.rev added.ineqs }
+  let append rows = function [] -> rows | added -> rows @ List.rev added in
+  { ctx with eqs = append ctx.eqs added.eqs; ineqs = append ctx.ineqs added.ineqs }
 
+let feasible_with p =
+  let pre = lazy (Omega.presolve ~n:p.n ~eqs:p.eqs ~ineqs:p.ineqs) in
+  fun row ->
+    check_row p.n row;
+    Omega.feasible_with (Lazy.force pre) row
+
+(* Every implication shares [ctx]: its equalities are eliminated once, at
+   the first question the screen does not answer. *)
 let gist p ~ctx =
-  let keep_ineqs = List.filter (fun r -> not (implies_ineq ctx r)) p.ineqs in
+  let feasible = feasible_with ctx in
+  let implied row = holds ctx row || not (feasible (negate_ineq row)) in
+  let keep_ineqs = List.filter (fun r -> not (implied r)) p.ineqs in
   let keep_eqs =
-    List.filter
-      (fun e -> not (implies_ineq ctx e && implies_ineq ctx (Vec.neg e)))
-      p.eqs
+    List.filter (fun e -> not (implied e && implied (Vec.neg e))) p.eqs
   in
   { p with eqs = keep_eqs; ineqs = keep_ineqs }
 

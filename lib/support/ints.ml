@@ -7,8 +7,13 @@ let add a b =
 let neg a = if a = min_int then raise Overflow else -a
 let sub a b = if b = min_int then raise Overflow else add a (-b)
 
+(* Operands below 2^30 in magnitude have a product below 2^60, which
+   cannot overflow; only larger ones pay for the division check. *)
+let small x = x < 0x4000_0000 && x > -0x4000_0000
+
 let mul a b =
-  if a = 0 || b = 0 then 0
+  if small a && small b then a * b
+  else if a = 0 || b = 0 then 0
   else
     let r = a * b in
     if r / b <> a || (a = min_int && b = -1) then raise Overflow else r

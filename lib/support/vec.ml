@@ -13,14 +13,25 @@ let add = map2 Ints.add
 let sub = map2 Ints.sub
 let neg = Array.map Ints.neg
 let scale k = Array.map (Ints.mul k)
+
 let combine a u b v =
-  if Array.length u <> Array.length v then invalid_arg "Vec: length mismatch";
-  Array.init (Array.length u) (fun i -> Ints.add (Ints.mul a u.(i)) (Ints.mul b v.(i)))
+  let n = Array.length u in
+  if Array.length v <> n then invalid_arg "Vec: length mismatch";
+  let r = Array.make n 0 in
+  for i = 0 to n - 1 do
+    r.(i) <- Ints.add (Ints.mul a u.(i)) (Ints.mul b v.(i))
+  done;
+  r
+
 let content v = Array.fold_left (fun g x -> Ints.gcd g x) 0 v
 
+(* Stops at a GCD of 1, which no further entry can change. *)
 let content_except v col =
-  let g = ref 0 in
-  Array.iteri (fun i x -> if i <> col then g := Ints.gcd !g x) v;
+  let g = ref 0 and i = ref 0 in
+  while !i < Array.length v && !g <> 1 do
+    if !i <> col then g := Ints.gcd !g v.(!i);
+    incr i
+  done;
   !g
 
 let divide v d =
