@@ -96,8 +96,8 @@ let rec eval st (e : L.expr) : int =
       | L.Div -> if y = 0 then 0 else x / y
       | L.FloorDiv -> if y = 0 then 0 else Tiramisu_support.Ints.fdiv x y
       | L.Mod -> if y = 0 then 0 else Tiramisu_support.Ints.emod x y
-      | L.MinOp -> min x y
-      | L.MaxOp -> max x y)
+      | L.MinOp -> Int.min x y
+      | L.MaxOp -> Int.max x y)
 
 and eval_cond st (c : L.cond) : bool =
   match c with

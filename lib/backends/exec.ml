@@ -121,8 +121,8 @@ let rec compile_int ctx (e : L.expr) : int array -> int =
       | L.Div -> fun env -> fa env / fb env
       | L.FloorDiv -> fun env -> Tiramisu_support.Ints.fdiv (fa env) (fb env)
       | L.Mod -> fun env -> Tiramisu_support.Ints.emod (fa env) (fb env)
-      | L.MinOp -> fun env -> min (fa env) (fb env)
-      | L.MaxOp -> fun env -> max (fa env) (fb env))
+      | L.MinOp -> fun env -> Int.min (fa env) (fb env)
+      | L.MaxOp -> fun env -> Int.max (fa env) (fb env))
 
 and compile_cond ctx (c : L.cond) : int array -> bool =
   match c with

@@ -23,6 +23,9 @@ type ext = Lit of int | NParam
 
 type binop = Add | Sub | Mul | Min | Max
 
+type unop = Neg | Abs | Sqrt | Exp | Log | Sin | Cos | Floor
+(** Negation and the unary intrinsics the tape executes. *)
+
 type cexpr =
   | Const of int
   | In of string * (int * int) list
@@ -40,6 +43,10 @@ type cexpr =
           For a reduction producer this reads the final accumulator
           (the update computation at r = extent - 1). *)
   | Bin of binop * cexpr * cexpr
+  | Un of unop * cexpr
+      (** A unary float operation.  Its values leave the exact small
+          integers (±0, ±inf, NaN and fractions), so the generator never
+          draws it; pinned cases use it. *)
 
 type rcomp = {
   rc_name : string;
@@ -109,6 +116,12 @@ type built = {
 
 let apply_step = Tiramisu_autosched.Sched_space.apply
 
+let unop_name = function
+  | Neg -> "Neg" | Abs -> "Abs" | Sqrt -> "Sqrt" | Exp -> "Exp"
+  | Log -> "Log" | Sin -> "Sin" | Cos -> "Cos" | Floor -> "Floor"
+
+let unop_intrinsic op = String.lowercase_ascii (unop_name op)
+
 let build ?(with_steps = true) (t : t) : built =
   let has_n = List.exists (fun e -> e = NParam) t.extents in
   let fn = create ~params:(if has_n then [ "N" ] else []) "fuzz" in
@@ -148,6 +161,8 @@ let build ?(with_steps = true) (t : t) : built =
           | Mul -> E.(fu *: fv)
           | Min -> E.min_ fu fv
           | Max -> E.max_ fu fv)
+      | Un (Neg, u) -> E.neg (go u)
+      | Un (op, u) -> E.call (unop_intrinsic op) [ go u ]
       | In (name, dims) -> (
           match Hashtbl.find_opt producers name with
           | Some (`Input c) ->
@@ -245,6 +260,7 @@ let rec expr_lit = function
   | Prod s -> Printf.sprintf "Prod %S" s
   | Bin (op, a, b) ->
       Printf.sprintf "Bin (%s, %s, %s)" (op_name op) (expr_lit a) (expr_lit b)
+  | Un (op, a) -> Printf.sprintf "Un (%s, %s)" (unop_name op) (expr_lit a)
 
 let step_lit = Tiramisu_autosched.Sched_space.to_literal
 

@@ -36,6 +36,19 @@ type outcome =
 
 exception Stop of outcome
 
+(* Wall-clock seconds [run_case] has spent so far in this process on each
+   of its stages: [Pipeline.build] of the configuration rows, their
+   executor runs, and the interpreter references (lowering the
+   unscheduled and the scheduled program and running both on the
+   interpreter).  A campaign reads them before and after. *)
+let build_s = ref 0.0
+let exec_s = ref 0.0
+let reference_s = ref 0.0
+
+let timed acc f =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
+
 (* Per-pass differential-verify probe for the pipeline: the case's own
    parameters, buffers, fills and outputs.  Every verifiable pass
    (legalize, narrow, simplify, parallel-plan) then gets interpreted before
@@ -111,18 +124,20 @@ let exec_configs case =
 let run_row ?probe (b : Case.built) (tag, knobs) =
   let tracer = P.make_tracer ?probe ~name:("exec:" ^ tag) () in
   let art =
-    P.build ~tracer ~knobs ~fn:b.Case.fn ~params:b.Case.params
-      ~inputs:b.Case.fills ()
+    timed build_s (fun () ->
+        P.build ~tracer ~knobs ~fn:b.Case.fn ~params:b.Case.params
+          ~inputs:b.Case.fills ())
   in
-  B.Exec.run art.P.exec;
+  timed exec_s (fun () -> B.Exec.run art.P.exec);
   (art, P.trace_of tracer)
 
 let run_case_unguarded (case : Case.t) : outcome =
   try
     (* Reference: unscheduled program on the interpreter. *)
     let b0 = Case.build ~with_steps:false case in
-    let ast0 = (P.lower b0.Case.fn).Lower.ast in
-    let ref_interp = interp_of b0 ast0 in
+    let ref_interp =
+      timed reference_s (fun () -> interp_of b0 (P.lower b0.Case.fn).Lower.ast)
+    in
     (* Scheduled build + oracle. *)
     let b1 =
       try Case.build case with
@@ -140,7 +155,7 @@ let run_case_unguarded (case : Case.t) : outcome =
     in
     let ast1 =
       let tracer = P.make_tracer ~probe ~name:"scheduled" () in
-      try (P.lower ~tracer b1.Case.fn).Lower.ast with
+      try timed reference_s (fun () -> (P.lower ~tracer b1.Case.fn).Lower.ast) with
       | Limits.Timeout as t -> raise t
       | P.Error pe ->
           raise
@@ -154,7 +169,7 @@ let run_case_unguarded (case : Case.t) : outcome =
                (Fail ("lowering a legal schedule raised: " ^ Printexc.to_string e)))
     in
     let sched_interp =
-      try interp_of b1 ast1 with
+      try timed reference_s (fun () -> interp_of b1 ast1) with
       | Limits.Timeout as t -> raise t
       | e ->
           raise (Stop (Fail ("interp(scheduled) raised: " ^ Printexc.to_string e)))

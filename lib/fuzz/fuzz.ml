@@ -10,6 +10,11 @@ type report = {
   mutable failures : (int * Case.t * string) list;
       (** seed, shrunk case, divergence message *)
   gstats : Generator.stats;
+  mutable times : (string * float) list;
+      (** wall-clock seconds by stage: drawing and vetting the cases, then
+          {!Differential.run_case}'s pipeline builds, executor runs and
+          interpreter references, then everything else (the legality
+          oracle, shrinking, bookkeeping) *)
 }
 
 let gen_seed ?stats seed =
@@ -25,9 +30,13 @@ let still_fails case =
 
 let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
   let gstats = Generator.mk_stats () in
-  let r = { passed = 0; rejected = 0; failures = []; gstats } in
+  let r = { passed = 0; rejected = 0; failures = []; gstats; times = [] } in
+  let t0 = Unix.gettimeofday () in
+  let stages = Differential.[ build_s; exec_s; reference_s ] in
+  let before = List.map ( ! ) stages in
+  let draw_s = ref 0.0 in
   for s = seed to seed + count - 1 do
-    let case = gen_seed ~stats:gstats s in
+    let case = Differential.timed draw_s (fun () -> gen_seed ~stats:gstats s) in
     if verbose then
       Printf.printf "seed %d: generated\n%s\n%!" s (Case.to_literal case);
     let oc = Differential.run_case case in
@@ -46,6 +55,11 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
       Printf.printf "seed %d: %s\n%!" s (Differential.outcome_str oc)
   done;
   r.failures <- List.rev r.failures;
+  let spent = !draw_s :: List.map2 (fun acc b -> !acc -. b) stages before in
+  let total = Unix.gettimeofday () -. t0 in
+  r.times <-
+    List.combine [ "draw+vet"; "build"; "exec"; "reference" ] spent
+    @ [ ("other", total -. List.fold_left ( +. ) 0.0 spent) ];
   r
 
 let print_report r =
@@ -56,6 +70,9 @@ let print_report r =
     (List.length r.failures)
     r.gstats.Generator.steps_accepted r.gstats.Generator.steps_illegal
     r.gstats.Generator.steps_errored;
+  Printf.printf "time (s): %s\n"
+    (String.concat " | "
+       (List.map (fun (stage, t) -> Printf.sprintf "%s %.1f" stage t) r.times));
   List.iter
     (fun (seed, case, msg) ->
       Printf.printf "\n--- seed %d: %s\nshrunk case:\n%s\n" seed msg

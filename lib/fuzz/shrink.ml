@@ -7,11 +7,13 @@
 let rec prods_of = function
   | Case.Prod p -> [ p ]
   | Case.Bin (_, a, b) -> prods_of a @ prods_of b
+  | Case.Un (_, a) -> prods_of a
   | Case.Const _ | Case.In _ | Case.Clamped _ -> []
 
 let rec inputs_of = function
   | Case.In (n, _) | Case.Clamped (n, _) -> [ n ]
   | Case.Bin (_, a, b) -> inputs_of a @ inputs_of b
+  | Case.Un (_, a) -> inputs_of a
   | Case.Const _ | Case.Prod _ -> []
 
 let step_touches names = function
@@ -94,6 +96,7 @@ let simplify_exprs (t : Case.t) =
       in
       match rc.Case.rc_expr with
       | Case.Bin (_, a, b) -> [ with_expr a; with_expr b; with_expr (Case.Const 1) ]
+      | Case.Un (_, a) -> [ with_expr a; with_expr (Case.Const 1) ]
       | Case.Const 1 -> []
       | _ -> [ with_expr (Case.Const 1) ])
     t.Case.comps

@@ -363,6 +363,32 @@ let equivalence_tests =
           widening_trials := !widening_trials + checks - 1
         done;
         Alcotest.(check bool) "the widening tried some tag assignment" true (!widening_trials > 0));
+    (* The dependences are analysed at the first widening trial: a
+       function with no parallel band to grow runs none and analyses
+       nothing, and one with a band analyses once, however many trials. *)
+    Alcotest.test_case "no parallel band, no dependence analysis" `Quick (fun () ->
+        let analyses fn =
+          let before = D.flow_deps_calls () in
+          let _, undo = D.widen_parallel fn in
+          undo ();
+          D.flow_deps_calls () - before
+        in
+        let banded_kernels = ref 0 in
+        List.iter
+          (fun (label, build, sched) ->
+            let f = build () in
+            Alcotest.(check int) (label ^ " unscheduled") 0 (analyses f);
+            sched f;
+            let banded =
+              List.exists
+                (fun (c : Ir.computation) ->
+                  List.exists (fun (d : Ir.dim) -> d.Ir.d_tag = LT.Parallel) c.Ir.sched.Ir.dims)
+                f.Ir.comps
+            in
+            if banded then incr banded_kernels;
+            Alcotest.(check int) label (if banded then 1 else 0) (analyses f))
+          cli_kernels;
+        Alcotest.(check bool) "some schedule has a band" true (!banded_kernels > 0));
   ]
 
 (* One group: Alcotest sizes its name column by the longest group name,

@@ -398,6 +398,31 @@ let corpus_tag_join =
 let corpus_tag_conflict =
   { corpus_tag_join with steps = corpus_tag_join.steps @ [ Parallelize ("c0_upd", "r") ] }
 
+(* Negation and every unary intrinsic the tape has, over values that
+   include both zeros ([0 * a0] is -0 where a0 < 0) and that make ±inf
+   ([log 0], [exp 1000]) and NaN ([sqrt]/[log] of negatives, [sin inf]).
+   The generator never draws [Un], so this case is what puts the scalar
+   tape's unary arms ([lanes = 1]) under the differential check; the
+   parallel step adds the pool rows. *)
+let corpus_unary =
+  let a0 = In ("a0", [ (0, 0) ]) in
+  let zero = Bin (Mul, a0, Const 0) and big = Bin (Mul, a0, Const 1000) in
+  let comp i e = { rc_name = Printf.sprintf "c%d" i; rc_rank = 1; rc_red = None; rc_expr = e } in
+  { extents = [ Lit 9 ];
+    n_value = 0;
+    inputs = [ ("a0", 1) ];
+    comps =
+      List.mapi comp
+        [ Un (Neg, zero);
+          Un (Abs, Un (Neg, a0));
+          Un (Sqrt, Bin (Add, a0, zero));
+          Un (Exp, big);
+          Un (Log, zero);
+          Un (Sin, Un (Exp, big));
+          Un (Cos, a0);
+          Un (Floor, Un (Neg, zero)) ];
+    steps = [ Parallelize ("c3", "i") ] }
+
 let replay_corpus () =
   check_pass "neg floord/emod" corpus_neg_floord;
   check_pass "split of 1 iteration" corpus_split_one;
@@ -430,6 +455,7 @@ let replay_corpus () =
   check_pass "outer lanes, 2-D accumulator block" corpus_outer_lanes_block;
   check_pass "strided load folded into an fma" corpus_folded_fma;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
+  check_pass "unary ops over ±0, ±inf and NaN" corpus_unary;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
 (* The tape seeds must actually reach the tape: compile each through the
@@ -457,6 +483,34 @@ let tape_corpus_reaches_tape () =
         (name ^ ": tape-off control compiles zero tapes")
         0 (B.Exec.tape_count off))
     [ ("stencil", corpus_tape_stencil); ("reduction", corpus_tape_reduction) ]
+
+(* The unary seed must reach what it pins: its outputs hold +0, -0, +inf,
+   -inf and NaN, and on a [lanes = 1] build the tape claims every
+   computation's nest, so the scalar tape runs each unary arm. *)
+let unary_corpus_reaches_scalar_tape () =
+  let b = Case.build corpus_unary in
+  let values =
+    let ast = (Tiramisu_pipeline.Pipeline.lower b.Case.fn).Tiramisu_core.Lower.ast in
+    let it = Differential.interp_of b ast in
+    List.concat_map
+      (fun o -> Array.to_list (B.Interp.buffer it o).B.Buffers.data)
+      b.Case.outputs
+  in
+  List.iter
+    (fun (what, p) -> Alcotest.(check bool) ("an output is " ^ what) true (List.exists p values))
+    [ ("+0", fun x -> Int64.bits_of_float x = 0L);
+      ("-0", fun x -> Int64.bits_of_float x = Int64.min_int);
+      ("+inf", fun x -> x = Float.infinity);
+      ("-inf", fun x -> x = Float.neg_infinity);
+      ("NaN", Float.is_nan) ];
+  let art =
+    Tiramisu_kernels.Runner.build_native ~lanes:1 ~fn:b.Case.fn
+      ~params:b.Case.params ~inputs:b.Case.fills ()
+  in
+  Alcotest.(check int) "the tape claims every nest"
+    (List.length corpus_unary.comps) (B.Exec.tape_count art.Tiramisu_pipeline.Pipeline.exec);
+  Alcotest.(check int) "no runtime fallbacks" 0
+    (B.Exec.tape_fallbacks art.Tiramisu_pipeline.Pipeline.exec)
 
 (* The clamped seeds must reach what they pin: on the sequential row the
    narrow pass splits a clamped loop and the tape claims a nest. *)
@@ -1261,6 +1315,8 @@ let tests =
       vector_corpus_reaches_vector;
     Alcotest.test_case "clamped corpus splits and reaches the tape" `Quick
       clamped_corpus_splits;
+    Alcotest.test_case "unary seed hits scalar tape" `Quick
+      unary_corpus_reaches_scalar_tape;
     Alcotest.test_case "pool corpus reaches both pool schedules" `Quick
       pool_corpus_reaches_both_schedules;
     Alcotest.test_case "pool rows run widen-parallel" `Quick
