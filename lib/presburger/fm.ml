@@ -38,8 +38,9 @@ let dedup rows =
         coeffs (Array.length row - 1) []
       in
       match Hashtbl.find_opt tbl key with
+      | None -> Hashtbl.add tbl key row.(0)
       | Some c when c <= row.(0) -> ()
-      | _ -> Hashtbl.replace tbl key row.(0))
+      | Some _ -> Hashtbl.replace tbl key row.(0))
     rows;
   Hashtbl.fold
     (fun key c acc -> (Array.of_list (c :: key) :: acc))

@@ -395,6 +395,28 @@ let mul_boundaries () =
   Alcotest.(check (result int unit)) "max_int * 2 overflows" (Error ())
     (result Tiramisu_support.Ints.mul max_int 2)
 
+(* [Rat.add]/[Rat.mul] on integers skip [make]'s GCD; the general formula
+   gives the same value (and the same overflow). *)
+let rat_integer_fast_paths () =
+  let module R = Tiramisu_support.Rat in
+  let module I = Tiramisu_support.Ints in
+  let ops = [ 0; 1; -1; 7; -12; 1 lsl 30; -(1 lsl 31); max_int; min_int; max_int / 3 ] in
+  let result f = match f () with r -> Ok (r.R.num, r.R.den) | exception I.Overflow -> Error () in
+  let pair = Alcotest.(result (pair int int) unit) in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let ra = R.of_int a and rb = R.of_int b in
+          Alcotest.check pair (Printf.sprintf "%d + %d" a b)
+            (result (fun () -> R.make (I.add (I.mul a 1) (I.mul b 1)) (I.mul 1 1)))
+            (result (fun () -> R.add ra rb));
+          Alcotest.check pair (Printf.sprintf "%d * %d" a b)
+            (result (fun () -> R.make (I.mul a b) (I.mul 1 1)))
+            (result (fun () -> R.mul ra rb)))
+        ops)
+    ops
+
 (* A presolved context answers every added inequality as [Omega.feasible]
    does on the whole system; eq-heavy systems take the modular-reduction
    steps and the padding columns the final column drop. *)
@@ -443,6 +465,7 @@ let prop_eliminate_passive n =
 let unit_tests =
   [
     Alcotest.test_case "Ints.mul = checked product at the boundaries" `Quick mul_boundaries;
+    Alcotest.test_case "Rat integer add/mul = the general formula" `Quick rat_integer_fast_paths;
     Alcotest.test_case "simple emptiness" `Quick (fun () ->
         (* { x : 0 <= x <= 5 /\ 2x = 7 } is empty over Z. *)
         let p =
