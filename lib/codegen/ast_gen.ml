@@ -139,10 +139,13 @@ let split_statics ~np p =
       Some (!j - np - 1)
     else None
   in
-  let rec take acc = function
-    | r :: rest when static_dim r <> None ->
-        take ((Option.get (static_dim r), r) :: acc) rest
-    | eqs -> (List.rev acc, eqs)
+  let rec take acc eqs =
+    match eqs with
+    | r :: rest -> (
+        match static_dim r with
+        | Some d -> take ((d, r) :: acc) rest
+        | None -> (List.rev acc, eqs))
+    | [] -> (List.rev acc, eqs)
   in
   match take [] p.Poly.eqs with
   | [], _ -> ([], p)

@@ -206,7 +206,11 @@ let backward_exprs ~params domain sched =
     let sp =
       Space.map_space ~params ~ins:(iters @ sched.inter) (live_cols sched)
     in
-    let m = Imap.of_constraints sp sched.cstrs in
+    (* the solve reads the equalities alone *)
+    let m =
+      Imap.of_constraints sp
+        (List.filter (function Cstr.Eq _ -> true | _ -> false) sched.cstrs)
+    in
     match Imap.solve_ins m with
     | None ->
         failwith

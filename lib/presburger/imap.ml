@@ -213,15 +213,14 @@ let solve_block m ~offset ~count =
              pivot_of.(j) <- !r;
              let pr = rows.(!r) in
              let inv = Rat.inv pr.(col) in
-             (* a zero entry, or a scale by one, leaves an entry as it is *)
-             if not (Rat.equal inv Rat.one) then
-               for k = 0 to n do
-                 if Rat.sign pr.(k) <> 0 then pr.(k) <- Rat.mul pr.(k) inv
-               done;
+             for k = 0 to n do
+               pr.(k) <- Rat.mul pr.(k) inv
+             done;
              for i = 0 to nrows - 1 do
                if i <> !r && Rat.sign rows.(i).(col) <> 0 then begin
                  let f = rows.(i).(col) in
                  for k = 0 to n do
+                   (* a zero entry of the pivot row leaves the entry as is *)
                    if Rat.sign pr.(k) <> 0 then
                      rows.(i).(k) <- Rat.sub rows.(i).(k) (Rat.mul f pr.(k))
                  done
