@@ -215,9 +215,22 @@ let holds p row =
   List.exists (fun r -> dominates ~sign:1 r row) p.ineqs
   || List.exists (fun e -> dominates ~sign:1 e row || dominates ~sign:(-1) e row) p.eqs
 
-let implies_ineq p row =
-  check_row p.n row;
-  holds p row || is_empty (add_ineq p (negate_ineq row))
+let feasible_with p =
+  let pre = lazy (Omega.presolve ~n:p.n ~eqs:p.eqs ~ineqs:p.ineqs) in
+  fun row ->
+    check_row p.n row;
+    Omega.feasible_with (Lazy.force pre) row
+
+(* [implies_ineq p] for many rows: the Omega questions share one
+   elimination of [p]'s equalities, made at the first row the screen does
+   not answer. *)
+let implies p =
+  let feasible = feasible_with p in
+  fun row ->
+    check_row p.n row;
+    holds p row || not (feasible (negate_ineq row))
+
+let implies_ineq p row = implies p row
 
 let extend ctx p =
   if ctx.n <> p.n then invalid_arg "Poly.extend: arity mismatch";
@@ -235,17 +248,8 @@ let extend ctx p =
   let append rows = function [] -> rows | added -> rows @ List.rev added in
   { ctx with eqs = append ctx.eqs added.eqs; ineqs = append ctx.ineqs added.ineqs }
 
-let feasible_with p =
-  let pre = lazy (Omega.presolve ~n:p.n ~eqs:p.eqs ~ineqs:p.ineqs) in
-  fun row ->
-    check_row p.n row;
-    Omega.feasible_with (Lazy.force pre) row
-
-(* Every implication shares [ctx]: its equalities are eliminated once, at
-   the first question the screen does not answer. *)
 let gist p ~ctx =
-  let feasible = feasible_with ctx in
-  let implied row = holds ctx row || not (feasible (negate_ineq row)) in
+  let implied = implies ctx in
   let keep_ineqs = List.filter (fun r -> not (implied r)) p.ineqs in
   let keep_eqs =
     List.filter (fun e -> not (implied e && implied (Vec.neg e))) p.eqs
@@ -259,11 +263,7 @@ let permute p perm =
   in
   { p with eqs = List.map f p.eqs; ineqs = List.map f p.ineqs }
 
-let subset a b =
-  a.n = b.n
-  && List.for_all
-       (fun r -> implies_ineq a r)
-       (to_ineqs b)
+let subset a b = a.n = b.n && List.for_all (implies a) (to_ineqs b)
 
 let equal a b = subset a b && subset b a
 

@@ -400,7 +400,7 @@ let corpus_tag_conflict =
 
 (* Negation and every unary intrinsic the tape has, over values that
    include both zeros ([0 * a0] is -0 where a0 < 0) and that make ±inf
-   ([log 0], [exp 1000]) and NaN ([sqrt]/[log] of negatives, [sin inf]).
+   ([log 0], [exp 1000]) and NaN ([sqrt] of negatives, [sin inf]).
    The generator never draws [Un], so this case is what puts the scalar
    tape's unary arms ([lanes = 1]) under the differential check; the
    parallel step adds the pool rows. *)
