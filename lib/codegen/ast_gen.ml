@@ -115,7 +115,7 @@ let keep_upto ~np k i = i < np + k + 1 (* params and dims 0..k *)
    so it is kept out of the piece and of its context: a static level
    groups by the value [consts] already holds, an equality elimination
    only passes the row through, and every later level's context would
-   hold it.  It comes back where it can show: as a passive row of the
+   hold it.  It comes back where it can show: as a leading equality of the
    projections at and below its own level, so a Fourier-Motzkin fallback
    sees the rows the whole piece would give it, and in the projection of
    its own level when that level is a loop.  Only the piece's leading
@@ -152,13 +152,14 @@ let split_statics ~np p =
   | statics, eqs -> (statics, Poly.make n ~eqs ~ineqs:p.Poly.ineqs)
 
 (* The projection of [inst] onto params and dims 0..[level]: the rows of
-   its static dims above [level] go in passive and come out again, the
-   row of a static [level] stays. *)
+   its static dims above [level] go back in ahead of its equalities and
+   come out again, the row of a static [level] stays. *)
 let project ~np ~level inst =
-  let passive =
+  let statics =
     List.filter_map (fun (d, r) -> if d <= level then Some r else None) inst.statics
   in
-  let proj, _ = Poly.eliminate ~passive inst.poly ~keep:(keep_upto ~np level) in
+  let poly = List.fold_right (fun r p -> Poly.add_eq p r) statics inst.poly in
+  let proj, _ = Poly.eliminate poly ~keep:(keep_upto ~np level) in
   if List.for_all (fun (d, _) -> d >= level) inst.statics then proj
   else
     let held r =

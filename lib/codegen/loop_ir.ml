@@ -115,42 +115,25 @@ let conj = function
   | [] -> True
   | c :: rest -> List.fold_left (fun a b -> And (a, b)) c rest
 
-(* [List.map f l], but [l] itself when [f] returns every element as it was. *)
-let rec map_shared f l =
-  match l with
-  | [] -> l
-  | x :: rest ->
-      let x' = f x and rest' = map_shared f rest in
-      if x' == x && rest' == rest then l else x' :: rest'
-
 (* Constant folding & algebraic simplification, so emitted code (and golden
-   pseudocode tests) stay readable.  A node that nothing simplifies comes
-   back as it was, not as a copy: lowering simplifies every bound and
-   guard it builds, and then the whole statement. *)
+   pseudocode tests) stay readable. *)
 let rec simplify_expr e =
   match e with
   | Int _ | Float _ | Var _ -> e
-  | Load (b, idx) ->
-      let idx' = map_shared simplify_expr idx in
-      if idx' == idx then e else Load (b, idx')
+  | Load (b, idx) -> Load (b, List.map simplify_expr idx)
   | Neg a -> (
       match simplify_expr a with
       | Int n -> Int (-n)
-      | a' -> if a' == a then e else Neg a')
-  | Cast (t, a) ->
-      let a' = simplify_expr a in
-      if a' == a then e else Cast (t, a')
-  | Call (f, args) ->
-      let args' = map_shared simplify_expr args in
-      if args' == args then e else Call (f, args')
+      | a' -> Neg a')
+  | Cast (t, a) -> Cast (t, simplify_expr a)
+  | Call (f, args) -> Call (f, List.map simplify_expr args)
   | Select (c, a, b) -> (
       match (simplify_cond c, simplify_expr a, simplify_expr b) with
       | True, a', _ -> a'
       | _, a', b' when a' = b' -> a' (* conditions are pure *)
-      | c', a', b' ->
-          if c' == c && a' == a && b' == b then e else Select (c', a', b'))
-  | Bin (op, a0, b0) -> (
-      let a = simplify_expr a0 and b = simplify_expr b0 in
+      | c', a', b' -> Select (c', a', b'))
+  | Bin (op, a, b) -> (
+      let a = simplify_expr a and b = simplify_expr b in
       match (op, a, b) with
       | Add, Int x, Int y -> Int (x + y)
       | Sub, Int x, Int y -> Int (x - y)
@@ -166,14 +149,13 @@ let rec simplify_expr e =
       | FloorDiv, e, Int 1 -> e
       | MinOp, x, y when x = y -> x
       | MaxOp, x, y when x = y -> x
-      | _ -> if a == a0 && b == b0 then e else Bin (op, a, b))
+      | _ -> Bin (op, a, b))
 
 and simplify_cond c =
   match c with
   | True -> True
-  | Cmp (op, a0, b0) -> (
-      let a = simplify_expr a0 and b = simplify_expr b0 in
-      let same () = if a == a0 && b == b0 then c else Cmp (op, a, b) in
+  | Cmp (op, a, b) -> (
+      let a = simplify_expr a and b = simplify_expr b in
       match (a, b) with
       | Int x, Int y ->
           let r =
@@ -181,8 +163,8 @@ and simplify_cond c =
             | EqOp -> x = y | NeOp -> x <> y | LtOp -> x < y
             | LeOp -> x <= y | GtOp -> x > y | GeOp -> x >= y
           in
-          if r then True else same ()
-      | _ -> same ())
+          if r then True else Cmp (op, a, b)
+      | _ -> Cmp (op, a, b))
   | And (_, _) ->
       (* flatten, simplify and deduplicate the conjuncts *)
       let rec conjuncts c =
@@ -200,25 +182,18 @@ and simplify_cond c =
       (match parts with
       | [] -> True
       | c :: rest -> List.fold_left (fun a b -> And (a, b)) c rest)
-  | Or (a0, b0) -> (
-      match (simplify_cond a0, simplify_cond b0) with
+  | Or (a, b) -> (
+      match (simplify_cond a, simplify_cond b) with
       | True, _ | _, True -> True
-      | a, b -> if a == a0 && b == b0 then c else Or (a, b))
-  | Not a0 -> (
-      match simplify_cond a0 with
-      | Not b -> b
-      | a -> if a == a0 then c else Not a)
+      | a, b -> Or (a, b))
+  | Not a -> ( match simplify_cond a with Not b -> b | a -> Not a)
 
 let rec simplify_stmt s =
   match s with
   | Block l -> (
-      let l' = map_shared simplify_stmt l in
-      let l' =
-        if List.exists (function Block [] -> true | _ -> false) l' then
-          List.filter (function Block [] -> false | _ -> true) l'
-        else l'
-      in
-      match l' with [ s ] -> s | _ -> if l' == l then s else Block l')
+      match List.filter (fun s -> s <> Block []) (List.map simplify_stmt l) with
+      | [ s ] -> s
+      | l -> Block l)
   | For f -> (
       let lo = simplify_expr f.lo and hi = simplify_expr f.hi in
       match (lo, hi) with
@@ -226,28 +201,16 @@ let rec simplify_stmt s =
           (* statically empty range, e.g. the elided epilogue of a vector
              loop whose extent divides the width *)
           Block []
-      | _ ->
-          let body = simplify_stmt f.body in
-          if lo == f.lo && hi == f.hi && body == f.body then s
-          else For { f with lo; hi; body })
-  | If (c0, t0, e0) -> (
-      let t = simplify_stmt t0 in
-      let e =
-        match e0 with
-        | None -> e0
-        | Some x ->
-            let x' = simplify_stmt x in
-            if x' == x then e0 else Some x'
-      in
-      match simplify_cond c0 with
+      | _ -> For { f with lo; hi; body = simplify_stmt f.body })
+  | If (c, t, e) -> (
+      let t = simplify_stmt t and e = Option.map simplify_stmt e in
+      match simplify_cond c with
       | True -> t
-      | c -> if c == c0 && t == t0 && e == e0 then s else If (c, t, e))
-  | Store (b, idx0, v0) ->
-      let idx = map_shared simplify_expr idx0 and v = simplify_expr v0 in
-      if idx == idx0 && v == v0 then s else Store (b, idx, v)
+      | c -> If (c, t, e))
+  | Store (b, idx, v) -> Store (b, List.map simplify_expr idx, simplify_expr v)
   | Alloc a ->
-      let dims = map_shared simplify_expr a.dims and body = simplify_stmt a.body in
-      if dims == a.dims && body == a.body then s else Alloc { a with dims; body }
+      Alloc { a with dims = List.map simplify_expr a.dims;
+              body = simplify_stmt a.body }
   | Barrier | Comment _ | Memcpy _ -> s
   | Send s' -> Send { s' with dst = simplify_expr s'.dst;
                       offset = List.map simplify_expr s'.offset;

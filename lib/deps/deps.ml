@@ -407,31 +407,24 @@ let profile ~params (d : dep) =
       d.rel
   in
   let nonempty p = not (Poly.is_empty p) in
-  (* A level's [gt] and [lt] questions add one inequality each to the
-     same pieces: each piece's equalities are eliminated once for both. *)
-  let sat queries c =
-    match Cstr.to_row ~cols c with
-    | `Ineq r -> List.exists (fun feasible -> feasible r) queries
-    | `Eq _ -> assert false
-  in
+  let sat prefix c = List.exists (fun p -> nonempty (add p c)) prefix in
   let gt = Array.make t false in
   let lt = Array.make t (Lazy.from_val false) in
   (* [prefix]: the pieces of P_k, with the prefix equalities added. *)
   let rec go k prefix =
     if k = t then List.exists nonempty prefix
     else
-      let sat = sat (List.map Poly.feasible_with prefix) in
       let ts_k = Aff.var ts.(k) and td_k = Aff.var td.(k) in
       match (s_desc.(k), d_desc.(k)) with
       | `Const a, `Const b when a = b -> go (k + 1) prefix
       | `Const a, `Const b ->
           (* Distinct static positions: P_(k+1) is empty. *)
-          if a > b then gt.(k) <- sat (Cstr.Gt (ts_k, td_k))
-          else lt.(k) <- lazy (sat (Cstr.Lt (ts_k, td_k)));
+          if a > b then gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k))
+          else lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
           false
       | _ ->
-          gt.(k) <- sat (Cstr.Gt (ts_k, td_k));
-          lt.(k) <- lazy (sat (Cstr.Lt (ts_k, td_k)));
+          gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k));
+          lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
           go (k + 1)
             (List.map (fun p -> add p (Cstr.Eq (ts_k, td_k))) prefix)
   in

@@ -45,9 +45,14 @@ let build_s = ref 0.0
 let exec_s = ref 0.0
 let reference_s = ref 0.0
 
+(* Not [Fun.protect]: a [Limits.Timeout] raised inside its [finally]
+   would come out wrapped in [Fun.Finally_raised]. *)
 let timed acc f =
   let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
+  let add () = acc := !acc +. (Unix.gettimeofday () -. t0) in
+  match f () with
+  | v -> add (); v
+  | exception e -> add (); raise e
 
 (* Per-pass differential-verify probe for the pipeline: the case's own
    parameters, buffers, fills and outputs.  Every verifiable pass

@@ -45,43 +45,18 @@ let subst a f =
 let eval a f =
   M.fold (fun name c acc -> Ints.add acc (Ints.mul c (f name))) a.terms a.const
 
-(* The row position of [name]: one past its first column. *)
-let position cols name =
-  let rec go i =
-    if i = Array.length cols then
-      invalid_arg (Printf.sprintf "Aff.to_row: unknown dimension %s" name)
-    else if String.equal cols.(i) name then Stdlib.( + ) i 1
-    else go (Stdlib.( + ) i 1)
-  in
-  go 0
-
 let to_row ~cols a =
   let row = Array.make (Stdlib.( + ) (Array.length cols) 1) 0 in
   row.(0) <- a.const;
-  M.iter (fun name c -> row.(position cols name) <- c) a.terms;
+  M.iter
+    (fun name c ->
+      let idx = ref (-1) in
+      Array.iteri (fun i n -> if n = name && !idx < 0 then idx := i) cols;
+      if !idx < 0 then
+        invalid_arg (Printf.sprintf "Aff.to_row: unknown dimension %s" name);
+      row.(Stdlib.( + ) !idx 1) <- c)
+    a.terms;
   row
-
-(* [to_row ~cols (sub (sub a b) (const k))] without building the
-   difference: each name of [a] takes its coefficient in [b] away, then
-   each name only [b] has is negated, and a name whose coefficients cancel
-   is never looked up.  An unknown name is reported by the composition
-   itself, which names the first in name order. *)
-let to_row_diff ~cols ?(k = 0) a b =
-  let row = Array.make (Stdlib.( + ) (Array.length cols) 1) 0 in
-  let c = Ints.add a.const (Ints.neg b.const) in
-  row.(0) <- (if k = 0 then c else Ints.add c (Ints.neg k));
-  let set name c = if c <> 0 then row.(position cols name) <- c in
-  match
-    M.iter
-      (fun name ca ->
-        match M.find_opt name b.terms with
-        | None -> set name ca
-        | Some cb -> set name (Ints.add ca (Ints.neg cb)))
-      a.terms;
-    M.iter (fun name cb -> if not (M.mem name a.terms) then set name (Ints.neg cb)) b.terms
-  with
-  | () -> row
-  | exception Invalid_argument _ -> to_row ~cols (sub (sub a b) (const k))
 
 let of_row ~cols row =
   let acc = ref (const row.(0)) in

@@ -40,10 +40,6 @@ val to_row : cols:string array -> t -> int array
     @raise Invalid_argument if the expression mentions a name outside
     [cols]. *)
 
-val to_row_diff : cols:string array -> ?k:int -> t -> t -> int array
-(** [to_row_diff ~cols ~k a b] is [to_row ~cols (sub (sub a b) (const k))]
-    ([k] defaults to 0), without building the difference. *)
-
 val of_row : cols:string array -> int array -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -10,11 +10,11 @@ let between lo x hi = [ Le (lo, x); Lt (x, hi) ]
 let to_row ~cols c =
   let open Aff in
   match c with
-  | Eq (a, b) -> `Eq (to_row_diff ~cols a b)
-  | Le (a, b) -> `Ineq (to_row_diff ~cols b a)
-  | Lt (a, b) -> `Ineq (to_row_diff ~cols ~k:1 b a)
-  | Ge (a, b) -> `Ineq (to_row_diff ~cols a b)
-  | Gt (a, b) -> `Ineq (to_row_diff ~cols ~k:1 a b)
+  | Eq (a, b) -> `Eq (to_row ~cols (sub a b))
+  | Le (a, b) -> `Ineq (to_row ~cols (sub b a))
+  | Lt (a, b) -> `Ineq (to_row ~cols (sub (sub b a) (const 1)))
+  | Ge (a, b) -> `Ineq (to_row ~cols (sub a b))
+  | Gt (a, b) -> `Ineq (to_row ~cols (sub (sub a b) (const 1)))
 
 let pp ppf c =
   let op = function

@@ -220,9 +220,7 @@ let solve_block m ~offset ~count =
                if i <> !r && Rat.sign rows.(i).(col) <> 0 then begin
                  let f = rows.(i).(col) in
                  for k = 0 to n do
-                   (* a zero entry of the pivot row leaves the entry as is *)
-                   if Rat.sign pr.(k) <> 0 then
-                     rows.(i).(k) <- Rat.sub rows.(i).(k) (Rat.mul f pr.(k))
+                   rows.(i).(k) <- Rat.sub rows.(i).(k) (Rat.mul f pr.(k))
                  done
                end
              done

@@ -70,70 +70,56 @@ let drop_unused n rows =
     in
     (n', List.map narrow rows)
 
-(* One step of equality elimination: a row transformation that every row
-   of the system takes, in order.  [Subst (k, e)] substitutes variable [k]
-   out with the unit-coefficient equality [e]; [Widen] appends a zero
-   column for the fresh variable of a modular reduction. *)
-type step = Subst of int * int array | Widen
-
-let apply_step step r =
-  match step with
-  | Subst (k, e) -> subst_eq ~k e r
-  | Widen -> Vec.insert_cols r ~at:(Array.length r) ~count:1
-
-(* The next step on the normalized equalities [eqs] (non-empty) over [n]
-   variables: the step, the new variable count and the equalities left.
+(* Eliminate all equalities, returning an equivalent pure-inequality system.
    Rows keep their width [n] while unit equalities are substituted: the
    substituted column is left at zero, and the columns no row mentions are
-   dropped once, at the end ([drop_unused]).  A substitution re-normalizes
-   only the equalities it changed.  @raise Infeasible *)
-let eq_step n eqs =
-  match find_unit_eq eqs with
-  | Some (i, k) ->
-      let e, rest = nth_split eqs i in
-      let eqs' =
-        List.filter_map
-          (fun r ->
-            let r' = subst_eq ~k e r in
-            if r' == r then Some r else normalize_eq r')
-          rest
-      in
-      (Subst (k, e), n, eqs')
-  | None ->
-      (* Modular reduction: no unit coefficient anywhere. Pick the
-         equality variable with the smallest |coefficient| >= 2. *)
-      let best = ref None in
-      List.iteri
-        (fun i e ->
-          Array.iteri
-            (fun j c ->
-              if j > 0 && c <> 0 then
-                match !best with
-                | Some (_, _, a) when abs a <= abs c -> ()
-                | _ -> best := Some (i, j - 1, c))
-            e)
-        eqs;
-      let i, _k, a = Option.get !best in
-      let e, _ = nth_split eqs i in
-      let m = abs a + 1 in
-      (* Fresh variable sigma appended as column n. New equality:
-         sum mod_hat(a_i) x_i + mod_hat(c) - m*sigma = 0, with
-         coefficient -sign(a) (i.e. unit) on x_k. *)
-      let e' =
-        let r = Array.map (fun c -> mod_hat c m) (apply_step Widen e) in
-        r.(n + 1) <- -m;
-        r
-      in
-      (Widen, n + 1, e' :: List.map (apply_step Widen) eqs)
-
-(* Eliminate all equalities, returning an equivalent pure-inequality system
-   (n, ineqs).  [eqs] are normalized. *)
+   dropped once, at the end.  Modular reduction introduces fresh variables,
+   appended as new columns.  [eqs] are normalized; a substitution
+   re-normalizes only the rows it changed.  Returns (n, ineqs). *)
 let rec eliminate_normalized n eqs ineqs =
   match eqs with
   | [] -> drop_unused n (List.filter_map normalize_ineq ineqs)
-  | _ ->
-      let step, n', eqs' = eq_step n eqs in
-      eliminate_normalized n' eqs' (List.map (apply_step step) ineqs)
+  | _ -> (
+      match find_unit_eq eqs with
+      | Some (i, k) ->
+          let e, rest = nth_split eqs i in
+          let eqs' =
+            List.filter_map
+              (fun r ->
+                let r' = subst_eq ~k e r in
+                if r' == r then Some r else normalize_eq r')
+              rest
+          in
+          eliminate_normalized n eqs' (List.map (subst_eq ~k e) ineqs)
+      | None ->
+          (* Modular reduction: no unit coefficient anywhere. Pick the
+             equality variable with the smallest |coefficient| >= 2. *)
+          let best = ref None in
+          List.iteri
+            (fun i e ->
+              Array.iteri
+                (fun j c ->
+                  if j > 0 && c <> 0 then
+                    match !best with
+                    | Some (_, _, a) when abs a <= abs c -> ()
+                    | _ -> best := Some (i, j - 1, c))
+                e)
+            eqs;
+          let i, _k, a = Option.get !best in
+          let e, _ = nth_split eqs i in
+          let m = abs a + 1 in
+          (* Fresh variable sigma appended as column n. New equality:
+             sum mod_hat(a_i) x_i + mod_hat(c) - m*sigma = 0, with
+             coefficient -sign(a) (i.e. unit) on x_k. *)
+          let widen r = Vec.insert_cols r ~at:(Array.length r) ~count:1 in
+          let e' =
+            let r = Array.map (fun c -> mod_hat c m) (widen e) in
+            r.(n + 1) <- -m;
+            r
+          in
+          let eqs' = e' :: List.map widen eqs in
+          let ineqs' = List.map widen ineqs in
+          eliminate_normalized (n + 1) eqs' ineqs')
 
 let eliminate_eqs n eqs ineqs =
   eliminate_normalized n (List.filter_map normalize_eq eqs) ineqs
@@ -239,45 +225,6 @@ let feasible ~n ~eqs ~ineqs =
   match eliminate_eqs n eqs ineqs with
   | exception Infeasible -> false
   | n', ineqs' -> solve n' ineqs'
-
-(* A context whose equalities are eliminated once: the steps taken, the
-   variable count after them, and the context's inequalities after them,
-   normalized; [None] when the eliminating or the normalizing found the
-   context infeasible.  The steps stop before the equality that proved it
-   infeasible, as [eliminate_eqs] does. *)
-type presolved = { steps : step list; width : int; rows : int array list option }
-
-let presolve ~n ~eqs ~ineqs =
-  let rec go n eqs ineqs steps =
-    let stop () = { steps = List.rev steps; width = n; rows = None } in
-    match eqs with
-    | [] -> (
-        match List.filter_map normalize_ineq ineqs with
-        | exception Infeasible -> stop ()
-        | rows -> { steps = List.rev steps; width = n; rows = Some rows })
-    | _ -> (
-        match eq_step n eqs with
-        | exception Infeasible -> stop ()
-        | step, n', eqs' ->
-            go n' eqs' (List.map (apply_step step) ineqs) (step :: steps))
-  in
-  match List.filter_map normalize_eq eqs with
-  | exception Infeasible -> { steps = []; width = n; rows = None }
-  | eqs -> go n eqs ineqs []
-
-(* [feasible ~n ~eqs ~ineqs:(row :: ineqs)]: [row] takes the steps the
-   context took (the same transformations, so the same overflow), and the
-   system handed to [solve] is the one [eliminate_eqs] would build. *)
-let feasible_with pre row =
-  let row = List.fold_left (fun r step -> apply_step step r) row pre.steps in
-  match pre.rows with
-  | None -> false
-  | Some rows -> (
-      match normalize_ineq row with
-      | exception Infeasible -> false
-      | r ->
-          let n', sys = drop_unused pre.width (Option.to_list r @ rows) in
-          solve n' sys)
 
 let sample ~n ~eqs ~ineqs =
   if not (feasible ~n ~eqs ~ineqs) then None

@@ -17,21 +17,6 @@ val feasible : n:int -> eqs:int array list -> ineqs:int array list -> bool
     inequalities by Fourier–Motzkin with exact/dark shadows and splinter
     enumeration when the shadows disagree. *)
 
-type presolved
-(** A system whose equalities are already eliminated, for many queries
-    that each add one inequality to it. *)
-
-val presolve : n:int -> eqs:int array list -> ineqs:int array list -> presolved
-(** Runs the equality elimination of {!feasible} on the system once.
-    @raise Tiramisu_support.Ints.Overflow as {!feasible} would. *)
-
-val feasible_with : presolved -> int array -> bool
-(** [feasible_with (presolve ~n ~eqs ~ineqs) row] is
-    [feasible ~n ~eqs ~ineqs:(row :: ineqs)]: [row] takes the elimination's
-    row transformations, and the inequality phase runs on the very system
-    {!feasible} would build, so every verdict (and every overflow) is its
-    own. *)
-
 val sample : n:int -> eqs:int array list -> ineqs:int array list -> int array option
 (** A witness integer point, or [None] when infeasible.  Requires the
     feasible region to be bounded in every coordinate it explores (loop-nest

@@ -85,17 +85,14 @@ let subst_units ~keep p =
   in
   go (normalize_eqs p.eqs) p.ineqs
 
-let eliminate ?(passive = []) p ~keep =
-  match
-    let passive = normalize_eqs passive in
-    (passive, subst_units ~keep p)
-  with
+let eliminate p ~keep =
+  match subst_units ~keep p with
   | exception Omega.Infeasible ->
       (* Represent the contradiction explicitly: -1 >= 0. *)
       let bad = Vec.zero (p.n + 1) in
       bad.(0) <- -1;
       ({ n = p.n; eqs = []; ineqs = [ bad ] }, true)
-  | passive, (eqs, ineqs, zeroed) ->
+  | eqs, ineqs, zeroed ->
       (* One scan of the rows marks the variables still to go that some
          row mentions: the leftovers. *)
       let leftover = Array.make p.n false in
@@ -107,9 +104,6 @@ let eliminate ?(passive = []) p ~keep =
       in
       List.iter mark eqs;
       List.iter mark ineqs;
-      (* Rows over kept variables alone take no part in the substitution:
-         they would have come through it unchanged, ahead of [p]'s. *)
-      let eqs = passive @ eqs in
       if not (Array.exists Fun.id leftover) then ({ n = p.n; eqs; ineqs }, true)
       else
         (* Fall back to rational Fourier-Motzkin with integer tightening:
@@ -215,22 +209,9 @@ let holds p row =
   List.exists (fun r -> dominates ~sign:1 r row) p.ineqs
   || List.exists (fun e -> dominates ~sign:1 e row || dominates ~sign:(-1) e row) p.eqs
 
-let feasible_with p =
-  let pre = lazy (Omega.presolve ~n:p.n ~eqs:p.eqs ~ineqs:p.ineqs) in
-  fun row ->
-    check_row p.n row;
-    Omega.feasible_with (Lazy.force pre) row
-
-(* [implies_ineq p] for many rows: the Omega questions share one
-   elimination of [p]'s equalities, made at the first row the screen does
-   not answer. *)
-let implies p =
-  let feasible = feasible_with p in
-  fun row ->
-    check_row p.n row;
-    holds p row || not (feasible (negate_ineq row))
-
-let implies_ineq p row = implies p row
+let implies_ineq p row =
+  check_row p.n row;
+  holds p row || is_empty (add_ineq p (negate_ineq row))
 
 let extend ctx p =
   if ctx.n <> p.n then invalid_arg "Poly.extend: arity mismatch";
@@ -249,10 +230,11 @@ let extend ctx p =
   { ctx with eqs = append ctx.eqs added.eqs; ineqs = append ctx.ineqs added.ineqs }
 
 let gist p ~ctx =
-  let implied = implies ctx in
-  let keep_ineqs = List.filter (fun r -> not (implied r)) p.ineqs in
+  let keep_ineqs = List.filter (fun r -> not (implies_ineq ctx r)) p.ineqs in
   let keep_eqs =
-    List.filter (fun e -> not (implied e && implied (Vec.neg e))) p.eqs
+    List.filter
+      (fun e -> not (implies_ineq ctx e && implies_ineq ctx (Vec.neg e)))
+      p.eqs
   in
   { p with eqs = keep_eqs; ineqs = keep_ineqs }
 
@@ -263,7 +245,11 @@ let permute p perm =
   in
   { p with eqs = List.map f p.eqs; ineqs = List.map f p.ineqs }
 
-let subset a b = a.n = b.n && List.for_all (implies a) (to_ineqs b)
+let subset a b =
+  a.n = b.n
+  && List.for_all
+       (fun r -> implies_ineq a r)
+       (to_ineqs b)
 
 let equal a b = subset a b && subset b a
 

@@ -33,17 +33,12 @@ val drop_vars : t -> at:int -> count:int -> t
 (** Remove columns without elimination — only safe if the dropped variables
     are unconstrained or already eliminated. *)
 
-val eliminate : ?passive:int array list -> t -> keep:(int -> bool) -> t * bool
+val eliminate : t -> keep:(int -> bool) -> t * bool
 (** Existentially project out all variables [v] with [keep v = false].  The
     boolean is [true] when the projection is exact (every eliminated variable
     was removed by unit-coefficient equality substitution); otherwise the
     result is a Fourier–Motzkin over-approximation.  The result keeps arity
-    [n] with zero columns for eliminated variables.
-
-    [passive] (default none) are equality rows over kept variables only:
-    the result is exactly that of [p] with them prepended to its
-    equalities, but they skip the substitution, which could only pass them
-    through unchanged. *)
+    [n] with zero columns for eliminated variables. *)
 
 val project_out : t -> at:int -> count:int -> t * bool
 (** [eliminate] followed by [drop_vars]: the result has [n - count]
@@ -73,17 +68,10 @@ val implies_ineq : t -> int array -> bool
     screen answers only "implied", and only when Omega would, so every
     verdict is Omega's. *)
 
-val feasible_with : t -> int array -> bool
-(** [feasible_with p row] is [not (is_empty (add_ineq p row))].  Applied
-    to [p] alone it returns a query that eliminates [p]'s equalities once,
-    on its first use, for every row it is then asked about (see
-    {!Omega.presolve}); the verdicts are {!is_empty}'s. *)
-
 val gist : t -> ctx:t -> t
 (** Drop from [p] every constraint already implied by [ctx]: the rows of
-    [p] it keeps are in their order in [p].  Each implication is
-    {!implies_ineq}'s: exact and screened before Omega; the Omega questions
-    share one elimination of [ctx]'s equalities ({!feasible_with}). *)
+    [p] it keeps are in their order in [p].  Each implication goes through
+    {!implies_ineq}, so it is exact and screened before Omega. *)
 
 val extend : t -> t -> t
 (** [extend ctx p] is [intersect ctx p] without the rows of [p] that the

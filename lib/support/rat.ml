@@ -13,18 +13,12 @@ let zero = of_int 0
 let one = of_int 1
 let minus_one = of_int (-1)
 
-(* Integers (denominator 1) add and multiply without [make]'s GCD: its
-   result would be the same value. *)
 let add a b =
-  if a.den = 1 && b.den = 1 then { num = Ints.add a.num b.num; den = 1 }
-  else
-    make (Ints.add (Ints.mul a.num b.den) (Ints.mul b.num a.den)) (Ints.mul a.den b.den)
+  make (Ints.add (Ints.mul a.num b.den) (Ints.mul b.num a.den)) (Ints.mul a.den b.den)
 
 let neg a = { a with num = Ints.neg a.num }
 let sub a b = add a (neg b)
-let mul a b =
-  if a.den = 1 && b.den = 1 then { num = Ints.mul a.num b.num; den = 1 }
-  else make (Ints.mul a.num b.num) (Ints.mul a.den b.den)
+let mul a b = make (Ints.mul a.num b.num) (Ints.mul a.den b.den)
 let inv a = make a.den a.num
 let div a b = if b.num = 0 then raise Division_by_zero else mul a (inv b)
 let abs a = { a with num = Stdlib.abs a.num }

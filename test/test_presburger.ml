@@ -395,77 +395,9 @@ let mul_boundaries () =
   Alcotest.(check (result int unit)) "max_int * 2 overflows" (Error ())
     (result Tiramisu_support.Ints.mul max_int 2)
 
-(* [Rat.add]/[Rat.mul] on integers skip [make]'s GCD; the general formula
-   gives the same value (and the same overflow). *)
-let rat_integer_fast_paths () =
-  let module R = Tiramisu_support.Rat in
-  let module I = Tiramisu_support.Ints in
-  let ops = [ 0; 1; -1; 7; -12; 1 lsl 30; -(1 lsl 31); max_int; min_int; max_int / 3 ] in
-  let result f = match f () with r -> Ok (r.R.num, r.R.den) | exception I.Overflow -> Error () in
-  let pair = Alcotest.(result (pair int int) unit) in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          let ra = R.of_int a and rb = R.of_int b in
-          Alcotest.check pair (Printf.sprintf "%d + %d" a b)
-            (result (fun () -> R.make (I.add (I.mul a 1) (I.mul b 1)) (I.mul 1 1)))
-            (result (fun () -> R.add ra rb));
-          Alcotest.check pair (Printf.sprintf "%d * %d" a b)
-            (result (fun () -> R.make (I.mul a b) (I.mul 1 1)))
-            (result (fun () -> R.mul ra rb)))
-        ops)
-    ops
-
-(* A presolved context answers every added inequality as [Omega.feasible]
-   does on the whole system; eq-heavy systems take the modular-reduction
-   steps and the padding columns the final column drop. *)
-let prop_presolve n =
-  QCheck.Test.make ~count:300
-    ~name:(Printf.sprintf "presolved feasibility = Omega.feasible (dim %d)" n)
-    (QCheck.make
-       ~print:(fun (p, qs) ->
-         Format.asprintf "%a with %s" Poly.pp p
-           (String.concat " | " (List.map (fun q -> Format.asprintf "%a" Tiramisu_support.Vec.pp q) qs)))
-       QCheck.Gen.(
-         let* p = oneof [ poly_gen n; map snd (eq_heavy_gen n) ] in
-         let* qs = list_size (int_range 1 4) (row_gen (Poly.dim p)) in
-         return (p, qs)))
-    (fun (p, qs) ->
-      let n = Poly.dim p in
-      let pre = Omega.presolve ~n ~eqs:p.Poly.eqs ~ineqs:p.Poly.ineqs in
-      let feasible = Poly.feasible_with p in
-      List.for_all
-        (fun q ->
-          let want = Omega.feasible ~n ~eqs:p.Poly.eqs ~ineqs:(q :: p.Poly.ineqs) in
-          Omega.feasible_with pre q = want && feasible q = want)
-        qs)
-
-(* Passive rows (over kept variables only) skip the substitution, with the
-   very result of eliminating them as the first equalities. *)
-let prop_eliminate_passive n =
-  QCheck.Test.make ~count:300
-    ~name:(Printf.sprintf "eliminate ~passive = passive rows prepended (dim %d)" n)
-    (QCheck.make
-       ~print:(fun (p, keep, passive) ->
-         Format.asprintf "%a keep %s passive %s" Poly.pp p
-           (String.concat "" (List.map (fun k -> if k then "1" else "0") (Array.to_list keep)))
-           (String.concat " | " (List.map (fun q -> Format.asprintf "%a" Tiramisu_support.Vec.pp q) passive)))
-       QCheck.Gen.(
-         let* p = poly_gen n in
-         let* keep = array_size (return n) bool in
-         let* passive = list_size (int_range 0 2) (row_gen n) in
-         let over_kept r = Array.mapi (fun i c -> if i = 0 || keep.(i - 1) then c else 0) r in
-         return (p, keep, List.map over_kept passive)))
-    (fun (p, keep, passive) ->
-      let keep v = keep.(v) in
-      Poly.eliminate ~passive p ~keep
-      = Poly.eliminate (Poly.make n ~eqs:(passive @ p.Poly.eqs) ~ineqs:p.Poly.ineqs) ~keep)
-
 let unit_tests =
   [
     Alcotest.test_case "Ints.mul = checked product at the boundaries" `Quick mul_boundaries;
-    Alcotest.test_case "Rat integer add/mul = the general formula" `Quick rat_integer_fast_paths;
     Alcotest.test_case "simple emptiness" `Quick (fun () ->
         (* { x : 0 <= x <= 5 /\ 2x = 7 } is empty over Z. *)
         let p =
@@ -676,6 +608,5 @@ let () =
             prop_eq_heavy 3; prop_eq_heavy 4; prop_eq_heavy 5;
             prop_screen_exact 2; prop_screen_exact 3; prop_extend 2;
             prop_constant_values 3; prop_constant_values 5;
-            prop_presolve 2; prop_presolve 4; prop_eliminate_passive 3;
           ] );
     ]

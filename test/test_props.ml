@@ -140,25 +140,6 @@ let prop_aff_row_roundtrip =
       let cols = [| "i"; "j"; "N" |] in
       Aff.equal a (Aff.of_row ~cols (Aff.to_row ~cols a)))
 
-(* [Aff.to_row_diff] writes the row of a difference without building it:
-   the same row, and the same unknown-name error, as the composition. *)
-let prop_aff_row_diff =
-  QCheck.Test.make ~count:500 ~name:"Aff.to_row_diff = to_row of sub"
-    (QCheck.make
-       QCheck.Gen.(
-         let* extra = aff_gen and* a = aff_gen and* b = aff_gen and* k = int_range 0 1 in
-         let* use_extra = bool in
-         let x = Aff.term 2 "x" in
-         (* sometimes a name outside the columns, sometimes one that cancels *)
-         return
-           (if use_extra then (Aff.add a x, Aff.add (if k = 0 then b else extra) x, k)
-            else (Aff.add a x, b, k))))
-    (fun (a, b, k) ->
-      let cols = [| "i"; "j"; "N" |] in
-      let row f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
-      row (fun () -> Aff.to_row_diff ~cols ~k a b)
-      = row (fun () -> Aff.to_row ~cols (Aff.sub (Aff.sub a b) (Aff.const k))))
-
 (* ---------- ISL printer/parser round trip ---------- *)
 
 let prop_isl_roundtrip =
@@ -265,7 +246,7 @@ let () =
           [ prop_simplify_preserves; prop_legalize_preserves; prop_subst_var ] );
       ( "aff",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_aff_laws; prop_aff_row_roundtrip; prop_aff_row_diff; prop_isl_roundtrip ] );
+          [ prop_aff_laws; prop_aff_row_roundtrip; prop_isl_roundtrip ] );
       ( "schedule-compositions",
         List.map QCheck_alcotest.to_alcotest [ prop_random_schedules ] );
     ]
