@@ -10,7 +10,9 @@ build:
 test:
 	dune runtest
 
-# Full benchmark sweep (rewrites BENCH_*.json).
+# The paper figures (fig1/5/6/7, table1) and the autosched, service, gpu
+# and dist benches (rewrites the committed BENCH_*.json).  The executor's
+# timing is perfbench's (bash perfbench/run.sh; BENCHMARK.json).
 bench:
 	dune exec bench/main.exe
 
@@ -71,13 +73,15 @@ dist-smoke:
 bench-smoke:
 	dune exec bench/main.exe -- bench-smoke
 
-# 1-rep smoke run of the exec-strategy bench: exercises the flat tape, the
-# domain pool and the parallel planner end-to-end without touching
-# BENCH_exec.json.
+# Executor gate: builds and runs the smoke kernels once in every
+# configuration (sequential with the tape on, off and at lanes=1, the pool,
+# and the pool at 1/2/4 workers with the tape on and off), asserts the
+# compiled counters are per-compile snapshots, and that a warm
+# compile-cache rebuild is a hit >= 10x faster than a cold compile.
 exec-smoke:
 	dune exec bench/main.exe -- exec-smoke
 
-# The pre-commit gate: tier-1 (build + tests), the exec smoke run, the
+# The pre-commit gate: tier-1 (build + tests), the exec smoke gate, the
 # pipeline/compile-cache smoke gate, the pool-vs-seq perf gate, the
 # autoscheduler and compile-service gates, the GPU-sim and distributed
 # backend gates, plus the 500-case differential fuzz sweep.  Every gate

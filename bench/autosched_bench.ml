@@ -35,16 +35,10 @@ let measure_ms ~reps (case : Exec_bench.case) sched =
       ~inputs:case.Exec_bench.c_inputs ()
   in
   B.Exec.run art.P.exec;
-  let samples =
-    Array.init reps (fun _ ->
-        let t0 = B.Clock.now_ms () in
-        B.Exec.run art.P.exec;
-        B.Clock.now_ms () -. t0)
-  in
-  Array.sort compare samples;
-  let n = Array.length samples in
-  if n mod 2 = 1 then samples.(n / 2)
-  else (samples.((n / 2) - 1) +. samples.(n / 2)) /. 2.0
+  Common.percentile
+    (Array.init reps (fun _ ->
+         snd (Common.time_ms (fun () -> B.Exec.run art.P.exec))))
+    0.5
 
 let config ~smoke =
   if smoke then
@@ -133,76 +127,17 @@ let json_of_row r =
 let json_of_rows rows =
   "[\n" ^ String.concat ",\n" (List.map json_of_row rows) ^ "\n]\n"
 
-(* What the golden pins is the schema, not the numbers: digits collapse to
-   N, booleans to B, and the two per-run free-form fields (the winning
-   schedule literal and the variable-length trajectory) collapse
+(* What the golden pins is the schema, not the numbers: besides the digits,
+   booleans collapse to B, and the two per-run free-form fields (the
+   winning schedule literal and the variable-length trajectory) collapse
    entirely. *)
-let normalize s =
-  String.concat "\n"
-    (List.map
-       (fun line ->
-         let has sub =
-           let n = String.length line and m = String.length sub in
-           let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-           go 0
-         in
-         if has "\"schedule\"" then "    \"schedule\": \"...\","
-         else if has "\"trajectory\"" then "    \"trajectory\": [T]"
-         else if has "\"verified\"" || has "\"tape\"" then
-           let k = String.index line ':' in
-           String.sub line 0 (k + 1) ^ " B,"
-         else begin
-           let buf = Buffer.create (String.length line) in
-           let n = String.length line in
-           let i = ref 0 in
-           while !i < n do
-             let c = line.[!i] in
-             if c >= '0' && c <= '9' then begin
-               Buffer.add_char buf 'N';
-               while
-                 !i < n
-                 &&
-                 let c = line.[!i] in
-                 (c >= '0' && c <= '9') || c = '.'
-               do
-                 incr i
-               done
-             end
-             else begin
-               Buffer.add_char buf c;
-               incr i
-             end
-           done;
-           Buffer.contents buf
-         end)
-       (String.split_on_char '\n' s))
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let check_golden json =
-  let got = normalize json in
-  if Sys.getenv_opt "TIRAMISU_UPDATE_GOLDEN" <> None then begin
-    let oc = open_out golden_path in
-    output_string oc got;
-    close_out oc;
-    Common.pf "autosched: updated %s\n" golden_path
-  end
-  else
-    let want =
-      try normalize (read_file golden_path)
-      with Sys_error e ->
-        failwith ("autosched: cannot read golden file: " ^ e)
-    in
-    if not (String.equal got want) then begin
-      prerr_endline "autosched: BENCH_autosched.json diverges from the golden schema";
-      prerr_endline "autosched: regenerate with TIRAMISU_UPDATE_GOLDEN=1 if intentional";
-      exit 1
-    end
+let collapse_free_fields line =
+  let has sub = Astring.String.is_infix ~affix:sub line in
+  if has "\"schedule\"" then "    \"schedule\": \"...\","
+  else if has "\"trajectory\"" then "    \"trajectory\": [T]"
+  else if has "\"verified\"" || has "\"tape\"" then
+    String.sub line 0 (String.index line ':' + 1) ^ " B,"
+  else line
 
 let gate (r : row) =
   let res = r.r_res in
@@ -260,7 +195,8 @@ let run ?(smoke = false) () =
   in
   List.iter gate rows;
   let json = json_of_rows rows in
-  check_golden json;
+  Common.golden_gate ~rewrite:collapse_free_fields ~tag:"autosched"
+    ~golden_path json;
   if not smoke then begin
     let oc = open_out "BENCH_autosched.json" in
     output_string oc json;

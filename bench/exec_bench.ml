@@ -1,27 +1,24 @@
-(* Wall-clock benchmark of the compiled backend's execution strategies:
-   reference interpreter vs. sequential exec vs. the persistent domain
-   pool, with tape-off and scalar-tape controls.  Emits a machine-readable
-   BENCH_exec.json next to the human-readable table.
+(* The executor's behaviour gates, on three kernels whose [Parallel] loop
+   is entered many times per run (inner-parallel blur, unfused nb) or whose
+   tiles are partial (tuned sgemm):
 
-   The interesting cases are kernels whose [Parallel] loop is entered many
-   times per run (inner-parallel blur, unfused nb).  The [tape_compiled]
-   column counts nests claimed by the flat tape; [plan_serialized] counts
-   Parallel subtrees the parallel planner serialized below its work
-   threshold (recorded in the JSON header).
+   - exec-smoke ([smoke]) builds and runs each kernel once in every
+     configuration — sequential, sequential with the tape off, sequential
+     with the lanes=1 scalar tape, pool, and pool at 1/2/4 workers with the
+     tape on and off — asserts that the compiled counters are per-compile
+     snapshots, and that a warm compile-cache rebuild is a hit at least 10x
+     faster than a cold compile;
+   - bench-smoke ([smoke_gate]) times sequential against pool, and the
+     vector tape against the scalar tape, by min-over-reps.
 
-   Per-strategy timings report mean, median and min over the reps: the
-   median is robust to scheduler noise, the min approximates the
-   noise-free run.  Speedup ratios use medians.
-
-   Smoke mode ([run ~smoke:true ()], CLI "exec-smoke") runs 1 rep on tiny
-   sizes and skips the JSON so the tier-1 gate can exercise the perf paths
-   without clobbering the published numbers. *)
+   The timings of these paths, with their spread, are perfbench's exec-seq
+   and exec-pool workloads.  pipeline-smoke and the autosched bench reuse
+   [cases]. *)
 
 open Tiramisu_kernels
 open Tiramisu_core
 open Tiramisu
 module B = Tiramisu_backends
-module L = Tiramisu_codegen.Loop_ir
 module P = Tiramisu_pipeline.Pipeline
 module Plan = Tiramisu_codegen.Parallel_plan
 
@@ -104,48 +101,6 @@ let cases ~smoke =
     };
   ]
 
-type stats = { s_mean : float; s_median : float; s_min : float }
-
-let stats_of (samples : float array) =
-  let n = Array.length samples in
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  let median =
-    if n mod 2 = 1 then sorted.(n / 2)
-    else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.0
-  in
-  {
-    s_mean = Array.fold_left ( +. ) 0.0 samples /. float_of_int n;
-    s_median = median;
-    s_min = sorted.(0);
-  }
-
-type row = {
-  r_case : case;
-  r_meta : L.loop_meta;
-  r_coalesced : int;      (* fused parallel groups emitted by the planner *)
-  r_fused_levels : int;   (* original loops folded into those groups *)
-  r_serialized : int;     (* Parallel subtrees the planner serialized *)
-  r_static : int;         (* pool loops given the static schedule *)
-  r_tape : int;           (* nests claimed by the flat-tape backend *)
-  r_tape_vec : int;       (* claimed nests bound lane-batched (vector) *)
-  r_lanes : int;          (* lane width the vector bindings ran at *)
-  r_tape_instr : int;     (* total tape instructions across those nests *)
-  r_tape_fb : int;        (* runtime corner-check fallbacks over the reps *)
-  r_interp_ms : float;
-  r_seq : stats;
-  r_seq_notape : stats;          (* tape=off control, sequential *)
-  r_seq_nolanes : stats;         (* lanes=1 scalar-tape control, sequential *)
-  r_pool : stats;
-  r_sweep : (int * stats) list;  (* pool stats at 1/2/4 workers *)
-  r_sweep_notape : (int * stats) list;  (* tape=off control sweep *)
-  r_cold_ms : float;
-    (* median cold compile of the already-lowered stmt: prepare, plan and
-       tape/closure compile only — lowering and [widen-parallel] run once,
-       before the timed builds, and are excluded *)
-  r_hit_ms : float;   (* median warm-cache rebuild of the same stmt *)
-}
-
 (* Cold-vs-warm compile of the same (stmt, params, knobs) triple through
    the pipeline's compile cache.  A warm rebuild must be a genuine [Hit]
    and at least 10x faster than a cold compile — the property that makes
@@ -179,8 +134,8 @@ let cache_bench case =
      strictly additive: min is the faithful estimator, where a median over
      a handful of microsecond-scale samples is hostage to one descheduled
      run. Cold compiles do real work, so the median is kept there. *)
-  let cold_ms = (stats_of cold).s_median
-  and hit_ms = (stats_of hit).s_min in
+  let cold_ms = Common.percentile cold 0.5
+  and hit_ms = Array.fold_left Float.min infinity hit in
   if cold_ms < 10.0 *. hit_ms then
     failwith
       (Printf.sprintf
@@ -203,24 +158,9 @@ let probe_of case fn =
     probe_outputs = case.c_outputs;
   }
 
-(* One traced build per kernel (cold, so every pass actually runs), with
-   the probe attached: smoke-path compiles carry per-pass differential
-   verification rather than reporting every row "skipped". *)
-let trace_case case =
-  let fn = case.c_build () in
-  case.c_sched fn;
-  P.clear_cache ();
-  let tracer = P.make_tracer ~probe:(probe_of case fn) ~name:case.c_name () in
-  ignore
-    (Runner.build_native ~tracer ~fn ~params:case.c_params
-       ~inputs:case.c_inputs ());
-  P.trace_of tracer
-
-(* Per-rep wall-clock samples of Exec.run (one warmup run, which also
-   surfaces any bounds failure before we start timing).  Returns the whole
-   pipeline artifact so callers can read the planner report alongside the
-   executor counters. *)
-let time_exec ?(tape = true) ?lanes ~reps case strategy =
+(* Build [case] for [strategy] and run it once, which surfaces any bounds
+   failure. *)
+let build_and_run ?(tape = true) ?lanes case strategy =
   let fn = case.c_build () in
   case.c_sched fn;
   let art =
@@ -229,39 +169,27 @@ let time_exec ?(tape = true) ?lanes ~reps case strategy =
       ~tape ?lanes ~fn ~params:case.c_params
       ~inputs:case.c_inputs ()
   in
-  let c = art.P.exec in
-  B.Exec.run c;
-  let samples =
-    Array.init reps (fun _ ->
-        let (), ms = Common.time_ms (fun () -> B.Exec.run c) in
-        ms)
-  in
-  (art, stats_of samples)
+  B.Exec.run art.P.exec;
+  art
 
-(* The scaling sweep: the same kernel, pool strategy, at 1/2/4 workers.
-   The compile-cache key includes the pool environment, so each size gets
-   its own honestly planned compile (at 1 worker the planner serializes
-   everything and the sweep's base point is the sequential code). *)
-let sweep_points = [ 1; 2; 4 ]
-
-let sweep_workers ?(tape = true) ~reps case =
-  let saved = B.Pool.num_workers () in
-  Fun.protect
-    ~finally:(fun () -> B.Pool.set_num_workers saved)
-    (fun () ->
-      List.map
-        (fun w ->
-          B.Pool.set_num_workers w;
-          let _, st = time_exec ~tape ~reps case `Pool in
-          (w, st))
-        sweep_points)
+(* The fastest of [reps] timed runs after [build_and_run]'s untimed one.
+   Returns the whole pipeline artifact too, so callers can read the
+   executor's lane modes. *)
+let time_exec ?tape ?lanes ~reps case strategy =
+  let art = build_and_run ?tape ?lanes case strategy in
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let (), ms = Common.time_ms (fun () -> B.Exec.run art.P.exec) in
+    best := Float.min !best ms
+  done;
+  (art, !best)
 
 (* The tape/schedule counters are snapshotted per compile (atomic during
    compilation, frozen in the compiled value): recompiling the same case
    must report identical numbers, and the sequential strategy must report
-   no pool loops.  Benchmarks compile each strategy separately, so
-   accumulating or shared counters would silently corrupt the
-   [tape_compiled]/[static_sched] columns — fail fast instead. *)
+   no pool loops.  Every configuration compiles separately, so
+   accumulating or shared counters would silently corrupt what each
+   compile reports — fail fast instead. *)
 let assert_counters case =
   let compile strategy =
     let fn = case.c_build () in
@@ -287,161 +215,39 @@ let assert_counters case =
   in
   assert (B.Exec.tape_count off = 0 && B.Exec.tape_instrs off = 0)
 
-let bench_case ~reps case =
-  assert_counters case;
-  let fn = case.c_build () in
-  case.c_sched fn;
-  let (_ : B.Interp.t), interp_ms =
-    Common.time_ms (fun () ->
-        Runner.run ~fn ~params:case.c_params ~inputs:case.c_inputs)
-  in
-  let a, seq = time_exec ~reps case `Seq in
-  let _, seq_notape = time_exec ~tape:false ~reps case `Seq in
-  let _, seq_nolanes = time_exec ~lanes:1 ~reps case `Seq in
-  let ap, pool = time_exec ~reps case `Pool in
-  let sweep = sweep_workers ~reps case in
-  let sweep_notape = sweep_workers ~tape:false ~reps case in
-  let cold_ms, hit_ms = cache_bench case in
-  let plan = ap.P.plan_report in
-  {
-    r_case = case;
-    r_meta = B.Exec.meta a.P.exec;
-    r_coalesced = plan.Plan.r_coalesced;
-    r_fused_levels = plan.Plan.r_fused_levels;
-    r_serialized = plan.Plan.r_serialized;
-    r_static = B.Exec.static_count ap.P.exec;
-    r_tape = B.Exec.tape_count a.P.exec;
-    r_tape_vec = B.Exec.tape_vec_count a.P.exec;
-    r_lanes = B.Exec.tape_lanes a.P.exec;
-    r_tape_instr = B.Exec.tape_instrs a.P.exec;
-    (* read after the timing reps: accumulates every entry that fell back *)
-    r_tape_fb = B.Exec.tape_fallbacks a.P.exec;
-    r_interp_ms = interp_ms;
-    r_seq = seq;
-    r_seq_notape = seq_notape;
-    r_seq_nolanes = seq_nolanes;
-    r_pool = pool;
-    r_sweep = sweep;
-    r_sweep_notape = sweep_notape;
-    r_cold_ms = cold_ms;
-    r_hit_ms = hit_ms;
-  }
-
-let json_of_row ~reps r =
-  let m = r.r_meta in
-  let sweep_str sweep =
-    String.concat ", "
-      (List.map
-         (fun (w, st) ->
-           Printf.sprintf
-             {|{ "workers": %d, "median_ms": %.4f, "min_ms": %.4f }|} w
-             st.s_median st.s_min)
-         sweep)
-  in
-  let sweep_json = sweep_str r.r_sweep in
-  let sweep_notape_json = sweep_str r.r_sweep_notape in
-  let scaling =
-    (* parallel efficiency at the sweep's widest point: (t_1 / t_w) / w *)
-    match (List.assoc_opt 1 r.r_sweep, List.rev r.r_sweep) with
-    | Some one, (w, wide) :: _ when w > 1 ->
-        one.s_median /. wide.s_median /. float_of_int w
-    | _ -> 1.0
-  in
-  Printf.sprintf
-    {|    { "kernel": "%s", "size": "%s", "reps": %d,
-      "loop_meta": { "n_loops": %d, "n_parallel": %d, "n_nested_parallel": %d, "max_depth": %d },
-      "coalesced": %d, "fused_levels": %d, "plan_serialized": %d, "static_sched": %d,
-      "tape_compiled": %d, "tape_instr_count": %d, "tape_fallbacks": %d,
-      "vector_claimed": %d, "lane_width": %d,
-      "interp_ms": %.4f,
-      "exec_seq_ms": %.4f, "exec_seq_median_ms": %.4f, "exec_seq_min_ms": %.4f,
-      "exec_seq_notape_median_ms": %.4f,
-      "exec_seq_scalar_tape_median_ms": %.4f,
-      "exec_pool_ms": %.4f, "exec_pool_median_ms": %.4f, "exec_pool_min_ms": %.4f,
-      "workers_sweep": [ %s ],
-      "workers_sweep_notape": [ %s ],
-      "scaling_efficiency": %.3f,
-      "compile_cold_ms": %.4f, "cache_hit_ms": %.4f, "cache_speedup": %.1f,
-      "speedup_exec_vs_interp": %.2f, "speedup_pool_vs_seq": %.2f,
-      "speedup_tape_vs_closure_seq": %.2f,
-      "speedup_vector_vs_scalar_tape": %.2f }|}
-    r.r_case.c_name r.r_case.c_size reps m.L.n_loops m.L.n_parallel
-    m.L.n_nested_parallel m.L.max_depth
-    r.r_coalesced r.r_fused_levels r.r_serialized r.r_static
-    r.r_tape r.r_tape_instr r.r_tape_fb
-    r.r_tape_vec r.r_lanes
-    r.r_interp_ms r.r_seq.s_mean r.r_seq.s_median r.r_seq.s_min
-    r.r_seq_notape.s_median r.r_seq_nolanes.s_median
-    r.r_pool.s_mean r.r_pool.s_median r.r_pool.s_min sweep_json
-    sweep_notape_json scaling
-    r.r_cold_ms r.r_hit_ms
-    (r.r_cold_ms /. r.r_hit_ms)
-    (r.r_interp_ms /. r.r_seq.s_median)
-    (r.r_seq.s_median /. r.r_pool.s_median)
-    (r.r_seq_notape.s_median /. r.r_seq.s_median)
-    (r.r_seq_nolanes.s_median /. r.r_seq.s_median)
-
-let run ?(smoke = false) () =
-  let reps = if smoke then 1 else 15 in
+(* The exec-smoke gate.  The pool sweep runs at 1/2/4 workers; the
+   compile-cache key includes the pool environment, so each size gets its
+   own planned compile (at 1 worker the planner serializes everything). *)
+let smoke () =
   let w = workers () in
-  let min_work = Plan.min_work in
-  Common.pf "\nExec strategies (workers=%d, reps=%d, pool_min_work=%d%s)\n"
-    w reps min_work
-    (if smoke then ", smoke" else "");
-  Common.pf "%-22s %-16s %10s %10s %10s %5s %5s %5s %5s %10s %10s\n"
-    "kernel" "size" "interp ms" "seq ms" "pool ms" "coal" "stat" "tape" "vec"
-    "seq/pool" "hit ms";
-  let rows = List.map (bench_case ~reps) (cases ~smoke) in
+  Common.pf "\nexec-smoke (workers=%d, pool_min_work=%d)\n" w Plan.min_work;
   List.iter
-    (fun r ->
+    (fun case ->
+      assert_counters case;
+      let seq = build_and_run case `Seq in
+      ignore (build_and_run ~tape:false case `Seq);
+      ignore (build_and_run ~lanes:1 case `Seq);
+      ignore (build_and_run case `Pool);
+      Fun.protect
+        ~finally:(fun () -> B.Pool.set_num_workers w)
+        (fun () ->
+          List.iter
+            (fun tape ->
+              List.iter
+                (fun n ->
+                  B.Pool.set_num_workers n;
+                  ignore (build_and_run ~tape case `Pool))
+                [ 1; 2; 4 ])
+            [ true; false ]);
+      let cold_ms, hit_ms = cache_bench case in
       Common.pf
-        "%-22s %-16s %10.3f %10.3f %10.3f %5d %5d %5d %5d %9.2fx %10.4f\n"
-        r.r_case.c_name r.r_case.c_size r.r_interp_ms r.r_seq.s_median
-        r.r_pool.s_median r.r_coalesced r.r_static r.r_tape r.r_tape_vec
-        (r.r_seq.s_median /. r.r_pool.s_median)
-        r.r_hit_ms;
-      Common.pf "%-22s   workers sweep:%s\n" ""
-        (String.concat ""
-           (List.map
-              (fun (w, st) -> Printf.sprintf "  %dw %.3f ms" w st.s_median)
-              r.r_sweep)))
-    rows;
-  if smoke then Common.pf "smoke mode: BENCH_exec.json left untouched\n"
-  else begin
-    (* The header records the machine the numbers were taken on AND which
-       regime the smoke gate would run in there: consumers of the JSON can
-       tell a "pool won" claim from a "pool merely didn't lose" one.
-       [os_cpus] is what the OS grants, so the gate regime follows it;
-       [effective_cpus] is what the planner budgets for, min(workers,
-       os_cpus). *)
-    let effective = B.Pool.effective_parallelism () in
-    let os_cpus = Domain.recommended_domain_count () in
-    let gate_mode =
-      if min w os_cpus > 1 then "scaling-1.5x" else "never-lose-1.1x"
-    in
-    let oc = open_out "BENCH_exec.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"exec\",\n\
-      \  \"workers\": %d,\n\
-      \  \"os_cpus\": %d,\n\
-      \  \"effective_cpus\": %d,\n\
-      \  \"gate_mode\": \"%s\",\n\
-      \  \"pool_min_work\": %d,\n\
-      \  \"kernels\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      w os_cpus effective gate_mode min_work
-      (String.concat ",\n" (List.map (json_of_row ~reps) rows));
-    close_out oc;
-    Common.pf "wrote BENCH_exec.json\n";
-    (* Per-pass pipeline trace for every bench kernel, next to the timing
-       numbers. *)
-    P.write_traces "BENCH_pass_trace.json"
-      (List.map trace_case (cases ~smoke));
-    Common.pf "wrote BENCH_pass_trace.json\n"
-  end
+        "exec-smoke %-22s %-16s tape %d nests (%d vector), cache hit %.0fx \
+         faster than cold\n"
+        case.c_name case.c_size
+        (B.Exec.tape_count seq.P.exec)
+        (B.Exec.tape_vec_count seq.P.exec)
+        (cold_ms /. hit_ms))
+    (cases ~smoke:true)
 
 (* The `make bench-smoke` gate, in two regimes decided by what the OS
    actually grants:
@@ -462,14 +268,14 @@ let smoke_gate () =
     let _, pool = time_exec ~reps case `Pool in
     Common.pf
       "bench-smoke %-22s seq %8.3f ms   pool %8.3f ms   (pool speedup %.2fx, >1 = pool wins)\n"
-      case.c_name seq.s_min pool.s_min
-      (seq.s_min /. pool.s_min);
+      case.c_name seq pool
+      (seq /. pool);
     (case.c_name, seq, pool)
   in
   let rows = List.map measure (cases ~smoke:true) in
   if multicore then begin
     let winners =
-      List.filter (fun (_, seq, pool) -> seq.s_min >= 1.5 *. pool.s_min) rows
+      List.filter (fun (_, seq, pool) -> seq >= 1.5 *. pool) rows
     in
     if List.length winners >= 2 then
       Common.pf
@@ -493,7 +299,7 @@ let smoke_gate () =
       (B.Pool.effective_parallelism ());
     let failures =
       List.filter
-        (fun (_, seq, pool) -> pool.s_min > (1.1 *. seq.s_min) +. 0.05)
+        (fun (_, seq, pool) -> pool > (1.1 *. seq) +. 0.05)
         rows
     in
     match failures with
@@ -527,15 +333,15 @@ let smoke_gate () =
         Common.pf
           "bench-smoke %-22s scalar-tape %8.3f ms   vector %8.3f ms   \
            (%.2fx, %d nests: %s)\n"
-          case.c_name scalar.s_min vec.s_min
-          (scalar.s_min /. vec.s_min)
+          case.c_name scalar vec
+          (scalar /. vec)
           (List.length modes) (String.concat ", " modes);
         (case.c_name, scalar, vec))
       (cases ~smoke:true)
   in
   let vec_winners =
     List.filter
-      (fun (_, scalar, vec) -> scalar.s_min >= 1.2 *. vec.s_min)
+      (fun (_, scalar, vec) -> scalar >= 1.2 *. vec)
       vec_rows
   in
   if List.length vec_winners >= 2 then

@@ -17,10 +17,10 @@
    in that compile (the closures run the rest).
 
    `gpu-smoke` / `dist-smoke` run tiny sizes and validate the normalized
-   JSON shape against bench/gpu.golden and bench/dist.golden (same
-   digit-collapsing normalization as pipeline-smoke; regenerate with
-   TIRAMISU_UPDATE_GOLDEN=1).  Verification is never skipped: even smoke
-   mode replays every point against the interpreter. *)
+   JSON shape against bench/gpu.golden and bench/dist.golden
+   ([Common.golden_gate]; regenerate with TIRAMISU_UPDATE_GOLDEN=1).
+   Verification is never skipped: even smoke mode replays every point
+   against the interpreter. *)
 
 open Tiramisu_kernels
 module B = Tiramisu_backends
@@ -262,37 +262,8 @@ let dist_json ~smoke () =
 (* ------------------------------------------------------------------ *)
 
 let golden_gate ~tag ~golden_path json =
-  let got = Pipeline_smoke.normalize json in
-  if Sys.getenv_opt "TIRAMISU_UPDATE_GOLDEN" <> None then begin
-    let oc = open_out golden_path in
-    output_string oc got;
-    close_out oc;
-    Common.pf "%s: updated %s\n" tag golden_path
-  end
-  else begin
-    let want =
-      try Pipeline_smoke.normalize (Pipeline_smoke.read_file golden_path)
-      with Sys_error e ->
-        failwith (tag ^ ": cannot read golden file: " ^ e)
-    in
-    if not (String.equal got want) then begin
-      (match Pipeline_smoke.first_diff_line want got with
-      | Some (line, w, g) ->
-          Printf.eprintf
-            "%s: JSON schema diverges from %s at line %d\n\
-            \  golden: %s\n\
-            \  got:    %s\n"
-            tag golden_path line w g
-      | None -> ());
-      Printf.eprintf
-        "%s: regenerate with TIRAMISU_UPDATE_GOLDEN=1 if the schema change \
-         is intentional\n"
-        tag;
-      exit 1
-    end;
-    Common.pf "%s: every point interpreter-verified, schema matches golden\n"
-      tag
-  end
+  Common.golden_gate ~tag ~golden_path json;
+  Common.pf "%s: every point interpreter-verified, schema matches golden\n" tag
 
 let run_gpu ?(smoke = false) () =
   P.clear_cache ();

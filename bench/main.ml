@@ -1,13 +1,34 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (CGO'19) and the executor, search, service and target
-   benches.  Run with no argument for everything, or with a subset of the
-   names in [all]. *)
+   evaluation (CGO'19) and the search, service and target benches, and runs
+   the behaviour gates.  Run with no argument for the default sweep, or
+   with any of the names in [targets]. *)
 
+let targets =
+  [
+    ("fig1", Fig1.run);
+    ("table1", Table1.run);
+    ("fig5", Fig5.run);
+    ("fig6", Fig6.run);
+    ("fig7", Fig7.run);
+    ("autosched", fun () -> Autosched_bench.run ());
+    ("service", fun () -> Service_bench.run ());
+    ("gpu", fun () -> Gpu_dist_bench.run_gpu ());
+    ("dist", fun () -> Gpu_dist_bench.run_dist ());
+    ("exec-smoke", Exec_bench.smoke);
+    ("bench-smoke", Exec_bench.smoke_gate);
+    ("pipeline-smoke", Pipeline_smoke.run);
+    ("autosched-smoke", fun () -> Autosched_bench.run ~smoke:true ());
+    ("service-smoke", fun () -> Service_bench.run ~smoke:true ());
+    ("gpu-smoke", fun () -> Gpu_dist_bench.run_gpu ~smoke:true ());
+    ("dist-smoke", fun () -> Gpu_dist_bench.run_dist ~smoke:true ());
+  ]
+
+(* The default sweep: every target but the -smoke gates, which run by name
+   (make check). *)
 let all =
-  [ "fig1"; "table1"; "fig5"; "fig6"; "fig7"; "exec"; "autosched";
-    "service"; "gpu"; "dist" ]
-(* "exec-smoke" is invocable but not part of the default sweep: it is the
-   tier-1 fast path (1 rep, tiny sizes, no JSON). *)
+  List.filter
+    (fun name -> not (String.ends_with ~suffix:"-smoke" name))
+    (List.map fst targets)
 
 let () =
   let requested =
@@ -15,26 +36,10 @@ let () =
   in
   List.iter
     (fun name ->
-      match name with
-      | "fig1" -> Fig1.run ()
-      | "table1" -> Table1.run ()
-      | "fig5" -> Fig5.run ()
-      | "fig6" -> Fig6.run ()
-      | "fig7" -> Fig7.run ()
-      | "exec" -> Exec_bench.run ()
-      | "exec-smoke" -> Exec_bench.run ~smoke:true ()
-      | "bench-smoke" -> Exec_bench.smoke_gate ()
-      | "pipeline-smoke" -> Pipeline_smoke.run ()
-      | "autosched" -> Autosched_bench.run ()
-      | "autosched-smoke" -> Autosched_bench.run ~smoke:true ()
-      | "service" -> Service_bench.run ()
-      | "service-smoke" -> Service_bench.run ~smoke:true ()
-      | "gpu" -> Gpu_dist_bench.run_gpu ()
-      | "gpu-smoke" -> Gpu_dist_bench.run_gpu ~smoke:true ()
-      | "dist" -> Gpu_dist_bench.run_dist ()
-      | "dist-smoke" -> Gpu_dist_bench.run_dist ~smoke:true ()
-      | other ->
-          Printf.eprintf "unknown benchmark %s (available: %s)\n" other
-            (String.concat " " all);
+      match List.assoc_opt name targets with
+      | Some run -> run ()
+      | None ->
+          Printf.eprintf "unknown benchmark %s (available: %s)\n" name
+            (String.concat " " (List.map fst targets));
           exit 1)
     requested

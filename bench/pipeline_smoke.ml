@@ -5,57 +5,16 @@
    reports a hit.  Part of `make check`.
 
    Numbers in the JSON (timings, loop counts) vary per machine, so both
-   sides are normalized — every digit run collapses to `N` — before the
-   comparison; what the golden pins down is the schema: pass names and
-   order, field names, verify/cache statuses.  Regenerate with
-   TIRAMISU_UPDATE_GOLDEN=1 after an intentional schema change. *)
+   sides are normalized by [Common.golden_gate] — every digit run
+   collapses to `N` — before the comparison; what the golden pins down is
+   the schema: pass names and order, field names, verify/cache statuses.
+   Regenerate with TIRAMISU_UPDATE_GOLDEN=1 after an intentional schema
+   change. *)
 
 module B = Tiramisu_backends
 module P = Tiramisu_pipeline.Pipeline
 
 let golden_path = "bench/pass_trace.golden"
-
-let normalize s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    if c >= '0' && c <= '9' then begin
-      Buffer.add_char buf 'N';
-      while
-        !i < n
-        &&
-        let c = s.[!i] in
-        (c >= '0' && c <= '9') || c = '.'
-      do
-        incr i
-      done
-    end
-    else begin
-      Buffer.add_char buf c;
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let first_diff_line a b =
-  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
-  let rec go i = function
-    | x :: xs, y :: ys -> if String.equal x y then go (i + 1) (xs, ys)
-                          else Some (i, x, y)
-    | [], [] -> None
-    | x :: _, [] -> Some (i, x, "<missing>")
-    | [], y :: _ -> Some (i, "<missing>", y)
-  in
-  go 1 (la, lb)
 
 (* The nest names of a [tape-compile] note: "tape NAME: ...; tape ...". *)
 let note_nests note =
@@ -145,39 +104,12 @@ let gate () =
   let json =
     "[\n" ^ String.concat ",\n" (List.map P.json_of_trace traces) ^ "\n]\n"
   in
-  let got = normalize json in
-  if Sys.getenv_opt "TIRAMISU_UPDATE_GOLDEN" <> None then begin
-    let oc = open_out golden_path in
-    output_string oc got;
-    close_out oc;
-    Common.pf "pipeline-smoke: updated %s\n" golden_path
-  end
-  else begin
-    let want =
-      try normalize (read_file golden_path)
-      with Sys_error e ->
-        failwith ("pipeline-smoke: cannot read golden file: " ^ e)
-    in
-    if not (String.equal got want) then begin
-      (match first_diff_line want got with
-      | Some (line, w, g) ->
-          Printf.eprintf
-            "pipeline-smoke: trace JSON diverges from %s at line %d\n\
-            \  golden: %s\n\
-            \  got:    %s\n"
-            golden_path line w g
-      | None -> ());
-      Printf.eprintf
-        "pipeline-smoke: regenerate with TIRAMISU_UPDATE_GOLDEN=1 if the \
-         schema change is intentional\n";
-      exit 1
-    end;
-    Common.pf
-      "pipeline-smoke: %d kernels compiled, trace schema matches golden, \
-       tape-compile notes match the executor's claims, warm-cache hits \
-       confirmed\n"
-      (List.length traces)
-  end
+  Common.golden_gate ~tag:"pipeline-smoke" ~golden_path json;
+  Common.pf
+    "pipeline-smoke: %d kernels compiled, trace schema matches golden, \
+     tape-compile notes match the executor's claims, warm-cache hits \
+     confirmed\n"
+    (List.length traces)
 
 (* The parallel-plan note records the planner's decisions, which depend
    on the parallelism it plans for: pin a one-worker pool while the gate

@@ -84,11 +84,6 @@ let rec rm_rf path =
     end
     else try Sys.remove path with Sys_error _ -> ()
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
-
 type phase_row = {
   ph_name : string;
   ph_clients : int;
@@ -128,7 +123,6 @@ let run_phase sv ~name ~clients reqs =
   let wall_ms = B.Clock.now_ms () -. t0 in
   let after = S.stats sv in
   let samples = Array.of_list (List.concat (Array.to_list lat)) in
-  Array.sort compare samples;
   let requests = after.S.requests - before.S.requests in
   { ph_name = name;
     ph_clients = clients;
@@ -137,8 +131,8 @@ let run_phase sv ~name ~clients reqs =
     ph_mem_hits = after.S.mem_hits - before.S.mem_hits;
     ph_disk_hits = after.S.disk_hits - before.S.disk_hits;
     ph_dedup_waits = after.S.dedup_waits - before.S.dedup_waits;
-    ph_p50 = percentile samples 0.50;
-    ph_p99 = percentile samples 0.99;
+    ph_p50 = Common.percentile samples 0.50;
+    ph_p99 = Common.percentile samples 0.99;
     ph_rps = float_of_int requests /. (wall_ms /. 1000.0) }
 
 let require msg ok = if not ok then failwith ("service bench gate: " ^ msg)
@@ -265,76 +259,11 @@ let emit buf phases dedup storm ~warm_over_cold =
        \"warm_over_cold\": %.2f }\n}\n"
     workers unique_kernels warm_over_cold
 
-let normalize s =
-  String.concat "\n"
-    (List.map
-       (fun line ->
-         let buf = Buffer.create (String.length line) in
-         let n = String.length line in
-         let i = ref 0 in
-         while !i < n do
-           let c = line.[!i] in
-           if c >= '0' && c <= '9' then begin
-             Buffer.add_char buf 'N';
-             while
-               !i < n
-               &&
-               let c = line.[!i] in
-               (c >= '0' && c <= '9') || c = '.'
-             do
-               incr i
-             done
-           end
-           else if c = 't' || c = 'f' then
-             (* collapse the hot_survived boolean *)
-             let word w =
-               !i + String.length w <= n && String.sub line !i (String.length w) = w
-             in
-             if word "true" then begin
-               Buffer.add_char buf 'B';
-               i := !i + 4
-             end
-             else if word "false" then begin
-               Buffer.add_char buf 'B';
-               i := !i + 5
-             end
-             else begin
-               Buffer.add_char buf c;
-               incr i
-             end
-           else begin
-             Buffer.add_char buf c;
-             incr i
-           end
-         done;
-         Buffer.contents buf)
-       (String.split_on_char '\n' s))
-
-let read_file path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let check_golden json =
-  let got = normalize json in
-  if Sys.getenv_opt "TIRAMISU_UPDATE_GOLDEN" <> None then begin
-    let oc = open_out golden_path in
-    output_string oc got;
-    close_out oc;
-    Common.pf "service: updated %s\n" golden_path
-  end
-  else
-    let want =
-      try normalize (read_file golden_path)
-      with Sys_error e -> failwith ("service: cannot read golden file: " ^ e)
-    in
-    if not (String.equal got want) then begin
-      prerr_endline "service: BENCH_service.json schema drifted from golden:";
-      prerr_endline "--- got (normalized) ---";
-      prerr_endline got;
-      exit 1
-    end
+(* The one boolean, hot_survived, collapses to B. *)
+let collapse_bool line =
+  List.fold_left
+    (fun l w -> String.concat "B" (Astring.String.cuts ~sep:w l))
+    line [ "true"; "false" ]
 
 (* ---------- driver ---------- *)
 
@@ -384,6 +313,6 @@ let run ?(smoke = false) () =
   close_out oc;
   Common.pf "  wrote %s\n" json_path;
   if smoke then begin
-    check_golden json;
+    Common.golden_gate ~rewrite:collapse_bool ~tag:"service" ~golden_path json;
     Common.pf "service smoke gate: ok\n"
   end

@@ -248,10 +248,10 @@ let rec bexpr_fn ~slot (e : T.bexpr) : int array -> int =
       fun env -> k * f env
   | T.Bmin (x, y) ->
       let f = bexpr_fn ~slot x and g = bexpr_fn ~slot y in
-      fun env -> min (f env) (g env)
+      fun env -> Int.min (f env) (g env)
   | T.Bmax (x, y) ->
       let f = bexpr_fn ~slot x and g = bexpr_fn ~slot y in
-      fun env -> max (f env) (g env)
+      fun env -> Int.max (f env) (g env)
   | T.Bfdiv (x, k) ->
       let f = bexpr_fn ~slot x in
       fun env -> Tiramisu_support.Ints.fdiv (f env) k

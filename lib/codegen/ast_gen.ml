@@ -115,11 +115,8 @@ let keep_upto ~np k i = i < np + k + 1 (* params and dims 0..k *)
    so it is kept out of the piece and of its context: a static level
    groups by the value [consts] already holds, an equality elimination
    only passes the row through, and every later level's context would
-   hold it.  It comes back where it can show: as a leading equality of the
-   projections at and below its own level, so a Fourier-Motzkin fallback
-   sees the rows the whole piece would give it, and in the projection of
-   its own level when that level is a loop.  Only the piece's leading
-   equalities are taken, so their order is known. *)
+   hold it.  It comes back only in the projection of its own level, when
+   that level is a loop.  Only the piece's leading equalities are taken. *)
 let split_statics ~np p =
   let n = Poly.dim p in
   let mentions = Array.make (n + 1) 0 in
@@ -151,22 +148,15 @@ let split_statics ~np p =
   | [], _ -> ([], p)
   | statics, eqs -> (statics, Poly.make n ~eqs ~ineqs:p.Poly.ineqs)
 
-(* The projection of [inst] onto params and dims 0..[level]: the rows of
-   its static dims above [level] go back in ahead of its equalities and
-   come out again, the row of a static [level] stays. *)
+(* The projection of [inst] onto params and dims 0..[level], with the row
+   of a static [level] back in. *)
 let project ~np ~level inst =
-  let statics =
-    List.filter_map (fun (d, r) -> if d <= level then Some r else None) inst.statics
+  let poly =
+    List.fold_left
+      (fun p (d, r) -> if d = level then Poly.add_eq p r else p)
+      inst.poly inst.statics
   in
-  let poly = List.fold_right (fun r p -> Poly.add_eq p r) statics inst.poly in
-  let proj, _ = Poly.eliminate poly ~keep:(keep_upto ~np level) in
-  if List.for_all (fun (d, _) -> d >= level) inst.statics then proj
-  else
-    let held r =
-      List.exists (fun (d, _) -> d < level && r.(np + d + 1) <> 0) inst.statics
-    in
-    let keep = List.filter (fun r -> not (held r)) in
-    Poly.make (Poly.dim proj) ~eqs:(keep proj.Poly.eqs) ~ineqs:(keep proj.Poly.ineqs)
+  fst (Poly.eliminate poly ~keep:(keep_upto ~np level))
 
 (* Rows of [p] that mention time dim k. *)
 let rows_on ~np ~k p =

@@ -115,6 +115,17 @@ let conj = function
   | [] -> True
   | c :: rest -> List.fold_left (fun a b -> And (a, b)) c rest
 
+(* The body of a perfect-nest level: exactly one [For], comments allowed
+   around it.  The parallel planner and the tape claim walk nests by it. *)
+let single_for s =
+  match s with
+  | For _ -> Some s
+  | Block l -> (
+      match List.filter (function Comment _ -> false | _ -> true) l with
+      | [ (For _ as f) ] -> Some f
+      | _ -> None)
+  | _ -> None
+
 (* Constant folding & algebraic simplification, so emitted code (and golden
    pseudocode tests) stay readable. *)
 let rec simplify_expr e =

@@ -97,8 +97,8 @@ let rec est_int env (e : L.expr) : int =
       | L.Div -> if y = 0 then 0 else x / y
       | L.FloorDiv -> if y = 0 then 0 else Tiramisu_support.Ints.fdiv x y
       | L.Mod -> if y = 0 then 0 else Tiramisu_support.Ints.emod x y
-      | L.MinOp -> min x y
-      | L.MaxOp -> max x y)
+      | L.MinOp -> Int.min x y
+      | L.MaxOp -> Int.max x y)
 
 let with_var env var v f =
   let saved = Hashtbl.find_opt env var in
@@ -116,12 +116,12 @@ let rec est_work env (s : L.stmt) : int =
   | L.Store _ -> 1
   | L.Send _ | L.Recv _ | L.Memcpy _ -> 8
   | L.If (_, t, e) ->
-      max (est_work env t)
+      Int.max (est_work env t)
         (match e with Some e -> est_work env e | None -> 0)
   | L.Alloc { body; _ } -> 8 + est_work env body
   | L.For { var; lo; hi; body; _ } ->
       let lo = est_int env lo and hi = est_int env hi in
-      let extent = max 0 (hi - lo + 1) in
+      let extent = Int.max 0 (hi - lo + 1) in
       if extent = 0 then 0
       else
         with_var env var
@@ -212,7 +212,7 @@ let chain_trip env ~exact_names (levels : level list) : int option * bool =
       List.fold_left
         (fun acc l ->
           let lo = est_int env l.l_lo and hi = est_int env l.l_hi in
-          acc * max 0 (hi - lo + 1))
+          acc * Int.max 0 (hi - lo + 1))
         1 levels
     in
     (Some n, false)
@@ -255,23 +255,12 @@ let used_names (s : L.stmt) =
   stmt s;
   tbl
 
-(* The body of a perfect-nest level: exactly one [For] (comments allowed
-   around it). *)
-let single_for (s : L.stmt) : L.stmt option =
-  match s with
-  | L.For _ -> Some s
-  | L.Block l -> (
-      match List.filter (fun s -> match s with L.Comment _ -> false | _ -> true) l with
-      | [ (L.For _ as f) ] -> Some f
-      | _ -> None)
-  | _ -> None
-
 (* Maximal run of perfectly-nested Parallel loops starting at [s]. *)
 let rec parallel_chain (s : L.stmt) : (level * L.stmt) list =
   match s with
   | L.For { var; lo; hi; tag = L.Parallel; body } -> (
       let lvl = ({ l_var = var; l_lo = lo; l_hi = hi }, body) in
-      match single_for body with
+      match L.single_for body with
       | Some inner -> lvl :: parallel_chain inner
       | None -> [ lvl ])
   | _ -> []
@@ -322,7 +311,7 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
       List.map
         (fun l ->
           match (l.l_lo, l.l_hi) with
-          | L.Int a, L.Int b -> (a, max 0 (b - a + 1))
+          | L.Int a, L.Int b -> (a, Int.max 0 (b - a + 1))
           | _ -> assert false)
         levels
     in
@@ -388,7 +377,7 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
         let total_work =
           with_var env var 0 (fun () -> est_work env (L.For f))
         in
-        let per_worker = total_work / max 1 workers in
+        let per_worker = total_work / Int.max 1 workers in
         let uniform = uniform env ~var ~lo ~hi f.body in
         if (not force) && (workers <= 1 || per_worker < min_work) then begin
           (* Not worth forking: serialize the whole subtree (anything nested
@@ -418,7 +407,7 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
                 List.filteri (fun i _ -> i < rect_prefix) levels
                 |> List.map (fun l ->
                        match (l.l_lo, l.l_hi) with
-                       | L.Int a, L.Int b -> max 0 (b - a + 1)
+                       | L.Int a, L.Int b -> Int.max 0 (b - a + 1)
                        | _ -> assert false)
               in
               if List.exists (fun n -> n = 0) exts then 1
@@ -435,7 +424,7 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
                 pick 0 1 exts
             end
           in
-          let m = max 1 (min m rect_prefix) in
+          let m = Int.max 1 (Int.min m rect_prefix) in
           if m >= 2 then begin
             let vars_m =
               List.filteri (fun i _ -> i < m)
@@ -494,7 +483,7 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
               { f with
                 body =
                   with_var env var
-                    (elo + (max 0 (ehi - elo) / 2))
+                    (elo + (Int.max 0 (ehi - elo) / 2))
                     (fun () -> go true f.body) }
           end
         end)
@@ -504,7 +493,7 @@ let plan ~workers ~params ?(force = false) ?(tape = false)
           { f with
             body =
               with_var env f.var
-                (lo + (max 0 (hi - lo) / 2))
+                (lo + (Int.max 0 (hi - lo) / 2))
                 (fun () -> go in_par f.body) }
     | s -> s
   and retag_seq_deep_counted s =

@@ -313,10 +313,10 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
             else
               let hull =
                 ( (match (fst ia, fst ib) with
-                  | Some x, Some y -> Some (min x y)
+                  | Some x, Some y -> Some (Int.min x y)
                   | _ -> None),
                   match (snd ia, snd ib) with
-                  | Some x, Some y -> Some (max x y)
+                  | Some x, Some y -> Some (Int.max x y)
                   | _ -> None )
               in
               (L.Select (c', a', b'), hull))
@@ -338,21 +338,21 @@ let narrow_splits ~(params : (string * int) list) (s : L.stmt) :
                   match (alo, ahi, blo, bhi) with
                   | Some p, Some q, Some r, Some s ->
                       let xs = [ p * r; p * s; q * r; q * s ] in
-                      ( Some (List.fold_left min max_int xs),
-                        Some (List.fold_left max min_int xs) )
+                      ( Some (List.fold_left Int.min max_int xs),
+                        Some (List.fold_left Int.max min_int xs) )
                   | _ -> unknown)
               | L.MinOp ->
-                  ( lift2 min alo blo,
+                  ( lift2 Int.min alo blo,
                     match (ahi, bhi) with
-                    | Some x, Some y -> Some (min x y)
+                    | Some x, Some y -> Some (Int.min x y)
                     | (Some _ as s), None | None, (Some _ as s) -> s
                     | None, None -> None )
               | L.MaxOp ->
                   ( (match (alo, blo) with
-                    | Some x, Some y -> Some (max x y)
+                    | Some x, Some y -> Some (Int.max x y)
                     | (Some _ as s), None | None, (Some _ as s) -> s
                     | None, None -> None),
-                    lift2 max ahi bhi )
+                    lift2 Int.max ahi bhi )
               | L.FloorDiv -> (
                   match b' with
                   | L.Int d when d > 0 ->

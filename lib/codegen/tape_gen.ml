@@ -285,21 +285,6 @@ let rec bsimp e =
       | Baff ([], c) -> Baff ([], Tiramisu_support.Ints.emod c k)
       | a' -> Bmod (a', k))
 
-(* The body of a perfect-nest level: exactly one [For], comments allowed
-   around it (same shape the parallel planner walks). *)
-let single_for (s : L.stmt) : L.stmt option =
-  match s with
-  | L.For _ -> Some s
-  | L.Block l -> (
-      match
-        List.filter
-          (fun s -> match s with L.Comment _ -> false | _ -> true)
-          l
-      with
-      | [ (L.For _ as f) ] -> Some f
-      | _ -> None)
-  | _ -> None
-
 (* A guarded leaf: one else-less [If], or a block of them — the shape
    [compute_at]'s shifted producer copies lower to (blur's coalesced
    producer nest stores the same stencil under three overlapping
@@ -366,7 +351,7 @@ let collect_chain (s : L.stmt) : level list * string list * L.stmt =
         let lvl =
           { lv_var = var; lv_lo = bnd lo; lv_hi = bnd hi; lv_tag = tag }
         in
-        (match single_for body with
+        (match L.single_for body with
         | Some inner -> go (lvl :: acc) vars inner
         | None -> (List.rev (lvl :: acc), vars, body))
     | _ -> raise (Reject Not_perfect)

@@ -28,23 +28,29 @@ let shadow_pair ~var l u =
   assert (row.(var + 1) = 0);
   row
 
+(* Rows by coefficient vector, then constant: the order [dedup] returns. *)
+let compare_rows a b =
+  let n = Array.length a in
+  let rec go i =
+    if i = n then Int.compare a.(0) b.(0)
+    else match Int.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
+  in
+  go 1
+
 let dedup rows =
-  (* Keep, per distinct coefficient vector, only the tightest constant. *)
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun row ->
-      let key =
-        let rec coeffs i acc = if i = 0 then acc else coeffs (i - 1) (row.(i) :: acc) in
-        coeffs (Array.length row - 1) []
-      in
-      match Hashtbl.find_opt tbl key with
-      | None -> Hashtbl.add tbl key row.(0)
-      | Some c when c <= row.(0) -> ()
-      | Some _ -> Hashtbl.replace tbl key row.(0))
-    rows;
-  Hashtbl.fold
-    (fun key c acc -> (Array.of_list (c :: key) :: acc))
-    tbl []
+  (* Keep, per distinct coefficient vector, only the tightest (smallest)
+     constant, sorted by coefficient vector: the output depends only on the
+     set of rows, not on their order. *)
+  let same_coeffs a b =
+    let rec go i = i = Array.length a || (a.(i) = b.(i) && go (i + 1)) in
+    go 1
+  in
+  let rec keep_first = function
+    | a :: b :: rest when same_coeffs a b -> keep_first (a :: rest)
+    | a :: rest -> a :: keep_first rest
+    | [] -> []
+  in
+  keep_first (List.sort compare_rows rows)
 
 let eliminate_one ~n ~var rows =
   let lo, hi, rest = bounds_on ~n ~var rows in

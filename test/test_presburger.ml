@@ -303,6 +303,46 @@ let constant_system_gen n =
     let* ineqs = list_size (int_range 0 2) (row_gen n) in
     return (Poly.make n ~eqs ~ineqs))
 
+let permutations l =
+  let rec go = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun (i, x) ->
+            List.map (List.cons x)
+              (go (List.filteri (fun j _ -> j <> i) l)))
+          (List.mapi (fun i x -> (i, x)) l)
+  in
+  go l
+
+(* Loop bounds and guards print in the order Fourier-Motzkin returns its
+   rows, so that order must depend only on the set of rows it is given.
+   At least one variable is eliminated ([drop]); the others go with [mask]. *)
+let prop_fm_order n =
+  let print (rows, mask, drop) =
+    Printf.sprintf "rows [%s] mask %d drop %d"
+      (String.concat "; "
+         (List.map
+            (fun r ->
+              String.concat " " (Array.to_list (Array.map string_of_int r)))
+            rows))
+      mask drop
+  in
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "FM elimination ignores row order (dim %d)" n)
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 1 5) (row_gen n))
+           (int_bound ((1 lsl n) - 1))
+           (int_bound (n - 1))))
+    (fun (rows, mask, drop) ->
+      let keep v = v <> drop && mask land (1 lsl v) <> 0 in
+      let want = Fm.eliminate ~n ~keep rows in
+      List.for_all
+        (fun rows -> Fm.eliminate ~n ~keep rows = want)
+        (permutations rows))
+
 let prop_constant_values n =
   QCheck.Test.make ~count:400
     ~name:(Printf.sprintf "constant_values exact (dim %d)" n)
@@ -608,5 +648,6 @@ let () =
             prop_eq_heavy 3; prop_eq_heavy 4; prop_eq_heavy 5;
             prop_screen_exact 2; prop_screen_exact 3; prop_extend 2;
             prop_constant_values 3; prop_constant_values 5;
+            prop_fm_order 2; prop_fm_order 3;
           ] );
     ]
