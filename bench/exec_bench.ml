@@ -9,7 +9,8 @@
      snapshots, and that a warm compile-cache rebuild is a hit at least 10x
      faster than a cold compile;
    - bench-smoke ([smoke_gate]) times sequential against pool, and the
-     vector tape against the scalar tape, by min-over-reps.
+     vector tape against the scalar tape, by min-over-reps; it prints
+     both verdicts before it fails on either.
 
    The timings of these paths, with their spread, are perfbench's exec-seq
    and exec-pool workloads.  pipeline-smoke and the autosched bench reuse
@@ -273,42 +274,49 @@ let smoke_gate () =
     (case.c_name, seq, pool)
   in
   let rows = List.map measure (cases ~smoke:true) in
-  if multicore then begin
-    let winners =
-      List.filter (fun (_, seq, pool) -> seq >= 1.5 *. pool) rows
-    in
-    if List.length winners >= 2 then
-      Common.pf
-        "bench-smoke: pool >= 1.5x seq at %d workers on %d/%d kernels\n"
-        (B.Pool.num_workers ()) (List.length winners) (List.length rows)
-    else begin
-      Common.pf
-        "bench-smoke FAILED: pool >= 1.5x seq on only %d/%d kernels (need \
-         >= 2)\n"
-        (List.length winners) (List.length rows);
-      exit 1
+  (* Each sub-gate prints its verdict; the process fails after both ran. *)
+  let pool_ok =
+    if multicore then begin
+      let winners =
+        List.filter (fun (_, seq, pool) -> seq >= 1.5 *. pool) rows
+      in
+      if List.length winners >= 2 then begin
+        Common.pf
+          "bench-smoke: pool >= 1.5x seq at %d workers on %d/%d kernels\n"
+          (B.Pool.num_workers ()) (List.length winners) (List.length rows);
+        true
+      end
+      else begin
+        Common.pf
+          "bench-smoke FAILED: pool >= 1.5x seq on only %d/%d kernels (need \
+           >= 2)\n"
+          (List.length winners) (List.length rows);
+        false
+      end
     end
-  end
-  else begin
-    (* Self-degrading silently is how a perf regression hides on a starved
-       CI box: one loud, unmissable line, on stderr, every time. *)
-    Printf.eprintf
-      "bench-smoke WARNING: only %d effective CPU(s) — the >= 1.5x pool \
-       scaling gate is DEGRADED to the 1.1x never-lose bound; scaling is \
-       NOT being verified on this machine\n%!"
-      (B.Pool.effective_parallelism ());
-    let failures =
-      List.filter
-        (fun (_, seq, pool) -> pool > (1.1 *. seq) +. 0.05)
-        rows
-    in
-    match failures with
-    | [] -> Common.pf "bench-smoke: pool within 1.1x of seq on every kernel\n"
-    | fs ->
-        Common.pf "bench-smoke FAILED: pool slower than 1.1x seq on: %s\n"
-          (String.concat ", " (List.map (fun (n, _, _) -> n) fs));
-        exit 1
-  end;
+    else begin
+      (* Self-degrading silently is how a perf regression hides on a starved
+         CI box: one loud, unmissable line, on stderr, every time. *)
+      Printf.eprintf
+        "bench-smoke WARNING: only %d effective CPU(s) — the >= 1.5x pool \
+         scaling gate is DEGRADED to the 1.1x never-lose bound; scaling is \
+         NOT being verified on this machine\n%!"
+        (B.Pool.effective_parallelism ());
+      let failures =
+        List.filter
+          (fun (_, seq, pool) -> pool > (1.1 *. seq) +. 0.05)
+          rows
+      in
+      match failures with
+      | [] ->
+          Common.pf "bench-smoke: pool within 1.1x of seq on every kernel\n";
+          true
+      | fs ->
+          Common.pf "bench-smoke FAILED: pool slower than 1.1x seq on: %s\n"
+            (String.concat ", " (List.map (fun (n, _, _) -> n) fs));
+          false
+    end
+  in
   (* The vector sub-gate compares the lane-batched tape against the
      forced-scalar tape on purely sequential timings, so it is honest on
      a single-CPU box — no regime split.  Every kernel has a vector nest
@@ -344,13 +352,13 @@ let smoke_gate () =
       (fun (_, scalar, vec) -> scalar >= 1.2 *. vec)
       vec_rows
   in
-  if List.length vec_winners >= 2 then
+  let vec_ok = List.length vec_winners >= 2 in
+  if vec_ok then
     Common.pf "bench-smoke: vector tape >= 1.2x scalar tape on %d/%d kernels\n"
       (List.length vec_winners) (List.length vec_rows)
-  else begin
+  else
     Common.pf
       "bench-smoke FAILED: vector tape >= 1.2x scalar tape on only %d/%d \
        kernels (need >= 2)\n"
       (List.length vec_winners) (List.length vec_rows);
-    exit 1
-  end
+  if not (pool_ok && vec_ok) then exit 1

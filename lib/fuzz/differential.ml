@@ -20,7 +20,7 @@
         parallelizes anything, and run every case on the GPU-sim and
         distributed targets too.
 
-   Each configuration runs on its own cache lease, whose buffers the cache
+   Each configuration is its own cache entry, whose buffers the cache
    restores to their initial contents on a hit, so runs cannot contaminate
    each other. *)
 
@@ -124,8 +124,7 @@ let exec_configs case =
 
 (* One configuration row: build the scheduled function through the
    pipeline with the row's knobs and run it once.  Returns the artifact,
-   whose buffers the caller diffs and then releases, and the row's pass
-   trace. *)
+   whose buffers the caller diffs, and the row's pass trace. *)
 let run_row ?probe (b : Case.built) (tag, knobs) =
   let tracer = P.make_tracer ?probe ~name:("exec:" ^ tag) () in
   let art =
@@ -219,8 +218,7 @@ let run_case_unguarded (case : Case.t) : outcome =
                    (Fail
                       (Printf.sprintf "exec(%s) diverges from interp: %s %s" tag
                          out (B.Buffers.first_diff s x)))))
-          b1.Case.outputs;
-        art.P.release ())
+          b1.Case.outputs)
       (exec_configs case);
     Pass
   with

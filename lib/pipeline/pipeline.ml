@@ -14,8 +14,8 @@
     the IR before and after a statement-level pass on a probe input, and
     the outputs must match bitwise).  A run's trace serializes to JSON.
 
-    On top of the pass manager sits a compile cache keyed on
-    [(structural hash of the statement, params, knobs, extents)]: building
+    On top of the pass manager sits a compile cache, one per domain, keyed
+    on [(structural hash of the statement, params, knobs, extents)]: building
     an identical configuration twice returns the previously compiled
     executor with its buffers restored to their initial contents — making
     repeated compiles in benchmark reps, fuzz replay, and autoscheduler
@@ -141,11 +141,7 @@ let probe_run (p : probe) (s : L.stmt) =
 let differential_verify p ~before ~after =
   match probe_run p before with
   | exception (Tiramisu_support.Limits.Timeout as t) -> raise t
-  | exception e ->
-      if Sys.getenv_opt "TIRAMISU_DEBUG_PROBE" <> None then
-        Printf.eprintf "probe reference run failed: %s\n"
-          (Printexc.to_string e);
-      Skipped
+  | exception _ -> Skipped
   | ref_out -> (
       match probe_run p after with
       | exception (Tiramisu_support.Limits.Timeout as t) -> raise t
@@ -373,18 +369,12 @@ let compile_stage ?tracer ?(knobs = default_knobs) ~params ~buffers
 type artifact = {
   exec : B.Exec.compiled;
   buffers : B.Buffers.t list;
-      (** leased to this artifact: exclusively owned by the caller's domain
-          until {!field-release} is called (see the lease model below) *)
+      (** the cache entry's own buffers: the building domain's next hit on
+          the same configuration restores them and hands them out again *)
   cache : cache_status;
   key_hash : int;              (** structural hash of the source statement *)
   plan_report : Plan.report;   (** parallel-planner decisions (empty when
                                    the pass did not run) *)
-  release : unit -> unit;
-      (** return the leased executor+buffers to the cache so another domain
-          can check them out.  Idempotent; never required for correctness —
-          an unreleased lease stays pinned to its domain (sequential reuse
-          by that domain keeps hitting it) and other domains get their own
-          clone — but releasing keeps the lease pool minimal. *)
 }
 
 (* The key is pure data (no closures): structural equality and the
@@ -416,107 +406,87 @@ type ckey = {
   k_extents : (string * int array * L.mem_space) list;
 }
 
-(* A lease is one (compiled executor, buffer set) pair.  The executor
-   captures its buffers by reference at compile time, so the two are
-   inseparable: handing out fresh buffers means handing out a fresh
-   executor.  [l_owner] is the domain id currently holding the pair
-   ([None] = checked in):
-
-   - the same domain re-hitting an entry reuses its own lease — the
-     pre-lease semantics, and the pure lookup+blit fast path the warm-hit
-     benchmark gate measures;
-   - a hit from a *different* domain while every lease is held checks out
-     nothing shared: it compiles a clone pair from the stored prepared
-     statement (no pass re-runs, just closure compilation) and registers
-     it as a new lease.  Two concurrent users of one entry can therefore
-     never alias mutable buffers. *)
-type lease = {
-  l_exec : B.Exec.compiled;
-  l_buffers : B.Buffers.t list;
-  mutable l_owner : int option;  (* domain id holding the pair *)
-}
-
+(* One entry is one compiled executor and the buffers it captured by
+   reference at compile time. *)
 type centry = {
   ce_stmt : L.stmt;  (* collision guard: must equal the requested stmt *)
-  ce_prepared : L.stmt;  (* post prepare+plan: clones skip every pass *)
-  ce_knobs : knobs;
-  ce_params : (string * int) list;
-  ce_extents : (string * int array * L.mem_space) list;
-  mutable ce_leases : lease list;
-  ce_snapshot : float array list;
-    (* initial buffer contents, one per extent: every lease's buffers are
-       instantiated from [ce_extents], so they line up index by index *)
+  ce_exec : B.Exec.compiled;
+  ce_buffers : B.Buffers.t list;
+  ce_snapshot : float array list;  (* initial contents, one per buffer *)
   ce_fills : (string * (int array -> float)) list;
   ce_plan : Plan.report;
   mutable ce_gen : int;  (* LRU generation: bumped on every hit/insert *)
 }
 
-let cache : (ckey, centry list) Hashtbl.t = Hashtbl.create 64
+(* Every domain has a cache of its own ([Domain.DLS]), so two domains
+   building one configuration compile it twice and can never be handed
+   the same mutable buffers — a shared entry once did exactly that, and
+   the executor would race on them.  Nothing here takes a lock: a domain's
+   cache must not be driven from two of its systhreads at once (no
+   caller does; the compile service's worker domains use
+   {!prepare_and_plan} and {!compile_stage} and never touch it). *)
+type dcache = {
+  table : (ckey, centry list) Hashtbl.t;
+  mutable entries : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable resets : int;
+  mutable tick : int;
+}
+
+let dcache_key =
+  Domain.DLS.new_key (fun () ->
+      { table = Hashtbl.create 64; entries = 0; hits = 0; misses = 0;
+        evictions = 0; resets = 0; tick = 0 })
+
 let default_cache_cap = 512
-let cache_cap_ref = ref default_cache_cap
-let cache_entries = ref 0
-let cache_hits = ref 0
-let cache_misses = ref 0
-let cache_evictions = ref 0
-let cache_resets = ref 0
-let cache_clones = ref 0
-let cache_tick = ref 0
+let shared_cap = Atomic.make default_cache_cap  (* one cap for every domain *)
+let cache_cap () = Atomic.get shared_cap
 
-(* One lock for the table, the counters and the hash memo.  Everything it
-   guards is O(entries) bookkeeping; compiles, pass runs and buffer
-   restores all happen outside it. *)
-let cache_mutex = Mutex.create ()
-let locked f = Mutex.protect cache_mutex f
-let self_id () = (Domain.self () :> int)
-
-let cache_cap () = !cache_cap_ref
-
-(* with the mutex held: evict the least-recently-used entry, preferring
-   entries with no lease checked out (an evicted busy lease stays valid
-   for its holder — it just no longer belongs to the cache). *)
-let evict_one_locked () =
-  let is_free e = List.for_all (fun l -> l.l_owner = None) e.ce_leases in
-  let best_free = ref None and best_any = ref None in
-  let consider slot (c : ckey * centry) =
-    match !slot with
-    | None -> slot := Some c
-    | Some (_, e') -> if (snd c).ce_gen < e'.ce_gen then slot := Some c
+(* evict the least-recently-used entry *)
+let evict_one c =
+  let victim =
+    Hashtbl.fold
+      (fun k es best ->
+        List.fold_left
+          (fun best e ->
+            match best with
+            | Some (_, e') when e'.ce_gen <= e.ce_gen -> best
+            | _ -> Some (k, e))
+          best es)
+      c.table None
   in
-  Hashtbl.iter
-    (fun k es ->
-      List.iter
-        (fun e ->
-          consider best_any (k, e);
-          if is_free e then consider best_free (k, e))
-        es)
-    cache;
-  match (match !best_free with Some _ as c -> c | None -> !best_any) with
+  match victim with
   | None -> ()
   | Some (k, victim) ->
-      let rest = List.filter (fun e -> e != victim) (Hashtbl.find cache k) in
-      if rest = [] then Hashtbl.remove cache k
-      else Hashtbl.replace cache k rest;
-      decr cache_entries;
-      incr cache_evictions
+      let rest = List.filter (fun e -> e != victim) (Hashtbl.find c.table k) in
+      if rest = [] then Hashtbl.remove c.table k
+      else Hashtbl.replace c.table k rest;
+      c.entries <- c.entries - 1;
+      c.evictions <- c.evictions + 1
 
+(* Sets the cap of every domain's cache; the calling domain's is trimmed
+   now, another domain's at its next insert. *)
 let set_cache_cap n =
   if n < 1 then invalid_arg "Pipeline.set_cache_cap";
-  locked (fun () ->
-      cache_cap_ref := n;
-      while !cache_entries > n do
-        evict_one_locked ()
-      done)
+  Atomic.set shared_cap n;
+  let c = Domain.DLS.get dcache_key in
+  while c.entries > n do
+    evict_one c
+  done
 
-(* Explicit full reset (tests, bench isolation).  The capacity-overflow
-   path never comes here: reaching [cache_cap] evicts exactly one entry
-   ({!evict_one_locked}), so warm state is shed incrementally, never
-   destroyed wholesale. *)
+(* Explicit full reset of the calling domain's cache (tests, bench
+   isolation).  The capacity-overflow path never comes here: reaching
+   [cache_cap] evicts exactly one entry ({!evict_one}), so warm state is
+   shed incrementally, never destroyed wholesale. *)
 let clear_cache () =
-  locked (fun () ->
-      Hashtbl.reset cache;
-      cache_entries := 0;
-      incr cache_resets)
+  let c = Domain.DLS.get dcache_key in
+  Hashtbl.reset c.table;
+  c.entries <- 0;
+  c.resets <- c.resets + 1
 
+(** The calling domain's cache counters. *)
 type cache_stats = {
   hits : int;
   misses : int;
@@ -524,38 +494,35 @@ type cache_stats = {
   evictions : int;  (** single-entry LRU evictions at capacity *)
   resets : int;     (** explicit {!clear_cache} calls — never incremented
                         by the eviction path *)
-  clones : int;     (** hits served by compiling a fresh lease because every
-                        existing one was held by another domain *)
 }
 
 let cache_stats () =
-  locked (fun () ->
-      { hits = !cache_hits; misses = !cache_misses;
-        entries = !cache_entries; evictions = !cache_evictions;
-        resets = !cache_resets; clones = !cache_clones })
+  let c = Domain.DLS.get dcache_key in
+  { hits = c.hits; misses = c.misses; entries = c.entries;
+    evictions = c.evictions; resets = c.resets }
 
 (* Hashing is a full statement traversal; rebuilding the *same* statement
    value (benchmark reps, fuzz replay of one case, repeated autoscheduler
    probes) would pay it on every hit.  A tiny physical-equality memo keeps
    the hit path free of the traversal without affecting the hash's
-   structural semantics. *)
-let hash_memo : (L.stmt * int) list ref = ref []
+   structural semantics.  The compile service's client threads call this
+   too ([Service.key_of]): the memo is one immutable list swapped
+   atomically, so a racing update is lost, never torn. *)
+let hash_memo : (L.stmt * int) list Atomic.t = Atomic.make []
 let hash_memo_cap = 16
 
 let structural_hash_memo s =
-  match
-    locked (fun () -> List.find_opt (fun (s', _) -> s' == s) !hash_memo)
-  with
+  let memo = Atomic.get hash_memo in
+  match List.find_opt (fun (s', _) -> s' == s) memo with
   | Some (_, h) -> h
   | None ->
       let h = L.structural_hash s in
-      locked (fun () ->
-          let kept =
-            if List.length !hash_memo >= hash_memo_cap then
-              List.filteri (fun i _ -> i < hash_memo_cap - 1) !hash_memo
-            else !hash_memo
-          in
-          hash_memo := (s, h) :: kept);
+      let kept =
+        if List.length memo >= hash_memo_cap then
+          List.filteri (fun i _ -> i < hash_memo_cap - 1) memo
+        else memo
+      in
+      Atomic.set hash_memo ((s, h) :: kept);
       h
 
 let make_key ~knobs ~params ~extents hash =
@@ -574,12 +541,12 @@ let instantiate ~stage ~extents ~inputs =
   guard ~stage ~context:"buffer setup"
     (fun () -> B.Buffers.instantiate ~extents ~inputs) ()
 
-(* Restore a lease's buffers to the initial state implied by [fills].
+(* Restore an entry's buffers to the initial state implied by [fills].
    When the fill closures are the very same functions the entry was built
    with (the common case: call sites pass top-level functions), blitting
    the snapshot back is both exact and allocation-free.  Otherwise zero
    everything and re-fill. *)
-let restore entry lease fills =
+let restore entry fills =
   let same =
     List.length fills = List.length entry.ce_fills
     && List.for_all2
@@ -589,42 +556,33 @@ let restore entry lease fills =
   if same then
     List.iter2
       (fun snap b -> Array.blit snap 0 b.B.Buffers.data 0 (Array.length snap))
-      entry.ce_snapshot lease.l_buffers
+      entry.ce_snapshot entry.ce_buffers
   else begin
     List.iter
       (fun b ->
         Array.fill b.B.Buffers.data 0 (Array.length b.B.Buffers.data) 0.)
-      lease.l_buffers;
+      entry.ce_buffers;
     guard ~stage:"cache" ~context:"buffer setup"
-      (B.Buffers.fill_inputs lease.l_buffers) fills
+      (B.Buffers.fill_inputs entry.ce_buffers) fills
   end
 
-let release_of lease () = locked (fun () -> lease.l_owner <- None)
-
-(* bump the entry's LRU generation; with the mutex held *)
-let touch_locked entry =
-  incr cache_tick;
-  entry.ce_gen <- !cache_tick
-
-let artifact_of_lease entry lease ~hash ~status =
-  { exec = lease.l_exec; buffers = lease.l_buffers; cache = status;
-    key_hash = hash; plan_report = entry.ce_plan;
-    release = release_of lease }
+(* bump the entry's LRU generation *)
+let touch c entry =
+  c.tick <- c.tick + 1;
+  entry.ce_gen <- c.tick
 
 (** Serializable digest of a cache key — what the on-disk service tier is
     content-addressed by.  [ckey] is pure data (the structural hash stands
     in for the statement), so marshalling it is well-defined. *)
 let key_digest (k : ckey) = Digest.to_hex (Digest.string (Marshal.to_string k []))
 
-(** Compile a statement through the cache.  [extents] declares every
-    buffer the program touches ([(name, dims, mem_space)]); [inputs] are
-    fill functions applied before the snapshot is taken.  On a hit the
-    caller's domain checks out an exclusive (executor, buffers) lease with
-    the buffers restored to their initial contents — bit-identical to what
-    a cold build would produce — and concurrent hits from other domains
-    are served disjoint leases (see {!type-lease}).  At capacity the
-    least-recently-used entry is evicted; the cache never resets
-    wholesale on its own. *)
+(** Compile a statement through the calling domain's cache.  [extents]
+    declares every buffer the program touches ([(name, dims,
+    mem_space)]); [inputs] are fill functions applied before the snapshot
+    is taken.  On a hit the entry's executor comes back with its buffers
+    restored to their initial contents — bit-identical to what a cold
+    build would produce.  At capacity the least-recently-used entry is
+    evicted; the cache never resets wholesale on its own. *)
 let build_stmt ?tracer ?(knobs = default_knobs) ~params ~extents ~inputs
     (s : L.stmt) : artifact =
   let t0 = B.Clock.now_ms () in
@@ -638,93 +596,39 @@ let build_stmt ?tracer ?(knobs = default_knobs) ~params ~extents ~inputs
            p_note = "" }
    | None -> ());
   let key = make_key ~knobs ~params ~extents hash in
-  let find_entry_locked () =
-    match Hashtbl.find_opt cache key with
-    | None -> None
-    | Some bucket -> List.find_opt (fun e -> e.ce_stmt = s) bucket
+  let c = Domain.DLS.get dcache_key in
+  let bucket = Option.value (Hashtbl.find_opt c.table key) ~default:[] in
+  let status, entry =
+    match List.find_opt (fun e -> e.ce_stmt = s) bucket with
+    | Some entry ->
+        touch c entry;
+        c.hits <- c.hits + 1;
+        restore entry inputs;
+        (Hit, entry)
+    | None ->
+        c.misses <- c.misses + 1;
+        let buffers = instantiate ~stage:"buffers" ~extents ~inputs in
+        let prepared, report = prepare_and_plan ?tracer ~knobs ~params s in
+        let exec = compile_stage ?tracer ~knobs ~params ~buffers prepared in
+        let entry =
+          { ce_stmt = s; ce_exec = exec; ce_buffers = buffers;
+            ce_snapshot =
+              List.map (fun b -> Array.copy b.B.Buffers.data) buffers;
+            ce_fills = inputs; ce_plan = report; ce_gen = 0 }
+        in
+        while c.entries >= cache_cap () do
+          evict_one c
+        done;
+        touch c entry;
+        (* the bucket is re-read: an eviction may have just emptied it *)
+        Hashtbl.replace c.table key
+          (entry :: Option.value (Hashtbl.find_opt c.table key) ~default:[]);
+        c.entries <- c.entries + 1;
+        (Miss, entry)
   in
-  (* claim: on a hit, either check out a free lease (or the one this very
-     domain already holds — sequential reuse) or decide to clone. *)
-  let claim =
-    locked (fun () ->
-        match find_entry_locked () with
-        | None -> None
-        | Some entry ->
-            touch_locked entry;
-            incr cache_hits;
-            let self = self_id () in
-            (match
-               List.find_opt
-                 (fun l -> l.l_owner = None || l.l_owner = Some self)
-                 entry.ce_leases
-             with
-            | Some l ->
-                l.l_owner <- Some self;
-                Some (entry, Some l)
-            | None ->
-                incr cache_clones;
-                Some (entry, None)))
-  in
-  match claim with
-  | Some (entry, Some lease) ->
-      restore entry lease inputs;
-      (match tracer with Some tr -> tr.tr_cache <- Hit | None -> ());
-      artifact_of_lease entry lease ~hash ~status:Hit
-  | Some (entry, None) ->
-      (* every lease is checked out by some other domain: compile a clone
-         pair from the stored prepared statement — no pass re-runs, only
-         the backend closure compilation — and lease it to this domain. *)
-      let buffers =
-        instantiate ~stage:"cache" ~extents:entry.ce_extents ~inputs
-      in
-      let exec =
-        compile_stage ?tracer ~knobs:entry.ce_knobs ~params:entry.ce_params
-          ~buffers entry.ce_prepared
-      in
-      let lease = { l_exec = exec; l_buffers = buffers;
-                    l_owner = Some (self_id ()) } in
-      locked (fun () -> entry.ce_leases <- entry.ce_leases @ [ lease ]);
-      (match tracer with Some tr -> tr.tr_cache <- Hit | None -> ());
-      artifact_of_lease entry lease ~hash ~status:Hit
-  | None ->
-      locked (fun () -> incr cache_misses);
-      let buffers = instantiate ~stage:"buffers" ~extents ~inputs in
-      let prepared, report = prepare_and_plan ?tracer ~knobs ~params s in
-      let exec = compile_stage ?tracer ~knobs ~params ~buffers prepared in
-      let snapshot = List.map (fun b -> Array.copy b.B.Buffers.data) buffers in
-      let lease =
-        { l_exec = exec; l_buffers = buffers; l_owner = Some (self_id ()) }
-      in
-      let entry =
-        locked (fun () ->
-            match find_entry_locked () with
-            | Some entry ->
-                (* another domain compiled the same configuration while we
-                   did: keep one entry and register our pair as an extra
-                   lease of it *)
-                touch_locked entry;
-                entry.ce_leases <- entry.ce_leases @ [ lease ];
-                entry
-            | None ->
-                if !cache_entries >= !cache_cap_ref then evict_one_locked ();
-                let entry =
-                  { ce_stmt = s; ce_prepared = prepared; ce_knobs = knobs;
-                    ce_params = params; ce_extents = extents;
-                    ce_leases = [ lease ]; ce_snapshot = snapshot;
-                    ce_fills = inputs; ce_plan = report; ce_gen = 0 }
-                in
-                touch_locked entry;
-                let bucket =
-                  match Hashtbl.find_opt cache key with
-                  | Some b -> b
-                  | None -> []
-                in
-                Hashtbl.replace cache key (entry :: bucket);
-                incr cache_entries;
-                entry)
-      in
-      (match tracer with Some tr -> tr.tr_cache <- Miss | None -> ());
-      artifact_of_lease entry lease ~hash ~status:Miss
+  (match tracer with Some tr -> tr.tr_cache <- status | None -> ());
+  { exec = entry.ce_exec; buffers = entry.ce_buffers; cache = status;
+    key_hash = hash; plan_report = entry.ce_plan }
 
 let extents_of_fn fn ~params =
   List.map

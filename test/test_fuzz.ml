@@ -523,7 +523,6 @@ let clamped_corpus_splits () =
       let b = Case.build case in
       let row = List.hd (Differential.exec_configs case) in
       let art, trace = Differential.run_row b row in
-      art.P.release ();
       let note =
         match
           List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes
@@ -553,7 +552,6 @@ let partial_tile_corpus_cuts () =
   let b = Case.build corpus_partial_tile in
   let row = List.hd (Differential.exec_configs corpus_partial_tile) in
   let art, trace = Differential.run_row b row in
-  art.P.release ();
   let note =
     match List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes with
     | Some p -> p.P.p_note
@@ -578,11 +576,9 @@ let partial_tile_corpus_cuts () =
       ~name:"stacked" ()
   in
   let b = Case.build corpus_stacked_tiles in
-  let art =
-    P.build ~tracer ~knobs:P.default_knobs ~fn:b.Case.fn
-      ~params:b.Case.params ~inputs:b.Case.fills ()
-  in
-  art.P.release ();
+  ignore
+    (P.build ~tracer ~knobs:P.default_knobs ~fn:b.Case.fn
+       ~params:b.Case.params ~inputs:b.Case.fills ());
   match !narrowed with
   | None -> Alcotest.fail "stacked tiles: no narrow pass ran"
   | Some s ->
@@ -631,8 +627,7 @@ let pool_rows_run_widen_parallel () =
   Alcotest.(check int) "five pool rows" 5 (List.length pool_rows);
   List.iter
     (fun ((tag, _) as row) ->
-      let art, trace = Differential.run_row b row in
-      art.P.release ();
+      let _, trace = Differential.run_row b row in
       match
         List.find_opt (fun p -> p.P.p_name = "widen-parallel") trace.P.t_passes
       with
@@ -1149,18 +1144,14 @@ let clamped_case_exact case =
         { P.default_knobs with P.target = B.Target.cpu ~parallel:par (); tape }
       in
       let art, _ = Differential.run_row b ("clamped", knobs) in
-      let ok =
-        List.for_all
-          (fun out ->
-            let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
-            B.Buffers.bits_equal (B.Interp.buffer reference out) x
-            || QCheck.Test.fail_reportf "%s differs (%s, tape %b):\n%s" out
-                 (match par with `Seq -> "seq" | `Pool -> "pool") tape
-                 (Case.to_literal case))
-          b.Case.outputs
-      in
-      art.P.release ();
-      ok)
+      List.for_all
+        (fun out ->
+          let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
+          B.Buffers.bits_equal (B.Interp.buffer reference out) x
+          || QCheck.Test.fail_reportf "%s differs (%s, tape %b):\n%s" out
+               (match par with `Seq -> "seq" | `Pool -> "pool") tape
+               (Case.to_literal case))
+        b.Case.outputs)
     [ (`Seq, true); (`Seq, false); (`Pool, true); (`Pool, false) ]
 
 let prop_clamped_split_exact =
@@ -1225,19 +1216,15 @@ let partial_tile_case_exact case =
           P.target = B.Target.cpu ~parallel:par (); tape; lanes }
       in
       let art, _ = Differential.run_row b ("partial-tile", knobs) in
-      let ok =
-        List.for_all
-          (fun out ->
-            let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
-            B.Buffers.bits_equal (B.Interp.buffer reference out) x
-            || QCheck.Test.fail_reportf "%s differs (%s, tape %b, lanes %d):\n%s"
-                 out
-                 (match par with `Seq -> "seq" | `Pool -> "pool")
-                 tape lanes (Case.to_literal case))
-          b.Case.outputs
-      in
-      art.P.release ();
-      ok)
+      List.for_all
+        (fun out ->
+          let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
+          B.Buffers.bits_equal (B.Interp.buffer reference out) x
+          || QCheck.Test.fail_reportf "%s differs (%s, tape %b, lanes %d):\n%s"
+               out
+               (match par with `Seq -> "seq" | `Pool -> "pool")
+               tape lanes (Case.to_literal case))
+        b.Case.outputs)
     (List.concat_map
        (fun par ->
          List.concat_map

@@ -268,12 +268,12 @@ let eviction_storm () =
   Alcotest.(check bool) "warm entry survived the storm" true
     ((storm_build 0).P.cache = P.Hit)
 
-(* ---------- concurrent hit safety ---------- *)
+(* ---------- per-domain caches ---------- *)
 
-(* Two domains hitting the same cache entry concurrently must not be
-   handed the same mutable buffers.  Before the lease model, every hit
-   returned the one [ce_buffers] list owned by the cache — this test
-   fails on that code with physically equal arrays. *)
+(* Two domains building the same configuration must never be handed the
+   same mutable buffers.  Before each domain had a cache of its own, a
+   hit from any domain returned the one buffer list the entry owned; on
+   that code the spawned builds hit, and this test fails. *)
 let concurrent_hits_do_not_alias () =
   P.clear_cache ();
   let stmt =
@@ -290,21 +290,21 @@ let concurrent_hits_do_not_alias () =
       ~extents:[ ("out", [| 64 |], L.Host) ]
       ~inputs:[] stmt
   in
-  (* warm the cache from the main domain, which keeps its lease *)
-  ignore (build ());
-  let clones0 = (P.cache_stats ()).P.clones in
+  let out_data art = (B.Exec.buffer art.P.exec "out").B.Buffers.data in
+  let a0 = build () in
   let job () =
     let art = build () in
-    Alcotest.(check bool) "spawned-domain rebuild is a hit" true
-      (art.P.cache = P.Hit);
+    Alcotest.(check bool) "a spawned domain's first build misses" true
+      (art.P.cache = P.Miss);
     B.Exec.run art.P.exec;
-    (art, Array.copy (B.Exec.buffer art.P.exec "out").B.Buffers.data)
+    (art, Array.copy (out_data art))
   in
   let d1 = Domain.spawn job and d2 = Domain.spawn job in
   let a1, out1 = Domain.join d1 and a2, out2 = Domain.join d2 in
-  Alcotest.(check bool) "concurrent hits got distinct buffers" true
-    ((B.Exec.buffer a1.P.exec "out").B.Buffers.data
-    != (B.Exec.buffer a2.P.exec "out").B.Buffers.data);
+  Alcotest.(check bool) "the three builds got distinct buffers" true
+    (out_data a1 != out_data a2
+    && out_data a0 != out_data a1
+    && out_data a0 != out_data a2);
   let check_out out =
     Alcotest.(check int) "output length" 64 (Array.length out);
     Array.iteri
@@ -314,21 +314,27 @@ let concurrent_hits_do_not_alias () =
   in
   check_out out1;
   check_out out2;
-  Alcotest.(check bool) "contended hits cloned fresh leases" true
-    ((P.cache_stats ()).P.clones >= clones0 + 2);
-  (* released leases are reused, not recloned *)
-  a1.P.release ();
-  a2.P.release ();
-  let clones1 = (P.cache_stats ()).P.clones in
-  let d3 = Domain.spawn (fun () ->
-      let art = build () in
-      let r = (B.Exec.buffer art.P.exec "out").B.Buffers.data in
-      art.P.release ();
-      r)
+  Alcotest.(check bool) "the main domain still hits" true
+    ((build ()).P.cache = P.Hit)
+
+(* [set_cache_cap] is one cap for every domain: a spawned domain filling
+   its own cache past it evicts one entry per insert. *)
+let cap_holds_across_domains () =
+  let old_cap = P.cache_cap () in
+  P.set_cache_cap 4;
+  Fun.protect ~finally:(fun () -> P.set_cache_cap old_cap) @@ fun () ->
+  let s =
+    Domain.join
+      (Domain.spawn (fun () ->
+           for c = 0 to 5 do
+             ignore (storm_build c)
+           done;
+           P.cache_stats ()))
   in
-  ignore (Domain.join d3);
-  Alcotest.(check int) "released lease reused without a clone" clones1
-    (P.cache_stats ()).P.clones
+  Alcotest.(check int) "entries at the cap" 4 s.P.entries;
+  Alcotest.(check int) "one eviction per insert past the cap" 2
+    s.P.evictions;
+  Alcotest.(check int) "no reset" 0 s.P.resets
 
 (* ---------- typed pass errors ---------- *)
 
@@ -426,8 +432,8 @@ let unknown_input_one_error () =
     P.build ~fn:(blur_fn ()) ~params:blur_params ~inputs ()
   in
   expect_stage "buffers" (build (bad :: blur_inputs));
-  (* on a hit, the restore re-fills a leased buffer set *)
-  (build blur_inputs ()).P.release ();
+  (* on a hit, the restore re-fills the entry's buffer set *)
+  ignore (build blur_inputs ());
   expect_stage "cache" (build (blur_inputs @ [ bad ]));
   Alcotest.check_raises "Runner.run" (Invalid_argument msg) (fun () ->
       ignore
@@ -463,6 +469,8 @@ let () =
             `Quick eviction_storm;
           Alcotest.test_case "concurrent hits never alias buffers" `Quick
             concurrent_hits_do_not_alias;
+          Alcotest.test_case "cap holds across domains" `Quick
+            cap_holds_across_domains;
         ] );
       ( "pass-manager",
         [
