@@ -29,8 +29,6 @@ val to_literal : action -> string
 type entry = string * string list ref
 (** computation name, current dynamic-dim names (outer to inner) *)
 
-val replace1 : string list -> string -> string list -> string list
-val replace_pair : string list -> string -> string -> string list -> string list
 val swap : string list -> string -> string -> string list
 
 val copy_entries : entry list -> entry list

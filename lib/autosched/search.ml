@@ -16,7 +16,12 @@
    same statement.  Measurement keeps a best-so-far incumbent and abandons
    a candidate as soon as a rep exceeds the incumbent by the cutoff ratio.
    The whole search is anytime: the wall-clock budget is checked between
-   candidates and the incumbent is always a legal, measured schedule.
+   candidates and between timing reps, and the incumbent is always a
+   legal, measured schedule.  Vetting and building a candidate run on the
+   fuzz campaign's work budget ({!Tiramisu_support.Limits.case_fuel}):
+   deeply stacked schedules can blow up the Omega-test elimination
+   (exponential constraint growth), and such a candidate is dropped as
+   errored, the same on every host.
 
    The winner is replayed bit-exactly against the interpreter on every
    output buffer before being reported (exec vs interp on the same
@@ -29,6 +34,7 @@ module P = Tiramisu_pipeline.Pipeline
 module D = Tiramisu_deps.Deps
 module Lower = Tiramisu_core.Lower
 module S = Sched_space
+module Lm = Tiramisu_support.Limits
 
 type problem = {
   name : string;
@@ -57,12 +63,6 @@ type config = {
 
 (* Abandon a candidate once a rep exceeds incumbent * ratio. *)
 let cutoff_ratio = 1.5
-
-(* Per-candidate alarm on vetting and measuring: deeply stacked schedules
-   can blow up the Omega-test elimination (exponential constraint growth),
-   and the wall-clock budget is only checked between candidates — the same
-   guard the fuzz campaign uses. *)
-let timeout_s = 5
 
 let default_config =
   {
@@ -340,6 +340,7 @@ let measure acc cfg problem ~tape ~lanes ~cutoff actions =
   let cut = ref false in
   (try
      for _ = 1 to cfg.reps do
+       Lm.check_deadline ();
        let t0 = B.Clock.now_ms () in
        B.Exec.run c;
        let ms = B.Clock.now_ms () -. t0 in
@@ -419,17 +420,22 @@ let run ?(config = default_config) (problem : problem) : result =
   let say fmt =
     Printf.ksprintf (fun s -> if cfg.verbose then prerr_endline s) fmt
   in
+  (* A candidate is vetted and built on the work budget; a challenger's
+     measuring also stops at the search's wall-clock budget. *)
+  let fueled f = Lm.with_fuel Lm.case_fuel f in
   let limited f =
-    Tiramisu_support.Limits.with_time_limit timeout_s f
+    Option.join
+      (fueled (fun () ->
+           Lm.with_deadline ((cfg.budget_ms -. elapsed ()) /. 1000.0) f))
   in
   (* Incumbent: the default (empty) schedule, measured first — so "searched
      >= default" holds by construction and the trajectory starts anchored.
-     The default gets a generous multiple of the per-candidate limit: if
-     even it cannot compile and run, the search has no incumbent and no
-     legal answer, so failing loudly beats searching blind. *)
+     If even it cannot compile within the work budget, the search has no
+     incumbent and no legal answer, so failing loudly beats searching
+     blind. *)
   let default_ms, _ =
     match
-      Tiramisu_support.Limits.with_time_limit (8 * timeout_s) (fun () ->
+      fueled (fun () ->
           measure acc cfg problem ~tape:true ~lanes:P.default_knobs.P.lanes
             ~cutoff:infinity [])
     with
@@ -437,7 +443,7 @@ let run ?(config = default_config) (problem : problem) : result =
     | None ->
         failwith
           (problem.name
-         ^ ": default schedule did not compile and measure within the limit")
+         ^ ": default schedule did not compile within the work budget")
   in
   incr measured;
   Hashtbl.replace seen (literal []) ();
@@ -507,8 +513,8 @@ let run ?(config = default_config) (problem : problem) : result =
            (fun acts ->
              if over_budget () then None
              else
-               match limited (fun () -> vet ~acc cfg problem acts) with
-               | None (* Omega blowup: the alarm fired mid-vet *)
+               match fueled (fun () -> vet ~acc cfg problem acts) with
+               | None (* Omega blowup: the work budget ran out mid-vet *)
                | Some (`Err _) ->
                    incr errored;
                    None

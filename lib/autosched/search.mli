@@ -61,25 +61,23 @@ type result = {
   r_verified : bool;  (** winner matched the interpreter bitwise *)
   r_elapsed_ms : float;
   r_stage_ms : (string * float) list;
-      (** wall-clock per stage, summed over the search, one entry per
-          {!stage_names} name in that order *)
+      (** wall-clock per stage, summed over the search, in this order:
+          [schedule+legality] (building the scheduled function and the
+          dependence oracle), [lower+prepare] (lowering and the statement
+          passes the cost prior scores), [prior] (the cost model),
+          [measure.build] ([Pipeline.build] of a measured candidate, cache
+          hits included), [measure.reps] (its warm-up and timed runs),
+          [verify.lower] (the winner's rebuild, executor run and lowering
+          for the interpreter) and [verify.interpret] (the interpreter run
+          and the bitwise comparison) *)
 }
-
-val stage_names : string list
-(** The stages a search's time is split into: [schedule+legality]
-    (building the scheduled function and the dependence oracle),
-    [lower+prepare] (lowering and the statement passes the cost prior
-    scores), [prior] (the cost model), [measure.build] ([Pipeline.build]
-    of a measured candidate, cache hits included), [measure.reps] (its
-    warm-up and timed runs), [verify.lower] (the winner's rebuild,
-    executor run and lowering for the interpreter) and [verify.interpret]
-    (the interpreter run and the bitwise comparison). *)
 
 val run : ?config:config -> problem -> result
 (** A measurement is abandoned once a rep exceeds 1.5x the incumbent.
-    Each candidate is vetted and measured under a 5 s alarm (the default
-    schedule under 40 s) — the Omega-test blowup guard the fuzz campaign
-    uses too; timed-out candidates count as errored. *)
+    Each candidate is vetted and built on the work budget the fuzz
+    campaign uses too ({!Tiramisu_support.Limits.case_fuel}), the
+    Omega-test blowup guard; candidates over it count as errored.  A
+    challenger's timing reps also stop at the search's wall-clock budget. *)
 
 val first_round : config -> problem -> Sched_space.action list list
 (** The first round's candidates, before deduplication and the
@@ -98,7 +96,8 @@ val vet :
     prepare and plan it the way [Pipeline.build] does at the config's
     target with the tape on; [`Ok] carries the function and the statement
     the cost prior scores — the one that build compiles.  [acc], when
-    given, accumulates the time of the first two {!stage_names}. *)
+    given, accumulates the time of the first two stages of
+    [r_stage_ms]. *)
 
 val literal : Sched_space.action list -> string
 (** The winning schedule as a replayable OCaml action-list literal. *)

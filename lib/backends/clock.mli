@@ -2,9 +2,6 @@
     the benchmark harness.  Never jumps backwards, unlike
     [Unix.gettimeofday]. *)
 
-val now_ns : unit -> int64
-(** Nanoseconds from an arbitrary fixed origin. *)
-
 val now_s : unit -> float
 val now_ms : unit -> float
 

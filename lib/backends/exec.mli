@@ -9,8 +9,8 @@
 
     Parallel loops run on the persistent {!Pool} of domains (chunked ranges,
     work stealing); nested parallel loops — statically detected via the loop
-    metadata, or dynamically via {!Pool.in_worker} — run sequentially on
-    their worker instead of oversubscribing.
+    metadata, or dynamically when a pool task starts one — run
+    sequentially on their worker instead of oversubscribing.
 
     Addressing is precomputed: strides per access, affine index
     expressions as register/coefficient sums, and in-range constant

@@ -194,7 +194,6 @@ let make_pool n =
   p.domains <-
     List.init (n - 1) (fun i ->
         Domain.spawn (fun () ->
-            Tiramisu_support.Limits.block_alarm ();
             Domain.DLS.get worker_flag := true;
             worker_loop p i));
   p

@@ -25,11 +25,6 @@ val set_num_workers : int -> unit
     {!parallel_for} re-creates the pool at the new size.
     @raise Invalid_argument if the size is < 1. *)
 
-val in_worker : unit -> bool
-(** True while executing inside a pool task (on any domain, the helping
-    caller included).  Nested [parallel_for]s use this to run inline instead
-    of oversubscribing. *)
-
 val effective_parallelism : unit -> int
 (** The parallelism the pool can actually realize: {!num_workers} capped by
     [Domain.recommended_domain_count ()].  A pool sized larger than the CPUs

@@ -194,6 +194,3 @@ let emit_function ~name ~params ~buffers body =
   ctx.indent <- 0;
   line ctx "}";
   Buffer.contents ctx.buf
-
-let emit_expr e =
-  expr { shapes = []; buf = Buffer.create 64; indent = 0; kernels = [] } e

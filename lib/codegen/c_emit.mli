@@ -16,7 +16,3 @@ val emit_function :
   string
 (** A full translation unit: includes, buffer parameters (flat [float*]
     with explicit index linearization), and the loop nest. *)
-
-val emit_expr : Loop_ir.expr -> string
-(** A single expression in C syntax (indices linearized only inside
-    {!emit_function}, where buffer shapes are known). *)

@@ -49,7 +49,6 @@ val min_work : int
     serialized rather than forked. *)
 
 val est_int : (string, int) Hashtbl.t -> Loop_ir.expr -> int
-val est_work : (string, int) Hashtbl.t -> Loop_ir.stmt -> int
 
 val uniform :
   (string, int) Hashtbl.t ->
@@ -81,5 +80,4 @@ val plan :
     tags are legal (the pass only reorders work across parallel entries
     that carry no dependence). *)
 
-val decision_str : decision -> string
 val report_str : report -> string

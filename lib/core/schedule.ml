@@ -155,50 +155,6 @@ let after c b level =
 
 let live_cols sched = List.map (fun d -> d.d_col) sched.dims
 
-let scheduled_set ~params ~context domain sched =
-  let iters = Array.to_list domain.Iset.space.Space.vars in
-  let inter = sched.inter in
-  let dims = sched.dims in
-  let cols =
-    Array.of_list (params @ iters @ inter @ live_cols sched)
-  in
-  let n = Array.length cols in
-  let np = List.length params in
-  let ni = List.length iters and nint = List.length inter in
-  let base = Poly.universe n in
-  let add_cstr p c =
-    match Cstr.to_row ~cols c with
-    | `Eq r -> Poly.add_eq p r
-    | `Ineq r -> Poly.add_ineq p r
-  in
-  let base = List.fold_left add_cstr base sched.cstrs in
-  let base = List.fold_left add_cstr base context in
-  let base =
-    List.fold_left
-      (fun p (d, idx) ->
-        match d.d_kind with
-        | Static v -> Poly.fix_var p (np + ni + nint + idx) v
-        | Dyn -> p)
-      base
-      (List.mapi (fun i d -> (d, i)) dims)
-  in
-  let polys =
-    List.map
-      (fun dp ->
-        (* Lift the domain poly (params+iters) into the full column space. *)
-        let lifted =
-          Poly.insert_vars dp ~at:(np + ni)
-            ~count:(n - np - ni)
-        in
-        let inter_poly = Poly.intersect lifted base in
-        fst (Poly.project_out inter_poly ~at:np ~count:(ni + nint)))
-      domain.Iset.polys
-  in
-  let out_space =
-    Space.set_space ~params (List.map (fun d -> d.d_col) dims)
-  in
-  Iset.of_polys out_space polys
-
 let backward_exprs ~params domain sched =
   let iters = Array.to_list domain.Iset.space.Space.vars in
   if iters = [] then []

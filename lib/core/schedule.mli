@@ -50,11 +50,6 @@ val after : Ir.sched -> Ir.sched -> int -> unit
 
 (** {1 Lowering support} *)
 
-val scheduled_set :
-  params:string list -> context:Cstr.t list -> Iset.t -> Ir.sched -> Iset.t
-(** Apply the time-space map to the iteration domain: the Layer-II scheduled
-    set over the live columns (statics as constant dims). *)
-
 val backward_exprs :
   params:string list -> Iset.t -> Ir.sched -> (string * Aff.t) list
 (** Each iterator as an affine expression of the live dynamic columns — the

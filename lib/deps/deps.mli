@@ -37,8 +37,6 @@ val memory_deps : Tiramisu_core.Ir.fn -> dep list
 (** Buffer-based dependences after data mapping (Layer III): all pairs of
     accesses to the same buffer where at least one writes. *)
 
-val is_empty_dep : dep -> bool
-
 type violation =
   | Order of {
       dep : dep;
@@ -96,7 +94,7 @@ val legal_under_schedule : Tiramisu_core.Ir.fn -> (unit, string) result
     even though the mapping itself orders it correctly. *)
 
 val widen_parallel :
-  Tiramisu_core.Ir.fn -> (string * string) list * (unit -> unit)
+  Tiramisu_core.Ir.fn -> (string * string) list * bool * (unit -> unit)
 (** Grow each computation's parallel band before lowering: [Seq] dynamic
     dims contiguous with the existing [Parallel] band (just outside its
     outermost dim, or just inside its innermost) are trial-retagged
@@ -105,9 +103,12 @@ val widen_parallel :
     shared through loop fusion are checked against every fused
     computation's dependences.  Greedy and deterministic; computations that
     are inlined, [compute_at]-scheduled, or have no [Parallel] dim are left
-    alone.  Returns the accepted [(computation, dim-name)] pairs
-    (outermost-first per computation) and an undo closure restoring every
-    mutated tag, so a caller can widen, lower, and hand the user's
+    alone.  Each trial runs on a fixed work budget
+    ({!Tiramisu_support.Limits.with_fuel}); the first trial over it keeps
+    its dim as written and ends the widening.  Returns the accepted
+    [(computation, dim-name)] pairs (outermost-first per computation),
+    whether a trial ran over its budget, and an undo closure restoring
+    every mutated tag, so a caller can widen, lower, and hand the user's
     schedule back unchanged. *)
 
 val has_cycle : Tiramisu_core.Ir.fn -> bool
@@ -115,5 +116,4 @@ val has_cycle : Tiramisu_core.Ir.fn -> bool
     supports cyclic graphs (edgeDetector, §VI-B); the Halide baseline
     rejects them. *)
 
-val pp_dep : Format.formatter -> dep -> unit
 val pp_violation : Format.formatter -> violation -> unit

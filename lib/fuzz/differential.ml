@@ -11,10 +11,11 @@
         programs use exact integer-valued floats so bit equality is the
         right notion);
      3. every compiled-executor configuration computes the same bits as
-        the scheduled interpreter run.  Each configuration is built by
-        [Pipeline.build] from the scheduled [Ir.fn] — the path users run:
-        widen-parallel, lowering with the tape-aware legalize, the
-        statement passes, the planner and the compile cache.  The
+        the scheduled interpreter run.  Each configuration is built from
+        the scheduled [Ir.fn] the way [Pipeline.build] builds it — the
+        path users run: widen-parallel, lowering with the tape-aware
+        legalize, the statement passes, the planner and the compile
+        cache — with one lowering per class of rows that lower alike.  The
         configurations cross the parallel strategy with the optimization
         knobs (tape, lanes) on Seq, add the pool rows when the schedule
         parallelizes anything, and run every case on the GPU-sim and
@@ -45,14 +46,9 @@ let build_s = ref 0.0
 let exec_s = ref 0.0
 let reference_s = ref 0.0
 
-(* Not [Fun.protect]: a [Limits.Timeout] raised inside its [finally]
-   would come out wrapped in [Fun.Finally_raised]. *)
 let timed acc f =
   let t0 = Unix.gettimeofday () in
-  let add () = acc := !acc +. (Unix.gettimeofday () -. t0) in
-  match f () with
-  | v -> add (); v
-  | exception e -> add (); raise e
+  Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
 
 (* Per-pass differential-verify probe for the pipeline: the case's own
    parameters, buffers, fills and outputs.  Every verifiable pass
@@ -124,13 +120,33 @@ let exec_configs case =
 
 (* One configuration row: build the scheduled function through the
    pipeline with the row's knobs and run it once.  Returns the artifact,
-   whose buffers the caller diffs, and the row's pass trace. *)
-let run_row ?probe (b : Case.built) (tag, knobs) =
+   whose buffers the caller diffs, and the row's pass trace.
+
+   Lowering ([Pipeline.lower_for_build]) depends on two knobs only:
+   whether the target is pool-schedulable (widen-parallel runs) and
+   whether the tape is on (claimable vector loops stay unsplit).  The rows
+   sharing [lowered] lower once per such class, and each row's trace
+   starts with its class's widen-parallel and lowering passes. *)
+let run_row ?probe ?(lowered = Hashtbl.create 4) (b : Case.built) (tag, knobs) =
   let tracer = P.make_tracer ?probe ~name:("exec:" ^ tag) () in
   let art =
     timed build_s (fun () ->
-        P.build ~tracer ~knobs ~fn:b.Case.fn ~params:b.Case.params
-          ~inputs:b.Case.fills ())
+        let cls = (B.Target.pool_schedulable knobs.P.target, knobs.P.tape) in
+        let ast, passes =
+          match Hashtbl.find_opt lowered cls with
+          | Some l -> l
+          | None ->
+              let l =
+                P.lower_for_build ~tracer ~knobs b.Case.fn (fun l ->
+                    (l.Lower.ast, tracer.P.tr_passes))
+              in
+              Hashtbl.replace lowered cls l;
+              l
+        in
+        tracer.P.tr_passes <- passes;
+        P.build_stmt ~tracer ~knobs ~params:b.Case.params
+          ~extents:(P.extents_of_fn b.Case.fn ~params:b.Case.params)
+          ~inputs:b.Case.fills ast)
   in
   timed exec_s (fun () -> B.Exec.run art.P.exec);
   (art, P.trace_of tracer)
@@ -145,7 +161,7 @@ let run_case_unguarded (case : Case.t) : outcome =
     (* Scheduled build + oracle. *)
     let b1 =
       try Case.build case with
-      | Limits.Timeout as t -> raise t
+      | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
       | e ->
           raise
             (Stop (Rejected ("schedule failed to apply: " ^ Printexc.to_string e)))
@@ -160,7 +176,7 @@ let run_case_unguarded (case : Case.t) : outcome =
     let ast1 =
       let tracer = P.make_tracer ~probe ~name:"scheduled" () in
       try timed reference_s (fun () -> (P.lower ~tracer b1.Case.fn).Lower.ast) with
-      | Limits.Timeout as t -> raise t
+      | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
       | P.Error pe ->
           raise
             (Stop
@@ -174,7 +190,7 @@ let run_case_unguarded (case : Case.t) : outcome =
     in
     let sched_interp =
       try timed reference_s (fun () -> interp_of b1 ast1) with
-      | Limits.Timeout as t -> raise t
+      | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
       | e ->
           raise (Stop (Fail ("interp(scheduled) raised: " ^ Printexc.to_string e)))
     in
@@ -190,11 +206,12 @@ let run_case_unguarded (case : Case.t) : outcome =
                      (B.Buffers.first_diff r s)))))
       b1.Case.outputs;
     (* Compiled executor, every configuration, vs the scheduled interp. *)
+    let lowered = Hashtbl.create 4 in
     List.iter
       (fun (tag, knobs) ->
         let art =
-          try fst (run_row ~probe b1 (tag, knobs)) with
-          | Limits.Timeout as t -> raise t
+          try fst (run_row ~probe ~lowered b1 (tag, knobs)) with
+          | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
           | P.Error pe ->
               raise
                 (Stop
@@ -223,17 +240,18 @@ let run_case_unguarded (case : Case.t) : outcome =
     Pass
   with
   | Stop o -> o
-  | Limits.Timeout as t -> raise t
+  | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
   | e -> Fail ("reference run raised: " ^ Printexc.to_string e)
 
 (* Corpus replays skip generator vetting, so the polyhedral blowup guard
-   has to live here too: a case the machinery cannot decide in time is
-   reported as rejected, never allowed to wedge the campaign.  The limit is
-   on CPU time, so a busy machine does not turn a case into a rejection. *)
+   has to live here too: a case the machinery cannot decide within the
+   work budget is reported as rejected, never allowed to wedge the
+   campaign.  The budget counts work, not time, so the verdict is the same
+   on every machine and under any load. *)
 let run_case (case : Case.t) : outcome =
-  match Limits.with_time_limit ~cpu:true 30 (fun () -> run_case_unguarded case) with
+  match Limits.with_fuel Limits.case_fuel (fun () -> run_case_unguarded case) with
   | Some o -> o
-  | None -> Rejected "timed out (polyhedral blowup guard)"
+  | None -> Rejected "over the work budget (polyhedral blowup guard)"
 
 let outcome_str = function
   | Pass -> "pass"

@@ -22,8 +22,8 @@
    reduction's [r]): the legality check takes at most 24 ms and allocates
    at most 7 MB at two levels, 52 ms / 15 MB at three, 125 ms / 32 MB at
    four.  The bound stays because the pinned fuzz corpus and the
-   benchmark's programs are drawn under it; the 5 s vet timeout backstops
-   whatever it still lets through.
+   benchmark's programs are drawn under it; the vet's work budget
+   ([Limits.case_fuel]) backstops whatever it still lets through.
 
    The oracle checks hardware tags too (a dependence carried by a
    parallelized or vectorized loop is rejected — found by this fuzzer,
@@ -100,12 +100,13 @@ let candidate : R.t -> S.entry list -> (Case.step * (unit -> unit)) option =
   S.random_candidate
 
 (* Rebuild from scratch and check: schedule applies, the oracle accepts,
-   lowering succeeds.  Runs under a CPU-time limit: candidates whose
-   legality check blows up are dropped as errored, not allowed to hang, and
-   a busy machine does not change which candidates a seed keeps. *)
+   lowering succeeds.  Runs on a work budget: candidates whose legality
+   check blows up are dropped as errored, not allowed to hang, and neither
+   the host nor its load changes which candidates a seed keeps. *)
 let vet case =
+  let module Lm = Tiramisu_support.Limits in
   match
-    Tiramisu_support.Limits.with_time_limit ~cpu:true 5 (fun () ->
+    Lm.with_fuel Lm.case_fuel (fun () ->
         match Case.build case with
         | exception e -> `Err (Printexc.to_string e)
         | b -> (
@@ -117,7 +118,7 @@ let vet case =
                 | _ -> `Ok)))
   with
   | Some r -> r
-  | None -> `Err "vet timed out"
+  | None -> `Err "vet over the work budget"
 
 (* Schedulable computations with their initial dynamic-dim names. *)
 let schedulable (t : Case.t) =

@@ -50,8 +50,8 @@ let () =
     | _ -> None)
 
 (* Wrap only the exception families the stages are specified to raise on
-   unsupported programs.  Everything else — notably the fuzzer's
-   [Limits.Timeout] — must propagate untouched.
+   unsupported programs.  Everything else — notably [Limits.Timeout] and
+   the work budget's [Limits.Budget_exceeded] — must propagate untouched.
 
    Every pass boundary is also a cooperative cancellation point: when the
    caller (the compile service) set a domain-local deadline via
@@ -136,15 +136,17 @@ let probe_run (p : probe) (s : L.stmt) =
 (* Interp the probe on [before] and [after]; outputs must match bitwise.
    If the *reference* run on [before] fails (construct outside the probe's
    reach), the probe can't judge the pass: Skipped.  If only the [after]
-   run fails, the pass broke the program: Mismatch.  A [Limits.Timeout]
-   judges nothing and propagates, like everywhere else in the pipeline. *)
+   run fails, the pass broke the program: Mismatch.  A [Limits.Timeout] or
+   [Limits.Budget_exceeded] judges nothing and propagates, like everywhere
+   else in the pipeline. *)
 let differential_verify p ~before ~after =
+  let module Lm = Tiramisu_support.Limits in
   match probe_run p before with
-  | exception (Tiramisu_support.Limits.Timeout as t) -> raise t
+  | exception ((Lm.Timeout | Lm.Budget_exceeded _) as t) -> raise t
   | exception _ -> Skipped
   | ref_out -> (
       match probe_run p after with
-      | exception (Tiramisu_support.Limits.Timeout as t) -> raise t
+      | exception ((Lm.Timeout | Lm.Budget_exceeded _) as t) -> raise t
       | exception e ->
           Mismatch ("transformed program failed: " ^ Printexc.to_string e)
       | out -> (
@@ -650,14 +652,18 @@ let lower_for_build ?tracer ?(knobs = default_knobs) fn
   let context = "function " ^ fn.Ir.fn_name in
   let undo =
     if B.Target.pool_schedulable knobs.target then
-      snd
-        (timed_pass ?tracer ~name:"widen-parallel" ~context
-           ~note:(fun (widened, _) ->
-             match widened with
-             | [] -> "no dim widened"
-             | ws ->
-                 String.concat ", " (List.map (fun (c, d) -> c ^ "/" ^ d) ws))
-           Deps.widen_parallel fn)
+      let _, _, undo =
+        timed_pass ?tracer ~name:"widen-parallel" ~context
+          ~note:(fun (widened, spent, _) ->
+            let ws = List.map (fun (c, d) -> c ^ "/" ^ d) widened in
+            let ws =
+              if spent then ws @ [ "not widened: legality budget exceeded" ]
+              else ws
+            in
+            if ws = [] then "no dim widened" else String.concat ", " ws)
+          Deps.widen_parallel fn
+      in
+      undo
     else fun () -> ()
   in
   (* Vector loops the tape would claim stay unsplit when this compile can

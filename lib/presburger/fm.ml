@@ -54,6 +54,7 @@ let dedup rows =
 
 let eliminate_one ~n ~var rows =
   let lo, hi, rest = bounds_on ~n ~var rows in
+  Limits.charge ~stage:"fm" (List.length lo * List.length hi);
   let combined =
     List.concat_map (fun l -> List.map (fun u -> shadow_pair ~var l u) hi) lo
   in

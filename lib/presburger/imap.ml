@@ -160,19 +160,6 @@ let intersect_domain m s =
   in
   { m with polys }
 
-let intersect_range m s =
-  let np = n_params m and ni = n_ins m in
-  if Iset.n_vars s <> n_outs m then invalid_arg "Imap.intersect_range";
-  let polys =
-    List.concat_map
-      (fun mp ->
-        List.map
-          (fun sp -> Poly.intersect mp (Poly.insert_vars sp ~at:np ~count:ni))
-          s.Iset.polys)
-      m.polys
-  in
-  { m with polys }
-
 let fix_params m bindings =
   let fix p =
     List.fold_left

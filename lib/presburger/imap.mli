@@ -16,8 +16,6 @@ val from_exprs : ?extra:Cstr.t list -> Space.map -> Aff.t list -> t
 
 val identity : Space.map -> t
 val space : t -> Space.map
-val n_ins : t -> int
-val n_outs : t -> int
 
 val intersect : t -> t -> t
 val union : t -> t -> t
@@ -37,7 +35,6 @@ val compose : t -> t -> t
     [g : B -> C], result [A -> C]). *)
 
 val intersect_domain : t -> Iset.t -> t
-val intersect_range : t -> Iset.t -> t
 
 val fix_params : t -> (string * int) list -> t
 

@@ -88,22 +88,6 @@ let fix_var s i v =
   let np = n_params s in
   { s with polys = List.map (fun p -> Poly.fix_var p (np + i) v) s.polys }
 
-let project_onto_prefix s k =
-  let np = n_params s and nv = n_vars s in
-  if k > nv then invalid_arg "Iset.project_onto_prefix";
-  let space' =
-    {
-      s.space with
-      Space.vars = Array.sub s.space.Space.vars 0 k;
-    }
-  in
-  let polys =
-    List.map
-      (fun p -> fst (Poly.project_out p ~at:(np + k) ~count:(nv - k)))
-      s.polys
-  in
-  { space = space'; polys }
-
 let rename_vars s names =
   if List.length names <> n_vars s then invalid_arg "Iset.rename_vars";
   { s with space = { s.space with Space.vars = Array.of_list names } }

@@ -32,9 +32,6 @@ val sample : t -> int array option
 
 val fix_params : t -> (string * int) list -> t
 val fix_var : t -> int -> int -> t
-val project_onto_prefix : t -> int -> t
-(** Keep only the first [k] tuple variables (existentially projecting the
-    rest, possibly over-approximating); the space shrinks to arity [k]. *)
 
 val rename_vars : t -> string list -> t
 

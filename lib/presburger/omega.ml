@@ -82,6 +82,7 @@ let rec eliminate_normalized n eqs ineqs =
   | _ -> (
       match find_unit_eq eqs with
       | Some (i, k) ->
+          Limits.charge ~stage:"omega.eq" 1;
           let e, rest = nth_split eqs i in
           let eqs' =
             List.filter_map
@@ -105,6 +106,7 @@ let rec eliminate_normalized n eqs ineqs =
                     | _ -> best := Some (i, j - 1, c))
                 e)
             eqs;
+          Limits.charge ~stage:"omega.mod" 1;
           let i, _k, a = Option.get !best in
           let e, _ = nth_split eqs i in
           let m = abs a + 1 in
@@ -124,8 +126,12 @@ let rec eliminate_normalized n eqs ineqs =
 let eliminate_eqs n eqs ineqs =
   eliminate_normalized n (List.filter_map normalize_eq eqs) ineqs
 
-(* All-pairs shadow of [lo]x[hi] over [var]; [dark] subtracts (a-1)(b-1). *)
+(* All-pairs shadow of [lo]x[hi] over [var]; [dark] subtracts (a-1)(b-1).
+   Charged one unit of fuel per generated row. *)
 let shadows ~var ~dark lo hi rest =
+  Limits.charge
+    ~stage:(if dark then "omega.dark-shadow" else "omega.shadow")
+    (List.length lo * List.length hi);
   let combined =
     List.concat_map
       (fun l ->
@@ -212,6 +218,7 @@ let rec solve n ineqs =
                       let rec try_i i =
                         if i > imax then false
                         else
+                          let () = Limits.charge ~stage:"omega.splinter" 1 in
                           let eq = Array.copy l in
                           eq.(0) <- Ints.sub eq.(0) i;
                           match eliminate_eqs n [ eq ] ineqs with

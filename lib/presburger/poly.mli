@@ -29,10 +29,6 @@ val mem : t -> int array -> bool
 val insert_vars : t -> at:int -> count:int -> t
 (** Add [count] fresh unconstrained dimensions before position [at]. *)
 
-val drop_vars : t -> at:int -> count:int -> t
-(** Remove columns without elimination — only safe if the dropped variables
-    are unconstrained or already eliminated. *)
-
 val eliminate : t -> keep:(int -> bool) -> t * bool
 (** Existentially project out all variables [v] with [keep v = false].  The
     boolean is [true] when the projection is exact (every eliminated variable
@@ -41,8 +37,8 @@ val eliminate : t -> keep:(int -> bool) -> t * bool
     [n] with zero columns for eliminated variables. *)
 
 val project_out : t -> at:int -> count:int -> t * bool
-(** [eliminate] followed by [drop_vars]: the result has [n - count]
-    dimensions. *)
+(** [eliminate] followed by dropping the [count] columns at [at]: the
+    result has [n - count] dimensions. *)
 
 val fix_var : t -> int -> int -> t
 (** [fix_var p v c] adds the equality [x_v = c]. *)

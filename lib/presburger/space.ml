@@ -56,21 +56,3 @@ let range_of_map m =
 
 let set_equal a b =
   a.params = b.params && Array.length a.vars = Array.length b.vars
-
-let pp_tuple ppf (name, vars) =
-  Format.fprintf ppf "%s[%s]"
-    (Option.value name ~default:"")
-    (String.concat ", " (Array.to_list vars))
-
-let pp_params ppf params =
-  if Array.length params > 0 then
-    Format.fprintf ppf "[%s] -> "
-      (String.concat ", " (Array.to_list params))
-
-let pp_set ppf s =
-  Format.fprintf ppf "%a{ %a }" pp_params s.params pp_tuple
-    (s.set_name, s.vars)
-
-let pp_map ppf m =
-  Format.fprintf ppf "%a{ %a -> %a }" pp_params m.mparams pp_tuple
-    (m.in_name, m.ins) pp_tuple (m.out_name, m.outs)

@@ -30,12 +30,6 @@ val map_arity : map -> int
 val domain_of_map : map -> set
 val range_of_map : map -> set
 
-val check_distinct : string array -> unit
-(** @raise Invalid_argument on duplicate names within one space. *)
-
 val set_equal : set -> set -> bool
 (** Same parameters and same number of variables (names need not match:
     positional identification, as in isl). *)
-
-val pp_set : Format.formatter -> set -> unit
-val pp_map : Format.formatter -> map -> unit

@@ -218,10 +218,7 @@ let create ?workers ?(queue_cap = 64) ?(mem_cap = 256) ?before_compile ~root
       c_requests = 0; c_compiles = 0; c_mem_hits = 0; c_disk_hits = 0;
       c_dedup_waits = 0; c_rejected = 0; c_failed = 0 }
   in
-  t.sv_workers <- List.init workers (fun _ ->
-        Domain.spawn (fun () ->
-            Limits.block_alarm ();
-            worker t));
+  t.sv_workers <- List.init workers (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let submit t (req : request) : outcome =

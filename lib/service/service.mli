@@ -18,8 +18,7 @@
     backlog — load sheds at admission, and dedup waiters are exempt (they
     consume no queue slot).  Per-request deadlines use the {e cooperative}
     guard ({!Tiramisu_support.Limits.with_deadline}): the pipeline checks
-    it at every pass boundary, so a slow compile aborts between passes —
-    no SIGALRM, which is process-global and unsafe under domains.
+    it at every pass boundary, so a slow compile aborts between passes.
 
     What the service produces and persists is the prepared+planned
     statement (every pipeline pass applied); {!instantiate} turns a

@@ -45,10 +45,6 @@ type verdict =
       (** integrity check failed (reason attached); the file was moved to
           [root/quarantine/] and the key now misses *)
 
-val format_version : int
-(** Bumped on any change to the on-disk record layout; older files
-    load as {!Miss}. *)
-
 val open_store : string -> t
 (** Create/open a store rooted at the given directory (created, with its
     shard directories, on demand). *)
@@ -75,9 +71,6 @@ val get :
 
 val quarantined : t -> int
 (** Number of files this store instance moved to quarantine. *)
-
-val shard_of_key : string -> string
-(** The two-hex-character shard a key lives in (exposed for tests). *)
 
 val path_of_key : t -> string -> string
 (** Absolute artifact path for a key (exposed for tests that corrupt

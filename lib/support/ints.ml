@@ -19,7 +19,6 @@ let mul a b =
     if r / b <> a || (a = min_int && b = -1) then raise Overflow else r
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-let lcm a b = if a = 0 || b = 0 then 0 else abs (mul (a / gcd a b) b)
 
 let fdiv a b =
   let q = a / b and r = a mod b in

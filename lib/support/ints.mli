@@ -24,9 +24,6 @@ val neg : int -> int
 val gcd : int -> int -> int
 (** [gcd a b] is the non-negative greatest common divisor; [gcd 0 0 = 0]. *)
 
-val lcm : int -> int -> int
-(** Least common multiple, non-negative. *)
-
 val fdiv : int -> int -> int
 (** [fdiv a b] is the floor division [⌊a/b⌋] for [b <> 0]. *)
 

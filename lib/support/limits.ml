@@ -1,40 +1,76 @@
-(* Time guards for the polyhedral machinery and the compile service.
+(* Work and time guards for the polyhedral machinery and the compile
+   service.
 
-   Two mechanisms, picked by context:
+   - [with_fuel] / [charge]: the work budget.  Deeply stacked split/tile
+     schedules can blow up the Omega-test elimination in the legality
+     check and the widening trials (exponential constraint growth), so
+     candidate vetting, case execution and each widening trial run on a
+     budget of fuel.  The polyhedral core charges it per step — an
+     equality substituted, a shadow's generated rows, a splinter tried, a
+     Fourier–Motzkin row generated — never per arithmetic operation, and
+     a spent budget raises [Budget_exceeded] at the charge that spent it.
+     The verdict is a function of the work alone: the same on an idle or
+     a loaded machine, a slow or a fast one, and on every domain (the
+     budget is domain-local state; no signal, timer or mask is involved).
 
-   - [with_time_limit]: the signal guard, on the wall clock (SIGALRM) or,
-     with [~cpu:true], on the process's CPU time (SIGVTALRM).  Deeply
-     stacked split/tile schedules can blow up the Omega-test elimination in the legality
-     check (exponential constraint growth), so both candidate vetting and
-     case execution run under an alarm: a candidate that cannot be
-     decided in time is dropped, never allowed to wedge the campaign.
-     The signal raises at the next allocation point — the presburger code
-     allocates constantly, so delivery is prompt.  But the alarm and the
-     handler are PROCESS-GLOBAL state: two domains arming alarms race
-     each other's timer resets, and the signal is delivered to
-     whichever domain the runtime picks — a slow Omega-test query on one
-     domain could fire [Timeout] into an unrelated domain's compile.
-     [with_time_limit] therefore only arms the alarm on the main domain,
-     and every other domain blocks both signals ([block_alarm]): OCaml
-     runs a signal's handler on whichever domain polls first among those
-     that do not block it, so an idle pool worker would otherwise take
-     the main domain's [Timeout] — dying with it between tasks, to
-     re-raise it from [Domain.join] much later — while the guarded code
-     ran on unbounded.  The CPU clock is for guards whose verdict must not
-     depend on how busy the machine is (the fuzzer's: a vetting timeout
-     changes which case a seed generates); it does not advance while the
-     process waits.
-
-   - [with_deadline] / [check_deadline]: the cooperative guard.  The
-     deadline is domain-local state; the guarded code observes it by
-     calling [check_deadline] at its safe points (the pipeline checks at
-     every pass boundary).  No signals, no cross-domain interference —
-     this is the only guard the concurrent compile service uses, and
-     what [with_time_limit] degrades to off the main domain. *)
+   - [with_deadline] / [check_deadline]: the cooperative latency guard.
+     The deadline is domain-local wall-clock state; the guarded code
+     observes it by calling [check_deadline] at its safe points (the
+     pipeline checks at every pass boundary, the search between timing
+     reps).  It bounds how long a caller waits — the compile service's
+     requests, the search's measuring — not how much work a query may
+     take. *)
 
 exception Timeout
 
-(* ---------- cooperative deadline guard (domain-safe) ---------- *)
+(* ---------- work budget ---------- *)
+
+exception Budget_exceeded of string
+
+let () =
+  Printexc.register_printer (function
+    | Budget_exceeded stage -> Some ("work budget exceeded in " ^ stage)
+    | _ -> None)
+
+(* One enclosing [with_fuel]: the fuel it has left, and whether a charge
+   it could not cover was refused. *)
+type frame = { mutable left : int; mutable refused : bool }
+
+(* The current domain's enclosing budgets, innermost first. *)
+let frames_key : frame list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+(** [charge ~stage n] spends [n] fuel from every enclosing budget of the
+    current domain before the work it pays for is done.  When one of them
+    cannot cover it, the charge is refused: nothing is spent, the
+    innermost such budget fires, and [Budget_exceeded stage] is raised.
+    With no budget set it does nothing. *)
+let charge ~stage n =
+  match !(Domain.DLS.get frames_key) with
+  | [] -> ()
+  | frames -> (
+      match List.find_opt (fun fr -> fr.left < n) frames with
+      | Some fr ->
+          fr.refused <- true;
+          raise (Budget_exceeded stage)
+      | None -> List.iter (fun fr -> fr.left <- fr.left - n) frames)
+
+(** [with_fuel budget f] runs [f] with [budget] fuel and returns
+    [Some (f ())], or [None] if a charge in [f] overran it.  Nested
+    budgets charge every enclosing budget, so the tightest fires first: a
+    [Budget_exceeded] from an enclosing budget passes through an inner one
+    that still has fuel, and an inner budget that fires leaves the
+    enclosing ones as they were before the refused charge. *)
+let with_fuel budget f =
+  let frames = Domain.DLS.get frames_key in
+  let saved = !frames in
+  let fr = { left = budget; refused = false } in
+  frames := fr :: saved;
+  Fun.protect
+    ~finally:(fun () -> frames := saved)
+    (fun () -> try Some (f ()) with Budget_exceeded _ when fr.refused -> None)
+
+(* ---------- cooperative deadline guard ---------- *)
 
 (* Absolute deadline (epoch seconds) for the current domain, [None] when
    unguarded.  Domain-local: a deadline set by a service worker is
@@ -65,34 +101,13 @@ let with_deadline secs f =
     ~finally:(fun () -> Domain.DLS.set deadline_key prev)
     (fun () -> try Some (f ()) with Timeout -> None)
 
-(* ---------- signal guard (main domain only) ---------- *)
+(* ---------- budgets ---------- *)
 
-(** [block_alarm ()] keeps SIGALRM and SIGVTALRM, and so
-    [with_time_limit]'s [Timeout], off the calling domain.  Every spawned
-    domain calls it first. *)
-let block_alarm () =
-  ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm; Sys.sigvtalrm ])
-
-let with_time_limit ?(cpu = false) secs f =
-  if Domain.is_main_domain () then begin
-    let signal, timer =
-      if cpu then (Sys.sigvtalrm, Unix.ITIMER_VIRTUAL)
-      else (Sys.sigalrm, Unix.ITIMER_REAL)
-    in
-    let arm s =
-      ignore (Unix.setitimer timer { Unix.it_interval = 0.; it_value = s })
-    in
-    let old = Sys.signal signal (Sys.Signal_handle (fun _ -> raise Timeout)) in
-    arm (float_of_int secs);
-    Fun.protect
-      ~finally:(fun () ->
-        arm 0.;
-        Sys.set_signal signal old)
-      (fun () -> try Some (f ()) with Timeout -> None)
-  end
-  else
-    (* Arming a timer here would race the main domain's and could deliver
-       the signal into unrelated code; degrade to the cooperative (wall
-       clock) deadline — [f] is interrupted at its [check_deadline]
-       points. *)
-    with_deadline (float_of_int secs) f
+(** Fuel for one fuzz case ([Differential.run_case]), one generator vet
+    and one search candidate's vetting and build.  It reproduces, on
+    generator seeds 1–20000, the verdicts of the CPU-time guard it
+    replaced, so the same cases are drawn: every vet that guard let finish
+    used at most 11.2 million units, and every vet it stopped asks for at
+    least 11.65 million.  Whole fuzz cases over those seeds used at most
+    7.8 million (99.9% under 19 thousand), search candidates at most 1445. *)
+let case_fuel = 11_500_000

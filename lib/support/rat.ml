@@ -11,7 +11,6 @@ let make num den =
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let add a b =
   make (Ints.add (Ints.mul a.num b.den) (Ints.mul b.num a.den)) (Ints.mul a.den b.den)

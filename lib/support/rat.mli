@@ -13,7 +13,6 @@ val make : int -> int -> t
 val of_int : int -> t
 val zero : t
 val one : t
-val minus_one : t
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -40,13 +40,7 @@ let divide v d =
       if d = 0 || x mod d <> 0 then invalid_arg "Vec.divide: inexact" else x / d)
     v
 
-let is_zero = Array.for_all (fun x -> x = 0)
 let equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
-
-let dot a b =
-  let acc = ref 0 in
-  Array.iteri (fun i x -> acc := Ints.add !acc (Ints.mul x b.(i))) a;
-  !acc
 
 let insert_cols v ~at ~count =
   let n = Array.length v in

@@ -26,9 +26,7 @@ val content_except : int array -> int -> int
 val divide : int array -> int -> int array
 (** Exact element-wise division. @raise Invalid_argument if not exact. *)
 
-val is_zero : int array -> bool
 val equal : int array -> int array -> bool
-val dot : int array -> int array -> int
 
 val insert_cols : int array -> at:int -> count:int -> int array
 (** Insert [count] zero columns starting at position [at]. *)

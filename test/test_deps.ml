@@ -336,8 +336,9 @@ let check_widening ~label fn =
   in
   let before = tags_of () in
   let want, trials = reference_widen ~label fn in
-  let got, undo = D.widen_parallel fn in
+  let got, spent, undo = D.widen_parallel fn in
   undo ();
+  Alcotest.(check bool) (label ^ ": every trial within its budget") false spent;
   Alcotest.(check (list (pair string string))) (label ^ ": widened dims") want got;
   Alcotest.(check bool) (label ^ ": tags restored") true (tags_of () = before);
   trials
@@ -369,7 +370,7 @@ let equivalence_tests =
     Alcotest.test_case "no parallel band, no dependence analysis" `Quick (fun () ->
         let analyses fn =
           let before = D.flow_deps_calls () in
-          let _, undo = D.widen_parallel fn in
+          let _, _, undo = D.widen_parallel fn in
           undo ();
           D.flow_deps_calls () - before
         in

@@ -394,6 +394,38 @@ let corpus_tag_join =
       Unroll ("c1_init", "i", 3);
       Fuse ("c1_init", "c0_init", "root") ] }
 
+(* Fuzz generator seeds 45486 and 72408: tiny programs whose stacked
+   split/unroll div/mod pairs make a widening trial's first Omega query ask
+   for a shadow of about 28 million rows.  The schedule as written is
+   legal and lowers in a few milliseconds; the trial runs over its work
+   budget, so every pool row keeps the loop as written.  Both were
+   rejected by a 30 s CPU-time guard before widening ran on fuel. *)
+let corpus_seed_45486 =
+  { extents = [ Lit 3 ];
+    n_value = 1;
+    inputs = [ ("a0", 1); ("a1", 1) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 1; rc_red = Some 4;
+          rc_expr = Bin (Max, In ("a0", [ (1, 2) ]), In ("a1", [ (1, -2) ])) };
+        { rc_name = "c1"; rc_rank = 1; rc_red = None;
+          rc_expr = Bin (Mul, In ("a0", [ (0, 0) ]), Prod "c0") } ];
+    steps = [ Tile ("c0_upd", "i", "r", 4, 2);
+      Shift ("c0_upd", "i0", 1);
+      Parallelize ("c0_upd", "i0");
+      Unroll ("c0_upd", "r1", 4) ] }
+
+let corpus_seed_72408 =
+  { extents = [ Lit 1; NParam ];
+    n_value = 2;
+    inputs = [ ("a0", 1); ("a1", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = Some 3;
+          rc_expr = In ("a0", [ (0, -1) ]) } ];
+    steps = [ Unroll ("c0_upd", "r", 2);
+      Unroll ("c0_upd", "r_u", 4);
+      Interchange ("c0_upd", "r", "i");
+      Parallelize ("c0_upd", "j") ] }
+
 (* The same conflict written by the schedule itself. *)
 let corpus_tag_conflict =
   { corpus_tag_join with steps = corpus_tag_join.steps @ [ Parallelize ("c0_upd", "r") ] }
@@ -456,6 +488,8 @@ let replay_corpus () =
   check_pass "strided load folded into an fma" corpus_folded_fma;
   check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
   check_pass "unary ops over ±0, ±inf and NaN" corpus_unary;
+  check_pass "seed 45486: widening over budget" corpus_seed_45486;
+  check_pass "seed 72408: widening over budget" corpus_seed_72408;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
 (* The tape seeds must actually reach the tape: compile each through the
@@ -613,33 +647,110 @@ let pool_corpus_reaches_both_schedules () =
         (B.Exec.static_count a.Tiramisu_pipeline.Pipeline.exec))
     [ ("coalesce", corpus_coalesce, 1); ("dynamic", corpus_dynamic, 0) ]
 
-(* The fuzz rows are built by [Pipeline.build], so they run the passes
-   users get: on seed 42 every pool row's trace must show widen-parallel
-   widening at least one dim, and the case must still pass bit-exactly. *)
+(* A case's pool rows and their widen-parallel passes, built the way
+   [Differential.run_case] builds them: one lowering per class of rows. *)
+let pool_row_widenings case =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let b = Case.build case in
+  let lowered = Hashtbl.create 4 in
+  List.filter_map
+    (fun ((tag, k) as row) ->
+      if not (B.Target.pool_schedulable k.P.target) then None
+      else
+        let _, trace = Differential.run_row ~lowered b row in
+        match
+          List.find_opt (fun p -> p.P.p_name = "widen-parallel") trace.P.t_passes
+        with
+        | None -> Alcotest.failf "%s: no widen-parallel pass in the trace" tag
+        | Some p -> Some (tag, p, trace))
+    (Differential.exec_configs case)
+
+(* The fuzz rows are built the way [Pipeline.build] builds them, so they
+   run the passes users get: on seed 42 every pool row's trace must show
+   widen-parallel widening at least one dim, and the case must still pass
+   bit-exactly.  The five pool rows fall in two lowering classes (tape on
+   and off), so widen-parallel ran twice and each row shows its class's
+   run. *)
 let pool_rows_run_widen_parallel () =
   let module P = Tiramisu_pipeline.Pipeline in
-  let b = Case.build corpus_widen in
-  let pool_rows =
-    List.filter
-      (fun (_, k) -> B.Target.pool_schedulable k.P.target)
-      (Differential.exec_configs corpus_widen)
-  in
-  Alcotest.(check int) "five pool rows" 5 (List.length pool_rows);
+  let rows = pool_row_widenings corpus_widen in
+  Alcotest.(check int) "five pool rows" 5 (List.length rows);
   List.iter
-    (fun ((tag, _) as row) ->
-      let _, trace = Differential.run_row b row in
-      match
-        List.find_opt (fun p -> p.P.p_name = "widen-parallel") trace.P.t_passes
-      with
-      | None -> Alcotest.failf "%s: no widen-parallel pass in the trace" tag
-      | Some p ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: widen-parallel widened a dim (%s)" tag
-               p.P.p_note)
-            true
-            (p.P.p_note <> "no dim widened"))
-    pool_rows;
+    (fun (tag, p, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: widen-parallel widened a dim (%s)" tag p.P.p_note)
+        true
+        (p.P.p_note <> "no dim widened"))
+    rows;
+  let runs =
+    List.fold_left
+      (fun acc (_, p, _) -> if List.memq p acc then acc else p :: acc)
+      [] rows
+  in
+  Alcotest.(check int) "one widening per lowering class" 2 (List.length runs);
   check_pass "seed 42 bit-exact on every row" corpus_widen
+
+(* Seeds 45486 and 72408: each pool row notes the widening it gave up, and
+   the verdict is the work budget's, not a clock's: two runs from a cleared
+   compile cache give the same traces, timings aside. *)
+let over_budget_widening_noted () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let untimed rows =
+    List.map
+      (fun (tag, _, trace) ->
+        ( tag,
+          List.map
+            (fun p -> (p.P.p_name, p.P.p_note, p.P.p_verify, p.P.p_before, p.P.p_after))
+            trace.P.t_passes ))
+      rows
+  in
+  let cold case =
+    P.clear_cache ();
+    pool_row_widenings case
+  in
+  List.iter
+    (fun (name, case) ->
+      let rows = cold case in
+      Alcotest.(check bool) (name ^ ": has pool rows") true (rows <> []);
+      List.iter
+        (fun (tag, p, _) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: widen-parallel note" name tag)
+            "not widened: legality budget exceeded" p.P.p_note)
+        rows;
+      Alcotest.(check bool) (name ^ ": two runs, the same traces") true
+        (untimed rows = untimed (cold case));
+      check_pass name case)
+    [ ("seed 45486", corpus_seed_45486); ("seed 72408", corpus_seed_72408) ]
+
+(* A trial over budget hands its tag back: after widen-parallel gives up,
+   every dim it did not widen carries the user's tag, and the undo closure
+   restores the whole schedule. *)
+let spent_trial_restores_tags () =
+  let module D = Tiramisu_deps.Deps in
+  let module Ir = Tiramisu_core.Ir in
+  let b = Case.build corpus_seed_45486 in
+  let tags () =
+    List.concat_map
+      (fun (c : Ir.computation) ->
+        List.map
+          (fun (d : Ir.dim) -> ((c.Ir.comp_name, d.Ir.d_name), d.Ir.d_tag))
+          c.Ir.sched.Ir.dims)
+      b.fn.Ir.comps
+  in
+  let before = tags () in
+  let widened, spent, undo = D.widen_parallel b.fn in
+  Alcotest.(check bool) "the trial ran over its budget" true spent;
+  List.iter
+    (fun (key, tag) ->
+      if not (List.mem key widened) then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s/%s keeps its tag" (fst key) (snd key))
+          true
+          (List.assoc key before = tag))
+    (tags ());
+  undo ();
+  Alcotest.(check bool) "undo restores every tag" true (tags () = before)
 
 (* And the lane seeds must actually reach the vector tier (the scalar
    control at lanes=1 must not), or the epilogue corpus is testing
@@ -1069,7 +1180,7 @@ let oracle_rejects_tag_conflict () =
     [ ([ "c0_upd"; "c1_init" ], 3, [ "parallel for"; "unrolled for" ]) ]
     (List.map (fun (c, l, t) -> (c, l, List.map L.tag_name t)) (conflicts b.fn));
   let b = Case.build corpus_tag_join in
-  let widened, undo = D.widen_parallel b.fn in
+  let widened, _, undo = D.widen_parallel b.fn in
   Alcotest.(check bool) "c0_upd's r not widened" false (List.mem ("c0_upd", "r") widened);
   Alcotest.(check int) "widened schedule has no conflict" 0 (List.length (conflicts b.fn));
   undo ()
@@ -1237,38 +1348,41 @@ let prop_partial_tile_split_exact =
     (QCheck.make ~print:Case.to_literal gen_partial_tile_case)
     partial_tile_case_exact
 
-(* ---------- time limits ----------
+(* ---------- work budgets ----------
 
-   The fuzzer's guards budget CPU time, so a seed generates and judges the
-   same case on an idle and on a busy machine; and a [Timeout] that lands
-   in a pass's differential-verify probe propagates to the guard instead
-   of being judged as "probe skipped" or "pass broke the program". *)
+   The fuzzer's guards budget work, not time, so a seed generates and
+   judges the same case on an idle, a busy, a slow and a fast machine;
+   and a [Timeout] or [Budget_exceeded] that lands in a pass's
+   differential-verify probe propagates to the guard instead of being
+   judged as "probe skipped" or "pass broke the program". *)
 
-let cpu_limit_ignores_waiting () =
+let fuel_ignores_waiting () =
   let module Lm = Tiramisu_support.Limits in
-  Alcotest.(check (option int)) "1.5 s asleep under a 1 s CPU limit" (Some 7)
-    (Lm.with_time_limit ~cpu:true 1 (fun () -> Unix.sleepf 1.5; 7));
+  Alcotest.(check (option int)) "asleep on a budget of 1" (Some 7)
+    (Lm.with_fuel 1 (fun () -> Unix.sleepf 0.05; 7));
   let spin () =
-    let r = ref [] in
-    while true do r := [ 1 ] :: List.tl ([] :: !r) done
+    while true do Lm.charge ~stage:"spin" 1 done
   in
-  Alcotest.(check (option unit)) "a busy loop is stopped" None
-    (Lm.with_time_limit ~cpu:true 1 spin)
+  Alcotest.(check (option unit)) "a charging loop is stopped" None
+    (Lm.with_fuel 1000 spin)
 
 let probe_timeout_propagates () =
   let module P = Tiramisu_pipeline.Pipeline in
   let module Lm = Tiramisu_support.Limits in
   let b = Case.build corpus_widen in
-  let probe =
-    Differential.probe_of b.fn ~params:b.params
-      ~fills:(List.map (fun (n, _) -> (n, fun _ -> raise Lm.Timeout)) b.fills)
-      ~outputs:b.outputs
-  in
-  let tracer = P.make_tracer ~probe ~name:"timeout" () in
-  match P.lower ~tracer b.fn with
-  | exception Lm.Timeout -> ()
-  | exception e -> Alcotest.failf "lower raised %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "the probe's Timeout was swallowed"
+  List.iter
+    (fun (name, exn) ->
+      let probe =
+        Differential.probe_of b.fn ~params:b.params
+          ~fills:(List.map (fun (n, _) -> (n, fun _ -> raise exn)) b.fills)
+          ~outputs:b.outputs
+      in
+      let tracer = P.make_tracer ~probe ~name () in
+      match P.lower ~tracer b.fn with
+      | exception e when e = exn -> ()
+      | exception e -> Alcotest.failf "%s: lower raised %s" name (Printexc.to_string e)
+      | _ -> Alcotest.failf "the probe's %s was swallowed" name)
+    [ ("Timeout", Lm.Timeout); ("Budget_exceeded", Lm.Budget_exceeded "probe") ]
 
 let tests =
   [
@@ -1308,13 +1422,17 @@ let tests =
       pool_corpus_reaches_both_schedules;
     Alcotest.test_case "pool rows run widen-parallel" `Quick
       pool_rows_run_widen_parallel;
+    Alcotest.test_case "over-budget widening is noted, deterministically"
+      `Quick over_budget_widening_noted;
+    Alcotest.test_case "a spent widening trial hands back every tag" `Quick
+      spent_trial_restores_tags;
     QCheck_alcotest.to_alcotest prop_random_seeds;
     QCheck_alcotest.to_alcotest prop_clamped_split_exact;
     Alcotest.test_case "partial-tile corpus cuts and claims deeper" `Quick
       partial_tile_corpus_cuts;
     QCheck_alcotest.to_alcotest prop_partial_tile_split_exact;
-    Alcotest.test_case "fuzz time limits count CPU, not waiting" `Quick
-      cpu_limit_ignores_waiting;
+    Alcotest.test_case "fuzz budgets count work, not waiting" `Quick
+      fuel_ignores_waiting;
     Alcotest.test_case "a Timeout in a verify probe propagates" `Quick
       probe_timeout_propagates;
     Alcotest.test_case "folded-fma seed folds a strided load" `Quick

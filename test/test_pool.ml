@@ -37,41 +37,6 @@ let check_exact_cover name lo hi ?chunk () =
           1 hits.(i)
       done)
 
-(* [Limits.with_time_limit] arms SIGALRM for the calling (main) domain.  Its
-   [Timeout] must be raised there, never on a worker: a worker between
-   tasks would die with it, the guarded caller would run on unbounded, and
-   the next pool restart would re-raise it from [Domain.join]. *)
-let time_limit_stays_on_caller () =
-  let module Lm = Tiramisu_support.Limits in
-  let on_worker = Atomic.make 0 in
-  let unmasked = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Lm.with_time_limit 1 (fun () ->
-        while Unix.gettimeofday () -. t0 < 10. do
-          B.Pool.parallel_for 0 (4 * workers - 1) ~body:(fun lo hi ->
-              try
-                if not (Domain.is_main_domain ()) then
-                  if not (List.mem Sys.sigalrm (Thread.sigmask Unix.SIG_BLOCK []))
-                  then Atomic.incr unmasked;
-                for _ = lo to hi do
-                  for _ = 1 to 2000 do
-                    ignore (Sys.opaque_identity (ref 0))
-                  done
-                done
-              with Lm.Timeout as e ->
-                if not (Domain.is_main_domain ()) then Atomic.incr on_worker;
-                raise e)
-        done)
-  in
-  Alcotest.(check bool) "the caller timed out" true (r = None);
-  Alcotest.(check int) "Timeout raised on a worker" 0 (Atomic.get on_worker);
-  Alcotest.(check int) "chunks run on a worker taking SIGALRM" 0
-    (Atomic.get unmasked);
-  Alcotest.(check bool) "within the limit" true (Unix.gettimeofday () -. t0 < 5.);
-  (* Joins every worker: one that died with the Timeout re-raises it. *)
-  B.Pool.set_num_workers workers
-
 let pool_tests =
   [
     Alcotest.test_case "empty range never calls the body" `Quick (fun () ->
@@ -124,8 +89,6 @@ let pool_tests =
             done);
         Alcotest.(check int) "triangular sum" (n * (n + 1) / 2)
           (Atomic.get sum));
-    Alcotest.test_case "a time limit fires on the caller, never on a worker"
-      `Quick time_limit_stays_on_caller;
   ]
 
 (* --------------------- differential: three backends --------------------- *)

@@ -372,15 +372,62 @@ let limits_deadline () =
             in
             spin ()))
   in
-  Alcotest.(check bool) "inner deadline wins" true (nested = Some None);
-  (* ...and [with_time_limit] degrades to the cooperative guard off the
-     main domain instead of arming a process-global SIGALRM *)
-  let in_domain =
-    Domain.join
-      (Domain.spawn (fun () -> Limits.with_time_limit 5 (fun () -> 7)))
+  Alcotest.(check bool) "inner deadline wins" true (nested = Some None)
+
+(* ---------- the work budget ---------- *)
+
+(* A small system whose feasibility test eliminates a variable: Omega
+   charges the shadow it generates. *)
+let omega_query () =
+  Tiramisu_presburger.Omega.feasible ~n:2 ~eqs:[]
+    ~ineqs:
+      [ [| 0; 1; 0 |]; [| 10; -1; 0 |]; [| 0; -1; 1 |]; [| 5; 0; -1 |] ]
+
+let limits_fuel () =
+  let over n () = Limits.charge ~stage:"test" n in
+  (* nested budgets charge both: the inner charge leaves the outer 70... *)
+  Alcotest.(check (option unit)) "the outer budget paid for the inner charge"
+    None
+    (Limits.with_fuel 100 (fun () ->
+         ignore (Limits.with_fuel 50 (over 30));
+         over 71 ()));
+  Alcotest.(check (option (option unit))) "...and had 70 left" (Some (Some ()))
+    (Limits.with_fuel 100 (fun () ->
+         ignore (Limits.with_fuel 50 (over 30));
+         Limits.with_fuel 1000 (over 70)));
+  (* ...and the tighter one fires first, whichever it is *)
+  Alcotest.(check (option (option unit))) "tighter inner budget fires"
+    (Some None)
+    (Limits.with_fuel 100 (fun () -> Limits.with_fuel 10 (over 11)));
+  Alcotest.(check (option (option unit))) "tighter outer budget fires" None
+    (Limits.with_fuel 10 (fun () -> Limits.with_fuel 100 (over 11)));
+  (* a refused charge spends nothing of the budgets around the one that
+     fired *)
+  Alcotest.(check (option unit)) "the outer budget kept its fuel" (Some ())
+    (Limits.with_fuel 20 (fun () ->
+         ignore (Limits.with_fuel 10 (over 15));
+         over 20 ()));
+  (* the exception names the stage that spent the budget *)
+  Alcotest.(check (option string)) "stage named" (Some "omega.shadow")
+    (Limits.with_fuel 1 (fun () ->
+         try Limits.charge ~stage:"omega.shadow" 2; ""
+         with Limits.Budget_exceeded stage -> stage));
+  (* unbudgeted code charges nothing *)
+  over max_int ();
+  (* the polyhedral core charges the same budget on a spawned domain, and a
+     domain starts with none of its parent's budgets *)
+  let on_domain () =
+    over max_int ();
+    (Limits.with_fuel 0 omega_query, Limits.with_fuel 1000 omega_query)
   in
-  Alcotest.(check bool) "with_time_limit works off-main" true
-    (in_domain = Some 7)
+  let main = on_domain () in
+  let spawned =
+    Limits.with_fuel 5 (fun () -> Domain.join (Domain.spawn on_domain))
+  in
+  Alcotest.(check bool) "spent at once on the main domain" true
+    (main = (None, Some true));
+  Alcotest.(check bool) "the same verdicts on a spawned domain" true
+    (spawned = Some main)
 
 (* An input naming no buffer of the request is the same error the
    pipeline, the kernel runner and the interpreter oracle raise
@@ -425,5 +472,7 @@ let () =
         ] );
       ( "limits",
         [ Alcotest.test_case "cooperative deadline guard" `Quick
-            limits_deadline ] );
+            limits_deadline;
+          Alcotest.test_case "work budget nests and works on every domain"
+            `Quick limits_fuel ] );
     ]
