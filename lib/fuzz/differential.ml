@@ -125,9 +125,11 @@ let exec_configs case =
    Lowering ([Pipeline.lower_for_build]) depends on two knobs only:
    whether the target is pool-schedulable (widen-parallel runs) and
    whether the tape is on (claimable vector loops stay unsplit).  The rows
-   sharing [lowered] lower once per such class, and each row's trace
-   starts with its class's widen-parallel and lowering passes. *)
-let run_row ?probe ?(lowered = Hashtbl.create 4) (b : Case.built) (tag, knobs) =
+   sharing the table [lowered] lower once per such class, and each row's
+   trace starts with its class's widen-parallel and lowering passes.
+   Past the lowering this is [Pipeline.build]: the same [build_stmt] on
+   the same extents. *)
+let run_row ?probe ~lowered (b : Case.built) (tag, knobs) =
   let tracer = P.make_tracer ?probe ~name:("exec:" ^ tag) () in
   let art =
     timed build_s (fun () ->

@@ -10,8 +10,9 @@
      Fourier–Motzkin row generated — never per arithmetic operation, and
      a spent budget raises [Budget_exceeded] at the charge that spent it.
      The verdict is a function of the work alone: the same on an idle or
-     a loaded machine, a slow or a fast one, and on every domain (the
-     budget is domain-local state; no signal, timer or mask is involved).
+     a loaded machine, a slow or a fast one, and on every domain and
+     thread (a budget is charged only by the thread that opened it; no
+     signal, timer or mask is involved).
 
    - [with_deadline] / [check_deadline]: the cooperative latency guard.
      The deadline is domain-local wall-clock state; the guarded code
@@ -32,42 +33,64 @@ let () =
     | Budget_exceeded stage -> Some ("work budget exceeded in " ^ stage)
     | _ -> None)
 
-(* One enclosing [with_fuel]: the fuel it has left, and whether a charge
-   it could not cover was refused. *)
-type frame = { mutable left : int; mutable refused : bool }
+(* One enclosing [with_fuel]: the systhread that opened it, the fuel it
+   has left, and whether a charge it could not cover was refused. *)
+type frame = { owner : int; mutable left : int; mutable refused : bool }
 
-(* The current domain's enclosing budgets, innermost first. *)
-let frames_key : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* The current domain's open budgets, innermost first.  Every systhread of
+   a domain sees this one list (the compile server runs a thread per
+   connection on the main domain, each of which may widen under a
+   budget), so a frame names the thread that opened it and only that
+   thread charges it, and a thread adds or removes only its own frame,
+   by compare-and-set, so a thread switch in between loses no one
+   else's.  Each domain's list is set before any second thread can run
+   on it: the main domain's at initialisation below, a spawned domain's
+   (empty: it inherits no budget) by [split_from_parent] at the spawn. *)
+let frames_key : frame list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key
+    ~split_from_parent:(fun _ -> Atomic.make [])
+    (fun () -> Atomic.make [])
 
-(** [charge ~stage n] spends [n] fuel from every enclosing budget of the
-    current domain before the work it pays for is done.  When one of them
+let () = ignore (Domain.DLS.get frames_key)
+
+let rec update a f =
+  let old = Atomic.get a in
+  if not (Atomic.compare_and_set a old (f old)) then update a f
+
+let self () = Thread.id (Thread.self ())
+
+(** [charge ~stage n] spends [n] fuel from every budget the calling thread
+    has open before the work it pays for is done.  When one of them
     cannot cover it, the charge is refused: nothing is spent, the
     innermost such budget fires, and [Budget_exceeded stage] is raised.
-    With no budget set it does nothing. *)
+    With no budget open it does nothing. *)
 let charge ~stage n =
-  match !(Domain.DLS.get frames_key) with
+  match Atomic.get (Domain.DLS.get frames_key) with
   | [] -> ()
   | frames -> (
-      match List.find_opt (fun fr -> fr.left < n) frames with
+      let me = self () in
+      match List.find_opt (fun fr -> fr.owner = me && fr.left < n) frames with
       | Some fr ->
           fr.refused <- true;
           raise (Budget_exceeded stage)
-      | None -> List.iter (fun fr -> fr.left <- fr.left - n) frames)
+      | None ->
+          List.iter
+            (fun fr -> if fr.owner = me then fr.left <- fr.left - n)
+            frames)
 
 (** [with_fuel budget f] runs [f] with [budget] fuel and returns
     [Some (f ())], or [None] if a charge in [f] overran it.  Nested
     budgets charge every enclosing budget, so the tightest fires first: a
     [Budget_exceeded] from an enclosing budget passes through an inner one
     that still has fuel, and an inner budget that fires leaves the
-    enclosing ones as they were before the refused charge. *)
+    enclosing ones as they were before the refused charge.  Budgets are
+    per thread: work on another thread or domain never charges this one. *)
 let with_fuel budget f =
   let frames = Domain.DLS.get frames_key in
-  let saved = !frames in
-  let fr = { left = budget; refused = false } in
-  frames := fr :: saved;
+  let fr = { owner = self (); left = budget; refused = false } in
+  update frames (fun l -> fr :: l);
   Fun.protect
-    ~finally:(fun () -> frames := saved)
+    ~finally:(fun () -> update frames (List.filter (fun x -> x != fr)))
     (fun () -> try Some (f ()) with Budget_exceeded _ when fr.refused -> None)
 
 (* ---------- cooperative deadline guard ---------- *)

@@ -556,7 +556,9 @@ let clamped_corpus_splits () =
     (fun (name, case) ->
       let b = Case.build case in
       let row = List.hd (Differential.exec_configs case) in
-      let art, trace = Differential.run_row b row in
+      let art, trace =
+        Differential.run_row ~lowered:(Hashtbl.create 1) b row
+      in
       let note =
         match
           List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes
@@ -585,7 +587,9 @@ let partial_tile_corpus_cuts () =
   P.clear_cache ();
   let b = Case.build corpus_partial_tile in
   let row = List.hd (Differential.exec_configs corpus_partial_tile) in
-  let art, trace = Differential.run_row b row in
+  let art, trace =
+    Differential.run_row ~lowered:(Hashtbl.create 1) b row
+  in
   let note =
     match List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes with
     | Some p -> p.P.p_note
@@ -1254,7 +1258,9 @@ let clamped_case_exact case =
       let knobs =
         { P.default_knobs with P.target = B.Target.cpu ~parallel:par (); tape }
       in
-      let art, _ = Differential.run_row b ("clamped", knobs) in
+      let art, _ =
+        Differential.run_row ~lowered:(Hashtbl.create 1) b ("clamped", knobs)
+      in
       List.for_all
         (fun out ->
           let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
@@ -1326,7 +1332,10 @@ let partial_tile_case_exact case =
         { P.default_knobs with
           P.target = B.Target.cpu ~parallel:par (); tape; lanes }
       in
-      let art, _ = Differential.run_row b ("partial-tile", knobs) in
+      let art, _ =
+        Differential.run_row ~lowered:(Hashtbl.create 1) b
+          ("partial-tile", knobs)
+      in
       List.for_all
         (fun out ->
           let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in

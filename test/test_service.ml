@@ -429,6 +429,61 @@ let limits_fuel () =
   Alcotest.(check bool) "the same verdicts on a spawned domain" true
     (spawned = Some main)
 
+(* Two systhreads of one domain (as the compile server's connection
+   threads are) whose budgets overlap: each thread charges only its own
+   budget, and each removes only its own when it finishes, so neither the
+   order they finish in nor the other's work changes a verdict. *)
+let limits_fuel_threads () =
+  let m = Mutex.create () and c = Condition.create () and step = ref 0 in
+  let reach k =
+    Mutex.protect m (fun () ->
+        step := k;
+        Condition.broadcast c)
+  in
+  let await k =
+    Mutex.protect m (fun () -> while !step < k do Condition.wait c m done)
+  in
+  let outcome f =
+    match f () with
+    | Some () -> "done"
+    | None -> "spent"
+    | exception e -> Printexc.to_string e
+  in
+  let a = ref "" and b = ref "" in
+  (* a opens 100, b opens 10 on top of it, a charges 50 and finishes
+     first, then b charges 8 twice *)
+  let ta =
+    Thread.create
+      (fun () ->
+        (a :=
+           outcome (fun () ->
+               Limits.with_fuel 100 (fun () ->
+                   reach 1;
+                   await 2;
+                   Limits.charge ~stage:"a" 50)));
+        reach 3)
+      ()
+  in
+  let tb =
+    Thread.create
+      (fun () ->
+        await 1;
+        b :=
+          outcome (fun () ->
+              Limits.with_fuel 10 (fun () ->
+                  reach 2;
+                  await 3;
+                  Limits.charge ~stage:"b" 8;
+                  Limits.charge ~stage:"b" 8)))
+      ()
+  in
+  Thread.join ta;
+  Thread.join tb;
+  Alcotest.(check string) "b's budget did not pay for a's work" "done" !a;
+  Alcotest.(check string) "b's budget is charged after a finished" "spent" !b;
+  (* no budget is left open on the main domain *)
+  Limits.charge ~stage:"after" max_int
+
 (* An input naming no buffer of the request is the same error the
    pipeline, the kernel runner and the interpreter oracle raise
    (test_pipeline checks those paths). *)
@@ -473,6 +528,8 @@ let () =
       ( "limits",
         [ Alcotest.test_case "cooperative deadline guard" `Quick
             limits_deadline;
+          Alcotest.test_case "work budget is per thread on one domain" `Quick
+            limits_fuel_threads;
           Alcotest.test_case "work budget nests and works on every domain"
             `Quick limits_fuel ] );
     ]
