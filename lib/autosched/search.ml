@@ -11,9 +11,9 @@
    producer/consumer pairs — instantiated over the power-of-two menu.  Each
    candidate is rebuilt from scratch, pruned by Deps.legal_under_schedule,
    lowered and prepared, and ranked by Cost.estimate ~tape:true; the top of
-   the beam is then measured for real through Pipeline.build, where the
-   structural-hash compile cache deduplicates candidates that lower to the
-   same statement.  Measurement keeps a best-so-far incumbent and abandons
+   the beam is then measured for real through Pipeline.build with the
+   lowering memo vetting filled, where the structural-hash compile cache
+   deduplicates candidates that lower to the same statement.  Measurement keeps a best-so-far incumbent and abandons
    a candidate as soon as a rep exceeds the incumbent by the cutoff ratio.
    The whole search is anytime: the wall-clock budget is checked between
    candidates and between timing reps, and the incumbent is always a
@@ -158,13 +158,12 @@ let knobs_of cfg ~tape ~lanes =
   { P.default_knobs with P.target = cfg.target; P.tape = tape;
     P.lanes = lanes }
 
-(* Oracle + lowering + preparation; `Ok carries the prepared statement the
-   cost prior scores (narrowed bounds let the tape-claim check in the model
-   see the concrete rectangles the backend will see).  It is lowered,
-   prepared and planned exactly as {!measure}'s [P.build] does for a
-   tape-on candidate at the config's target, so the prior scores the
-   statement that is built: with the tape on, vector loops the tape
-   claims stay unsplit. *)
+(* Oracle + lowering + preparation; `Ok carries the function, its lowering
+   memo and the prepared statement the cost prior scores (narrowed bounds
+   let the tape-claim check in the model see the concrete rectangles the
+   backend will see).  {!measure}'s [P.build] reuses the memo's lowering
+   for a tape-on candidate, so the prior scores the statement that is
+   built: with the tape on, vector loops the tape claims stay unsplit. *)
 let vet ?(acc = Array.make (List.length stage_names) 0.0) cfg problem actions
     =
   match
@@ -179,15 +178,16 @@ let vet ?(acc = Array.make (List.length stage_names) 0.0) cfg problem actions
   | (`Err _ | `Illegal _) as v -> v
   | `Legal fn -> (
       let knobs = knobs_of cfg ~tape:true ~lanes:P.default_knobs.P.lanes in
+      let lowerings = P.lowerings fn in
       match
         timed acc st_lower (fun () ->
-            P.lower_for_build ~knobs fn (fun lowered ->
+            P.lower_for_build ~lowerings ~knobs fn (fun lowered ->
                 fst
                   (P.prepare_and_plan ~knobs ~params:problem.params
                      lowered.Lower.ast)))
       with
       | exception e -> `Err (Printexc.to_string e)
-      | stmt -> `Ok (fn, stmt))
+      | stmt -> `Ok (fn, lowerings, stmt))
 
 let prior problem fn stmt =
   (B.Cost.estimate ~tape:true ~params:problem.params
@@ -324,13 +324,13 @@ let first_round cfg problem =
 
 (* Median wall-clock of [reps] runs with early cutoff against the
    incumbent: once the best rep so far cannot beat [cutoff], stop — the
-   candidate has lost, and its partial minimum is score enough. *)
-let measure acc cfg problem ~tape ~lanes ~cutoff actions =
+   candidate has lost, and its partial minimum is score enough.  [low] is
+   the candidate's lowering memo. *)
+let measure acc cfg problem ~tape ~lanes ~cutoff low =
   let art =
     timed acc st_build (fun () ->
-        let fn = scheduled problem actions in
-        P.build ~knobs:(knobs_of cfg ~tape ~lanes) ~fn ~params:problem.params
-          ~inputs:problem.inputs ())
+        P.build ~lowerings:low ~knobs:(knobs_of cfg ~tape ~lanes)
+          ~fn:low.P.lw_fn ~params:problem.params ~inputs:problem.inputs ())
   in
   timed acc st_reps @@ fun () ->
   let c = art.P.exec in
@@ -365,23 +365,22 @@ let measure acc cfg problem ~tape ~lanes ~cutoff actions =
    the cache (restoring buffers to their freshly-filled snapshot), run the
    executor once, and compare every output buffer with an interpreter run
    of the same scheduled IR. *)
-let verify acc cfg problem ~tape ~lanes actions =
+let verify acc cfg problem ~tape ~lanes low =
+  let fn = low.P.lw_fn in
   match
-    let art, fn2, ast =
+    let art, ast =
       timed acc st_verify_lower (fun () ->
-          let fn = scheduled problem actions in
           let art =
-            P.build ~knobs:(knobs_of cfg ~tape ~lanes) ~fn
+            P.build ~lowerings:low ~knobs:(knobs_of cfg ~tape ~lanes) ~fn
               ~params:problem.params ~inputs:problem.inputs ()
           in
           B.Exec.run art.P.exec;
-          let fn2 = scheduled problem actions in
-          (art, fn2, (P.lower fn2).Lower.ast))
+          (art, (P.lower ~lowerings:low fn).Lower.ast))
     in
     timed acc st_verify_interp @@ fun () ->
     let interp =
       B.Interp.reference ~params:problem.params
-        ~extents:(P.extents_of_fn fn2 ~params:problem.params)
+        ~extents:(P.extents_of_fn fn ~params:problem.params)
         ~inputs:problem.inputs ast
     in
     List.for_all
@@ -398,7 +397,11 @@ let verify acc cfg problem ~tape ~lanes actions =
 
 (* ---------- the search ---------- *)
 
-type scored = { sc_actions : S.action list; sc_prior : float }
+type scored = {
+  sc_actions : S.action list;
+  sc_low : P.lowerings;  (* vet's lowering memo *)
+  sc_prior : float;
+}
 
 let run ?(config = default_config) (problem : problem) : result =
   let cfg = config in
@@ -433,11 +436,15 @@ let run ?(config = default_config) (problem : problem) : result =
      If even it cannot compile within the work budget, the search has no
      incumbent and no legal answer, so failing loudly beats searching
      blind. *)
+  let default =
+    { sc_actions = []; sc_low = P.lowerings (scheduled problem []);
+      sc_prior = infinity }
+  in
   let default_ms, _ =
     match
       fueled (fun () ->
           measure acc cfg problem ~tape:true ~lanes:P.default_knobs.P.lanes
-            ~cutoff:infinity [])
+            ~cutoff:infinity default.sc_low)
     with
     | Some r -> r
     | None ->
@@ -447,16 +454,16 @@ let run ?(config = default_config) (problem : problem) : result =
   in
   incr measured;
   Hashtbl.replace seen (literal []) ();
-  let best = ref [] and best_ms = ref default_ms and best_tape = ref true in
+  let best = ref default and best_ms = ref default_ms and best_tape = ref true in
   let best_lanes = ref P.default_knobs.P.lanes in
   trajectory := { tp_candidates = !measured; tp_best_ms = !best_ms } :: [];
   say "autosched %s: default %.3f ms" problem.name default_ms;
-  let consider ~tape ?(lanes = P.default_knobs.P.lanes) actions =
+  let consider ~tape ?(lanes = P.default_knobs.P.lanes) st =
     if not (over_budget ()) then begin
       let cutoff = cutoff_ratio *. !best_ms in
       match
         limited (fun () ->
-            measure acc cfg problem ~tape ~lanes ~cutoff actions)
+            measure acc cfg problem ~tape ~lanes ~cutoff st.sc_low)
       with
       | exception _ -> ()
       | None -> ()
@@ -464,19 +471,19 @@ let run ?(config = default_config) (problem : problem) : result =
           incr measured;
           if cut then incr cutoffs;
           if ms < !best_ms then begin
-            best := actions;
+            best := st;
             best_ms := ms;
             best_tape := tape;
             best_lanes := lanes;
             say "autosched %s: new best %.3f ms (%d actions, tape=%b, \
                  lanes=%d)"
-              problem.name ms (List.length actions) tape lanes
+              problem.name ms (List.length st.sc_actions) tape lanes
           end;
           trajectory :=
             { tp_candidates = !measured; tp_best_ms = !best_ms } :: !trajectory
     end
   in
-  let beam = ref [ { sc_actions = []; sc_prior = infinity } ] in
+  let beam = ref [ default ] in
   (try
      for round = 1 to cfg.rounds do
        if over_budget () then raise Exit;
@@ -521,12 +528,12 @@ let run ?(config = default_config) (problem : problem) : result =
                | Some (`Illegal _) ->
                    incr illegal;
                    None
-               | Some (`Ok (fn, stmt)) ->
+               | Some (`Ok (fn, lowerings, stmt)) ->
                    incr vetted;
                    let sc_prior =
                      timed acc st_prior (fun () -> prior problem fn stmt)
                    in
-                   Some { sc_actions = acts; sc_prior })
+                   Some { sc_actions = acts; sc_low = lowerings; sc_prior })
            frontier
        in
        let ranked =
@@ -539,7 +546,7 @@ let run ?(config = default_config) (problem : problem) : result =
           candidates that lower to an already-compiled statement *)
        List.iteri
          (fun k st ->
-           if k < cfg.measure_top then consider ~tape:true st.sc_actions)
+           if k < cfg.measure_top then consider ~tape:true st)
          top
      done
    with Exit -> ());
@@ -557,11 +564,11 @@ let run ?(config = default_config) (problem : problem) : result =
   (* the verify rebuild goes through the cache too — a hit, since the
      winner was measured moments ago — so snapshot the stats after it *)
   let verified =
-    verify acc cfg problem ~tape:!best_tape ~lanes:!best_lanes !best
+    verify acc cfg problem ~tape:!best_tape ~lanes:!best_lanes !best.sc_low
   in
   let stats1 = P.cache_stats () in
   {
-    r_best = !best;
+    r_best = !best.sc_actions;
     r_best_ms = !best_ms;
     r_best_tape = !best_tape;
     r_best_lanes = !best_lanes;

@@ -89,15 +89,18 @@ val vet :
   config ->
   problem ->
   Sched_space.action list ->
-  [ `Ok of Tiramisu_core.Ir.fn * Tiramisu_codegen.Loop_ir.stmt
+  [ `Ok of
+    Tiramisu_core.Ir.fn
+    * Tiramisu_pipeline.Pipeline.lowerings
+    * Tiramisu_codegen.Loop_ir.stmt
   | `Illegal of string
   | `Err of string ]
 (** Schedule a fresh pipeline with the actions, check legality, and lower,
     prepare and plan it the way [Pipeline.build] does at the config's
-    target with the tape on; [`Ok] carries the function and the statement
-    the cost prior scores — the one that build compiles.  [acc], when
-    given, accumulates the time of the first two stages of
-    [r_stage_ms]. *)
+    target with the tape on; [`Ok] carries the function, its lowering
+    memo and the statement the cost prior scores — the one a build
+    through the memo compiles.  [acc], when given, accumulates the time
+    of the first two stages of [r_stage_ms]. *)
 
 val literal : Sched_space.action list -> string
 (** The winning schedule as a replayable OCaml action-list literal. *)

@@ -19,19 +19,9 @@ let clamp x lo hi = Clamp_e (x, lo, hi)
 let call f args = Call_e (f, args)
 let cast d e = Cast_e (d, e)
 let abs_ e = Call_e ("abs", [ e ])
-let sqrt_ e = Call_e ("sqrt", [ e ])
 let ( =: ) a b = Cmp_e (Eq, a, b)
 let ( <: ) a b = Cmp_e (Lt, a, b)
 let ( <=: ) a b = Cmp_e (Le, a, b)
-
-let of_aff a =
-  let terms =
-    List.map (fun (name, c) -> Bin_e (Mul, Int_e c, Iter_e name)) (Aff.terms a)
-  in
-  List.fold_left
-    (fun acc t -> Bin_e (Add, acc, t))
-    (Int_e (Aff.constant_part a))
-    terms
 
 let rec to_aff ~iters ~params e =
   let ( let* ) = Option.bind in
@@ -114,23 +104,6 @@ let rec subst_iters f e =
   | Clamp_e (a, b, c) ->
       Clamp_e (subst_iters f a, subst_iters f b, subst_iters f c)
   | Call_e (name, args) -> Call_e (name, List.map (subst_iters f) args)
-
-let rec fold_consts e =
-  match e with
-  | Bin_e (op, a, b) -> (
-      let a = fold_consts a and b = fold_consts b in
-      match (op, a, b) with
-      | Add, Int_e x, Int_e y -> Int_e (x + y)
-      | Sub, Int_e x, Int_e y -> Int_e (x - y)
-      | Mul, Int_e x, Int_e y -> Int_e (x * y)
-      | Add, Int_e 0, e | Add, e, Int_e 0 -> e
-      | Sub, e, Int_e 0 -> e
-      | Mul, Int_e 1, e | Mul, e, Int_e 1 -> e
-      | Mul, Int_e 0, _ | Mul, _, Int_e 0 -> Int_e 0
-      | _ -> Bin_e (op, a, b))
-  | Neg_e a -> (
-      match fold_consts a with Int_e n -> Int_e (-n) | a -> Neg_e a)
-  | _ -> e
 
 let binop_str = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"

@@ -21,14 +21,9 @@ val clamp : t -> t -> t -> t
 val call : string -> t list -> t
 val cast : Ir.dtype -> t -> t
 val abs_ : t -> t
-val sqrt_ : t -> t
 val ( =: ) : t -> t -> t
 val ( <: ) : t -> t -> t
 val ( <=: ) : t -> t -> t
-
-val of_aff : Aff.t -> t
-(** Embed an affine expression (iterators become {!Ir.Iter_e}, other names
-    parameters — callers resolve iterator names themselves). *)
 
 val to_aff : iters:string list -> params:string list -> t -> Aff.t option
 (** Affine view of an index expression; [None] for non-affine forms
@@ -49,8 +44,6 @@ val subst_access : (string -> t list -> t option) -> t -> t
 
 val subst_iters : (string -> t option) -> t -> t
 (** Substitute iterator occurrences. *)
-
-val fold_consts : t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -234,8 +234,6 @@ let find_comp fn name =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "%s: no computation %s" fn.fn_name name)
 
-let iter_ranges c = c.ranges
-
 (* C.set_schedule(): replace the whole time-space map with an affine
    relation written in ISL syntax (Table II).  The map's input tuple must
    list the computation's iterators; its outputs become the new dynamic

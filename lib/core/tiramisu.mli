@@ -137,7 +137,6 @@ val barrier_at : Ir.fn -> string -> iters:var list -> Ir.computation
 (** {1 Introspection} *)
 
 val find_comp : Ir.fn -> string -> Ir.computation
-val iter_ranges : Ir.computation -> (string * (Aff.t * Aff.t)) list
 
 val set_schedule : Ir.computation -> string -> unit
 (** Table II [C.set_schedule()]: replace the time-space map with an affine

@@ -12,10 +12,10 @@
         right notion);
      3. every compiled-executor configuration computes the same bits as
         the scheduled interpreter run.  Each configuration is built from
-        the scheduled [Ir.fn] the way [Pipeline.build] builds it — the
-        path users run: widen-parallel, lowering with the tape-aware
-        legalize, the statement passes, the planner and the compile
-        cache — with one lowering per class of rows that lower alike.  The
+        the scheduled [Ir.fn] by [Pipeline.build] — the path users run:
+        widen-parallel, lowering with the tape-aware legalize, the
+        statement passes, the planner and the compile cache — through the
+        case's lowering memo, so rows that lower alike lower once.  The
         configurations cross the parallel strategy with the optimization
         knobs (tape, lanes) on Seq, add the pool rows when the schedule
         parallelizes anything, and run every case on the GPU-sim and
@@ -118,37 +118,16 @@ let exec_configs case =
       ]
   else base
 
-(* One configuration row: build the scheduled function through the
-   pipeline with the row's knobs and run it once.  Returns the artifact,
-   whose buffers the caller diffs, and the row's pass trace.
-
-   Lowering ([Pipeline.lower_for_build]) depends on two knobs only:
-   whether the target is pool-schedulable (widen-parallel runs) and
-   whether the tape is on (claimable vector loops stay unsplit).  The rows
-   sharing the table [lowered] lower once per such class, and each row's
-   trace starts with its class's widen-parallel and lowering passes.
-   Past the lowering this is [Pipeline.build]: the same [build_stmt] on
-   the same extents. *)
-let run_row ?probe ~lowered (b : Case.built) (tag, knobs) =
+(* One configuration row: build the scheduled function through
+   [Pipeline.build] with the row's knobs (and the case's lowering memo)
+   and run it once.  Returns the artifact, whose buffers the caller
+   diffs, and the row's pass trace. *)
+let run_row ?probe ?lowerings (b : Case.built) (tag, knobs) =
   let tracer = P.make_tracer ?probe ~name:("exec:" ^ tag) () in
   let art =
     timed build_s (fun () ->
-        let cls = (B.Target.pool_schedulable knobs.P.target, knobs.P.tape) in
-        let ast, passes =
-          match Hashtbl.find_opt lowered cls with
-          | Some l -> l
-          | None ->
-              let l =
-                P.lower_for_build ~tracer ~knobs b.Case.fn (fun l ->
-                    (l.Lower.ast, tracer.P.tr_passes))
-              in
-              Hashtbl.replace lowered cls l;
-              l
-        in
-        tracer.P.tr_passes <- passes;
-        P.build_stmt ~tracer ~knobs ~params:b.Case.params
-          ~extents:(P.extents_of_fn b.Case.fn ~params:b.Case.params)
-          ~inputs:b.Case.fills ast)
+        P.build ~tracer ?lowerings ~knobs ~fn:b.Case.fn ~params:b.Case.params
+          ~inputs:b.Case.fills ())
   in
   timed exec_s (fun () -> B.Exec.run art.P.exec);
   (art, P.trace_of tracer)
@@ -175,9 +154,12 @@ let run_case_unguarded (case : Case.t) : outcome =
       probe_of b1.Case.fn ~params:b1.Case.params ~fills:b1.Case.fills
         ~outputs:b1.Case.outputs
     in
+    (* the reference is the sequential tape-off rows' lowering *)
+    let lowerings = P.lowerings b1.Case.fn in
     let ast1 =
       let tracer = P.make_tracer ~probe ~name:"scheduled" () in
-      try timed reference_s (fun () -> (P.lower ~tracer b1.Case.fn).Lower.ast) with
+      let lower () = (P.lower ~tracer ~lowerings b1.Case.fn).Lower.ast in
+      try timed reference_s lower with
       | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
       | P.Error pe ->
           raise
@@ -208,11 +190,10 @@ let run_case_unguarded (case : Case.t) : outcome =
                      (B.Buffers.first_diff r s)))))
       b1.Case.outputs;
     (* Compiled executor, every configuration, vs the scheduled interp. *)
-    let lowered = Hashtbl.create 4 in
     List.iter
       (fun (tag, knobs) ->
         let art =
-          try fst (run_row ~probe ~lowered b1 (tag, knobs)) with
+          try fst (run_row ~probe ~lowerings b1 (tag, knobs)) with
           | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
           | P.Error pe ->
               raise

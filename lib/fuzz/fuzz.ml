@@ -2,6 +2,8 @@
    shrink.  Deterministic: seed s always produces the same case, so a
    failure report's seed and shrunk literal are both replayable. *)
 
+module P = Tiramisu_pipeline.Pipeline
+
 type report = {
   mutable passed : int;
   mutable rejected : int;
@@ -15,6 +17,7 @@ type report = {
           {!Differential.run_case}'s pipeline builds, executor runs and
           interpreter references, then everything else (the legality
           oracle, shrinking, bookkeeping) *)
+  mutable lowerings : int;  (** by the seeds' {!Differential.run_case} *)
 }
 
 let gen_seed ?stats seed =
@@ -30,7 +33,10 @@ let still_fails case =
 
 let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
   let gstats = Generator.mk_stats () in
-  let r = { passed = 0; rejected = 0; failures = []; gstats; times = [] } in
+  let r =
+    { passed = 0; rejected = 0; failures = []; gstats; times = [];
+      lowerings = 0 }
+  in
   let t0 = Unix.gettimeofday () in
   let stages = Differential.[ build_s; exec_s; reference_s ] in
   let before = List.map ( ! ) stages in
@@ -39,7 +45,9 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
     let case = Differential.timed draw_s (fun () -> gen_seed ~stats:gstats s) in
     if verbose then
       Printf.printf "seed %d: generated\n%s\n%!" s (Case.to_literal case);
+    let calls = P.lower_calls () in
     let oc = Differential.run_case case in
+    r.lowerings <- r.lowerings + P.lower_calls () - calls;
     (match oc with
     | Differential.Pass -> r.passed <- r.passed + 1
     | Differential.Rejected _ -> r.rejected <- r.rejected + 1
@@ -70,9 +78,11 @@ let print_report r =
     (List.length r.failures)
     r.gstats.Generator.steps_accepted r.gstats.Generator.steps_illegal
     r.gstats.Generator.steps_errored;
-  Printf.printf "time (s): %s\n"
+  Printf.printf "time (s): %s (%.2f lowerings per case)\n"
     (String.concat " | "
-       (List.map (fun (stage, t) -> Printf.sprintf "%s %.1f" stage t) r.times));
+       (List.map (fun (stage, t) -> Printf.sprintf "%s %.1f" stage t) r.times))
+    (float_of_int r.lowerings
+    /. float_of_int (max 1 (r.passed + r.rejected + List.length r.failures)));
   List.iter
     (fun (seed, case, msg) ->
       Printf.printf "\n--- seed %d: %s\nshrunk case:\n%s\n" seed msg

@@ -363,16 +363,6 @@ let conv_generic_schedule f =
   vectorize upd "x" 8;
   vectorize init "x" 8
 
-(* MKL-style VGG: each stage library-optimized in isolation — generic
-   convs, relus as separate vectorized passes, no inter-stage fusion. *)
-let vgg_mkl_schedule f =
-  List.iter
-    (fun n ->
-      let c = find_comp f n in
-      parallelize c "b";
-      vectorize c "x" 8)
-    [ "conv1_init"; "conv1_upd"; "relu1"; "conv2_init"; "conv2_upd"; "relu2" ]
-
 (* GPU sgemm: block-tiled i/j on the grid, k sequential per thread — the
    cuBLAS-shape schedule used for the Fig. 1 (right) comparison. *)
 let sgemm_gpu ?(t = 16) f =

@@ -6,8 +6,10 @@
     reproduction's equivalent sequence — widen-parallel, expand/lower,
     legalize, alloc-scope, narrow, simplify, parallel-plan, backend
     compile — a first-class object, and is the only module that knows its
-    order: users and the fuzzer go through [build], the compile service
-    through its two halves [prepare_and_plan] and [compile_stage].
+    order: users, the fuzzer and the search go through [build] (the latter
+    two with a {!lowerings} memo, so rows or measurements that lower alike
+    share one lowering), the compile service through its two halves
+    [prepare_and_plan] and [compile_stage].
     Every stage runs as a named pass with per-pass wall-clock timing,
     before/after {!Tiramisu_codegen.Loop_ir.loop_meta} deltas, and an
     optional differential-verify hook (the reference interpreter runs on
@@ -248,12 +250,46 @@ let default_knobs =
   { target = B.Target.default; plan = `Auto; tape = true;
     lanes = B.Tape.default_lanes }
 
-(** Layer IV → loop IR, as three traced passes: [lower] (scheduled-domain
-    AST generation), [legalize] (vector/unroll legality rewrites, the one
-    front-end pass that is semantics-preserving on its own and therefore
-    verifiable), and [alloc-scope] ([allocate_at] placement). *)
-let lower ?tracer ?(keep_claimable = false) (fn : Ir.fn) : Lower.t =
+(* Lowerings done so far in this process (memo hits excluded). *)
+let n_lower = Atomic.make 0
+let lower_calls () = Atomic.get n_lower
+
+(** A lowering memo bound to one function value, which must not be
+    rescheduled while the memo lives (DESIGN §10).  Each lowering class
+    (widen-parallel or not, [keep_claimable] or not) lowers once; a later
+    call appends the first one's passes to its tracer, without re-running
+    hooks or verification. *)
+type lowerings = {
+  lw_fn : Ir.fn;
+  mutable lw_classes : ((bool * bool) * (Lower.t * pass_trace list)) list;
+      (* per class, the lowering and its passes in reverse order *)
+}
+
+let lowerings fn = { lw_fn = fn; lw_classes = [] }
+
+(* Layer IV → loop IR: widen-parallel when [widen], then the passes
+   {!lower} lists.  The user's schedule is restored after lowering
+   whatever happens. *)
+let lower_passes ?tracer ~widen ~keep_claimable (fn : Ir.fn) : Lower.t =
+  Atomic.incr n_lower;
   let context = "function " ^ fn.Ir.fn_name in
+  let undo =
+    if widen then
+      let _, _, undo =
+        timed_pass ?tracer ~name:"widen-parallel" ~context
+          ~note:(fun (widened, spent, _) ->
+            let ws = List.map (fun (c, d) -> c ^ "/" ^ d) widened in
+            let ws =
+              if spent then ws @ [ "not widened: legality budget exceeded" ]
+              else ws
+            in
+            if ws = [] then "no dim widened" else String.concat ", " ws)
+          Deps.widen_parallel fn
+      in
+      undo
+    else fun () -> ()
+  in
+  Fun.protect ~finally:undo @@ fun () ->
   (* its input is not a statement: only the output metadata is recorded *)
   let ast =
     timed_pass ?tracer ~name:"lower" ~context
@@ -271,6 +307,39 @@ let lower ?tracer ?(keep_claimable = false) (fn : Ir.fn) : Lower.t =
     stmt_pass ?tracer ~name:"alloc-scope" ~context (Lower.scope_allocs fn) ast
   in
   { Lower.ast; fn }
+
+(* [lower_passes] through the memo, when one is given. *)
+let lower_class ?tracer ?lowerings ~widen ~keep_claimable fn =
+  match lowerings with
+  | None -> lower_passes ?tracer ~widen ~keep_claimable fn
+  | Some m when m.lw_fn != fn ->
+      invalid_arg ("Pipeline: a lowering memo of another function than "
+                   ^ fn.Ir.fn_name)
+  | Some m ->
+      let cls = (widen, keep_claimable) in
+      let l, passes =
+        match List.assoc_opt cls m.lw_classes with
+        | Some lp -> lp
+        | None ->
+            (* traced on its own, so a later hit can replay its passes *)
+            let own =
+              match tracer with
+              | Some tr -> { tr with tr_passes = [] }
+              | None -> make_tracer ()
+            in
+            let l = lower_passes ~tracer:own ~widen ~keep_claimable fn in
+            m.lw_classes <- (cls, (l, own.tr_passes)) :: m.lw_classes;
+            (l, own.tr_passes)
+      in
+      Option.iter (fun tr -> tr.tr_passes <- passes @ tr.tr_passes) tracer;
+      l
+
+(** Layer IV → loop IR, as three traced passes: [lower] (scheduled-domain
+    AST generation), [legalize] (vector/unroll legality rewrites, the one
+    front-end pass that is semantics-preserving on its own and therefore
+    verifiable), and [alloc-scope] ([allocate_at] placement). *)
+let lower ?tracer ?lowerings ?(keep_claimable = false) fn =
+  lower_class ?tracer ?lowerings ~widen:false ~keep_claimable fn
 
 (** The statement-level optimization passes: interval narrowing under the
     concrete parameter values, which also splits loops at index clamps
@@ -645,37 +714,18 @@ let extents_of_fn fn ~params =
     widening pass ({!Tiramisu_deps.Deps.widen_parallel}) first grows each
     computation's parallel band with every adjacent [Seq] dim the
     dependence oracle proves safe — handing the planner a deeper perfectly
-    nested [Parallel] chain to coalesce.  The user's schedule is restored
-    after lowering whatever happens. *)
-let lower_for_build ?tracer ?(knobs = default_knobs) fn
+    nested [Parallel] chain to coalesce.  With the tape on, vector loops
+    it would claim stay unsplit ({!Passes.vector_legalize}): the tape
+    lane-batches a loop with its own remainder. *)
+let lower_for_build ?tracer ?lowerings ?(knobs = default_knobs) fn
     (k : Lower.t -> 'a) : 'a =
-  let context = "function " ^ fn.Ir.fn_name in
-  let undo =
-    if B.Target.pool_schedulable knobs.target then
-      let _, _, undo =
-        timed_pass ?tracer ~name:"widen-parallel" ~context
-          ~note:(fun (widened, spent, _) ->
-            let ws = List.map (fun (c, d) -> c ^ "/" ^ d) widened in
-            let ws =
-              if spent then ws @ [ "not widened: legality budget exceeded" ]
-              else ws
-            in
-            if ws = [] then "no dim widened" else String.concat ", " ws)
-          Deps.widen_parallel fn
-      in
-      undo
-    else fun () -> ()
-  in
-  (* Vector loops the tape would claim stay unsplit when this compile can
-     actually claim them (tape on): the tape lane-batches the
-     unsplit loop with its own scalar remainder, and splitting would only
-     fragment the nest into many small per-invocation tape entries.  See
-     {!Passes.vector_legalize}. *)
-  Fun.protect ~finally:undo (fun () ->
-      k (lower ?tracer ~keep_claimable:knobs.tape fn))
+  k (lower_class ?tracer ?lowerings
+       ~widen:(B.Target.pool_schedulable knobs.target)
+       ~keep_claimable:knobs.tape fn)
 
-let build ?tracer ?(knobs = default_knobs) ~fn ~params ~inputs () : artifact =
-  lower_for_build ?tracer ~knobs fn (fun lowered ->
+let build ?tracer ?lowerings ?(knobs = default_knobs) ~fn ~params ~inputs ()
+    : artifact =
+  lower_for_build ?tracer ?lowerings ~knobs fn (fun lowered ->
       build_stmt ?tracer ~knobs ~params ~extents:(extents_of_fn fn ~params)
         ~inputs lowered.Lower.ast)
 
@@ -715,13 +765,6 @@ let json_of_trace t =
     (string_of_cache_status t.t_cache)
     t.t_target t.t_total_ms
     (String.concat ",\n" (List.map json_of_pass t.t_passes))
-
-let write_traces path traces =
-  let oc = open_out path in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.map json_of_trace traces));
-  output_string oc "\n]\n";
-  close_out oc
 
 let print_trace ppf t =
   Fmt.pf ppf "%s: target %s, cache %s, %.3f ms total@." t.t_fn

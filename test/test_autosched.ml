@@ -396,59 +396,89 @@ let cost_default_width_test () =
         (k.schedules params))
     Catalog.kernels
 
+(* The candidates the [vet] tests check: every first-round candidate of
+   blur, nb and sgemm over a one-size menu. *)
+let vet_config =
+  { S.default_config with
+    S.menu =
+      { Sp.tile_sizes = [ 8 ]; split_factors = [ 8 ]; vec_widths = [ 4 ];
+        unroll_factors = [ 2 ]; lane_widths = [ 1; 4 ] } }
+
+let vet_knobs =
+  { P.default_knobs with P.target = vet_config.S.target; tape = true }
+
+let vet_problems =
+  let problem name build params inputs =
+    { S.name; build; params; inputs; outputs = [] }
+  in
+  [ problem "blur" (fun () -> let f, _, _ = Image.blur () in f)
+      [ ("N", 16); ("M", 16) ] [ ("img", img3) ];
+    problem "nb" (fun () -> let f, _, _, _, _ = Image.nb () in f)
+      [ ("N", 16); ("M", 16) ] [ ("img", img3) ];
+    problem "sgemm" (fun () -> let f, _, _ = Linalg.sgemm () in f)
+      [ ("S", 8) ] sgemm_inputs ]
+
+(* [p]'s schedule [acts] on a fresh function, built with no memo *)
+let fresh_build ?tracer (p : S.problem) acts =
+  let fn = p.S.build () in
+  List.iter (Sp.apply fn) acts;
+  P.build ?tracer ~knobs:vet_knobs ~fn ~params:p.S.params ~inputs:p.S.inputs
+    ()
+
 (* The cost prior scores the statement the build compiles: for every
    first-round candidate of blur, nb and sgemm that [vet] passes, the
    statement it hands the prior has the structural hash of the prepared
    statement [Pipeline.build] caches for the same schedule (the last
    statement pass's output on a cache miss). *)
 let vet_scores_built_test () =
-  let config =
-    { S.default_config with
-      S.menu =
-        { Sp.tile_sizes = [ 8 ]; split_factors = [ 8 ]; vec_widths = [ 4 ];
-          unroll_factors = [ 2 ]; lane_widths = [ 1; 4 ] } }
-  in
-  let knobs =
-    { P.default_knobs with P.target = config.S.target; tape = true }
-  in
-  let problem name build params inputs =
-    { S.name; build; params; inputs; outputs = [] }
-  in
-  let problems =
-    [ problem "blur" (fun () -> let f, _, _ = Image.blur () in f)
-        [ ("N", 16); ("M", 16) ] [ ("img", img3) ];
-      problem "nb" (fun () -> let f, _, _, _, _ = Image.nb () in f)
-        [ ("N", 16); ("M", 16) ] [ ("img", img3) ];
-      problem "sgemm" (fun () -> let f, _, _ = Linalg.sgemm () in f)
-        [ ("S", 8) ] sgemm_inputs ]
-  in
   List.iter
     (fun (p : S.problem) ->
       let vetted = ref 0 in
       List.iter
         (fun acts ->
-          match S.vet config p acts with
+          match S.vet vet_config p acts with
           | `Illegal _ | `Err _ -> ()
-          | `Ok (_, scored) ->
+          | `Ok (_, _, scored) ->
               incr vetted;
               P.clear_cache ();
               let built = ref None in
               let tracer =
                 P.make_tracer ~on_after:(fun _ s -> built := Some s) ()
               in
-              let fn = p.S.build () in
-              List.iter (Sp.apply fn) acts;
-              ignore (P.build ~tracer ~knobs ~fn ~params:p.S.params
-                        ~inputs:p.S.inputs ());
+              ignore (fresh_build ~tracer p acts);
               match !built with
               | None -> Alcotest.failf "%s: the build ran no pass" p.S.name
               | Some b ->
                   if L.structural_hash b <> L.structural_hash scored then
                     Alcotest.failf "%s %s: vet scored another statement"
                       p.S.name (S.literal acts))
-        (S.first_round config p);
+        (S.first_round vet_config p);
       if !vetted = 0 then Alcotest.failf "%s: nothing vetted" p.S.name)
-    problems
+    vet_problems
+
+(* A vetted candidate is measured by [Pipeline.build] through the memo
+   [vet] returns: that build lowers nothing, and it compiles the statement
+   a fresh build of the same schedule compiles. *)
+let measured_builds_vetted_test () =
+  List.iter
+    (fun (p : S.problem) ->
+      List.iter
+        (fun acts ->
+          match S.vet vet_config p acts with
+          | `Illegal _ | `Err _ -> ()
+          | `Ok (fn, lowerings, _) ->
+              let name = p.S.name ^ " " ^ S.literal acts in
+              let calls = P.lower_calls () in
+              let measured =
+                P.build ~lowerings ~knobs:vet_knobs ~fn ~params:p.S.params
+                  ~inputs:p.S.inputs ()
+              in
+              Alcotest.(check int) (name ^ ": no lowering") calls
+                (P.lower_calls ());
+              Alcotest.(check int) (name ^ ": key hash")
+                (fresh_build p acts).P.key_hash measured.P.key_hash)
+        (S.first_round vet_config p))
+    vet_problems
 
 let search_tests =
   [
@@ -465,6 +495,8 @@ let search_tests =
       cost_default_width_test;
     Alcotest.test_case "vet scores the statement the build compiles" `Quick
       vet_scores_built_test;
+    Alcotest.test_case "measured candidates build the vetted lowering" `Quick
+      measured_builds_vetted_test;
   ]
 
 let () =

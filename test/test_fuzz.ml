@@ -455,41 +455,45 @@ let corpus_unary =
           Un (Floor, Un (Neg, zero)) ];
     steps = [ Parallelize ("c3", "i") ] }
 
+(* The replay corpus's passing cases, by name. *)
+let replay_cases =
+  [ ("neg floord/emod", corpus_neg_floord);
+    ("split of 1 iteration", corpus_split_one);
+    ("zero extent", corpus_zero_extent);
+    ("one iteration unrolled", corpus_one_unroll);
+    ("exact unroll remainder 0", corpus_exact_unroll);
+    ("vector epilogue", corpus_vector_epilogue);
+    ("reduction", corpus_reduction);
+    ("coalesced parallel nest", corpus_coalesce);
+    ("dynamic pool schedule", corpus_dynamic);
+    ("tape stencil", corpus_tape_stencil);
+    ("tape reduction", corpus_tape_reduction);
+    ("vector tape epilogue", corpus_vector_tape_epilogue);
+    ("vector tape zero extent", corpus_vector_tape_short 0);
+    ("vector tape one-trip", corpus_vector_tape_short 1);
+    ("vector tape sub-lane extent", corpus_vector_tape_short 3);
+    ("symbolic N = 5", corpus_nparam 5);
+    ("symbolic N = 0", corpus_nparam 0) ]
+  @ List.map
+      (fun n -> (Printf.sprintf "clamped 1-D, N = %d" n, corpus_clamped_1d n))
+      [ 0; 1; 2; 3; 13 ]
+  @ List.map
+      (fun n -> (Printf.sprintf "clamped 2-D, %d rows" n, corpus_clamped_2d n))
+      [ 0; 1; 2; 3; 10 ]
+  @ [ ("clamped stencil and reduction", corpus_clamped_reduction);
+      ("partial tile under a vectorized level", corpus_partial_tile);
+      ("three stacked non-dividing tiles", corpus_stacked_tiles);
+      ("outer lanes, 1-D reduction", corpus_outer_lanes_1d);
+      ("outer lanes, 2-D reduction", corpus_outer_lanes_2d);
+      ("outer lanes, 2-D accumulator block", corpus_outer_lanes_block);
+      ("strided load folded into an fma", corpus_folded_fma);
+      ("seed 81793: widening stops at an unrolled loop", corpus_tag_join);
+      ("unary ops over ±0, ±inf and NaN", corpus_unary);
+      ("seed 45486: widening over budget", corpus_seed_45486);
+      ("seed 72408: widening over budget", corpus_seed_72408) ]
+
 let replay_corpus () =
-  check_pass "neg floord/emod" corpus_neg_floord;
-  check_pass "split of 1 iteration" corpus_split_one;
-  check_pass "zero extent" corpus_zero_extent;
-  check_pass "one iteration unrolled" corpus_one_unroll;
-  check_pass "exact unroll remainder 0" corpus_exact_unroll;
-  check_pass "vector epilogue" corpus_vector_epilogue;
-  check_pass "reduction" corpus_reduction;
-  check_pass "coalesced parallel nest" corpus_coalesce;
-  check_pass "dynamic pool schedule" corpus_dynamic;
-  check_pass "tape stencil" corpus_tape_stencil;
-  check_pass "tape reduction" corpus_tape_reduction;
-  check_pass "vector tape epilogue" corpus_vector_tape_epilogue;
-  check_pass "vector tape zero extent" (corpus_vector_tape_short 0);
-  check_pass "vector tape one-trip" (corpus_vector_tape_short 1);
-  check_pass "vector tape sub-lane extent" (corpus_vector_tape_short 3);
-  check_pass "symbolic N = 5" (corpus_nparam 5);
-  check_pass "symbolic N = 0" (corpus_nparam 0);
-  List.iter
-    (fun n -> check_pass (Printf.sprintf "clamped 1-D, N = %d" n) (corpus_clamped_1d n))
-    [ 0; 1; 2; 3; 13 ];
-  List.iter
-    (fun n -> check_pass (Printf.sprintf "clamped 2-D, %d rows" n) (corpus_clamped_2d n))
-    [ 0; 1; 2; 3; 10 ];
-  check_pass "clamped stencil and reduction" corpus_clamped_reduction;
-  check_pass "partial tile under a vectorized level" corpus_partial_tile;
-  check_pass "three stacked non-dividing tiles" corpus_stacked_tiles;
-  check_pass "outer lanes, 1-D reduction" corpus_outer_lanes_1d;
-  check_pass "outer lanes, 2-D reduction" corpus_outer_lanes_2d;
-  check_pass "outer lanes, 2-D accumulator block" corpus_outer_lanes_block;
-  check_pass "strided load folded into an fma" corpus_folded_fma;
-  check_pass "seed 81793: widening stops at an unrolled loop" corpus_tag_join;
-  check_pass "unary ops over ±0, ±inf and NaN" corpus_unary;
-  check_pass "seed 45486: widening over budget" corpus_seed_45486;
-  check_pass "seed 72408: widening over budget" corpus_seed_72408;
+  List.iter (fun (name, case) -> check_pass name case) replay_cases;
   check_rejected "parallel and unrolled on one loop" corpus_tag_conflict
 
 (* The tape seeds must actually reach the tape: compile each through the
@@ -556,9 +560,7 @@ let clamped_corpus_splits () =
     (fun (name, case) ->
       let b = Case.build case in
       let row = List.hd (Differential.exec_configs case) in
-      let art, trace =
-        Differential.run_row ~lowered:(Hashtbl.create 1) b row
-      in
+      let art, trace = Differential.run_row b row in
       let note =
         match
           List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes
@@ -587,9 +589,7 @@ let partial_tile_corpus_cuts () =
   P.clear_cache ();
   let b = Case.build corpus_partial_tile in
   let row = List.hd (Differential.exec_configs corpus_partial_tile) in
-  let art, trace =
-    Differential.run_row ~lowered:(Hashtbl.create 1) b row
-  in
+  let art, trace = Differential.run_row b row in
   let note =
     match List.find_opt (fun p -> p.P.p_name = "narrow") trace.P.t_passes with
     | Some p -> p.P.p_note
@@ -652,16 +652,17 @@ let pool_corpus_reaches_both_schedules () =
     [ ("coalesce", corpus_coalesce, 1); ("dynamic", corpus_dynamic, 0) ]
 
 (* A case's pool rows and their widen-parallel passes, built the way
-   [Differential.run_case] builds them: one lowering per class of rows. *)
+   [Differential.run_case] builds them: through the case's lowering memo,
+   one lowering per class of rows. *)
 let pool_row_widenings case =
   let module P = Tiramisu_pipeline.Pipeline in
   let b = Case.build case in
-  let lowered = Hashtbl.create 4 in
+  let lowerings = P.lowerings b.Case.fn in
   List.filter_map
     (fun ((tag, k) as row) ->
       if not (B.Target.pool_schedulable k.P.target) then None
       else
-        let _, trace = Differential.run_row ~lowered b row in
+        let _, trace = Differential.run_row ~lowerings b row in
         match
           List.find_opt (fun p -> p.P.p_name = "widen-parallel") trace.P.t_passes
         with
@@ -693,6 +694,77 @@ let pool_rows_run_widen_parallel () =
   in
   Alcotest.(check int) "one widening per lowering class" 2 (List.length runs);
   check_pass "seed 42 bit-exact on every row" corpus_widen
+
+(* Rows built through a case's lowering memo compile what fresh builds
+   compile: for the replay corpus and generator seeds 1-200, every row
+   built the way [Differential.run_case] builds it (the scheduled
+   reference lowered through the memo first) has the key hash and the pass
+   names of a [Pipeline.build] of a freshly built case, both from a
+   cleared compile cache. *)
+let memo_rows_match_fresh_builds () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let names (t : P.trace) = List.map (fun p -> p.P.p_name) t.P.t_passes in
+  let check name case =
+    let b = Case.build case in
+    let lowerings = P.lowerings b.Case.fn in
+    ignore (P.lower ~lowerings b.Case.fn : Tiramisu_core.Lower.t);
+    List.iter
+      (fun ((tag, knobs) as row) ->
+        P.clear_cache ();
+        let art, trace = Differential.run_row ~lowerings b row in
+        P.clear_cache ();
+        let b' = Case.build case in
+        let tracer = P.make_tracer () in
+        let fresh =
+          P.build ~tracer ~knobs ~fn:b'.Case.fn ~params:b'.Case.params
+            ~inputs:b'.Case.fills ()
+        in
+        let what = Printf.sprintf "%s %s" name tag in
+        Alcotest.(check int) (what ^ ": key hash") fresh.P.key_hash
+          art.P.key_hash;
+        Alcotest.(check (list string)) (what ^ ": passes")
+          (names (P.trace_of tracer)) (names trace))
+      (Differential.exec_configs case)
+  in
+  List.iter (fun (name, case) -> check name case) replay_cases;
+  for s = 1 to 200 do
+    check (Printf.sprintf "seed %d" s) (Fuzz.gen_seed s)
+  done
+
+(* A memo belongs to one function value: passing it with another, even
+   one built the same way, is refused before anything is lowered. *)
+let memo_of_another_function () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  let b = Case.build corpus_widen and other = Case.build corpus_widen in
+  let lowerings = P.lowerings b.Case.fn in
+  let refused what f =
+    let calls = P.lower_calls () in
+    (match f () with
+     | exception Invalid_argument _ -> ()
+     | _ -> Alcotest.failf "%s: another function's memo was accepted" what);
+    Alcotest.(check int) (what ^ ": nothing lowered") calls (P.lower_calls ())
+  in
+  refused "lower" (fun () -> ignore (P.lower ~lowerings other.Case.fn));
+  refused "build" (fun () ->
+      ignore
+        (P.build ~lowerings ~fn:other.Case.fn ~params:other.Case.params
+           ~inputs:other.Case.fills ()))
+
+(* A case lowers once per lowering class: the unscheduled reference, then
+   the scheduled function for the sequential rows with the tape on and
+   off (the second is the scheduled reference), and, when it parallelizes,
+   for the pool rows with the tape on and off.  So 3 lowerings per
+   sequential replay case and 5 per parallel one. *)
+let case_lowers_once_per_class () =
+  let module P = Tiramisu_pipeline.Pipeline in
+  List.iter
+    (fun (name, case) ->
+      let calls = P.lower_calls () in
+      check_pass name case;
+      Alcotest.(check int) (name ^ ": lowerings")
+        (if Case.has_parallel case then 5 else 3)
+        (P.lower_calls () - calls))
+    replay_cases
 
 (* Seeds 45486 and 72408: each pool row notes the widening it gave up, and
    the verdict is the work budget's, not a clock's: two runs from a cleared
@@ -1258,9 +1330,7 @@ let clamped_case_exact case =
       let knobs =
         { P.default_knobs with P.target = B.Target.cpu ~parallel:par (); tape }
       in
-      let art, _ =
-        Differential.run_row ~lowered:(Hashtbl.create 1) b ("clamped", knobs)
-      in
+      let art, _ = Differential.run_row b ("clamped", knobs) in
       List.for_all
         (fun out ->
           let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
@@ -1332,10 +1402,7 @@ let partial_tile_case_exact case =
         { P.default_knobs with
           P.target = B.Target.cpu ~parallel:par (); tape; lanes }
       in
-      let art, _ =
-        Differential.run_row ~lowered:(Hashtbl.create 1) b
-          ("partial-tile", knobs)
-      in
+      let art, _ = Differential.run_row b ("partial-tile", knobs) in
       List.for_all
         (fun out ->
           let x = List.find (fun b -> b.B.Buffers.name = out) art.P.buffers in
@@ -1433,6 +1500,12 @@ let tests =
       pool_rows_run_widen_parallel;
     Alcotest.test_case "over-budget widening is noted, deterministically"
       `Quick over_budget_widening_noted;
+    Alcotest.test_case "memo rows compile what fresh builds compile" `Quick
+      memo_rows_match_fresh_builds;
+    Alcotest.test_case "a lowering memo refuses another function" `Quick
+      memo_of_another_function;
+    Alcotest.test_case "a case lowers once per lowering class" `Quick
+      case_lowers_once_per_class;
     Alcotest.test_case "a spent widening trial hands back every tag" `Quick
       spent_trial_restores_tags;
     QCheck_alcotest.to_alcotest prop_random_seeds;
