@@ -11,8 +11,9 @@ val vector_legalize : ?keep_claimable:bool -> Loop_ir.stmt -> Loop_ir.stmt
 (** Split dynamic-extent [Vectorized] loops into a full-block nest plus a
     scalar epilogue.  [~keep_claimable:true] (CPU compiles with the tape
     enabled) leaves a loop the tape classifier would claim unsplit — the
-    tape lane-batches it with its own scalar remainder, and the closure
-    fallback has a lane-blocked driver for the unsplit tag. *)
+    tape lane-batches it with its own scalar remainder; if the tape does
+    not claim it after all, the closure path runs the unsplit loop
+    sequentially. *)
 
 val unroll_expand : ?max_body:int -> Loop_ir.stmt -> Loop_ir.stmt
 

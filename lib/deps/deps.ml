@@ -611,14 +611,17 @@ let legal_under_schedule fn =
    took 530-590 ms when every new tag signature re-ran the per-level
    queries with the row-copying equality elimination.
 
-   Each trial runs on [trial_fuel] (see {!Tiramisu_support.Limits}): stacked
-   splits and unrolls can make a trial's [lt] queries explode, and
+   Each trial runs on [trial_fuel] (see {!Tiramisu_support.Limits}): a
+   trial's queries grow with stacked splits and unrolls and with the number
+   of dependences it profiles, and
    widening is only an optimization — the schedule as written already
    passed legality — so a trial over budget hands its tag back and ends
-   the widening, keeping the dims already proved legal.  Over the 7886
-   trials of fuzz seeds 1–20000 the largest used 35983 units (99.9% under
-   2600), over every CLI kernel x schedule 1337; fuzz seeds 45486 and
-   72408 ask for a single shadow of 28 million rows. *)
+   the widening, keeping the dims already proved legal.  Over the 7884
+   trials of fuzz seeds 1–20000 the largest used 591 units (99.9% under
+   490), over every CLI kernel x schedule 764; no trial of generator seeds
+   10000–99999 runs over.  A reduction tiled three times over asks one
+   Fourier–Motzkin step for about 2.1 million pairs on its eighth trial
+   (pinned in the fuzz tests). *)
 let trial_fuel = 1_000_000
 
 let widen_parallel fn =

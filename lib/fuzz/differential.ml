@@ -46,6 +46,11 @@ let build_s = ref 0.0
 let exec_s = ref 0.0
 let reference_s = ref 0.0
 
+(* Configuration rows [run_case] has built so far in this process whose
+   widen-parallel trial ran over its work budget, so the row keeps the
+   loops as written. *)
+let widen_spent = ref 0
+
 let timed acc f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
@@ -192,8 +197,8 @@ let run_case_unguarded (case : Case.t) : outcome =
     (* Compiled executor, every configuration, vs the scheduled interp. *)
     List.iter
       (fun (tag, knobs) ->
-        let art =
-          try fst (run_row ~probe ~lowerings b1 (tag, knobs)) with
+        let art, trace =
+          try run_row ~probe ~lowerings b1 (tag, knobs) with
           | (Limits.Timeout | Limits.Budget_exceeded _) as t -> raise t
           | P.Error pe ->
               raise
@@ -208,6 +213,13 @@ let run_case_unguarded (case : Case.t) : outcome =
                       (Printf.sprintf "exec(%s) raised: %s" tag
                          (Printexc.to_string e))))
         in
+        if
+          List.exists
+            (fun p ->
+              p.P.p_name = "widen-parallel"
+              && String.ends_with ~suffix:P.widen_spent_note p.P.p_note)
+            trace.P.t_passes
+        then incr widen_spent;
         List.iter
           (fun out ->
             let s = B.Interp.buffer sched_interp out

@@ -18,6 +18,9 @@ type report = {
           interpreter references, then everything else (the legality
           oracle, shrinking, bookkeeping) *)
   mutable lowerings : int;  (** by the seeds' {!Differential.run_case} *)
+  mutable widen_spent : int;
+      (** configuration rows whose widening ran over its work budget
+          ({!Differential.widen_spent}) *)
 }
 
 let gen_seed ?stats seed =
@@ -35,12 +38,13 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
   let gstats = Generator.mk_stats () in
   let r =
     { passed = 0; rejected = 0; failures = []; gstats; times = [];
-      lowerings = 0 }
+      lowerings = 0; widen_spent = 0 }
   in
   let t0 = Unix.gettimeofday () in
   let stages = Differential.[ build_s; exec_s; reference_s ] in
   let before = List.map ( ! ) stages in
   let draw_s = ref 0.0 in
+  let spent_before = !Differential.widen_spent in
   for s = seed to seed + count - 1 do
     let case = Differential.timed draw_s (fun () -> gen_seed ~stats:gstats s) in
     if verbose then
@@ -63,6 +67,7 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
       Printf.printf "seed %d: %s\n%!" s (Differential.outcome_str oc)
   done;
   r.failures <- List.rev r.failures;
+  r.widen_spent <- !Differential.widen_spent - spent_before;
   let spent = !draw_s :: List.map2 (fun acc b -> !acc -. b) stages before in
   let total = Unix.gettimeofday () -. t0 in
   r.times <-
@@ -73,11 +78,11 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
 let print_report r =
   Printf.printf
     "fuzz: %d passed, %d rejected, %d failed | steps: %d accepted, %d \
-     oracle-rejected, %d errored\n"
+     oracle-rejected, %d errored | widening over budget: %d rows\n"
     r.passed r.rejected
     (List.length r.failures)
     r.gstats.Generator.steps_accepted r.gstats.Generator.steps_illegal
-    r.gstats.Generator.steps_errored;
+    r.gstats.Generator.steps_errored r.widen_spent;
   Printf.printf "time (s): %s (%.2f lowerings per case)\n"
     (String.concat " | "
        (List.map (fun (stage, t) -> Printf.sprintf "%s %.1f" stage t) r.times))

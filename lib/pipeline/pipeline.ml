@@ -267,6 +267,10 @@ type lowerings = {
 
 let lowerings fn = { lw_fn = fn; lw_classes = [] }
 
+(* The widen-parallel note's last item when a trial ran over its work
+   budget ({!Deps.widen_parallel}'s [spent]). *)
+let widen_spent_note = "not widened: legality budget exceeded"
+
 (* Layer IV → loop IR: widen-parallel when [widen], then the passes
    {!lower} lists.  The user's schedule is restored after lowering
    whatever happens. *)
@@ -280,7 +284,7 @@ let lower_passes ?tracer ~widen ~keep_claimable (fn : Ir.fn) : Lower.t =
           ~note:(fun (widened, spent, _) ->
             let ws = List.map (fun (c, d) -> c ^ "/" ^ d) widened in
             let ws =
-              if spent then ws @ [ "not widened: legality budget exceeded" ]
+              if spent then ws @ [ widen_spent_note ]
               else ws
             in
             if ws = [] then "no dim widened" else String.concat ", " ws)

@@ -10,7 +10,7 @@ let tighten row =
          (fun i c -> if i = 0 then Ints.fdiv c g else c / g)
          row)
 
-let bounds_on ~n:_ ~var rows =
+let bounds_on ~var rows =
   List.fold_right
     (fun row (lo, hi, rest) ->
       let c = row.(var + 1) in
@@ -18,15 +18,6 @@ let bounds_on ~n:_ ~var rows =
       else if c < 0 then (lo, row :: hi, rest)
       else (lo, hi, row :: rest))
     rows ([], [], [])
-
-(* Combine a lower bound [l] (coefficient a > 0 on [var]) with an upper bound
-   [u] (coefficient -b < 0) into the shadow constraint b*l + a*u, whose
-   coefficient on [var] is zero. *)
-let shadow_pair ~var l u =
-  let a = l.(var + 1) and b = -u.(var + 1) in
-  let row = Vec.combine b l a u in
-  assert (row.(var + 1) = 0);
-  row
 
 (* Rows by coefficient vector, then constant: the order [dedup] returns. *)
 let compare_rows a b =
@@ -52,20 +43,26 @@ let dedup rows =
   in
   keep_first (List.sort compare_rows rows)
 
-let eliminate_one ~n ~var rows =
-  let lo, hi, rest = bounds_on ~n ~var rows in
+(* Combine each lower bound [l] (coefficient a > 0 on [var]) with each
+   upper bound [u] (coefficient -b < 0) into b*l + a*u, whose coefficient on
+   [var] is zero; the dark shadow also subtracts (a-1)(b-1).  The fuel pays
+   for the pairs before they are built. *)
+let eliminate_one ~dark ~var rows =
+  let lo, hi, rest = bounds_on ~var rows in
   Limits.charge ~stage:"fm" (List.length lo * List.length hi);
-  let combined =
-    List.concat_map (fun l -> List.map (fun u -> shadow_pair ~var l u) hi) lo
+  let pair l u =
+    let a = l.(var + 1) and b = -u.(var + 1) in
+    let row = Vec.combine b l a u in
+    assert (row.(var + 1) = 0);
+    if dark then row.(0) <- Ints.sub row.(0) ((a - 1) * (b - 1));
+    row
   in
-  let tightened =
-    List.filter_map tighten (combined @ rest)
-  in
-  dedup tightened
+  let combined = List.concat_map (fun l -> List.map (pair l) hi) lo in
+  dedup (List.filter_map tighten (combined @ rest))
 
 let eliminate ~n ~keep rows =
   let rows = ref rows in
   for v = 0 to n - 1 do
-    if not (keep v) then rows := eliminate_one ~n ~var:v !rows
+    if not (keep v) then rows := eliminate_one ~dark:false ~var:v !rows
   done;
   !rows

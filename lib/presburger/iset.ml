@@ -130,46 +130,6 @@ let points s ~params =
   let cmp a b = Stdlib.compare (Array.to_list a) (Array.to_list b) in
   List.sort_uniq cmp !acc
 
-let card ?(budget = 1 lsl 16) s ~params =
-  let s = fix_params s params in
-  (* Disjointify the union before summing: each piece is counted minus the
-     pieces already counted. *)
-  let rec go acc prev = function
-    | [] -> Some acc
-    | p :: rest -> (
-        let frags =
-          List.fold_left
-            (fun frs q -> List.concat_map (fun f -> Poly.subtract f q) frs)
-            [ p ] prev
-        in
-        let sub =
-          List.fold_left
-            (fun a f ->
-              match (a, Poly.card ~budget f) with
-              | Some a, Some c -> Some (a + c)
-              | _ -> None)
-            (Some 0) frags
-        in
-        match sub with
-        | Some c -> go (acc + c) (p :: prev) rest
-        | None -> None)
-  in
-  go 0 [] s.polys
-
-let card_estimate ?(budget = 1 lsl 16) s ~params =
-  match card ~budget s ~params with
-  | Some _ as r -> r
-  | None ->
-      (* Bounding-box upper bound; union pieces may overlap, which only
-         pushes the estimate further up. *)
-      let s = fix_params s params in
-      List.fold_left
-        (fun acc p ->
-          match (acc, Poly.card_box p) with
-          | Some a, Some c -> Some (a + c)
-          | _ -> None)
-        (Some 0) s.polys
-
 let pp_poly ~cols ppf p =
   let { Poly.eqs; ineqs; _ } = p in
   let parts =

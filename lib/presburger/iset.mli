@@ -40,17 +40,6 @@ val points : t -> params:(string * int) list -> int array list
     lexicographic order.  Intended for tests and small domains.
     @raise Invalid_argument if the set is unbounded within [-2^20, 2^20]. *)
 
-val card : ?budget:int -> t -> params:(string * int) list -> int option
-(** Exact number of integer points for fixed parameter values (the trip
-    count of the domain).  Union pieces are disjointified via
-    {!Poly.subtract} before summing, so overlap is never double-counted.
-    [None] when some piece is unbounded or the per-piece enumeration budget
-    is exhausted — never approximate. *)
-
-val card_estimate : ?budget:int -> t -> params:(string * int) list -> int option
-(** {!card} when it succeeds, otherwise an upper bound from
-    Fourier–Motzkin bounding-box products summed over union pieces. *)
-
 val pp : Format.formatter -> t -> unit
 (** ISL-style notation, e.g.
     [[N] -> { S[i, j] : i >= 0 and -i + N - 1 >= 0 }]. *)

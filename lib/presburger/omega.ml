@@ -75,10 +75,11 @@ let drop_unused n rows =
    substituted column is left at zero, and the columns no row mentions are
    dropped once, at the end.  Modular reduction introduces fresh variables,
    appended as new columns.  [eqs] are normalized; a substitution
-   re-normalizes only the rows it changed.  Returns (n, ineqs). *)
+   re-normalizes only the rows it changed.  Returns (n, ineqs), one row per
+   coefficient vector, as every Fourier–Motzkin step leaves them. *)
 let rec eliminate_normalized n eqs ineqs =
   match eqs with
-  | [] -> drop_unused n (List.filter_map normalize_ineq ineqs)
+  | [] -> drop_unused n (Fm.dedup (List.filter_map normalize_ineq ineqs))
   | _ -> (
       match find_unit_eq eqs with
       | Some (i, k) ->
@@ -125,26 +126,6 @@ let rec eliminate_normalized n eqs ineqs =
 
 let eliminate_eqs n eqs ineqs =
   eliminate_normalized n (List.filter_map normalize_eq eqs) ineqs
-
-(* All-pairs shadow of [lo]x[hi] over [var]; [dark] subtracts (a-1)(b-1).
-   Charged one unit of fuel per generated row. *)
-let shadows ~var ~dark lo hi rest =
-  Limits.charge
-    ~stage:(if dark then "omega.dark-shadow" else "omega.shadow")
-    (List.length lo * List.length hi);
-  let combined =
-    List.concat_map
-      (fun l ->
-        List.map
-          (fun u ->
-            let a = l.(var + 1) and b = -u.(var + 1) in
-            let row = Vec.combine b l a u in
-            if dark then row.(0) <- Ints.sub row.(0) ((a - 1) * (b - 1));
-            row)
-          hi)
-      lo
-  in
-  drop_var ~k:var (combined @ rest)
 
 let rec solve n ineqs =
   match List.filter_map normalize_ineq ineqs with
@@ -200,14 +181,16 @@ let rec solve n ineqs =
                    validated by normalize_ineq. *)
                 true
             | Some (v, _, exact) ->
-                let lo, hi, rest = Fm.bounds_on ~n ~var:v ineqs in
-                if exact then solve (n - 1) (shadows ~var:v ~dark:false lo hi rest)
-                else if solve (n - 1) (shadows ~var:v ~dark:true lo hi rest) then true
-                else if not (solve (n - 1) (shadows ~var:v ~dark:false lo hi rest))
-                then false
+                let shadow_feasible ~dark =
+                  solve (n - 1) (drop_var ~k:v (Fm.eliminate_one ~dark ~var:v ineqs))
+                in
+                if exact then shadow_feasible ~dark:false
+                else if shadow_feasible ~dark:true then true
+                else if not (shadow_feasible ~dark:false) then false
                 else
                   (* Shadows disagree: enumerate Pugh's splinters. Feasibility
                      holds iff some lower bound is within its splinter range. *)
+                  let lo, hi, _ = Fm.bounds_on ~var:v ineqs in
                   let cmax =
                     List.fold_left (fun m u -> max m (-u.(v + 1))) 1 hi
                   in
@@ -249,7 +232,7 @@ let sample ~n ~eqs ~ineqs =
           @ List.concat_map (fun e -> [ e; Vec.neg e ]) eqs
         in
         let proj = Fm.eliminate ~n ~keep:(fun i -> i = v) rows in
-        let lo, hi, _ = Fm.bounds_on ~n ~var:v proj in
+        let lo, hi, _ = Fm.bounds_on ~var:v proj in
         let lb =
           List.fold_left
             (fun acc r -> max acc (Ints.cdiv (-r.(0)) r.(v + 1)))

@@ -306,7 +306,10 @@ let components p =
   done;
   (appears, Hashtbl.fold (fun _ vs acc -> vs :: acc) groups [])
 
-let card ?(budget = 1 lsl 16) p =
+(* Point visits one enumeration may make before [card] gives up. *)
+let card_budget = 1 lsl 16
+
+let card p =
   if is_empty p then Some 0
   else
     let appears, comps = components p in
@@ -314,7 +317,7 @@ let card ?(budget = 1 lsl 16) p =
       (* An unconstrained dimension makes a non-empty set infinite. *)
       None
     else begin
-      let remaining = ref budget in
+      let remaining = ref card_budget in
       (* Enumerate a multi-variable component: bound one variable by
          projection, fix each value, recurse.  The FM range may
          over-approximate; the emptiness check keeps the count exact. *)
@@ -360,19 +363,6 @@ let card ?(budget = 1 lsl 16) p =
           | _ -> None)
         (Some 1) comps
     end
-
-let card_box p =
-  if is_empty p then Some 0
-  else
-    let rec go v acc =
-      if v = p.n then Some acc
-      else
-        let proj, _ = eliminate p ~keep:(fun i -> i = v) in
-        match var_bounds (to_ineqs proj) v with
-        | Some lo, Some hi -> go (v + 1) (acc * max 0 (hi - lo + 1))
-        | _ -> None
-    in
-    go 0 1
 
 let pp ppf p =
   let pp_row kind ppf r =

@@ -88,17 +88,12 @@ val equal : t -> t -> bool
 val subset : t -> t -> bool
 (** [subset a b]: every integer point of [a] lies in [b]. *)
 
-val card : ?budget:int -> t -> int option
+val card : t -> int option
 (** Exact number of integer points.  Counting factors into a product over
     connected components of the constraint graph; single-variable components
     are intervals, multi-variable components are enumerated (bound one
-    variable by projection, fix, recurse) within [budget] point visits.
-    [None] when the set is unbounded (or not provably bounded) or the budget
-    is exhausted — never an approximate count. *)
-
-val card_box : t -> int option
-(** Upper bound on {!card}: the product of the per-dimension
-    Fourier–Motzkin-projected extents (the bounding box).  [None] when some
-    dimension has no finite projected bound. *)
+    variable by projection, fix, recurse) within 65536 point visits.
+    [None] when the set is unbounded (or not provably bounded) or the
+    visits run out — never an approximate count. *)
 
 val pp : Format.formatter -> t -> unit

@@ -6,9 +6,10 @@
      check and the widening trials (exponential constraint growth), so
      candidate vetting, case execution and each widening trial run on a
      budget of fuel.  The polyhedral core charges it per step — an
-     equality substituted, a shadow's generated rows, a splinter tried, a
-     Fourier–Motzkin row generated — never per arithmetic operation, and
-     a spent budget raises [Budget_exceeded] at the charge that spent it.
+     equality substituted, a splinter tried, each pair of bounds a
+     Fourier–Motzkin step combines (Omega's shadows included) — never
+     per arithmetic operation, and a spent budget raises
+     [Budget_exceeded] at the charge that spent it.
      The verdict is a function of the work alone: the same on an idle or
      a loaded machine, a slow or a fast one, and on every domain and
      thread (a budget is charged only by the thread that opened it; no
@@ -127,10 +128,13 @@ let with_deadline secs f =
 (* ---------- budgets ---------- *)
 
 (** Fuel for one fuzz case ([Differential.run_case]), one generator vet
-    and one search candidate's vetting and build.  It reproduces, on
-    generator seeds 1–20000, the verdicts of the CPU-time guard it
-    replaced, so the same cases are drawn: every vet that guard let finish
-    used at most 11.2 million units, and every vet it stopped asks for at
-    least 11.65 million.  Whole fuzz cases over those seeds used at most
-    7.8 million (99.9% under 19 thousand), search candidates at most 1445. *)
+    and one search candidate's vetting and build.  It was set where it
+    reproduced, on generator seeds 1–20000, the verdicts of the CPU-time
+    guard it replaced (11 vets asked for 11.65 million units or more, all
+    of it duplicate rows multiplying through Omega's shadows).  Since each
+    Fourier–Motzkin step keeps one row per coefficient vector, no case
+    comes near it: over those seeds every vet uses at most 2785 units and
+    every whole fuzz case at most 5272, and autosched-smoke's search
+    candidates at most 872.  It stays a backstop for what the generator
+    and the search do not draw. *)
 let case_fuel = 11_500_000

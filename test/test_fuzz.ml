@@ -395,11 +395,10 @@ let corpus_tag_join =
       Fuse ("c1_init", "c0_init", "root") ] }
 
 (* Fuzz generator seeds 45486 and 72408: tiny programs whose stacked
-   split/unroll div/mod pairs make a widening trial's first Omega query ask
-   for a shadow of about 28 million rows.  The schedule as written is
-   legal and lowers in a few milliseconds; the trial runs over its work
-   budget, so every pool row keeps the loop as written.  Both were
-   rejected by a 30 s CPU-time guard before widening ran on fuel. *)
+   split/unroll div/mod pairs fill a widening trial's Omega queries with
+   copies of a dozen rows.  Fourier–Motzkin steps keep one row per
+   coefficient vector, so every trial of either seed takes under 600 units
+   of work; keeping the copies, the first shadow asked for 28 million. *)
 let corpus_seed_45486 =
   { extents = [ Lit 3 ];
     n_value = 1;
@@ -489,8 +488,8 @@ let replay_cases =
       ("strided load folded into an fma", corpus_folded_fma);
       ("seed 81793: widening stops at an unrolled loop", corpus_tag_join);
       ("unary ops over ±0, ±inf and NaN", corpus_unary);
-      ("seed 45486: widening over budget", corpus_seed_45486);
-      ("seed 72408: widening over budget", corpus_seed_72408) ]
+      ("seed 45486: stacked tile and unroll", corpus_seed_45486);
+      ("seed 72408: stacked unrolls", corpus_seed_72408) ]
 
 let replay_corpus () =
   List.iter (fun (name, case) -> check_pass name case) replay_cases;
@@ -766,10 +765,10 @@ let case_lowers_once_per_class () =
         (P.lower_calls () - calls))
     replay_cases
 
-(* Seeds 45486 and 72408: each pool row notes the widening it gave up, and
-   the verdict is the work budget's, not a clock's: two runs from a cleared
+(* Each case's pool rows note the widening they ran, as pinned, and the
+   verdict is the work budget's, not a clock's: two runs from a cleared
    compile cache give the same traces, timings aside. *)
-let over_budget_widening_noted () =
+let check_widening_notes cases =
   let module P = Tiramisu_pipeline.Pipeline in
   let untimed rows =
     List.map
@@ -785,19 +784,55 @@ let over_budget_widening_noted () =
     pool_row_widenings case
   in
   List.iter
-    (fun (name, case) ->
+    (fun (name, case, note) ->
       let rows = cold case in
       Alcotest.(check bool) (name ^ ": has pool rows") true (rows <> []);
       List.iter
         (fun (tag, p, _) ->
           Alcotest.(check string)
             (Printf.sprintf "%s %s: widen-parallel note" name tag)
-            "not widened: legality budget exceeded" p.P.p_note)
+            note p.P.p_note)
         rows;
       Alcotest.(check bool) (name ^ ": two runs, the same traces") true
         (untimed rows = untimed (cold case));
       check_pass name case)
-    [ ("seed 45486", corpus_seed_45486); ("seed 72408", corpus_seed_72408) ]
+    cases
+
+(* Seeds 45486 and 72408: every pool row's widening finishes within its
+   work budget. *)
+let seeds_widen_within_budget () =
+  check_widening_notes
+    [ ("seed 45486", corpus_seed_45486, "no dim widened");
+      ("seed 72408", corpus_seed_72408, "c0_upd/i, c0_upd/r_u") ]
+
+(* One reduction whose [j] and [r] are tiled three times over, with the
+   split of an inner tile in between, and a tile loop of [r] run in
+   parallel.  Widening proves seven dims parallel; the eighth trial asks
+   one Fourier–Motzkin step for about 2.1 million pairs of bounds, more
+   than [Deps.trial_fuel], and the budget refuses it before any is built,
+   so the trial over budget costs next to nothing. *)
+let corpus_tile_stack =
+  { extents = [ Lit 5; NParam ];
+    n_value = 3;
+    inputs = [ ("a0", 1); ("a1", 2) ];
+    comps =
+      [ { rc_name = "c0"; rc_rank = 2; rc_red = Some 3;
+          rc_expr = In ("a1", [ (0, 0); (1, 1) ]) } ];
+    steps = [ Tile ("c0_upd", "j", "r", 3, 2);
+      Split ("c0_upd", "r1", 7);
+      Interchange ("c0_upd", "r10", "r0");
+      Tile ("c0_upd", "r0", "r11", 5, 5);
+      Tile ("c0_upd", "r110", "r01", 5, 2);
+      Tile ("c0_upd", "j0", "r10", 3, 3);
+      Parallelize ("c0_upd", "r1100") ] }
+
+(* The stacked tiles' pool rows each note the seven dims widened and the
+   widening given up after them. *)
+let over_budget_widening_noted () =
+  check_widening_notes
+    [ ("stacked tiles", corpus_tile_stack,
+       "c0_upd/r00, c0_upd/j1, c0_upd/r101, c0_upd/j01, c0_upd/r100, \
+        c0_upd/j00, c0_upd/i, " ^ Tiramisu_pipeline.Pipeline.widen_spent_note) ]
 
 (* A trial over budget hands its tag back: after widen-parallel gives up,
    every dim it did not widen carries the user's tag, and the undo closure
@@ -805,7 +840,7 @@ let over_budget_widening_noted () =
 let spent_trial_restores_tags () =
   let module D = Tiramisu_deps.Deps in
   let module Ir = Tiramisu_core.Ir in
-  let b = Case.build corpus_seed_45486 in
+  let b = Case.build corpus_tile_stack in
   let tags () =
     List.concat_map
       (fun (c : Ir.computation) ->
@@ -1500,6 +1535,8 @@ let tests =
       pool_rows_run_widen_parallel;
     Alcotest.test_case "over-budget widening is noted, deterministically"
       `Quick over_budget_widening_noted;
+    Alcotest.test_case "seeds 45486 and 72408 widen within budget"
+      `Quick seeds_widen_within_budget;
     Alcotest.test_case "memo rows compile what fresh builds compile" `Quick
       memo_rows_match_fresh_builds;
     Alcotest.test_case "a lowering memo refuses another function" `Quick

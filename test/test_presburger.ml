@@ -108,18 +108,6 @@ let prop_card n =
       in
       Poly.card p = Some brute)
 
-let prop_card_box n =
-  QCheck.Test.make ~count:200
-    ~name:(Printf.sprintf "card_box is an upper bound (dim %d)" n)
-    (arb_poly n)
-    (fun p ->
-      let p = boxed n (-3) 3 p in
-      let brute =
-        List.length
-          (List.filter (fun pt -> Poly.mem p pt) (box_points n (-3) 3))
-      in
-      match Poly.card_box p with Some ub -> ub >= brute | None -> false)
-
 let prop_gist n =
   QCheck.Test.make ~count:120
     ~name:(Printf.sprintf "gist preserves set within context (dim %d)" n)
@@ -343,6 +331,37 @@ let prop_fm_order n =
         (fun rows -> Fm.eliminate ~n ~keep rows = want)
         (permutations rows))
 
+(* Omega's answer depends only on the set of integer points: copies of a
+   row, looser copies (the same coefficients and a larger constant, implied
+   by the row) and their order change nothing.  The rows are boxed so the
+   splinter search stays small. *)
+let prop_repeated_rows n =
+  let print (eqs, ineqs, _) =
+    Format.asprintf "%a" Poly.pp (Poly.make n ~eqs ~ineqs)
+  in
+  let gen =
+    QCheck.Gen.(
+      let* eqs = list_size (int_range 0 1) (row_gen n) in
+      let* ineqs = list_size (int_range 1 5) (row_gen n) in
+      let ineqs = Poly.to_ineqs (boxed n (-3) 3 (Poly.make n ~eqs:[] ~ineqs)) in
+      let copies r =
+        map
+          (List.map (fun k ->
+               let r' = Array.copy r in
+               r'.(0) <- r.(0) + k;
+               r'))
+          (map (List.cons 0) (list_size (int_range 0 3) (oneofl [ 0; 1; 3 ])))
+      in
+      let* repeated = flatten_l (List.map copies ineqs) in
+      let* repeated = shuffle_l (List.concat repeated) in
+      return (eqs, ineqs, repeated))
+  in
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "omega ignores repeated and permuted rows (dim %d)" n)
+    (QCheck.make ~print gen)
+    (fun (eqs, ineqs, repeated) ->
+      Omega.feasible ~n ~eqs ~ineqs = Omega.feasible ~n ~eqs ~ineqs:repeated)
+
 let prop_constant_values n =
   QCheck.Test.make ~count:400
     ~name:(Printf.sprintf "constant_values exact (dim %d)" n)
@@ -435,6 +454,31 @@ let mul_boundaries () =
   Alcotest.(check (result int unit)) "max_int * 2 overflows" (Error ())
     (result Tiramisu_support.Ints.mul max_int 2)
 
+(* Twelve distinct rows over a 10^3 box, each repeated 250 times: 3000
+   bounds.  Keeping the copies, the first shadow alone combines 500
+   thousand pairs; deduplicated, each answer takes under 100 units of
+   fuel.  The verdicts must match brute force.  [k] bounds x0+x1+x2. *)
+let repeated_rows_small_budget () =
+  let rows k =
+    [ [| 0; 1; 0; 0 |]; [| 9; -1; 0; 0 |]; [| 0; 0; 1; 0 |]; [| 9; 0; -1; 0 |];
+      [| 0; 0; 0; 1 |]; [| 9; 0; 0; -1 |]; [| -1; 2; -3; 0 |];
+      [| -1; 0; 3; -2 |]; [| k; -1; -1; -1 |]; [| 0; -1; 0; 3 |];
+      [| 2; 5; 0; -7 |]; [| 3; -4; 9; 0 |] ]
+  in
+  List.iter
+    (fun k ->
+      let brute =
+        List.exists (fun pt -> Poly.mem (Poly.make 3 ~eqs:[] ~ineqs:(rows k)) pt)
+          (box_points 3 0 9)
+      in
+      let ineqs = List.concat (List.init 250 (fun _ -> rows k)) in
+      Alcotest.(check (option bool))
+        (Printf.sprintf "x0+x1+x2 <= %d" k)
+        (Some brute)
+        (Tiramisu_support.Limits.with_fuel 2_000 (fun () ->
+             Omega.feasible ~n:3 ~eqs:[] ~ineqs)))
+    [ 20; 3 ]
+
 let unit_tests =
   [
     Alcotest.test_case "Ints.mul = checked product at the boundaries" `Quick mul_boundaries;
@@ -509,12 +553,9 @@ let unit_tests =
             ~ineqs:[ [| 0; 1; 0 |]; [| 2; -1; 0 |];
                      [| 0; 0; 1 |]; [| 4; 0; -1 |] ]
         in
-        Alcotest.(check (option int)) "product" (Some 15) (Poly.card box);
-        Alcotest.(check (option int)) "box bound" (Some 15)
-          (Poly.card_box box);
-        (* card_box over-approximates the triangle by its bounding box *)
-        Alcotest.(check (option int)) "triangle box" (Some 25)
-          (Poly.card_box tri));
+        Alcotest.(check (option int)) "product" (Some 15) (Poly.card box));
+    Alcotest.test_case "repeated rows answer on a small budget" `Quick
+      repeated_rows_small_budget;
   ]
 
 (* ---------- Iset / Imap ---------- *)
@@ -605,30 +646,6 @@ let iset_tests =
         let s = Iset.to_string blur_domain in
         Alcotest.(check bool) "mentions tuple" true
           (Astring.String.is_infix ~affix:"by[i, j]" s));
-    Alcotest.test_case "card = points length" `Quick (fun () ->
-        let params = [ ("N", 5); ("M", 4) ] in
-        Alcotest.(check (option int)) "blur" (Some 6)
-          (Iset.card blur_domain ~params);
-        Alcotest.(check (option int)) "blur estimate" (Some 6)
-          (Iset.card_estimate blur_domain ~params);
-        let tiled = Imap.apply blur_domain tiling_map in
-        Alcotest.(check (option int)) "tiled"
-          (Some (List.length (Iset.points tiled ~params:[ ("N", 8); ("M", 8) ])))
-          (Iset.card tiled ~params:[ ("N", 8); ("M", 8) ]);
-        (* overlapping union is disjointified, not double-counted *)
-        let shifted =
-          Iset.of_constraints
-            (Space.set_space ~name:"by" ~params:[ "N"; "M" ] [ "i"; "j" ])
-            (Cstr.between (c 1) (v "i") Aff.(v "N" - c 1)
-            @ Cstr.between (c 0) (v "j") Aff.(v "M" - c 2))
-        in
-        let u = Iset.union blur_domain shifted in
-        Alcotest.(check (option int)) "union"
-          (Some (List.length (Iset.points u ~params)))
-          (Iset.card u ~params);
-        (* empty instance of the domain *)
-        Alcotest.(check (option int)) "empty" (Some 0)
-          (Iset.card blur_domain ~params:[ ("N", 2); ("M", 2) ]));
   ]
 
 let () =
@@ -644,10 +661,10 @@ let () =
             prop_sample 2; prop_projection_sound 2; prop_projection_sound 3;
             prop_subtract 2; prop_gist 2;
             prop_card 1; prop_card 2; prop_card 3;
-            prop_card_box 2;
             prop_eq_heavy 3; prop_eq_heavy 4; prop_eq_heavy 5;
             prop_screen_exact 2; prop_screen_exact 3; prop_extend 2;
             prop_constant_values 3; prop_constant_values 5;
             prop_fm_order 2; prop_fm_order 3;
+            prop_repeated_rows 2; prop_repeated_rows 3;
           ] );
     ]
