@@ -56,11 +56,7 @@ let build_set ~params ~context ~domain ~elim ~tuple_cols ~cstrs ~fixes =
   let n = Array.length cols in
   let np = List.length params in
   let ni = List.length iters and ne = List.length elim in
-  let add p c =
-    match Cstr.to_row ~cols c with
-    | `Eq r -> Poly.add_eq p r
-    | `Ineq r -> Poly.add_ineq p r
-  in
+  let add = Poly.add_cstr ~cols in
   let base = List.fold_left add (Poly.universe n) cstrs in
   let base = List.fold_left add base context in
   let base =
@@ -164,14 +160,7 @@ let rename_cstrs bind cstrs =
     Aff.subst a (fun n ->
         Option.map Aff.var (List.assoc_opt n bind))
   in
-  List.map
-    (function
-      | Cstr.Eq (a, b) -> Cstr.Eq (ren a, ren b)
-      | Cstr.Le (a, b) -> Cstr.Le (ren a, ren b)
-      | Cstr.Lt (a, b) -> Cstr.Lt (ren a, ren b)
-      | Cstr.Ge (a, b) -> Cstr.Ge (ren a, ren b)
-      | Cstr.Gt (a, b) -> Cstr.Gt (ren a, ren b))
-    cstrs
+  List.map (Cstr.map ren) cstrs
 
 (* ---------- per-computation descriptions ---------- *)
 

@@ -21,12 +21,7 @@ let rename_aff_np ~params f a =
   Aff.subst a (fun n ->
       if List.mem n params then None else Some (Aff.var (f n)))
 
-let rename_cstr ~params f = function
-  | Cstr.Eq (a, b) -> Cstr.Eq (rename_aff_np ~params f a, rename_aff_np ~params f b)
-  | Cstr.Le (a, b) -> Cstr.Le (rename_aff_np ~params f a, rename_aff_np ~params f b)
-  | Cstr.Lt (a, b) -> Cstr.Lt (rename_aff_np ~params f a, rename_aff_np ~params f b)
-  | Cstr.Ge (a, b) -> Cstr.Ge (rename_aff_np ~params f a, rename_aff_np ~params f b)
-  | Cstr.Gt (a, b) -> Cstr.Gt (rename_aff_np ~params f a, rename_aff_np ~params f b)
+let rename_cstr ~params f = Cstr.map (rename_aff_np ~params f)
 
 (* Lift a domain poly (over [params; iters]) into [cols], assuming the
    renamed iterators appear contiguously in cols starting at [at]. *)
@@ -36,6 +31,61 @@ let lift_domain ~np ~at ~total p =
   let p = Poly.insert_vars p ~at:np ~count:(at - np) in
   Poly.insert_vars p ~at:(at + ni) ~count:(total - (at + ni))
 
+(* What a sink instance allows of one source-side form: one value, or a
+   closed range. *)
+type bound = Point of Aff.t | Range of Aff.t * Aff.t
+
+(* The one construction of an access relation: the pairs of a [src]
+   instance and a [dst] instance satisfying every link, as pieces over the
+   columns [params; s@src iters; d@dst iters].  A link pairs an affine form
+   over [src]'s iterators with a bound over [dst]'s; a coordinate no link
+   names is unconstrained.  There is one piece per pair of domain pieces
+   (source outer, sink inner), or per sink piece when [~src_domain:false]
+   leaves the source side outside [src]'s domain, and the empty pieces are
+   dropped. *)
+let relation ~params ?(src_domain = true) (src : computation) (dst : computation) links =
+  let np = List.length params and nsi = List.length src.iters in
+  let cols = Array.of_list (params @ List.map sren src.iters @ List.map dren dst.iters) in
+  let total = Array.length cols in
+  let s = rename_aff_np ~params sren and d = rename_aff_np ~params dren in
+  let base =
+    List.fold_left (Poly.add_cstr ~cols) (Poly.universe total)
+      (List.concat_map
+         (fun (a, bound) ->
+           match bound with
+           | Point b -> [ Cstr.Eq (s a, d b) ]
+           | Range (lo, hi) -> [ Cstr.Ge (s a, d lo); Cstr.Le (s a, d hi) ])
+         links)
+  in
+  let sinks = List.map (lift_domain ~np ~at:(np + nsi) ~total) dst.domain.Iset.polys in
+  let pieces =
+    if src_domain then
+      List.concat_map
+        (fun sp ->
+          let sp = lift_domain ~np ~at:np ~total sp in
+          List.map (fun dp -> Poly.intersect base (Poly.intersect sp dp)) sinks)
+        src.domain.Iset.polys
+    else List.map (Poly.intersect base) sinks
+  in
+  List.filter (fun p -> not (Poly.is_empty p)) pieces
+
+(* The links of a [dst] instance reading [src] at [idx]: source coordinate
+   k equals index k when it is affine, lies in its range when
+   [Expr.index_range] bounds it, and is free otherwise (any producer
+   instance may be read). *)
+let read_links ~params (src : computation) (dst : computation) idx =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun k e ->
+         let coord = Aff.var (List.nth src.iters k) in
+         match Expr.to_aff ~iters:dst.iters ~params e with
+         | Some a -> Some (coord, Point a)
+         | None ->
+             Option.map
+               (fun (lo, hi) -> (coord, Range (lo, hi)))
+               (Expr.index_range ~iters:dst.iters ~params e))
+       idx)
+
 (* for the test that pins a widening with no trial to no analysis *)
 let n_flow_deps = Atomic.make 0
 let flow_deps_calls () = Atomic.get n_flow_deps
@@ -44,84 +94,25 @@ let flow_deps_calls () = Atomic.get n_flow_deps
 let flow_deps fn =
   Atomic.incr n_flow_deps;
   let params = fn.params in
-  let np = List.length params in
   let regulars =
     List.filter (fun (c : computation) -> c.kind = Regular && not c.inlined) fn.comps
   in
   List.concat_map
     (fun (dst : computation) ->
-      let expr = Lower.expand fn dst.expr in
-      let accs = Expr.accesses expr in
       List.filter_map
         (fun (pname, idx) ->
-          match
-            List.find_opt
-              (fun (p : computation) -> p.comp_name = pname && p.kind = Regular && not p.inlined)
-              regulars
-          with
+          match List.find_opt (fun (p : computation) -> p.comp_name = pname) regulars with
           | None -> None
-          | Some src ->
-              let s_iters = List.map sren src.iters in
-              let d_iters = List.map dren dst.iters in
-              let cols = Array.of_list (params @ s_iters @ d_iters) in
-              let total = Array.length cols in
-              let nsi = List.length s_iters in
-              let base = Poly.universe total in
-              (* index linking constraints *)
-              let base =
-                List.fold_left
-                  (fun acc (k, (e : Ir.expr)) ->
-                    let coord = Aff.var (List.nth s_iters k) in
-                    let cs =
-                      match
-                        Expr.to_aff ~iters:dst.iters ~params e
-                      with
-                      | Some a ->
-                          [ Cstr.Eq (coord, rename_aff_np ~params dren a) ]
-                      | None -> (
-                          match
-                            Expr.index_range ~iters:dst.iters ~params e
-                          with
-                          | Some (lo, hi) ->
-                              [
-                                Cstr.Ge (coord, rename_aff_np ~params dren lo);
-                                Cstr.Le (coord, rename_aff_np ~params dren hi);
-                              ]
-                          | None ->
-                              (* Unanalyzable index: any producer instance
-                                 may be read. *)
-                              [])
-                    in
-                    List.fold_left
-                      (fun acc c ->
-                        match Cstr.to_row ~cols c with
-                        | `Eq r -> Poly.add_eq acc r
-                        | `Ineq r -> Poly.add_ineq acc r)
-                      acc cs)
-                  base
-                  (List.mapi (fun k e -> (k, e)) idx)
-              in
-              let rel =
-                List.concat_map
-                  (fun sp ->
-                    List.map
-                      (fun dp ->
-                        let sp' = lift_domain ~np ~at:np ~total sp in
-                        let dp' = lift_domain ~np ~at:(np + nsi) ~total dp in
-                        Poly.intersect base (Poly.intersect sp' dp'))
-                      dst.domain.Iset.polys)
-                  src.domain.Iset.polys
-              in
-              let rel = List.filter (fun p -> not (Poly.is_empty p)) rel in
-              if rel = [] then None
-              else Some { src; dst; kind = Flow; rel })
-        accs)
+          | Some src -> (
+              match relation ~params src dst (read_links ~params src dst idx) with
+              | [] -> None
+              | rel -> Some { src; dst; kind = Flow; rel }))
+        (Expr.accesses (Lower.expand fn dst.expr)))
     regulars
 
 (* Memory dependences through shared buffers (Layer III). *)
 let memory_deps fn =
   let params = fn.params in
-  let np = List.length params in
   let stored =
     List.filter_map
       (fun (c : computation) ->
@@ -130,117 +121,53 @@ let memory_deps fn =
         | _ -> None)
       fn.comps
   in
-  (* Reads of buffer b: consumer c accessing producer p stored in b, at
-     index A_p(g(c)). *)
+  (* Each access: who makes it, the buffer, and one affine form per buffer
+     coordinate over the accessor's iterators, [None] where it is not
+     affine.  A write stores at its [acc_idx]; a read of producer [p] loads
+     [p]'s [acc_idx] with [p]'s iterators replaced by the read indices. *)
+  let writes =
+    List.map (fun (c, (a : access)) -> (c, a.acc_buf, List.map Option.some a.acc_idx)) stored
+  in
   let reads =
     List.concat_map
       (fun ((c : computation), _) ->
         List.filter_map
           (fun (pname, idx) ->
-            match List.find_opt (fun (p, _) -> p.comp_name = pname) stored with
-            | Some (p, pa) ->
-                (* buffer index k = acc_idx_k with p.iters bound to idx *)
-                let bind k =
-                  let a = List.nth pa.acc_idx k in
-                  (* a is affine over p.iters; each p iter j substituted by
-                     idx_j (range if non-affine). Approximate: only handle
-                     the affine case exactly. *)
-                  let subst_ok = ref true in
-                  let e =
-                    Aff.subst a (fun n ->
-                        match
-                          List.find_index (fun i -> i = n) p.iters
-                        with
-                        | Some j -> (
-                            match
-                              Expr.to_aff ~iters:c.iters ~params
-                                (List.nth idx j)
-                            with
-                            | Some g -> Some g
-                            | None ->
-                                subst_ok := false;
-                                None)
-                        | None -> None)
-                  in
-                  if !subst_ok then Some e else None
-                in
-                let idx_affs =
-                  List.mapi (fun k _ -> bind k) pa.acc_idx
-                in
-                Some (c, pa.acc_buf, idx_affs)
-            | None -> None)
+            List.find_opt (fun ((p : computation), _) -> p.comp_name = pname) stored
+            |> Option.map (fun ((p : computation), (pa : access)) ->
+                   let at =
+                     List.combine p.iters (List.map (Expr.to_aff ~iters:c.iters ~params) idx)
+                   in
+                   let read a =
+                     if List.exists (fun v -> List.assoc_opt v at = Some None) (Aff.vars a)
+                     then None
+                     else Some (Aff.subst a (fun v -> Option.join (List.assoc_opt v at)))
+                   in
+                   (c, pa.acc_buf, List.map read pa.acc_idx)))
           (Expr.accesses (Lower.expand fn c.expr)))
       stored
   in
-  let mk_rel (src : computation) src_idx (dst : computation) dst_idx =
-    let s_iters = List.map sren src.iters in
-    let d_iters = List.map dren dst.iters in
-    let cols = Array.of_list (params @ s_iters @ d_iters) in
-    let total = Array.length cols in
-    let nsi = List.length s_iters in
-    let base = Poly.universe total in
-    let base =
-      List.fold_left2
-        (fun acc sa da ->
-          match (sa, da) with
-          | Some sa, Some da ->
-              let c =
-                Cstr.Eq
-                  ( rename_aff_np ~params sren sa,
-                    rename_aff_np ~params dren da )
-              in
-              (match Cstr.to_row ~cols c with
-              | `Eq r -> Poly.add_eq acc r
-              | `Ineq r -> Poly.add_ineq acc r)
-          | _ -> acc)
-        base src_idx dst_idx
+  (* One link per coordinate both sides know. *)
+  let dep kind (src, _, si) (dst, _, di) =
+    let links =
+      List.filter_map
+        (function Some a, Some b -> Some (a, Point b) | _ -> None)
+        (List.combine si di)
     in
-    let rels =
-      List.concat_map
-        (fun sp ->
-          List.map
-            (fun dp ->
-              let sp' = lift_domain ~np ~at:np ~total sp in
-              let dp' = lift_domain ~np ~at:(np + nsi) ~total dp in
-              Poly.intersect base (Poly.intersect sp' dp'))
-            dst.domain.Iset.polys)
-        src.domain.Iset.polys
-    in
-    List.filter (fun p -> not (Poly.is_empty p)) rels
+    match relation ~params src dst links with
+    | [] -> []
+    | rel -> [ { src; dst; kind; rel } ]
   in
-  let write_idx (c, (a : access)) =
-    List.map (fun x -> Some x) a.acc_idx |> fun l -> (c, a.acc_buf, l)
+  let same_buffer xs ys f =
+    List.concat_map
+      (fun ((_, bx, _) as x) ->
+        List.concat_map
+          (fun ((_, by, _) as y) -> if bx.buf_name = by.buf_name then f x y else [])
+          ys)
+      xs
   in
-  let writes = List.map write_idx stored in
-  let deps = ref [] in
-  (* Output deps: write/write on the same buffer. *)
-  List.iter
-    (fun (w1, b1, i1) ->
-      List.iter
-        (fun (w2, b2, i2) ->
-          if b1.buf_name = b2.buf_name then begin
-            let rel = mk_rel w1 i1 w2 i2 in
-            if rel <> [] then
-              deps := { src = w1; dst = w2; kind = Output; rel } :: !deps
-          end)
-        writes)
-    writes;
-  (* Flow (write then read) and anti (read then write). *)
-  List.iter
-    (fun (w, bw, iw) ->
-      List.iter
-        (fun (r, br, ir) ->
-          if bw.buf_name = br.buf_name then begin
-            let rel = mk_rel w iw r ir in
-            if rel <> [] then
-              deps := { src = w; dst = r; kind = Flow; rel } :: !deps;
-            let rel' = mk_rel r ir w iw in
-            if rel' <> [] then
-              deps := { src = r; dst = w; kind = Anti; rel = rel' } :: !deps
-          end)
-        reads)
-    writes;
-  List.rev !deps
+  same_buffer writes writes (dep Output)
+  @ same_buffer writes reads (fun w r -> dep Flow w r @ dep Anti r w)
 
 type violation =
   | Order of { dep : dep; level : int; carried : bool }
@@ -373,11 +300,7 @@ let profile ~params (d : dep) =
   let total = Array.length cols in
   let np = List.length params in
   let nsi = List.length s_iters and ndi = List.length d_iters in
-  let add p c =
-    match Cstr.to_row ~cols c with
-    | `Eq r -> Poly.add_eq p r
-    | `Ineq r -> Poly.add_ineq p r
-  in
+  let add = Poly.add_cstr ~cols in
   let base = Poly.universe total in
   (* Schedule constraints for both sides. *)
   let base =
@@ -467,60 +390,21 @@ let compute_at_covered fn (p : computation) =
       (* Every index the consumer reads must lie in the producer's domain
          (the footprint construction then covers it in the same tile). *)
       let params = fn.params in
-      let accs =
-        List.filter
-          (fun (name, _) -> name = p.comp_name)
-          (Expr.accesses (Lower.expand fn consumer.expr))
-      in
+      let coords = List.map sren p.iters in
+      let at = List.length params + List.length coords in
+      let dom = Iset.rename_vars p.domain coords in
       List.for_all
-        (fun (_, idx) ->
-          let p_coord = List.map (fun i -> "p@" ^ i) p.iters in
-          let cols =
-            Array.of_list (params @ consumer.iters @ p_coord)
-          in
-          let total = Array.length cols in
-          let np = List.length params in
-          let nci = List.length consumer.iters in
-          let add acc c =
-            match Cstr.to_row ~cols c with
-            | `Eq r -> Poly.add_eq acc r
-            | `Ineq r -> Poly.add_ineq acc r
-          in
-          let base = Poly.universe total in
-          let base =
-            List.fold_left add base
-              (List.concat
-                 (List.mapi
-                    (fun k e ->
-                      let coord = Aff.var (List.nth p_coord k) in
-                      match Expr.to_aff ~iters:consumer.iters ~params e with
-                      | Some a -> [ Cstr.Eq (coord, a) ]
-                      | None -> (
-                          match
-                            Expr.index_range ~iters:consumer.iters ~params e
-                          with
-                          | Some (lo, hi) ->
-                              [ Cstr.Ge (coord, lo); Cstr.Le (coord, hi) ]
-                          | None -> []))
-                    idx))
-          in
+        (fun (name, idx) ->
+          name <> p.comp_name
+          ||
           let reads =
-            List.concat_map
-              (fun cp ->
-                let lifted =
-                  Poly.insert_vars cp ~at:(np + nci)
-                    ~count:(total - np - nci)
-                in
-                let joined = Poly.intersect base lifted in
-                [ fst (Poly.project_out joined ~at:np ~count:nci) ])
-              consumer.domain.Iset.polys
+            List.map
+              (fun r -> fst (Poly.project_out r ~at ~count:(List.length consumer.iters)))
+              (relation ~params ~src_domain:false p consumer
+                 (read_links ~params p consumer idx))
           in
-          let read_set =
-            Iset.of_polys (Space.set_space ~params p_coord) reads
-          in
-          let dom = Iset.rename_vars p.domain p_coord in
-          Iset.subset read_set dom)
-        accs
+          Iset.subset (Iset.of_polys (Space.set_space ~params coords) reads) dom)
+        (Expr.accesses (Lower.expand fn consumer.expr))
 
 let has_cycle fn =
   let names = List.map (fun c -> c.comp_name) fn.comps in

@@ -11,11 +11,14 @@
       edges (value-based, exact up to the §V-B over-approximation of
       clamped accesses);
     - {e memory dependences} (flow/anti/output through buffers) come from
-      Layer III access relations and catch hazards introduced by data-layout
-      decisions;
+      Layer III access relations.  They are built by the same
+      access-relation constructor as the flow dependences, but legality
+      does not check them yet: a data-layout hazard such as two
+      computations storing into one buffer in the wrong order is not
+      caught;
     - {e legality} checks that a schedule executes every producer instance
       strictly before its consumers, by per-level emptiness of the violation
-      sets (the Omega test makes this exact). *)
+      sets of the flow dependences (the Omega test makes this exact). *)
 
 type kind = Flow | Anti | Output
 
@@ -35,7 +38,10 @@ val flow_deps_calls : unit -> int
 
 val memory_deps : Tiramisu_core.Ir.fn -> dep list
 (** Buffer-based dependences after data mapping (Layer III): all pairs of
-    accesses to the same buffer where at least one writes. *)
+    accesses to the same buffer where at least one writes, as stored by
+    computations that have a buffer (lowering gives one to each).  The
+    pairs are not oriented by execution order, and a computation's
+    output dependence on itself is kept. *)
 
 type violation =
   | Order of {

@@ -5,6 +5,13 @@ type t =
   | Ge of Aff.t * Aff.t
   | Gt of Aff.t * Aff.t
 
+let map f = function
+  | Eq (a, b) -> Eq (f a, f b)
+  | Le (a, b) -> Le (f a, f b)
+  | Lt (a, b) -> Lt (f a, f b)
+  | Ge (a, b) -> Ge (f a, f b)
+  | Gt (a, b) -> Gt (f a, f b)
+
 let between lo x hi = [ Le (lo, x); Lt (x, hi) ]
 
 let to_row ~cols c =

@@ -7,6 +7,9 @@ type t =
   | Ge of Aff.t * Aff.t
   | Gt of Aff.t * Aff.t
 
+val map : (Aff.t -> Aff.t) -> t -> t
+(** [map f c] applies [f] to both sides of [c], keeping its relation. *)
+
 val between : Aff.t -> Aff.t -> Aff.t -> t list
 (** [between lo x hi] is [lo <= x] and [x < hi] — the half-open ranges used
     for iteration domains throughout the paper. *)

@@ -10,13 +10,9 @@ let of_polys space polys =
 let universe space = of_polys space [ Poly.universe (Space.map_arity space) ]
 
 let of_constraints space cs =
-  let cols = Space.map_cols space in
   let p =
     List.fold_left
-      (fun p c ->
-        match Cstr.to_row ~cols c with
-        | `Eq row -> Poly.add_eq p row
-        | `Ineq row -> Poly.add_ineq p row)
+      (Poly.add_cstr ~cols:(Space.map_cols space))
       (Poly.universe (Space.map_arity space))
       cs
   in

@@ -12,12 +12,8 @@ let n_vars s = Array.length s.space.Space.vars
 let n_params s = Array.length s.space.Space.params
 
 let poly_of_constraints space cs =
-  let cols = Space.set_cols space in
   List.fold_left
-    (fun p c ->
-      match Cstr.to_row ~cols c with
-      | `Eq row -> Poly.add_eq p row
-      | `Ineq row -> Poly.add_ineq p row)
+    (Poly.add_cstr ~cols:(Space.set_cols space))
     (Poly.universe (Space.set_arity space))
     cs
 

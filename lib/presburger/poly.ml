@@ -23,6 +23,9 @@ let add_ineq p r =
   check_row p.n r;
   { p with ineqs = r :: p.ineqs }
 
+let add_cstr ~cols p c =
+  match Cstr.to_row ~cols c with `Eq r -> add_eq p r | `Ineq r -> add_ineq p r
+
 let intersect a b =
   if a.n <> b.n then invalid_arg "Poly.intersect: arity mismatch";
   { n = a.n; eqs = a.eqs @ b.eqs; ineqs = a.ineqs @ b.ineqs }

@@ -15,6 +15,11 @@ val universe : int -> t
 val dim : t -> int
 val add_eq : t -> int array -> t
 val add_ineq : t -> int array -> t
+
+val add_cstr : cols:string array -> t -> Cstr.t -> t
+(** [add_cstr ~cols p c] adds [c], over the columns named [cols], as one
+    row of [p] ({!Cstr.to_row}). *)
+
 val intersect : t -> t -> t
 
 val is_empty : t -> bool

@@ -163,14 +163,8 @@ module LT = Tiramisu_codegen.Loop_ir
 let sren x = "s@" ^ x
 let dren x = "d@" ^ x
 
-let rename_cstr ~params f c =
-  let r e = Aff.subst e (fun n -> if List.mem n params then None else Some (Aff.var (f n))) in
-  match c with
-  | Cstr.Eq (x, y) -> Cstr.Eq (r x, r y)
-  | Cstr.Le (x, y) -> Cstr.Le (r x, r y)
-  | Cstr.Lt (x, y) -> Cstr.Lt (r x, r y)
-  | Cstr.Ge (x, y) -> Cstr.Ge (r x, r y)
-  | Cstr.Gt (x, y) -> Cstr.Gt (r x, r y)
+let rename_cstr ~params f =
+  Cstr.map (fun e -> Aff.subst e (fun n -> if List.mem n params then None else Some (Aff.var (f n))))
 
 let time_desc (c : Ir.computation) =
   List.map
@@ -197,9 +191,7 @@ let reference_dep ~tags ~params (d : D.dep) =
   in
   let total = Array.length cols in
   let lead = List.length params + List.length s_iters + List.length d_iters in
-  let add p c =
-    match Cstr.to_row ~cols c with `Eq r -> Poly.add_eq p r | `Ineq r -> Poly.add_ineq p r
-  in
+  let add = Poly.add_cstr ~cols in
   let base =
     List.fold_left add (Poly.universe total)
       (List.map (rename_cstr ~params sren) src.Ir.sched.Ir.cstrs
@@ -392,6 +384,132 @@ let equivalence_tests =
         Alcotest.(check bool) "some schedule has a band" true (!banded_kernels > 0));
   ]
 
+(* ---------- flow dependences inside memory dependences ----------
+
+   On a lowered program every computation stores into a buffer, so a value
+   a consumer reads from its producer is also a read of the element the
+   producer wrote: each pair's flow dependences lie inside the union of its
+   memory flow dependences.  The two are equal when the consumer's reads of
+   the producer are affine and the producer is alone in its buffer; a
+   clamped read or a shared buffer (sgemm's [c_init]/[c_upd]) only widens
+   the memory side.  Both come from one constructor, so a witness of every
+   flow piece is also checked against the read indices themselves. *)
+
+(* Does the source/sink pair [point] (over [params; s@src; d@dst]) read
+   the source instance one access of [src] by [dst] names: the index
+   itself when affine, inside its range when clamped? *)
+let reads_some_access fn (d : D.dep) point =
+  let params = fn.Ir.params and src = d.D.src and dst = d.D.dst in
+  let value =
+    List.combine (params @ List.map sren src.Ir.iters @ List.map dren dst.Ir.iters)
+      (Array.to_list point)
+  in
+  let at_sink e = Aff.eval e (fun n -> List.assoc (if List.mem n params then n else dren n) value) in
+  List.exists
+    (fun (name, idx) ->
+      name = src.Ir.comp_name
+      && List.for_all2
+           (fun it e ->
+             let s = List.assoc (sren it) value in
+             match Expr.to_aff ~iters:dst.Ir.iters ~params e with
+             | Some e -> s = at_sink e
+             | None -> (
+                 match Expr.index_range ~iters:dst.Ir.iters ~params e with
+                 | Some (lo, hi) -> at_sink lo <= s && s <= at_sink hi
+                 | None -> true))
+           src.Ir.iters idx)
+    (Expr.accesses (Lower.expand fn dst.Ir.expr))
+
+(* Checks [fn] (lowered first, so every computation has its buffer) and
+   returns how many pairs were exact and how many witnesses were read. *)
+let check_flow_in_memory ~label ~at fn =
+  ignore (Tiramisu_pipeline.Pipeline.lower fn);
+  let params = fn.Ir.params in
+  let flow = D.flow_deps fn and memory = D.memory_deps fn in
+  let name (c : Ir.computation) = c.Ir.comp_name in
+  let buffer (c : Ir.computation) = (Option.get c.Ir.access).Ir.acc_buf.Ir.buf_name in
+  let pairs =
+    List.sort_uniq compare (List.map (fun (d : D.dep) -> (name d.D.src, name d.D.dst)) flow)
+  in
+  List.fold_left
+    (fun (exact, witnesses) (p, c) ->
+      let of_pair kind deps =
+        List.filter
+          (fun (d : D.dep) -> d.D.kind = kind && name d.D.src = p && name d.D.dst = c)
+          deps
+      in
+      let fdeps = of_pair D.Flow flow in
+      let src = (List.hd fdeps).D.src and dst = (List.hd fdeps).D.dst in
+      let space =
+        Space.set_space ~params (List.map sren src.Ir.iters @ List.map dren dst.Ir.iters)
+      in
+      let union deps = Iset.of_polys space (List.concat_map (fun (d : D.dep) -> d.D.rel) deps) in
+      let f = union fdeps and m = union (of_pair D.Flow memory) in
+      let affine =
+        List.for_all
+          (fun (n, idx) ->
+            n <> p
+            || List.for_all (fun e -> Expr.to_aff ~iters:dst.Ir.iters ~params e <> None) idx)
+          (Expr.accesses (Lower.expand fn dst.Ir.expr))
+      in
+      let alone =
+        List.for_all
+          (fun (w : Ir.computation) ->
+            w == src || w.Ir.kind <> Ir.Regular || w.Ir.inlined || buffer w <> buffer src)
+          fn.Ir.comps
+      in
+      let pair = Printf.sprintf "%s: %s -> %s" label p c in
+      Alcotest.(check bool) (pair ^ " flow inside memory") true (Iset.subset f m);
+      if affine && alone then
+        Alcotest.(check bool) (pair ^ " flow = memory") true (Iset.subset m f);
+      let witnesses =
+        List.fold_left
+          (fun n (d : D.dep) ->
+            List.fold_left
+              (fun n piece ->
+                let piece =
+                  List.fold_left
+                    (fun q (i, v) -> Poly.fix_var q i (List.assoc v at))
+                    piece
+                    (List.mapi (fun i v -> (i, v)) params)
+                in
+                match Poly.sample piece with
+                | None -> n
+                | Some point ->
+                    Alcotest.(check bool) (pair ^ " witness reads its index") true
+                      (reads_some_access fn d point);
+                    n + 1)
+              n d.D.rel)
+          witnesses fdeps
+      in
+      ((if affine && alone then exact + 1 else exact), witnesses))
+    (0, 0) pairs
+
+let memory_tests =
+  [
+    Alcotest.test_case "flow deps = memory flow deps on lowered programs" `Quick (fun () ->
+        let totals (e, w) (e', w') = (e + e', w + w') in
+        let f, _, _, _ = make_blur () in
+        let blur = check_flow_in_memory ~label:"blur" ~at:[ ("N", 20); ("M", 16) ] f in
+        let f, _ = make_skewed_stencil () in
+        let stencil = check_flow_in_memory ~label:"stencil" ~at:[ ("N", 10) ] f in
+        let exact, witnesses =
+          List.fold_left
+            (fun acc (k : Tiramisu_kernels.Catalog.kernel) ->
+              List.fold_left
+                (fun acc (sched, apply) ->
+                  let f = k.build () in
+                  apply f;
+                  totals acc
+                    (check_flow_in_memory ~label:(k.k_name ^ "/" ^ sched) ~at:k.params_small f))
+                acc
+                (k.schedules k.params_small))
+            (totals blur stencil) Tiramisu_kernels.Catalog.kernels
+        in
+        Alcotest.(check bool) "some pair is exact" true (exact > 0);
+        Alcotest.(check bool) "some witness was read" true (witnesses > 0));
+  ]
+
 (* One group: Alcotest sizes its name column by the longest group name,
    so a second, longer group would change how every name above prints. *)
-let () = Alcotest.run "deps" [ ("deps", tests @ equivalence_tests) ]
+let () = Alcotest.run "deps" [ ("deps", tests @ equivalence_tests @ memory_tests) ]
