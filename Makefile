@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test bench exec-smoke bench-smoke fuzz check pipeline-smoke autosched-smoke service-smoke gpu-smoke dist-smoke clean
+.PHONY: all build test bench exec-smoke bench-smoke fuzz check pipeline-smoke autosched-smoke service-smoke gpu-smoke dist-smoke lane-fit tape-asm clean
 
 all: build
 
@@ -80,6 +80,20 @@ bench-smoke:
 # compile-cache rebuild is a hit >= 10x faster than a cold compile.
 exec-smoke:
 	dune exec bench/main.exe -- exec-smoke
+
+# Report only, not part of check.  The vector tape's lane-cost fit:
+# per-dispatch and per-lane ns by least squares over widths 2-128, rows 1
+# and 8, median and interquartile range over seven runs, raw and scaled
+# to the median host probe.
+lane-fit:
+	dune exec bench/main.exe -- lane-fit
+
+# Report only, not part of check.  Register residency of the vector
+# interpreter: exec_code_vec's instruction count and, per lane kernel, its
+# instruction count and the stack (%rsp) loads inside its unrolled loop,
+# from the built tiramisu_backends__Tape.o (needs objdump).
+tape-asm:
+	bash bench/tape_asm.sh
 
 # The pre-commit gate: tier-1 (build + tests), the exec smoke gate, the
 # pipeline/compile-cache smoke gate, the pool-vs-seq perf gate, the

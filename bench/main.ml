@@ -21,13 +21,15 @@ let targets =
     ("service-smoke", fun () -> Service_bench.run ~smoke:true ());
     ("gpu-smoke", fun () -> Gpu_dist_bench.run_gpu ~smoke:true ());
     ("dist-smoke", fun () -> Gpu_dist_bench.run_dist ~smoke:true ());
+    ("lane-fit", Lane_fit.run);
   ]
 
 (* The default sweep: every target but the -smoke gates, which run by name
-   (make check). *)
+   (make check), and the executor's report-only lane-cost fit. *)
 let all =
   List.filter
-    (fun name -> not (String.ends_with ~suffix:"-smoke" name))
+    (fun name ->
+      not (String.ends_with ~suffix:"-smoke" name || name = "lane-fit"))
     (List.map fst targets)
 
 let () =

@@ -325,14 +325,19 @@ let first_round cfg problem =
 (* Median wall-clock of [reps] runs with early cutoff against the
    incumbent: once the best rep so far cannot beat [cutoff], stop — the
    candidate has lost, and its partial minimum is score enough.  [low] is
-   the candidate's lowering memo. *)
-let measure acc cfg problem ~tape ~lanes ~cutoff low =
+   the candidate's lowering memo.  The result carries the build's key
+   (statement hash, tape, lanes); [None] when [known] holds for it, with
+   no rep run. *)
+let measure ?(known = fun _ -> false) acc cfg problem ~tape ~lanes ~cutoff low
+    =
   let art =
     timed acc st_build (fun () ->
         P.build ~lowerings:low ~knobs:(knobs_of cfg ~tape ~lanes)
           ~fn:low.P.lw_fn ~params:problem.params ~inputs:problem.inputs ())
   in
-  timed acc st_reps @@ fun () ->
+  let key = (art.P.key_hash, tape, lanes) in
+  if known key then None
+  else Some (key, timed acc st_reps @@ fun () ->
   let c = art.P.exec in
   B.Exec.run c (* warmup; surfaces bounds failures before timing *);
   let samples = ref [] in
@@ -359,7 +364,7 @@ let measure acc cfg problem ~tape ~lanes ~cutoff low =
     else if n mod 2 = 1 then List.nth sorted (n / 2)
     else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.0
   in
-  (median, !cut)
+  (median, !cut))
 
 (* Bit-exact replay of the winner against the interpreter: rebuild through
    the cache (restoring buffers to their freshly-filled snapshot), run the
@@ -440,14 +445,21 @@ let run ?(config = default_config) (problem : problem) : result =
     { sc_actions = []; sc_low = P.lowerings (scheduled problem []);
       sc_prior = infinity }
   in
+  (* Every configuration measured so far, by the structural hash of the
+     statement it built and its knobs.  Identical code is measured once:
+     a second measurement would only be a second noisy sample of the
+     same program, and the incumbent would change on noise alone. *)
+  let seen_code = Hashtbl.create 64 in
   let default_ms, _ =
     match
       fueled (fun () ->
           measure acc cfg problem ~tape:true ~lanes:P.default_knobs.P.lanes
             ~cutoff:infinity default.sc_low)
     with
-    | Some r -> r
-    | None ->
+    | Some (Some (key, r)) ->
+        Hashtbl.replace seen_code key ();
+        r
+    | Some None | None ->
         failwith
           (problem.name
          ^ ": default schedule did not compile within the work budget")
@@ -463,11 +475,13 @@ let run ?(config = default_config) (problem : problem) : result =
       let cutoff = cutoff_ratio *. !best_ms in
       match
         limited (fun () ->
-            measure acc cfg problem ~tape ~lanes ~cutoff st.sc_low)
+            measure acc cfg problem ~tape ~lanes ~cutoff
+              ~known:(Hashtbl.mem seen_code) st.sc_low)
       with
       | exception _ -> ()
-      | None -> ()
-      | Some (ms, cut) ->
+      | None | Some None -> ()
+      | Some (Some (key, (ms, cut))) ->
+          Hashtbl.replace seen_code key ();
           incr measured;
           if cut then incr cutoffs;
           if ms < !best_ms then begin

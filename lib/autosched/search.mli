@@ -5,8 +5,10 @@
     oracle, ranked by the tape-aware analytical cost model as a prior, and
     the top of the beam is measured for real through {!Pipeline.build} —
     the structural-hash compile cache deduplicates candidates that lower
-    to the same statement, and an early-cutoff incumbent keeps bad
-    candidates cheap.  The winner is replayed bit-exactly against the
+    to the same statement, a candidate whose built statement and knobs
+    were already measured is not timed again (so identical code never
+    displaces the incumbent on timing noise), and an early-cutoff
+    incumbent keeps bad candidates cheap.  The winner is replayed bit-exactly against the
     interpreter before it is reported. *)
 
 type problem = {

@@ -1,97 +1,44 @@
 (* The flat-tape executor: binds an abstract {!Tiramisu_codegen.Tape_gen}
    program against concrete buffers and runs it with no closures, no env
-   lookups and no allocation in the hot loop.
+   lookups and no allocation in the hot loop (DESIGN §11, §15).
 
    Binding strength-reduces the addressing once: per access, the affine
-   index of every dimension folds with the buffer's strides into a single
-   flat base (affine over env slots of names outside the nest) plus one
+   index of every dimension folds with the buffer's strides into one flat
+   base (affine over env slots of names outside the nest) plus one
    integer step per nest level.  Execution walks the nest as an odometer
-   over "segments" — maximal runs of the innermost variable — and per
-   segment recomputes each cursor from the base and the current outer
-   indices, then runs the instruction tape once per iteration with
-   constant cursor bumps.
+   over segments — runs of the innermost level — recomputing each cursor
+   per segment and bumping it by a constant per iteration.  Binding also
+   builds an execution view that merges trailing levels whose fold is a
+   pure linearization (never into the parallel prefix), so a
+   [lane][channel] tail, or conv2D's [j.j_v] rows, run as one long
+   unit-stride segment; the merge keeps iteration order exactly.
 
-   Binding also builds an "execution view" of the nest: trailing levels
-   whose fold is a pure linearization — constant 0-based inner bounds,
-   every access stepping through the pair as one flat run, no body use of
-   either variable — are merged, so a [lane][channel] tail becomes one
-   long unit-stride segment, and a nest with no parallel prefix may merge
-   all the way to level 0 (conv2D's steady [j.j_v] rows: one 112-wide
-   run).  The merge never folds into the parallel prefix, the range
-   callers split across workers.  It preserves iteration order exactly,
-   so it is semantically invisible; entry corner checks keep the
-   original per-level view.
+   The vector tier batches lanes: along the innermost level ([Inner]),
+   or, for an accumulator, along the [Vectorized] level above its
+   reduction ([Outer], register blocking), possibly as a 2-D block of
+   [rows] positions of the level above that run.  Binding derives a
+   bound vector tape from the scalar code — loads and stores specialized
+   by their step along the batched level, loads folded into the one ALU
+   instruction that reads them, registers the vector tape never writes
+   read as uniform scalars — and picks each instruction's lane kernel
+   (see "lane kernels" below).  The width is an interpreter strip, not a
+   hardware vector, so a segment runs as few batches as it can: [len / w]
+   full ones, the remainder as one narrower batch, and only a single
+   leftover iteration through the scalar tape.  Each lane performs the
+   scalar interpreter's float operations in its order, so results stay
+   bit-identical.  [w] is the request fitted to the nest and capped where
+   two stores into one buffer would meet across lanes; inexact aliasing,
+   a read-modify-write access with step 0 or an accumulator the rules do
+   not cover keep the nest scalar, with a typed reason ({!lane_mode}).
 
-   On top of the exec view sits the vector tier: when the generator
-   marked the program lane-batchable ([p_vec_ok]) and the caller asked
-   for [lanes] > 1, binding derives a vector tape from the scalar code —
-   loads and stores specialized by their now-known innermost step into
-   unit, strided and broadcast forms, ALU opcodes re-read with lane-wise
-   semantics over a vector register file.  An ALU operand may also be a
-   uniform scalar (a register the vector tape never writes) or memory
-   read directly: a load whose value only its reader consumes folds into
-   that reader (the load-folding rule in [bind]), and the lane loops are
-   specialized per opcode and operand shape.  The width is an
-   interpreter strip, not a hardware vector: a vector dispatch costs the
-   same however many floats it covers, so a segment runs as few batches
-   as it can — [len / w] full ones, the remainder as one narrower batch,
-   and only a single leftover iteration through the scalar tape.  Each
-   lane applies the same float operations in the same order as the
-   scalar interpreter, so results stay bit-identical.  [w] is the
-   request fitted to the nest: capped by the exec-inner extent when that
-   is a bind-time constant, and by the distance at which two stores into
-   one buffer would meet across lanes.  A state allocates its lane
-   registers at its first vector batch, at the width that batch needs.
-   Programs with inexact store/load aliasing never batch (the
-   generator's analysis), and at bind time a read-modify-write access
-   with innermost step 0, or two stores into one buffer whose lanes meet
-   one lane apart, fall back to scalar (lanes must touch distinct
-   addresses, and stores must not overtake each other).
-
-   An accumulator never batches along its innermost (reduction) level:
-   that would reassociate the sum.  It batches along the level above
-   instead ([Outer]), when the schedule tagged that level [Vectorized]
-   (sgemm's [j1_v] above [k1]) — register blocking.  That level is
-   merged with its linearizable parents into one lane run; each batch of
-   [w] positions loads the accumulator into a lane register, runs the
-   whole innermost loop through the vector tape (loads specialized by
-   their step along the lane level: broadcast, unit or strided), and
-   stores it once.  Lane [j] computes position [j]'s sum in the scalar
-   order, and the accumulator is the only stored access and moves along
-   the lane level, so lanes never share an address: the batch is exact.
-   Positions past the last full batch run as one narrower batch (a
-   single leftover position runs scalar).
-
-   An [Outer] batch may also be 2-D.  When the lane run stops merging at
-   a level that is outside the parallel prefix, has constant bounds and a
-   variable the body does not read, that level becomes a row level: a
-   batch covers [rows] of its positions times [w] run positions, [rows =
-   min(extent, lanes / w)] (sgemm's [i1] above [j1 x j1_v]: C's row
-   stride does not linearize with the run, so the 1-D run is only 8
-   wide).  Vector loads and stores address row [r] at [r] row steps past
-   the cursor.  The accumulator's row step must clear a whole run,
-   [|S_r| >= w * |S_c|], so the [rows x w] addresses are distinct and each
-   lane still owns one; the exactness argument is the 1-D one.  Every
-   binding records its decision as a {!lane_mode}, with a typed reason
-   when scalar.
-
-   The iteration space of the [Parallel] tag prefix (levels [0..p_par-1])
-   is linearized into a single fused range the caller may split across
-   workers (one point when there is no prefix): ranges of the fused space
-   never cut a sequential subnest, so accumulators and loop-carried
-   store/load orders inside it are preserved exactly.  When the whole
-   nest is the prefix, segments are additionally clipped to the caller's
-   range (and the generator emitted no accumulator for that shape).
-
-   Entry corner checks cover the whole box at once: every access
-   dimension's min and max over all levels' ranges are computed from the
-   coefficient signs, so a passing check makes every executed iteration
-   in-bounds with no per-access checks inside the loop.  Dimensions that
-   differ only by their constant (a stencil's taps) share one check over
-   the extreme constants, which passes exactly when each of theirs would.  A failing check
-   (or a zero-extent level: nothing to do) is reported to the caller, who
-   falls back to the generic closure path — whose per-access checks then
-   raise at exactly the faulting iteration. *)
+   The [Parallel] prefix (levels [0..p_par-1]) is linearized into one
+   fused range the caller may split across workers; ranges never cut a
+   sequential subnest.  Entry corner checks cover the whole box at once
+   (extreme constants shared by a stencil's taps), so a passing check
+   makes every executed iteration in bounds and the loops run unchecked;
+   a failing check, or a guarded-piece union that does not tile the box,
+   sends the caller to the closure path, whose per-access checks raise at
+   the faulting iteration. *)
 
 module T = Tiramisu_codegen.Tape_gen
 
@@ -147,6 +94,39 @@ let mode_to_string = function
       Printf.sprintf "outer %s x%d × %s x%d" row n level width
   | Scalar r -> "scalar (" ^ reason_to_string r ^ ")"
 
+type state = {
+  regs : float array;
+  mutable vregs : float array array;
+    (* lane registers: empty until the first vector batch, then grown to
+       the widest batch so far (at most [t_lanes]) *)
+  cur : int array;     (* flat cursor per access *)
+  abase : int array;   (* per-range base per access *)
+  ivs : int array;     (* integer odometer per exec level *)
+  lbase : int array;   (* [Outer]: per access, cursor at the batch start *)
+  los : int array;
+  exts : int array;
+  fstr : int array;    (* fused-space stride per split level *)
+  (* [enter]'s scratch: original-view bounds, guarded-piece bounds
+     (piece-major, level-major) and which pieces are non-empty *)
+  elo : int array;
+  ehi : int array;
+  plo : int array;
+  phi : int array;
+  plive : bool array;
+  (* what the lane kernels read: the tape's bound vector code, data
+     arrays and row steps, the instruction to run and the batch's shape *)
+  vcode : int array;
+  datas : float array array;
+  rsteps : int array;
+  mutable pc : int;
+  mutable rows : int;
+  mutable bw : int;    (* lanes per row *)
+}
+
+(* A lane kernel runs the bound vector instruction at [st.pc] over the
+   state's current batch; {!kernel_index} picks it at bind time. *)
+type kernel = state -> unit
+
 type t = {
   t_d : int;                   (* nest depth (original view) *)
   t_split : int;
@@ -185,6 +165,8 @@ type t = {
     (* [Outer]: per-batch vector loads of the promoted registers and the
        accumulator, before the innermost loop *)
   t_vepi : int array;               (* [Outer]: the accumulator's store *)
+  t_vall : int array;               (* [t_vpro], [t_vcode], [t_vepi] *)
+  t_vk : kernel array;              (* per instruction of [t_vall] *)
   t_vlivein : int array;
     (* registers the bound vector tape reads as lane registers before
        writing them (minus the batched iteration variable): the only ones
@@ -196,27 +178,6 @@ type t = {
   t_rsteps : int array;
     (* per access, step of the row level ([t_rows] > 1), else 0 *)
   t_iv_vec : bool;                  (* body reads the batched level's var *)
-}
-
-type state = {
-  regs : float array;
-  mutable vregs : float array array;
-    (* lane registers: empty until the first vector batch, then grown to
-       the widest batch so far (at most [t_lanes]) *)
-  cur : int array;     (* flat cursor per access *)
-  abase : int array;   (* per-range base per access *)
-  ivs : int array;     (* integer odometer per exec level *)
-  lbase : int array;   (* [Outer]: per access, cursor at the batch start *)
-  los : int array;
-  exts : int array;
-  fstr : int array;    (* fused-space stride per split level *)
-  (* [enter]'s scratch: original-view bounds, guarded-piece bounds
-     (piece-major, level-major) and which pieces are non-empty *)
-  elo : int array;
-  ehi : int array;
-  plo : int array;
-  phi : int array;
-  plive : bool array;
 }
 
 let affine_fn ~slot ((ts, c) : T.affine) : int array -> int =
@@ -312,6 +273,457 @@ let read_kind (code : int array) i r =
     else 0
   end
 
+(* Bit-exact fast paths for [Float.min] / [Float.max]: when one operand is
+   strictly below (above) the other, both are ordinary, distinct numbers
+   and the library would return that operand too.  Ties — signed zeros
+   among them — and NaNs take the library call.  Shared by both
+   interpreters. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
+(* one lane of an ALU opcode other than [fma], the one definition both
+   interpreters instantiate; [op] is a constant at every use, and a unary
+   opcode ([mov] included) ignores [y] *)
+let[@inline] alu op x y =
+  if op = 2 then x
+  else if op = 3 then x +. y
+  else if op = 4 then x -. y
+  else if op = 5 then x *. y
+  else if op = 6 then x /. y
+  else if op = 7 then fmin x y
+  else if op = 8 then fmax x y
+  else if op = 10 then -.x
+  else if op = 11 then Float.abs x
+  else if op = 12 then sqrt x
+  else if op = 13 then exp x
+  else if op = 14 then log x
+  else if op = 15 then sin x
+  else if op = 16 then cos x
+  else if op = 17 then Float.floor x
+  else if op = 18 then Float.pow x y
+  else if op = 19 then
+    Float.of_int
+      (Tiramisu_support.Ints.fdiv (int_of_float x) (int_of_float y))
+  else if op = 20 then
+    Float.of_int
+      (Tiramisu_support.Ints.emod (int_of_float x) (int_of_float y))
+  else Float.of_int (int_of_float x)
+
+(* lane [q] of [d] gets [op x y]; [fma] adds the product to the lane,
+   bound first so that a NaN lane keeps its payload, as in the
+   interpreter's [x +. y] (folded into the addition as a memory operand,
+   the compiler would swap the operands) *)
+let[@inline] lane op (d : float array) q x y =
+  Array.unsafe_set d q
+    (if op = 9 then
+       let p = x *. y in
+       let acc = Array.unsafe_get d q in
+       acc +. p
+     else alu op x y)
+
+(* The scalar instruction interpreter: every ALU arm is one [lane] call
+   with a literal opcode ([fma] rounds twice, as the reference
+   interpreter does).  Both interpreters index unchecked: [enter]'s
+   corner checks prove every cursor in bounds before an instruction
+   runs, and bind validates register and access indices. *)
+
+let[@inline] exec_code (code : int array) (st : state)
+    (datas : float array array) =
+  let regs = st.regs and cur = st.cur in
+  let n = Array.length code in
+  let pc = ref 0 in
+  while !pc < n do
+    let i = !pc in
+    let dst = Array.unsafe_get code (i + 1)
+    and a = Array.unsafe_get code (i + 2)
+    and b = Array.unsafe_get code (i + 3) in
+    let op = Array.unsafe_get code i in
+    if op = 0 (* load *) then
+      Array.unsafe_set regs dst
+        (Array.unsafe_get (Array.unsafe_get datas a) (Array.unsafe_get cur a))
+    else if op = 1 (* store *) then
+      Array.unsafe_set (Array.unsafe_get datas a) (Array.unsafe_get cur a)
+        (Array.unsafe_get regs b)
+    else begin
+      (* a unary opcode's [b] is register 0, read and ignored *)
+      let x = Array.unsafe_get regs a and y = Array.unsafe_get regs b in
+      match op with
+      | 2 -> lane 2 regs dst x y
+      | 3 -> lane 3 regs dst x y
+      | 4 -> lane 4 regs dst x y
+      | 5 -> lane 5 regs dst x y
+      | 6 -> lane 6 regs dst x y
+      | 7 -> lane 7 regs dst x y
+      | 8 -> lane 8 regs dst x y
+      | 9 -> lane 9 regs dst x y
+      | 10 -> lane 10 regs dst x y
+      | 11 -> lane 11 regs dst x y
+      | 12 -> lane 12 regs dst x y
+      | 13 -> lane 13 regs dst x y
+      | 14 -> lane 14 regs dst x y
+      | 15 -> lane 15 regs dst x y
+      | 16 -> lane 16 regs dst x y
+      | 17 -> lane 17 regs dst x y
+      | 18 -> lane 18 regs dst x y
+      | 19 -> lane 19 regs dst x y
+      | 20 -> lane 20 regs dst x y
+      | _ -> lane 21 regs dst x y
+    end;
+    pc := i + 4
+  done
+
+(* ---------- lane kernels ----------
+
+   The vector interpreter is a table of small kernels ([kernels]), one
+   per bound instruction form: each fusable opcode (add .. fma) for every
+   pair of operand shapes — [0] lane register, [1] uniform scalar, memory
+   along the batched level at [2] unit stride, [3] stride 0 or [4] any
+   other — each unary opcode, [pow], [fdivi] and [modi] on registers, and
+   each load and store form.  [bind] picks every instruction's kernel
+   ({!kernel_index}), so a dispatch is one indirect call with nothing
+   left to decode.  Each kernel instantiates [@inline] templates with
+   constant opcode and shapes, which inlining folds into straight loops
+   (four lanes per test, then one at a time), and is a function of its
+   own, so its loop keeps arrays and indices in registers: [make
+   tape-asm] counts each kernel's stack reloads, [make lane-fit] fits
+   the per-dispatch and per-lane cost.  A kernel owns its row loop:
+   memory operands address row [r] at [r] row steps past the cursor;
+   registers and scalars alone run the batch as one row. *)
+
+(* operand value at lane [k] of an unrolled step at destination index
+   [i], by shape [sh]: a lane register at [i + k] (the destination's
+   layout), unit-stride memory [dx] further, a strided operand at its
+   own offset [p], a uniform one [v0].  Shapes reach the templates only
+   as parameters or literals, never let-bound, so inlining folds every
+   test on them. *)
+let[@inline] opnd sh (a : float array) i dx p k v0 =
+  if sh = 1 || sh = 3 then v0
+  else if sh = 0 then Array.unsafe_get a (i + k)
+  else if sh = 2 then Array.unsafe_get a (i + dx + k)
+  else Array.unsafe_get a p
+
+(* [min] and [max] decide a lane with one strict comparison unless its
+   operands tie or one is NaN ([fmin]); [lane_decided] is [lane] then *)
+let[@inline] decided op (x : float) y = (op <> 7 && op <> 8) || x < y || y < x
+
+let[@inline] lane_decided op (d : float array) q x y =
+  if op = 7 then Array.unsafe_set d q (if x < y then x else y)
+  else if op = 8 then Array.unsafe_set d q (if x > y then x else y)
+  else lane op d q x y
+
+(* Lanes [0 .. n - 1] of a binary opcode into [d], in rows of [w]: in
+   the row starting at destination index [q], operand [x] of shape [cx]
+   is at [xa.(q + dx + j*xs)] for lane [q + j], and [dx] moves by [ra]
+   from one row to the next; [y] likewise.  One index runs through the
+   rows and their lanes, so little stays live around the lane loop.  For
+   [min] and [max] the loops stop at the first lane a strict comparison
+   does not decide, and the rest of the batch takes the library call in
+   loops of their own: no call is reachable from the unrolled loop. *)
+let[@inline] rows2 op cx cy (d : float array) n w (xa : float array) dx0 xs ra
+    (ya : float array) dy0 ys rb =
+  let q = ref 0 and dxr = ref dx0 and dyr = ref dy0 in
+  let undecided = ref false in
+  while !q < n && not ((op = 7 || op = 8) && !undecided) do
+    let dx = !dxr and dy = !dyr in
+    let stop = !q + w in
+    let x0 = Array.unsafe_get xa (!q + dx)
+    and y0 = Array.unsafe_get ya (!q + dy) in
+    let px = ref (!q + dx) and py = ref (!q + dy) in
+    while
+      !q + 3 < stop
+      &&
+      let i = !q and p = !px and r = !py in
+      let p1 = p + xs and r1 = r + ys in
+      let p2 = p1 + xs and r2 = r1 + ys in
+      let p3 = p2 + xs and r3 = r2 + ys in
+      decided op (opnd cx xa i dx p 0 x0) (opnd cy ya i dy r 0 y0)
+      && decided op (opnd cx xa i dx p1 1 x0) (opnd cy ya i dy r1 1 y0)
+      && decided op (opnd cx xa i dx p2 2 x0) (opnd cy ya i dy r2 2 y0)
+      && decided op (opnd cx xa i dx p3 3 x0) (opnd cy ya i dy r3 3 y0)
+    do
+      let i = !q and p = !px and r = !py in
+      let p1 = p + xs and r1 = r + ys in
+      let p2 = p1 + xs and r2 = r1 + ys in
+      let p3 = p2 + xs and r3 = r2 + ys in
+      lane_decided op d i (opnd cx xa i dx p 0 x0) (opnd cy ya i dy r 0 y0);
+      lane_decided op d (i + 1) (opnd cx xa i dx p1 1 x0)
+        (opnd cy ya i dy r1 1 y0);
+      lane_decided op d (i + 2) (opnd cx xa i dx p2 2 x0)
+        (opnd cy ya i dy r2 2 y0);
+      lane_decided op d (i + 3) (opnd cx xa i dx p3 3 x0)
+        (opnd cy ya i dy r3 3 y0);
+      q := i + 4;
+      px := p3 + xs;
+      py := r3 + ys
+    done;
+    while !q < stop && not ((op = 7 || op = 8) && !undecided) do
+      let i = !q and p = !px and r = !py in
+      let x = opnd cx xa i dx p 0 x0 and y = opnd cy ya i dy r 0 y0 in
+      if decided op x y then begin
+        lane_decided op d i x y;
+        q := i + 1;
+        px := p + xs;
+        py := r + ys
+      end
+      else undecided := true
+    done;
+    if not ((op = 7 || op = 8) && !undecided) then begin
+      dxr := dx + ra;
+      dyr := dy + rb
+    end
+  done;
+  if (op = 7 || op = 8) && !undecided then
+    while !q < n do
+      let dx = !dxr and dy = !dyr in
+      let row = !q - (!q mod w) in
+      let x0 = Array.unsafe_get xa (row + dx)
+      and y0 = Array.unsafe_get ya (row + dy) in
+      let px = ref (row + dx + ((!q - row) * xs))
+      and py = ref (row + dy + ((!q - row) * ys)) in
+      while !q < row + w do
+        let i = !q and p = !px and r = !py in
+        lane op d i (opnd cx xa i dx p 0 x0) (opnd cy ya i dy r 0 y0);
+        q := i + 1;
+        px := p + xs;
+        py := r + ys
+      done;
+      dxr := dx + ra;
+      dyr := dy + rb
+    done
+
+(* an operand's array, the offset of its row 0's lane 0, its row step *)
+let[@inline] src sh x st =
+  if sh = 0 then Array.unsafe_get st.vregs x
+  else if sh = 1 then st.regs
+  else Array.unsafe_get st.datas x
+
+let[@inline] src_at sh x st =
+  if sh = 0 then 0 else if sh = 1 then x else Array.unsafe_get st.cur x
+
+let[@inline] src_rs sh x st =
+  if sh = 0 then st.bw else if sh = 1 then 0 else Array.unsafe_get st.rsteps x
+
+(* the shape of the operand whose kind is at [code.(f)] *)
+let shape (code : int array) f =
+  if code.(f) <> k_mem then code.(f) (* [k_reg] is shape 0, [k_scalar] 1 *)
+  else match code.(f + 2) with 1 -> 2 | 0 -> 3 | _ -> 4
+
+(* ALU opcode [op], operand A of shape [sa], B of shape [sb]: registers
+   and scalars alone run the batch as one row *)
+let[@inline] bin op sa sb st =
+  let code = st.vcode and i = st.pc in
+  let d = Array.unsafe_get st.vregs (Array.unsafe_get code (i + 1)) in
+  let xa = Array.unsafe_get code (i + 3) and xb = Array.unsafe_get code (i + 6) in
+  let ea = if sa = 4 then Array.unsafe_get code (i + 4) else 1 in
+  let eb = if sb = 4 then Array.unsafe_get code (i + 7) else 1 in
+  let n = st.rows * st.bw in
+  let w = if sa < 2 && sb < 2 then n else st.bw in
+  rows2 op sa sb d n w (src sa xa st) (src_at sa xa st) ea
+    (src_rs sa xa st - w) (src sb xb st) (src_at sb xb st) eb
+    (src_rs sb xb st - w)
+
+(* a unary opcode on a lane register (read again as an ignored uniform) *)
+let[@inline] un op st =
+  let code = st.vcode and i = st.pc in
+  let x = Array.unsafe_get st.vregs (Array.unsafe_get code (i + 3)) in
+  let n = st.rows * st.bw in
+  rows2 op 0 1
+    (Array.unsafe_get st.vregs (Array.unsafe_get code (i + 1)))
+    n n x 0 1 0 x 0 0 0
+
+(* Rows at least this wide copy and fill through the runtime's block
+   primitives; shorter ones (sgemm's 8-lane rows) run the unrolled loops,
+   which beat a C call's fixed cost there. *)
+let block_min = 32
+
+(* a load of memory shape [sh]: [w] elements per row from memory at
+   [p + j*s] into the destination register, run as [mov] lanes *)
+let[@inline] load sh st =
+  let code = st.vcode and i = st.pc in
+  let d = Array.unsafe_get st.vregs (Array.unsafe_get code (i + 1)) in
+  let x = Array.unsafe_get code (i + 3) and s = Array.unsafe_get code (i + 4) in
+  let a = Array.unsafe_get st.datas x and c = Array.unsafe_get st.cur x in
+  let rs = Array.unsafe_get st.rsteps x and w = st.bw in
+  if sh <> 4 && w >= block_min then
+    for r = 0 to st.rows - 1 do
+      if sh = 2 then Array.blit a (c + (r * rs)) d (r * w) w
+      else Array.fill d (r * w) w (Array.unsafe_get a (c + (r * rs)))
+    done
+  else rows2 2 sh 1 d (st.rows * w) w a c s (rs - w) a c 0 (rs - w)
+
+(* a store: [w] lanes per row of the source register into memory at
+   [p + j*s], one index through rows and lanes as in [rows2] *)
+let[@inline] store unit st =
+  let code = st.vcode and i = st.pc in
+  let x = Array.unsafe_get st.vregs (Array.unsafe_get code (i + 6)) in
+  let a = Array.unsafe_get code (i + 3) and s = Array.unsafe_get code (i + 4) in
+  let d = Array.unsafe_get st.datas a and c = Array.unsafe_get st.cur a in
+  let rs = Array.unsafe_get st.rsteps a and w = st.bw in
+  if unit && w >= block_min then
+    for r = 0 to st.rows - 1 do
+      Array.blit x (r * w) d (c + (r * rs)) w
+    done
+  else begin
+    let q = ref 0 and p0 = ref c in
+    while !q < st.rows * w do
+      let stop = !q + w and pd = ref !p0 in
+      while !q + 3 < stop do
+        let j = !q and o = !pd in
+        let o1 = o + s in
+        let o2 = o1 + s in
+        let o3 = o2 + s in
+        Array.unsafe_set d o (Array.unsafe_get x j);
+        Array.unsafe_set d o1 (Array.unsafe_get x (j + 1));
+        Array.unsafe_set d o2 (Array.unsafe_get x (j + 2));
+        Array.unsafe_set d o3 (Array.unsafe_get x (j + 3));
+        q := j + 4;
+        pd := o3 + s
+      done;
+      while !q < stop do
+        Array.unsafe_set d !pd (Array.unsafe_get x !q);
+        incr q;
+        pd := !pd + s
+      done;
+      p0 := !p0 + rs
+    done
+  end
+
+(* Entry [25 * (op - add) + 5 * A + B] is fusable opcode [op] on shapes
+   [A] and [B]; then [175 + op - neg] for [neg] .. [vstore.s]; last [mov]. *)
+let kernels : kernel array =
+  [|
+    (fun s -> bin 3 0 0 s); (fun s -> bin 3 0 1 s); (fun s -> bin 3 0 2 s);
+    (fun s -> bin 3 0 3 s); (fun s -> bin 3 0 4 s); (fun s -> bin 3 1 0 s);
+    (fun s -> bin 3 1 1 s); (fun s -> bin 3 1 2 s); (fun s -> bin 3 1 3 s);
+    (fun s -> bin 3 1 4 s); (fun s -> bin 3 2 0 s); (fun s -> bin 3 2 1 s);
+    (fun s -> bin 3 2 2 s); (fun s -> bin 3 2 3 s); (fun s -> bin 3 2 4 s);
+    (fun s -> bin 3 3 0 s); (fun s -> bin 3 3 1 s); (fun s -> bin 3 3 2 s);
+    (fun s -> bin 3 3 3 s); (fun s -> bin 3 3 4 s); (fun s -> bin 3 4 0 s);
+    (fun s -> bin 3 4 1 s); (fun s -> bin 3 4 2 s); (fun s -> bin 3 4 3 s);
+    (fun s -> bin 3 4 4 s); (fun s -> bin 4 0 0 s); (fun s -> bin 4 0 1 s);
+    (fun s -> bin 4 0 2 s); (fun s -> bin 4 0 3 s); (fun s -> bin 4 0 4 s);
+    (fun s -> bin 4 1 0 s); (fun s -> bin 4 1 1 s); (fun s -> bin 4 1 2 s);
+    (fun s -> bin 4 1 3 s); (fun s -> bin 4 1 4 s); (fun s -> bin 4 2 0 s);
+    (fun s -> bin 4 2 1 s); (fun s -> bin 4 2 2 s); (fun s -> bin 4 2 3 s);
+    (fun s -> bin 4 2 4 s); (fun s -> bin 4 3 0 s); (fun s -> bin 4 3 1 s);
+    (fun s -> bin 4 3 2 s); (fun s -> bin 4 3 3 s); (fun s -> bin 4 3 4 s);
+    (fun s -> bin 4 4 0 s); (fun s -> bin 4 4 1 s); (fun s -> bin 4 4 2 s);
+    (fun s -> bin 4 4 3 s); (fun s -> bin 4 4 4 s); (fun s -> bin 5 0 0 s);
+    (fun s -> bin 5 0 1 s); (fun s -> bin 5 0 2 s); (fun s -> bin 5 0 3 s);
+    (fun s -> bin 5 0 4 s); (fun s -> bin 5 1 0 s); (fun s -> bin 5 1 1 s);
+    (fun s -> bin 5 1 2 s); (fun s -> bin 5 1 3 s); (fun s -> bin 5 1 4 s);
+    (fun s -> bin 5 2 0 s); (fun s -> bin 5 2 1 s); (fun s -> bin 5 2 2 s);
+    (fun s -> bin 5 2 3 s); (fun s -> bin 5 2 4 s); (fun s -> bin 5 3 0 s);
+    (fun s -> bin 5 3 1 s); (fun s -> bin 5 3 2 s); (fun s -> bin 5 3 3 s);
+    (fun s -> bin 5 3 4 s); (fun s -> bin 5 4 0 s); (fun s -> bin 5 4 1 s);
+    (fun s -> bin 5 4 2 s); (fun s -> bin 5 4 3 s); (fun s -> bin 5 4 4 s);
+    (fun s -> bin 6 0 0 s); (fun s -> bin 6 0 1 s); (fun s -> bin 6 0 2 s);
+    (fun s -> bin 6 0 3 s); (fun s -> bin 6 0 4 s); (fun s -> bin 6 1 0 s);
+    (fun s -> bin 6 1 1 s); (fun s -> bin 6 1 2 s); (fun s -> bin 6 1 3 s);
+    (fun s -> bin 6 1 4 s); (fun s -> bin 6 2 0 s); (fun s -> bin 6 2 1 s);
+    (fun s -> bin 6 2 2 s); (fun s -> bin 6 2 3 s); (fun s -> bin 6 2 4 s);
+    (fun s -> bin 6 3 0 s); (fun s -> bin 6 3 1 s); (fun s -> bin 6 3 2 s);
+    (fun s -> bin 6 3 3 s); (fun s -> bin 6 3 4 s); (fun s -> bin 6 4 0 s);
+    (fun s -> bin 6 4 1 s); (fun s -> bin 6 4 2 s); (fun s -> bin 6 4 3 s);
+    (fun s -> bin 6 4 4 s); (fun s -> bin 7 0 0 s); (fun s -> bin 7 0 1 s);
+    (fun s -> bin 7 0 2 s); (fun s -> bin 7 0 3 s); (fun s -> bin 7 0 4 s);
+    (fun s -> bin 7 1 0 s); (fun s -> bin 7 1 1 s); (fun s -> bin 7 1 2 s);
+    (fun s -> bin 7 1 3 s); (fun s -> bin 7 1 4 s); (fun s -> bin 7 2 0 s);
+    (fun s -> bin 7 2 1 s); (fun s -> bin 7 2 2 s); (fun s -> bin 7 2 3 s);
+    (fun s -> bin 7 2 4 s); (fun s -> bin 7 3 0 s); (fun s -> bin 7 3 1 s);
+    (fun s -> bin 7 3 2 s); (fun s -> bin 7 3 3 s); (fun s -> bin 7 3 4 s);
+    (fun s -> bin 7 4 0 s); (fun s -> bin 7 4 1 s); (fun s -> bin 7 4 2 s);
+    (fun s -> bin 7 4 3 s); (fun s -> bin 7 4 4 s); (fun s -> bin 8 0 0 s);
+    (fun s -> bin 8 0 1 s); (fun s -> bin 8 0 2 s); (fun s -> bin 8 0 3 s);
+    (fun s -> bin 8 0 4 s); (fun s -> bin 8 1 0 s); (fun s -> bin 8 1 1 s);
+    (fun s -> bin 8 1 2 s); (fun s -> bin 8 1 3 s); (fun s -> bin 8 1 4 s);
+    (fun s -> bin 8 2 0 s); (fun s -> bin 8 2 1 s); (fun s -> bin 8 2 2 s);
+    (fun s -> bin 8 2 3 s); (fun s -> bin 8 2 4 s); (fun s -> bin 8 3 0 s);
+    (fun s -> bin 8 3 1 s); (fun s -> bin 8 3 2 s); (fun s -> bin 8 3 3 s);
+    (fun s -> bin 8 3 4 s); (fun s -> bin 8 4 0 s); (fun s -> bin 8 4 1 s);
+    (fun s -> bin 8 4 2 s); (fun s -> bin 8 4 3 s); (fun s -> bin 8 4 4 s);
+    (fun s -> bin 9 0 0 s); (fun s -> bin 9 0 1 s); (fun s -> bin 9 0 2 s);
+    (fun s -> bin 9 0 3 s); (fun s -> bin 9 0 4 s); (fun s -> bin 9 1 0 s);
+    (fun s -> bin 9 1 1 s); (fun s -> bin 9 1 2 s); (fun s -> bin 9 1 3 s);
+    (fun s -> bin 9 1 4 s); (fun s -> bin 9 2 0 s); (fun s -> bin 9 2 1 s);
+    (fun s -> bin 9 2 2 s); (fun s -> bin 9 2 3 s); (fun s -> bin 9 2 4 s);
+    (fun s -> bin 9 3 0 s); (fun s -> bin 9 3 1 s); (fun s -> bin 9 3 2 s);
+    (fun s -> bin 9 3 3 s); (fun s -> bin 9 3 4 s); (fun s -> bin 9 4 0 s);
+    (fun s -> bin 9 4 1 s); (fun s -> bin 9 4 2 s); (fun s -> bin 9 4 3 s);
+    (fun s -> bin 9 4 4 s); (fun s -> un 10 s); (fun s -> un 11 s);
+    (fun s -> un 12 s); (fun s -> un 13 s); (fun s -> un 14 s);
+    (fun s -> un 15 s); (fun s -> un 16 s); (fun s -> un 17 s);
+    (fun s -> bin 18 0 0 s); (fun s -> bin 19 0 0 s); (fun s -> bin 20 0 0 s);
+    (fun s -> un 21 s); (fun s -> load 2 s); (fun s -> load 4 s);
+    (fun s -> load 3 s); (fun s -> store true s); (fun s -> store false s);
+    (fun s -> un 2 s) |]
+
+let kernel_index (code : int array) i =
+  let op = code.(i) in
+  if fusable op then
+    (25 * (op - T.op_add)) + (5 * shape code (i + 2)) + shape code (i + 5)
+  else if op = T.op_mov then Array.length kernels - 1
+  else 175 + op - T.op_neg
+
+let kernels_of code =
+  Array.init (Array.length code / vw) (fun k ->
+      kernels.(kernel_index code (k * vw)))
+
+let kernel_name id =
+  let sh = [| "r"; "scalar"; "@u"; "@b"; "@s" |] in
+  if id < 175 then
+    Printf.sprintf "%s %s,%s" (T.vop_name (T.op_add + (id / 25)))
+      sh.(id mod 25 / 5) sh.(id mod 5)
+  else if id = Array.length kernels - 1 then T.vop_name T.op_mov
+  else T.vop_name (id - 175 + T.op_neg)
+
+(* The vector interpreter: instructions [lo, hi) of the state's bound
+   tape, each one call of its kernel over the batch of [st.rows] rows of
+   [st.bw] lanes (row [r] in lanes [r*bw ..]), bit-identical to
+   {!exec_code} lane by lane. *)
+let exec_code_vec (ks : kernel array) st lo hi =
+  for k = lo to hi - 1 do
+    st.pc <- k * vw;
+    (Array.unsafe_get ks k) st
+  done
+
+(* one bound instruction over hand-made operands: the tests' entry *)
+type operand =
+  | Reg of float array
+  | Uniform of float
+  | Mem of { data : float array; base : int; stride : int; row_step : int }
+
+let kernel_count = Array.length kernels
+
+let lane_kernel ~op ~rows ~width ~acc x y =
+  let nl = rows * width in
+  let vregs = [| Array.sub acc 0 nl; [||]; [||] |] in
+  let regs = [| 0.0; 0.0; 0.0 |] in
+  let datas = [| [||]; [||] |] and cur = [| 0; 0 |] and rsteps = [| 0; 0 |] in
+  let place k = function
+    | Reg lanes ->
+        vregs.(k) <- Array.sub lanes 0 nl;
+        [| k_reg; k; 1 |]
+    | Uniform v ->
+        regs.(k) <- v;
+        [| k_scalar; k; 0 |]
+    | Mem { data; base; stride; row_step } ->
+        datas.(k - 1) <- Array.copy data;
+        cur.(k - 1) <- base;
+        rsteps.(k - 1) <- row_step;
+        [| k_mem; k - 1; stride |]
+  in
+  let code = Array.concat [ [| op; 0 |]; place 1 x; place 2 y ] in
+  let st =
+    { regs; vregs; cur; abase = cur; ivs = [||]; lbase = cur; los = [||];
+      exts = [||]; fstr = [||]; elo = [||]; ehi = [||]; plo = [||];
+      phi = [||]; plive = [||]; vcode = code; datas; rsteps; pc = 0; rows;
+      bw = width }
+  in
+  let id = kernel_index code 0 in
+  exec_code_vec [| kernels.(id) |] st 0 1;
+  (id, if is_vstore op then datas.(0) else vregs.(0))
+
 (* [bind p ~buf ~slot] resolves buffer names and free names; [None] when
    a buffer is unknown or its rank does not match the access.  [lanes]
    asks for vector execution at most that wide; it takes effect only
@@ -387,14 +799,11 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
     let nacc = Array.length accs in
     let lo = Array.map (fun l -> bexpr_fn ~slot l.T.lv_lo) p.T.p_levels in
     let hi = Array.map (fun l -> bexpr_fn ~slot l.T.lv_hi) p.T.p_levels in
-    (* An accumulator nest batches lanes along the level above its
-       innermost one, or not at all.  The generator names that level
-       ([outer_lane_level]: tagged [Vectorized], outside the parallel
-       prefix); batching along it is exact when the body reads neither
-       lane variable and the accumulator's address moves along it, so
-       every lane owns one address (the generator already made the
-       accumulator the only stored access, aliased by every load of its
-       buffer). *)
+    (* An accumulator batches along the level above its innermost one
+       ([outer_lane_level]), or not at all: exactly when the body reads
+       neither lane variable and the accumulator's address moves along
+       it, so every lane owns one address (the generator made it the
+       only stored access, aliased by every load of its buffer). *)
     let outer =
       match p.T.p_accum with
       | None -> Ok None
@@ -410,16 +819,13 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
                 else Ok (Some l))
     in
     let split = p.T.p_par in
-    (* execution view: greedily fold a level into its parent while the
-       fold is a pure linearization.  Conditions: the child level has
-       constant bounds [0..e-1]; the pair is outside the fused split
-       space (the parallel prefix: with none, the fold may reach level
-       0); the body reads neither variable's register; every access
-       steps through the pair as one flat run (outer step = e * inner
-       step, which also keeps promoted loads segment-invariant).  The
-       child is the innermost level, or — for an accumulator batched
-       along an outer level — that lane level, so sgemm's [j1 x j1_v]
-       becomes one lane run; an accumulator otherwise folds nothing. *)
+    (* execution view: fold a level into its parent while the fold is a
+       pure linearization — the child has constant bounds [0..e-1], the
+       pair is outside the parallel prefix, the body reads neither
+       variable, and every access's outer step is [e] times its inner
+       one.  The child is the innermost level, or an [Outer] binding's
+       lane level (sgemm's [j1 x j1_v] becomes one lane run); any other
+       accumulator folds nothing. *)
     let xd = ref d in
     let xlo = Array.copy lo and xhi = Array.copy hi in
     let xiv = Array.copy p.T.p_ivregs in
@@ -471,12 +877,10 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
     done;
     let xd = !xd in
     let inner_steps = Array.init nacc (fun a -> xsteps.(a).(xd - 1)) in
-    (* Two stores into one buffer keep their scalar order within an
-       iteration but not across the lanes of a batch.  Equal steps and
-       non-nest terms make their offsets differ by a constant [d] at
-       every point; with inner step [s <> 0], a lane of one meets a lane
-       of the other exactly when [d = s*k], [k] the lane distance, so the
-       pair caps the width at [|k|] (any other pair shape at 1: scalar). *)
+    (* Two stores into one buffer whose offsets differ by a constant [d]
+       (equal steps and non-nest terms) meet across lanes exactly when
+       [d = s*k] for inner step [s <> 0]: the pair caps the width at
+       [|k|].  Any other pair shape caps it at 1 (scalar). *)
     let collision_cap (i, j) =
       let a = accs.(i) and b = accs.(j) in
       let s = inner_steps.(i) in
@@ -493,13 +897,11 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
       | Some (clo, chi) -> max 2 (min lanes (chi - clo + 1))
       | None -> lanes
     in
-    (* A 2-D block for an [Outer] binding: the level directly above the
-       merged lane run becomes a row level when it is outside the split
-       prefix, has constant bounds and an unread variable, and the
-       accumulator's row step clears a whole run ([|S_r| >= fit * |S_c|]),
-       so the rows' addresses are disjoint and each lane of a
-       [rows x fit] batch still owns one accumulator address.  Fewer than
-       two rows leaves the 1-D run. *)
+    (* A 2-D [Outer] block: the level above the lane run is a row level
+       when it is outside the parallel prefix, has constant bounds and an
+       unread variable, and the accumulator's row step clears a whole run
+       ([|S_r| >= fit * |S_c|]), so each lane still owns one address.
+       Fewer than two rows leaves the 1-D run. *)
     let rows =
       match (outer, p.T.p_accum, !inner_c) with
       | Ok (Some _), Some (_, ai, _), Some _ ->
@@ -516,11 +918,10 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
           end
       | _ -> None
     in
-    (* the lane decision: along the outer level proven above, along the
-       innermost level when the program is lane-batchable, every
-       read-modify-write access has lanes on distinct addresses and no
-       two stores into one buffer meet within a batch of at least two
-       lanes (their distance caps the width) — otherwise scalar, and why *)
+    (* the lane decision: the outer level proven above, or the innermost
+       level when the program is lane-batchable, read-modify-write lanes
+       have distinct addresses and stores into one buffer do not meet
+       within two lanes — otherwise scalar, and why *)
     let mode =
       match outer with
       | Ok (Some l) ->
@@ -639,15 +1040,12 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
         end
       done
     in
-    (* Load folding.  A load folds into its reader — the reader's operand
-       becomes the load's access, read at the same cursor, row and lane
-       offsets — when the reader is a fusable ALU opcode reading the
-       register once, that read is the register's only one before its
-       next write (or before the body ends, with the accumulator store
-       after it), no store lies between the two (memory still holds what
-       the load would have read), and the register is not live-in to the
-       body (no read of the previous iteration's value).  Lane by lane the
-       reader then sees exactly the load's value, so folding is exact. *)
+    (* Load folding: a load becomes its reader's memory operand when the
+       reader is a fusable ALU opcode reading the register once, that is
+       the register's only read before its next write (or the body's end,
+       the accumulator store included), no store lies between them and
+       the register is not live-in to the body.  Lane by lane the reader
+       then sees exactly the load's value (DESIGN §15). *)
     let body_livein = Array.make nregs false in
     live_in vcode ~written:(Array.make nregs false) ~livein:body_livein;
     let keep = Array.make nv true and folded = ref 0 in
@@ -724,15 +1122,11 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
       done;
       Array.of_list !out
     in
+    let vall = Array.concat [ vpro; vcode; vepi ] in
     Some
-      { t_d = d;
-        t_split = split;
-        t_nregs = p.T.p_nregs;
-        t_lits = p.T.p_lits;
+      { t_d = d; t_split = split; t_nregs = p.T.p_nregs; t_lits = p.T.p_lits;
         t_hoists = Array.map (fun (r, v) -> (r, slot v)) p.T.p_hoists;
-        t_accum = p.T.p_accum;
-        t_code = p.T.p_code;
-        t_accs = accs;
+        t_accum = p.T.p_accum; t_code = p.T.p_code; t_accs = accs;
         t_datas = Array.map (fun a -> a.b_data) accs;
         t_checks =
           Array.of_list
@@ -743,12 +1137,8 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
                    c_lo = clo; c_hi = chi; c_dim = dim }
                  :: acc)
                checks []);
-        t_lo = lo;
-        t_hi = hi;
-        t_promos = p.T.p_promos;
-        t_xd = xd;
-        t_xlo = Array.sub xlo 0 xd;
-        t_xhi = Array.sub xhi 0 xd;
+        t_lo = lo; t_hi = hi; t_promos = p.T.p_promos; t_xd = xd;
+        t_xlo = Array.sub xlo 0 xd; t_xhi = Array.sub xhi 0 xd;
         t_xivregs = Array.sub xiv 0 xd;
         t_xsteps = Array.map (fun s -> Array.sub s 0 xd) xsteps;
         t_inner_steps = inner_steps;
@@ -757,14 +1147,9 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
             (Array.map (fun (plo, phi) ->
                  (bexpr_fn ~slot plo, bexpr_fn ~slot phi)))
             p.T.p_pieces;
-        t_mode = mode;
-        t_lanes = lanes_eff;
-        t_rows = nrows;
-        t_vcode = vcode;
-        t_vpro = vpro;
-        t_vepi = vepi;
-        t_vlivein = vlivein;
-        t_folded = !folded;
+        t_mode = mode; t_lanes = lanes_eff; t_rows = nrows; t_vcode = vcode;
+        t_vpro = vpro; t_vepi = vepi; t_vall = vall; t_vk = kernels_of vall;
+        t_vlivein = vlivein; t_folded = !folded;
         t_names = Array.map (fun a -> a.T.ac_buf) p.T.p_accesses;
         t_bsteps = bsteps;
         t_rsteps =
@@ -826,20 +1211,15 @@ let listing t =
 
 let new_state t =
   let st =
-    { regs = Array.make t.t_nregs 0.0;
-      vregs = [||];
-      cur = Array.make (Array.length t.t_accs) 0;
-      abase = Array.make (Array.length t.t_accs) 0;
-      ivs = Array.make t.t_d 0;
-      lbase = Array.make (Array.length t.t_accs) 0;
-      los = Array.make t.t_d 0;
-      exts = Array.make t.t_d 0;
-      fstr = Array.make t.t_split 1;
-      elo = Array.make t.t_d 0;
-      ehi = Array.make t.t_d 0;
-      plo = Array.make (Array.length t.t_pieces * t.t_d) 0;
-      phi = Array.make (Array.length t.t_pieces * t.t_d) 0;
-      plive = Array.make (Array.length t.t_pieces) false }
+    let na = Array.length t.t_accs and np = Array.length t.t_pieces in
+    { regs = Array.make t.t_nregs 0.0; vregs = [||];
+      cur = Array.make na 0; abase = Array.make na 0; lbase = Array.make na 0;
+      ivs = Array.make t.t_d 0; los = Array.make t.t_d 0;
+      exts = Array.make t.t_d 0; fstr = Array.make t.t_split 1;
+      elo = Array.make t.t_d 0; ehi = Array.make t.t_d 0;
+      plo = Array.make (np * t.t_d) 0; phi = Array.make (np * t.t_d) 0;
+      plive = Array.make np false; vcode = t.t_vall; datas = t.t_datas;
+      rsteps = t.t_rsteps; pc = 0; rows = 1; bw = 0 }
   in
   Array.iter (fun (r, v) -> st.regs.(r) <- v) t.t_lits;
   st
@@ -1001,399 +1381,27 @@ let enter t st env =
     end
   end
 
-(* Bit-exact fast paths for [Float.min] / [Float.max]: when one operand is
-   strictly below (above) the other, both are ordinary, distinct numbers
-   and the library would return that operand too.  Ties — signed zeros
-   among them — and NaNs take the library call.  Shared by both
-   interpreters. *)
-let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
-let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
-
-(* one lane of an ALU opcode other than [fma], the one definition both
-   interpreters instantiate; [op] is a constant at every use, and a unary
-   opcode ([mov] included) ignores [y] *)
-let[@inline] alu op x y =
-  if op = 2 then x
-  else if op = 3 then x +. y
-  else if op = 4 then x -. y
-  else if op = 5 then x *. y
-  else if op = 6 then x /. y
-  else if op = 7 then fmin x y
-  else if op = 8 then fmax x y
-  else if op = 10 then -.x
-  else if op = 11 then Float.abs x
-  else if op = 12 then sqrt x
-  else if op = 13 then exp x
-  else if op = 14 then log x
-  else if op = 15 then sin x
-  else if op = 16 then cos x
-  else if op = 17 then Float.floor x
-  else if op = 18 then Float.pow x y
-  else if op = 19 then
-    Float.of_int
-      (Tiramisu_support.Ints.fdiv (int_of_float x) (int_of_float y))
-  else if op = 20 then
-    Float.of_int
-      (Tiramisu_support.Ints.emod (int_of_float x) (int_of_float y))
-  else Float.of_int (int_of_float x)
-
-(* lane [q] of [d] gets [op x y]; [fma] adds the product to the lane,
-   bound first so that a NaN lane keeps its payload, as in the
-   interpreter's [x +. y] (folded into the addition as a memory operand,
-   the compiler would swap the operands) *)
-let[@inline] lane op (d : float array) q x y =
-  Array.unsafe_set d q
-    (if op = 9 then
-       let p = x *. y in
-       let acc = Array.unsafe_get d q in
-       acc +. p
-     else alu op x y)
-
-(* The instruction interpreter.  Opcode numbering mirrors
-   {!Tiramisu_codegen.Tape_gen}; [fma] deliberately rounds twice so
-   results stay bit-identical to the reference interpreter.  Every ALU
-   arm is one [lane] call with a literal opcode.
-
-   Both interpreters run unchecked array accesses: [enter]'s whole-box
-   corner checks prove every data cursor the segment will touch is in
-   bounds before a single instruction runs, register/cursor indices are
-   validated against the register-file and access counts at bind time,
-   and a tape's length is a multiple of its instruction width by
-   construction.  Re-checking each access in the hot loop would only
-   re-prove what [enter] already established. *)
-
-let[@inline] exec_code (code : int array) (st : state)
-    (datas : float array array) =
-  let regs = st.regs and cur = st.cur in
-  let n = Array.length code in
-  let pc = ref 0 in
-  while !pc < n do
-    let i = !pc in
-    let dst = Array.unsafe_get code (i + 1)
-    and a = Array.unsafe_get code (i + 2)
-    and b = Array.unsafe_get code (i + 3) in
-    (match Array.unsafe_get code i with
-    | 0 (* load *) ->
-        let src = Array.unsafe_get datas a in
-        Array.unsafe_set regs dst
-          (Array.unsafe_get src (Array.unsafe_get cur a))
-    | 1 (* store *) ->
-        let d_ = Array.unsafe_get datas a in
-        Array.unsafe_set d_ (Array.unsafe_get cur a) (Array.unsafe_get regs b)
-    | 2 (* mov *) -> lane 2 regs dst (Array.unsafe_get regs a) 0.
-    | 3 (* add *) ->
-        lane 3 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 4 (* sub *) ->
-        lane 4 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 5 (* mul *) ->
-        lane 5 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 6 (* div *) ->
-        lane 6 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 7 (* min *) ->
-        lane 7 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 8 (* max *) ->
-        lane 8 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 9 (* fma *) ->
-        lane 9 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 10 (* neg *) -> lane 10 regs dst (Array.unsafe_get regs a) 0.
-    | 11 (* abs *) -> lane 11 regs dst (Array.unsafe_get regs a) 0.
-    | 12 (* sqrt *) -> lane 12 regs dst (Array.unsafe_get regs a) 0.
-    | 13 (* exp *) -> lane 13 regs dst (Array.unsafe_get regs a) 0.
-    | 14 (* log *) -> lane 14 regs dst (Array.unsafe_get regs a) 0.
-    | 15 (* sin *) -> lane 15 regs dst (Array.unsafe_get regs a) 0.
-    | 16 (* cos *) -> lane 16 regs dst (Array.unsafe_get regs a) 0.
-    | 17 (* floor *) -> lane 17 regs dst (Array.unsafe_get regs a) 0.
-    | 18 (* pow *) ->
-        lane 18 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 19 (* fdivi *) ->
-        lane 19 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 20 (* modi *) ->
-        lane 20 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
-    | 21 (* trunc *) -> lane 21 regs dst (Array.unsafe_get regs a) 0.
-    | _ -> assert false);
-    pc := i + 4
-  done
-
-(* ---------- lane kernels ----------
-
-   Every lane loop below is a template over [lane]: an [@inline] function whose
-   opcode and operand classes are integer constants at each
-   instantiation, so inlining folds the test chains away and leaves one
-   straight unrolled loop per (opcode, operand shape) — no closure call
-   and no boxed float per lane.  An operand is an array, a base offset and
-   a stride, in one of three classes: [0] unit stride (a lane register, or
-   memory one element apart), [1] uniform (a scalar register, or memory
-   at stride 0: one value for the whole row, read once) and [2] any other
-   constant stride.  Loops run four lanes per test; the remainder runs
-   one lane at a time. *)
-
-(* operand value at lane [k] (0..3) of an unrolled step based at [p]:
-   [o] is [k] strides, [v0] the uniform value *)
-let[@inline] opnd cls (a : float array) p k o v0 =
-  if cls = 1 then v0
-  else if cls = 0 then Array.unsafe_get a (p + k)
-  else Array.unsafe_get a (p + o)
-
-(* [w] lanes of a binary opcode into [d] from [doff]: operand [x] of class
-   [cx] at [xa.(xo + j*xs)], [y] likewise *)
-let[@inline] lanes2 op cx cy (d : float array) doff (xa : float array) xo xs
-    (ya : float array) yo ys w =
-  let x0 = Array.unsafe_get xa xo and y0 = Array.unsafe_get ya yo in
-  let xs2 = xs + xs and ys2 = ys + ys in
-  let xs3 = xs2 + xs and ys3 = ys2 + ys in
-  let xs4 = xs2 + xs2 and ys4 = ys2 + ys2 in
-  let stop = doff + w in
-  let q = ref doff and px = ref xo and py = ref yo in
-  while !q + 3 < stop do
-    let i = !q and p = !px and r = !py in
-    lane op d i (opnd cx xa p 0 0 x0) (opnd cy ya r 0 0 y0);
-    lane op d (i + 1) (opnd cx xa p 1 xs x0) (opnd cy ya r 1 ys y0);
-    lane op d (i + 2) (opnd cx xa p 2 xs2 x0) (opnd cy ya r 2 ys2 y0);
-    lane op d (i + 3) (opnd cx xa p 3 xs3 x0) (opnd cy ya r 3 ys3 y0);
-    q := i + 4;
-    px := p + xs4;
-    py := r + ys4
-  done;
-  while !q < stop do
-    let i = !q and p = !px and r = !py in
-    lane op d i (opnd cx xa p 0 0 x0) (opnd cy ya r 0 0 y0);
-    q := i + 1;
-    px := p + xs;
-    py := r + ys
-  done
-
-let[@inline] stride_class s = if s = 1 then 0 else if s = 0 then 1 else 2
-
-(* [rows] rows of [w] lanes of a binary opcode, row [r] into [d] from
-   [r * w], its operands [xrs] / [yrs] past their row-0 offsets *)
-let[@inline] rows_of op cx cy d rows w xa xo xrs xs ya yo yrs ys =
-  for r = 0 to rows - 1 do
-    lanes2 op cx cy d (r * w) xa (xo + (r * xrs)) xs ya (yo + (r * yrs)) ys w
-  done
-
-(* the operand classes, read off the strides, pick one of nine
-   specialized loops once for the whole batch *)
-let[@inline] rows2 op d rows w xa xo xrs xs ya yo yrs ys =
-  match (3 * stride_class xs) + stride_class ys with
-  | 0 -> rows_of op 0 0 d rows w xa xo xrs xs ya yo yrs ys
-  | 1 -> rows_of op 0 1 d rows w xa xo xrs xs ya yo yrs ys
-  | 2 -> rows_of op 0 2 d rows w xa xo xrs xs ya yo yrs ys
-  | 3 -> rows_of op 1 0 d rows w xa xo xrs xs ya yo yrs ys
-  | 4 -> rows_of op 1 1 d rows w xa xo xrs xs ya yo yrs ys
-  | 5 -> rows_of op 1 2 d rows w xa xo xrs xs ya yo yrs ys
-  | 6 -> rows_of op 2 0 d rows w xa xo xrs xs ya yo yrs ys
-  | 7 -> rows_of op 2 1 d rows w xa xo xrs xs ya yo yrs ys
-  | _ -> rows_of op 2 2 d rows w xa xo xrs xs ya yo yrs ys
-
-(* an opcode whose operands are lane registers, over every lane of the
-   batch: binary when [cy] is 0, unary (its one operand read twice, the
-   second time as an ignored uniform) when [cy] is 1 *)
-let[@inline] reg_lanes op cy (vr : float array array) (code : int array) i nl =
-  let x = Array.unsafe_get vr (Array.unsafe_get code (i + 3)) in
-  let y =
-    if cy = 0 then Array.unsafe_get vr (Array.unsafe_get code (i + 6)) else x
-  in
-  lanes2 op 0 cy
-    (Array.unsafe_get vr (Array.unsafe_get code (i + 1)))
-    0 x 0 1 y 0 (1 - cy) nl
-
-(* Rows at least this wide copy and fill through the runtime's block
-   primitives; shorter ones (sgemm's 8-lane rows) run the unrolled loops,
-   which beat a C call's fixed cost there. *)
-let block_min = 32
-
-(* [w] elements from [a] at [p + j*s] (stride class [c]) into [d] from
-   [doff]: a load, run as [mov] lanes (the second operand is unused) *)
-let[@inline] gather c (d : float array) doff (a : float array) p s w =
-  if c = 0 && w >= block_min then Array.blit a p d doff w
-  else if c = 1 && w >= block_min then
-    Array.fill d doff w (Array.unsafe_get a p)
-  else lanes2 2 c 1 d doff a p s a p 0 w
-
-(* [w] lanes of [x] from [xo] into [d] at [p + j*s] (stride [s] <> 0): a
-   store *)
-let[@inline] scatter unit (d : float array) p s (x : float array) xo w =
-  if unit && w >= block_min then Array.blit x xo d p w
-  else begin
-    let s2 = s + s in
-    let s3 = s2 + s and s4 = s2 + s2 in
-    let q = ref 0 and pd = ref p in
-    while !q + 3 < w do
-      let i = xo + !q and o = !pd in
-      Array.unsafe_set d o (Array.unsafe_get x i);
-      Array.unsafe_set d (o + s) (Array.unsafe_get x (i + 1));
-      Array.unsafe_set d (o + s2) (Array.unsafe_get x (i + 2));
-      Array.unsafe_set d (o + s3) (Array.unsafe_get x (i + 3));
-      q := !q + 4;
-      pd := o + s4
-    done;
-    while !q < w do
-      Array.unsafe_set d !pd (Array.unsafe_get x (xo + !q));
-      incr q;
-      pd := !pd + s
-    done
-  end
-
-(* operand [k, x] of a batch: its array, the offset of row 0's lane 0,
-   and the distance between rows ([w] lanes apart in a register) *)
-let[@inline] src_array k x (vr : float array array) (regs : float array)
-    (datas : float array array) =
-  if k = 0 then Array.unsafe_get vr x
-  else if k = 1 then regs
-  else Array.unsafe_get datas x
-
-let[@inline] src_offset k x (cur : int array) =
-  if k = 0 then 0 else if k = 1 then x else Array.unsafe_get cur x
-
-let[@inline] src_row_step k x w (rsteps : int array) =
-  if k = 0 then w else if k = 1 then 0 else Array.unsafe_get rsteps x
-
-(* one ALU instruction at [i] over the batch.  A memory operand needs
-   its row offsets, so the batch goes row by row; registers and scalars
-   alone run every lane of the batch as one row. *)
-let[@inline] exec_alu op (code : int array) i (vr : float array array)
-    (regs : float array) (datas : float array array) (cur : int array)
-    (rsteps : int array) rows w =
-  let d = Array.unsafe_get vr (Array.unsafe_get code (i + 1)) in
-  let ka = Array.unsafe_get code (i + 2)
-  and xa = Array.unsafe_get code (i + 3)
-  and sa = Array.unsafe_get code (i + 4)
-  and kb = Array.unsafe_get code (i + 5)
-  and xb = Array.unsafe_get code (i + 6)
-  and sb = Array.unsafe_get code (i + 7) in
-  let nrows = if ka = 2 || kb = 2 then rows else 1 in
-  let rw = if nrows = rows then w else rows * w in
-  rows2 op d nrows rw
-    (src_array ka xa vr regs datas) (src_offset ka xa cur)
-    (src_row_step ka xa rw rsteps) sa
-    (src_array kb xb vr regs datas) (src_offset kb xb cur)
-    (src_row_step kb xb rw rsteps) sb
-
-(* The vector interpreter: one dispatch covers a batch of [rows] rows of
-   [w] lanes each, row [r] in lanes [r*w .. r*w + w - 1].  ALU opcodes
-   keep their scalar numbering (lane-wise semantics over all [rows * w]
-   lanes) and read registers, uniform scalars or memory directly (see the
-   bound format above); loads and stores were specialized at bind time
-   into unit, strided and broadcast forms along a row, and row [r]
-   addresses its access at [r * rsteps.(a)] past the cursor — one row is
-   exactly the 1-D op.  Each lane performs the same float operations in
-   the same order as {!exec_code}, so results are bit-identical. *)
-let exec_code_vec (code : int array) (st : state) (datas : float array array)
-    (rsteps : int array) (rows : int) (w : int) =
-  let vr = st.vregs and regs = st.regs and cur = st.cur in
-  let n = Array.length code in
-  let nl = rows * w in
-  let pc = ref 0 in
-  while !pc < n do
-    let i = !pc in
-    let dst = Array.unsafe_get code (i + 1)
-    and a = Array.unsafe_get code (i + 3)
-    and s = Array.unsafe_get code (i + 4) in
-    (match Array.unsafe_get code i with
-    | 3 -> exec_alu 3 code i vr regs datas cur rsteps rows w
-    | 4 -> exec_alu 4 code i vr regs datas cur rsteps rows w
-    | 5 -> exec_alu 5 code i vr regs datas cur rsteps rows w
-    | 6 -> exec_alu 6 code i vr regs datas cur rsteps rows w
-    | 7 -> exec_alu 7 code i vr regs datas cur rsteps rows w
-    | 8 -> exec_alu 8 code i vr regs datas cur rsteps rows w
-    | 9 -> exec_alu 9 code i vr regs datas cur rsteps rows w
-    | 22 (* vload.u *) ->
-        let d = vr.(dst) and src = datas.(a) in
-        let c = cur.(a) and rs = rsteps.(a) in
-        for r = 0 to rows - 1 do
-          gather 0 d (r * w) src (c + (r * rs)) 1 w
-        done
-    | 23 (* vload.s *) ->
-        let d = vr.(dst) and src = datas.(a) in
-        let c = cur.(a) and rs = rsteps.(a) in
-        for r = 0 to rows - 1 do
-          gather 2 d (r * w) src (c + (r * rs)) s w
-        done
-    | 24 (* vbcast *) ->
-        let d = vr.(dst) and src = datas.(a) in
-        let c = cur.(a) and rs = rsteps.(a) in
-        for r = 0 to rows - 1 do
-          gather 1 d (r * w) src (c + (r * rs)) 0 w
-        done
-    | 25 (* vstore.u *) ->
-        let x = vr.(code.(i + 6)) and d = datas.(a) in
-        let c = cur.(a) and rs = rsteps.(a) in
-        for r = 0 to rows - 1 do
-          scatter true d (c + (r * rs)) 1 x (r * w) w
-        done
-    | 26 (* vstore.s *) ->
-        let x = vr.(code.(i + 6)) and d = datas.(a) in
-        let c = cur.(a) and rs = rsteps.(a) in
-        for r = 0 to rows - 1 do
-          scatter false d (c + (r * rs)) s x (r * w) w
-        done
-    | 18 (* vpow *) -> reg_lanes 18 0 vr code i nl
-    | 19 (* vfdivi *) -> reg_lanes 19 0 vr code i nl
-    | 20 (* vmodi *) -> reg_lanes 20 0 vr code i nl
-    | 2 (* vmov *) -> reg_lanes 2 1 vr code i nl
-    | 10 (* vneg *) -> reg_lanes 10 1 vr code i nl
-    | 11 (* vabs *) -> reg_lanes 11 1 vr code i nl
-    | 12 (* vsqrt *) -> reg_lanes 12 1 vr code i nl
-    | 13 (* vexp *) -> reg_lanes 13 1 vr code i nl
-    | 14 (* vlog *) -> reg_lanes 14 1 vr code i nl
-    | 15 (* vsin *) -> reg_lanes 15 1 vr code i nl
-    | 16 (* vcos *) -> reg_lanes 16 1 vr code i nl
-    | 17 (* vfloor *) -> reg_lanes 17 1 vr code i nl
-    | 21 (* vtrunc *) -> reg_lanes 21 1 vr code i nl
-    | _ -> assert false);
-    pc := i + vw
-  done
-
-(* A one-instruction bound tape over hand-made operands, run through
-   {!exec_code_vec}: the lane-kernel property tests' entry point. *)
-type operand =
-  | Reg of float array
-  | Uniform of float
-  | Mem of { data : float array; base : int; stride : int; row_step : int }
-
-let lane_kernel ~op ~rows ~width ~acc x y =
-  let nl = rows * width in
-  let vregs = [| Array.sub acc 0 nl; [||]; [||] |] in
-  let regs = [| 0.0; 0.0; 0.0 |] in
-  let datas = [| [||]; [||] |] and cur = [| 0; 0 |] and rsteps = [| 0; 0 |] in
-  let place k = function
-    | Reg lanes ->
-        vregs.(k) <- Array.sub lanes 0 nl;
-        [| k_reg; k; 1 |]
-    | Uniform v ->
-        regs.(k) <- v;
-        [| k_scalar; k; 0 |]
-    | Mem { data; base; stride; row_step } ->
-        datas.(k - 1) <- data;
-        cur.(k - 1) <- base;
-        rsteps.(k - 1) <- row_step;
-        [| k_mem; k - 1; stride |]
-  in
-  let a = place 1 x and b = place 2 y in
-  let st =
-    { regs; vregs; cur; abase = cur; ivs = [||]; lbase = cur; los = [||];
-      exts = [||]; fstr = [||]; elo = [||]; ehi = [||]; plo = [||];
-      phi = [||]; plive = [||] }
-  in
-  exec_code_vec (Array.concat [ [| op; 0 |]; a; b ]) st datas rsteps rows width;
-  vregs.(0)
 
 (* The lane register file, wide enough for a batch of [bw] lanes.  It
    grows on the first vector batch, and then at least doubles (up to the
    bound width), so a state whose nest never batches allocates no lane
    registers and a run of growing segments reallocates a few times at
    most.  Growing drops lane contents, which is safe between batches:
-   callers size the file before broadcasting the live-in registers, and
-   every other register is written before it is read. *)
+   the live-in registers are broadcast into the first [bw] lanes after
+   sizing, and every other register is written before it is read. *)
 let lane_regs t st bw =
   let have = lane_width st in
-  if have >= bw then st.vregs
-  else begin
-    let w = Int.min t.t_lanes (Int.max bw (2 * have)) in
-    let vr = Array.init t.t_nregs (fun _ -> Array.make w 0.0) in
-    st.vregs <- vr;
-    vr
-  end
+  let vr =
+    if have >= bw then st.vregs
+    else begin
+      let w = Int.min t.t_lanes (Int.max bw (2 * have)) in
+      let vr = Array.init t.t_nregs (fun _ -> Array.make w 0.0) in
+      st.vregs <- vr;
+      vr
+    end
+  in
+  Array.iter (fun r -> Array.fill vr.(r) 0 bw st.regs.(r)) t.t_vlivein;
+  vr
 
 (* One segment: the outer odometer [st.ivs] is in position, run [len]
    iterations of the exec-inner level starting at its current value. *)
@@ -1433,14 +1441,9 @@ let run_segment t st len =
          iteration reaches the scalar loop below.  The scalar register
          file stays authoritative between batches; only live-in registers
          broadcast — the rest are written before read. *)
-      let bw0 = Int.min w len in
-      let vr = lane_regs t st bw0 in
-      let lv = t.t_vlivein in
-      for q = 0 to Array.length lv - 1 do
-        let r = lv.(q) in
-        Array.fill vr.(r) 0 bw0 regs.(r)
-      done;
-      let vcode = t.t_vcode in
+      let vr = lane_regs t st (Int.min w len) in
+      let nk = Array.length t.t_vk in
+      st.rows <- 1;
       let ivv = if t.t_iv_vec then vr.(ivd) else [||] in
       let left = ref len in
       while !left >= 2 do
@@ -1451,7 +1454,8 @@ let run_segment t st len =
             ivv.(j) <- b0 +. float_of_int j
           done
         end;
-        exec_code_vec vcode st datas t.t_rsteps 1 bw;
+        st.bw <- bw;
+        exec_code_vec t.t_vk st 0 nk;
         for a = 0 to nacc - 1 do
           cur.(a) <- cur.(a) + (bw * inner.(a))
         done;
@@ -1475,18 +1479,13 @@ let run_segment t st len =
   | Some (r, a, _) -> datas.(a).(st.cur.(a)) <- st.regs.(r)
   | None -> ()
 
-(* One block of an [Outer] binding: the odometer [st.ivs] is in position
-   above the lane run [xl] (exec level [t_xd - 2]), or above its row level
-   [xl - 1] for a 2-D block ([t_rows] > 1).  Rows go in chunks of
-   [t_rows] (1-D: the single current row), and each chunk's lane run in
-   batches of [w] positions: a batch vector-loads the promoted registers
-   and the accumulator for its [rows x w] lanes, runs the whole innermost
-   loop through the vector tape with inner-step cursor bumps, and stores
-   the accumulator once.  Every lane performs its position's float
-   operations in the scalar order, and lanes own distinct accumulator
-   addresses, so the interleaving is exact.  A chunk's positions left
-   over after its last full batch run as one narrower batch, or as a
-   scalar segment when a single lane is left. *)
+(* One block of an [Outer] binding, the odometer in position above the
+   lane run [xl] (or its row level [xl - 1]): rows in chunks of [t_rows],
+   each chunk's run in batches of [w] positions.  A batch runs the bound
+   tape's [pro] (promoted and accumulator loads), the body once per
+   innermost iteration with inner-step cursor bumps, and [epi] (the
+   accumulator's store).  Leftover positions run as one narrower batch,
+   or as a scalar segment when a single lane is left. *)
 let run_lanes t st =
   let xl = t.t_xd - 2 in
   let kx = xl + 1 and rl = xl - 1 in
@@ -1495,7 +1494,6 @@ let run_lanes t st =
   let n = st.exts.(xl) and lo = st.los.(xl) in
   let rlo, rn = if rows > 1 then (st.los.(rl), st.exts.(rl)) else (0, 1) in
   let nacc = Array.length t.t_accs in
-  let datas = t.t_datas in
   let regs = st.regs and cur = st.cur in
   let lbase = st.lbase in
   let nl0 = Int.min rows rn * Int.min w n in
@@ -1504,16 +1502,12 @@ let run_lanes t st =
     for l = 0 to (if rows > 1 then rl else xl) - 1 do
       regs.(t.t_xivregs.(l)) <- float_of_int st.ivs.(l)
     done;
-    let vr = lane_regs t st nl0 in
-    let lv = t.t_vlivein in
-    for q = 0 to Array.length lv - 1 do
-      let r = lv.(q) in
-      Array.fill vr.(r) 0 nl0 regs.(r)
-    done
+    ignore (lane_regs t st nl0)
   end;
-  let vcode = t.t_vcode and vpro = t.t_vpro and vepi = t.t_vepi in
+  (* the bound tape's sections: [pro] is [0, np), the body [np, nb) *)
+  let np = Array.length t.t_vpro / vw in
+  let nb = np + (Array.length t.t_vcode / vw) in
   let inner = t.t_inner_steps and bsteps = t.t_bsteps in
-  let rsteps = t.t_rsteps in
   let ext = st.exts.(kx) in
   let r0 = ref 0 in
   while !r0 < rn do
@@ -1533,14 +1527,16 @@ let run_lanes t st =
       let bw = Int.min w !left in
       if nr * bw >= 2 then begin
         Array.blit lbase 0 cur 0 nacc;
-        exec_code_vec vpro st datas rsteps nr bw;
+        st.rows <- nr;
+        st.bw <- bw;
+        exec_code_vec t.t_vk st 0 np;
         for _ = 1 to ext do
-          exec_code_vec vcode st datas rsteps nr bw;
+          exec_code_vec t.t_vk st np nb;
           for a = 0 to nacc - 1 do
             cur.(a) <- cur.(a) + inner.(a)
           done
         done;
-        exec_code_vec vepi st datas rsteps nr bw;
+        exec_code_vec t.t_vk st nb (Array.length t.t_vk);
         for a = 0 to nacc - 1 do
           lbase.(a) <- lbase.(a) + (bw * bsteps.(a))
         done

@@ -95,7 +95,10 @@ val mode_to_string : lane_mode -> string
     variable the body does not read, and the accumulator's step along it
     is at least [w] times its step along the run, so the block's
     addresses stay disjoint; otherwise (or below 2 rows) the run is 1-D.
-    Anything else stays scalar, with the reason in {!mode}. *)
+    Anything else stays scalar, with the reason in {!mode}.  Binding
+    also picks the lane kernel of every bound vector instruction (one
+    small function per opcode and operand shape, {!kernel_count}), so
+    running a batch decodes nothing. *)
 val bind :
   ?lanes:int ->
   buf:(string -> Buffers.t option) ->
@@ -160,13 +163,26 @@ type operand =
   | Uniform of float
   | Mem of { data : float array; base : int; stride : int; row_step : int }
 
-(** [lane_kernel ~op ~rows ~width ~acc x y] runs the ALU opcode [op] (any
-    {!Tiramisu_codegen.Tape_gen} opcode from [op_mov] to [op_trunc]; a
-    non-fusable one takes [Reg] operands, and a unary one ignores [y]) as
-    one bound vector instruction over a [rows x width] batch, through the
-    vector interpreter, and returns the destination lanes.  The
-    destination starts as the first [rows * width] lanes of [acc] (the
-    addend of [fma]). *)
+(** How many kernels the vector interpreter's table holds, and the name
+    of entry [id] ([0 <= id < kernel_count]): ["vadd r,@u"] for a fusable
+    opcode with its operand shapes ([r] lane register, [scalar], memory
+    at unit stride [@u], stride 0 [@b] or another stride [@s]), the bare
+    opcode name for the others (["vsqrt"], ["vload.s"]). *)
+val kernel_count : int
+
+val kernel_name : int -> string
+
+(** [lane_kernel ~op ~rows ~width ~acc x y] runs [op] as one bound vector
+    instruction over a [rows x width] batch, through the kernel {!bind}
+    would choose for it, and returns that kernel's id with the result.
+    An ALU opcode ([op_mov] to [op_trunc]; a non-fusable one takes [Reg]
+    operands, and a unary one ignores [y]) returns the destination
+    lanes, which start as the first [rows * width] lanes of [acc] (the
+    addend of [fma]).  A load ([op_vload_unit] to [op_vload_bcast])
+    reads the [Mem] operand [x] and also returns the destination lanes;
+    a store ([op_vstore_unit], [op_vstore_strided]) writes the [Reg]
+    lanes [y] into a copy of the [Mem] operand [x]'s data and returns
+    that copy.  The [Mem] stride must match a load's or store's form. *)
 val lane_kernel :
   op:int -> rows:int -> width:int -> acc:float array -> operand -> operand ->
-  float array
+  int * float array

@@ -480,6 +480,44 @@ let measured_builds_vetted_test () =
         (S.first_round vet_config p))
     vet_problems
 
+(* Identical code never displaces the incumbent on timing noise.  nb's
+   [Fuse ("negative", "t1", "root")] builds the very statement of the
+   empty schedule; the search times each built statement and knob
+   setting once, so a winner other than the empty schedule builds
+   another statement or runs under other knobs.  ([Compute_at ("t1",
+   "negative", "i")], whose timing ties with the empty schedule's, is not
+   such a case: it fuses [t1] into [negative]'s loop.) *)
+let identical_code_test () =
+  let p = List.nth vet_problems 1 in
+  let p = { p with S.outputs = [ "negative"; "brightened" ] } in
+  let key ?(tape = true) ?(lanes = P.default_knobs.P.lanes) acts =
+    let fn = p.S.build () in
+    List.iter (Sp.apply fn) acts;
+    (P.build ~knobs:{ vet_knobs with P.tape; lanes } ~fn ~params:p.S.params
+       ~inputs:p.S.inputs ())
+      .P.key_hash
+  in
+  Alcotest.(check int) "a root fuse builds the empty schedule's statement"
+    (key []) (key [ Sp.Fuse ("negative", "t1", "root") ]);
+  (* one round that measures every vetted candidate, the three root
+     fuses of nb among them *)
+  let config =
+    { vet_config with S.beam_width = 1000; measure_top = 1000; rounds = 1;
+      reps = 2; budget_ms = 20_000.0; max_frontier = 1000 }
+  in
+  for _ = 1 to 10 do
+    let r = S.run ~config p in
+    if
+      r.S.r_best <> []
+      && key ~tape:r.S.r_best_tape ~lanes:r.S.r_best_lanes r.S.r_best
+         = key ~tape:true []
+      && r.S.r_best_tape
+      && r.S.r_best_lanes = P.default_knobs.P.lanes
+    then
+      Alcotest.failf "%s replaced the empty schedule with identical code"
+        (S.literal r.S.r_best)
+  done
+
 let search_tests =
   [
     Alcotest.test_case "compute_at pairs are producer/consumer" `Quick
@@ -495,6 +533,8 @@ let search_tests =
       cost_default_width_test;
     Alcotest.test_case "vet scores the statement the build compiles" `Quick
       vet_scores_built_test;
+    Alcotest.test_case "identical code never replaces the incumbent" `Quick
+      identical_code_test;
     Alcotest.test_case "measured candidates build the vetted lowering" `Quick
       measured_builds_vetted_test;
   ]

@@ -1431,19 +1431,19 @@ let enter_allocates_nothing () =
 
 (* Values for the lane-kernel property: NaNs of three payloads, signed
    zeros, infinities, a subnormal, values beyond the int range (whose
-   [int_of_float] the integer opcodes read) and a few ordinary numbers.
-   Drawn from a small pool, equal operands (min/max ties) are frequent. *)
+   [int_of_float] the integer opcodes read; [0x1p62] converts to
+   [min_int]) and a few ordinary numbers.  Drawn from a small pool, equal
+   operands (min/max ties) are frequent. *)
 let lane_values =
   [| Float.nan; Int64.float_of_bits 0x7ff8000000000002L;
      Int64.float_of_bits 0xfff8000000000000L; 0.0; -0.0; Float.infinity;
      Float.neg_infinity; 1.0; -1.0; 2.5; -2.5; 4.9e-320; 3.0; 0.1; 6e18;
-     -1e19; 1e300 |]
+     -1e19; 1e300; 0x1p62 |]
 
-(* Divisors of [fdivi] / [modi]: no integer part is zero, and none
-   overflows [modi]'s product, so a batch runs to the end.  [6e18] lies
-   beyond the int range (its conversion is unspecified, but one and the
-   same instruction on both sides). *)
-let divisor_values = [| 1.0; 2.5; -2.5; 3.0; -7.9; 6e18 |]
+(* Divisors of [fdivi] / [modi]: mostly a nonzero integer part, so most
+   batches run to the end; [-1] makes [min_int mod -1] overflow, and
+   [0.5] stops a batch at a zero divisor. *)
+let divisor_values = [| 1.0; 2.5; -2.5; 3.0; -7.9; 6e18; -1.0; 0.5 |]
 
 let lane_value ?(pool = lane_values) salt k =
   pool.(((k * ((2 * salt) + 3)) + salt) mod Array.length pool)
@@ -1472,6 +1472,8 @@ let lane_operand ?pool kind ~rows ~w ~salt =
       ( B.Tape.Mem { data; base; stride; row_step },
         fun r j -> data.(base + (r * row_step) + (j * stride)) )
 
+(* every operand shape: a lane register, a uniform scalar, and memory at
+   stride 0, unit stride and two other strides *)
 let lane_kinds = [ `Reg; `Uniform; `Mem 0; `Mem 1; `Mem 3; `Mem (-2) ]
 
 (* Every ALU opcode, its operand kinds (the fusable ones read every kind,
@@ -1515,18 +1517,38 @@ let kind_str = function
   | `Uniform -> "scalar"
   | `Mem s -> Printf.sprintf "mem@%d" s
 
-(* Every ALU opcode over every pair of its operand kinds, widths 1 to 130
-   (each unroll remainder 0..3, single-lane rows included) and 1 to 3
-   rows: each lane equals the interpreter's expression on that lane's
-   operands, bit for bit — NaN payloads, signed zeros, infinities, min/max
-   ties and out-of-int-range conversions included.  The same values run
-   each opcode through the scalar tape as well, and the faults a batch
-   can stop at (a divisor whose integer part is zero, [modi]'s overflow)
-   raise what the interpreter raises. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+(* Every kernel of the vector interpreter's table against the reference
+   interpreter.  Every ALU opcode over every pair of its operand kinds,
+   widths 1 to 130 (each unroll remainder 0..3, single-lane rows, and
+   rows past [block_min]) and 1 to 3 rows, memory rows [row_step] apart
+   or all on one (row step 0): each lane equals the interpreter's
+   expression on that lane's operands, bit for bit — NaN payloads,
+   signed zeros, infinities, min/max ties and out-of-int-range
+   conversions included — or, when some lane's expression raises (a
+   divisor whose integer part is zero, [min_int mod -1]), the kernel
+   raises what the first such lane raises.  Loads and stores at every
+   stride likewise move exactly the addressed elements.  Every table
+   entry must be reached.  The same values run each opcode through the
+   scalar tape as well. *)
 let lane_kernels_match_scalar () =
   let interp = B.Interp.create () in
   let eval e = B.Interp.eval_expr interp e in
   let bad = ref [] in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s -> if List.length !bad < 5 then bad := s :: !bad)
+      fmt
+  in
+  let reached = Array.make B.Tape.kernel_count false in
+  let run ~op ~rows ~w ~acc x y =
+    outcome (fun () ->
+        let id, out = B.Tape.lane_kernel ~op ~rows ~width:w ~acc x y in
+        reached.(id) <- true;
+        out)
+  in
+  let bits = Int64.bits_of_float in
   List.iter
     (fun (op, name, (kinds, pool, reference)) ->
       List.iteri
@@ -1539,36 +1561,98 @@ let lane_kernels_match_scalar () =
                   let x, xv = lane_operand ka ~rows ~w ~salt
                   and y, yv = lane_operand ~pool kb ~rows ~w ~salt:(salt + 1) in
                   let acc = Array.init (rows * w) (lane_value (salt + 2)) in
-                  let out = B.Tape.lane_kernel ~op ~rows ~width:w ~acc x y in
-                  for r = 0 to rows - 1 do
-                    for j = 0 to w - 1 do
-                      let want =
-                        eval
-                          (reference
-                             (L.Float acc.((r * w) + j))
-                             (L.Float (xv r j)) (L.Float (yv r j)))
-                      in
-                      if
-                        Int64.bits_of_float out.((r * w) + j)
-                        <> Int64.bits_of_float want
-                        && List.length !bad < 5
-                      then
-                        bad :=
-                          Printf.sprintf "%s %s,%s w=%d rows=%d lane %d.%d"
-                            name (kind_str ka) (kind_str kb) w rows r j
-                          :: !bad
-                    done
-                  done
+                  let want =
+                    Array.init (rows * w) (fun k ->
+                        let r = k / w and j = k mod w in
+                        outcome (fun () ->
+                            eval
+                              (reference (L.Float acc.(k)) (L.Float (xv r j))
+                                 (L.Float (yv r j)))))
+                  in
+                  let raised =
+                    Array.find_map
+                      (function Error e -> Some e | Ok _ -> None)
+                      want
+                  in
+                  let where = Printf.sprintf "%s %s,%s w=%d rows=%d" name
+                      (kind_str ka) (kind_str kb) w rows in
+                  match (raised, run ~op ~rows ~w ~acc x y) with
+                  | Some e, Error e' ->
+                      if e <> e' then fail "%s: raised another exception" where
+                  | Some _, Ok _ -> fail "%s: did not raise" where
+                  | None, Error _ -> fail "%s: raised" where
+                  | None, Ok out ->
+                      Array.iteri
+                        (fun k v ->
+                          match v with
+                          | Ok v when bits out.(k) = bits v -> ()
+                          | _ -> fail "%s lane %d.%d" where (k / w) (k mod w))
+                        want
                 done
               done)
             kinds)
         kinds)
     lane_ops;
+  (* loads: lane [j] of row [r] is the addressed element *)
+  List.iter
+    (fun (op, stride) ->
+      for w = 1 to 130 do
+        for rows = 1 to 3 do
+          let x, xv = lane_operand (`Mem stride) ~rows ~w ~salt:(w + rows) in
+          let acc = Array.make (rows * w) 0.0 in
+          match run ~op ~rows ~w ~acc x (B.Tape.Uniform 0.0) with
+          | Error _ -> fail "%s w=%d rows=%d: raised" (Tape_gen.op_name op) w rows
+          | Ok out ->
+              for r = 0 to rows - 1 do
+                for j = 0 to w - 1 do
+                  if bits out.((r * w) + j) <> bits (xv r j) then
+                    fail "%s@%d w=%d rows=%d lane %d.%d" (Tape_gen.op_name op)
+                      stride w rows r j
+                done
+              done
+        done
+      done)
+    Tape_gen.
+      [ (op_vload_unit, 1); (op_vload_strided, 3); (op_vload_strided, -2);
+        (op_vload_bcast, 0) ];
+  (* stores: the addressed elements take the lanes, rows in order (a row
+     step of 0 leaves the last row), and nothing else moves *)
+  List.iter
+    (fun (op, stride) ->
+      for w = 1 to 130 do
+        for rows = 1 to 3 do
+          let x, _ = lane_operand (`Mem stride) ~rows ~w ~salt:(w + rows) in
+          let src = Array.init (rows * w) (lane_value (w + 1)) in
+          match x with
+          | B.Tape.Mem { data; base; stride; row_step } -> (
+              let want = Array.copy data in
+              for r = 0 to rows - 1 do
+                for j = 0 to w - 1 do
+                  want.(base + (r * row_step) + (j * stride)) <- src.((r * w) + j)
+                done
+              done;
+              match run ~op ~rows ~w ~acc:src x (B.Tape.Reg src) with
+              | Ok out when Array.map bits out = Array.map bits want -> ()
+              | _ ->
+                  fail "%s@%d w=%d rows=%d" (Tape_gen.op_name op) stride w rows)
+          | _ -> assert false
+        done
+      done)
+    Tape_gen.
+      [ (op_vstore_unit, 1); (op_vstore_strided, 3); (op_vstore_strided, -2) ];
   Alcotest.(check (list string)) "every lane bit-exact" [] (List.rev !bad);
+  let missed =
+    List.filter_map
+      (fun id -> if reached.(id) then None else Some (B.Tape.kernel_name id))
+      (List.init B.Tape.kernel_count Fun.id)
+  in
+  Alcotest.(check (list string)) "every kernel reached" [] missed;
   (* the same values through the scalar tape ([lanes:1]), which runs
-     every ALU arm of the scalar interpreter on a claimed loop *)
+     every ALU arm of the scalar interpreter on a claimed loop; the
+     divisors that stop a batch are left to the test below *)
   List.iter
     (fun (_, name, (_, pool, reference)) ->
+      let pool = Array.of_list (List.filter (fun v -> v <> -1.0 && v <> 0.5) (Array.to_list pool)) in
       let n = 390 in
       let ld b = L.Load (b, [ L.Var "i" ]) in
       let stmt =
@@ -1589,41 +1673,88 @@ let lane_kernels_match_scalar () =
       in
       Alcotest.(check int) (name ^ ": one scalar tape nest") 1
         (B.Exec.tape_count c))
-    lane_ops;
-  (* the faults a batch stops at: a divisor whose integer part is zero,
-     and [min_int mod -1], whose product overflows *)
-  let outcome f = match f () with _ -> None | exception e -> Some e in
+    lane_ops
+
+(* The integer opcodes on floats beyond the int range: [int_of_float] of
+   NaN, an infinity, [2^62] or [1e19] is unspecified in OCaml, so the
+   executors must at least agree with each other.  Each value, under
+   each divisor (0.5, NaN, 1e300, ±0 and infinity all convert to a zero
+   divisor; 3 and -1 do not), runs [fdivi], [modi] and [trunc] through
+   the interpreter, the closure path, the scalar tape, the vector tape
+   (one register kernel each) and the register kernel directly: all give
+   the same bits or raise the same exception. *)
+let int_opcodes_out_of_range () =
+  let values = [ Float.nan; Float.infinity; Float.neg_infinity; 0x1p62; 1e19; -1e19 ] in
+  let divisors =
+    [ 0.5; Float.nan; 1e300; 0.0; -0.0; Float.infinity; 3.0; -1.0 ]
+  in
+  let n = 8 in
+  let ops =
+    L.
+      [ ("fdivi", Tape_gen.op_fdivi, fun x y -> Bin (FloorDiv, x, y));
+        ("modi", Tape_gen.op_modi, fun x y -> Bin (Mod, x, y));
+        ("trunc", Tape_gen.op_trunc, fun x _ -> Cast (I32, x)) ]
+  in
+  let bufs x y =
+    List.map
+      (fun (name, v) ->
+        let b = B.Buffers.create name [| n |] in
+        B.Buffers.fill b (fun _ -> v);
+        b)
+      [ ("out", 0.0); ("x", x); ("y", y) ]
+  in
+  let ld b = L.Load (b, [ L.Var "i" ]) in
+  let bits_of b = Array.map Int64.bits_of_float b.B.Buffers.data in
   List.iter
-    (fun (op, name, (_, _, reference)) ->
-      let zero_divisors =
-        if op = Tape_gen.op_fdivi || op = Tape_gen.op_modi then
-          List.map
-            (fun z -> (7.0, z))
-            [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity;
-              1e300; 0.5 ]
-        else []
-      in
-      let overflows =
-        if op = Tape_gen.op_modi then [ (0x1p62, -1.0) ] else []
+    (fun (name, op, e) ->
+      let stmt =
+        L.For
+          { var = "i"; lo = L.Int 0; hi = L.Int (n - 1); tag = L.Seq;
+            body = L.Store ("out", [ L.Var "i" ], e (ld "x") (ld "y")) }
       in
       List.iter
-        (fun (x, y) ->
-          let what = Printf.sprintf "%s %g by %g" name x y in
-          let want =
-            outcome (fun () ->
-                eval (reference (L.Float 0.) (L.Float x) (L.Float y)))
-          in
-          Alcotest.(check bool) (what ^ ": interpreter raises") true
-            (want <> None);
-          Alcotest.(check bool) (what ^ ": lane kernel raises the same") true
-            (want
-            = outcome (fun () ->
-                  B.Tape.lane_kernel ~op ~rows:1 ~width:5
-                    ~acc:(Array.make 5 0.)
-                    (B.Tape.Reg (Array.make 5 x))
-                    (B.Tape.Reg (Array.make 5 y)))))
-        (zero_divisors @ overflows))
-    lane_ops
+        (fun x ->
+          List.iter
+            (fun y ->
+              let what = Printf.sprintf "%s %h by %h" name x y in
+              let interp =
+                outcome (fun () ->
+                    let t = B.Interp.create ~buffers:(bufs x y) () in
+                    B.Interp.run t stmt;
+                    bits_of (B.Interp.buffer t "out"))
+              in
+              let compiled ?claims ?lanes expect_tape =
+                outcome (fun () ->
+                    let c =
+                      B.Exec.compile ~target:(B.Target.cpu ()) ?claims ?lanes
+                        ~params:[] ~buffers:(bufs x y) stmt
+                    in
+                    Alcotest.(check int) (what ^ ": tape nests") expect_tape
+                      (B.Exec.tape_count c);
+                    B.Exec.run c;
+                    bits_of (B.Exec.buffer c "out"))
+              in
+              let kernel =
+                outcome (fun () ->
+                    let _, out =
+                      B.Tape.lane_kernel ~op ~rows:2 ~width:(n / 2)
+                        ~acc:(Array.make n 0.0)
+                        (B.Tape.Reg (Array.make n x))
+                        (B.Tape.Reg (Array.make n y))
+                    in
+                    Array.map Int64.bits_of_float out)
+              in
+              List.iter
+                (fun (path, got) ->
+                  Alcotest.(check bool) (what ^ ": " ^ path ^ " = interpreter")
+                    true (got = interp))
+                [ ("closure path", compiled ~claims:Tape_gen.no_claims 0);
+                  ("scalar tape", compiled ~lanes:1 1);
+                  ("vector tape", compiled 1);
+                  ("lane kernel", kernel) ])
+            divisors)
+        values)
+    ops
 
 (* Hand-built tape programs over [i] (parallel when [par]) x [j], bound
    against named buffers: the fusion rule's negative cases need register
@@ -1972,6 +2103,8 @@ let tests =
       parallel_prefix_never_merged;
     Alcotest.test_case "lane kernels = scalar opcodes, every operand kind"
       `Quick lane_kernels_match_scalar;
+    Alcotest.test_case "integer opcodes agree on out-of-range floats" `Quick
+      int_opcodes_out_of_range;
     Alcotest.test_case "loads fold only where the value is unchanged" `Quick
       fusion_legality;
     Alcotest.test_case "conv2D and nb fold their loads, bit-exact" `Quick
