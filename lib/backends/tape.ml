@@ -321,11 +321,18 @@ let[@inline] lane op (d : float array) q x y =
        acc +. p
      else alu op x y)
 
-(* The scalar instruction interpreter: every ALU arm is one [lane] call
-   with a literal opcode ([fma] rounds twice, as the reference
-   interpreter does).  Both interpreters index unchecked: [enter]'s
-   corner checks prove every cursor in bounds before an instruction
-   runs, and bind validates register and access indices. *)
+(* The instruction interpreter.  Opcode numbering mirrors
+   {!Tiramisu_codegen.Tape_gen}; [fma] deliberately rounds twice so
+   results stay bit-identical to the reference interpreter.  Every ALU
+   arm is one [lane] call with a literal opcode.
+
+   Both interpreters run unchecked array accesses: [enter]'s whole-box
+   corner checks prove every data cursor the segment will touch is in
+   bounds before a single instruction runs, register/cursor indices are
+   validated against the register-file and access counts at bind time,
+   and a tape's length is a multiple of its instruction width by
+   construction.  Re-checking each access in the hot loop would only
+   re-prove what [enter] already established. *)
 
 let[@inline] exec_code (code : int array) (st : state)
     (datas : float array array) =
@@ -337,38 +344,45 @@ let[@inline] exec_code (code : int array) (st : state)
     let dst = Array.unsafe_get code (i + 1)
     and a = Array.unsafe_get code (i + 2)
     and b = Array.unsafe_get code (i + 3) in
-    let op = Array.unsafe_get code i in
-    if op = 0 (* load *) then
-      Array.unsafe_set regs dst
-        (Array.unsafe_get (Array.unsafe_get datas a) (Array.unsafe_get cur a))
-    else if op = 1 (* store *) then
-      Array.unsafe_set (Array.unsafe_get datas a) (Array.unsafe_get cur a)
-        (Array.unsafe_get regs b)
-    else begin
-      (* a unary opcode's [b] is register 0, read and ignored *)
-      let x = Array.unsafe_get regs a and y = Array.unsafe_get regs b in
-      match op with
-      | 2 -> lane 2 regs dst x y
-      | 3 -> lane 3 regs dst x y
-      | 4 -> lane 4 regs dst x y
-      | 5 -> lane 5 regs dst x y
-      | 6 -> lane 6 regs dst x y
-      | 7 -> lane 7 regs dst x y
-      | 8 -> lane 8 regs dst x y
-      | 9 -> lane 9 regs dst x y
-      | 10 -> lane 10 regs dst x y
-      | 11 -> lane 11 regs dst x y
-      | 12 -> lane 12 regs dst x y
-      | 13 -> lane 13 regs dst x y
-      | 14 -> lane 14 regs dst x y
-      | 15 -> lane 15 regs dst x y
-      | 16 -> lane 16 regs dst x y
-      | 17 -> lane 17 regs dst x y
-      | 18 -> lane 18 regs dst x y
-      | 19 -> lane 19 regs dst x y
-      | 20 -> lane 20 regs dst x y
-      | _ -> lane 21 regs dst x y
-    end;
+    (match Array.unsafe_get code i with
+    | 0 (* load *) ->
+        let src = Array.unsafe_get datas a in
+        Array.unsafe_set regs dst
+          (Array.unsafe_get src (Array.unsafe_get cur a))
+    | 1 (* store *) ->
+        let d_ = Array.unsafe_get datas a in
+        Array.unsafe_set d_ (Array.unsafe_get cur a) (Array.unsafe_get regs b)
+    | 2 (* mov *) -> lane 2 regs dst (Array.unsafe_get regs a) 0.
+    | 3 (* add *) ->
+        lane 3 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 4 (* sub *) ->
+        lane 4 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 5 (* mul *) ->
+        lane 5 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 6 (* div *) ->
+        lane 6 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 7 (* min *) ->
+        lane 7 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 8 (* max *) ->
+        lane 8 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 9 (* fma *) ->
+        lane 9 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 10 (* neg *) -> lane 10 regs dst (Array.unsafe_get regs a) 0.
+    | 11 (* abs *) -> lane 11 regs dst (Array.unsafe_get regs a) 0.
+    | 12 (* sqrt *) -> lane 12 regs dst (Array.unsafe_get regs a) 0.
+    | 13 (* exp *) -> lane 13 regs dst (Array.unsafe_get regs a) 0.
+    | 14 (* log *) -> lane 14 regs dst (Array.unsafe_get regs a) 0.
+    | 15 (* sin *) -> lane 15 regs dst (Array.unsafe_get regs a) 0.
+    | 16 (* cos *) -> lane 16 regs dst (Array.unsafe_get regs a) 0.
+    | 17 (* floor *) -> lane 17 regs dst (Array.unsafe_get regs a) 0.
+    | 18 (* pow *) ->
+        lane 18 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 19 (* fdivi *) ->
+        lane 19 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 20 (* modi *) ->
+        lane 20 regs dst (Array.unsafe_get regs a) (Array.unsafe_get regs b)
+    | 21 (* trunc *) -> lane 21 regs dst (Array.unsafe_get regs a) 0.
+    | _ -> assert false);
     pc := i + 4
   done
 
@@ -388,7 +402,11 @@ let[@inline] exec_code (code : int array) (st : state)
    tape-asm] counts each kernel's stack reloads, [make lane-fit] fits
    the per-dispatch and per-lane cost.  A kernel owns its row loop:
    memory operands address row [r] at [r] row steps past the cursor;
-   registers and scalars alone run the batch as one row. *)
+   registers and scalars alone run the batch as one row.  Shapes rather
+   than loop classes key the table (a register reads like unit memory,
+   a scalar like stride-0 memory) because each shape finds its operand
+   with no runtime test; a class-keyed table measured slower per
+   dispatch (DESIGN §15). *)
 
 (* operand value at lane [k] of an unrolled step at destination index
    [i], by shape [sh]: a lane register at [i + k] (the destination's
@@ -1124,9 +1142,14 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
     in
     let vall = Array.concat [ vpro; vcode; vepi ] in
     Some
-      { t_d = d; t_split = split; t_nregs = p.T.p_nregs; t_lits = p.T.p_lits;
+      { t_d = d;
+        t_split = split;
+        t_nregs = p.T.p_nregs;
+        t_lits = p.T.p_lits;
         t_hoists = Array.map (fun (r, v) -> (r, slot v)) p.T.p_hoists;
-        t_accum = p.T.p_accum; t_code = p.T.p_code; t_accs = accs;
+        t_accum = p.T.p_accum;
+        t_code = p.T.p_code;
+        t_accs = accs;
         t_datas = Array.map (fun a -> a.b_data) accs;
         t_checks =
           Array.of_list
@@ -1137,8 +1160,12 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
                    c_lo = clo; c_hi = chi; c_dim = dim }
                  :: acc)
                checks []);
-        t_lo = lo; t_hi = hi; t_promos = p.T.p_promos; t_xd = xd;
-        t_xlo = Array.sub xlo 0 xd; t_xhi = Array.sub xhi 0 xd;
+        t_lo = lo;
+        t_hi = hi;
+        t_promos = p.T.p_promos;
+        t_xd = xd;
+        t_xlo = Array.sub xlo 0 xd;
+        t_xhi = Array.sub xhi 0 xd;
         t_xivregs = Array.sub xiv 0 xd;
         t_xsteps = Array.map (fun s -> Array.sub s 0 xd) xsteps;
         t_inner_steps = inner_steps;
@@ -1147,9 +1174,16 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
             (Array.map (fun (plo, phi) ->
                  (bexpr_fn ~slot plo, bexpr_fn ~slot phi)))
             p.T.p_pieces;
-        t_mode = mode; t_lanes = lanes_eff; t_rows = nrows; t_vcode = vcode;
-        t_vpro = vpro; t_vepi = vepi; t_vall = vall; t_vk = kernels_of vall;
-        t_vlivein = vlivein; t_folded = !folded;
+        t_mode = mode;
+        t_lanes = lanes_eff;
+        t_rows = nrows;
+        t_vcode = vcode;
+        t_vpro = vpro;
+        t_vepi = vepi;
+        t_vall = vall;
+        t_vk = kernels_of vall;
+        t_vlivein = vlivein;
+        t_folded = !folded;
         t_names = Array.map (fun a -> a.T.ac_buf) p.T.p_accesses;
         t_bsteps = bsteps;
         t_rsteps =
@@ -1211,15 +1245,26 @@ let listing t =
 
 let new_state t =
   let st =
-    let na = Array.length t.t_accs and np = Array.length t.t_pieces in
-    { regs = Array.make t.t_nregs 0.0; vregs = [||];
-      cur = Array.make na 0; abase = Array.make na 0; lbase = Array.make na 0;
-      ivs = Array.make t.t_d 0; los = Array.make t.t_d 0;
-      exts = Array.make t.t_d 0; fstr = Array.make t.t_split 1;
-      elo = Array.make t.t_d 0; ehi = Array.make t.t_d 0;
-      plo = Array.make (np * t.t_d) 0; phi = Array.make (np * t.t_d) 0;
-      plive = Array.make np false; vcode = t.t_vall; datas = t.t_datas;
-      rsteps = t.t_rsteps; pc = 0; rows = 1; bw = 0 }
+    { regs = Array.make t.t_nregs 0.0;
+      vregs = [||];
+      cur = Array.make (Array.length t.t_accs) 0;
+      abase = Array.make (Array.length t.t_accs) 0;
+      ivs = Array.make t.t_d 0;
+      lbase = Array.make (Array.length t.t_accs) 0;
+      los = Array.make t.t_d 0;
+      exts = Array.make t.t_d 0;
+      fstr = Array.make t.t_split 1;
+      elo = Array.make t.t_d 0;
+      ehi = Array.make t.t_d 0;
+      plo = Array.make (Array.length t.t_pieces * t.t_d) 0;
+      phi = Array.make (Array.length t.t_pieces * t.t_d) 0;
+      plive = Array.make (Array.length t.t_pieces) false;
+      vcode = t.t_vall;
+      datas = t.t_datas;
+      rsteps = t.t_rsteps;
+      pc = 0;
+      rows = 1;
+      bw = 0 }
   in
   Array.iter (fun (r, v) -> st.regs.(r) <- v) t.t_lits;
   st

@@ -1652,7 +1652,10 @@ let lane_kernels_match_scalar () =
      divisors that stop a batch are left to the test below *)
   List.iter
     (fun (_, name, (_, pool, reference)) ->
-      let pool = Array.of_list (List.filter (fun v -> v <> -1.0 && v <> 0.5) (Array.to_list pool)) in
+      let pool =
+        Array.of_seq
+          (Seq.filter (fun v -> v <> -1.0 && v <> 0.5) (Array.to_seq pool))
+      in
       let n = 390 in
       let ld b = L.Load (b, [ L.Var "i" ]) in
       let stmt =
@@ -1677,17 +1680,23 @@ let lane_kernels_match_scalar () =
 
 (* The integer opcodes on floats beyond the int range: [int_of_float] of
    NaN, an infinity, [2^62] or [1e19] is unspecified in OCaml, so the
-   executors must at least agree with each other.  Each value, under
-   each divisor (0.5, NaN, 1e300, ±0 and infinity all convert to a zero
-   divisor; 3 and -1 do not), runs [fdivi], [modi] and [trunc] through
-   the interpreter, the closure path, the scalar tape, the vector tape
-   (one register kernel each) and the register kernel directly: all give
-   the same bits or raise the same exception. *)
+   executors must at least agree with each other.  Each value (and an
+   ordinary 7), under each divisor, runs [fdivi], [modi] and [trunc]
+   through the interpreter, the closure path, the scalar tape, the vector
+   tape (one register kernel each) and the register kernel directly: all
+   give the same bits or raise the same exception.  The interpreter
+   raises [Division_by_zero] for every divisor whose integer part is
+   zero (0.5, NaN, 1e300, ±0, ±infinity) and [Ints.Overflow] for [2^62
+   modi -1] ([2^62] converts to [min_int]). *)
 let int_opcodes_out_of_range () =
-  let values = [ Float.nan; Float.infinity; Float.neg_infinity; 0x1p62; 1e19; -1e19 ] in
-  let divisors =
-    [ 0.5; Float.nan; 1e300; 0.0; -0.0; Float.infinity; 3.0; -1.0 ]
+  let values =
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0x1p62; 1e19; -1e19;
+      7.0 ]
   in
+  let zero_divisors =
+    [ 0.5; Float.nan; 1e300; 0.0; -0.0; Float.infinity; Float.neg_infinity ]
+  in
+  let divisors = zero_divisors @ [ 3.0; -1.0 ] in
   let n = 8 in
   let ops =
     L.
@@ -1723,6 +1732,18 @@ let int_opcodes_out_of_range () =
                     B.Interp.run t stmt;
                     bits_of (B.Interp.buffer t "out"))
               in
+              let fault =
+                if op = Tape_gen.op_trunc then None
+                else if List.mem y zero_divisors then Some Division_by_zero
+                else if op = Tape_gen.op_modi && x = 0x1p62 && y = -1.0 then
+                  Some Tiramisu_support.Ints.Overflow
+                else None
+              in
+              Option.iter
+                (fun e ->
+                  Alcotest.(check bool) (what ^ ": interpreter raises") true
+                    (interp = Error e))
+                fault;
               let compiled ?claims ?lanes expect_tape =
                 outcome (fun () ->
                     let c =
