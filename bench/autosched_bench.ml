@@ -11,9 +11,9 @@
    autosched-smoke`) runs a tightly budgeted search at small extents and
    gates on: searched <= default (the incumbent starts at the default
    schedule, so the search can never regress it), the winner replaying
-   bit-exactly against the interpreter, and the JSON matching the golden
-   schema in bench/autosched.golden (regenerate with
-   TIRAMISU_UPDATE_GOLDEN=1). *)
+   bit-exactly against the interpreter, no candidate erroring, and the
+   JSON matching the golden schema in bench/autosched.golden (regenerate
+   with TIRAMISU_UPDATE_GOLDEN=1). *)
 
 module P = Tiramisu_pipeline.Pipeline
 module B = Tiramisu_backends
@@ -159,7 +159,13 @@ let gate (r : row) =
   if res.S.r_measured > res.S.r_vetted + 2 then
     (* every measured candidate beyond the default schedule and the
        tape-off probe came out of the vetted pool *)
-    failwith (name ^ ": measured more candidates than the oracle vetted")
+    failwith (name ^ ": measured more candidates than the oracle vetted");
+  if res.S.r_errored > 0 then
+    (* the search proposes only candidates that apply and lower, and none
+       of these kernels' candidates comes near the work budget *)
+    failwith
+      (Printf.sprintf "%s: %d candidates errored (apply, lower or the work \
+                       budget)" name res.S.r_errored)
 
 let run ?(smoke = false) () =
   B.Pool.set_num_workers 4;

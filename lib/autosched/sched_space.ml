@@ -271,8 +271,12 @@ let enumerate ?(menu = default_menu) (entries : entry list) : action list =
       end)
     entries;
   (* cross-computation moves: fuse at root, compute_at the consumer's outer
-     levels (producer earlier in declaration order reads naturally; both
-     directions are proposed — the oracle prunes the illegal one) *)
+     levels, for every ordered pair.  The entries carry no dataflow, so a
+     compute_at whose consumer does not read its producer is proposed too;
+     the legality oracle passes it (it checks the flow dependences outside
+     compute_at and the coverage of reads that exist) and lowering rejects
+     it, so a caller that knows the dataflow drops it first, as the search
+     does ([Search.expand]). *)
   List.iter
     (fun (c, _) ->
       List.iter

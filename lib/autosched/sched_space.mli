@@ -60,4 +60,7 @@ val default_menu : menu
 
 val enumerate : ?menu:menu -> entry list -> action list
 (** All single actions applicable to the tracked state, deterministic
-    order, structural guards only (legality is the caller's vet). *)
+    order, structural guards only (legality is the caller's vet).  The
+    entries carry no dataflow, so a [Compute_at] is offered for every
+    ordered pair, including pairs whose consumer does not read the
+    producer, which lowering rejects. *)

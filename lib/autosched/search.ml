@@ -5,15 +5,22 @@
    own verification and caching machinery.
 
    One search round expands every beam state with (a) single actions
-   enumerated against the tracked dynamic-dim names (Sched_space.enumerate)
-   and (b), in the first round, composite expert templates — register
+   enumerated against the tracked dynamic-dim names (Sched_space.enumerate),
+   less each compute_at whose consumer does not read its producer, and
+   (b), in the first round, composite expert templates — register
    blocking for init/upd reduction pairs, tile + compute_at + vectorize for
-   producer/consumer pairs — instantiated over the power-of-two menu.  Each
-   candidate is rebuilt from scratch, pruned by Deps.legal_under_schedule,
-   lowered and prepared, and ranked by Cost.estimate ~tape:true; the top of
-   the beam is then measured for real through Pipeline.build with the
-   lowering memo vetting filled, where the structural-hash compile cache
-   deduplicates candidates that lower to the same statement.  Measurement keeps a best-so-far incumbent and abandons
+   producer/consumer pairs — instantiated over the power-of-two menu.  The
+   oracle checks the flow dependences outside compute_at and the coverage
+   of each compute_at producer, not whether the consumer reads the
+   producer at all: lowering rejects such a pair, so the search drops it
+   before vetting.  Each candidate is rebuilt from scratch, pruned by
+   Deps.legal_under_schedule through one dependence memo per search (the
+   flow dependences once, each level profile once per pair of endpoint
+   schedules), lowered and prepared, and ranked by Cost.estimate
+   ~tape:true; the top of the beam is then measured for real through
+   Pipeline.build with the lowering memo vetting filled, where the
+   structural-hash compile cache deduplicates candidates that lower to the
+   same statement.  Measurement keeps a best-so-far incumbent and abandons
    a candidate as soon as a rep exceeds the incumbent by the cutoff ratio.
    The whole search is anytime: the wall-clock budget is checked between
    candidates and between timing reps, and the incumbent is always a
@@ -101,6 +108,8 @@ type result = {
   r_stage_ms : (string * float) list;
       (** wall-clock per search stage, summed over candidates, in
           {!stage_names} order *)
+  r_profile_hits : int;  (** level profiles the dependence memo held *)
+  r_profile_misses : int;  (** level profiles it computed *)
 }
 
 (* ---------- stage attribution ---------- *)
@@ -164,14 +173,14 @@ let knobs_of cfg ~tape ~lanes =
    backend will see).  {!measure}'s [P.build] reuses the memo's lowering
    for a tape-on candidate, so the prior scores the statement that is
    built: with the tape on, vector loops the tape claims stay unsplit. *)
-let vet ?(acc = Array.make (List.length stage_names) 0.0) cfg problem actions
-    =
+let vet ?(acc = Array.make (List.length stage_names) 0.0) ?memo cfg problem
+    actions =
   match
     timed acc st_legal (fun () ->
         match scheduled problem actions with
         | exception e -> `Err (Printexc.to_string e)
         | fn -> (
-            match D.legal_under_schedule fn with
+            match D.legal_under_schedule ?memo fn with
             | Error e -> `Illegal e
             | Ok () -> `Legal fn))
   with
@@ -306,19 +315,26 @@ let consumes_of problem =
     | _ -> false
 
 (* One round's candidates: the expert templates (first round only) and
-   every one-action expansion of each beam state, before deduplication. *)
-let expand cfg problem base_entries ~round beam =
-  (if round = 1 then
-     templates ~consumes:(consumes_of problem) cfg.menu base_entries
-   else [])
+   every one-action expansion of each beam state, before deduplication.
+   A [Compute_at] whose consumer does not read its producer is dropped:
+   [lower] would reject it, after the oracle had vetted it. *)
+let expand cfg ~consumes base_entries ~round beam =
+  let useful = function
+    | S.Compute_at (prod, cons, _) -> consumes cons prod
+    | _ -> true
+  in
+  (if round = 1 then templates ~consumes cfg.menu base_entries else [])
   @ List.concat_map
       (fun acts ->
         let entries = replay_entries base_entries acts in
-        List.map (fun a -> acts @ [ a ]) (S.enumerate ~menu:cfg.menu entries))
+        List.map
+          (fun a -> acts @ [ a ])
+          (List.filter useful (S.enumerate ~menu:cfg.menu entries)))
       beam
 
 let first_round cfg problem =
-  expand cfg problem (initial_entries problem) ~round:1 [ [] ]
+  expand cfg ~consumes:(consumes_of problem) (initial_entries problem)
+    ~round:1 [ [] ]
 
 (* ---------- measurement ---------- *)
 
@@ -416,6 +432,9 @@ let run ?(config = default_config) (problem : problem) : result =
   let stats0 = P.cache_stats () in
   let acc = Array.make (List.length stage_names) 0.0 in
   let base_entries = initial_entries problem in
+  let consumes = consumes_of problem in
+  (* every candidate is this algorithm, scheduled: one dependence memo *)
+  let memo = D.memo (problem.build ()) in
   let enumerated = ref 0
   and vetted = ref 0
   and illegal = ref 0
@@ -504,7 +523,7 @@ let run ?(config = default_config) (problem : problem) : result =
        (* frontier: template pipelines (first round) + one-action
           expansions of every beam state *)
        let frontier =
-         expand cfg problem base_entries ~round
+         expand cfg ~consumes base_entries ~round
            (List.map (fun st -> st.sc_actions) !beam)
        in
        let frontier =
@@ -534,7 +553,7 @@ let run ?(config = default_config) (problem : problem) : result =
            (fun acts ->
              if over_budget () then None
              else
-               match fueled (fun () -> vet ~acc cfg problem acts) with
+               match fueled (fun () -> vet ~acc ~memo cfg problem acts) with
                | None (* Omega blowup: the work budget ran out mid-vet *)
                | Some (`Err _) ->
                    incr errored;
@@ -600,6 +619,8 @@ let run ?(config = default_config) (problem : problem) : result =
     r_verified = verified;
     r_elapsed_ms = elapsed ();
     r_stage_ms = List.mapi (fun k name -> (name, acc.(k))) stage_names;
+    r_profile_hits = D.memo_hits memo;
+    r_profile_misses = D.memo_misses memo;
   }
 
 let pp_result ppf (r : result) =
@@ -610,6 +631,7 @@ let pp_result ppf (r : result) =
      measured: %d (%d cutoffs), cache %d hits / %d misses@\n\
      verified: %b, tape: %b, lanes: %d@\n\
      stages (ms): %s@\n\
+     dependence profiles: %d memo hits / %d misses@\n\
      schedule:@\n%s@\n"
     r.r_best_ms r.r_default_ms
     (r.r_default_ms /. r.r_best_ms)
@@ -618,4 +640,4 @@ let pp_result ppf (r : result) =
     r.r_verified r.r_best_tape r.r_best_lanes
     (String.concat ", "
        (List.map (fun (n, ms) -> Printf.sprintf "%s %.1f" n ms) r.r_stage_ms))
-    (literal r.r_best)
+    r.r_profile_hits r.r_profile_misses (literal r.r_best)

@@ -72,6 +72,11 @@ type result = {
           [verify.lower] (the winner's rebuild, executor run and lowering
           for the interpreter) and [verify.interpret] (the interpreter run
           and the bitwise comparison) *)
+  r_profile_hits : int;
+      (** level profiles the search's dependence memo already held
+          ({!Tiramisu_deps.Deps.memo}): the candidate's legality check
+          asked Omega nothing for them *)
+  r_profile_misses : int;  (** level profiles it computed and stored *)
 }
 
 val run : ?config:config -> problem -> result
@@ -84,10 +89,12 @@ val run : ?config:config -> problem -> result
 val first_round : config -> problem -> Sched_space.action list list
 (** The first round's candidates, before deduplication and the
     [max_frontier] cap: the expert templates, then every single action
-    {!Sched_space.enumerate} offers on the unscheduled pipeline. *)
+    {!Sched_space.enumerate} offers on the unscheduled pipeline, less
+    each [Compute_at] whose consumer does not read its producer. *)
 
 val vet :
   ?acc:float array ->
+  ?memo:Tiramisu_deps.Deps.memo ->
   config ->
   problem ->
   Sched_space.action list ->
@@ -102,7 +109,9 @@ val vet :
     target with the tape on; [`Ok] carries the function, its lowering
     memo and the statement the cost prior scores — the one a build
     through the memo compiles.  [acc], when given, accumulates the time
-    of the first two stages of [r_stage_ms]. *)
+    of the first two stages of [r_stage_ms]; [memo], when given, is the
+    problem's dependence memo the legality check goes through ({!run}
+    makes one per problem). *)
 
 val literal : Sched_space.action list -> string
 (** The winning schedule as a replayable OCaml action-list literal. *)

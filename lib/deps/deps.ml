@@ -21,8 +21,6 @@ let rename_aff_np ~params f a =
   Aff.subst a (fun n ->
       if List.mem n params then None else Some (Aff.var (f n)))
 
-let rename_cstr ~params f = Cstr.map (rename_aff_np ~params f)
-
 (* Lift a domain poly (over [params; iters]) into [cols], assuming the
    renamed iterators appear contiguously in cols starting at [at]. *)
 let lift_domain ~np ~at ~total p =
@@ -270,118 +268,324 @@ let effective_tags fn =
    distinct static positions: P_(k+1) is empty there, and every deeper
    question asks about a subset of it.  It never asks whether P_k itself is
    empty: that is an Omega run on the bare dependence polyhedron, which no
-   per-level question needs and which stacked splits make explode. *)
-type profile = {
-  pdep : dep;
-  gt : bool array;
-  lt : bool Lazy.t array;
-  all_eq : bool;
+   per-level question needs and which stacked splits make explode.
+
+   The polyhedron is built from integer rows, with no column name.  Each
+   endpoint's schedule is resolved once into rows over its own columns
+   ([endpoint]); the profile lifts them into its columns [params; s iters;
+   d iters; s inter and dims; d inter and dims; ts; td] by offset, as
+   [lift_domain] lifts domains, and writes the time links and the
+   per-level questions straight into rows.  The rows come out in the order
+   a construction by column name gives ([Poly.add_cstr] puts each added
+   row first): the time links of the sink then of the source, last level
+   first, ahead of the schedule equalities of the sink then of the source,
+   each in reverse constraint order.  The Omega test sees the same
+   system, so verdicts and fuel are those of that construction. *)
+
+(* One slot of a time description: a static position (doubled, as lowering
+   does) or a dynamic dim, by its column's index. *)
+type slot = Fixed of int | Column of int
+
+(* A computation's schedule as rows over its own columns [params; iters;
+   inter; dim cols].  [e_eqs] and [e_ineqs] are in reverse constraint
+   order. *)
+type endpoint = {
+  e_nx : int;  (* inter and dim columns *)
+  e_eqs : int array list;
+  e_ineqs : int array list;
+  e_desc : slot array;
+  e_key : string Lazy.t;
+      (* all of the above with no column name: two schedules built alike
+         share it, however their columns are named *)
 }
 
-let profile ~params (d : dep) =
-  let src = d.src and dst = d.dst in
-  let s_desc = time_desc src and d_desc = time_desc dst in
-  let t = max (List.length s_desc) (List.length d_desc) in
-  let pad desc =
-    Array.of_list (desc @ List.init (t - List.length desc) (fun _ -> `Const 0))
-  in
-  let s_desc = pad s_desc and d_desc = pad d_desc in
-  let s_iters = List.map sren src.iters in
-  let d_iters = List.map dren dst.iters in
-  let s_extra = List.map sren (src.sched.inter @ List.map (fun dd -> dd.d_col) src.sched.dims) in
-  let d_extra = List.map dren (dst.sched.inter @ List.map (fun dd -> dd.d_col) dst.sched.dims) in
-  let ts = Array.init t (fun k -> "ts$" ^ string_of_int k) in
-  let td = Array.init t (fun k -> "td$" ^ string_of_int k) in
+let endpoint ~params (c : computation) =
+  let s = c.sched in
   let cols =
+    Array.of_list (params @ c.iters @ s.inter @ List.map (fun d -> d.d_col) s.dims)
+  in
+  (* the first column of that name, as [Cstr.to_row] resolves it; a dim's
+     own column is always there *)
+  let rec index i name = if cols.(i) = name then i else index (i + 1) name in
+  let e_eqs, e_ineqs =
+    List.fold_left
+      (fun (eqs, ineqs) cs ->
+        match Cstr.to_row ~cols cs with
+        | `Eq r -> (r :: eqs, ineqs)
+        | `Ineq r -> (eqs, r :: ineqs))
+      ([], []) s.cstrs
+  in
+  let e_desc =
     Array.of_list
-      (params @ s_iters @ d_iters @ s_extra @ d_extra @ Array.to_list ts
-     @ Array.to_list td)
+      (List.map
+         (fun d ->
+           match d.d_kind with Static v -> Fixed (2 * v) | Dyn -> Column (index 0 d.d_col))
+         s.dims)
   in
-  let total = Array.length cols in
+  let e_nx = List.length s.inter + List.length s.dims in
+  let e_key = lazy (Marshal.to_string (e_nx, e_desc, e_eqs, e_ineqs) [ Marshal.No_sharing ]) in
+  { e_nx; e_eqs; e_ineqs; e_desc; e_key }
+
+(* Each computation's endpoint, built on first use. *)
+let endpoints ~params =
+  let tbl = Hashtbl.create 8 in
+  fun (c : computation) ->
+    match Hashtbl.find_opt tbl c.comp_name with
+    | Some e -> e
+    | None ->
+        let e = endpoint ~params c in
+        Hashtbl.add tbl c.comp_name e;
+        e
+
+(* A row over [total] columns with the given (row index, coefficient)
+   cells. *)
+let row ~total cells =
+  let r = Array.make (total + 1) 0 in
+  List.iter (fun (i, v) -> r.(i) <- v) cells;
+  r
+
+(* Where an endpoint's own column [j] sits among a profile's columns: its
+   parameters stay, its [ni] iterators move to [iters_at] and its inter
+   and dim columns to [extra_at]. *)
+let place ~np ~ni ~iters_at ~extra_at j =
+  if j < np then j else if j < np + ni then j - np + iters_at else j - np - ni + extra_at
+
+(* Rows over an endpoint's own columns, moved to a profile's [total]
+   columns by [place]. *)
+let lift_rows ~total place rows =
+  List.map
+    (fun r ->
+      let out = Array.make (total + 1) 0 in
+      out.(0) <- r.(0);
+      for j = 0 to Array.length r - 2 do
+        out.(place j + 1) <- r.(j + 1)
+      done;
+      out)
+    rows
+
+(* The pieces of P_0 and what the level questions need of it: both time
+   descriptions padded to [t] levels, and the row indices of ts_0 and
+   td_0. *)
+type frame = {
+  pieces : Poly.t list;
+  s_desc : slot array;
+  d_desc : slot array;
+  t : int;
+  total : int;
+  ts0 : int;
+  td0 : int;
+}
+
+let frame ~params ~src:(se : endpoint) ~dst:(de : endpoint) (d : dep) =
   let np = List.length params in
-  let nsi = List.length s_iters and ndi = List.length d_iters in
-  let add = Poly.add_cstr ~cols in
-  let base = Poly.universe total in
-  (* Schedule constraints for both sides. *)
+  let nsi = List.length d.src.iters and ndi = List.length d.dst.iters in
+  let t = max (Array.length se.e_desc) (Array.length de.e_desc) in
+  let pad desc =
+    Array.init t (fun k -> if k < Array.length desc then desc.(k) else Fixed 0)
+  in
+  let s_desc = pad se.e_desc and d_desc = pad de.e_desc in
+  let s_at = np + nsi + ndi in
+  let d_at = s_at + se.e_nx in
+  let ts_at = d_at + de.e_nx in
+  let td_at = ts_at + t in
+  let total = td_at + t in
+  let place_s = place ~np ~ni:nsi ~iters_at:np ~extra_at:s_at in
+  let place_d = place ~np ~ni:ndi ~iters_at:(np + nsi) ~extra_at:d_at in
+  (* time column k equals its slot: a constant or the (lifted) dim column *)
+  let links desc time_at place =
+    List.rev
+      (List.init t (fun k ->
+           match desc.(k) with
+           | Fixed v -> row ~total [ (0, -v); (time_at + k + 1, 1) ]
+           | Column j -> row ~total [ (time_at + k + 1, 1); (place j + 1, -1) ]))
+  in
+  let lift = lift_rows ~total in
   let base =
-    List.fold_left add base
-      (List.map (rename_cstr ~params sren) src.sched.cstrs
-      @ List.map (rename_cstr ~params dren) dst.sched.cstrs)
+    Poly.make total
+      ~eqs:
+        (links d_desc td_at place_d @ links s_desc ts_at place_s
+        @ lift place_d de.e_eqs @ lift place_s se.e_eqs)
+      ~ineqs:(lift place_d de.e_ineqs @ lift place_s se.e_ineqs)
   in
-  (* Time columns equal the (renamed) schedule columns or constants. *)
-  let link base tdesc names f =
-    List.fold_left2
-      (fun acc slot name ->
-        match slot with
-        | `Const v -> add acc (Cstr.Eq (Aff.var name, Aff.const v))
-        | `Col col -> add acc (Cstr.Eq (Aff.var name, Aff.var (f col))))
-      base (Array.to_list tdesc) (Array.to_list names)
-  in
-  let base = link base s_desc ts sren in
-  let base = link base d_desc td dren in
   let pieces =
     List.map
       (fun rp ->
         Poly.intersect base
-          (Poly.insert_vars rp ~at:(np + nsi + ndi)
-             ~count:(total - np - nsi - ndi)))
+          (Poly.insert_vars rp ~at:(np + nsi + ndi) ~count:(total - np - nsi - ndi)))
       d.rel
   in
+  { pieces; s_desc; d_desc; t; total; ts0 = ts_at + 1; td0 = td_at + 1 }
+
+let profile_pieces fn d =
+  let endpoint = endpoints ~params:fn.params in
+  (frame ~params:fn.params ~src:(endpoint d.src) ~dst:(endpoint d.dst) d).pieces
+
+(* A carried-dependence question: asked at most once, when a fold first
+   meets an order-relaxing tag at its level.  A question whose Omega run
+   raised (a spent work budget) stays unasked, so a later fold asks it
+   again. *)
+type question = Answered of bool | Pending of (unit -> bool)
+
+type levels = { gt : bool array; lt : question array; all_eq : bool }
+
+let carried lv k =
+  match lv.lt.(k) with
+  | Answered b -> b
+  | Pending ask ->
+      let b = ask () in
+      lv.lt.(k) <- Answered b;
+      b
+
+let profile ~params ~src ~dst (d : dep) =
+  let fr = frame ~params ~src ~dst d in
+  let t = fr.t and total = fr.total in
   let nonempty p = not (Poly.is_empty p) in
-  let sat prefix c = List.exists (fun p -> nonempty (add p c)) prefix in
+  let sat prefix r = List.exists (fun p -> nonempty (Poly.add_ineq p r)) prefix in
+  (* ts_k > td_k and ts_k < td_k, as [>= 0] rows *)
+  let later k = row ~total [ (0, -1); (fr.ts0 + k, 1); (fr.td0 + k, -1) ] in
+  let earlier k = row ~total [ (0, -1); (fr.td0 + k, 1); (fr.ts0 + k, -1) ] in
   let gt = Array.make t false in
-  let lt = Array.make t (Lazy.from_val false) in
+  let lt = Array.make t (Answered false) in
   (* [prefix]: the pieces of P_k, with the prefix equalities added. *)
   let rec go k prefix =
     if k = t then List.exists nonempty prefix
     else
-      let ts_k = Aff.var ts.(k) and td_k = Aff.var td.(k) in
-      match (s_desc.(k), d_desc.(k)) with
-      | `Const a, `Const b when a = b -> go (k + 1) prefix
-      | `Const a, `Const b ->
+      match (fr.s_desc.(k), fr.d_desc.(k)) with
+      | Fixed a, Fixed b when a = b -> go (k + 1) prefix
+      | Fixed a, Fixed b ->
           (* Distinct static positions: P_(k+1) is empty. *)
-          if a > b then gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k))
-          else lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
+          if a > b then gt.(k) <- sat prefix (later k)
+          else lt.(k) <- Pending (fun () -> sat prefix (earlier k));
           false
       | _ ->
-          gt.(k) <- sat prefix (Cstr.Gt (ts_k, td_k));
-          lt.(k) <- lazy (sat prefix (Cstr.Lt (ts_k, td_k)));
-          go (k + 1)
-            (List.map (fun p -> add p (Cstr.Eq (ts_k, td_k))) prefix)
+          gt.(k) <- sat prefix (later k);
+          lt.(k) <- Pending (fun () -> sat prefix (earlier k));
+          let same = row ~total [ (fr.ts0 + k, 1); (fr.td0 + k, -1) ] in
+          go (k + 1) (List.map (fun p -> Poly.add_eq p same) prefix)
   in
-  let all_eq = go 0 pieces in
-  { pdep = d; gt; lt; all_eq }
+  let all_eq = go 0 fr.pieces in
+  { gt; lt; all_eq }
 
-(* The violations of a profiled dependence under [tags], lazily and in level
-   order: a caller that only asks whether there is one stops at the first.
-   A level the mapping orders still races when the generated loop there
-   runs its iterations out of order (parallel, vector lanes, gpu,
-   distributed) and the dependence is carried there. *)
-let violations ~tags p =
-  let d = p.pdep in
+(* The violations of dependence [d] with level profile [lv] under [tags],
+   lazily and in level order: a caller that only asks whether there is one
+   stops at the first.  A level the mapping orders still races when the
+   generated loop there runs its iterations out of order (parallel, vector
+   lanes, gpu, distributed) and the dependence is carried there. *)
+let violations ~tags d lv =
   let relaxed k =
     relaxes_order (tags d.src.comp_name k) || relaxes_order (tags d.dst.comp_name k)
   in
   let at k =
-    if p.gt.(k) then Some (Order { dep = d; level = k; carried = false })
-    else if relaxed k && Lazy.force p.lt.(k) then Some (Order { dep = d; level = k; carried = true })
+    if lv.gt.(k) then Some (Order { dep = d; level = k; carried = false })
+    else if relaxed k && carried lv k then Some (Order { dep = d; level = k; carried = true })
     else None
   in
-  let t = Array.length p.gt in
+  let t = Array.length lv.gt in
   Seq.append
     (Seq.filter_map at (Seq.init t Fun.id))
-    (if p.all_eq then Seq.return (Order { dep = d; level = t; carried = false }) else Seq.empty)
+    (if lv.all_eq then Seq.return (Order { dep = d; level = t; carried = false }) else Seq.empty)
 
-(* Flow dependences between computations outside any [compute_at]. *)
-let checked_deps fn =
-  List.filter (fun d -> d.src.computed_at = None && d.dst.computed_at = None) (flow_deps fn)
+(* ---------- The per-search memo ----------
 
-let check_legality fn =
+   Flow dependences depend only on the algorithm (domains, expressions,
+   inlining), and a profile only on its dependence and on both endpoints'
+   rows and time descriptions.  A memo is bound to one algorithm: it holds
+   the flow dependences of the function it was made from, computed on
+   first use, and every profile asked through it, keyed by the
+   dependence's index among them and both endpoints' keys.  Handed a
+   function, it checks that the function is that algorithm (same
+   computations, in the same order, with the same iterators, domains,
+   expressions and inlining) and rebinds each dependence to the
+   function's own computations.  A hit asks Omega nothing. *)
+type memo = {
+  m_fn : fn;
+  mutable m_deps : (int * int * dep) list option;
+      (* the dependences, with the positions of their endpoints in
+         [m_fn.comps] *)
+  m_profiles : (int * string * string, levels) Hashtbl.t;
+  m_covered : (string * string, bool) Hashtbl.t;
+      (* [compute_at_covered] by producer and consumer: it reads neither
+         schedule nor level *)
+  mutable m_hits : int;
+  mutable m_misses : int;
+}
+
+let memo fn =
+  { m_fn = fn; m_deps = None; m_profiles = Hashtbl.create 64;
+    m_covered = Hashtbl.create 8; m_hits = 0; m_misses = 0 }
+let memo_hits m = m.m_hits
+let memo_misses m = m.m_misses
+
+let same_algorithm a b =
+  a == b
+  || a.fn_name = b.fn_name && a.params = b.params
+     && List.length a.comps = List.length b.comps
+     && List.for_all2
+          (fun (x : computation) (y : computation) ->
+            x.comp_name = y.comp_name
+            && (x.kind = Regular) = (y.kind = Regular)
+            && x.inlined = y.inlined && x.iters = y.iters && x.domain = y.domain
+            && compare x.expr y.expr = 0)
+          a.comps b.comps
+
+(* [fn]'s flow dependences through [m], each with its index. *)
+let memo_deps m fn =
+  if not (same_algorithm m.m_fn fn) then
+    invalid_arg ("Deps: a dependence memo of another algorithm than " ^ fn.fn_name);
+  let deps =
+    match m.m_deps with
+    | Some l -> l
+    | None ->
+        let pos (c : computation) =
+          let rec go i = function
+            | x :: rest -> if x == c then i else go (i + 1) rest
+            | [] -> invalid_arg "Deps.memo_deps"
+          in
+          go 0 m.m_fn.comps
+        in
+        let l = List.map (fun d -> (pos d.src, pos d.dst, d)) (flow_deps m.m_fn) in
+        m.m_deps <- Some l;
+        l
+  in
+  let comps = Array.of_list fn.comps in
+  List.mapi (fun i (s, t, d) -> (i, { d with src = comps.(s); dst = comps.(t) })) deps
+
+(* Flow dependences between computations outside any [compute_at], each
+   with its index among all of them. *)
+let checked_deps ?memo fn =
+  let deps =
+    match memo with
+    | None -> List.mapi (fun i d -> (i, d)) (flow_deps fn)
+    | Some m -> memo_deps m fn
+  in
+  List.filter (fun (_, d) -> d.src.computed_at = None && d.dst.computed_at = None) deps
+
+(* The profile of the [i]-th dependence [d], through the memo when there
+   is one.  A profile is stored only once it is complete. *)
+let levels ?memo ~params endpoint i d =
+  let src = endpoint d.src and dst = endpoint d.dst in
+  match memo with
+  | None -> profile ~params ~src ~dst d
+  | Some m -> (
+      let key = (i, Lazy.force src.e_key, Lazy.force dst.e_key) in
+      match Hashtbl.find_opt m.m_profiles key with
+      | Some lv ->
+          m.m_hits <- m.m_hits + 1;
+          lv
+      | None ->
+          let lv = profile ~params ~src ~dst d in
+          m.m_misses <- m.m_misses + 1;
+          Hashtbl.add m.m_profiles key lv;
+          lv)
+
+let check_legality ?memo fn =
   let tags, conflicts = effective_tags fn in
+  let endpoint = endpoints ~params:fn.params in
   conflicts
   @ List.concat_map
-      (fun d -> List.of_seq (violations ~tags (profile ~params:fn.params d)))
-      (checked_deps fn)
+      (fun (i, d) ->
+        List.of_seq (violations ~tags d (levels ?memo ~params:fn.params endpoint i d)))
+      (checked_deps ?memo fn)
 
 let compute_at_covered fn (p : computation) =
   match p.computed_at with
@@ -450,13 +654,23 @@ let pp_violation ppf = function
    current schedules plus coverage of every [compute_at] producer.  This is
    what the differential fuzzer runs before executing a randomly scheduled
    pipeline — an [Error] means the schedule must not be executed. *)
-let legal_under_schedule fn =
-  let viols = check_legality fn in
+let legal_under_schedule ?memo fn =
+  let viols = check_legality ?memo fn in
+  (* [check_legality] has checked the memo's algorithm *)
+  let covered (c : computation) =
+    match (memo, c.computed_at) with
+    | Some m, Some (consumer, _) -> (
+        let key = (c.comp_name, consumer.comp_name) in
+        match Hashtbl.find_opt m.m_covered key with
+        | Some b -> b
+        | None ->
+            let b = compute_at_covered fn c in
+            Hashtbl.add m.m_covered key b;
+            b)
+    | _ -> compute_at_covered fn c
+  in
   let uncovered =
-    List.filter
-      (fun (c : computation) ->
-        c.computed_at <> None && not (compute_at_covered fn c))
-      fn.comps
+    List.filter (fun (c : computation) -> c.computed_at <> None && not (covered c)) fn.comps
   in
   if viols = [] && uncovered = [] then Ok ()
   else
@@ -510,13 +724,17 @@ let trial_fuel = 1_000_000
 
 let widen_parallel fn =
   let profiles =
-    lazy (List.map (fun d -> lazy (profile ~params:fn.params d)) (checked_deps fn))
+    lazy
+      (let endpoint = endpoints ~params:fn.params in
+       List.map
+         (fun (_, d) -> (d, lazy (profile ~params:fn.params ~src:(endpoint d.src) ~dst:(endpoint d.dst) d)))
+         (checked_deps fn))
   in
   let all_legal () =
     let tags, conflicts = effective_tags fn in
     conflicts = []
     && List.for_all
-         (fun p -> Seq.is_empty (violations ~tags (Lazy.force p)))
+         (fun (d, p) -> Seq.is_empty (violations ~tags d (Lazy.force p)))
          (Lazy.force profiles)
   in
   let widened = ref [] in

@@ -73,7 +73,32 @@ val effective_tags :
     list holds a [Tag_conflict] for every shared loop whose tags do not
     join; such a loop keeps its first tag other than [Seq]. *)
 
-val check_legality : Tiramisu_core.Ir.fn -> violation list
+type memo
+(** A dependence memo bound to one algorithm: the computations of a
+    function, in order, with their iterators, domains, expressions and
+    inlining — what the flow dependences depend on.  It holds the flow
+    dependences, computed on first use, every level profile asked
+    through it, keyed by the dependence and by both endpoints' schedules
+    as integer rows and time descriptions, so functions scheduled alike
+    share a profile whatever their schedule columns are named, and each
+    {!compute_at_covered} verdict, by producer and consumer.  Any
+    function of that algorithm, however scheduled, may be checked through
+    it: the beam search builds one per problem (DESIGN §12).  A profile
+    found in it asks the Omega test nothing, so a check through a memo
+    spends at most the work budget the same check without it spends, and
+    reaches the same verdict whenever that check stays within its
+    budget. *)
+
+val memo : Tiramisu_core.Ir.fn -> memo
+(** A memo bound to the algorithm of the function. *)
+
+val memo_hits : memo -> int
+(** Profiles found in the memo so far. *)
+
+val memo_misses : memo -> int
+(** Profiles computed and stored in the memo so far. *)
+
+val check_legality : ?memo:memo -> Tiramisu_core.Ir.fn -> violation list
 (** Empty list = the current schedules preserve every flow dependence, no
     flow dependence is carried by a loop whose hardware tag relaxes
     execution order, and the tags of every shared loop join (the
@@ -81,23 +106,35 @@ val check_legality : Tiramisu_core.Ir.fn -> violation list
     computations fused into one generated loop share its tag, so a
     [Parallel] tag contributed by any of them is checked against the
     dependences of all of them.  Computations under [compute_at] are
-    validated separately by {!compute_at_covered} and skipped here. *)
+    validated separately by {!compute_at_covered} and skipped here.
+    With [memo], the flow dependences and the level profiles come from
+    it, and the result is the one without it.
+    @raise Invalid_argument when [memo] is bound to another algorithm. *)
+
+val profile_pieces : Tiramisu_core.Ir.fn -> dep -> Tiramisu_presburger.Poly.t list
+(** The dependence polyhedron a level profile starts from, one piece per
+    piece of [dep.rel], over the columns [params; src iters; dst iters;
+    src inter and dim columns; dst inter and dim columns; ts; td] (the
+    time columns of both sides, padded with static zeros to the longer
+    one), with both schedules and the time links as rows.  Exposed for
+    the test that compares it with a construction by column name. *)
 
 val compute_at_covered : Tiramisu_core.Ir.fn -> Tiramisu_core.Ir.computation -> bool
 (** For a producer scheduled with [compute_at]: does every consumer read hit
     an instance computed in the same or an earlier tile?  (Overlapped tiling
     makes this true by construction; this is the verification.) *)
 
-val legal_under_schedule : Tiramisu_core.Ir.fn -> (unit, string) result
+val legal_under_schedule : ?memo:memo -> Tiramisu_core.Ir.fn -> (unit, string) result
 (** The one-call schedule-legality oracle: [Ok ()] iff {!check_legality}
     reports no violation and every [compute_at] producer passes
-    {!compute_at_covered}.  [Error msg] describes every violation: each
-    violated dependence (kind, endpoints, time level) and each shared loop
-    whose tags conflict.  This is the check the differential
+    {!compute_at_covered} (through [memo] when given).  [Error msg]
+    describes every violation: each violated dependence (kind, endpoints,
+    time level) and each shared loop whose tags conflict.  This is the check the differential
     fuzzer runs on each randomly generated schedule before execution.  It
     validates both the time-space mapping and the hardware tags: a
     dependence carried by a parallelized or vectorized loop is reported
-    even though the mapping itself orders it correctly. *)
+    even though the mapping itself orders it correctly.  [memo] is
+    passed to {!check_legality}. *)
 
 val widen_parallel :
   Tiramisu_core.Ir.fn -> (string * string) list * bool * (unit -> unit)

@@ -24,23 +24,38 @@ let normalize_ineq row =
       else Some r
 
 (* Substitute variable [k] (0-based) using equality [e] whose coefficient on
-   [k] is +-1, into row [r]; the result has coefficient 0 on [k]. *)
+   [k] is +-1, into row [r]; the result has coefficient 0 on [k].  It is
+   [Vec.combine 1 r c e] with [c = -b * a]: only the columns where [e] is
+   nonzero change, so the row is copied and those entries combined (an
+   equality usually mentions a few of the many columns). *)
 let subst_eq ~k e r =
   let a = e.(k + 1) in
   assert (abs a = 1);
   let b = r.(k + 1) in
-  if b = 0 then r else Vec.combine 1 r (-b * a) e
+  if b = 0 then r
+  else begin
+    let c = -b * a in
+    let out = Array.copy r in
+    for j = 0 to Array.length e - 1 do
+      if e.(j) <> 0 then out.(j) <- Ints.add r.(j) (Ints.mul c e.(j))
+    done;
+    out
+  end
 
 let drop_var ~k rows = List.map (fun r -> Vec.drop_cols r ~at:(k + 1) ~count:1) rows
 
-(* Find an equality with a unit coefficient; returns (index-in-list, var). *)
+(* The first equality with a unit coefficient and its first such
+   variable; returns (index-in-list, var). *)
 let find_unit_eq eqs =
+  let rec unit_col e j =
+    if j = Array.length e then None
+    else if abs e.(j) = 1 then Some (j - 1)
+    else unit_col e (j + 1)
+  in
   let rec scan i = function
     | [] -> None
     | e :: rest -> (
-        let unit_var = ref None in
-        Array.iteri (fun j c -> if j > 0 && abs c = 1 && !unit_var = None then unit_var := Some (j - 1)) e;
-        match !unit_var with Some v -> Some (i, v) | None -> scan (i + 1) rest)
+        match unit_col e 1 with Some v -> Some (i, v) | None -> scan (i + 1) rest)
   in
   scan 0 eqs
 

@@ -10,6 +10,7 @@ module Sp = Tiramisu_autosched.Sched_space
 module P = Tiramisu_pipeline.Pipeline
 module L = Tiramisu_codegen.Loop_ir
 module Tape_gen = Tiramisu_codegen.Tape_gen
+module D = Tiramisu_deps.Deps
 
 let n = 14
 let m = 12
@@ -518,6 +519,68 @@ let identical_code_test () =
         (S.literal r.S.r_best)
   done
 
+(* The dependence memo changes no verdict: every first-round candidate
+   of blur, nb and sgemm gets, through one memo per problem, the result
+   and the message it gets without one. *)
+let memo_verdicts_test () =
+  List.iter
+    (fun (p : S.problem) ->
+      let memo = D.memo (p.S.build ()) in
+      let illegal = ref 0 in
+      List.iter
+        (fun acts ->
+          match
+            let fn = p.S.build () in
+            List.iter (Sp.apply fn) acts;
+            fn
+          with
+          | exception _ -> ()
+          | fn ->
+              let plain = D.legal_under_schedule fn in
+              if Result.is_error plain then incr illegal;
+              Alcotest.(check (result unit string))
+                (p.S.name ^ " " ^ S.literal acts)
+                plain
+                (D.legal_under_schedule ~memo fn))
+        (S.first_round vet_config p);
+      Alcotest.(check bool) (p.S.name ^ ": some profile found in the memo") true
+        (D.memo_hits memo > 0);
+      if p.S.name <> "blur" then
+        Alcotest.(check bool) (p.S.name ^ ": some candidate illegal") true (!illegal > 0))
+    vet_problems
+
+(* A search analyses its problem's dependences once, and proposes no
+   [Compute_at] that lowering rejects; a memo checks only functions of
+   its own algorithm. *)
+let search_memo_test () =
+  let config =
+    { vet_config with S.beam_width = 2; measure_top = 1; rounds = 2; reps = 1;
+      budget_ms = 60_000.0 }
+  in
+  List.iter
+    (fun (p : S.problem) ->
+      let calls = D.flow_deps_calls () in
+      let r = S.run ~config p in
+      Alcotest.(check int) (p.S.name ^ ": flow dependences computed once") 1
+        (D.flow_deps_calls () - calls);
+      Alcotest.(check int) (p.S.name ^ ": nothing errored") 0 r.S.r_errored;
+      Alcotest.(check bool) (p.S.name ^ ": profiles reused") true
+        (r.S.r_profile_hits > 0 && r.S.r_profile_misses > 0))
+    vet_problems;
+  let blur = List.nth vet_problems 0 and nb = List.nth vet_problems 1 in
+  let memo = D.memo (blur.S.build ()) in
+  Alcotest.(check bool) "the memo's own algorithm" true
+    (D.legal_under_schedule ~memo (blur.S.build ()) = Ok ());
+  Alcotest.check_raises "another algorithm"
+    (Invalid_argument "Deps: a dependence memo of another algorithm than nb")
+    (fun () -> ignore (D.check_legality ~memo (nb.S.build ())));
+  let inlined = blur.S.build () in
+  Tiramisu_core.Tiramisu.inline (Tiramisu_core.Tiramisu.find_comp inlined "bx");
+  Alcotest.(check bool) "inlining makes another algorithm" true
+    (match D.legal_under_schedule ~memo inlined with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let search_tests =
   [
     Alcotest.test_case "compute_at pairs are producer/consumer" `Quick
@@ -537,6 +600,10 @@ let search_tests =
       identical_code_test;
     Alcotest.test_case "measured candidates build the vetted lowering" `Quick
       measured_builds_vetted_test;
+    Alcotest.test_case "the dependence memo changes no verdict" `Quick
+      memo_verdicts_test;
+    Alcotest.test_case "one dependence analysis per search, no errors" `Quick
+      search_memo_test;
   ]
 
 let () =

@@ -510,6 +510,94 @@ let memory_tests =
         Alcotest.(check bool) "some witness was read" true (witnesses > 0));
   ]
 
+(* The construction of a level profile's starting polyhedron by column
+   name, the reference for [D.profile_pieces]'s rows: every schedule
+   constraint renamed to [s@]/[d@] columns and resolved by name, the time
+   columns linked to the schedule columns, each row added with
+   [Poly.add_cstr]. *)
+let named_profile_pieces (fn : Ir.fn) (d : D.dep) =
+  let params = fn.Ir.params in
+  let sren x = "s@" ^ x and dren x = "d@" ^ x in
+  let rename f =
+    Cstr.map (fun e ->
+        Aff.subst e (fun n -> if List.mem n params then None else Some (Aff.var (f n))))
+  in
+  let src = d.D.src and dst = d.D.dst in
+  let desc (c : Ir.computation) =
+    List.map
+      (fun (dm : Ir.dim) ->
+        match dm.Ir.d_kind with Ir.Static v -> `Const (2 * v) | Ir.Dyn -> `Col dm.Ir.d_col)
+      c.Ir.sched.Ir.dims
+  in
+  let t = max (List.length (desc src)) (List.length (desc dst)) in
+  let pad l = l @ List.init (t - List.length l) (fun _ -> `Const 0) in
+  let s_desc = pad (desc src) and d_desc = pad (desc dst) in
+  let extra (c : Ir.computation) =
+    c.Ir.sched.Ir.inter @ List.map (fun (dm : Ir.dim) -> dm.Ir.d_col) c.Ir.sched.Ir.dims
+  in
+  let ts = List.init t (fun k -> "ts$" ^ string_of_int k) in
+  let td = List.init t (fun k -> "td$" ^ string_of_int k) in
+  let cols =
+    Array.of_list
+      (params @ List.map sren src.Ir.iters @ List.map dren dst.Ir.iters
+      @ List.map sren (extra src) @ List.map dren (extra dst) @ ts @ td)
+  in
+  let total = Array.length cols in
+  let add = Poly.add_cstr ~cols in
+  let base =
+    List.fold_left add (Poly.universe total)
+      (List.map (rename sren) src.Ir.sched.Ir.cstrs
+      @ List.map (rename dren) dst.Ir.sched.Ir.cstrs)
+  in
+  let link base desc names f =
+    List.fold_left2
+      (fun acc slot name ->
+        match slot with
+        | `Const v -> add acc (Cstr.Eq (Aff.var name, Aff.const v))
+        | `Col col -> add acc (Cstr.Eq (Aff.var name, Aff.var (f col))))
+      base desc names
+  in
+  let base = link (link base s_desc ts sren) d_desc td dren in
+  let at = List.length params + List.length src.Ir.iters + List.length dst.Ir.iters in
+  List.map
+    (fun rp -> Poly.intersect base (Poly.insert_vars rp ~at ~count:(total - at)))
+    d.D.rel
+
+(* Every flow dependence of [fn]: the positional pieces are the named
+   ones, row for row. *)
+let check_positional ~label fn =
+  List.fold_left
+    (fun n (d : D.dep) ->
+      if D.profile_pieces fn d <> named_profile_pieces fn d then
+        Alcotest.failf "%s: %s -> %s: the rows differ from the named construction" label
+          d.D.src.Ir.comp_name d.D.dst.Ir.comp_name;
+      n + 1)
+    0 (D.flow_deps fn)
+
+let profile_tests =
+  [
+    Alcotest.test_case "profile rows = named construction (kernels, seeds 1-200)" `Quick
+      (fun () ->
+        let n = ref 0 in
+        List.iter
+          (fun (k : Tiramisu_kernels.Catalog.kernel) ->
+            List.iter
+              (fun (sched, apply) ->
+                let f = k.build () in
+                apply f;
+                n := !n + check_positional ~label:(k.k_name ^ "/" ^ sched) f)
+              (k.schedules k.params_small))
+          Tiramisu_kernels.Catalog.kernels;
+        let kernel_deps = !n in
+        let module Fz = Tiramisu_fuzz in
+        for s = 1 to 200 do
+          let b = Fz.Case.build (Fz.Fuzz.gen_seed s) in
+          n := !n + check_positional ~label:(Printf.sprintf "fuzz seed %d" s) b.Fz.Case.fn
+        done;
+        Alcotest.(check bool) "kernel dependences compared" true (kernel_deps > 0);
+        Alcotest.(check bool) "generator dependences compared" true (!n > kernel_deps));
+  ]
+
 (* One group: Alcotest sizes its name column by the longest group name,
    so a second, longer group would change how every name above prints. *)
-let () = Alcotest.run "deps" [ ("deps", tests @ equivalence_tests @ memory_tests) ]
+let () = Alcotest.run "deps" [ ("deps", tests @ equivalence_tests @ memory_tests @ profile_tests) ]
