@@ -31,9 +31,11 @@
    errored, the same on every host.
 
    The winner is replayed bit-exactly against the interpreter on every
-   output buffer before being reported (exec vs interp on the same
-   scheduled IR is bitwise identical; a mismatch marks the result
-   unverified and the caller should not trust it). *)
+   output buffer before being reported: its executor run against an
+   interpreter run of the untransformed program (the default candidate's
+   lowering), so a mismatch — a schedule that changed the semantics, or
+   an executor that diverges — marks the result unverified and the
+   caller should not trust it. *)
 
 open Tiramisu_core
 module B = Tiramisu_backends
@@ -115,7 +117,7 @@ type result = {
 (* ---------- stage attribution ---------- *)
 
 (* Where a search spends its time.  [verify.lower] is the winner's
-   rebuild, executor run and lowering for the interpreter;
+   rebuild and executor run and the untransformed program's lowering;
    [verify.interpret] the interpreter run and the comparison. *)
 let stage_names =
   [ "schedule+legality"; "lower+prepare"; "prior"; "measure.build";
@@ -385,23 +387,26 @@ let measure ?(known = fun _ -> false) acc cfg problem ~tape ~lanes ~cutoff low
 (* Bit-exact replay of the winner against the interpreter: rebuild through
    the cache (restoring buffers to their freshly-filled snapshot), run the
    executor once, and compare every output buffer with an interpreter run
-   of the same scheduled IR. *)
-let verify acc cfg problem ~tape ~lanes low =
-  let fn = low.P.lw_fn in
+   of the untransformed program — the default candidate's lowering memo
+   [default_low], the oracle the fuzzer uses — so a schedule that changed
+   the semantics fails here, not only an executor that diverges from its
+   own IR. *)
+let verify acc cfg problem ~tape ~lanes ~default_low low =
+  let fn0 = default_low.P.lw_fn in
   match
     let art, ast =
       timed acc st_verify_lower (fun () ->
           let art =
-            P.build ~lowerings:low ~knobs:(knobs_of cfg ~tape ~lanes) ~fn
-              ~params:problem.params ~inputs:problem.inputs ()
+            P.build ~lowerings:low ~knobs:(knobs_of cfg ~tape ~lanes)
+              ~fn:low.P.lw_fn ~params:problem.params ~inputs:problem.inputs ()
           in
           B.Exec.run art.P.exec;
-          (art, (P.lower ~lowerings:low fn).Lower.ast))
+          (art, (P.lower ~lowerings:default_low fn0).Lower.ast))
     in
     timed acc st_verify_interp @@ fun () ->
     let interp =
       B.Interp.reference ~params:problem.params
-        ~extents:(P.extents_of_fn fn ~params:problem.params)
+        ~extents:(P.extents_of_fn fn0 ~params:problem.params)
         ~inputs:problem.inputs ast
     in
     List.for_all
@@ -597,7 +602,8 @@ let run ?(config = default_config) (problem : problem) : result =
   (* the verify rebuild goes through the cache too — a hit, since the
      winner was measured moments ago — so snapshot the stats after it *)
   let verified =
-    verify acc cfg problem ~tape:!best_tape ~lanes:!best_lanes !best.sc_low
+    verify acc cfg problem ~tape:!best_tape ~lanes:!best_lanes
+      ~default_low:default.sc_low !best.sc_low
   in
   let stats1 = P.cache_stats () in
   {

@@ -60,7 +60,9 @@ type result = {
   r_cache_hits : int;
   r_cache_misses : int;
   r_trajectory : trajectory_point list;  (** oldest first *)
-  r_verified : bool;  (** winner matched the interpreter bitwise *)
+  r_verified : bool;
+      (** the winner's executor run matched the interpreter on the
+          untransformed program bitwise, on every output buffer *)
   r_elapsed_ms : float;
   r_stage_ms : (string * float) list;
       (** wall-clock per stage, summed over the search, in this order:
@@ -69,9 +71,10 @@ type result = {
           passes the cost prior scores), [prior] (the cost model),
           [measure.build] ([Pipeline.build] of a measured candidate, cache
           hits included), [measure.reps] (its warm-up and timed runs),
-          [verify.lower] (the winner's rebuild, executor run and lowering
-          for the interpreter) and [verify.interpret] (the interpreter run
-          and the bitwise comparison) *)
+          [verify.lower] (the winner's rebuild and executor run, and the
+          untransformed program's lowering for the interpreter) and
+          [verify.interpret] (the interpreter run and the bitwise
+          comparison) *)
   r_profile_hits : int;
       (** level profiles the search's dependence memo already held
           ({!Tiramisu_deps.Deps.memo}): the candidate's legality check

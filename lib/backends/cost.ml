@@ -72,9 +72,10 @@ type state = {
       (* inside a claimed nest: loop control runs as strength-reduced
          bytecode cursors, not closure dispatch *)
   mutable tape_vec : string option;
-      (* innermost variable of the claimed nest when the generator marked
-         it lane-safe: that loop runs width-[lanes] batches, amortizing
-         the per-instruction dispatch *)
+      (* the claimed nest's lane variable: its innermost one when the
+         generator marked it lane-safe, or an accumulator's outer lane
+         level ({!Tape_gen.outer_lane}) — that loop runs
+         width-[lanes] batches, amortizing the per-instruction dispatch *)
 }
 
 let rec eval st (e : L.expr) : int =
@@ -173,6 +174,25 @@ let stride_wrt st buf idx v =
   | Some x -> Hashtbl.replace st.vars v x
   | None -> Hashtbl.remove st.vars v);
   bumped - base
+
+(* A claimed program's access [a]'s flat step along level [l], from the
+   buffer's row-major strides as [Tape.bind] computes it; 0 when the
+   buffer is unknown or its rank differs, where the bind fails. *)
+let tape_step st (p : Tiramisu_codegen.Tape_gen.program) a l =
+  let module T = Tiramisu_codegen.Tape_gen in
+  let ac = p.T.p_accesses.(a) in
+  match Hashtbl.find_opt st.bufs ac.T.ac_buf with
+  | Some (dims, _) when Array.length dims = Array.length ac.T.ac_idx ->
+      let strides = Buffers.strides_of dims and v = p.T.p_levels.(l).T.lv_var in
+      let step = ref 0 in
+      Array.iteri
+        (fun k (ts, _) ->
+          List.iter
+            (fun (u, c) -> if u = v then step := !step + (c * strides.(k)))
+            ts)
+        ac.T.ac_idx;
+      !step
+  | _ -> 0
 
 (* Amortization for register promotion: an access whose address is fixed
    across the innermost sequential loop (e.g. the gemm accumulator along k)
@@ -412,11 +432,16 @@ let rec walk st (s : L.stmt) : cost =
         (if not st.in_tape then
            match Tiramisu_codegen.Tape_gen.find st.claims whole with
            | Some p ->
+               let module T = Tiramisu_codegen.Tape_gen in
                st.in_tape <- true;
-               if st.lanes > 1 && p.Tiramisu_codegen.Tape_gen.p_vec_ok then
+               let lane l = Some p.T.p_levels.(l).T.lv_var in
+               if st.lanes > 1 then
                  st.tape_vec <-
-                   (let lvls = p.Tiramisu_codegen.Tape_gen.p_levels in
-                    Some lvls.(Array.length lvls - 1).Tiramisu_codegen.Tape_gen.lv_var)
+                   (if p.T.p_vec_ok then lane (Array.length p.T.p_levels - 1)
+                    else
+                      match T.outer_lane p ~step:(tape_step st p) with
+                      | Some (T.Lane_level l) -> lane l
+                      | _ -> None)
            | None -> ());
         let mid = lo_v + ((extent - 1) / 2) in
         let saved = Hashtbl.find_opt st.vars var in

@@ -43,8 +43,11 @@ val estimate :
     batch the tape binds claimed nests with: when the generator marks a
     claimed nest lane-safe, its innermost loop is discounted like a
     [Vectorized] loop (compute divided by [min lanes vec_width], memory
-    partially amortized) so the prior tracks the vector tier's measured
-    speedups; a request wider than the machine's vector width prices
-    like the vector width itself. *)
+    partially amortized), and so is an accumulator nest's outer lane
+    level when {!Tiramisu_codegen.Tape_gen.outer_lane}, computed from
+    [buffers]' strides as {!Tape.bind} computes it, grants one, so the
+    prior prices the code the tape runs and tracks the vector tier's
+    measured speedups; a request wider than the machine's vector width
+    prices like the vector width itself. *)
 
 val pp_report : Format.formatter -> report -> unit

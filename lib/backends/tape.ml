@@ -14,17 +14,17 @@
    unit-stride segment; the merge keeps iteration order exactly.
 
    The vector tier batches lanes: along the innermost level ([Inner]),
-   or, for an accumulator, along the [Vectorized] level above its
-   reduction ([Outer], register blocking), possibly as a 2-D block of
-   [rows] positions of the level above that run.  Binding derives a
-   bound vector tape from the scalar code — loads and stores specialized
-   by their step along the batched level, loads folded into the one ALU
-   instruction that reads them, registers the vector tape never writes
-   read as uniform scalars — and picks each instruction's lane kernel
-   (see "lane kernels" below).  The width is an interpreter strip, not a
-   hardware vector, so a segment runs as few batches as it can: [len / w]
-   full ones, the remainder as one narrower batch, and only a single
-   leftover iteration through the scalar tape.  Each lane performs the
+   or, for an accumulator, along the level above its reduction
+   ([Outer], register blocking, whatever that level's tag), possibly as
+   a 2-D block of [rows] positions of the level above that run.  Binding
+   derives a bound vector tape from the scalar code — loads and stores
+   specialized by their step along the batched level, loads folded into
+   the one ALU instruction that reads them, registers the vector tape
+   never writes read as uniform scalars — and picks each instruction's
+   lane kernel (see "lane kernels" below).  The width is an interpreter
+   strip, not a hardware vector, so a segment runs as few batches as it
+   can: [len / w] full ones, the remainder as one narrower batch, and
+   only a single leftover iteration through the scalar tape.  Each lane performs the
    scalar interpreter's float operations in its order, so results stay
    bit-identical.  [w] is the request fitted to the nest and capped where
    two stores into one buffer would meet across lanes; inexact aliasing,
@@ -82,7 +82,7 @@ let reason_to_string = function
   | Not_lane_safe -> "not lane-safe"
   | Rmw_step_zero -> "read-modify-write step 0"
   | Store_collision -> "store collision"
-  | Accum_no_lane_level -> "accumulator without a vectorized level above it"
+  | Accum_no_lane_level -> "accumulator without a non-parallel level above it"
   | Accum_reads_lane_var -> "accumulator body reads a lane variable"
   | Accum_step_zero -> "accumulator step 0 along the lane level"
 
@@ -818,23 +818,18 @@ let bind ?(lanes = 0) ~(buf : string -> Buffers.t option)
     let lo = Array.map (fun l -> bexpr_fn ~slot l.T.lv_lo) p.T.p_levels in
     let hi = Array.map (fun l -> bexpr_fn ~slot l.T.lv_hi) p.T.p_levels in
     (* An accumulator batches along the level above its innermost one
-       ([outer_lane_level]), or not at all: exactly when the body reads
+       ([outer_lane]), or not at all: exactly when the body reads
        neither lane variable and the accumulator's address moves along
        it, so every lane owns one address (the generator made it the
        only stored access, aliased by every load of its buffer). *)
     let outer =
-      match p.T.p_accum with
+      match T.outer_lane p ~step:(fun a l -> accs.(a).b_steps.(l)) with
       | None -> Ok None
-      | Some (_, ai, _) -> (
-          if lanes <= 1 then Error Lanes_off
-          else
-            match T.outer_lane_level p with
-            | None -> Error Accum_no_lane_level
-            | Some l ->
-                if p.T.p_ivuse.(l) || p.T.p_ivuse.(d - 1) then
-                  Error Accum_reads_lane_var
-                else if accs.(ai).b_steps.(l) = 0 then Error Accum_step_zero
-                else Ok (Some l))
+      | Some _ when lanes <= 1 -> Error Lanes_off
+      | Some (T.Lane_level l) -> Ok (Some l)
+      | Some T.No_lane_level -> Error Accum_no_lane_level
+      | Some T.Reads_lane_var -> Error Accum_reads_lane_var
+      | Some T.Step_zero -> Error Accum_step_zero
     in
     let split = p.T.p_par in
     (* execution view: fold a level into its parent while the fold is a

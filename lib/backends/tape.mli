@@ -29,8 +29,9 @@ type scalar_reason =
           would share its address *)
   | Store_collision  (** two stores into one buffer could meet across lanes *)
   | Accum_no_lane_level
-      (** an accumulator whose level above the innermost is not a
-          [Vectorized] level outside the parallel prefix *)
+      (** an accumulator with no level above the innermost outside the
+          parallel prefix: a depth-1 nest, or one whose level above the
+          reduction is parallel *)
   | Accum_reads_lane_var
       (** an accumulator body reads the lane level's or the innermost
           level's variable *)
@@ -76,9 +77,11 @@ val mode_to_string : lane_mode -> string
     single leftover iteration runs on the scalar tape ([Inner]).  Two
     stores into one buffer whose lanes meet [k] lanes apart cap [w] at
     [k], or keep the nest scalar when [k = 1].  An accumulator program
-    with a {!Tiramisu_codegen.Tape_gen.outer_lane_level} whose body reads
-    neither lane variable and whose accumulator moves along that level
-    batches [w] positions of it instead: each batch runs the whole
+    with a {!Tiramisu_codegen.Tape_gen.outer_lane_level} (the level above
+    its reduction, outside the parallel prefix, whatever its tag) whose
+    body reads neither lane variable and whose accumulator moves along
+    that level ({!Tiramisu_codegen.Tape_gen.outer_lane}) batches [w]
+    positions of it instead: each batch runs the whole
     innermost loop with the accumulator in a lane register, loaded once
     before and stored once after ([Outer]); leftover positions run as
     one narrower batch (a single one runs scalar).  Either way every lane

@@ -421,18 +421,17 @@ let classify (s : L.stmt) : (program, reject) result =
                 | None -> if k = 0 then acc else (v, k) :: acc)
               t1 t2
           in
+          (* environment-only atoms, pushed onto [lo.(0)] together once
+             every conjunct is read: rebuilding the bound per atom would
+             copy it twice each time, doubling the tree *)
+          let env_atoms = ref [] in
           (* ts·vars + c >= 0 *)
           let constrain ((ts, c) : affine) =
             let nest, rest =
               List.partition (fun (v, _) -> List.mem v nest_vars) ts
             in
             match nest with
-            | [] ->
-                (* environment-only atom: 0 when satisfied, <= -1 when
-                   violated; violation empties the piece *)
-                let g = Bmin (Baff (norm_affine (rest, c)), Baff ([], 0)) in
-                lo.(0) <-
-                  Bmax (lo.(0), Badd (lo.(0), Bscale (g, -(1 lsl 40))))
+            | [] -> env_atoms := norm_affine (rest, c) :: !env_atoms
             | [ (v, k) ] when k > 0 ->
                 (* v >= ceil(-(rest + c) / k) *)
                 let l = level_of_var v in
@@ -477,6 +476,17 @@ let classify (s : L.stmt) : (program, reject) result =
                   | L.NeOp -> raise (Reject Guard_shape))
               | _ -> raise (Reject Guard_shape))
             (conjuncts cond);
+          (* each atom scores 0 when satisfied and -1 when violated; any
+             violation pushes the level-0 low bound past every real
+             extent, emptying the piece *)
+          (match List.rev !env_atoms with
+          | [] -> ()
+          | a :: rest ->
+              let score a = Bmax (Bmin (Baff a, Baff ([], 0)), Baff ([], -1)) in
+              let g =
+                List.fold_left (fun g a -> Badd (g, score a)) (score a) rest
+              in
+              lo.(0) <- Bmax (lo.(0), Badd (lo.(0), Bscale (g, -(1 lsl 40)))));
           Array.init d (fun l -> (lo.(l), hi.(l)))
         in
         let leaf, piece_bnds =
@@ -975,17 +985,38 @@ let nest_name p =
     (Array.to_list (Array.map (fun l -> l.lv_var) p.p_levels))
 
 (* The level an accumulator nest may batch its lanes along: the one
-   directly above the innermost (reduction) level, when it is tagged
-   [Vectorized] and lies outside the parallel prefix.  The tag chooses
-   the level; [Tape.bind] proves from the strides that the choice is
-   exact. *)
+   directly above the innermost (reduction) level, when it lies outside
+   the parallel prefix, whatever its CPU tag.  Lanes reorder iterations
+   of that level against the reduction's, which is exact when each lane
+   owns one accumulator address and the body reads neither variable;
+   [Tape.bind] proves both from the strides, so no tag is needed. *)
 let outer_lane_level p =
-  let d = Array.length p.p_levels in
-  let l = d - 2 in
+  let l = Array.length p.p_levels - 2 in
+  match p.p_accum with Some _ when l >= p.p_par -> Some l | _ -> None
+
+type outer_lane =
+  | Lane_level of int
+  | No_lane_level
+  | Reads_lane_var
+  | Step_zero
+
+(* The accumulator's lane decision once strides are known: [step a l] is
+   access [a]'s flat step along level [l].  Lanes along [l] each own one
+   accumulator address exactly when the step is nonzero (the address is
+   fixed along the reduction), and reorder nothing else when the body
+   reads neither lane variable. *)
+let outer_lane p ~step =
   match p.p_accum with
-  | Some _ when l >= p.p_par -> (
-      match p.p_levels.(l).lv_tag with L.Vectorized _ -> Some l | _ -> None)
-  | _ -> None
+  | None -> None
+  | Some (_, ai, _) ->
+      Some
+        (match outer_lane_level p with
+        | None -> No_lane_level
+        | Some l ->
+            if p.p_ivuse.(l) || p.p_ivuse.(Array.length p.p_levels - 1) then
+              Reads_lane_var
+            else if step ai l = 0 then Step_zero
+            else Lane_level l)
 
 (* Some read-modify-write access ignores the innermost variable. *)
 let rmw_fixed_inner p =

@@ -220,11 +220,32 @@ val no_claims : claims
 val find : claims -> Loop_ir.stmt -> program option
 
 (** The level an accumulator program may batch lanes along: the level
-    directly above the innermost (reduction) level, when it is tagged
-    [Vectorized] and lies outside the parallel prefix.  [None] for other
-    programs.  The tag chooses the level; {!Tiramisu_backends.Tape.bind}
-    checks the strides that make the choice exact. *)
+    directly above the innermost (reduction) level, when it lies outside
+    the parallel prefix, under any CPU tag ([Seq], [Unrolled] or
+    [Vectorized]).  [None] for other programs, and for an accumulator
+    nest of depth 1 or whose level above the reduction is parallel.
+    {!Tiramisu_backends.Tape.bind} checks the strides that make the
+    choice exact. *)
 val outer_lane_level : program -> int option
+
+(** An accumulator program's lane decision once its buffers' strides are
+    known. *)
+type outer_lane =
+  | Lane_level of int  (** lanes along this level ({!outer_lane_level}) *)
+  | No_lane_level  (** {!outer_lane_level} is [None] *)
+  | Reads_lane_var
+      (** the body reads the lane level's or the innermost level's
+          variable *)
+  | Step_zero
+      (** the accumulator's address does not move along the lane level,
+          so every lane would share it *)
+
+(** [outer_lane p ~step] decides where an accumulator program's lanes
+    go; [step a l] is access [a]'s flat step along level [l].  [None]
+    for a program without an accumulator.  {!Tiramisu_backends.Tape.bind}
+    binds [Outer] lanes exactly on [Lane_level], and
+    {!Tiramisu_backends.Cost.estimate} prices the same decision. *)
+val outer_lane : program -> step:(int -> int -> int) -> outer_lane option
 
 (** The nest's level variables, outermost first, joined by ['.']. *)
 val nest_name : program -> string

@@ -51,6 +51,24 @@ let reference_s = ref 0.0
    loops as written. *)
 let widen_spent = ref 0
 
+(* Claimed nests [run_case] has bound so far in this process on its
+   tape-on rows, by lane mode: ["inner"], ["outer"], or
+   ["scalar (<reason>)"]. *)
+let lane_tally : (string, int) Hashtbl.t = Hashtbl.create 8
+
+let tally_lanes (art : P.artifact) =
+  List.iter
+    (fun (_, m) ->
+      let k =
+        match m with
+        | B.Tape.Inner _ -> "inner"
+        | B.Tape.Outer _ -> "outer"
+        | B.Tape.Scalar _ -> B.Tape.mode_to_string m
+      in
+      Hashtbl.replace lane_tally k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt lane_tally k)))
+    (B.Exec.lane_modes art.P.exec)
+
 let timed acc f =
   let t0 = Unix.gettimeofday () in
   Fun.protect ~finally:(fun () -> acc := !acc +. (Unix.gettimeofday () -. t0)) f
@@ -220,6 +238,7 @@ let run_case_unguarded (case : Case.t) : outcome =
               && String.ends_with ~suffix:P.widen_spent_note p.P.p_note)
             trace.P.t_passes
         then incr widen_spent;
+        if knobs.P.tape then tally_lanes art;
         List.iter
           (fun out ->
             let s = B.Interp.buffer sched_interp out

@@ -21,6 +21,9 @@ type report = {
   mutable widen_spent : int;
       (** configuration rows whose widening ran over its work budget
           ({!Differential.widen_spent}) *)
+  mutable lanes : (string * int) list;
+      (** claimed nests the tape-on rows bound, by lane mode
+          ({!Differential.lane_tally}), most frequent first *)
 }
 
 let gen_seed ?stats seed =
@@ -38,13 +41,14 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
   let gstats = Generator.mk_stats () in
   let r =
     { passed = 0; rejected = 0; failures = []; gstats; times = [];
-      lowerings = 0; widen_spent = 0 }
+      lowerings = 0; widen_spent = 0; lanes = [] }
   in
   let t0 = Unix.gettimeofday () in
   let stages = Differential.[ build_s; exec_s; reference_s ] in
   let before = List.map ( ! ) stages in
   let draw_s = ref 0.0 in
   let spent_before = !Differential.widen_spent in
+  let lanes_before = Hashtbl.copy Differential.lane_tally in
   for s = seed to seed + count - 1 do
     let case = Differential.timed draw_s (fun () -> gen_seed ~stats:gstats s) in
     if verbose then
@@ -68,6 +72,15 @@ let campaign ?(verbose = false) ?(shrink = true) ~seed ~count () =
   done;
   r.failures <- List.rev r.failures;
   r.widen_spent <- !Differential.widen_spent - spent_before;
+  r.lanes <-
+    Hashtbl.fold
+      (fun k n acc ->
+        let d =
+          n - Option.value ~default:0 (Hashtbl.find_opt lanes_before k)
+        in
+        if d > 0 then (k, d) :: acc else acc)
+      Differential.lane_tally []
+    |> List.sort (fun (k1, n1) (k2, n2) -> compare (n2, k1) (n1, k2));
   let spent = !draw_s :: List.map2 (fun acc b -> !acc -. b) stages before in
   let total = Unix.gettimeofday () -. t0 in
   r.times <-
@@ -88,6 +101,12 @@ let print_report r =
        (List.map (fun (stage, t) -> Printf.sprintf "%s %.1f" stage t) r.times))
     (float_of_int r.lowerings
     /. float_of_int (max 1 (r.passed + r.rejected + List.length r.failures)));
+  Printf.printf "lanes (tape-on rows' claimed nests): %s\n"
+    (match r.lanes with
+    | [] -> "none"
+    | l ->
+        String.concat " | "
+          (List.map (fun (mode, n) -> Printf.sprintf "%s %d" mode n) l));
   List.iter
     (fun (seed, case, msg) ->
       Printf.printf "\n--- seed %d: %s\nshrunk case:\n%s\n" seed msg

@@ -581,6 +581,42 @@ let search_memo_test () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* blur at 64x64 under two round-2 candidates whose guarded pieces carry
+   several environment-only conjuncts, which the claim must fold into
+   one bound term: a bound rebuilt per conjunct doubles each time, to
+   seconds ([Compute_at] at [i]) and gigabytes ([j]).  Both build and
+   match the interpreter on the unscheduled program bit for bit. *)
+let env_guard_claims_test () =
+  let blur () = let f, _, _ = Image.blur () in f in
+  let params = [ ("N", 64); ("M", 64) ] and inputs = [ ("img", img3) ] in
+  let reference = Runner.run ~fn:(blur ()) ~params ~inputs in
+  List.iter
+    (fun at ->
+      let fn = blur () in
+      List.iter (Sp.apply fn)
+        [ Sp.Tile ("bx", "i", "j", 32, 32); Sp.Parallelize ("bx", "i0");
+          Sp.Vectorize ("bx", "j1", 8); Sp.Compute_at ("bx", "by", at) ];
+      let art = P.build ~knobs:vet_knobs ~fn ~params ~inputs () in
+      B.Exec.run art.P.exec;
+      Alcotest.(check bool) ("compute_at " ^ at ^ ": by bit-exact") true
+        (B.Buffers.bits_equal
+           (B.Interp.buffer reference "by")
+           (List.find (fun b -> b.B.Buffers.name = "by") art.P.buffers)))
+    [ "i"; "j" ]
+
+(* The CLI's blur search at the default configuration (3 rounds, a
+   200-candidate frontier) finishes with nothing errored and a verified
+   winner. *)
+let blur_default_search_test () =
+  let k = List.find (fun k -> k.Catalog.k_name = "blur") Catalog.kernels in
+  let r =
+    Runner.autoschedule ~config:S.default_config ~name:"blur"
+      ~build:k.Catalog.build ~params:k.Catalog.params_small
+      ~inputs:k.Catalog.inputs ()
+  in
+  Alcotest.(check int) "no candidate errored" 0 r.S.r_errored;
+  Alcotest.(check bool) "winner verified" true r.S.r_verified
+
 let search_tests =
   [
     Alcotest.test_case "compute_at pairs are producer/consumer" `Quick
@@ -604,6 +640,10 @@ let search_tests =
       memo_verdicts_test;
     Alcotest.test_case "one dependence analysis per search, no errors" `Quick
       search_memo_test;
+    Alcotest.test_case "environment-guarded pieces claim quickly, bit-exact"
+      `Quick env_guard_claims_test;
+    Alcotest.test_case "blur at the default search config, nothing errored"
+      `Quick blur_default_search_test;
   ]
 
 let () =
