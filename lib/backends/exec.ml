@@ -362,42 +362,27 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
             fbody env
           done
       in
+      (* One runner for both paths below: inline, or a pool loop static or
+         dynamic by the shape rule.  A range may run on any domain, so the
+         bodies take their scratch from per-domain getters. *)
+      let fork =
+        if not parallel then fun lo hi ~body -> body lo hi
+        else if static_sched then Pool.static_for
+        else fun lo hi ~body -> Pool.parallel_for lo hi ~body
+      in
       let run =
         if not parallel then seq_run
-        else if static_sched then begin
-          (* Static per-worker ranges with persistent register files:
-             range [k] always reuses slot [k]'s file (refreshed by blit, no
-             per-entry allocation once warm).  The spine only grows from
-             the submitting caller, before any range runs. *)
-          let envs = ref [||] in
+        else begin
+          (* a private register file per domain, refreshed by blit: no
+             per-range allocation once warm *)
+          let regs = Pool.per_domain (fun () -> ref [||]) in
           fun env lo hi ->
-            let nw = Pool.num_workers () in
-            if Array.length !envs < nw then begin
-              let grown = Array.make nw [||] in
-              Array.blit !envs 0 grown 0 (Array.length !envs);
-              envs := grown
-            end;
-            let es = !envs in
-            let len = Array.length env in
-            Pool.static_for lo hi ~body:(fun k clo chi ->
-                let e = es.(k) in
-                let env' =
-                  if Array.length e = len then begin
-                    Array.blit env 0 e 0 len;
-                    e
-                  end
-                  else begin
-                    let e = Array.copy env in
-                    es.(k) <- e;
-                    e
-                  end
-                in
-                seq_run env' clo chi)
+            fork lo hi ~body:(fun clo chi ->
+                let r = regs () and len = Array.length env in
+                if Array.length !r = len then Array.blit env 0 !r 0 len
+                else r := Array.copy env;
+                seq_run !r clo chi)
         end
-        else fun env lo hi ->
-          (* per-chunk private register file *)
-          Pool.parallel_for lo hi ~body:(fun clo chi ->
-              seq_run (Array.copy env) clo chi)
       in
       (match tape_rt with
       | None ->
@@ -410,39 +395,10 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
              falls back to the closure path (whose per-access checks
              raise at the faulting iteration) and is counted. *)
           let tfb = ctx.n_tape_fb in
-          (* per-domain persistent state: safe under an enclosing parallel
-             loop, reused across entries once warm; [enter] evaluates its
-             bounds into the entering domain's one *)
-          let state = Tape.domain_state bt in
-          let seq_tape env total =
-            Tape.run_range bt (state ()) env 0 (total - 1)
-          in
-          let run_tape =
-            if not parallel then seq_tape
-            else if static_sched then begin
-              (* the static scheduler's persistent per-range state is the
-                 tape's register-file home: range [k] always reuses state
-                 [k], grown only by the submitting caller before any range
-                 runs.  The env is shared read-only — the tape never
-                 writes registers. *)
-              let pstates = ref [||] in
-              fun env total ->
-                let nw = Pool.num_workers () in
-                if Array.length !pstates < nw then begin
-                  let old = !pstates in
-                  pstates :=
-                    Array.init nw (fun k ->
-                        if k < Array.length old then old.(k)
-                        else Tape.new_state bt)
-                end;
-                let ps = !pstates in
-                Pool.static_for 0 (total - 1) ~body:(fun k flo fhi ->
-                    Tape.run_range bt ps.(k) env flo fhi)
-            end
-            else fun env total ->
-              Pool.parallel_for 0 (total - 1) ~body:(fun flo fhi ->
-                  Tape.run_range bt (state ()) env flo fhi)
-          in
+          (* per-domain states, reused across entries once warm; [enter]
+             evaluates its bounds into the entering domain's one.  The env
+             is shared read-only — the tape never writes registers. *)
+          let state = Pool.per_domain (fun () -> Tape.new_state bt) in
           fun env ->
             let lo = flo env and hi = fhi env in
             if hi >= lo then begin
@@ -451,7 +407,9 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
                 Atomic.incr tfb;
                 run env lo hi
               end
-              else if total > 0 then run_tape env total
+              else if total > 0 then
+                fork 0 (total - 1) ~body:(fun flo fhi ->
+                    Tape.run_range bt (state ()) env flo fhi)
             end)
   | L.Send { dst; buf = b; offset; count; _ } ->
       let bb = buf ctx b in

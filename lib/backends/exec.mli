@@ -95,7 +95,9 @@ val pool_fallbacks : compiled -> int
 val static_count : compiled -> int
 (** Number of pool-executed [Parallel] loops compiled with the static
     per-worker schedule ({!Pool.static_for}); the others run dynamically
-    ({!Pool.parallel_for}).  The count is per-[compiled] value — repeated
+    ({!Pool.parallel_for}).  The schedule only changes how the range is
+    cut: both run the same loop body on per-domain scratch
+    ({!Pool.per_domain}).  The count is per-[compiled] value — repeated
     compiles in one process each report their own number. *)
 
 val tape_count : compiled -> int

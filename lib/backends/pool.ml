@@ -3,22 +3,26 @@
    The seed executor paid a [Domain.spawn]/[Domain.join] round-trip on every
    entry of a parallel loop — hundreds of microseconds that dwarf the body of
    a tile-sized loop nest.  This module spawns the worker domains once per
-   process and hands them chunked index ranges through per-worker deques:
+   process and hands them index ranges through per-worker deques:
 
-   - the pool holds [num_workers () - 1] domains (the caller of
-     [parallel_for] is the remaining worker and participates);
-   - a [parallel_for lo hi] is split into ~4 chunks per worker and the chunk
-     descriptors are dealt round-robin across the deques;
+   - the pool holds [num_workers () - 1] domains (the submitting caller is
+     the remaining worker and participates);
+   - [parallel_for lo hi] cuts ~4 chunks per worker and deals them
+     round-robin; [static_for lo hi] cuts one near-equal range per worker
+     and deals one to a deque.  Both hand their ranges to one submit path;
    - each worker pops from the back of its own deque (LIFO, cache-friendly)
      and steals from the front of the others (FIFO), which balances the
      irregular extents produced by triangular domains and partial tiles;
-   - a nested [parallel_for] issued from inside a pool task runs inline on
-     that worker instead of oversubscribing the machine.
+   - a nested submission from inside a pool task runs inline on that worker
+     instead of oversubscribing the machine;
+   - a loop body that needs scratch (a register file, a tape state) takes
+     it from a {!per_domain} getter: a range may run on any domain, but
+     never on two at once.
 
-   Sizing: [TIRAMISU_NUM_DOMAINS] overrides, then {!set_num_workers}, then
-   [Domain.recommended_domain_count].  Workers sleep on a condition variable
-   between jobs; an [at_exit] hook stops them so the runtime can terminate
-   (OCaml waits for all domains at exit). *)
+   Sizing: {!set_num_workers}, then [TIRAMISU_NUM_DOMAINS] (both at most
+   [max_workers]), then [Domain.recommended_domain_count].  Workers sleep
+   on a condition variable between jobs; an [at_exit] hook stops them so
+   the runtime can terminate (OCaml waits for all domains at exit). *)
 
 (* ---------- work-stealing deque (mutex-protected, two-list) ---------- *)
 
@@ -157,13 +161,27 @@ let pool_mu = Mutex.create ()
 let the_pool : pool option ref = ref None
 let requested : int option ref = ref None
 
+(* OCaml 5.1 runs at most 128 domains at once ([Max_domains] in
+   [caml/domain.h]): a larger pool would fail part-way through spawning. *)
+let max_workers = 128
+
+(* Read under [pool_mu], like [requested]. *)
+let env_warned = ref false
+
 let env_workers () =
   match Sys.getenv_opt "TIRAMISU_NUM_DOMAINS" with
   | None -> None
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ -> None)
+      | Some n when n >= 1 && n <= max_workers -> Some n
+      | _ ->
+          if not !env_warned then begin
+            env_warned := true;
+            Printf.eprintf
+              "warning: ignoring TIRAMISU_NUM_DOMAINS=%S (want 1..%d)\n%!" s
+              max_workers
+          end;
+          None)
 
 let resolve_workers () =
   match !requested with
@@ -179,6 +197,14 @@ let num_workers () =
   Mutex.unlock pool_mu;
   n
 
+let stop_pool p =
+  Mutex.lock p.mu;
+  p.stop <- true;
+  p.gen <- p.gen + 1;
+  Condition.broadcast p.cv;
+  Mutex.unlock p.mu;
+  List.iter Domain.join p.domains
+
 let make_pool n =
   let p =
     {
@@ -191,33 +217,31 @@ let make_pool n =
       domains = [];
     }
   in
-  p.domains <-
-    List.init (n - 1) (fun i ->
-        Domain.spawn (fun () ->
-            Domain.DLS.get worker_flag := true;
-            worker_loop p i));
+  (* One spawn at a time: when one fails, the workers already running are
+     stopped and joined before the error reaches the caller. *)
+  (try
+     for i = 0 to n - 2 do
+       let d =
+         Domain.spawn (fun () ->
+             Domain.DLS.get worker_flag := true;
+             worker_loop p i)
+       in
+       p.domains <- d :: p.domains
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     stop_pool p;
+     Printexc.raise_with_backtrace e bt);
   p
-
-let stop_pool p =
-  Mutex.lock p.mu;
-  p.stop <- true;
-  p.gen <- p.gen + 1;
-  Condition.broadcast p.cv;
-  Mutex.unlock p.mu;
-  List.iter Domain.join p.domains
 
 let get_pool () =
-  Mutex.lock pool_mu;
-  let p =
-    match !the_pool with
-    | Some p -> p
-    | None ->
-        let p = make_pool (resolve_workers ()) in
-        the_pool := Some p;
-        p
-  in
-  Mutex.unlock pool_mu;
-  p
+  Mutex.protect pool_mu (fun () ->
+      match !the_pool with
+      | Some p -> p
+      | None ->
+          let p = make_pool (resolve_workers ()) in
+          the_pool := Some p;
+          p)
 
 let shutdown () =
   Mutex.lock pool_mu;
@@ -227,7 +251,10 @@ let shutdown () =
   Option.iter stop_pool p
 
 let set_num_workers n =
-  if n < 1 then invalid_arg "Pool.set_num_workers: need at least one worker";
+  if n < 1 || n > max_workers then
+    invalid_arg
+      (Printf.sprintf "Pool.set_num_workers: %d workers (want 1..%d)" n
+         max_workers);
   shutdown ();
   Mutex.lock pool_mu;
   requested := Some n;
@@ -241,104 +268,111 @@ let () = at_exit shutdown
 let effective_parallelism () =
   min (num_workers ()) (Domain.recommended_domain_count ())
 
+(* ---------- per-domain scratch ---------- *)
+
+(* One value per domain, held by the returned closure and so freed with
+   it.  A [Domain.DLS] key would do the same job, but a key lives as long
+   as its domain: every compiled program would pin its scratch, lane
+   registers included, for the rest of the process.  The owners list holds
+   one entry per domain that ever called the getter. *)
+let per_domain make =
+  let owners = Atomic.make [] in
+  fun () ->
+    let id = (Domain.self () :> int) in
+    let rec find = function
+      | [] ->
+          let v = make () in
+          let rec push () =
+            let l = Atomic.get owners in
+            if not (Atomic.compare_and_set owners l ((id, v) :: l)) then
+              push ()
+          in
+          push ();
+          v
+      | (d, v) :: rest -> if d = id then v else find rest
+    in
+    find (Atomic.get owners)
+
 (* ---------- parallel_for / static_for ---------- *)
 
 let chunks_per_worker = 4
 
-(* Wake the workers for the tasks just pushed, help drain the job from the
-   calling domain, and re-raise the first failure with its backtrace. *)
-let drive p job =
-  Mutex.lock p.mu;
-  p.gen <- p.gen + 1;
-  Condition.broadcast p.cv;
-  Mutex.unlock p.mu;
-  (* The caller is a worker too: claim tasks until the job drains, then
-     sleep on the job's condition for the stragglers. *)
-  let me = Array.length p.deques - 1 in
-  let flag = Domain.DLS.get worker_flag in
-  flag := true;
-  let rec help () =
-    Mutex.lock job.jmu;
-    let finished = job.pending = 0 in
-    Mutex.unlock job.jmu;
-    if not finished then
-      match try_claim p me with
-      | Some t ->
-          exec_task t;
-          help ()
-      | None ->
-          Mutex.lock job.jmu;
-          while job.pending > 0 do
-            Condition.wait job.jcv job.jmu
-          done;
-          Mutex.unlock job.jmu
-  in
-  (* The flag reset must survive an exception: leaving it set would make
-     every later parallel_for on this domain run inline. *)
-  Fun.protect ~finally:(fun () -> flag := false) help;
-  match job.failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let fresh_job pending =
-  { pending; failed = None; jmu = Mutex.create (); jcv = Condition.create () }
+(* The one submit path.  [ranges nworkers extent] cuts [lo..hi] into [n]
+   ranges, range [c] starting [cut c] past [lo] (clipped at [hi]); range
+   [c] is dealt onto deque [home ndeques c].  The caller wakes the
+   workers, helps drain the job, then re-raises the first failure with its
+   backtrace.  Empty ranges do nothing; one worker, a nested submission or
+   a single range run [body lo hi] inline. *)
+let submit lo hi ~body ~ranges ~home =
+  if hi >= lo then begin
+    let p = get_pool () in
+    let n, cut =
+      if p.nworkers <= 1 || in_worker () then (1, Fun.id)
+      else ranges p.nworkers (hi - lo + 1)
+    in
+    if n <= 1 then body lo hi
+    else begin
+      let job =
+        { pending = n; failed = None; jmu = Mutex.create ();
+          jcv = Condition.create () }
+      in
+      let nd = Array.length p.deques in
+      for c = 0 to n - 1 do
+        Deque.push_back p.deques.(home nd c)
+          { t_lo = lo + cut c; t_hi = min hi (lo + cut (c + 1) - 1);
+            t_run = body; t_job = job }
+      done;
+      Mutex.lock p.mu;
+      p.gen <- p.gen + 1;
+      Condition.broadcast p.cv;
+      Mutex.unlock p.mu;
+      (* The caller is a worker too: claim tasks until the job drains, then
+         sleep on the job's condition for the stragglers. *)
+      let me = nd - 1 in
+      let flag = Domain.DLS.get worker_flag in
+      flag := true;
+      let rec help () =
+        Mutex.lock job.jmu;
+        let finished = job.pending = 0 in
+        Mutex.unlock job.jmu;
+        if not finished then
+          match try_claim p me with
+          | Some t ->
+              exec_task t;
+              help ()
+          | None ->
+              Mutex.lock job.jmu;
+              while job.pending > 0 do
+                Condition.wait job.jcv job.jmu
+              done;
+              Mutex.unlock job.jmu
+      in
+      (* The flag reset must survive an exception: leaving it set would
+         make every later submission from this domain run inline. *)
+      Fun.protect ~finally:(fun () -> flag := false) help;
+      match job.failed with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ()
+    end
+  end
 
 let parallel_for ?chunk lo hi ~body =
-  if hi < lo then ()
-  else
-    let extent = hi - lo + 1 in
-    let p = get_pool () in
-    if p.nworkers <= 1 || in_worker () then
-      (* pool disabled, or nested parallel region: run on this worker *)
-      body lo hi
-    else
+  submit lo hi ~body
+    ~home:(fun nd c -> c mod nd)
+    ~ranges:(fun nworkers extent ->
       let csize =
         match chunk with
         | Some c when c >= 1 -> c
-        | _ -> max 1 (extent / (p.nworkers * chunks_per_worker))
+        | _ -> max 1 (extent / (nworkers * chunks_per_worker))
       in
-      let nchunks = (extent + csize - 1) / csize in
-      if nchunks <= 1 then body lo hi
-      else begin
-        let job = fresh_job nchunks in
-        let nd = Array.length p.deques in
-        for c = 0 to nchunks - 1 do
-          let clo = lo + (c * csize) in
-          let chi = min hi (clo + csize - 1) in
-          Deque.push_back p.deques.(c mod nd)
-            { t_lo = clo; t_hi = chi; t_run = body; t_job = job }
-        done;
-        drive p job
-      end
+      ((extent + csize - 1) / csize, fun c -> c * csize))
 
+(* One contiguous near-equal range per worker, dealt one to a deque from
+   the caller's own (the last) down, so each worker's own pop finds its own
+   range; stealing still rebalances if a worker is descheduled. *)
 let static_for lo hi ~body =
-  if hi < lo then ()
-  else
-    let extent = hi - lo + 1 in
-    let p = get_pool () in
-    if p.nworkers <= 1 || in_worker () then body 0 lo hi
-    else
-      let nr = min p.nworkers extent in
-      if nr <= 1 then body 0 lo hi
-      else begin
-        (* One contiguous near-equal range per worker, dealt one-to-a-deque
-           so each worker's own pop finds its own range; stealing still
-           rebalances if a worker is descheduled.  Range [k] always runs
-           under index [k] no matter which domain executes it, so [body]
-           can key persistent scratch on it. *)
-        let job = fresh_job nr in
-        let base = extent / nr and rem = extent mod nr in
-        let start = ref lo in
-        let nd = Array.length p.deques in
-        for k = 0 to nr - 1 do
-          let len = base + if k < rem then 1 else 0 in
-          let clo = !start in
-          let chi = clo + len - 1 in
-          start := chi + 1;
-          Deque.push_back
-            p.deques.((nd - 1 - k + nd) mod nd)
-            { t_lo = clo; t_hi = chi; t_run = (fun l h -> body k l h);
-              t_job = job }
-        done;
-        drive p job
-      end
+  submit lo hi ~body
+    ~home:(fun nd c -> nd - 1 - c)
+    ~ranges:(fun nworkers extent ->
+      let n = min nworkers extent in
+      (n, fun c -> (c * (extent / n)) + min c (extent mod n)))

@@ -1,20 +1,24 @@
 (** Process-lifetime domain pool for [Parallel]-tagged loops.
 
-    Workers are spawned once (lazily, on the first {!parallel_for}) and kept
+    Workers are spawned once (lazily, on the first submission) and kept
     for the life of the process, replacing the seed executor's per-loop-entry
-    [Domain.spawn]/[Domain.join].  Ranges are split into ~4 chunks per worker
-    and distributed over per-worker deques; idle workers steal from the front
-    of other deques, which load-balances the irregular extents of triangular
-    domains and partial tiles.  The caller of {!parallel_for} participates as
-    a worker while it waits.  The pool holds no scheduling policy: which
-    loops reach it, and whether through {!static_for} or {!parallel_for},
-    is the parallel planner's decision (its work threshold and shape rule,
+    [Domain.spawn]/[Domain.join].  {!parallel_for} and {!static_for} cut
+    their ranges differently but submit them the same way: over per-worker
+    deques, where idle workers steal from the front of other deques, which
+    load-balances the irregular extents of triangular domains and partial
+    tiles.  The caller participates as a worker while it waits.  A range may
+    run on any domain, so a body that needs scratch takes it from a
+    {!per_domain} getter.  The pool holds no scheduling policy: which loops
+    reach it, and whether through {!static_for} or {!parallel_for}, is the
+    parallel planner's decision (its work threshold and shape rule,
     {!Tiramisu_codegen.Parallel_plan}).
 
     Pool size resolution, first match wins: {!set_num_workers}, the
-    [TIRAMISU_NUM_DOMAINS] environment variable, then
-    [Domain.recommended_domain_count ()].  With one worker, {!parallel_for}
-    degenerates to an inline sequential call with no synchronization. *)
+    [TIRAMISU_NUM_DOMAINS] environment variable (a value that is not an
+    integer in [1..128] is reported once on stderr and ignored), then
+    [Domain.recommended_domain_count ()].  With one worker, both entry
+    points degenerate to an inline sequential call with no
+    synchronization. *)
 
 val num_workers : unit -> int
 (** Resolved pool size (total parallelism, the calling domain included).
@@ -23,7 +27,8 @@ val num_workers : unit -> int
 val set_num_workers : int -> unit
 (** Override the pool size.  Stops the current workers (if any); the next
     {!parallel_for} re-creates the pool at the new size.
-    @raise Invalid_argument if the size is < 1. *)
+    @raise Invalid_argument, leaving the pool as it was, if the size is
+    < 1 or > 128 (OCaml 5.1's limit on domains running at once). *)
 
 val effective_parallelism : unit -> int
 (** The parallelism the pool can actually realize: {!num_workers} capped by
@@ -34,7 +39,9 @@ val effective_parallelism : unit -> int
 val parallel_for : ?chunk:int -> int -> int -> body:(int -> int -> unit) -> unit
 (** [parallel_for lo hi ~body] runs [body clo chi] over disjoint inclusive
     sub-ranges covering [lo..hi] exactly once, possibly concurrently on
-    several domains.  Empty when [hi < lo].  [body] must be safe to run
+    several domains.  Empty when [hi < lo]; one inline [body lo hi] with
+    one worker or when called from inside a pool task (a nested
+    submission does not oversubscribe).  [body] must be safe to run
     concurrently on disjoint ranges.  [?chunk] forces the chunk size.
 
     Exceptions: the first exception raised by any chunk is re-raised in the
@@ -44,17 +51,22 @@ val parallel_for : ?chunk:int -> int -> int -> body:(int -> int -> unit) -> unit
     mutating buffers.  The pool itself stays usable — a later
     [parallel_for] runs normally. *)
 
-val static_for : int -> int -> body:(int -> int -> int -> unit) -> unit
+val static_for : int -> int -> body:(int -> int -> unit) -> unit
 (** [static_for lo hi ~body] splits [lo..hi] into [min (num_workers ())
-    extent] contiguous near-equal ranges and runs [body k clo chi] once per
-    range, possibly concurrently.  The range index [k] is stable (range [k]
-    is always the [k]-th contiguous slice, whichever domain executes it), so
-    [body] can key persistent per-range scratch on it — this is the static
-    schedule for rectangular parallel loops: one hand-off per worker, no
-    per-chunk allocation.  Work stealing still rebalances if a worker domain
-    is descheduled mid-job.  Inlines as [body 0 lo hi] with one worker or
-    inside a nested parallel region; exception semantics as
+    extent] contiguous near-equal ranges and runs [body clo chi] once per
+    range, possibly concurrently — the static schedule for rectangular
+    parallel loops: one hand-off per worker.  Work stealing still
+    rebalances if a worker domain is descheduled mid-job, so a range may
+    run on any domain.  Inline, empty-range and exception semantics as
     {!parallel_for}. *)
+
+val per_domain : (unit -> 'a) -> unit -> 'a
+(** [per_domain make] is a getter for per-domain scratch: each domain that
+    calls it gets its own value, made by [make] on its first call and
+    reused after.  The values live as long as the getter (a [Domain.DLS]
+    key would pin them for the life of the domain).  A pool body may use
+    its domain's value for the length of one range: ranges never
+    interleave on one domain. *)
 
 val shutdown : unit -> unit
 (** Stop and join the workers.  Called automatically [at_exit]; a later

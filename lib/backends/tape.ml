@@ -1264,29 +1264,6 @@ let new_state t =
   Array.iter (fun (r, v) -> st.regs.(r) <- v) t.t_lits;
   st
 
-(* One state per domain, held by the returned closure and so freed with
-   it.  A [Domain.DLS] key per nest would do the same job, but a key
-   lives as long as its domain: every compiled program would pin its
-   states, lane registers included, for the rest of the process.  The
-   owners list holds one entry per domain that ever ran the nest. *)
-let domain_state t =
-  let owners = Atomic.make [] in
-  fun () ->
-    let id = (Domain.self () :> int) in
-    let rec find = function
-      | [] ->
-          let st = new_state t in
-          let rec push () =
-            let l = Atomic.get owners in
-            if not (Atomic.compare_and_set owners l ((id, st) :: l)) then
-              push ()
-          in
-          push ();
-          st
-      | (d, st) :: rest -> if d = id then st else find rest
-    in
-    find (Atomic.get owners)
-
 let lane_width st =
   if Array.length st.vregs = 0 then 0 else Array.length st.vregs.(0)
 

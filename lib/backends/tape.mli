@@ -127,13 +127,10 @@ val folded : t -> int
 val listing : t -> string
 
 (** A fresh state.  It holds no lane registers: the first vector batch
-    allocates them, at the width that batch needs. *)
+    allocates them, at the width that batch needs.  A state serves one
+    domain at a time; the executor keeps one per domain
+    ({!Pool.per_domain}). *)
 val new_state : t -> state
-
-(** [domain_state t] is a getter for a per-domain state of [t]: each
-    domain that calls it gets its own state, created on its first call
-    and reused after.  The states live as long as the getter. *)
-val domain_state : t -> unit -> state
 
 (** The width of the state's lane register file: [0] until its first
     vector batch, then the widest batch run so far rounded up (at most

@@ -217,6 +217,11 @@ let norm_affine ((ts, c) : affine) : affine =
    corner checks, the piece-cover check and the range prologue each walk
    them — so pruning the trees here is a direct cut to per-entry cost. *)
 
+(* Each bound node built costs one unit of the work budget
+   ([Limits.with_fuel]), so a claim whose bound trees grow stops on the
+   budget like every other polyhedral step, not on memory. *)
+let charge_nodes n = Tiramisu_support.Limits.charge ~stage:"tape.bounds" n
+
 (* [ble a b]: true only when [a <= b] holds for every assignment of the
    free names (conservative — false means "unknown").  Affine leaves with
    identical term lists compare by constant; [min]/[max] recurse by the
@@ -265,10 +270,16 @@ let bscale a k =
     | Baff (ts, c) -> Baff (List.map (fun (v, q) -> (v, q * k)) ts, c * k)
     | _ -> Bscale (a, k)
 
-let bmin a b = if ble a b then a else if ble b a then b else Bmin (a, b)
-let bmax a b = if ble a b then b else if ble b a then a else Bmax (a, b)
+let bmin a b =
+  charge_nodes 1;
+  if ble a b then a else if ble b a then b else Bmin (a, b)
+
+let bmax a b =
+  charge_nodes 1;
+  if ble a b then b else if ble b a then a else Bmax (a, b)
 
 let rec bsimp e =
+  charge_nodes 1;
   match e with
   | Baff _ -> e
   | Badd (a, b) -> badd (bsimp a) (bsimp b)
@@ -427,6 +438,7 @@ let classify (s : L.stmt) : (program, reject) result =
           let env_atoms = ref [] in
           (* ts·vars + c >= 0 *)
           let constrain ((ts, c) : affine) =
+            charge_nodes 2;
             let nest, rest =
               List.partition (fun (v, _) -> List.mem v nest_vars) ts
             in
@@ -482,10 +494,14 @@ let classify (s : L.stmt) : (program, reject) result =
           (match List.rev !env_atoms with
           | [] -> ()
           | a :: rest ->
-              let score a = Bmax (Bmin (Baff a, Baff ([], 0)), Baff ([], -1)) in
+              let score a =
+                charge_nodes 6;
+                Bmax (Bmin (Baff a, Baff ([], 0)), Baff ([], -1))
+              in
               let g =
                 List.fold_left (fun g a -> Badd (g, score a)) (score a) rest
               in
+              charge_nodes 3;
               lo.(0) <- Bmax (lo.(0), Badd (lo.(0), Bscale (g, -(1 lsl 40)))));
           Array.init d (fun l -> (lo.(l), hi.(l)))
         in

@@ -13,23 +13,29 @@ module L = Tiramisu_codegen.Loop_ir
 let workers = 4
 let () = B.Pool.set_num_workers workers
 
-(* ------------------------- Pool.parallel_for ------------------------- *)
+(* ------------------- Pool.parallel_for / static_for ------------------- *)
 
-let covered lo hi ?chunk () =
+(* The two entry points share one type, so each table below takes the
+   scheduler as its first argument. *)
+let dynamic lo hi ~body = B.Pool.parallel_for lo hi ~body
+let chunked chunk lo hi ~body = B.Pool.parallel_for ~chunk lo hi ~body
+let static lo hi ~body = B.Pool.static_for lo hi ~body
+
+let covered sched lo hi =
   let n = max 0 (hi - lo + 1) in
   let hits = Array.make (max 1 n) 0 in
   let calls = Atomic.make 0 in
-  B.Pool.parallel_for ?chunk lo hi ~body:(fun clo chi ->
+  sched lo hi ~body:(fun clo chi ->
       Atomic.incr calls;
       for x = clo to chi do
-        (* each index is owned by exactly one chunk: plain writes *)
+        (* each index is owned by exactly one range: plain writes *)
         hits.(x - lo) <- hits.(x - lo) + 1
       done);
   (hits, Atomic.get calls)
 
-let check_exact_cover name lo hi ?chunk () =
+let check_exact_cover sched name lo hi =
   Alcotest.test_case name `Quick (fun () ->
-      let hits, _ = covered lo hi ?chunk () in
+      let hits, _ = covered sched lo hi in
       let n = max 0 (hi - lo + 1) in
       for i = 0 to n - 1 do
         Alcotest.(check int)
@@ -37,58 +43,141 @@ let check_exact_cover name lo hi ?chunk () =
           1 hits.(i)
       done)
 
-let pool_tests =
+(* What both entry points promise: exact cover at every extent, inline
+   nested runs, and the first failure re-raised with the job's other
+   ranges cancelled. *)
+let schedule_tests ?(chunking = []) sched =
   [
     Alcotest.test_case "empty range never calls the body" `Quick (fun () ->
-        let _, calls = covered 5 4 () in
+        let _, calls = covered sched 5 4 in
         Alcotest.(check int) "no calls" 0 calls);
     Alcotest.test_case "size-1 range calls the body exactly once" `Quick
       (fun () ->
-        let hits, calls = covered 7 7 () in
+        let hits, calls = covered sched 7 7 in
         Alcotest.(check int) "one call" 1 calls;
         Alcotest.(check int) "index visited once" 1 hits.(0));
-    check_exact_cover "extent smaller than the worker count" 0 2 ();
-    check_exact_cover "extent equal to the worker count" 0 (workers - 1) ();
-    check_exact_cover "large range, default chunking" 0 999 ();
-    check_exact_cover "chunk size larger than the extent" 0 9 ~chunk:64 ();
-    check_exact_cover "chunk size 1 (maximal stealing)" 0 63 ~chunk:1 ();
-    check_exact_cover "negative bounds" (-13) 17 ();
+    check_exact_cover sched "extent smaller than the worker count" 0 2;
+    check_exact_cover sched "extent equal to the worker count" 0
+      (workers - 1);
+    check_exact_cover sched "large range, default chunking" 0 999;
+  ]
+  @ chunking
+  @ [
+    check_exact_cover sched "negative bounds" (-13) 17;
     Alcotest.test_case "nested parallel_for runs inline and covers" `Quick
       (fun () ->
         let n = 16 in
         let hits = Array.make (n * n) 0 in
-        B.Pool.parallel_for 0 (n - 1) ~body:(fun ilo ihi ->
+        let inner_calls = Atomic.make 0 in
+        sched 0 (n - 1) ~body:(fun ilo ihi ->
             for i = ilo to ihi do
-              B.Pool.parallel_for 0 (n - 1) ~body:(fun jlo jhi ->
+              let outer = Domain.self () in
+              sched 0 (n - 1) ~body:(fun jlo jhi ->
+                  Atomic.incr inner_calls;
+                  if Domain.self () <> outer then
+                    Alcotest.fail "nested range left its worker";
                   for j = jlo to jhi do
                     hits.((i * n) + j) <- hits.((i * n) + j) + 1
                   done)
             done);
+        Alcotest.(check int) "one inline call per outer index" n
+          (Atomic.get inner_calls);
         Array.iteri
           (fun k c ->
             if c <> 1 then
               Alcotest.failf "cell %d visited %d times (want 1)" k c)
           hits);
     Alcotest.test_case "exceptions propagate to the caller" `Quick (fun () ->
-        Alcotest.check_raises "body failure re-raised" (Failure "boom")
-          (fun () ->
-            B.Pool.parallel_for 0 99 ~chunk:1 ~body:(fun clo _ ->
-                if clo = 50 then failwith "boom")));
-    Alcotest.test_case "irregular (triangular) extents balance via stealing"
+        (* Every range raises.  A domain checks for a recorded failure
+           before each range it claims and records its own before claiming
+           again, so no domain runs two ranges: the rest are cancelled. *)
+        let mu = Mutex.create () in
+        let ran = ref [] in
+        match
+          sched 0 999 ~body:(fun clo _ ->
+              Mutex.protect mu (fun () ->
+                  ran := (Domain.self () :> int) :: !ran);
+              failwith (string_of_int clo))
+        with
+        | () -> Alcotest.fail "expected a failure"
+        | exception Failure msg ->
+            let ran = !ran in
+            Alcotest.(check bool) "a range's own failure" true
+              (int_of_string_opt msg <> None);
+            Alcotest.(check int) "at most one range per domain"
+              (List.length (List.sort_uniq compare ran))
+              (List.length ran));
+  ]
+
+let pool_tests =
+  schedule_tests dynamic
+    ~chunking:
+      [
+        check_exact_cover (chunked 64) "chunk size larger than the extent" 0
+          9;
+        check_exact_cover (chunked 1) "chunk size 1 (maximal stealing)" 0 63;
+      ]
+  @ [
+      Alcotest.test_case "a failed job cancels its unstarted chunks" `Quick
+        (fun () ->
+          let ran = Atomic.make 0 in
+          (try
+             B.Pool.parallel_for 0 999 ~chunk:1 ~body:(fun _ _ ->
+                 Atomic.incr ran;
+                 failwith "boom")
+           with Failure _ -> ());
+          Alcotest.(check bool) "at most one chunk per worker ran" true
+            (Atomic.get ran <= workers);
+          let hits, _ = covered dynamic 0 99 in
+          Alcotest.(check bool) "the pool stays usable" true
+            (Array.for_all (( = ) 1) hits));
+      Alcotest.test_case "irregular (triangular) extents balance via stealing"
+        `Quick (fun () ->
+          let n = 64 in
+          let sum = Atomic.make 0 in
+          B.Pool.parallel_for 0 (n - 1) ~chunk:2 ~body:(fun clo chi ->
+              for i = clo to chi do
+                (* triangular work: row i touches i+1 cells *)
+                let acc = ref 0 in
+                for _j = 0 to i do
+                  incr acc
+                done;
+                ignore (Atomic.fetch_and_add sum !acc)
+              done);
+          Alcotest.(check int) "triangular sum" (n * (n + 1) / 2)
+            (Atomic.get sum));
+    ]
+
+let static_tests =
+  schedule_tests static
+  @ [
+      Alcotest.test_case "one contiguous near-equal range per worker" `Quick
+        (fun () ->
+          let mu = Mutex.create () in
+          let ranges = ref [] in
+          B.Pool.static_for 3 12 ~body:(fun clo chi ->
+              Mutex.protect mu (fun () -> ranges := (clo, chi) :: !ranges));
+          Alcotest.(check (list (pair int int)))
+            "10 indices over 4 workers"
+            [ (3, 5); (6, 8); (9, 10); (11, 12) ]
+            (List.sort compare !ranges));
+    ]
+
+let sizing_tests =
+  [
+    Alcotest.test_case "sizes the runtime cannot run are rejected up front"
       `Quick (fun () ->
-        let n = 64 in
-        let sum = Atomic.make 0 in
-        B.Pool.parallel_for 0 (n - 1) ~chunk:2 ~body:(fun clo chi ->
-            for i = clo to chi do
-              (* triangular work: row i touches i+1 cells *)
-              let acc = ref 0 in
-              for _j = 0 to i do
-                incr acc
-              done;
-              ignore (Atomic.fetch_and_add sum !acc)
-            done);
-        Alcotest.(check int) "triangular sum" (n * (n + 1) / 2)
-          (Atomic.get sum));
+        List.iter
+          (fun n ->
+            match B.Pool.set_num_workers n with
+            | () -> Alcotest.failf "set_num_workers %d accepted" n
+            | exception Invalid_argument _ -> ())
+          [ 0; 129 ];
+        Alcotest.(check int) "the pool keeps its size" workers
+          (B.Pool.num_workers ());
+        let hits, _ = covered static 0 99 in
+        Alcotest.(check bool) "and stays usable" true
+          (Array.for_all (( = ) 1) hits));
   ]
 
 (* --------------------- differential: three backends --------------------- *)
@@ -209,7 +298,7 @@ let kernel_tests =
 
 (* --------------- hand-built IR: nested parallel, triangular --------------- *)
 
-let run_ir stmt ~dims ~out parallel =
+let run_ir ?(tape = true) stmt ~dims ~out parallel =
   let b = B.Buffers.create out dims in
   match parallel with
   | `Interp ->
@@ -220,6 +309,7 @@ let run_ir stmt ~dims ~out parallel =
       let c =
         B.Exec.compile
           ~target:(B.Target.cpu ~parallel:p ())
+          ?claims:(if tape then None else Some Tiramisu_codegen.Tape_gen.no_claims)
           ~params:[] ~buffers:[ b ] stmt
       in
       B.Exec.run c;
@@ -258,17 +348,36 @@ let ir_tests =
      forks every outermost Parallel loop, static for rectangular domains
      and dynamic for irregular ones, so "seq = pool" really compares a
      sequential run against a forked one. *)
+  (* Closure-only and tape-claimed, each at 1, 2 and 4 workers: with the
+     outer loop static (nested) or dynamic (triangular), every closure/tape
+     x static/dynamic pairing runs on the pool. *)
   let diff name stmt dims ~static =
     Alcotest.test_case name `Quick (fun () ->
         let iref = run_ir stmt ~dims ~out:"out" `Interp in
         let seq = run_ir stmt ~dims ~out:"out" `Seq in
-        let pool = run_ir stmt ~dims ~out:"out" `Pool in
         Alcotest.(check bool)
           (name ^ ": interp = seq") true
           (B.Buffers.equal ~eps:0.0 iref seq);
         Alcotest.(check bool)
-          (name ^ ": seq = pool") true
-          (B.Buffers.equal ~eps:0.0 seq pool);
+          (name ^ ": the tape claims a nest") true
+          ((Tiramisu_codegen.Tape_gen.claims stmt).cs_nests <> []);
+        Fun.protect
+          ~finally:(fun () -> B.Pool.set_num_workers workers)
+          (fun () ->
+            List.iter
+              (fun w ->
+                B.Pool.set_num_workers w;
+                List.iter
+                  (fun tape ->
+                    let pool = run_ir ~tape stmt ~dims ~out:"out" `Pool in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: seq = pool (%s, %d workers)" name
+                         (if tape then "tape" else "closures")
+                         w)
+                      true
+                      (B.Buffers.bits_equal seq pool))
+                  [ false; true ])
+              [ 1; 2; 4 ]);
         let c =
           B.Exec.compile ~params:[]
             ~buffers:[ B.Buffers.create "out" dims ] stmt
@@ -430,6 +539,8 @@ let () =
   Alcotest.run "pool"
     [
       ("parallel-for", pool_tests);
+      ("static-for", static_tests);
+      ("pool-size", sizing_tests);
       ("differential-kernels", kernel_tests);
       ("differential-ir", ir_tests);
     ]

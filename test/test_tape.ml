@@ -813,10 +813,11 @@ let fitted_width_lazy_registers () =
   B.Tape.run_range t st env 0 (total - 1);
   Alcotest.(check int) "grown to the fitted width" 24 (B.Tape.lane_width st)
 
-(* Per-domain tape states: one domain gets the same state on every call,
-   another domain its own, and the states go away with the getter (a
-   compiled program no longer pins its states, lane registers included,
-   for the life of the process). *)
+(* Per-domain tape states ([Pool.per_domain], as the executor keeps
+   them): one domain gets the same state on every call, another domain
+   its own, and the states go away with the getter (a compiled program
+   does not pin its states, lane registers included, for the life of the
+   process). *)
 let domain_states_owned_by_getter () =
   let bind () =
     let bufs =
@@ -834,14 +835,15 @@ let domain_states_owned_by_getter () =
     | Some (Some t) -> t
     | _ -> Alcotest.fail "blur nest did not bind"
   in
-  let get = B.Tape.domain_state (bind ()) in
+  let domain_state t = B.Pool.per_domain (fun () -> B.Tape.new_state t) in
+  let get = domain_state (bind ()) in
   let st = get () in
   Alcotest.(check bool) "same domain, same state" true (get () == st);
   Alcotest.(check bool) "another domain, its own state" true
     (Domain.join (Domain.spawn get) != st);
   let weak = Weak.create 1 in
   let[@inline never] fill () =
-    let get = B.Tape.domain_state (bind ()) in
+    let get = domain_state (bind ()) in
     Weak.set weak 0 (Some (get ()))
   in
   fill ();
@@ -1163,6 +1165,49 @@ let guarded_pieces_gap_falls_back () =
   Alcotest.(check int) "claimed at compile time" 1 (B.Exec.tape_count c);
   Alcotest.(check bool) "cover check took the fallback" true
     (B.Exec.tape_fallbacks c >= 1)
+
+(* Bound construction pays the work budget: blur's compute_at producer
+   nest (interval-guarded copies of one stencil, one per piece) claims on
+   a budget but a tiny budget stops its bound trees. *)
+let guarded_bounds_cost_fuel () =
+  let module Limits = Tiramisu_support.Limits in
+  let f, _, _ = Tiramisu_kernels.Image.blur () in
+  let open Tiramisu_core.Tiramisu in
+  let bx = find_comp f "bx" and by = find_comp f "by" in
+  tile by "i" "j" 8 8 "i0" "j0" "i1" "j1";
+  compute_at bx by "j0";
+  let stmt =
+    P.prepare ~params:[ ("N", 32); ("M", 32) ]
+      (P.lower f).Tiramisu_core.Lower.ast
+  in
+  let rec nests s =
+    match s with
+    | L.For { body; _ } -> s :: nests body
+    | L.Block l -> List.concat_map nests l
+    | L.If (_, a, b) -> nests a @ Option.fold ~none:[] ~some:nests b
+    | L.Alloc { body; _ } -> nests body
+    | _ -> []
+  in
+  let rec guarded s =
+    match s with
+    | L.If _ -> true
+    | L.For { body; _ } -> guarded body
+    | L.Block l -> List.exists guarded l
+    | _ -> false
+  in
+  match
+    List.find_opt
+      (fun s -> guarded s && Result.is_ok (Tape_gen.classify s))
+      (nests stmt)
+  with
+  | None -> Alcotest.fail "no claimable guarded nest in blur's compute_at"
+  | Some nest ->
+      let claims fuel =
+        Option.is_some
+          (Limits.with_fuel fuel (fun () -> Tape_gen.classify nest))
+      in
+      Alcotest.(check bool) "claims on a budget" true (claims 10_000);
+      Alcotest.(check bool) "a tiny budget stops it" false (claims 10)
 
 (* ---------- qcheck properties ---------- *)
 
@@ -1877,7 +1922,7 @@ let run_hand ~lanes ~strategy prog bufs =
     | Some bt -> bt
     | None -> Alcotest.fail "hand program did not bind"
   in
-  let state = B.Tape.domain_state bt in
+  let state = B.Pool.per_domain (fun () -> B.Tape.new_state bt) in
   let env = [| 0 |] in
   let total = B.Tape.enter bt (state ()) env in
   Alcotest.(check bool) "in bounds" true (total > 0);
@@ -2192,6 +2237,8 @@ let tests =
       enter_allocates_nothing;
     Alcotest.test_case "accumulator without a lane level stays scalar"
       `Quick no_lane_level_stays_scalar;
+    Alcotest.test_case "guarded bounds are charged to the work budget"
+      `Quick guarded_bounds_cost_fuel;
   ]
 
 (* ---------- one claim per compile ---------- *)
