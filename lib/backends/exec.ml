@@ -408,8 +408,8 @@ let rec compile_stmt ctx (s : L.stmt) : int array -> unit =
                 run env lo hi
               end
               else if total > 0 then
-                fork 0 (total - 1) ~body:(fun flo fhi ->
-                    Tape.run_range bt (state ()) env flo fhi)
+                fork 0 (total - 1) ~body:(fun clo chi ->
+                    Tape.run_range bt (state ()) env clo chi)
             end)
   | L.Send { dst; buf = b; offset; count; _ } ->
       let bb = buf ctx b in

@@ -309,7 +309,8 @@ let run_ir ?(tape = true) stmt ~dims ~out parallel =
       let c =
         B.Exec.compile
           ~target:(B.Target.cpu ~parallel:p ())
-          ?claims:(if tape then None else Some Tiramisu_codegen.Tape_gen.no_claims)
+          ?claims:
+            (if tape then None else Some Tiramisu_codegen.Tape_gen.no_claims)
           ~params:[] ~buffers:[ b ] stmt
       in
       B.Exec.run c;
