@@ -98,6 +98,14 @@ type pool = {
 let worker_flag = Domain.DLS.new_key (fun () -> ref false)
 let in_worker () = !(Domain.DLS.get worker_flag)
 
+(* Pools are numbered from 1 as they are made (under [pool_mu]).  A
+   worker domain records its pool's number, any other domain keeps 0;
+   [live_pool] is the running pool's number, 0 when none.  {!per_domain}
+   drops the scratch of workers whose pool has stopped. *)
+let pool_serial = ref 0
+let worker_pool = Domain.DLS.new_key (fun () -> 0)
+let live_pool = Atomic.make 0
+
 let exec_task t =
   let j = t.t_job in
   (* Once a sibling chunk failed, the job's result is its exception: skip
@@ -206,6 +214,8 @@ let stop_pool p =
   List.iter Domain.join p.domains
 
 let make_pool n =
+  incr pool_serial;
+  let serial = !pool_serial in
   let p =
     {
       nworkers = n;
@@ -224,6 +234,7 @@ let make_pool n =
        let d =
          Domain.spawn (fun () ->
              Domain.DLS.get worker_flag := true;
+             Domain.DLS.set worker_pool serial;
              worker_loop p i)
        in
        p.domains <- d :: p.domains
@@ -241,12 +252,14 @@ let get_pool () =
       | None ->
           let p = make_pool (resolve_workers ()) in
           the_pool := Some p;
+          Atomic.set live_pool !pool_serial;
           p)
 
 let shutdown () =
   Mutex.lock pool_mu;
   let p = !the_pool in
   the_pool := None;
+  Atomic.set live_pool 0;
   Mutex.unlock pool_mu;
   Option.iter stop_pool p
 
@@ -274,22 +287,25 @@ let effective_parallelism () =
    it.  A [Domain.DLS] key would do the same job, but a key lives as long
    as its domain: every compiled program would pin its scratch, lane
    registers included, for the rest of the process.  The owners list holds
-   one entry per domain that ever called the getter. *)
+   one entry per domain that called the getter; a miss drops the entries
+   of workers whose pool has stopped, so resizing the pool does not grow
+   it.  A dropped entry only costs its domain a fresh value. *)
 let per_domain make =
   let owners = Atomic.make [] in
   fun () ->
     let id = (Domain.self () :> int) in
     let rec find = function
       | [] ->
-          let v = make () in
+          let v = make () and pool = Domain.DLS.get worker_pool in
           let rec push () =
-            let l = Atomic.get owners in
-            if not (Atomic.compare_and_set owners l ((id, v) :: l)) then
-              push ()
+            let l = Atomic.get owners and live = Atomic.get live_pool in
+            let kept = List.filter (fun (_, p, _) -> p = 0 || p = live) l in
+            if not (Atomic.compare_and_set owners l ((id, pool, v) :: kept))
+            then push ()
           in
           push ();
           v
-      | (d, v) :: rest -> if d = id then v else find rest
+      | (d, _, v) :: rest -> if d = id then v else find rest
     in
     find (Atomic.get owners)
 

@@ -64,7 +64,8 @@ val per_domain : (unit -> 'a) -> unit -> 'a
 (** [per_domain make] is a getter for per-domain scratch: each domain that
     calls it gets its own value, made by [make] on its first call and
     reused after.  The values live as long as the getter (a [Domain.DLS]
-    key would pin them for the life of the domain).  A pool body may use
+    key would pin them for the life of the domain), except that the values
+    of a stopped pool's workers are dropped at the getter's next miss.  A pool body may use
     its domain's value for the length of one range: ranges never
     interleave on one domain. *)
 

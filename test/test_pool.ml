@@ -88,6 +88,16 @@ let schedule_tests ?(chunking = []) sched =
               Alcotest.failf "cell %d visited %d times (want 1)" k c)
           hits);
     Alcotest.test_case "exceptions propagate to the caller" `Quick (fun () ->
+        (* Only the range holding index 50 raises, and it is dealt to a
+           worker's deque, not the caller's: a failure recorded on another
+           domain while the caller's own ranges succeed must still reach
+           the caller. *)
+        Alcotest.check_raises "body failure re-raised" (Failure "boom")
+          (fun () ->
+            sched 0 99 ~body:(fun clo chi ->
+                if clo <= 50 && 50 <= chi then failwith "boom")));
+    Alcotest.test_case "every range raises: one range per domain" `Quick
+      (fun () ->
         (* Every range raises.  A domain checks for a recorded failure
            before each range it claims and records its own before claiming
            again, so no domain runs two ranges: the rest are cancelled. *)
@@ -178,6 +188,51 @@ let sizing_tests =
         let hits, _ = covered static 0 99 in
         Alcotest.(check bool) "and stays usable" true
           (Array.for_all (( = ) 1) hits));
+    Alcotest.test_case "a resize drops the stopped workers' scratch" `Quick
+      (fun () ->
+        let main = Domain.self () in
+        let mu = Mutex.create () in
+        let made = ref [] in
+        let get =
+          B.Pool.per_domain (fun () ->
+              let v = ref 0 and w = Weak.create 1 in
+              Weak.set w 0 (Some v);
+              Mutex.protect mu (fun () ->
+                  made := (Domain.self (), w) :: !made);
+              v)
+        in
+        (* The caller's range waits (5 s at most) for a worker's, so the
+           pool's workers make values of their own. *)
+        let worker_ran = Atomic.make false in
+        B.Pool.static_for 0 (workers - 1) ~body:(fun _ _ ->
+            incr (get ());
+            if Domain.self () <> main then Atomic.set worker_ran true
+            else
+              let t0 = Unix.gettimeofday () in
+              while
+                (not (Atomic.get worker_ran))
+                && Unix.gettimeofday () -. t0 < 5.0
+              do
+                Domain.cpu_relax ()
+              done);
+        Alcotest.(check bool) "a worker made a value" true
+          (Atomic.get worker_ran);
+        B.Pool.set_num_workers workers;
+        (* a miss on a domain outside the pool drops the old workers' *)
+        let other = Domain.join (Domain.spawn (fun () ->
+            ignore (get ());
+            Domain.self ())) in
+        Gc.full_major ();
+        Gc.full_major ();
+        List.iter
+          (fun (d, w) ->
+            let kept = d = main || d = other in
+            Alcotest.(check bool)
+              (Printf.sprintf "domain %d's value %s" (d :> int)
+                 (if kept then "kept" else "dropped"))
+              kept (Weak.check w 0))
+          !made;
+        ignore (Sys.opaque_identity (get ())));
   ]
 
 (* --------------------- differential: three backends --------------------- *)
